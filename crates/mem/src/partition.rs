@@ -272,19 +272,6 @@ impl MemoryPartition {
         next
     }
 
-    /// The cycle (exclusive) until which stepping this partition is provably
-    /// a no-op, or `None` when it must be stepped at `now`. Thin adapter
-    /// over [`MemoryPartition::next_event`]; `Some(u64::MAX)` signals a
-    /// fully drained partition.
-    pub fn quiescent_until(&self, now: u64) -> Option<u64> {
-        let next = self.next_event(now);
-        if next <= now {
-            None
-        } else {
-            Some(next)
-        }
-    }
-
     /// Enables or disables metrics recording in the memory controller
     /// (request-latency histograms); off by default.
     pub fn set_metrics_enabled(&mut self, on: bool) {

@@ -219,28 +219,6 @@ impl<T> Crossbar<T> {
         delivered
     }
 
-    /// The cycle (exclusive) until which this crossbar is provably inert:
-    /// `Some(u64::MAX)` when empty, the earliest head-of-line `ready_at`
-    /// when every buffered flit is still in wire traversal, and `None` when
-    /// a flit is deliverable at `now` (the crossbar must be stepped).
-    /// Head-of-line flits suffice: only they can be granted, and latency is
-    /// constant so each FIFO's head has its queue's earliest `ready_at`.
-    pub fn quiescent_until(&self, now: u64) -> Option<u64> {
-        if self.buffered == 0 {
-            return Some(u64::MAX);
-        }
-        let mut next = u64::MAX;
-        for q in &self.inputs {
-            if let Some(f) = q.front() {
-                if f.ready_at <= now {
-                    return None;
-                }
-                next = next.min(f.ready_at);
-            }
-        }
-        Some(next)
-    }
-
     /// The earliest head-of-line `ready_at`, or `None` when the crossbar
     /// is empty — its "next event at" contract for the event engine:
     /// nothing can be delivered before the returned cycle. Head-of-line
@@ -500,11 +478,15 @@ mod tests {
     }
 
     #[test]
-    fn quiescent_until_reports_traversal_horizon() {
+    fn earliest_head_ready_reports_traversal_horizon() {
         let mut x: Crossbar<u32> = Crossbar::new(2, 2, 5, 1, 4);
-        assert_eq!(x.quiescent_until(0), Some(u64::MAX), "empty crossbar");
+        assert_eq!(x.earliest_head_ready(), None, "empty crossbar");
         x.push(0, 1, 9, 10).unwrap();
-        assert_eq!(x.quiescent_until(10), Some(15), "in traversal until 15");
-        assert_eq!(x.quiescent_until(15), None, "deliverable now");
+        assert_eq!(x.earliest_head_ready(), Some(15), "in traversal until 15");
+        x.step_with(14, |_, _| panic!("nothing is deliverable before 15"));
+        let mut got = Vec::new();
+        x.step_with(15, |out, p| got.push((out, p)));
+        assert_eq!(got, [(1, 9)], "deliverable at the reported cycle");
+        assert_eq!(x.earliest_head_ready(), None);
     }
 }

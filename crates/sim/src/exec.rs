@@ -33,7 +33,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, Once};
 
 thread_local! {
     /// True on threads spawned by [`par_map_with`] — see [`in_sweep_fanout`].
@@ -50,26 +50,46 @@ pub fn in_sweep_fanout() -> bool {
     IN_SWEEP_FANOUT.with(Cell::get)
 }
 
-/// Number of intra-simulation domain workers a single machine's event loop
-/// uses: the `EBM_SIM_THREADS` environment variable when set to a positive
-/// integer, otherwise 1 (serial — intra-sim parallelism is opt-in).
+/// Parses a thread-count variable's value: a positive integer, surrounding
+/// whitespace ignored.
+fn parse_threads(value: &str) -> Result<usize, String> {
+    match value.trim().parse::<usize>() {
+        Ok(0) => Err("a thread count must be at least 1".to_string()),
+        Ok(n) => Ok(n),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+/// The thread count environment variable `var` asks for, or `fallback()`
+/// when it is unset or unusable. An unusable value is reported on stderr
+/// once per variable (`warned`), naming the variable, the rejected value
+/// and the count used instead.
+fn env_threads(var: &str, warned: &Once, fallback: impl FnOnce() -> usize) -> usize {
+    let Ok(value) = std::env::var(var) else {
+        return fallback();
+    };
+    parse_threads(&value).unwrap_or_else(|why| {
+        let used = fallback();
+        warned.call_once(|| eprintln!("warning: ignoring {var}={value:?} ({why}); using {used}"));
+        used
+    })
+}
+
+/// Number of intra-simulation domain workers a machine is laid out for
+/// when it is built: the `EBM_SIM_THREADS` environment variable when set
+/// to a positive integer, otherwise 1 (serial — intra-sim parallelism is
+/// opt-in).
 ///
 /// Always 1 on [`par_map`]/[`par_map_with`] worker threads, whatever the
 /// environment says: across-sim fan-out already saturates the host
 /// ([`in_sweep_fanout`]). An explicit per-machine override
 /// (`Gpu::set_sim_threads`) bypasses this function entirely.
 pub fn sim_worker_count() -> usize {
+    static WARNED: Once = Once::new();
     if in_sweep_fanout() {
         return 1;
     }
-    if let Ok(v) = std::env::var("EBM_SIM_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    1
+    env_threads("EBM_SIM_THREADS", &WARNED, || 1)
 }
 
 /// Number of worker threads fan-outs use by default: the `EBM_THREADS`
@@ -81,19 +101,15 @@ pub fn sim_worker_count() -> usize {
 /// oversubscribe the host with `N × N` threads, so nested [`par_map`]
 /// calls run inline instead.
 pub fn worker_count() -> usize {
+    static WARNED: Once = Once::new();
     if in_sweep_fanout() {
         return 1;
     }
-    if let Ok(v) = std::env::var("EBM_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    env_threads("EBM_THREADS", &WARNED, || {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Maps `f` over `items` on [`worker_count`] scoped threads, returning the
@@ -277,6 +293,16 @@ mod tests {
     #[test]
     fn more_threads_than_items() {
         assert_eq!(par_map_with(64, vec![1, 2, 3], |x| x * 2), vec![2, 4, 6]);
+    }
+
+    #[test]
+    fn parse_threads_accepts_only_positive_integers() {
+        assert_eq!(parse_threads("4"), Ok(4));
+        assert_eq!(parse_threads(" 12\n"), Ok(12));
+        for bad in ["0", "abc", "", "-2", "1.5"] {
+            assert!(parse_threads(bad).is_err(), "{bad:?} must be rejected");
+        }
+        assert!(parse_threads("0").unwrap_err().contains("at least 1"));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The multi-application GPU machine.
 
-use crate::domain;
-use crate::timeq::{TimeQ, NEVER};
+mod oracle;
+
+use crate::domain::{self, DirectFabric, DomainState};
 use gpu_mem::req::MemRequest;
 use gpu_mem::{Crossbar, MemoryPartition};
 use gpu_simt::{CoreStats, SimtCore, WarpStalls};
@@ -40,9 +41,8 @@ pub struct Gpu {
     /// partition ingress queue, per partition.
     ingress_backlog: Vec<VecDeque<MemRequest>>,
     now: u64,
-    /// When true, [`Gpu::step`]/[`Gpu::run`] use the naive cycle-by-cycle
-    /// reference engine (allocating APIs, no quiescence skipping); see
-    /// [`Gpu::set_reference_engine`].
+    /// Whether run spans go to the reference oracle (`machine/oracle.rs`)
+    /// instead of the production engine. Read only by [`Gpu::run`].
     reference_mode: bool,
     /// Cycles advanced by stepping at least one component.
     stepped_cycles: u64,
@@ -51,37 +51,21 @@ pub struct Gpu {
     /// Whether metrics recording is enabled machine-wide (mirrors the
     /// per-component flags; see [`Gpu::set_metrics_enabled`]).
     metrics: bool,
-    /// The event engine's timing wheel: one scheduled wake time per
-    /// component (cores, partitions, request/response crossbars).
-    timeq: TimeQ,
-    /// Per core: the cycle up to which its per-cycle counters have been
-    /// charged. Lazy idle crediting: a sleeping, skipped core is credited
-    /// in one batch when it is next stepped or when a run ends.
-    credited_to: Vec<u64>,
-    /// Per-cycle scratch: which cores must be stepped this cycle.
-    core_due: Vec<bool>,
-    /// Per-cycle scratch: which partitions must be stepped this cycle.
-    part_due: Vec<bool>,
-    /// False when scheduled wake times may be stale (knob change, manual
-    /// step, reference run); [`Gpu::run`] rebuilds the wheel before use.
-    event_state_valid: bool,
-    /// Per core: whether its egress queue is non-empty. A sleeping core's
-    /// egress still drains at the machine's pace, so the event engine
-    /// iterates this set (not the due set) when offering requests to the
-    /// crossbar, and cannot fast-forward while any entry is set.
-    egress_pending: Vec<bool>,
-    /// Number of `true` entries in `egress_pending`.
-    egress_pending_count: usize,
+    /// The machine's domain layout — one domain per intra-simulation
+    /// worker, a single one when serial — with each domain's engine state
+    /// (wake times, credit watermarks, egress-pending set). Laid out at
+    /// construction and again only by [`Gpu::set_sim_threads`].
+    domains: Vec<DomainState>,
+    /// False when the domains' derived state may be stale; the next
+    /// production span re-derives it. Cleared only by
+    /// [`Gpu::invalidate_wake_state`].
+    wake_valid: bool,
     /// Individual core step calls (fast path or full).
     core_steps: u64,
     /// Individual partition step calls.
     partition_steps: u64,
     /// Individual crossbar step calls (request + response networks).
     xbar_steps: u64,
-    /// Explicit intra-simulation worker-count override; when `None`,
-    /// [`Gpu::run`] resolves `EBM_SIM_THREADS` via
-    /// [`crate::exec::sim_worker_count`]. See [`Gpu::set_sim_threads`].
-    sim_threads: Option<usize>,
     /// Gate broadcasts issued by the windowed parallel engine (one per
     /// lookahead window, plus one exit broadcast per run span).
     sync_points: u64,
@@ -266,7 +250,7 @@ impl Gpu {
         let partitions = (0..cfg.n_partitions)
             .map(|p| MemoryPartition::new(PartitionId(p), cfg, apps.len()))
             .collect();
-        Gpu {
+        let mut gpu = Gpu {
             req_net: Crossbar::new(
                 total,
                 cfg.n_partitions,
@@ -292,38 +276,21 @@ impl Gpu {
             stepped_cycles: 0,
             skipped_cycles: 0,
             metrics: false,
-            timeq: TimeQ::new(total + cfg.n_partitions + 2),
-            credited_to: vec![0; total],
-            core_due: vec![false; total],
-            part_due: vec![false; cfg.n_partitions],
-            event_state_valid: false,
-            egress_pending: vec![false; total],
-            egress_pending_count: 0,
+            domains: Vec::new(),
+            wake_valid: false,
             core_steps: 0,
             partition_steps: 0,
             xbar_steps: 0,
-            sim_threads: None,
             sync_points: 0,
             barrier_waits: 0,
             windows: 0,
             window_cycles: 0,
             domain_stats: Vec::new(),
-        }
-    }
-
-    /// Timing-wheel component id of partition `p` (cores occupy `0..C`).
-    fn comp_part(&self, p: usize) -> usize {
-        self.cores.len() + p
-    }
-
-    /// Timing-wheel component id of the request crossbar.
-    fn comp_req_net(&self) -> usize {
-        self.cores.len() + self.partitions.len()
-    }
-
-    /// Timing-wheel component id of the response crossbar.
-    fn comp_resp_net(&self) -> usize {
-        self.cores.len() + self.partitions.len() + 1
+        };
+        // The worker count is resolved once per machine, here, on the
+        // thread that builds (and, throughout this repository, runs) it.
+        gpu.set_sim_threads(crate::exec::sim_worker_count());
+        gpu
     }
 
     /// The machine configuration.
@@ -346,16 +313,20 @@ impl Gpu {
         &self.app_cores[app.index()]
     }
 
+    /// Applies `knob` to every core of `app`. Knobs clear the affected
+    /// cores' sleep states, so every wake time derived from them is stale.
+    fn set_core_knob(&mut self, app: AppId, knob: impl Fn(&mut SimtCore)) {
+        for &c in &self.app_cores[app.index()] {
+            knob(&mut self.cores[c]);
+        }
+        self.invalidate_wake_state();
+    }
+
     /// Applies a TLP level to every core of `app` (SWL, clamped to the
     /// machine's realizable maximum).
     pub fn set_tlp(&mut self, app: AppId, level: TlpLevel) {
         let level = self.cfg.clamp_tlp(level);
-        for &c in &self.app_cores[app.index()] {
-            self.cores[c].set_tlp(level);
-        }
-        // The knob clears the affected cores' sleep states, so every wake
-        // time scheduled from them is stale; rebuild before the next run.
-        self.event_state_valid = false;
+        self.set_core_knob(app, |core| core.set_tlp(level));
     }
 
     /// Applies a full TLP combination (one level per application).
@@ -379,10 +350,7 @@ impl Gpu {
     /// Enables/disables L1 bypassing for every core of `app`
     /// (the Mod+Bypass baseline's knob).
     pub fn set_bypass_l1(&mut self, app: AppId, bypass: bool) {
-        for &c in &self.app_cores[app.index()] {
-            self.cores[c].set_bypass_l1(bypass);
-        }
-        self.event_state_valid = false;
+        self.set_core_knob(app, |core| core.set_bypass_l1(bypass));
     }
 
     /// True when `app`'s cores currently bypass their L1s.
@@ -393,501 +361,95 @@ impl Gpu {
     /// Enables/disables CCWS cache-conscious throttling on every core of
     /// `app` (the ++CCWS baseline).
     pub fn set_ccws(&mut self, app: AppId, enabled: bool) {
-        for &c in &self.app_cores[app.index()] {
-            self.cores[c].set_ccws(enabled);
-        }
-        self.event_state_valid = false;
+        self.set_core_knob(app, |core| core.set_ccws(enabled));
     }
 
-    /// Advances the machine one cycle (stepping every component, like the
-    /// per-cycle engines — single external steps bypass the timing wheel).
+    /// Marks the domains' derived engine state — wake times, credit
+    /// watermarks, egress-pending sets — stale. The one rule: it is stale
+    /// after anything other than the production engine changed what it was
+    /// derived from, i.e. a knob change (TLP/bypass/CCWS clear core sleep
+    /// states) or a reference-engine stretch. The next production span
+    /// re-derives it. A layout change ([`Gpu::set_sim_threads`]) only
+    /// regroups components and carries their state over.
+    fn invalidate_wake_state(&mut self) {
+        self.wake_valid = false;
+    }
+
+    /// Advances the machine one cycle: exactly a one-cycle [`Gpu::run`]
+    /// span, so manual stepping skips idle components, counts toward
+    /// [`crate::metrics::cycles_simulated`] and reports the same
+    /// [`EngineStats`] as `run` over the same cycles. On a machine with
+    /// several intra-simulation workers every call is a one-cycle window
+    /// with its own worker threads — correct, but slow.
     pub fn step(&mut self) {
-        if self.reference_mode {
-            self.step_reference();
-        } else {
-            self.step_optimized();
-        }
-        // A per-cycle step credits every core by actually stepping it; move
-        // the lazy-credit watermark along or a later event-engine run would
-        // credit (and double-count) this cycle again.
-        for c in &mut self.credited_to {
-            *c = self.now;
-        }
-        self.event_state_valid = false;
+        self.run(1);
     }
 
-    /// One cycle of the optimized engine: drain-into/callback APIs, with
-    /// every per-cycle buffer owned by the machine or its components, so the
-    /// steady-state path performs zero heap allocation.
-    fn step_optimized(&mut self) {
-        let now = self.now;
-
-        // 1. Memory partitions produce responses; stage them toward the
-        //    response network (per-partition backlog absorbs bursts).
-        for (p, part) in self.partitions.iter_mut().enumerate() {
-            part.step_into(now, &mut self.resp_backlog[p]);
-            while let Some(resp) = self.resp_backlog[p].front() {
-                if !self.resp_net.can_accept(p) {
-                    break;
-                }
-                let dest = resp.core.index();
-                let resp = self.resp_backlog[p].pop_front().expect("front checked");
-                self.resp_net
-                    .push(p, dest, resp, now)
-                    .expect("can_accept checked");
-            }
-        }
-
-        // 2. Deliver responses to cores.
-        let cores = &mut self.cores;
-        self.resp_net
-            .step_with(now, |core_idx, resp| cores[core_idx].receive(resp));
-
-        // 3. Cores execute.
-        for core in &mut self.cores {
-            core.step(now);
-        }
-
-        // 4. Core egress into the request network.
-        let n_partitions = self.cfg.n_partitions;
-        for (ci, core) in self.cores.iter_mut().enumerate() {
-            for _ in 0..self.cfg.xbar_requests_per_cycle {
-                let Some(req) = core.peek_request() else {
-                    break;
-                };
-                if !self.req_net.can_accept(ci) {
-                    break;
-                }
-                let dest = req.addr.partition(n_partitions);
-                let req = core.pop_request().expect("peeked");
-                self.req_net
-                    .push(ci, dest, req, now)
-                    .expect("can_accept checked");
-            }
-        }
-
-        // 5. Eject requests into partitions (retrying refused ones first).
-        let backlog = &mut self.ingress_backlog;
-        self.req_net
-            .step_with(now, |p, req| backlog[p].push_back(req));
-        for (p, part) in self.partitions.iter_mut().enumerate() {
-            while let Some(req) = self.ingress_backlog[p].front().copied() {
-                if part.push(req).is_err() {
-                    break;
-                }
-                self.ingress_backlog[p].pop_front();
-            }
-        }
-
-        self.now += 1;
-        self.stepped_cycles += 1;
-        self.core_steps += self.cores.len() as u64;
-        self.partition_steps += self.partitions.len() as u64;
-        self.xbar_steps += 2;
-    }
-
-    /// One cycle of the naive reference engine: the original per-cycle
-    /// algorithm with `Vec`-returning component steps and no quiescence
-    /// machinery, kept only for the `engine_equivalence` differential tests.
-    fn step_reference(&mut self) {
-        let now = self.now;
-
-        for (p, part) in self.partitions.iter_mut().enumerate() {
-            for resp in part.step(now) {
-                self.resp_backlog[p].push_back(resp);
-            }
-            while let Some(resp) = self.resp_backlog[p].front() {
-                if !self.resp_net.can_accept(p) {
-                    break;
-                }
-                let dest = resp.core.index();
-                let resp = self.resp_backlog[p].pop_front().expect("front checked");
-                self.resp_net
-                    .push(p, dest, resp, now)
-                    .expect("can_accept checked");
-            }
-        }
-
-        for (core_idx, resp) in self.resp_net.step(now) {
-            self.cores[core_idx].receive(resp);
-        }
-
-        for core in &mut self.cores {
-            core.step_reference(now);
-        }
-
-        let n_partitions = self.cfg.n_partitions;
-        for (ci, core) in self.cores.iter_mut().enumerate() {
-            for _ in 0..self.cfg.xbar_requests_per_cycle {
-                let Some(req) = core.peek_request() else {
-                    break;
-                };
-                if !self.req_net.can_accept(ci) {
-                    break;
-                }
-                let dest = req.addr.partition(n_partitions);
-                let req = core.pop_request().expect("peeked");
-                self.req_net
-                    .push(ci, dest, req, now)
-                    .expect("can_accept checked");
-            }
-        }
-
-        for (p, req) in self.req_net.step(now) {
-            self.ingress_backlog[p].push_back(req);
-        }
-        for (p, part) in self.partitions.iter_mut().enumerate() {
-            while let Some(req) = self.ingress_backlog[p].front().copied() {
-                if part.push(req).is_err() {
-                    break;
-                }
-                self.ingress_backlog[p].pop_front();
-            }
-        }
-
-        self.now += 1;
-        self.stepped_cycles += 1;
-        self.core_steps += self.cores.len() as u64;
-        self.partition_steps += self.partitions.len() as u64;
-        self.xbar_steps += 2;
-    }
-
-    /// Rebuilds every timing-wheel entry from current component state.
-    /// Called when scheduled wake times may be stale: after construction,
-    /// a knob change (TLP/bypass/CCWS clear core sleep states), a manual
-    /// [`Gpu::step`], or a reference-engine stretch.
-    fn rebuild_event_state(&mut self) {
-        let now = self.now;
-        self.timeq.reset(now);
-        self.egress_pending_count = 0;
-        for (c, core) in self.cores.iter().enumerate() {
-            debug_assert_eq!(
-                self.credited_to[c], now,
-                "rebuild requires flushed core credits"
-            );
-            self.egress_pending[c] = core.has_egress();
-            if self.egress_pending[c] {
-                self.egress_pending_count += 1;
-            }
-            let t = core.next_event(now);
-            if t != NEVER {
-                self.timeq.schedule(c, t);
-            }
-        }
-        for p in 0..self.partitions.len() {
-            let mut t = self.partitions[p].next_event(now);
-            if !self.resp_backlog[p].is_empty() || !self.ingress_backlog[p].is_empty() {
-                t = now;
-            }
-            if t != NEVER {
-                self.timeq.schedule(self.comp_part(p), t);
-            }
-        }
-        if let Some(t) = self.req_net.earliest_head_ready() {
-            self.timeq.schedule(self.comp_req_net(), t.max(now));
-        }
-        if let Some(t) = self.resp_net.earliest_head_ready() {
-            self.timeq.schedule(self.comp_resp_net(), t.max(now));
-        }
-        self.event_state_valid = true;
-    }
-
-    /// Batch-credits every core's per-cycle counters up to `now`. Cores
-    /// with uncredited cycles are necessarily sleeping (awake cores are
-    /// stepped — and credited — every cycle), so the batch credit is valid.
-    fn flush_core_credits(&mut self) {
-        let now = self.now;
-        for (c, core) in self.cores.iter_mut().enumerate() {
-            if self.credited_to[c] < now {
-                core.credit_idle_cycles(now - self.credited_to[c]);
-                self.credited_to[c] = now;
-            }
-        }
-    }
-
-    /// One cycle of the event engine: fires due timing-wheel entries into
-    /// per-component due flags, runs the same five phases as
-    /// [`Gpu::step_optimized`] restricted to due components, then
-    /// reschedules everything that was touched. Bit-identical to stepping
-    /// every component: a partition or crossbar is only skipped while its
-    /// step would be a strict no-op (its "next event at" contract), and a
-    /// skipped core's counters-only fast path is credited in batch before
-    /// its next full step.
-    fn step_event(&mut self) {
-        let now = self.now;
-        let n_cores = self.cores.len();
-        let n_parts = self.partitions.len();
-        let zero_lat = self.cfg.xbar_latency == 0;
-        let mut req_due = false;
-        let mut resp_due = false;
-        {
-            let core_due = &mut self.core_due;
-            let part_due = &mut self.part_due;
-            self.timeq.advance(now, |comp| {
-                let comp = comp as usize;
-                if comp < n_cores {
-                    core_due[comp] = true;
-                } else if comp < n_cores + n_parts {
-                    part_due[comp - n_cores] = true;
-                } else if comp == n_cores + n_parts {
-                    req_due = true;
-                } else {
-                    resp_due = true;
-                }
-            });
-        }
-        let resp_was_empty = self.resp_net.is_empty();
-        let req_was_empty = self.req_net.is_empty();
-        let mut resp_pushed = false;
-        let mut req_pushed = false;
-
-        // 1. Due partitions produce responses; stage them toward the
-        //    response network (the backlog retry makes a partition due, so
-        //    non-due partitions have nothing staged).
-        for p in 0..n_parts {
-            if !self.part_due[p] {
-                continue;
-            }
-            self.partition_steps += 1;
-            self.partitions[p].step_into(now, &mut self.resp_backlog[p]);
-            while let Some(resp) = self.resp_backlog[p].front() {
-                if !self.resp_net.can_accept(p) {
-                    break;
-                }
-                let dest = resp.core.index();
-                let resp = self.resp_backlog[p].pop_front().expect("front checked");
-                self.resp_net
-                    .push(p, dest, resp, now)
-                    .expect("can_accept checked");
-                resp_pushed = true;
-                if zero_lat {
-                    resp_due = true; // deliverable this very cycle
-                }
-            }
-        }
-
-        // 2. Deliver responses to cores (crediting a woken core's skipped
-        //    cycles before `receive` clears its sleep state).
-        if resp_due {
-            self.xbar_steps += 1;
-            let cores = &mut self.cores;
-            let credited = &mut self.credited_to;
-            let core_due = &mut self.core_due;
-            self.resp_net.step_with(now, |core_idx, resp| {
-                credit_core(&mut cores[core_idx], &mut credited[core_idx], now);
-                cores[core_idx].receive(resp);
-                core_due[core_idx] = true;
-            });
-        }
-
-        // 3. Due cores execute (skipped-cycle credit first, so the step
-        //    observes exactly the state the per-cycle engine would). A step
-        //    can enqueue egress, so the egress-pending set is refreshed.
-        for c in 0..n_cores {
-            if !self.core_due[c] {
-                continue;
-            }
-            self.core_steps += 1;
-            credit_core(&mut self.cores[c], &mut self.credited_to[c], now);
-            self.cores[c].step(now);
-            self.credited_to[c] = now + 1;
-            let has = self.cores[c].has_egress();
-            if has != self.egress_pending[c] {
-                self.egress_pending[c] = has;
-                if has {
-                    self.egress_pending_count += 1;
-                } else {
-                    self.egress_pending_count -= 1;
-                }
-            }
-        }
-
-        // 4. Core egress into the request network — every core with queued
-        //    requests, due or not: a struct-stalled core sleeps while its
-        //    queue drains at the machine's pace, and the pop wakes it.
-        //    Skipped cycles are credited before the pop can clear the
-        //    sleep, keeping the lazy-credit bookkeeping exact.
-        let n_partitions = self.cfg.n_partitions;
-        if self.egress_pending_count > 0 {
-            for ci in 0..n_cores {
-                if !self.egress_pending[ci] {
-                    continue;
-                }
-                let mut popped = false;
-                for _ in 0..self.cfg.xbar_requests_per_cycle {
-                    let Some(req) = self.cores[ci].peek_request().copied() else {
-                        break;
-                    };
-                    if !self.req_net.can_accept(ci) {
-                        break;
-                    }
-                    credit_core(&mut self.cores[ci], &mut self.credited_to[ci], now + 1);
-                    let dest = req.addr.partition(n_partitions);
-                    let req = self.cores[ci].pop_request().expect("peeked");
-                    self.req_net
-                        .push(ci, dest, req, now)
-                        .expect("can_accept checked");
-                    popped = true;
-                    req_pushed = true;
-                    if zero_lat {
-                        req_due = true;
-                    }
-                }
-                if popped {
-                    if !self.cores[ci].has_egress() {
-                        self.egress_pending[ci] = false;
-                        self.egress_pending_count -= 1;
-                    }
-                    // A pop may have woken a struct-stalled sleeper; a
-                    // non-due core is not rescheduled below, so do it here
-                    // (due cores are covered by the epilogue either way).
-                    if !self.core_due[ci] {
-                        match self.cores[ci].next_event(now + 1) {
-                            NEVER => self.timeq.cancel(ci),
-                            t => self.timeq.schedule(ci, t),
-                        }
-                    }
-                }
-            }
-        }
-
-        // 5. Eject requests into partitions (retrying refused ones first).
-        if req_due {
-            self.xbar_steps += 1;
-            let backlog = &mut self.ingress_backlog;
-            self.req_net
-                .step_with(now, |p, req| backlog[p].push_back(req));
-        }
-        for p in 0..n_parts {
-            if self.ingress_backlog[p].is_empty() {
-                continue;
-            }
-            let part = &mut self.partitions[p];
-            while let Some(req) = self.ingress_backlog[p].front().copied() {
-                if part.push(req).is_err() {
-                    break;
-                }
-                self.ingress_backlog[p].pop_front();
-            }
-            // The partition has fresh ingress (or a backlog retry) — it
-            // must step next cycle. Due partitions are rescheduled below.
-            if !self.part_due[p] {
-                self.timeq.schedule_min(self.comp_part(p), now + 1);
-            }
-        }
-
-        // Reschedule everything stepped this cycle and clear the flags.
-        for c in 0..n_cores {
-            if !self.core_due[c] {
-                continue;
-            }
-            self.core_due[c] = false;
-            match self.cores[c].next_event(now + 1) {
-                NEVER => self.timeq.cancel(c),
-                t => self.timeq.schedule(c, t),
-            }
-        }
-        for p in 0..n_parts {
-            if !self.part_due[p] {
-                continue;
-            }
-            self.part_due[p] = false;
-            let mut t = self.partitions[p].next_event(now + 1);
-            if !self.resp_backlog[p].is_empty() || !self.ingress_backlog[p].is_empty() {
-                t = now + 1; // staging/ingress retries happen every cycle
-            }
-            match t {
-                NEVER => self.timeq.cancel(self.comp_part(p)),
-                t => self.timeq.schedule(self.comp_part(p), t),
-            }
-        }
-        if req_due {
-            match self.req_net.earliest_head_ready() {
-                Some(t) => self.timeq.schedule(self.comp_req_net(), t.max(now + 1)),
-                None => self.timeq.cancel(self.comp_req_net()),
-            }
-        } else if req_pushed && req_was_empty {
-            // First flits into an empty network: all ready after the wire
-            // latency (an already-populated network's earlier wake stands).
-            self.timeq
-                .schedule(self.comp_req_net(), now + self.cfg.xbar_latency as u64);
-        }
-        if resp_due {
-            match self.resp_net.earliest_head_ready() {
-                Some(t) => self.timeq.schedule(self.comp_resp_net(), t.max(now + 1)),
-                None => self.timeq.cancel(self.comp_resp_net()),
-            }
-        } else if resp_pushed && resp_was_empty {
-            self.timeq
-                .schedule(self.comp_resp_net(), now + self.cfg.xbar_latency as u64);
-        }
-
-        self.now += 1;
-        self.stepped_cycles += 1;
-    }
-
-    /// Runs the machine for `cycles` cycles. The event engine jumps from
-    /// event to event: each iteration either steps the due components of
-    /// one cycle or fast-forwards `now` to the next scheduled wake, with
-    /// skipped cores' per-cycle counters credited lazily in batch. `now`,
+    /// Runs the machine for `cycles` cycles. The engine jumps from event
+    /// to event: each iteration either steps the due components of one
+    /// cycle or fast-forwards to the next scheduled wake, with skipped
+    /// cores' per-cycle counters credited lazily in batch. `now`,
     /// statistics and traced output advance exactly as if every component
-    /// had been stepped every cycle (the reference engine checks this
+    /// had been stepped every cycle (the reference oracle checks this
     /// bit-for-bit in `engine_equivalence`).
     ///
-    /// When more than one intra-simulation worker is configured
-    /// ([`Gpu::set_sim_threads`] or `EBM_SIM_THREADS`), the stepped cycles
-    /// run on the domain-parallel engine instead — bit-identical to the
-    /// serial engine for every worker count (docs/PARALLELISM.md).
+    /// A machine laid out as several domains ([`Gpu::set_sim_threads`] or
+    /// `EBM_SIM_THREADS`) steps them on worker threads in lookahead
+    /// windows — the same cycle kernel over a different crossbar fabric,
+    /// bit-identical for every worker count (docs/PARALLELISM.md).
     pub fn run(&mut self, cycles: u64) {
         crate::metrics::add_cycles_simulated(cycles);
         if self.reference_mode {
-            self.event_state_valid = false;
-            for _ in 0..cycles {
-                self.step_reference();
-            }
-            self.publish_engine_gauges();
-            return;
-        }
-        let workers = self
-            .sim_threads
-            .unwrap_or_else(crate::exec::sim_worker_count)
-            .min(self.cores.len());
-        // The windowed parallel engine's lookahead is the crossbar
-        // traversal latency; a zero-latency configuration has no lookahead
-        // to exploit, so it runs serial regardless of the worker count.
-        if workers > 1 && self.cfg.xbar_latency > 0 {
-            self.run_parallel(cycles, workers);
-            self.publish_engine_gauges();
-            return;
-        }
-        if !self.event_state_valid {
-            self.rebuild_event_state();
-        }
-        let end = self.now + cycles;
-        while self.now < end {
-            // Queued egress drains once per cycle (phase 4), so the machine
-            // cannot jump while any core holds it, even though the holders
-            // themselves may be asleep and skipped.
-            if self.egress_pending_count == 0 {
-                let next = self.timeq.next_at();
-                if next > self.now {
-                    // Nothing is due before `next`: jump (clamped to the span).
-                    let to = next.min(end);
-                    self.skipped_cycles += to - self.now;
-                    self.now = to;
-                    if to == end {
-                        // The cycle at `end` belongs to the next run span.
-                        break;
-                    }
+            self.run_reference(cycles);
+        } else {
+            if !self.wake_valid {
+                let domains = domain::views(
+                    &mut self.domains,
+                    &mut self.cores,
+                    &mut self.partitions,
+                    &mut self.resp_backlog,
+                    &mut self.ingress_backlog,
+                    &self.cfg,
+                );
+                for mut dom in domains {
+                    dom.derive_wake_state(self.now);
                 }
+                self.wake_valid = true;
             }
-            self.step_event();
+            if self.domains.len() > 1 {
+                self.run_windowed(cycles);
+            } else {
+                self.run_direct(cycles);
+            }
         }
-        // Credit sleeping, skipped cores up to the span end so every
-        // external read between runs (counters, snapshots, knob logic)
-        // sees exactly the per-cycle engine's state.
-        self.flush_core_credits();
         self.publish_engine_gauges();
+    }
+
+    /// A span of the one-domain machine: the cycle kernel over the direct
+    /// fabric, on the calling thread.
+    fn run_direct(&mut self, cycles: u64) {
+        let (from, end) = (self.now, self.now + cycles);
+        let latency = self.cfg.xbar_latency as u64;
+        let mut fabric = DirectFabric::new(&mut self.req_net, &mut self.resp_net, latency, from);
+        let mut dom = domain::views(
+            &mut self.domains,
+            &mut self.cores,
+            &mut self.partitions,
+            &mut self.resp_backlog,
+            &mut self.ingress_backlog,
+            &self.cfg,
+        )
+        .next()
+        .expect("a machine has at least one domain");
+        dom.advance(from, end, &mut fabric);
+        dom.flush_credits(end);
+        let (core_steps, partition_steps) = dom.state.take_steps();
+        self.core_steps += core_steps;
+        self.partition_steps += partition_steps;
+        self.xbar_steps += fabric.xbar_steps;
+        self.stepped_cycles += fabric.stepped_cycles;
+        self.skipped_cycles += cycles - fabric.stepped_cycles;
+        self.now = end;
     }
 
     /// Publishes the engine accounting onto the `engine.*` gauges of the
@@ -945,43 +507,43 @@ impl Gpu {
             .set((s.mean_window_cycles() * 1000.0) as u64);
     }
 
-    /// The lookahead-windowed domain-parallel engine: the machine is split
-    /// into `workers` contiguous domains (cores with their credit/egress
-    /// state, partitions with their backlogs), each owned by one scoped
-    /// thread for the whole run span; the coordinator keeps both crossbars
-    /// and every scalar counter. The crossbars' traversal latency `L` is
-    /// conservative lookahead — a flit pushed at `t` is deliverable no
-    /// earlier than `t + L` — so each gate broadcast releases the workers
-    /// for an `L`-cycle window instead of one barriered cycle: the
+    /// A span of a machine laid out as several domains: each domain is
+    /// owned by one scoped worker thread for the span and steps the cycle
+    /// kernel over its windowed fabric ([`domain::Mailbox`]); this
+    /// coordinator keeps both crossbars and every scalar counter. The
+    /// crossbars' traversal latency `L` is conservative lookahead — a flit
+    /// pushed at `t` is deliverable no earlier than `t + L` — so each gate
+    /// broadcast releases the workers for an `L`-cycle window: the
     /// coordinator forward-simulates all in-window crossbar arbitration at
     /// the window start (exact, since in-window pushes cannot be granted
     /// in-window), hands each domain its cycle-tagged deliveries and exact
     /// per-port admission budgets, and replays the workers' origin-tagged
     /// pushes into the crossbars at the boundary — restoring a machine
-    /// byte-identical to [`Gpu::run`]'s serial path for every worker count
+    /// byte-identical to the one-domain span for every worker count
     /// (docs/PARALLELISM.md). Machine-wide fast-forward happens between
-    /// windows from the workers' reported next-event times; the timing
-    /// wheel is neither read nor maintained here (workers own their
-    /// components' wake state, which is dueness-equivalent), so the span
-    /// ends with `event_state_valid = false` and the next serial span
-    /// rebuilds. Zero-latency crossbars have no lookahead; [`Gpu::run`]
-    /// keeps those configurations on the serial engine.
-    fn run_parallel(&mut self, cycles: u64, workers: usize) {
+    /// windows from the domains' reported next-event times.
+    fn run_windowed(&mut self, cycles: u64) {
         let end = self.now + cycles;
         let n_cores = self.cores.len();
         let n_parts = self.partitions.len();
-        let core_chunk = n_cores.div_ceil(workers.min(n_cores));
-        let d = n_cores.div_ceil(core_chunk);
-        let part_chunk = n_parts.div_ceil(d);
+        let d = self.domains.len();
+        // Every domain but the last owns a full chunk.
+        let core_chunk = self.domains[0].cores.len();
+        let part_chunk = self.domains[0].parts.len();
         let lookahead = (self.cfg.xbar_latency as u64).min(domain::MAX_WINDOW);
-        debug_assert!(lookahead >= 1, "zero-latency machines run serial");
+        debug_assert!(lookahead >= 1, "zero-latency machines are one domain");
 
-        let mailboxes: Vec<std::sync::Mutex<domain::Mailbox>> = (0..d)
-            .map(|w| {
-                let cl = core_chunk.min(n_cores - w * core_chunk);
-                let pl = part_chunk.min(n_parts.saturating_sub(w * part_chunk));
-                std::sync::Mutex::new(domain::Mailbox::new(cl, pl))
-            })
+        let mailboxes: Vec<std::sync::Mutex<domain::Mailbox>> = self
+            .domains
+            .iter()
+            .map(|st| std::sync::Mutex::new(domain::Mailbox::new(st.cores.len(), st.parts.len())))
+            .collect();
+        // What each domain owns, for naming a culprit (the workers hold
+        // the domains themselves for the whole span).
+        let owned: Vec<_> = self
+            .domains
+            .iter()
+            .map(|st| (st.cores.clone(), st.parts.clone()))
             .collect();
         let gate = domain::Gate::new();
         let latch = domain::Latch::new();
@@ -998,8 +560,7 @@ impl Gpu {
             partitions,
             resp_backlog,
             ingress_backlog,
-            credited_to,
-            egress_pending,
+            domains,
             req_net,
             resp_net,
             cfg,
@@ -1017,68 +578,25 @@ impl Gpu {
             ..
         } = self;
 
-        let mut worker_state: Vec<domain::DomainWorker<'_>> = Vec::with_capacity(d);
-        {
-            let mut part_sl: Vec<&mut [MemoryPartition]> =
-                partitions.chunks_mut(part_chunk).collect();
-            let mut rb_sl: Vec<&mut [VecDeque<MemRequest>]> =
-                resp_backlog.chunks_mut(part_chunk).collect();
-            let mut ib_sl: Vec<&mut [VecDeque<MemRequest>]> =
-                ingress_backlog.chunks_mut(part_chunk).collect();
-            // Workers outnumbering the partition chunks own empty slices.
-            part_sl.resize_with(d, Default::default);
-            rb_sl.resize_with(d, Default::default);
-            ib_sl.resize_with(d, Default::default);
-            let core_sl = cores
-                .chunks_mut(core_chunk)
-                .zip(credited_to.chunks_mut(core_chunk))
-                .zip(egress_pending.chunks_mut(core_chunk));
-            let parts = part_sl.into_iter().zip(rb_sl).zip(ib_sl);
-            for (w, (((cores, credited), egress), ((partitions, rb), ib))) in
-                core_sl.zip(parts).enumerate()
-            {
-                worker_state.push(domain::DomainWorker {
-                    cores,
-                    credited,
-                    egress,
-                    partitions,
-                    resp_backlog: rb,
-                    ingress_backlog: ib,
-                    core_base: w * core_chunk,
-                    part_base: w * part_chunk,
-                    rate: cfg.xbar_requests_per_cycle,
-                    n_partitions: cfg.n_partitions,
-                    core_wake: Vec::new(),
-                    part_wake: Vec::new(),
-                    egress_count: 0,
-                    req_used: Vec::new(),
-                    resp_used: Vec::new(),
-                });
-            }
-        }
-
         let span_start = *now;
         std::thread::scope(|scope| {
-            for (w, state) in worker_state.into_iter().enumerate() {
+            let views = domain::views(
+                domains,
+                cores,
+                partitions,
+                resp_backlog,
+                ingress_backlog,
+                cfg,
+            );
+            for (w, dom) in views.enumerate() {
                 let (gate, latch, mailbox) = (&gate, &latch, &mailboxes[w]);
-                scope.spawn(move || domain::worker_loop(state, gate, latch, mailbox, span_start));
+                scope.spawn(move || domain::worker_loop(dom, w, gate, latch, mailbox));
             }
 
-            let check = || {
-                if gate.has_failed() {
-                    gate.release(domain::PHASE_EXIT, 0);
-                    panic!("an intra-sim domain worker panicked (see above)");
-                }
-            };
-
-            // Crossbar dueness carried between windows. At every window
-            // boundary these are recomputed from the physical nets —
-            // earliest head-ready clamped to the boundary, [`NEVER`] when
-            // empty — which is exactly the serial wheel's entry there.
-            let mut next_due_req = req_net.earliest_head_ready().map_or(NEVER, |x| x.max(*now));
-            let mut next_due_resp = resp_net
-                .earliest_head_ready()
-                .map_or(NEVER, |x| x.max(*now));
+            // Crossbar dueness carried between windows, recomputed from the
+            // physical nets at every window boundary.
+            let mut next_due_req = domain::net_due(req_net, *now);
+            let mut next_due_resp = domain::net_due(resp_net, *now);
             // Per-domain next-event reports; `span_start` until each
             // domain's first report, which forbids jumping before it.
             let mut domain_next: Vec<u64> = vec![span_start; d];
@@ -1130,12 +648,12 @@ impl Gpu {
                     for (w, mb) in guards.iter_mut().enumerate() {
                         mb.win_len = win;
                         let cb = w * core_chunk;
-                        for lc in 0..mb.req_free.len() {
-                            mb.req_free[lc] = req_net.free_slots(cb + lc) as u32;
+                        for (lc, free) in mb.req.free.iter_mut().enumerate() {
+                            *free = req_net.free_slots(cb + lc) as u32;
                         }
                         let pb = w * part_chunk;
-                        for lp in 0..mb.resp_free.len() {
-                            mb.resp_free[lp] = resp_net.free_slots(pb + lp) as u32;
+                        for (lp, free) in mb.resp.free.iter_mut().enumerate() {
+                            *free = resp_net.free_slots(pb + lp) as u32;
                         }
                     }
                     // Forward-simulate both crossbars across the whole
@@ -1144,48 +662,42 @@ impl Gpu {
                     // win), so it can neither be granted here nor change
                     // which head-of-line flits the round-robin sees.
                     for t in t0..t0 + win {
-                        let off = (t - t0) as usize;
+                        let off = t - t0;
                         if next_due_resp <= t {
                             *xbar_steps += 1;
                             xbar_mask |= 1u64 << off;
                             resp_net.step_routed(t, |inp, core_idx, resp| {
                                 resp_refund[inp] |= 1u64 << off;
-                                resp_grant_cnt[off] += 1;
+                                resp_grant_cnt[off as usize] += 1;
                                 let w = core_idx / core_chunk;
-                                guards[w].grants.push((
-                                    off as u64,
-                                    core_idx - w * core_chunk,
-                                    resp,
-                                ));
+                                guards[w]
+                                    .grants
+                                    .push_back((off, core_idx - w * core_chunk, resp));
                             });
-                            next_due_resp = resp_net
-                                .earliest_head_ready()
-                                .map_or(NEVER, |x| x.max(t + 1));
+                            next_due_resp = domain::net_due(resp_net, t + 1);
                         }
                         if next_due_req <= t {
                             *xbar_steps += 1;
                             xbar_mask |= 1u64 << off;
                             req_net.step_routed(t, |inp, part_idx, req| {
                                 req_refund[inp] |= 1u64 << off;
-                                req_grant_cnt[off] += 1;
+                                req_grant_cnt[off as usize] += 1;
                                 let w = part_idx / part_chunk;
                                 guards[w]
                                     .ejects
-                                    .push((off as u64, part_idx - w * part_chunk, req));
+                                    .push_back((off, part_idx - w * part_chunk, req));
                             });
-                            next_due_req = req_net
-                                .earliest_head_ready()
-                                .map_or(NEVER, |x| x.max(t + 1));
+                            next_due_req = domain::net_due(req_net, t + 1);
                         }
                     }
                     for (w, mb) in guards.iter_mut().enumerate() {
                         let cb = w * core_chunk;
-                        for lc in 0..mb.req_refund.len() {
-                            mb.req_refund[lc] = std::mem::take(&mut req_refund[cb + lc]);
+                        for (lc, refund) in mb.req.refund.iter_mut().enumerate() {
+                            *refund = std::mem::take(&mut req_refund[cb + lc]);
                         }
                         let pb = w * part_chunk;
-                        for lp in 0..mb.resp_refund.len() {
-                            mb.resp_refund[lp] = std::mem::take(&mut resp_refund[pb + lp]);
+                        for (lp, refund) in mb.resp.refund.iter_mut().enumerate() {
+                            *refund = std::mem::take(&mut resp_refund[pb + lp]);
                         }
                     }
                 } // guards dropped before the release
@@ -1195,7 +707,11 @@ impl Gpu {
                 *sync_points += 1;
                 latch.wait();
                 *barrier_waits += 1;
-                check();
+                if let Some(w) = gate.failed() {
+                    gate.release(domain::PHASE_EXIT, 0);
+                    let (cores, parts) = owned[w].clone();
+                    panic!("{}", domain::failure_message(w, cores, parts, t0));
+                }
                 *windows += 1;
                 *window_cycles += win;
 
@@ -1205,45 +721,32 @@ impl Gpu {
                 // FIFO order — ports are single-writer, so that is the
                 // only order the crossbars can observe.
                 let mut stepped_bits = xbar_mask;
-                {
-                    let mut guards: Vec<_> = mailboxes
-                        .iter()
-                        .map(|m| m.lock().expect("mailbox poisoned"))
-                        .collect();
-                    for (w, mb) in guards.iter_mut().enumerate() {
-                        stepped_bits |= mb.stepped_mask;
-                        mb.stepped_mask = 0;
-                        domain_next[w] = mb.next_event;
-                        let ds = &mut domain_stats[w];
-                        ds.windows += 1;
-                        ds.window_cycles += win;
-                        ds.core_steps += mb.core_steps;
-                        ds.partition_steps += mb.partition_steps;
-                        *core_steps += mb.core_steps;
-                        mb.core_steps = 0;
-                        *partition_steps += mb.partition_steps;
-                        mb.partition_steps = 0;
-                        for (off, port, dest, resp) in mb.staged_resps.drain(..) {
-                            resp_push_cnt[off as usize] += 1;
-                            resp_net
-                                .push(port, dest, resp, t0 + off)
-                                .expect("staged within the admission budget");
-                        }
-                        for (off, port, dest, req) in mb.staged_reqs.drain(..) {
-                            req_push_cnt[off as usize] += 1;
-                            req_net
-                                .push(port, dest, req, t0 + off)
-                                .expect("staged within the admission budget");
-                        }
+                for (w, mailbox) in mailboxes.iter().enumerate() {
+                    let mut mb = mailbox.lock().expect("mailbox poisoned");
+                    stepped_bits |= mb.stepped_mask;
+                    domain_next[w] = mb.next_event;
+                    let ds = &mut domain_stats[w];
+                    ds.windows += 1;
+                    ds.window_cycles += win;
+                    ds.core_steps += mb.core_steps;
+                    ds.partition_steps += mb.partition_steps;
+                    *core_steps += mb.core_steps;
+                    *partition_steps += mb.partition_steps;
+                    for (off, lp, dest, resp) in mb.staged_resps.drain(..) {
+                        resp_push_cnt[off as usize] += 1;
+                        resp_net
+                            .push(w * part_chunk + lp, dest, resp, t0 + off)
+                            .expect("staged within the admission budget");
+                    }
+                    for (off, lc, dest, req) in mb.staged_reqs.drain(..) {
+                        req_push_cnt[off as usize] += 1;
+                        req_net
+                            .push(w * core_chunk + lc, dest, req, t0 + off)
+                            .expect("staged within the admission budget");
                     }
                 }
 
-                let win_mask = if win >= 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << win) - 1
-                };
-                let stepped = u64::from((stepped_bits & win_mask).count_ones());
+                let stepped = u64::from(stepped_bits.count_ones());
                 *stepped_cycles += stepped;
                 *skipped_cycles += win - stepped;
 
@@ -1281,47 +784,38 @@ impl Gpu {
 
                 // Boundary dueness, recomputed from the physical nets.
                 let boundary = t0 + win;
-                next_due_req = req_net
-                    .earliest_head_ready()
-                    .map_or(NEVER, |x| x.max(boundary));
-                next_due_resp = resp_net
-                    .earliest_head_ready()
-                    .map_or(NEVER, |x| x.max(boundary));
+                next_due_req = domain::net_due(req_net, boundary);
+                next_due_resp = domain::net_due(resp_net, boundary);
                 *now = boundary;
             }
 
-            gate.release(domain::PHASE_EXIT, 0);
+            gate.release(domain::PHASE_EXIT, end);
             *sync_points += 1;
         });
-        self.flush_core_credits();
-        // Workers owned their components' wake state for the span; the
-        // timing wheel was neither read nor maintained, so the next serial
-        // span must rebuild the event state.
-        self.event_state_valid = false;
-    }
-
-    /// Switches between the optimized engine and the naive cycle-by-cycle
-    /// reference. The two are bit-for-bit equivalent (asserted by the
-    /// `engine_equivalence` differential suite, the only intended user of
-    /// the reference mode) — the reference is simply slower and allocates
-    /// every cycle. The reference engine is also the debugging escape
-    /// hatch: it ignores the timing wheel, idle skipping and intra-sim
-    /// domain workers entirely, so a divergence between it and the default
-    /// engine isolates a bug to the event/parallel machinery.
-    pub fn set_reference_engine(&mut self, on: bool) {
-        self.reference_mode = on;
-        self.event_state_valid = false;
     }
 
     /// Pins the number of intra-simulation domain workers for this machine,
-    /// overriding the `EBM_SIM_THREADS` environment variable (clamped to at
-    /// least 1; the core count caps it at run time). Results are
+    /// overriding the `EBM_SIM_THREADS` environment variable it was built
+    /// under (clamped to at least 1 and at most one per core). Results are
     /// bit-identical for every value — the knob trades wall-clock for
     /// barrier overhead only (docs/PARALLELISM.md). Tests use this setter
     /// instead of the environment variable because environment mutation is
     /// racy under the multi-threaded test harness.
     pub fn set_sim_threads(&mut self, threads: usize) {
-        self.sim_threads = Some(threads.max(1));
+        // The windowed fabric's lookahead is the crossbar traversal
+        // latency; a zero-latency machine has none to exploit, so it stays
+        // one domain whatever the worker count.
+        let workers = if self.cfg.xbar_latency > 0 {
+            threads
+        } else {
+            1
+        };
+        let old = if self.wake_valid {
+            &self.domains[..]
+        } else {
+            &[]
+        };
+        self.domains = domain::layout(workers, self.cores.len(), self.partitions.len(), old);
     }
 
     /// Enables or disables metrics recording machine-wide (per-warp stall
@@ -1532,19 +1026,6 @@ impl Gpu {
     }
 }
 
-/// Batch-credits `core`'s skipped fast-path cycles up to (excluding)
-/// `now`. Free function (not a method) so the response-delivery closure
-/// can call it while the crossbar is mutably borrowed, and `pub(crate)`
-/// so the domain workers ([`crate::domain`]) apply the identical credit
-/// discipline. Must run *before* `receive`: the credit reads the sleep
-/// kind that `receive` clears.
-pub(crate) fn credit_core(core: &mut SimtCore, credited: &mut u64, now: u64) {
-    if *credited < now {
-        core.credit_idle_cycles(now - *credited);
-        *credited = now;
-    }
-}
-
 /// Cumulative counters of one memory partition, as sampled by
 /// [`Gpu::partition_telemetry`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -1743,6 +1224,28 @@ mod tests {
         let mut gpu = Gpu::with_core_split(&cfg, &[by_name("SCP").unwrap()], &[2], 3);
         gpu.run(3_000);
         assert!(gpu.counters(AppId::new(0)).warp_insts > 100);
+    }
+
+    #[test]
+    fn manual_steps_are_visible_to_telemetry_like_a_run_span() {
+        // The thread-local counter: the process-global one races with the
+        // other tests of this binary.
+        let cycles = || crate::metrics::thread_cycles_simulated();
+        let (mut stepped, mut ran) = (small_two_app(), small_two_app());
+        let c0 = cycles();
+        for _ in 0..300 {
+            stepped.step();
+        }
+        let by_step = cycles() - c0;
+        ran.run(300);
+        assert_eq!(by_step, 300);
+        assert_eq!(cycles() - c0 - by_step, by_step);
+        assert_eq!(stepped.now(), ran.now());
+        assert_eq!(
+            stepped.engine_stats(),
+            ran.engine_stats(),
+            "a step is a one-cycle span of the same engine"
+        );
     }
 
     #[test]

@@ -156,7 +156,7 @@ thread_local! {
 }
 
 /// Adds `n` to the process-wide simulated-cycle counter (called by
-/// [`Gpu::run`]; standalone `Gpu::step` loops are not counted).
+/// [`Gpu::run`], which every `Gpu::step` is a one-cycle span of).
 pub fn add_cycles_simulated(n: u64) {
     CYCLES_SIMULATED.fetch_add(n, Ordering::Relaxed);
     THREAD_CYCLES.with(|c| c.set(c.get() + n));

@@ -592,3 +592,64 @@ fn fast_forward_engages_on_quiescent_stretches() {
     );
     assert_machines_equal(&opt, &reference, "fast-forwarded run");
 }
+
+/// Engine transitions: one machine walks a randomized schedule of manual
+/// `step()` bursts, `run` spans, worker-count changes (1 → 3 → 1 → 7) and
+/// knob changes, at crossbar latencies with no lookahead (0), the minimum
+/// (1) and a real window (4). After every leg it must equal the reference
+/// machine, and its engine accounting must equal an all-serial twin's —
+/// whatever was derived before a transition has to be re-derived after it.
+#[test]
+fn engine_transitions_preserve_agreement_and_accounting() {
+    let mut rng = SplitMix64::new(0xE961_7E62);
+    for lat in [0u32, 1, 4] {
+        let mut cfg = GpuConfig::small();
+        cfg.xbar_latency = lat;
+        let w = Workload::pair("BLK", "TRD");
+        let build = || Gpu::new(&cfg, w.apps(), 11 + u64::from(lat));
+        let (mut walker, mut serial, mut reference) = (build(), build(), build());
+        serial.set_sim_threads(1);
+        reference.set_reference_engine(true);
+        let mut threads = [1usize, 3, 1, 7].into_iter().cycle();
+        for leg in 0..20 {
+            let app = AppId::new(rng.next_below(2) as u8);
+            match rng.next_below(6) {
+                0 => walker.set_sim_threads(threads.next().expect("cycle never ends")),
+                1 => {
+                    let lvl = TlpLevel::new(1 + rng.next_below(8) as u32).unwrap();
+                    for gpu in [&mut walker, &mut serial, &mut reference] {
+                        gpu.set_tlp(app, lvl);
+                    }
+                }
+                2 => {
+                    let bypass = rng.next_below(2) == 0;
+                    for gpu in [&mut walker, &mut serial, &mut reference] {
+                        gpu.set_bypass_l1(app, bypass);
+                    }
+                }
+                3 => {
+                    let on = rng.next_below(2) == 0;
+                    for gpu in [&mut walker, &mut serial, &mut reference] {
+                        gpu.set_ccws(app, on);
+                    }
+                }
+                _ => {}
+            }
+            let steps = rng.next_below(4);
+            let span = rng.next_below(300);
+            for gpu in [&mut walker, &mut serial, &mut reference] {
+                for _ in 0..steps {
+                    gpu.step();
+                }
+                gpu.run(span);
+            }
+            let ctx = format!("latency {lat} leg {leg}");
+            assert_machines_equal(&walker, &reference, &ctx);
+            assert_eq!(
+                walker.engine_stats().sans_sync(),
+                serial.engine_stats().sans_sync(),
+                "{ctx}: engine accounting diverged from the all-serial twin"
+            );
+        }
+    }
+}

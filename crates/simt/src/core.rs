@@ -526,7 +526,7 @@ impl SimtCore {
     /// each scheduler issue at most one warp instruction.
     ///
     /// When the core proved itself quiescent on a previous cycle (see
-    /// [`Self::quiescent_until`]) this takes a counters-only fast path that
+    /// [`Self::next_event`]) this takes a counters-only fast path that
     /// records exactly what the full step would have recorded; the
     /// engine-equivalence suite checks this bit-for-bit against
     /// [`Self::step_reference`].
@@ -795,16 +795,6 @@ impl SimtCore {
             }
         }
         self.record_warp_stalls(issued_total, 1);
-    }
-
-    /// The cycle (exclusive) until which stepping this core is provably a
-    /// counters-only no-op, or `None` when the core must be stepped at
-    /// `now`. The engine uses this to fast-forward quiescent stretches.
-    pub fn quiescent_until(&self, now: u64) -> Option<u64> {
-        match self.sleep {
-            Some((until, _)) if until > now => Some(until),
-            _ => None,
-        }
     }
 
     /// The earliest cycle `>= from` at which this core must be stepped —
@@ -1355,7 +1345,7 @@ mod tests {
             batched.step(now);
             stepped.step(now);
         }
-        assert!(batched.quiescent_until(3).is_some(), "core should sleep");
+        assert!(batched.next_event(3) > 3, "core should sleep");
         batched.credit_idle_cycles(10);
         for now in 3..13u64 {
             stepped.step(now);

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Offline CI gate: format check, release build, full test suite, and the
-# perf_smoke determinism/throughput smoke. No network access required.
+# Offline CI gate: format check, release build, full test suite (the
+# engine-vs-oracle differential suite included), the benchmark's golden
+# digests, and the perf_smoke determinism/throughput smoke. No network
+# access required.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -17,14 +19,19 @@ cargo build --workspace --release
 echo "== cargo test (workspace) =="
 cargo test --workspace --release -q
 
-echo "== engine equivalence (optimized vs reference engine, release) =="
-cargo test -p gpu-sim --test engine_equivalence --release -q
-
 echo "== cargo test --doc (workspace doctests) =="
 cargo test --workspace --release -q --doc
 
 echo "== cargo doc (rustdoc warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
+echo "== golden digests (benchmark co-runs must reproduce their committed per-round MemCounters digests) =="
+# Non-smoke runs gate the goldens; one second of samples still finishes all
+# twelve checkpoint rounds. A non-zero exit is bit-drift in the engine.
+for W in small-membound small-compute volta-busy; do
+  bash benchmark/run.sh --workload "$W" --seed 42 --seconds 1 --trace 0 > /dev/null
+  echo "golden digests OK: $W"
+done
 
 echo "== perf_smoke (smoke mode: verifies parallel == serial, cache warm == cold, obs overhead) =="
 # Smoke-mode numbers must not clobber the committed full-machine
