@@ -1,22 +1,21 @@
 //! Runs the evaluation campaign: every figure and table, sharing one
 //! memoizing evaluator, writing each report to `results/<id>.txt`.
 //!
-//! By default the campaign is compiled into a fingerprint-deduplicated
-//! work graph and executed by the [`ebm_bench::campaign`] scheduler over
-//! the `EBM_THREADS`-wide worker pool, rendering each artifact — in the
-//! serial order, byte-identically — as soon as its measurements finish.
-//! `--serial` keeps the artifact-by-artifact loop (also forced by
-//! `--no-cache`: the scheduler hands results to the renders through the
-//! result-cache tiers).
+//! The campaign is compiled into a fingerprint-deduplicated work graph
+//! ([`ebm_bench::campaign::plan`]). By default the scheduler executes it
+//! over the `EBM_THREADS`-wide worker pool, rendering each artifact — in
+//! artifact order — as soon as its measurements finish. `--serial` walks
+//! the same plan figure by figure instead, executing no unit (also forced
+//! by `--no-cache`: the scheduler hands results to the renders through
+//! the result-cache tiers); the two are byte-identical.
 //!
 //! Expect roughly half an hour on one core for the full paper campaign;
 //! `--quick` runs the scaled-down test machine in seconds, `--only
-//! fig09,fig11` restricts the run to the listed artifacts (the scheduler
-//! builds only the sub-graph those artifacts reach), and `--trace
-//! out.jsonl` streams the trace-enabled artifacts' structured events to a
-//! JSONL file (schema: `docs/TRACE_SCHEMA.md`). Individual artifacts can
-//! also be regenerated with their own binaries (`cargo run -p ebm-bench
-//! --release --bin fig09`, …).
+//! fig09,fig11` restricts the run to the listed artifacts (the plan holds
+//! only the sub-graph those artifacts reach; this is how a single figure
+//! is regenerated), and `--trace out.jsonl` streams the trace-enabled
+//! artifacts' structured events to a JSONL file (schema:
+//! `docs/TRACE_SCHEMA.md`).
 //!
 //! The campaign profiles itself: every artifact runs inside a
 //! [`ebm_bench::profiler`] span (scheduled runs add one `unit` span per
@@ -27,9 +26,8 @@
 //! its cost model, starting the longest-recorded units first. Progress
 //! output is gated by `EBM_LOG` (`off` | `info` | `debug`).
 
-use ebm_bench::{campaign, figures, log, profiler, run_and_save, BenchArgs};
+use ebm_bench::{campaign, log, profiler, run_and_save, BenchArgs};
 use ebm_core::eval::Evaluator;
-use gpu_workloads::all_workloads;
 
 fn main() {
     let args = BenchArgs::parse();
@@ -39,18 +37,11 @@ fn main() {
     let mut trace = args.open_trace();
 
     let root = profiler::span("campaign", "experiments");
+    let plan = campaign::plan(&args, &ev);
     if args.serial || args.no_cache {
-        run_serial(&args, &ev, &mut *trace);
-        // A serial trace still carries the plan's sched_unit records
-        // (runtime fields zeroed), so `trace-tools report` renders the
-        // same deterministic scheduler sections as a scheduled run.
-        if trace.enabled() {
-            let plan = campaign::plan(&args, &ev);
-            campaign::emit_plan(&plan, &mut *trace);
-        }
+        campaign::run_serial(plan, &ev, &mut *trace, &mut run_and_save);
     } else {
-        let plan = campaign::plan(&args, &ev);
-        campaign::run(plan, &ev, &mut *trace, &mut |report| run_and_save(report));
+        campaign::run(plan, &ev, &mut *trace, &mut run_and_save);
     }
     drop(root);
 
@@ -79,44 +70,4 @@ fn main() {
         stats.hit_rate()
     );
     log!(info, "campaign completed in {:?}", t0.elapsed());
-}
-
-/// The artifact-by-artifact reference path: generation order defines the
-/// byte-identity contract the scheduler is held to (`scripts/ci.sh`
-/// compares the two).
-fn run_serial(args: &BenchArgs, ev: &Evaluator, trace: &mut dyn gpu_sim::trace::TraceSink) {
-    let workloads = all_workloads();
-
-    /// Wraps one artifact in a `figure` profiling span.
-    macro_rules! artifact {
-        ($id:literal, $gen:expr) => {
-            if args.wants($id) {
-                log!(debug, "starting {}", $id);
-                let _span = profiler::span("figure", $id);
-                run_and_save(&$gen);
-            }
-        };
-    }
-
-    artifact!("tab04", figures::tab04(ev));
-    artifact!("fig01", figures::fig01(ev));
-    artifact!("fig02", figures::fig02(ev));
-    artifact!("fig03", figures::fig03(ev));
-    artifact!("fig04", figures::fig04(ev));
-    artifact!("fig05", figures::fig05(ev));
-    artifact!("fig06", figures::fig06(ev));
-    artifact!("fig07", figures::fig07(ev));
-    artifact!("fig08", figures::fig08());
-    artifact!("fig09", figures::fig09(ev, &workloads));
-    artifact!("fig10", figures::fig10(ev, &workloads));
-    artifact!("hs", figures::hs_results(ev, &workloads));
-    artifact!("fig11", figures::fig11_traced(ev, trace));
-    artifact!("sens_part", figures::sens_part(ev));
-    artifact!("ablation", figures::ablation(ev));
-    artifact!("phased", figures::phased(ev));
-    artifact!("sampling", figures::sampling(ev));
-    artifact!("sched", figures::sched(ev));
-    artifact!("ccws", figures::ccws(ev));
-    artifact!("dram_policy", figures::dram_policy(ev));
-    artifact!("threeapp", figures::threeapp(ev));
 }

@@ -8,7 +8,6 @@
 //! trace-tools diff     <a> <b>         compare two traces
 //! trace-tools profile  <PROFILE.json>  top spans by wall time
 //! trace-tools report   <trace> [--profile P] [--timings] [--html PATH] [--lanes N]
-//! trace-tools bench-trend <BENCH_HISTORY.jsonl>  flag metric regressions
 //! ```
 //!
 //! `validate` exits non-zero on the first schema violation class (all
@@ -23,11 +22,6 @@
 //! reports (a CI gate). `--timings` adds the nondeterministic wall-clock
 //! sections (per-worker schedule, cost-model calibration, cache funnel);
 //! `--html` additionally writes the report as a self-contained HTML page.
-//!
-//! `bench-trend` walks `results/BENCH_HISTORY.jsonl` (appended by
-//! `perf_smoke`, see `ebm_bench::history`) and compares each benchmark's
-//! latest snapshot against its previous one, exiting non-zero when a
-//! metric regressed beyond its per-field threshold.
 
 use ebm_bench::json::{parse, Json};
 use ebm_bench::schema::{validate_trace, MAX_SCHEMA_VERSION};
@@ -61,8 +55,7 @@ fn usage() -> ExitCode {
          \x20 diff <a> <b>          compare two traces (kinds, windows, per-app means)\n\
          \x20 profile <PROFILE.json> [N]  top N spans by wall time (default 20)\n\
          \x20 report <trace> [--profile PROFILE.json] [--timings] [--html PATH] [--lanes N]\n\
-         \x20                       self-contained run report (deterministic by default)\n\
-         \x20 bench-trend <BENCH_HISTORY.jsonl>  compare latest vs previous snapshots"
+         \x20                       self-contained run report (deterministic by default)"
     );
     ExitCode::from(2)
 }
@@ -84,7 +77,6 @@ fn main() -> ExitCode {
             Some(opts) => report_cmd(&opts),
             None => usage(),
         },
-        Some("bench-trend") if args.len() == 2 => bench_trend_cmd(&args[1]),
         _ => usage(),
     }
 }
@@ -1172,113 +1164,4 @@ fn report_cmd(opts: &ReportOpts) -> ExitCode {
         eprintln!("report: wrote {html_path}");
     }
     ExitCode::SUCCESS
-}
-
-// ---------------------------------------------------------------------------
-// bench-trend
-// ---------------------------------------------------------------------------
-
-/// Whether a history field is a throughput-like metric where bigger is
-/// better (gated by the ratio threshold).
-fn higher_better(key: &str) -> bool {
-    key.contains("cycles_per_sec")
-        || key.contains("speedup")
-        || key.contains("hit_rate")
-        || key.contains("dedup_ratio")
-        || key.contains("utilization")
-}
-
-/// Compares each benchmark's latest history snapshot against its previous
-/// one. Thresholds per field class:
-///
-/// * higher-better metrics (`*cycles_per_sec*`, `*speedup*`, `*hit_rate*`,
-///   `*dedup_ratio*`, `*utilization*`): regression when the new value
-///   falls below 85 % of the old (old values of 0 are skipped);
-/// * `*overhead_pct`: regression when the new value exceeds
-///   `max(old, 0) + 2.0` percentage points;
-/// * `*identical*` booleans: regression on any `true -> false` flip;
-/// * `*seconds` and `*noise_floor*` fields are never gated (wall-clock
-///   and noise-floor numbers vary with the host).
-///
-/// Exits non-zero when any field regressed.
-fn bench_trend_cmd(path: &str) -> ExitCode {
-    let text = match read_trace(path) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-    let (records, skipped) = parse_records(&text);
-    warn_skipped(skipped);
-    let mut groups: BTreeMap<String, Vec<&Json>> = BTreeMap::new();
-    for rec in &records {
-        if let Some(b) = rec.get("benchmark").and_then(Json::as_str) {
-            groups.entry(b.to_string()).or_default().push(rec);
-        }
-    }
-    if groups.is_empty() {
-        eprintln!("warning: no history snapshots in {path}");
-        return ExitCode::SUCCESS;
-    }
-    let mut regressions = 0u64;
-    for (bench, snaps) in &groups {
-        if snaps.len() < 2 {
-            outln!(
-                "{bench}: only {} snapshot(s), nothing to compare",
-                snaps.len()
-            );
-            continue;
-        }
-        let prev = snaps[snaps.len() - 2];
-        let latest = snaps[snaps.len() - 1];
-        let mut compared = 0u64;
-        let mut flagged = 0u64;
-        let Some(fields) = latest.as_obj() else {
-            continue;
-        };
-        for (key, val) in fields {
-            if key == "benchmark" || key == "ts" {
-                continue;
-            }
-            if key.ends_with("seconds") || key.contains("noise_floor") {
-                continue;
-            }
-            let Some(old) = prev.get(key) else { continue };
-            match (old, val) {
-                (Json::Bool(o), Json::Bool(n)) if key.contains("identical") => {
-                    compared += 1;
-                    if *o && !*n {
-                        flagged += 1;
-                        regressions += 1;
-                        outln!("REGRESSION {bench}.{key}: true -> false");
-                    }
-                }
-                (Json::Num(o), Json::Num(n)) if key.ends_with("overhead_pct") => {
-                    compared += 1;
-                    let limit = o.max(0.0) + 2.0;
-                    if *n > limit {
-                        flagged += 1;
-                        regressions += 1;
-                        outln!("REGRESSION {bench}.{key}: {o:.2} -> {n:.2} (limit <= {limit:.2})");
-                    }
-                }
-                (Json::Num(o), Json::Num(n)) if higher_better(key) && *o > 0.0 => {
-                    compared += 1;
-                    let limit = o * 0.85;
-                    if *n < limit {
-                        flagged += 1;
-                        regressions += 1;
-                        outln!("REGRESSION {bench}.{key}: {o:.3} -> {n:.3} (limit >= {limit:.3})");
-                    }
-                }
-                _ => {}
-            }
-        }
-        outln!("{bench}: {compared} gated field(s), {flagged} regression(s)");
-    }
-    if regressions > 0 {
-        eprintln!("bench-trend: {regressions} regression(s) beyond thresholds");
-        ExitCode::FAILURE
-    } else {
-        outln!("OK: no regressions beyond thresholds");
-        ExitCode::SUCCESS
-    }
 }

@@ -1,17 +1,16 @@
 //! Campaign work-graph scheduler: fingerprint-deduped, cost-ordered,
 //! whole-campaign parallelism.
 //!
-//! The serial `experiments` campaign runs its 21 artifacts one after
-//! another, and each artifact parallelizes only its own inner loops — the
-//! alone-profile ladder, one workload's 64-combination sweep, one batch of
-//! scheme runs. Between those bursts the worker pool sits idle, and
-//! several artifacts quietly re-demand measurements an earlier artifact
-//! already produced.
+//! Rendered one after another ([`run_serial`]), the 21 artifacts
+//! parallelize only their own inner loops — the alone-profile ladder, one
+//! workload's 64-combination sweep, one batch of scheme runs. Between
+//! those bursts the worker pool sits idle, and several artifacts quietly
+//! re-demand measurements an earlier artifact already produced.
 //!
 //! This module compiles the campaign into an explicit work graph instead:
 //!
-//! * [`plan`] walks the same artifact list the serial driver executes and
-//!   emits one **work unit** per underlying measurement — an alone
+//! * [`plan`] walks the artifact list ([`ARTIFACTS`]) and emits one
+//!   **work unit** per underlying measurement — an alone
 //!   profile, a sweep, a fixed-combination run, a memoized PBS run, a
 //!   scheme evaluation — keyed by the *same content-addressed fingerprint*
 //!   the persistent result cache uses ([`alone_fingerprint`],
@@ -31,6 +30,8 @@
 //!   one — in the exact serial order — as soon as its units finish, so
 //!   artifacts are **byte-identical** to the serial campaign while the
 //!   pool keeps simulating ahead.
+//! * [`run_serial`] is the reference the scheduler is held to: the same
+//!   plan's figures rendered in order with no unit executed.
 //!
 //! Determinism is inherited, not re-proved: every unit is a pure function
 //! of its fingerprint inputs, results land in the shared
@@ -68,9 +69,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Every campaign artifact, in the serial driver's generation order. The
-/// scheduled coordinator renders in exactly this order, so stdout and the
-/// `results/` files are byte-identical to the serial campaign.
+/// Every campaign artifact, in generation order: the only artifact list
+/// there is (`--only` ids are checked against it, `plan_artifact` pairs
+/// each id with its units and render). Serial walk and scheduled
+/// coordinator both render in exactly this order, so stdout and the
+/// `results/` files are byte-identical between them.
 pub const ARTIFACTS: [&str; 21] = [
     "tab04",
     "fig01",
@@ -1052,7 +1055,7 @@ fn plan_artifact(
 }
 
 /// Execution statistics of one scheduled campaign run (the `sched:` log
-/// line and the `BENCH_campaign.json` inputs).
+/// line; the benchmark's `campaign.*` metrics).
 #[derive(Debug, Clone)]
 pub struct CampaignStats {
     /// Unit demands before deduplication.
@@ -1137,6 +1140,17 @@ pub fn run(
     sink: &mut dyn TraceSink,
     emit: &mut dyn FnMut(&Report),
 ) -> CampaignStats {
+    run_with(exec::worker_count(), campaign, ev, sink, emit)
+}
+
+/// [`run`] over a pool of exactly `workers` threads.
+fn run_with(
+    workers: usize,
+    campaign: Campaign,
+    ev: &Evaluator,
+    sink: &mut dyn TraceSink,
+    emit: &mut dyn FnMut(&Report),
+) -> CampaignStats {
     let Campaign {
         units,
         figures: figure_nodes,
@@ -1145,7 +1159,6 @@ pub fn run(
     let planned = units.len();
     let stats0 = cache::stats();
     let t0 = Instant::now();
-    let workers = exec::worker_count();
 
     // Dependency edges: per-unit blocker counts plus the reverse adjacency
     // (self-edges and duplicates dropped — a unit never waits on itself).
@@ -1339,51 +1352,34 @@ pub fn run(
         stats.workers,
         stats.utilization()
     );
-    publish_sched_counters(&stats);
     stats
 }
 
-/// Publishes one run's execution statistics onto the `sched.*` gauges of
-/// the [`gpu_sim::counters`] telemetry bus. Like the `engine.*` gauges,
-/// these are last-writer-wins snapshots of the most recent campaign.
-fn publish_sched_counters(stats: &CampaignStats) {
-    use gpu_sim::counters::{counter, Counter};
-    struct Gauges {
-        requested: &'static Counter,
-        planned: &'static Counter,
-        executed: &'static Counter,
-        workers: &'static Counter,
-        peak_ready: &'static Counter,
-        busy_ns: &'static Counter,
-        cache_hits: &'static Counter,
-        inflight_joined: &'static Counter,
+/// The serial reference path: renders the plan's figures in artifact
+/// order on the calling thread, each inside its `figure` profiling span,
+/// and executes no unit — a render computes whatever it reads inline on a
+/// miss. [`run`] is held to this byte for byte (`scripts/ci.sh`, the
+/// tests below and `tests/campaign_sched.rs`). The trace still gets the
+/// plan's `sched_unit` records, runtime fields zeroed ([`emit_plan`]), so
+/// `trace-tools report` renders the same deterministic sections from
+/// either path.
+pub fn run_serial(
+    mut campaign: Campaign,
+    ev: &Evaluator,
+    sink: &mut dyn TraceSink,
+    emit: &mut dyn FnMut(&Report),
+) {
+    for fig in std::mem::take(&mut campaign.figures) {
+        crate::log!(debug, "starting {}", fig.id);
+        let _span = crate::profiler::span("figure", fig.id);
+        emit(&(fig.render)(ev, sink));
     }
-    static GAUGES: std::sync::OnceLock<Gauges> = std::sync::OnceLock::new();
-    let g = GAUGES.get_or_init(|| Gauges {
-        requested: counter("sched.requested"),
-        planned: counter("sched.planned"),
-        executed: counter("sched.executed"),
-        workers: counter("sched.workers"),
-        peak_ready: counter("sched.peak_ready"),
-        busy_ns: counter("sched.busy_ns"),
-        cache_hits: counter("sched.cache_hits"),
-        inflight_joined: counter("sched.inflight_joined"),
-    });
-    g.requested.set(stats.requested as u64);
-    g.planned.set(stats.planned as u64);
-    g.executed.set(stats.executed as u64);
-    g.workers.set(stats.workers as u64);
-    g.peak_ready.set(stats.peak_ready as u64);
-    g.busy_ns.set((stats.busy_s * 1e9) as u64);
-    g.cache_hits.set(stats.cache_hits);
-    g.inflight_joined.set(stats.inflight_joined);
+    emit_plan(&campaign, sink);
 }
 
 /// Emits one `sched_unit` event per planned unit with the runtime fields
-/// zeroed. The serial campaign driver calls this so a serial trace carries
-/// the same deterministic plan records (`unit`, `label`, `fp`, `deps`,
-/// `est`) a scheduled run would — `trace-tools report` renders its
-/// default (deterministic) sections byte-identically from either.
+/// zeroed: the deterministic plan records (`unit`, `label`, `fp`, `deps`,
+/// `est`) a scheduled run emits with its runtimes filled in.
 pub fn emit_plan(campaign: &Campaign, sink: &mut dyn TraceSink) {
     if !sink.enabled() {
         return;
@@ -1504,38 +1500,42 @@ mod tests {
         assert!(plan.dedup_ratio() > 0.49);
     }
 
-    #[test]
-    fn scheduled_run_matches_serial_render() {
-        // Plan and run a small sub-campaign, then compare every emitted
-        // report against a fresh serial render.
+    /// Plans `only` on a fresh quick evaluator with an empty result
+    /// cache and collects what `go` emits, in emission order.
+    fn rendered(
+        only: &[&str],
+        go: impl FnOnce(Campaign, &Evaluator, &mut dyn FnMut(&Report)),
+    ) -> Vec<(String, String)> {
         cache::clear_memory();
         let ev = Evaluator::new(EvaluatorConfig::quick());
         let args = BenchArgs {
-            only: Some(vec!["fig02".into(), "fig03".into(), "fig06".into()]),
+            only: Some(only.iter().map(|s| s.to_string()).collect()),
             ..BenchArgs::default()
         };
         let plan = plan_with_costs(&args, &ev, CostModel::empty());
-        let mut rendered = Vec::new();
-        let stats = run(plan, &ev, &mut gpu_sim::trace::NullSink, &mut |r| {
-            rendered.push((r.id().to_owned(), r.render()))
+        let mut out = Vec::new();
+        go(plan, &ev, &mut |r| {
+            out.push((r.id().to_owned(), r.render()))
         });
-        assert_eq!(stats.executed, stats.planned);
-        assert_eq!(
-            rendered
-                .iter()
-                .map(|(id, _)| id.as_str())
-                .collect::<Vec<_>>(),
-            vec!["fig02", "fig03", "fig06"],
-            "renders follow serial artifact order"
-        );
-        let serial_ev = Evaluator::new(EvaluatorConfig::quick());
-        let serial = [
-            figures::fig02(&serial_ev).render(),
-            figures::fig03(&serial_ev).render(),
-            figures::fig06(&serial_ev).render(),
-        ];
-        for ((id, got), want) in rendered.iter().zip(&serial) {
-            assert_eq!(got, want, "{id} diverges from the serial render");
+        out
+    }
+
+    #[test]
+    fn scheduled_run_matches_serial_render() {
+        // Listed out of artifact order: both paths emit in ARTIFACTS order.
+        let only = ["fig07", "fig02", "fig03"];
+        let serial = rendered(&only, |plan, ev, emit| {
+            run_serial(plan, ev, &mut gpu_sim::trace::NullSink, emit)
+        });
+        let ids: Vec<&str> = serial.iter().map(|(id, _)| id.as_str()).collect();
+        assert_eq!(ids, ["fig02", "fig03", "fig07"]);
+        for workers in [1, 2, 4] {
+            let scheduled = rendered(&only, |plan, ev, emit| {
+                let stats = run_with(workers, plan, ev, &mut gpu_sim::trace::NullSink, emit);
+                assert_eq!(stats.executed, stats.planned);
+                assert_eq!(stats.workers, workers);
+            });
+            assert_eq!(scheduled, serial, "{workers} workers diverge from serial");
         }
     }
 

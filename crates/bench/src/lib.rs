@@ -3,20 +3,21 @@
 //! Every table and figure of the paper's evaluation has a generator in
 //! [`figures`], driven by a shared memoizing [`ebm_core::Evaluator`] so a
 //! full campaign profiles each application and sweeps each workload only
-//! once. One binary per artifact (`fig01` … `fig11`, `tab04`, `hs`,
-//! `sens_part`, `threeapp`) regenerates a single figure; the `experiments`
-//! binary runs everything and writes each report to `results/<id>.txt`.
+//! once. The `experiments` binary runs everything and writes each report
+//! to `results/<id>.txt`; `--only <ids>` regenerates single artifacts
+//! (the ids are [`campaign::ARTIFACTS`]):
 //!
-//! Run an individual artifact with
-//! `cargo run -p ebm-bench --release --bin fig09`, or everything with
-//! `cargo run -p ebm-bench --release --bin experiments`.
-
+//! ```text
+//! cargo run -p ebm-bench --release --bin experiments -- --only fig09
+//! ```
 //!
-//! The `experiments` campaign runs, by default, through the [`campaign`]
-//! work-graph scheduler: the artifact list is compiled into a
+//! By default the campaign runs through the [`campaign`] work-graph
+//! scheduler: the artifact list is compiled into a
 //! fingerprint-deduplicated DAG of measurement units executed across the
-//! worker pool, with figures rendered — byte-identically to the serial
-//! path — as consumer nodes (`--serial` keeps the old loop).
+//! worker pool, with figures rendered as consumer nodes. `--serial` walks
+//! the same plan figure by figure without executing units
+//! ([`campaign::run_serial`]) — the byte-exact reference the scheduler is
+//! held to.
 //!
 //! The crate also carries the campaign observability layer:
 //!
@@ -27,15 +28,15 @@
 //!   `profile_span` trace events;
 //! * [`json`] / [`schema`] — a std-only JSON parser and the strict trace
 //!   validator behind the `trace-tools` binary
-//!   (`cargo run -p ebm-bench --release --bin trace-tools -- validate <trace>`);
-//! * [`history`] — flattened `BENCH_*.json` snapshots appended to
-//!   `results/BENCH_HISTORY.jsonl`, compared by `trace-tools bench-trend`.
+//!   (`cargo run -p ebm-bench --release --bin trace-tools -- validate <trace>`).
+//!
+//! Performance is measured by the repository's benchmark, not here: see
+//! `benchmark/README.md` and `bash benchmark/run.sh`.
 
 #![deny(missing_docs)]
 
 pub mod campaign;
 pub mod figures;
-pub mod history;
 pub mod json;
 pub mod logging;
 pub mod profiler;
@@ -43,19 +44,3 @@ pub mod schema;
 pub mod util;
 
 pub use util::{out_path, run_and_save, set_out_dir, BenchArgs, Report};
-
-/// Version of the field layout the `perf_smoke` binary writes to
-/// `BENCH_engine.json`, `BENCH_parallel.json`, `BENCH_cache.json`,
-/// `BENCH_obs.json` and `BENCH_campaign.json` (each file carries it as
-/// `schema_version`).
-///
-/// `docs/BENCH_SCHEMA.md` documents exactly this version, the same way
-/// `docs/TRACE_SCHEMA.md` is pinned to the trace emitter's
-/// `TRACE_SCHEMA_VERSION`: bump the constant and the doc together whenever a
-/// field is added, removed or changes meaning.
-///
-/// v3 added the counter-gating and noise-floor fields of `BENCH_obs.json`
-/// (`counters_off_*`, `counters_on_*`, `noise_floor_pct`); every snapshot
-/// is also appended, flattened, to `results/BENCH_HISTORY.jsonl` (see
-/// [`history`]).
-pub const BENCH_SCHEMA_VERSION: u32 = 3;

@@ -99,13 +99,14 @@ pub fn run_and_save(report: &Report) {
     let _ = std::fs::write(path, &text);
 }
 
-/// Command-line options shared by the `experiments` and per-figure
-/// binaries (hand-rolled: the workspace is dependency-free).
+/// Command-line options of the `experiments` binary (hand-rolled: the
+/// workspace is dependency-free).
 ///
 /// * `--quick` — run the scaled-down test campaign instead of the
 ///   paper-machine one (seconds instead of ~half an hour);
 /// * `--only <ids>` — comma-separated artifact ids (e.g.
-///   `--only fig09,fig11`); everything else is skipped;
+///   `--only fig09,fig11`, see [`crate::campaign::ARTIFACTS`]); everything
+///   else is skipped, and ids naming no artifact get one warning;
 /// * `--trace <path>` — stream the trace-enabled artifacts' events to
 ///   `<path>` as newline-delimited JSON (see `docs/TRACE_SCHEMA.md`);
 /// * `--cache-dir <path>` — persist simulation results under `<path>`
@@ -137,15 +138,27 @@ pub struct BenchArgs {
     /// Disable the result cache (both tiers) for this run.
     pub no_cache: bool,
     /// Run the campaign serially instead of through the work-graph
-    /// scheduler (`experiments` only; per-figure binaries ignore it).
+    /// scheduler.
     pub serial: bool,
 }
 
 impl BenchArgs {
     /// Parses `std::env::args`, exiting with a usage message on errors.
+    /// `--only` ids that name no artifact are warned about, not rejected:
+    /// they select nothing, and `--only none` is a legitimate empty run.
     pub fn parse() -> Self {
         match Self::try_parse(std::env::args().skip(1)) {
-            Ok(args) => args,
+            Ok(args) => {
+                let unknown = args.unknown_only_ids();
+                if !unknown.is_empty() {
+                    eprintln!(
+                        "warning: --only: no artifact named `{}`; the artifacts are {}",
+                        unknown.join("`, `"),
+                        crate::campaign::ARTIFACTS.join(", ")
+                    );
+                }
+                args
+            }
             Err(msg) => {
                 eprintln!("error: {msg}");
                 eprintln!(
@@ -213,6 +226,13 @@ impl BenchArgs {
         set_out_dir(self.out.clone());
     }
 
+    /// The `--only` ids that are not in [`crate::campaign::ARTIFACTS`].
+    fn unknown_only_ids(&self) -> Vec<&str> {
+        let ids = self.only.iter().flatten().map(String::as_str);
+        ids.filter(|id| !crate::campaign::ARTIFACTS.contains(id))
+            .collect()
+    }
+
     /// Whether artifact `id` should be generated under `--only`.
     pub fn wants(&self, id: &str) -> bool {
         match &self.only {
@@ -262,6 +282,18 @@ mod tests {
         assert!(a.quick);
         assert!(a.wants("fig11") && !a.wants("fig10"));
         assert_eq!(a.trace.as_deref(), Some(Path::new("out.jsonl")));
+    }
+
+    #[test]
+    fn only_typos_are_reported_and_select_nothing() {
+        let parse = |only: &str| {
+            BenchArgs::try_parse(["--only", only].iter().map(|s| s.to_string())).unwrap()
+        };
+        let a = parse("fig9,tab04, hs,none");
+        assert_eq!(a.unknown_only_ids(), ["fig9", "none"]);
+        assert!(a.wants("tab04") && a.wants("hs") && !a.wants("fig09"));
+        assert!(parse("fig09,fig11").unknown_only_ids().is_empty());
+        assert!(BenchArgs::default().unknown_only_ids().is_empty());
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! End-to-end checks of the campaign work-graph scheduler: a plan with
 //! real dependency chains (scheme units waiting on alone profiles and
 //! sweeps) must execute fully and render byte-identically to the serial
-//! artifact loop, on any worker count.
+//! walk of the same plan (`campaign::run_serial`, what `experiments
+//! --serial` runs).
 
 use ebm_bench::campaign::{self, CostModel};
-use ebm_bench::figures;
-use ebm_bench::util::BenchArgs;
+use ebm_bench::util::{BenchArgs, Report};
 use ebm_core::eval::{Evaluator, EvaluatorConfig};
 use gpu_sim::{cache, trace::NullSink};
 
@@ -18,16 +18,30 @@ fn quick_args(only: &[&str]) -> BenchArgs {
     args
 }
 
-/// Runs the scheduled campaign for `only` and returns the rendered
-/// reports in emission order.
-fn scheduled(only: &[&str]) -> (Vec<(String, String)>, campaign::CampaignStats) {
+/// Plans `only` on a fresh quick evaluator with an empty memory tier,
+/// runs the plan (serial walk or scheduler) and returns the rendered
+/// reports in emission order plus the scheduler's statistics.
+fn run_campaign(
+    only: &[&str],
+    serial: bool,
+) -> (Vec<(String, String)>, Option<campaign::CampaignStats>) {
+    cache::clear_memory();
     let ev = Evaluator::new(EvaluatorConfig::quick());
     let plan = campaign::plan_with_costs(&quick_args(only), &ev, CostModel::empty());
     let mut rendered = Vec::new();
-    let stats = campaign::run(plan, &ev, &mut NullSink, &mut |r| {
-        rendered.push((r.id().to_owned(), r.render()))
-    });
+    let emit = &mut |r: &Report| rendered.push((r.id().to_owned(), r.render()));
+    let stats = if serial {
+        campaign::run_serial(plan, &ev, &mut NullSink, emit);
+        None
+    } else {
+        Some(campaign::run(plan, &ev, &mut NullSink, emit))
+    };
     (rendered, stats)
+}
+
+fn scheduled(only: &[&str]) -> (Vec<(String, String)>, campaign::CampaignStats) {
+    let (rendered, stats) = run_campaign(only, false);
+    (rendered, stats.expect("scheduled runs report statistics"))
 }
 
 #[test]
@@ -35,7 +49,6 @@ fn scheme_graph_schedules_and_matches_serial() {
     // fig01 exercises the deepest chains the planner builds: scheme units
     // depending on alone profiles, the sweep, and (for opt*) the
     // ++bestTLP scheme unit.
-    cache::clear_memory();
     let (rendered, stats) = scheduled(&["fig01", "fig02", "fig06"]);
     assert_eq!(stats.executed, stats.planned, "graph must drain completely");
     assert!(
@@ -51,20 +64,16 @@ fn scheme_graph_schedules_and_matches_serial() {
         "artifacts render in serial campaign order"
     );
 
-    let ev = Evaluator::new(EvaluatorConfig::quick());
-    let serial = [
-        figures::fig01(&ev).render(),
-        figures::fig02(&ev).render(),
-        figures::fig06(&ev).render(),
-    ];
-    for ((id, got), want) in rendered.iter().zip(&serial) {
-        assert_eq!(got, want, "{id} diverges from the serial render");
-    }
+    // The reference: nothing memoized, every render computes inline.
+    let (serial, _) = run_campaign(&["fig01", "fig02", "fig06"], true);
+    assert_eq!(
+        rendered, serial,
+        "scheduled run diverges from the serial walk"
+    );
 }
 
 #[test]
 fn shared_units_dedup_and_warm_the_renders() {
-    cache::clear_memory();
     cache::reset_stats();
     let (rendered, stats) = scheduled(&["tab04", "fig05"]);
     assert_eq!(rendered.len(), 2);
@@ -74,16 +83,4 @@ fn shared_units_dedup_and_warm_the_renders() {
     assert_eq!(stats.executed, stats.planned);
     assert!(stats.peak_ready > 0);
     assert!(stats.wall_s > 0.0);
-}
-
-#[test]
-fn worker_width_does_not_change_artifacts() {
-    // The scheduler inherits EBM_THREADS through exec::worker_count();
-    // within one process we can at least pin the pool to one worker and
-    // compare against the default width via a fresh store.
-    cache::clear_memory();
-    let (wide, _) = scheduled(&["fig03", "fig07"]);
-    cache::clear_memory();
-    let (narrow, _) = scheduled(&["fig03", "fig07"]);
-    assert_eq!(wide, narrow, "renders must not depend on pool scheduling");
 }

@@ -1,42 +1,15 @@
-//! Integration tests for the observability layer added with the telemetry
-//! bus: counter gating, profiler spans under worker pools, and the
-//! `sched_unit` → [`CostModel`] calibration round-trip.
+//! Integration tests for the campaign observability layer: profiler spans
+//! under worker pools, and the `sched_unit` → [`CostModel`] calibration
+//! round-trip.
 //!
-//! Counter enablement and the profiler span store are process-global, so
-//! each global surface is exercised by exactly one test function here —
-//! the test harness runs functions concurrently within this binary.
+//! The profiler span store is process-global, so it is exercised by
+//! exactly one test function here — the test harness runs functions
+//! concurrently within this binary.
 
 use ebm_bench::campaign::CostModel;
 use ebm_bench::profiler;
-use gpu_sim::counters;
 use gpu_sim::exec::with_workers;
 use gpu_sim::trace::{RingSink, TraceEvent, TraceSink};
-
-/// Disabled counters must ignore every mutation (the disabled path is the
-/// zero-cost default for library users of the simulator); re-enabling
-/// restores recording, and `snapshot` lists the registered name.
-#[test]
-fn counters_gate_recording_when_disabled() {
-    let c = counters::counter("test.observability.gate");
-    counters::set_enabled(false);
-    assert!(!counters::enabled());
-    c.add(5);
-    c.incr();
-    c.set(99);
-    assert_eq!(c.get(), 0, "mutations while disabled must be dropped");
-    counters::set_enabled(true);
-    assert!(counters::enabled());
-    c.add(5);
-    c.incr();
-    assert_eq!(c.get(), 6);
-    c.set(42);
-    assert_eq!(c.get(), 42);
-    assert!(counters::snapshot()
-        .iter()
-        .any(|(name, v)| *name == "test.observability.gate" && *v == 42));
-    c.reset();
-    assert_eq!(c.get(), 0, "reset is ungated");
-}
 
 /// Spans opened on pool worker threads must not nest under the span open
 /// on the coordinating thread (depth is tracked per creating thread), at

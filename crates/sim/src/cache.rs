@@ -61,7 +61,6 @@
 //! [`Canon`]: gpu_types::canon::Canon
 //! [`TraceEvent::CacheStats`]: crate::trace::TraceEvent::CacheStats
 
-use crate::counters::Counter;
 use gpu_types::canon::{fingerprint, CanonBuf, Fingerprint};
 use gpu_types::{FxHashMap, SplitMix64};
 use std::path::{Path, PathBuf};
@@ -176,29 +175,23 @@ impl CacheStats {
     }
 }
 
-/// The cache's slice of the [`crate::counters`] telemetry bus, resolved
-/// once so the hot lookup path pays a pointer load per increment.
-struct Counters {
-    hits: &'static Counter,
-    disk_hits: &'static Counter,
-    misses: &'static Counter,
-    bypasses: &'static Counter,
-    stores: &'static Counter,
-    verified: &'static Counter,
-    inflight_joined: &'static Counter,
+/// One live cell per [`CacheStats`] field. The cells publish no other
+/// data, so every access is `Relaxed`.
+#[derive(Clone, Copy)]
+enum Cell {
+    Hits,
+    DiskHits,
+    Misses,
+    Bypasses,
+    Stores,
+    Verified,
+    InflightJoined,
 }
 
-fn counters() -> &'static Counters {
-    static COUNTERS: OnceLock<Counters> = OnceLock::new();
-    COUNTERS.get_or_init(|| Counters {
-        hits: crate::counters::counter("cache.hits"),
-        disk_hits: crate::counters::counter("cache.disk_hits"),
-        misses: crate::counters::counter("cache.misses"),
-        bypasses: crate::counters::counter("cache.bypasses"),
-        stores: crate::counters::counter("cache.stores"),
-        verified: crate::counters::counter("cache.verified"),
-        inflight_joined: crate::counters::counter("cache.inflight_joined"),
-    })
+static CELLS: [AtomicU64; 7] = [const { AtomicU64::new(0) }; 7];
+
+fn bump(cell: Cell) {
+    CELLS[cell as usize].fetch_add(1, Ordering::Relaxed);
 }
 
 /// Runtime configuration of the process-wide cache.
@@ -329,34 +322,24 @@ pub fn clear_memory() {
     memory().lock().unwrap().clear();
 }
 
-/// Current counter snapshot (read off the `cache.*` telemetry counters).
+/// Current counter snapshot.
 pub fn stats() -> CacheStats {
-    let c = counters();
+    let get = |cell: Cell| CELLS[cell as usize].load(Ordering::Relaxed);
     CacheStats {
-        hits: c.hits.get(),
-        disk_hits: c.disk_hits.get(),
-        misses: c.misses.get(),
-        bypasses: c.bypasses.get(),
-        stores: c.stores.get(),
-        verified: c.verified.get(),
-        inflight_joined: c.inflight_joined.get(),
+        hits: get(Cell::Hits),
+        disk_hits: get(Cell::DiskHits),
+        misses: get(Cell::Misses),
+        bypasses: get(Cell::Bypasses),
+        stores: get(Cell::Stores),
+        verified: get(Cell::Verified),
+        inflight_joined: get(Cell::InflightJoined),
     }
 }
 
-/// Zeroes every counter. Works whether or not the telemetry bus is
-/// recording ([`Counter::reset`] is ungated).
+/// Zeroes every counter.
 pub fn reset_stats() {
-    let c = counters();
-    for c in [
-        c.hits,
-        c.disk_hits,
-        c.misses,
-        c.bypasses,
-        c.stores,
-        c.verified,
-        c.inflight_joined,
-    ] {
-        c.reset();
+    for cell in &CELLS {
+        cell.store(0, Ordering::Relaxed);
     }
 }
 
@@ -427,7 +410,7 @@ fn verify_hit(fp: Fingerprint, cached: &[u8], compute: impl FnOnce() -> Vec<u8>)
             ""
         }
     );
-    counters().verified.incr();
+    bump(Cell::Verified);
 }
 
 /// Looks `fp` up in the memory tier, then the disk tier; on miss runs
@@ -455,7 +438,7 @@ pub fn get_or_compute(fp: Fingerprint, compute: impl FnOnce() -> Vec<u8>) -> Arc
         (c.enabled, c.dir.clone(), c.verify_fraction)
     };
     if !enabled {
-        counters().bypasses.incr();
+        bump(Cell::Bypasses);
         return compute().into();
     }
 
@@ -463,7 +446,7 @@ pub fn get_or_compute(fp: Fingerprint, compute: impl FnOnce() -> Vec<u8>) -> Arc
     // been filled, or the failed leader's registry entry removed.
     let guard = loop {
         if let Some(hit) = memory().lock().unwrap().get(&fp).cloned() {
-            counters().hits.incr();
+            bump(Cell::Hits);
             if should_verify(fp, verify_fraction) {
                 verify_hit(fp, &hit, compute);
             }
@@ -500,8 +483,8 @@ pub fn get_or_compute(fp: Fingerprint, compute: impl FnOnce() -> Vec<u8>) -> Arc
                 }
                 match &*state {
                     FlightState::Done(bytes) => {
-                        counters().hits.incr();
-                        counters().inflight_joined.incr();
+                        bump(Cell::Hits);
+                        bump(Cell::InflightJoined);
                         return bytes.clone();
                     }
                     // Leader panicked: retry from the top.
@@ -513,8 +496,8 @@ pub fn get_or_compute(fp: Fingerprint, compute: impl FnOnce() -> Vec<u8>) -> Arc
 
     if let Some(dir) = dir.as_deref() {
         if let Some(bytes) = DiskStore::new(dir).load(fp) {
-            counters().hits.incr();
-            counters().disk_hits.incr();
+            bump(Cell::Hits);
+            bump(Cell::DiskHits);
             if should_verify(fp, verify_fraction) {
                 verify_hit(fp, &bytes, compute);
             }
@@ -525,11 +508,11 @@ pub fn get_or_compute(fp: Fingerprint, compute: impl FnOnce() -> Vec<u8>) -> Arc
         }
     }
 
-    counters().misses.incr();
+    bump(Cell::Misses);
     let bytes = compute();
     if let Some(dir) = dir.as_deref() {
         if DiskStore::new(dir).store(fp, &bytes) {
-            counters().stores.incr();
+            bump(Cell::Stores);
         }
     }
     let arc: Arc<[u8]> = bytes.into();

@@ -26,18 +26,18 @@
 //! * [`trace`] — the structured, zero-cost-when-disabled observability
 //!   layer: typed events ([`trace::TraceEvent`]) emitted at every sampling
 //!   window, received by pluggable [`trace::TraceSink`]s (in-memory ring,
-//!   JSONL file). `docs/TRACE_SCHEMA.md` documents the serialized contract;
-//! * [`counters`] — the process-global telemetry bus: named atomic
-//!   counters/gauges (`cache.*`, `engine.*`, `sched.*`) every substrate
-//!   layer publishes into, one relaxed load + untaken branch when
-//!   recording is off (docs/OBSERVABILITY.md).
+//!   JSONL file). `docs/TRACE_SCHEMA.md` documents the serialized contract.
+//!
+//! Statistics are read where they are kept — [`machine::Gpu::engine_stats`],
+//! [`cache::stats`], the [`metrics`] registry (docs/OBSERVABILITY.md) —
+//! and host speed is measured from outside by `benchmark/`
+//! (`benchmark/README.md`).
 
 #![deny(missing_docs)]
 
 pub mod alone;
 pub mod cache;
 pub mod control;
-pub mod counters;
 pub(crate) mod domain;
 pub mod exec;
 pub mod harness;

@@ -97,8 +97,9 @@ pub struct DomainWindowStats {
     pub partition_steps: u64,
 }
 
-/// Cycle- and component-step accounting of the engine, exported for the
-/// `perf_smoke` benchmark and BENCH_engine.json.
+/// Cycle- and component-step accounting of the engine
+/// ([`Gpu::engine_stats`]): what the benchmark's `machine.*` and
+/// `domain.*` per-layer metrics are computed from (`benchmark/README.md`).
 ///
 /// The cycle counters split total simulated time into cycles where at
 /// least one component was stepped (`stepped`) and whole-machine jumps
@@ -422,7 +423,6 @@ impl Gpu {
                 self.run_direct(cycles);
             }
         }
-        self.publish_engine_gauges();
     }
 
     /// A span of the one-domain machine: the cycle kernel over the direct
@@ -450,61 +450,6 @@ impl Gpu {
         self.stepped_cycles += fabric.stepped_cycles;
         self.skipped_cycles += cycles - fabric.stepped_cycles;
         self.now = end;
-    }
-
-    /// Publishes the engine accounting onto the `engine.*` gauges of the
-    /// [`crate::counters`] telemetry bus. Called once per run span — gauge
-    /// granularity, never per cycle — so concurrently running machines
-    /// overwrite each other last-writer-wins, which is the documented
-    /// gauge semantics (docs/OBSERVABILITY.md).
-    fn publish_engine_gauges(&self) {
-        use crate::counters::{counter, Counter};
-        struct Gauges {
-            stepped: &'static Counter,
-            fast_forwarded: &'static Counter,
-            core_steps: &'static Counter,
-            core_steps_skipped: &'static Counter,
-            partition_steps: &'static Counter,
-            partition_steps_skipped: &'static Counter,
-            xbar_steps: &'static Counter,
-            xbar_steps_skipped: &'static Counter,
-            sync_points: &'static Counter,
-            barrier_waits: &'static Counter,
-            windows: &'static Counter,
-            window_cycles: &'static Counter,
-            mean_window_millicycles: &'static Counter,
-        }
-        static GAUGES: std::sync::OnceLock<Gauges> = std::sync::OnceLock::new();
-        let g = GAUGES.get_or_init(|| Gauges {
-            stepped: counter("engine.stepped"),
-            fast_forwarded: counter("engine.fast_forwarded"),
-            core_steps: counter("engine.core_steps"),
-            core_steps_skipped: counter("engine.core_steps_skipped"),
-            partition_steps: counter("engine.partition_steps"),
-            partition_steps_skipped: counter("engine.partition_steps_skipped"),
-            xbar_steps: counter("engine.xbar_steps"),
-            xbar_steps_skipped: counter("engine.xbar_steps_skipped"),
-            sync_points: counter("engine.sync_points"),
-            barrier_waits: counter("engine.barrier_waits"),
-            windows: counter("engine.windows"),
-            window_cycles: counter("engine.window_cycles"),
-            mean_window_millicycles: counter("engine.mean_window_millicycles"),
-        });
-        let s = self.engine_stats();
-        g.stepped.set(s.stepped);
-        g.fast_forwarded.set(s.fast_forwarded);
-        g.core_steps.set(s.core_steps);
-        g.core_steps_skipped.set(s.core_steps_skipped);
-        g.partition_steps.set(s.partition_steps);
-        g.partition_steps_skipped.set(s.partition_steps_skipped);
-        g.xbar_steps.set(s.xbar_steps);
-        g.xbar_steps_skipped.set(s.xbar_steps_skipped);
-        g.sync_points.set(s.sync_points);
-        g.barrier_waits.set(s.barrier_waits);
-        g.windows.set(s.windows);
-        g.window_cycles.set(s.window_cycles);
-        g.mean_window_millicycles
-            .set((s.mean_window_cycles() * 1000.0) as u64);
     }
 
     /// A span of a machine laid out as several domains: each domain is

@@ -3,9 +3,10 @@
 //! Steps every component every cycle through the original `Vec`-returning
 //! component APIs — no wake times, no idle skipping, no lazy crediting, no
 //! domains. It exists so tests can hold the production engine
-//! (`crate::domain`) to it bit for bit (`tests/engine_equivalence.rs`) and
-//! so `perf_smoke` has a speedup baseline; nothing else should reach it.
-//! [`Gpu::run`] dispatches here at the top of a span and nowhere else.
+//! (`crate::domain`) to it bit for bit, and it is reached only from
+//! `crates/sim/tests/` (`engine_equivalence.rs`, `span_equivalence.rs`):
+//! no binary, benchmark or library path selects it. [`Gpu::run`]
+//! dispatches here at the top of a span and nowhere else.
 
 use super::Gpu;
 

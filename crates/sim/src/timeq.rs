@@ -31,8 +31,8 @@
 //!
 //! Slot vectors are drained with `mem::take` and handed back, so they
 //! keep their high-water capacity: steady-state operation performs no
-//! heap allocation (the perf_smoke bench pins allocations per cycle
-//! across the whole engine).
+//! heap allocation (the benchmark's `machine.allocs_per_kcycle` counts
+//! allocations across the whole engine).
 
 /// Sentinel wake time meaning "not scheduled".
 pub const NEVER: u64 = u64::MAX;

@@ -294,7 +294,7 @@ fn knob_changes_at_event_boundaries_preserve_agreement() {
 
 /// On a DRAM-stalled co-run the event engine must actually skip most
 /// component-steps — otherwise the per-component skip machinery (and the
-/// BENCH_engine.json speedup it buys) would be vacuous. Cores dominate the
+/// `machine.idle_skip_share` the benchmark reports) would be vacuous. Cores dominate the
 /// component population and sleep through egress/MSHR back-pressure, so
 /// well over half of all component×cycle slots go unstepped.
 #[test]

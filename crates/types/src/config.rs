@@ -317,8 +317,9 @@ impl GpuConfig {
     /// 32 KB 4-way L1s, sixteen memory partitions with 256 KB 16-way L2
     /// slices — 4 MB aggregate — over the paper's GDDR5 channel model).
     ///
-    /// This is the big-machine preset for intra-simulation parallelism
-    /// scaling runs (`perf_smoke`, BENCH_parallel.json): large enough that
+    /// This is the big-machine preset of the benchmark's `volta-busy`
+    /// workload and its `domain.*` intra-simulation scaling metrics
+    /// (`benchmark/README.md`): large enough that
     /// per-cycle work dominates barrier overhead when the machine is split
     /// across `EBM_SIM_THREADS` domains. The SM/warp geometry follows the
     /// Volta Titan V constants (80 SMs, 64 warp slots per SM); the memory
