@@ -17,7 +17,7 @@
 //! `report` merges one trace (and optionally its `PROFILE.json`) into a
 //! single self-contained run report. Its default output contains only
 //! deterministic data — plan-order scheduler units, a virtual LPT
-//! schedule over estimated costs, domain-sync and stall summaries — so
+//! schedule over estimated costs and stall summaries — so
 //! serial and scheduled traces of the same campaign render byte-identical
 //! reports (a CI gate). `--timings` adds the nondeterministic wall-clock
 //! sections (per-worker schedule, cost-model calibration, cache funnel);
@@ -685,8 +685,6 @@ struct ReportData {
     units: Vec<UnitRec>,
     lanes: Vec<Vec<Seg>>,
     makespan: u64,
-    /// Per-domain `[windows, window_cycles, core_steps, partition_steps]`.
-    domains: BTreeMap<u64, [u64; 4]>,
     stalls: BTreeMap<Option<u64>, StallAccum>,
     /// Per-tier `[hits, misses, stores]`, last snapshot per tier.
     tiers: BTreeMap<String, [u64; 3]>,
@@ -756,14 +754,6 @@ fn collect_report_data(records: &[Json], lanes: usize) -> ReportData {
         .collect();
     units.sort_by_key(|u| u.unit);
     let (lane_segs, makespan) = virtual_schedule(&units, lanes);
-    let mut domains: BTreeMap<u64, [u64; 4]> = BTreeMap::new();
-    for rec in records.iter().filter(|r| kind_of(r) == "domain_window") {
-        let d = domains.entry(int(rec, "domain")).or_insert([0; 4]);
-        d[0] += int(rec, "windows");
-        d[1] += int(rec, "window_cycles");
-        d[2] += int(rec, "core_steps");
-        d[3] += int(rec, "partition_steps");
-    }
     let mut stalls: BTreeMap<Option<u64>, StallAccum> = BTreeMap::new();
     for rec in records.iter().filter(|r| kind_of(r) == "metrics_window") {
         let a = stalls
@@ -796,7 +786,6 @@ fn collect_report_data(records: &[Json], lanes: usize) -> ReportData {
         units,
         lanes: lane_segs,
         makespan,
-        domains,
         stalls,
         tiers,
     }
@@ -883,25 +872,6 @@ fn render_report_text(d: &ReportData) -> String {
                 let _ = write!(w, " (+{} more)", segs.len() - SEGS);
             }
             let _ = writeln!(w);
-        }
-    }
-
-    let _ = writeln!(w);
-    let _ = writeln!(w, "== domain synchronization ==");
-    if d.domains.is_empty() {
-        let _ = writeln!(w, "none recorded (serial engine or untraced run)");
-    } else {
-        let _ = writeln!(
-            w,
-            "{:<8} {:>10} {:>14} {:>14} {:>16}",
-            "domain", "windows", "window_cycles", "core_steps", "partition_steps"
-        );
-        for (dom, v) in &d.domains {
-            let _ = writeln!(
-                w,
-                "{dom:<8} {:>10} {:>14} {:>14} {:>16}",
-                v[0], v[1], v[2], v[3]
-            );
         }
     }
 

@@ -1334,7 +1334,8 @@ fn run_with(
         peak_ready,
         wall_s: t0.elapsed().as_secs_f64(),
         busy_s: busy_ns.load(Ordering::Relaxed) as f64 / 1e9,
-        cache_hits: (stats1.hits + stats1.disk_hits).saturating_sub(stats0.hits + stats0.disk_hits),
+        // `disk_hits` is a subset of `hits`, not a second tally.
+        cache_hits: stats1.hits.saturating_sub(stats0.hits),
         inflight_joined: stats1
             .inflight_joined
             .saturating_sub(stats0.inflight_joined),

@@ -526,23 +526,14 @@ pub fn sens_part(ev: &Evaluator) -> Report {
         (total - quarter, quarter),
     ] {
         let cfg = ev.config().gpu.clone();
-        let alone: Vec<f64> = w
+        let profiles: Vec<_> = w
             .apps()
             .iter()
             .zip([c0, c1])
-            .map(|(a, n)| {
-                profile_alone(&cfg, a, n, seed, RunSpec::new(10_000, 25_000)).ipc_at_best()
-            })
+            .map(|(a, n)| profile_alone(&cfg, a, n, seed, RunSpec::new(10_000, 25_000)))
             .collect();
-        let best_combo = TlpCombo::new(
-            w.apps()
-                .iter()
-                .zip([c0, c1])
-                .map(|(a, n)| {
-                    profile_alone(&cfg, a, n, seed, RunSpec::new(10_000, 25_000)).best_tlp()
-                })
-                .collect(),
-        );
+        let alone: Vec<f64> = profiles.iter().map(|p| p.ipc_at_best()).collect();
+        let best_combo = TlpCombo::new(profiles.iter().map(|p| p.best_tlp()).collect());
         // Exhaustive sweep on this split.
         let mut best_ws = (best_combo.clone(), 0.0f64);
         let mut base_ws = 0.0;

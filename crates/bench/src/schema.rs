@@ -11,7 +11,8 @@
 //! `metrics_window` / `profile_span` need v ≥ 3, the engine skip
 //! fractions on `metrics_window` appear from v ≥ 4 (older records with
 //! the shorter field list still validate), and the substrate telemetry
-//! kinds (`sched_unit`, `domain_window`, `cache_tier`) plus
+//! kinds (`sched_unit`, `cache_tier`, and `domain_window`, which older v5
+//! traces carry and the emitter no longer writes) plus
 //! `cache_stats.inflight_joined` appear from v ≥ 5.
 
 use crate::json::{parse, Json};
@@ -497,14 +498,6 @@ mod tests {
                 wall_ms: 7.75,
                 cycles: 110_000,
             },
-            TraceEvent::DomainWindow {
-                cycle: 4096,
-                domain: 1,
-                windows: 64,
-                window_cycles: 4096,
-                core_steps: 32_768,
-                partition_steps: 8_192,
-            },
             TraceEvent::CacheTier {
                 cycle: 0,
                 tier: "memory".into(),
@@ -517,6 +510,12 @@ mod tests {
             let line = e.to_json();
             assert_eq!(validate_line(&line), Ok(e.kind()), "{line}");
         }
+        // No longer emitted, still valid input: v5 traces written before
+        // the intra-simulation engine was retired carry it.
+        let line = "{\"v\":5,\"kind\":\"domain_window\",\"cycle\":4096,\"domain\":1,\
+                    \"windows\":64,\"window_cycles\":4096,\"core_steps\":32768,\
+                    \"partition_steps\":8192}";
+        assert_eq!(validate_line(line), Ok("domain_window"));
     }
 
     #[test]

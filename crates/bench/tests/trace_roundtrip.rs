@@ -96,14 +96,6 @@ fn one_of_each_kind() -> Vec<TraceEvent> {
             wall_ms: f64::INFINITY,
             cycles: 7,
         },
-        TraceEvent::DomainWindow {
-            cycle: 9,
-            domain: 1,
-            windows: 12,
-            window_cycles: 6_000,
-            core_steps: 24,
-            partition_steps: 12,
-        },
         TraceEvent::MetricsWindow {
             cycle: 6,
             app: None,
@@ -141,7 +133,7 @@ fn every_event_kind_round_trips_through_the_validator() {
     kinds.sort_unstable();
     kinds.dedup();
     assert_eq!(kinds.len(), events.len(), "duplicate kind in fixture list");
-    assert_eq!(kinds.len(), 11, "new event kind? extend one_of_each_kind()");
+    assert_eq!(kinds.len(), 10, "new event kind? extend one_of_each_kind()");
     for e in &events {
         let line = e.to_json();
         assert_eq!(validate_line(&line), Ok(e.kind()), "{line}");

@@ -584,9 +584,11 @@ impl Evaluator {
     /// The (cached) alone profile of `app` on `n_cores` cores.
     pub fn alone(&self, app: &'static AppProfile, n_cores: usize) -> AloneProfile {
         let cfg = self.config();
-        self.store.alone.get_or_insert_with(app.name, || {
-            profile_alone(&cfg.gpu, app, n_cores, cfg.seed, cfg.alone_spec)
-        })
+        self.store
+            .alone
+            .get_or_insert_with((app.name, n_cores), || {
+                profile_alone(&cfg.gpu, app, n_cores, cfg.seed, cfg.alone_spec)
+            })
     }
 
     /// The (cached) 64-combination sweep of `workload`.
@@ -893,6 +895,18 @@ mod tests {
         let r = e.evaluate(&workload(), Scheme::Pbs(EbObjective::Ws));
         assert!(r.tlp_trace.len() > 1, "PBS must explore combinations");
         assert!(r.metrics.ws > 0.0);
+    }
+
+    #[test]
+    fn alone_profiles_are_memoized_per_core_count() {
+        let e = evaluator();
+        let cfg = e.config().clone();
+        let bfs = gpu_workloads::by_name("BFS").unwrap();
+        let fresh = |n| profile_alone(&cfg.gpu, bfs, n, cfg.seed, cfg.alone_spec);
+        let (on_two, on_four) = (e.alone(bfs, 2), e.alone(bfs, 4));
+        assert_ne!(on_two, on_four, "a second core count is a second profile");
+        assert_eq!(on_two, fresh(2));
+        assert_eq!(on_four, fresh(4));
     }
 
     #[test]

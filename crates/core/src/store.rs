@@ -109,10 +109,10 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
 /// discipline.
 pub struct ResultStore {
     pub(crate) cfg: EvaluatorConfig,
-    /// Alone profiles, keyed by application name (every evaluator-driven
-    /// lookup uses the campaign's even core partition, so the name alone
-    /// identifies the profile).
-    pub(crate) alone: ShardedMap<&'static str, AloneProfile>,
+    /// Alone profiles, keyed by `(application name, core count)`: the
+    /// same application is profiled on half the machine for a pair and a
+    /// third of it for a triple.
+    pub(crate) alone: ShardedMap<(&'static str, usize), AloneProfile>,
     /// Combination sweeps, keyed by workload name.
     pub(crate) sweeps: ShardedMap<String, ComboSweep>,
     /// Scheme results, keyed by `(workload name, scheme)`.

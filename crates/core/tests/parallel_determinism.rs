@@ -10,9 +10,9 @@
 use ebm_core::eval::{Evaluator, EvaluatorConfig, Scheme};
 use ebm_core::metrics::EbObjective;
 use ebm_core::sweep::ComboSweep;
-use gpu_sim::harness::{measure_fixed, RunSpec};
-use gpu_sim::{profile_alone_with_threads, Gpu};
-use gpu_types::{GpuConfig, SplitMix64, TlpCombo, TlpLevel};
+use gpu_sim::harness::RunSpec;
+use gpu_sim::profile_alone_with_threads;
+use gpu_types::GpuConfig;
 use gpu_workloads::{by_name, Workload};
 
 /// Disables the process-global result cache: a memoized second run would be
@@ -119,108 +119,6 @@ fn batch_handles_duplicates_and_cached_entries() {
     assert_eq!(batch.len(), 3);
     assert_eq!(batch[0].metrics.ws, first.metrics.ws);
     assert_eq!(batch[1].metrics.ws, first.metrics.ws);
-}
-
-#[test]
-fn intra_sim_workers_keep_harness_measurements_bit_identical() {
-    no_cache();
-    // The *intra*-simulation axis (`Gpu::set_sim_threads`, the programmatic
-    // twin of `EBM_SIM_THREADS`): a memory-bound co-run measured through the
-    // windowed harness must produce byte-identical windows at every worker
-    // count, with TLP knob changes landing at window boundaries exactly as
-    // the controller path would apply them.
-    let cfg = GpuConfig::small();
-    let w = Workload::pair("BLK", "TRD");
-    let spec = RunSpec::new(400, 1_600);
-    let mut rng = SplitMix64::new(0x1D7A_5117);
-    let run = |threads: usize| {
-        let mut g = Gpu::new(&cfg, w.apps(), 42);
-        g.set_sim_threads(threads);
-        let mut windows = Vec::new();
-        for leg in 0..3u32 {
-            let combo = TlpCombo::pair(
-                TlpLevel::new(8).unwrap(),
-                TlpLevel::new(1 + leg * 3).unwrap(),
-            );
-            windows.extend(measure_fixed(&mut g, &combo, spec));
-        }
-        windows
-    };
-    let serial = run(1);
-    for _ in 0..3 {
-        let threads = [2, 4, 7][rng.next_below(3) as usize];
-        let parallel = run(threads);
-        assert_eq!(
-            serial, parallel,
-            "harness windows diverged at {threads} sim threads"
-        );
-    }
-}
-
-#[test]
-fn intra_sim_workers_compose_with_sweep_fanout() {
-    no_cache();
-    // `EBM_SIM_THREADS` and the across-sweep `EBM_THREADS` fan-out must not
-    // multiply: inside `par_map_with` workers the intra-sim worker count is
-    // forced to 1 (docs/PARALLELISM.md), and outside it the domain-parallel
-    // engine is bit-identical to serial. Either way the sweep table cannot
-    // change. Setting the env var here is benign even though other tests in
-    // this binary may run concurrently: the only thing it can change for
-    // them is the worker count, which this invariant makes unobservable.
-    let cfg = GpuConfig::small();
-    let w = Workload::pair("BLK", "TRD");
-    let spec = RunSpec::new(300, 1_000);
-    let baseline = ComboSweep::measure_with_threads(&cfg, &w, 7, spec, 1);
-    std::env::set_var("EBM_SIM_THREADS", "4");
-    // Serial sweep: each simulation runs inline and fans out to 4 domains.
-    let intra = ComboSweep::measure_with_threads(&cfg, &w, 7, spec, 1);
-    // Parallel sweep: fan-out workers suppress the intra-sim axis.
-    let nested = ComboSweep::measure_with_threads(&cfg, &w, 7, spec, 4);
-    std::env::remove_var("EBM_SIM_THREADS");
-    for (combo, samples) in baseline.iter() {
-        let a = intra.get(combo).expect("intra-sim sweep misses a combo");
-        let b = nested.get(combo).expect("nested sweep misses a combo");
-        for (s, (x, y)) in samples.iter().zip(a.iter().zip(b)) {
-            assert_eq!((s.ipc, s.bw, s.eb), (x.ipc, x.bw, x.eb), "at {combo}");
-            assert_eq!((s.ipc, s.bw, s.eb), (y.ipc, y.bw, y.eb), "at {combo}");
-        }
-    }
-}
-
-#[test]
-fn windowed_sim_threads_compose_with_sweep_fanout() {
-    no_cache();
-    // The lookahead-windowed intra-sim engine under an across-sim fan-out:
-    // each fan-out worker runs a full harness measurement — three
-    // controller-style legs whose knob changes force window flushes — with
-    // an *explicit* `set_sim_threads` override (which bypasses the fan-out
-    // suppression by design, so the windowed engine really runs inside
-    // `par_map_with` workers). Every (worker count × fan-out lane) result
-    // must be byte-identical to the inline serial run.
-    let cfg = GpuConfig::small();
-    let w = Workload::pair("BLK", "TRD");
-    let spec = RunSpec::new(400, 1_400);
-    let measure = |threads: usize| {
-        let mut g = Gpu::new(&cfg, w.apps(), 42);
-        g.set_sim_threads(threads);
-        let mut windows = Vec::new();
-        for leg in 0..3u32 {
-            let combo = TlpCombo::pair(
-                TlpLevel::new(8).unwrap(),
-                TlpLevel::new(1 + leg * 2).unwrap(),
-            );
-            windows.extend(measure_fixed(&mut g, &combo, spec));
-        }
-        windows
-    };
-    let serial = measure(1);
-    let fanned = gpu_sim::exec::par_map_with(3, vec![2usize, 4, 7, 2, 4, 7], measure);
-    for (i, windows) in fanned.iter().enumerate() {
-        assert_eq!(
-            &serial, windows,
-            "lane {i}: windowed engine diverged inside the sweep fan-out"
-        );
-    }
 }
 
 #[test]

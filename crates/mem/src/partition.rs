@@ -7,12 +7,9 @@
 //! ingress queue; L2 hits return after the L2 hit latency; misses allocate
 //! an L2 MSHR and go to DRAM; fills release all merged waiters.
 //!
-//! Like the SIMT core, a partition is self-contained and `Send`: its whole
-//! interface to the rest of the machine is `push` (ingress) and
-//! `step_into` (egress into a caller-owned buffer), so the machine layer
-//! may step disjoint sets of partitions on different threads (the
-//! `gpu-sim` crate's intra-simulation domain workers, docs/PARALLELISM.md)
-//! without any synchronization here.
+//! Like the SIMT core, a partition is self-contained: its whole interface
+//! to the rest of the machine is `push` (ingress) and `step_into` (egress
+//! into a caller-owned buffer).
 
 use crate::cache::{Cache, Lookup};
 use crate::dram::DramChannel;

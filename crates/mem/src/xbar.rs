@@ -80,9 +80,7 @@ impl<T> Crossbar<T> {
     ///
     /// Because each input FIFO is filled only by its owning component and
     /// drained only by [`Crossbar::step_with`], a snapshot taken before the
-    /// cycle's push phase is an exact admission budget for that phase — the
-    /// parallel engine (docs/PARALLELISM.md) uses this to let domains stage
-    /// pushes without consulting the shared crossbar mid-cycle.
+    /// cycle's push phase is an exact admission budget for that phase.
     pub fn free_slots(&self, input: usize) -> usize {
         self.queue_capacity - self.inputs[input].len()
     }
@@ -124,17 +122,6 @@ impl<T> Crossbar<T> {
     /// returns immediately — exact, because grants (and thus `rr` pointer
     /// movement) only ever happen for deliverable flits.
     pub fn step_with(&mut self, now: u64, mut deliver: impl FnMut(usize, T)) {
-        self.step_routed(now, |_input, out, payload| deliver(out, payload));
-    }
-
-    /// [`Crossbar::step_with`] with the granted *input* port reported
-    /// alongside the output: `deliver(input_port, output_port, payload)`.
-    ///
-    /// The windowed parallel engine (docs/PARALLELISM.md) forward-simulates
-    /// arbitration for a whole lookahead window at the window boundary and
-    /// needs the source port of every grant to compute exact per-port
-    /// admission-budget refunds for the domain workers.
-    pub fn step_routed(&mut self, now: u64, mut deliver: impl FnMut(usize, usize, T)) {
         if self.buffered == 0 {
             return;
         }
@@ -167,7 +154,7 @@ impl<T> Crossbar<T> {
                 if eligible {
                     let flit = self.inputs[i].pop_front().expect("front checked above");
                     self.buffered -= 1;
-                    deliver(i, out, flit.payload);
+                    deliver(out, flit.payload);
                     self.input_used[i] = true;
                     grants += 1;
                     // Advance the pointer past the last granted input so a
@@ -262,21 +249,6 @@ impl<T> Crossbar<T> {
     /// once per sampling window as a queue-depth sample.
     pub fn take_peak_in_flight(&mut self) -> usize {
         std::mem::replace(&mut self.peak_buffered, self.buffered)
-    }
-
-    /// Raises the buffered-flit high-water mark to at least `to`.
-    ///
-    /// The windowed parallel engine pops a window's grants (forward
-    /// simulation at the window boundary) *before* physically replaying the
-    /// window's pushes, so the physical occupancy never reaches the depth
-    /// the serial interleaving (per-cycle pushes before grants) would have
-    /// touched. The coordinator reconstructs the serial per-cycle peak from
-    /// its push/grant counts and restores it here, keeping
-    /// [`Crossbar::take_peak_in_flight`] byte-identical to serial.
-    pub fn raise_peak(&mut self, to: usize) {
-        if to > self.peak_buffered {
-            self.peak_buffered = to;
-        }
     }
 }
 
@@ -452,29 +424,6 @@ mod tests {
             a.step_with(now, |out, p| got_a.push((out, p)));
             assert_eq!(got_a, b.step(now), "divergence at cycle {now}");
         }
-    }
-
-    #[test]
-    fn step_routed_reports_source_ports() {
-        let mut x: Crossbar<u32> = Crossbar::new(3, 2, 0, 1, 4);
-        x.push(0, 0, 10, 0).unwrap();
-        x.push(1, 1, 21, 0).unwrap();
-        x.push(2, 0, 30, 0).unwrap();
-        let mut got = Vec::new();
-        x.step_routed(0, |inp, out, p| got.push((inp, out, p)));
-        got.sort_unstable();
-        // Output 0 grants input 0 (rr starts there); output 1 grants input 1.
-        assert_eq!(got, vec![(0, 0, 10), (1, 1, 21)]);
-    }
-
-    #[test]
-    fn raise_peak_only_raises() {
-        let mut x: Crossbar<u32> = Crossbar::new(1, 1, 0, 1, 4);
-        x.push(0, 0, 1, 0).unwrap();
-        x.raise_peak(3);
-        assert_eq!(x.take_peak_in_flight(), 3);
-        x.raise_peak(0);
-        assert_eq!(x.take_peak_in_flight(), 1, "never lowers below the mark");
     }
 
     #[test]

@@ -23,13 +23,12 @@
 //! the determinism regression tests, although parallel results are identical
 //! by construction).
 //!
-//! A second, independent knob — `EBM_SIM_THREADS`, resolved by
-//! [`sim_worker_count`] — controls *intra-simulation* parallelism: how many
-//! domain workers a single machine's event loop fans out over
-//! (docs/PARALLELISM.md). The two never multiply: [`par_map_with`] workers
-//! run with an [`in_sweep_fanout`] marker set, and `sim_worker_count`
-//! returns 1 inside them, so a sweep of N simulations uses N-way across-sim
-//! parallelism and each simulation steps serially.
+//! Fan-outs never nest: [`par_map_with`] workers and [`with_workers`] pool
+//! threads run with an [`in_sweep_fanout`] marker set, and [`worker_count`]
+//! returns 1 inside them, so a pool of N workers uses exactly N threads
+//! however deep the work nests. This is the only parallelism axis: a single
+//! simulation always steps on the thread that runs it (ARCHITECTURE.md,
+//! "Parallelism").
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -42,10 +41,9 @@ thread_local! {
 
 /// True when the current thread is a [`par_map`]/[`par_map_with`] worker.
 ///
-/// Used by [`sim_worker_count`] to suppress nested parallelism: inside a
-/// sweep fan-out every CPU is already busy with an independent simulation,
-/// so splitting each one across further intra-sim workers would only add
-/// barrier overhead and oversubscription.
+/// Used by [`worker_count`] to suppress nested parallelism: inside a
+/// fan-out every CPU is already busy with an independent simulation, so
+/// fanning out again would only oversubscribe the host.
 pub fn in_sweep_fanout() -> bool {
     IN_SWEEP_FANOUT.with(Cell::get)
 }
@@ -60,41 +58,11 @@ fn parse_threads(value: &str) -> Result<usize, String> {
     }
 }
 
-/// The thread count environment variable `var` asks for, or `fallback()`
-/// when it is unset or unusable. An unusable value is reported on stderr
-/// once per variable (`warned`), naming the variable, the rejected value
-/// and the count used instead.
-fn env_threads(var: &str, warned: &Once, fallback: impl FnOnce() -> usize) -> usize {
-    let Ok(value) = std::env::var(var) else {
-        return fallback();
-    };
-    parse_threads(&value).unwrap_or_else(|why| {
-        let used = fallback();
-        warned.call_once(|| eprintln!("warning: ignoring {var}={value:?} ({why}); using {used}"));
-        used
-    })
-}
-
-/// Number of intra-simulation domain workers a machine is laid out for
-/// when it is built: the `EBM_SIM_THREADS` environment variable when set
-/// to a positive integer, otherwise 1 (serial — intra-sim parallelism is
-/// opt-in).
-///
-/// Always 1 on [`par_map`]/[`par_map_with`] worker threads, whatever the
-/// environment says: across-sim fan-out already saturates the host
-/// ([`in_sweep_fanout`]). An explicit per-machine override
-/// (`Gpu::set_sim_threads`) bypasses this function entirely.
-pub fn sim_worker_count() -> usize {
-    static WARNED: Once = Once::new();
-    if in_sweep_fanout() {
-        return 1;
-    }
-    env_threads("EBM_SIM_THREADS", &WARNED, || 1)
-}
-
 /// Number of worker threads fan-outs use by default: the `EBM_THREADS`
 /// environment variable when set to a positive integer, otherwise the
-/// host's available parallelism (1 if that cannot be determined).
+/// host's available parallelism (1 if that cannot be determined). An
+/// unusable value is reported on stderr once, naming the rejected value and
+/// the count used instead.
 ///
 /// Always 1 on fan-out worker threads (both [`par_map_with`] workers and
 /// [`with_workers`] pool threads): a worker that fans out again would
@@ -105,10 +73,20 @@ pub fn worker_count() -> usize {
     if in_sweep_fanout() {
         return 1;
     }
-    env_threads("EBM_THREADS", &WARNED, || {
+    let host = || {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
+    };
+    let Ok(value) = std::env::var("EBM_THREADS") else {
+        return host();
+    };
+    parse_threads(&value).unwrap_or_else(|why| {
+        let used = host();
+        WARNED.call_once(|| {
+            eprintln!("warning: ignoring EBM_THREADS={value:?} ({why}); using {used}")
+        });
+        used
     })
 }
 
@@ -179,8 +157,8 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
-                    // Mark the worker so nested intra-sim parallelism is
-                    // suppressed ([`sim_worker_count`] returns 1 here).
+                    // Mark the worker so nested fan-outs run inline
+                    // ([`worker_count`] returns 1 here).
                     IN_SWEEP_FANOUT.with(|flag| flag.set(true));
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -224,9 +202,9 @@ where
 /// This is the long-lived sibling of [`par_map_with`]: instead of mapping a
 /// closed item list, each worker runs a caller-supplied loop (typically
 /// pulling work units off a shared queue until it drains). Worker threads
-/// carry the [`in_sweep_fanout`] marker, so nested [`par_map`] calls and
-/// intra-sim domain workers both collapse to serial inside them — a pool of
-/// N workers uses exactly N threads, however deep the work nests.
+/// carry the [`in_sweep_fanout`] marker, so nested [`par_map`] calls
+/// collapse to serial inside them — a pool of N workers uses exactly N
+/// threads, however deep the work nests.
 ///
 /// A worker panic propagates to the caller with its original payload, after
 /// the coordinator has returned (the caller's queue protocol must therefore
@@ -311,28 +289,18 @@ mod tests {
     }
 
     #[test]
-    fn sim_worker_count_suppressed_inside_fanout() {
-        // Whatever EBM_SIM_THREADS says, a par_map worker must report 1:
-        // nested intra-sim parallelism is disabled inside a sweep fan-out.
-        assert!(!in_sweep_fanout(), "caller thread is not a fan-out worker");
-        let counts = par_map_with(3, (0..8).collect::<Vec<u32>>(), |_| {
-            (in_sweep_fanout(), sim_worker_count())
-        });
-        for (inside, n) in counts {
-            assert!(inside, "worker threads must carry the fan-out marker");
-            assert_eq!(n, 1, "intra-sim workers must be suppressed in fan-out");
-        }
-        assert!(!in_sweep_fanout(), "marker must not leak to the caller");
-    }
-
-    #[test]
     fn worker_count_suppressed_inside_fanout() {
         // A fan-out worker that fans out again must run inline: nested
         // par_map calls on worker threads report a width of 1.
-        let widths = par_map_with(3, (0..6).collect::<Vec<u32>>(), |_| worker_count());
-        for w in widths {
+        assert!(!in_sweep_fanout(), "caller thread is not a fan-out worker");
+        let widths = par_map_with(3, (0..6).collect::<Vec<u32>>(), |_| {
+            (in_sweep_fanout(), worker_count())
+        });
+        for (inside, w) in widths {
+            assert!(inside, "worker threads must carry the fan-out marker");
             assert_eq!(w, 1, "worker_count must be 1 on fan-out workers");
         }
+        assert!(!in_sweep_fanout(), "marker must not leak to the caller");
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //! * [`harness`] — fixed-combination measurement and controlled runs with
 //!   windowed sampling and the Fig. 8 relay latency;
 //! * [`exec`] — a scoped-thread fan-out layer ([`exec::par_map`]) for the
-//!   independent simulations of sweeps, profiles and campaigns, plus the
-//!   `EBM_SIM_THREADS` resolution ([`exec::sim_worker_count`]) for the
-//!   machine's *intra*-simulation domain workers (docs/PARALLELISM.md);
+//!   independent simulations of sweeps, profiles and campaigns — the only
+//!   parallelism axis: one simulation steps on one thread;
 //! * [`cache`] — content-addressed memoization of deterministic results:
 //!   a stable 128-bit fingerprint of each simulation's inputs keys an
 //!   in-process registry plus a persistent on-disk store

@@ -2,7 +2,7 @@
 
 mod oracle;
 
-use crate::domain::{self, DirectFabric, DomainState};
+use crate::domain::{DirectFabric, Domain, DomainState};
 use gpu_mem::req::MemRequest;
 use gpu_mem::{Crossbar, MemoryPartition};
 use gpu_simt::{CoreStats, SimtCore, WarpStalls};
@@ -51,12 +51,10 @@ pub struct Gpu {
     /// Whether metrics recording is enabled machine-wide (mirrors the
     /// per-component flags; see [`Gpu::set_metrics_enabled`]).
     metrics: bool,
-    /// The machine's domain layout — one domain per intra-simulation
-    /// worker, a single one when serial — with each domain's engine state
-    /// (wake times, credit watermarks, egress-pending set). Laid out at
-    /// construction and again only by [`Gpu::set_sim_threads`].
-    domains: Vec<DomainState>,
-    /// False when the domains' derived state may be stale; the next
+    /// The engine state kept between run spans (wake times, credit
+    /// watermarks, egress-pending set).
+    domain: DomainState,
+    /// False when the domain's derived state may be stale; the next
     /// production span re-derives it. Cleared only by
     /// [`Gpu::invalidate_wake_state`].
     wake_valid: bool,
@@ -66,40 +64,11 @@ pub struct Gpu {
     partition_steps: u64,
     /// Individual crossbar step calls (request + response networks).
     xbar_steps: u64,
-    /// Gate broadcasts issued by the windowed parallel engine (one per
-    /// lookahead window, plus one exit broadcast per run span).
-    sync_points: u64,
-    /// Latch collections by the windowed parallel engine (one per window).
-    barrier_waits: u64,
-    /// Lookahead windows executed by the parallel engine.
-    windows: u64,
-    /// Total cycles covered by those windows (stepped or skipped).
-    window_cycles: u64,
-    /// Per-domain accounting of the parallel engine, indexed by domain
-    /// (empty until the first parallel run span; monotonic afterwards).
-    domain_stats: Vec<DomainWindowStats>,
-}
-
-/// One intra-simulation domain's share of the parallel engine's
-/// accounting: windows synchronized through and component steps executed
-/// by the domain's worker. Monotonic since machine construction; exported
-/// through [`Gpu::domain_window_stats`] and the `domain_window` trace
-/// event (docs/TRACE_SCHEMA.md).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DomainWindowStats {
-    /// Lookahead windows the domain synchronized through.
-    pub windows: u64,
-    /// Simulated cycles those windows covered.
-    pub window_cycles: u64,
-    /// Core steps the domain's worker executed.
-    pub core_steps: u64,
-    /// Partition steps the domain's worker executed.
-    pub partition_steps: u64,
 }
 
 /// Cycle- and component-step accounting of the engine
-/// ([`Gpu::engine_stats`]): what the benchmark's `machine.*` and
-/// `domain.*` per-layer metrics are computed from (`benchmark/README.md`).
+/// ([`Gpu::engine_stats`]): what the benchmark's `machine.*` per-layer
+/// metrics are computed from (`benchmark/README.md`).
 ///
 /// The cycle counters split total simulated time into cycles where at
 /// least one component was stepped (`stepped`) and whole-machine jumps
@@ -127,47 +96,22 @@ pub struct EngineStats {
     pub xbar_steps: u64,
     /// Crossbar step calls skipped relative to every-cycle stepping.
     pub xbar_steps_skipped: u64,
-    /// Coordinator-to-worker gate broadcasts by the windowed parallel
-    /// engine: one per lookahead window plus one exit broadcast per run
-    /// span. Zero on serial runs. Deterministic for any worker count > 1
-    /// (window boundaries depend only on machine state and the crossbar
-    /// latency, never on thread scheduling).
+    // Always zero: read only by the frozen benchmark's `domain.*` probe.
+    #[doc(hidden)]
     pub sync_points: u64,
-    /// Worker-to-coordinator latch collections (one per window). Zero on
-    /// serial runs.
+    #[doc(hidden)]
     pub barrier_waits: u64,
-    /// Lookahead windows executed by the parallel engine. Zero on serial
-    /// runs.
+    #[doc(hidden)]
     pub windows: u64,
-    /// Total cycles covered by those windows; `window_cycles / windows`
-    /// is the mean window length ([`EngineStats::mean_window_cycles`]).
+    #[doc(hidden)]
     pub window_cycles: u64,
 }
 
 impl EngineStats {
-    /// Mean lookahead-window length in cycles (0 when no window ran —
-    /// serial and reference runs).
+    // Always zero: called only by the frozen benchmark's `domain.*` probe.
+    #[doc(hidden)]
     pub fn mean_window_cycles(&self) -> f64 {
-        if self.windows == 0 {
-            0.0
-        } else {
-            self.window_cycles as f64 / self.windows as f64
-        }
-    }
-
-    /// This accounting with the parallel-engine synchronization counters
-    /// zeroed. The simulated machine — and every other field here — is
-    /// bit-identical across engines and worker counts, but only the
-    /// parallel engine crosses barriers; differential tests compare
-    /// serial and parallel runs through this view.
-    pub fn sans_sync(&self) -> EngineStats {
-        EngineStats {
-            sync_points: 0,
-            barrier_waits: 0,
-            windows: 0,
-            window_cycles: 0,
-            ..*self
-        }
+        0.0
     }
 }
 
@@ -251,7 +195,7 @@ impl Gpu {
         let partitions = (0..cfg.n_partitions)
             .map(|p| MemoryPartition::new(PartitionId(p), cfg, apps.len()))
             .collect();
-        let mut gpu = Gpu {
+        Gpu {
             req_net: Crossbar::new(
                 total,
                 cfg.n_partitions,
@@ -277,21 +221,12 @@ impl Gpu {
             stepped_cycles: 0,
             skipped_cycles: 0,
             metrics: false,
-            domains: Vec::new(),
+            domain: DomainState::new(total, cfg.n_partitions),
             wake_valid: false,
             core_steps: 0,
             partition_steps: 0,
             xbar_steps: 0,
-            sync_points: 0,
-            barrier_waits: 0,
-            windows: 0,
-            window_cycles: 0,
-            domain_stats: Vec::new(),
-        };
-        // The worker count is resolved once per machine, here, on the
-        // thread that builds (and, throughout this repository, runs) it.
-        gpu.set_sim_threads(crate::exec::sim_worker_count());
-        gpu
+        }
     }
 
     /// The machine configuration.
@@ -365,13 +300,12 @@ impl Gpu {
         self.set_core_knob(app, |core| core.set_ccws(enabled));
     }
 
-    /// Marks the domains' derived engine state — wake times, credit
-    /// watermarks, egress-pending sets — stale. The one rule: it is stale
+    /// Marks the domain's derived engine state — wake times, credit
+    /// watermarks, egress-pending set — stale. The one rule: it is stale
     /// after anything other than the production engine changed what it was
     /// derived from, i.e. a knob change (TLP/bypass/CCWS clear core sleep
     /// states) or a reference-engine stretch. The next production span
-    /// re-derives it. A layout change ([`Gpu::set_sim_threads`]) only
-    /// regroups components and carries their state over.
+    /// re-derives it.
     fn invalidate_wake_state(&mut self) {
         self.wake_valid = false;
     }
@@ -379,9 +313,7 @@ impl Gpu {
     /// Advances the machine one cycle: exactly a one-cycle [`Gpu::run`]
     /// span, so manual stepping skips idle components, counts toward
     /// [`crate::metrics::cycles_simulated`] and reports the same
-    /// [`EngineStats`] as `run` over the same cycles. On a machine with
-    /// several intra-simulation workers every call is a one-cycle window
-    /// with its own worker threads — correct, but slow.
+    /// [`EngineStats`] as `run` over the same cycles.
     pub fn step(&mut self) {
         self.run(1);
     }
@@ -393,54 +325,33 @@ impl Gpu {
     /// statistics and traced output advance exactly as if every component
     /// had been stepped every cycle (the reference oracle checks this
     /// bit-for-bit in `engine_equivalence`).
-    ///
-    /// A machine laid out as several domains ([`Gpu::set_sim_threads`] or
-    /// `EBM_SIM_THREADS`) steps them on worker threads in lookahead
-    /// windows — the same cycle kernel over a different crossbar fabric,
-    /// bit-identical for every worker count (docs/PARALLELISM.md).
     pub fn run(&mut self, cycles: u64) {
         crate::metrics::add_cycles_simulated(cycles);
         if self.reference_mode {
             self.run_reference(cycles);
         } else {
-            if !self.wake_valid {
-                let domains = domain::views(
-                    &mut self.domains,
-                    &mut self.cores,
-                    &mut self.partitions,
-                    &mut self.resp_backlog,
-                    &mut self.ingress_backlog,
-                    &self.cfg,
-                );
-                for mut dom in domains {
-                    dom.derive_wake_state(self.now);
-                }
-                self.wake_valid = true;
-            }
-            if self.domains.len() > 1 {
-                self.run_windowed(cycles);
-            } else {
-                self.run_direct(cycles);
-            }
+            self.run_direct(cycles);
         }
     }
 
-    /// A span of the one-domain machine: the cycle kernel over the direct
+    /// A span of the production engine: the cycle kernel over the direct
     /// fabric, on the calling thread.
     fn run_direct(&mut self, cycles: u64) {
         let (from, end) = (self.now, self.now + cycles);
-        let latency = self.cfg.xbar_latency as u64;
-        let mut fabric = DirectFabric::new(&mut self.req_net, &mut self.resp_net, latency, from);
-        let mut dom = domain::views(
-            &mut self.domains,
+        let mut dom = Domain::new(
+            &mut self.domain,
             &mut self.cores,
             &mut self.partitions,
             &mut self.resp_backlog,
             &mut self.ingress_backlog,
             &self.cfg,
-        )
-        .next()
-        .expect("a machine has at least one domain");
+        );
+        if !self.wake_valid {
+            dom.derive_wake_state(from);
+            self.wake_valid = true;
+        }
+        let latency = self.cfg.xbar_latency as u64;
+        let mut fabric = DirectFabric::new(&mut self.req_net, &mut self.resp_net, latency, from);
         dom.advance(from, end, &mut fabric);
         dom.flush_credits(end);
         let (core_steps, partition_steps) = dom.state.take_steps();
@@ -452,316 +363,9 @@ impl Gpu {
         self.now = end;
     }
 
-    /// A span of a machine laid out as several domains: each domain is
-    /// owned by one scoped worker thread for the span and steps the cycle
-    /// kernel over its windowed fabric ([`domain::Mailbox`]); this
-    /// coordinator keeps both crossbars and every scalar counter. The
-    /// crossbars' traversal latency `L` is conservative lookahead — a flit
-    /// pushed at `t` is deliverable no earlier than `t + L` — so each gate
-    /// broadcast releases the workers for an `L`-cycle window: the
-    /// coordinator forward-simulates all in-window crossbar arbitration at
-    /// the window start (exact, since in-window pushes cannot be granted
-    /// in-window), hands each domain its cycle-tagged deliveries and exact
-    /// per-port admission budgets, and replays the workers' origin-tagged
-    /// pushes into the crossbars at the boundary — restoring a machine
-    /// byte-identical to the one-domain span for every worker count
-    /// (docs/PARALLELISM.md). Machine-wide fast-forward happens between
-    /// windows from the domains' reported next-event times.
-    fn run_windowed(&mut self, cycles: u64) {
-        let end = self.now + cycles;
-        let n_cores = self.cores.len();
-        let n_parts = self.partitions.len();
-        let d = self.domains.len();
-        // Every domain but the last owns a full chunk.
-        let core_chunk = self.domains[0].cores.len();
-        let part_chunk = self.domains[0].parts.len();
-        let lookahead = (self.cfg.xbar_latency as u64).min(domain::MAX_WINDOW);
-        debug_assert!(lookahead >= 1, "zero-latency machines are one domain");
-
-        let mailboxes: Vec<std::sync::Mutex<domain::Mailbox>> = self
-            .domains
-            .iter()
-            .map(|st| std::sync::Mutex::new(domain::Mailbox::new(st.cores.len(), st.parts.len())))
-            .collect();
-        // What each domain owns, for naming a culprit (the workers hold
-        // the domains themselves for the whole span).
-        let owned: Vec<_> = self
-            .domains
-            .iter()
-            .map(|st| (st.cores.clone(), st.parts.clone()))
-            .collect();
-        let gate = domain::Gate::new();
-        let latch = domain::Latch::new();
-        // The domain count depends on the worker count; grow (never
-        // shrink) so stats stay monotonic if the count changes mid-life.
-        if self.domain_stats.len() < d {
-            self.domain_stats.resize(d, DomainWindowStats::default());
-        }
-
-        // Disjoint mutable borrows of the machine: the chunked state the
-        // workers own, and everything the coordinator keeps.
-        let Gpu {
-            cores,
-            partitions,
-            resp_backlog,
-            ingress_backlog,
-            domains,
-            req_net,
-            resp_net,
-            cfg,
-            now,
-            stepped_cycles,
-            skipped_cycles,
-            core_steps,
-            partition_steps,
-            xbar_steps,
-            sync_points,
-            barrier_waits,
-            windows,
-            window_cycles,
-            domain_stats,
-            ..
-        } = self;
-
-        let span_start = *now;
-        std::thread::scope(|scope| {
-            let views = domain::views(
-                domains,
-                cores,
-                partitions,
-                resp_backlog,
-                ingress_backlog,
-                cfg,
-            );
-            for (w, dom) in views.enumerate() {
-                let (gate, latch, mailbox) = (&gate, &latch, &mailboxes[w]);
-                scope.spawn(move || domain::worker_loop(dom, w, gate, latch, mailbox));
-            }
-
-            // Crossbar dueness carried between windows, recomputed from the
-            // physical nets at every window boundary.
-            let mut next_due_req = domain::net_due(req_net, *now);
-            let mut next_due_resp = domain::net_due(resp_net, *now);
-            // Per-domain next-event reports; `span_start` until each
-            // domain's first report, which forbids jumping before it.
-            let mut domain_next: Vec<u64> = vec![span_start; d];
-            // Coordinator scratch, reused across windows (refunds indexed
-            // by global port, counters by window offset).
-            let mut req_refund: Vec<u64> = vec![0; n_cores];
-            let mut resp_refund: Vec<u64> = vec![0; n_parts];
-            let mut req_grant_cnt = [0u32; domain::MAX_WINDOW as usize];
-            let mut resp_grant_cnt = [0u32; domain::MAX_WINDOW as usize];
-            let mut req_push_cnt = [0u32; domain::MAX_WINDOW as usize];
-            let mut resp_push_cnt = [0u32; domain::MAX_WINDOW as usize];
-
-            while *now < end {
-                // Machine-wide fast-forward between windows: every domain
-                // reported its earliest future event at its last window
-                // end, the crossbars contribute theirs, and the span jumps
-                // over the gap — idle domains never shrink a window, they
-                // just don't bound the jump.
-                let mut global_next = next_due_req.min(next_due_resp);
-                for &dn in &domain_next {
-                    global_next = global_next.min(dn);
-                }
-                if global_next > *now {
-                    let to = global_next.min(end);
-                    *skipped_cycles += to - *now;
-                    *now = to;
-                    if to == end {
-                        break;
-                    }
-                }
-
-                let t0 = *now;
-                let win = lookahead.min(end - t0);
-                // Occupancy snapshots for the peak-buffered
-                // reconstruction, taken before forward simulation pops.
-                let b0_req = req_net.in_flight();
-                let b0_resp = resp_net.in_flight();
-                let mut xbar_mask = 0u64;
-
-                {
-                    // Fill every mailbox: window length, exact per-port
-                    // admission budgets (free slots now, plus refunds from
-                    // forward-simulated grants), and the window's tagged
-                    // crossbar deliveries.
-                    let mut guards: Vec<_> = mailboxes
-                        .iter()
-                        .map(|m| m.lock().expect("mailbox poisoned"))
-                        .collect();
-                    for (w, mb) in guards.iter_mut().enumerate() {
-                        mb.win_len = win;
-                        let cb = w * core_chunk;
-                        for (lc, free) in mb.req.free.iter_mut().enumerate() {
-                            *free = req_net.free_slots(cb + lc) as u32;
-                        }
-                        let pb = w * part_chunk;
-                        for (lp, free) in mb.resp.free.iter_mut().enumerate() {
-                            *free = resp_net.free_slots(pb + lp) as u32;
-                        }
-                    }
-                    // Forward-simulate both crossbars across the whole
-                    // window. Exact: an in-window push is ready no earlier
-                    // than the window end (ready = origin + latency ≥ t0 +
-                    // win), so it can neither be granted here nor change
-                    // which head-of-line flits the round-robin sees.
-                    for t in t0..t0 + win {
-                        let off = t - t0;
-                        if next_due_resp <= t {
-                            *xbar_steps += 1;
-                            xbar_mask |= 1u64 << off;
-                            resp_net.step_routed(t, |inp, core_idx, resp| {
-                                resp_refund[inp] |= 1u64 << off;
-                                resp_grant_cnt[off as usize] += 1;
-                                let w = core_idx / core_chunk;
-                                guards[w]
-                                    .grants
-                                    .push_back((off, core_idx - w * core_chunk, resp));
-                            });
-                            next_due_resp = domain::net_due(resp_net, t + 1);
-                        }
-                        if next_due_req <= t {
-                            *xbar_steps += 1;
-                            xbar_mask |= 1u64 << off;
-                            req_net.step_routed(t, |inp, part_idx, req| {
-                                req_refund[inp] |= 1u64 << off;
-                                req_grant_cnt[off as usize] += 1;
-                                let w = part_idx / part_chunk;
-                                guards[w]
-                                    .ejects
-                                    .push_back((off, part_idx - w * part_chunk, req));
-                            });
-                            next_due_req = domain::net_due(req_net, t + 1);
-                        }
-                    }
-                    for (w, mb) in guards.iter_mut().enumerate() {
-                        let cb = w * core_chunk;
-                        for (lc, refund) in mb.req.refund.iter_mut().enumerate() {
-                            *refund = std::mem::take(&mut req_refund[cb + lc]);
-                        }
-                        let pb = w * part_chunk;
-                        for (lp, refund) in mb.resp.refund.iter_mut().enumerate() {
-                            *refund = std::mem::take(&mut resp_refund[pb + lp]);
-                        }
-                    }
-                } // guards dropped before the release
-
-                latch.reset(d);
-                gate.release(domain::PHASE_WINDOW, t0);
-                *sync_points += 1;
-                latch.wait();
-                *barrier_waits += 1;
-                if let Some(w) = gate.failed() {
-                    gate.release(domain::PHASE_EXIT, 0);
-                    let (cores, parts) = owned[w].clone();
-                    panic!("{}", domain::failure_message(w, cores, parts, t0));
-                }
-                *windows += 1;
-                *window_cycles += win;
-
-                // Collect: replay staged flits into the crossbars with
-                // their origin-cycle semantics. Ascending domain order and
-                // ascending offset within a domain preserve per-input-port
-                // FIFO order — ports are single-writer, so that is the
-                // only order the crossbars can observe.
-                let mut stepped_bits = xbar_mask;
-                for (w, mailbox) in mailboxes.iter().enumerate() {
-                    let mut mb = mailbox.lock().expect("mailbox poisoned");
-                    stepped_bits |= mb.stepped_mask;
-                    domain_next[w] = mb.next_event;
-                    let ds = &mut domain_stats[w];
-                    ds.windows += 1;
-                    ds.window_cycles += win;
-                    ds.core_steps += mb.core_steps;
-                    ds.partition_steps += mb.partition_steps;
-                    *core_steps += mb.core_steps;
-                    *partition_steps += mb.partition_steps;
-                    for (off, lp, dest, resp) in mb.staged_resps.drain(..) {
-                        resp_push_cnt[off as usize] += 1;
-                        resp_net
-                            .push(w * part_chunk + lp, dest, resp, t0 + off)
-                            .expect("staged within the admission budget");
-                    }
-                    for (off, lc, dest, req) in mb.staged_reqs.drain(..) {
-                        req_push_cnt[off as usize] += 1;
-                        req_net
-                            .push(w * core_chunk + lc, dest, req, t0 + off)
-                            .expect("staged within the admission budget");
-                    }
-                }
-
-                let stepped = u64::from(stepped_bits.count_ones());
-                *stepped_cycles += stepped;
-                *skipped_cycles += win - stepped;
-
-                // Reconstruct the serial running peak of buffered flits:
-                // the serial candidate at a cycle with pushes is the
-                // window-start occupancy plus pushes so far minus grants
-                // at strictly earlier cycles (within a cycle pushes
-                // precede grants on both nets). The replay above never
-                // exceeds the maximum candidate — grants were popped
-                // before any push went back in — so raising to it
-                // restores the serial peak exactly.
-                for (net, b0, push_cnt, grant_cnt) in [
-                    (&mut *req_net, b0_req, &mut req_push_cnt, &mut req_grant_cnt),
-                    (
-                        &mut *resp_net,
-                        b0_resp,
-                        &mut resp_push_cnt,
-                        &mut resp_grant_cnt,
-                    ),
-                ] {
-                    let (mut cum_p, mut cum_g, mut peak) = (0usize, 0usize, 0usize);
-                    for off in 0..win as usize {
-                        cum_p += push_cnt[off] as usize;
-                        if push_cnt[off] > 0 {
-                            peak = peak.max(b0 + cum_p - cum_g);
-                        }
-                        cum_g += grant_cnt[off] as usize;
-                        push_cnt[off] = 0;
-                        grant_cnt[off] = 0;
-                    }
-                    if peak > 0 {
-                        net.raise_peak(peak);
-                    }
-                }
-
-                // Boundary dueness, recomputed from the physical nets.
-                let boundary = t0 + win;
-                next_due_req = domain::net_due(req_net, boundary);
-                next_due_resp = domain::net_due(resp_net, boundary);
-                *now = boundary;
-            }
-
-            gate.release(domain::PHASE_EXIT, end);
-            *sync_points += 1;
-        });
-    }
-
-    /// Pins the number of intra-simulation domain workers for this machine,
-    /// overriding the `EBM_SIM_THREADS` environment variable it was built
-    /// under (clamped to at least 1 and at most one per core). Results are
-    /// bit-identical for every value — the knob trades wall-clock for
-    /// barrier overhead only (docs/PARALLELISM.md). Tests use this setter
-    /// instead of the environment variable because environment mutation is
-    /// racy under the multi-threaded test harness.
-    pub fn set_sim_threads(&mut self, threads: usize) {
-        // The windowed fabric's lookahead is the crossbar traversal
-        // latency; a zero-latency machine has none to exploit, so it stays
-        // one domain whatever the worker count.
-        let workers = if self.cfg.xbar_latency > 0 {
-            threads
-        } else {
-            1
-        };
-        let old = if self.wake_valid {
-            &self.domains[..]
-        } else {
-            &[]
-        };
-        self.domains = domain::layout(workers, self.cores.len(), self.partitions.len(), old);
-    }
+    // No-op: called only by the frozen benchmark's `domain.*` probe.
+    #[doc(hidden)]
+    pub fn set_sim_threads(&mut self, _threads: usize) {}
 
     /// Enables or disables metrics recording machine-wide (per-warp stall
     /// breakdowns in every core, DRAM request-latency histograms in every
@@ -836,20 +440,11 @@ impl Gpu {
             partition_steps_skipped: total * self.partitions.len() as u64 - self.partition_steps,
             xbar_steps: self.xbar_steps,
             xbar_steps_skipped: total * 2 - self.xbar_steps,
-            sync_points: self.sync_points,
-            barrier_waits: self.barrier_waits,
-            windows: self.windows,
-            window_cycles: self.window_cycles,
+            sync_points: 0,
+            barrier_waits: 0,
+            windows: 0,
+            window_cycles: 0,
         }
-    }
-
-    /// Per-domain accounting of the parallel engine, indexed by domain.
-    /// Empty until the machine has run a parallel span (serial and
-    /// reference runs never populate it); monotonic afterwards. The
-    /// domain count is derived from the worker count, so entries appear
-    /// when the first multi-worker span runs.
-    pub fn domain_window_stats(&self) -> &[DomainWindowStats] {
-        &self.domain_stats
     }
 
     /// Cumulative per-application counters, aggregated over the app's cores
@@ -1191,74 +786,5 @@ mod tests {
             ran.engine_stats(),
             "a step is a one-cycle span of the same engine"
         );
-    }
-
-    #[test]
-    fn domain_parallel_run_matches_serial_exactly() {
-        let mut serial = small_two_app();
-        serial.set_sim_threads(1);
-        serial.run(4_000);
-        for threads in [2, 3, 4, 7] {
-            let mut parallel = small_two_app();
-            parallel.set_sim_threads(threads);
-            parallel.run(4_000);
-            for a in 0..2u8 {
-                assert_eq!(
-                    serial.counters(AppId::new(a)),
-                    parallel.counters(AppId::new(a)),
-                    "counters diverged at {threads} sim threads"
-                );
-                assert_eq!(
-                    serial.core_stats(AppId::new(a)),
-                    parallel.core_stats(AppId::new(a)),
-                    "core stats diverged at {threads} sim threads"
-                );
-            }
-            let stats = parallel.engine_stats();
-            assert_eq!(
-                serial.engine_stats().sans_sync(),
-                stats.sans_sync(),
-                "engine accounting diverged at {threads} sim threads"
-            );
-            assert!(
-                stats.windows > 0
-                    && stats.barrier_waits == stats.windows
-                    && stats.sync_points > stats.windows,
-                "windowed run must record its synchronization: {stats:?}"
-            );
-            assert!(
-                stats.mean_window_cycles() >= 1.0,
-                "windows are at least one cycle: {stats:?}"
-            );
-            assert_eq!(
-                serial.engine_stats().sync_points,
-                0,
-                "serial runs never synchronize"
-            );
-        }
-    }
-
-    #[test]
-    fn domain_parallel_survives_multiple_run_spans_and_knobs() {
-        // Knob changes invalidate the wheel between spans; both engines
-        // must rebuild identically and stay in lock-step.
-        let mut serial = small_two_app();
-        let mut parallel = small_two_app();
-        parallel.set_sim_threads(4);
-        for (i, span) in [700u64, 1, 1300, 250].iter().enumerate() {
-            let level = TlpLevel::new(1 + (i as u32 * 3) % 8).unwrap();
-            serial.set_tlp(AppId::new(0), level);
-            parallel.set_tlp(AppId::new(0), level);
-            serial.run(*span);
-            parallel.run(*span);
-            assert_eq!(serial.now(), parallel.now());
-            for a in 0..2u8 {
-                assert_eq!(
-                    serial.counters(AppId::new(a)),
-                    parallel.counters(AppId::new(a)),
-                    "span {i} diverged"
-                );
-            }
-        }
     }
 }

@@ -136,7 +136,7 @@ pub fn gmean(values: &[f64]) -> f64 {
 pub use gpu_simt::WarpStalls;
 pub use gpu_types::{Histogram, HIST_BUCKETS};
 
-use crate::machine::{DomainWindowStats, EngineStats, Gpu};
+use crate::machine::{EngineStats, Gpu};
 use crate::trace::{TraceEvent, TraceSink};
 use gpu_types::AppId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -190,9 +190,6 @@ pub struct MetricsRegistry {
     /// run-cumulative ones. The first window measures from [`Gpu`]
     /// creation (the counters start at zero with the registry).
     last_engine: EngineStats,
-    /// Per-domain accounting at the previous rollover, for the same
-    /// window-local delta on [`TraceEvent::DomainWindow`] events.
-    last_domains: Vec<DomainWindowStats>,
 }
 
 impl MetricsRegistry {
@@ -238,25 +235,6 @@ impl MetricsRegistry {
             machine_fast_forward_fraction: Some(machine_ff),
             component_idle_skip_fraction: Some(comp_skip),
         });
-        // One window-local `domain_window` record per domain the parallel
-        // engine synchronized in this window; serial-engine runs (no
-        // domains, no new windows) emit none.
-        let domains = gpu.domain_window_stats();
-        self.last_domains
-            .resize(domains.len(), DomainWindowStats::default());
-        for (d, (cur, prev)) in domains.iter().zip(self.last_domains.iter_mut()).enumerate() {
-            if cur.windows > prev.windows {
-                sink.emit(TraceEvent::DomainWindow {
-                    cycle,
-                    domain: d as u32,
-                    windows: cur.windows - prev.windows,
-                    window_cycles: cur.window_cycles - prev.window_cycles,
-                    core_steps: cur.core_steps - prev.core_steps,
-                    partition_steps: cur.partition_steps - prev.partition_steps,
-                });
-            }
-            *prev = *cur;
-        }
     }
 
     /// Window-local engine skip fractions: diffs the cumulative

@@ -61,8 +61,9 @@ use std::path::{Path, PathBuf};
 /// `profile_span` (bench self-profiler) events; v4 added the engine
 /// skip diagnostics (`machine_fast_forward_fraction`,
 /// `component_idle_skip_fraction`) to `metrics_window`; v5 added the
-/// substrate telemetry events (`sched_unit`, `domain_window`,
-/// `cache_tier`) and the `inflight_joined` field of `cache_stats`.
+/// substrate telemetry events (`sched_unit`, `cache_tier`, and
+/// `domain_window`, which is no longer emitted) and the `inflight_joined`
+/// field of `cache_stats`.
 pub const TRACE_SCHEMA_VERSION: u32 = 5;
 
 /// Per-core stall breakdown of one sampling window (fractions of the
@@ -216,23 +217,6 @@ pub enum TraceEvent {
         /// (0 on serial runs and on cache hits).
         cycles: u64,
     },
-    /// One intra-simulation domain's engine accounting over a metrics
-    /// window, emitted at registry rollover when the machine ran with
-    /// domain workers (`EBM_SIM_THREADS`); absent on serial-engine runs.
-    DomainWindow {
-        /// Window-end cycle.
-        cycle: u64,
-        /// Domain index (a contiguous chunk of cores + partitions).
-        domain: u32,
-        /// Lookahead windows the domain synchronized through.
-        windows: u64,
-        /// Simulated cycles those windows covered.
-        window_cycles: u64,
-        /// Core steps the domain's worker executed.
-        core_steps: u64,
-        /// Partition steps the domain's worker executed.
-        partition_steps: u64,
-    },
     /// One result-cache tier's hit funnel at the moment of emission
     /// (companion to `cache_stats`, split per tier).
     CacheTier {
@@ -368,7 +352,6 @@ impl TraceEvent {
             TraceEvent::MetricsWindow { .. } => "metrics_window",
             TraceEvent::ProfileSpan { .. } => "profile_span",
             TraceEvent::SchedUnit { .. } => "sched_unit",
-            TraceEvent::DomainWindow { .. } => "domain_window",
             TraceEvent::CacheTier { .. } => "cache_tier",
         }
     }
@@ -385,7 +368,6 @@ impl TraceEvent {
             | TraceEvent::MetricsWindow { cycle, .. }
             | TraceEvent::ProfileSpan { cycle, .. }
             | TraceEvent::SchedUnit { cycle, .. }
-            | TraceEvent::DomainWindow { cycle, .. }
             | TraceEvent::CacheTier { cycle, .. } => *cycle,
         }
     }
@@ -583,21 +565,6 @@ impl TraceEvent {
                 s.push_str(",\"wall_ms\":");
                 push_f64(&mut s, *wall_ms);
                 let _ = write!(s, ",\"cycles\":{cycles}");
-            }
-            TraceEvent::DomainWindow {
-                domain,
-                windows,
-                window_cycles,
-                core_steps,
-                partition_steps,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"domain\":{domain},\"windows\":{windows},\
-                     \"window_cycles\":{window_cycles},\"core_steps\":{core_steps},\
-                     \"partition_steps\":{partition_steps}"
-                );
             }
             TraceEvent::CacheTier {
                 tier,
@@ -940,25 +907,6 @@ mod tests {
         );
     }
 
-    /// Golden fixture pinning the schema-v5 `domain_window` field names.
-    #[test]
-    fn domain_window_golden_v5() {
-        let e = TraceEvent::DomainWindow {
-            cycle: 5000,
-            domain: 2,
-            windows: 40,
-            window_cycles: 2500,
-            core_steps: 9000,
-            partition_steps: 1200,
-        };
-        assert_eq!(
-            e.to_json(),
-            "{\"v\":5,\"kind\":\"domain_window\",\"cycle\":5000,\"domain\":2,\
-             \"windows\":40,\"window_cycles\":2500,\"core_steps\":9000,\
-             \"partition_steps\":1200}"
-        );
-    }
-
     /// Golden fixture pinning the schema-v5 `cache_tier` field names.
     #[test]
     fn cache_tier_golden_v5() {
@@ -1073,14 +1021,6 @@ mod tests {
                 start_ms: 0.0,
                 wall_ms: 0.0,
                 cycles: 0,
-            },
-            TraceEvent::DomainWindow {
-                cycle: 17,
-                domain: 0,
-                windows: 1,
-                window_cycles: 8,
-                core_steps: 64,
-                partition_steps: 8,
             },
             TraceEvent::CacheTier {
                 cycle: 0,

@@ -320,243 +320,6 @@ fn event_engine_skips_majority_of_component_steps_when_dram_stalled() {
     );
 }
 
-/// The domain-parallel engine (`Gpu::set_sim_threads` > 1) against the
-/// naive reference, over randomized machines, worker counts and ragged
-/// spans: intra-simulation parallelism must be invisible in every
-/// observable output, whatever the domain decomposition.
-#[test]
-fn random_machines_agree_for_every_sim_thread_count() {
-    let mut rng = SplitMix64::new(0xE961_7E5D);
-    for trial in 0..6 {
-        let (mut par, mut reference) = random_pair(&mut rng);
-        let threads = [2, 4, 7][rng.next_below(3) as usize];
-        par.set_sim_threads(threads);
-        reference.set_reference_engine(true);
-        for leg in 0..4 {
-            let span = 1 + rng.next_below(600);
-            par.run(span);
-            reference.run(span);
-            assert_machines_equal(
-                &par,
-                &reference,
-                &format!("trial {trial} leg {leg} at {threads} sim threads"),
-            );
-        }
-    }
-}
-
-/// The flagship memory-bound co-run at every interesting intra-sim worker
-/// count at once: the serial event engine and 2/4/7-worker machines must
-/// stay byte-identical leg for leg — including the engine's own step/skip
-/// accounting — across ragged spans and mid-run TLP throttles.
-#[test]
-fn memory_bound_corun_is_byte_identical_across_sim_thread_counts() {
-    let mut rng = SplitMix64::new(0xE961_7E5E);
-    let cfg = GpuConfig::small();
-    let w = Workload::pair("BLK", "TRD");
-    let build = |threads: usize| {
-        let mut g = Gpu::new(&cfg, w.apps(), 42);
-        g.set_sim_threads(threads);
-        g.set_tlp(AppId::new(0), TlpLevel::new(8).unwrap());
-        g.set_tlp(AppId::new(1), TlpLevel::new(8).unwrap());
-        g
-    };
-    let mut serial = build(1);
-    let mut parallel: Vec<Gpu> = [2, 4, 7].iter().map(|&t| build(t)).collect();
-    for leg in 0..6 {
-        let span = 1 + rng.next_below(1_000);
-        serial.run(span);
-        for m in &mut parallel {
-            m.run(span);
-        }
-        for (i, m) in parallel.iter().enumerate() {
-            assert_machines_equal(m, &serial, &format!("mem-bound leg {leg} machine {i}"));
-            assert_eq!(
-                m.engine_stats().sans_sync(),
-                serial.engine_stats().sans_sync(),
-                "leg {leg} machine {i}: engine accounting diverged"
-            );
-        }
-        // The synchronization schedule itself is deterministic: the window
-        // sequence depends only on machine-wide next-event times, which are
-        // partition-independent, so every worker count must report the
-        // same sync_points / windows / window_cycles.
-        let sync = parallel[0].engine_stats();
-        for (i, m) in parallel.iter().enumerate().skip(1) {
-            assert_eq!(
-                m.engine_stats(),
-                sync,
-                "leg {leg} machine {i}: sync accounting diverged across worker counts"
-            );
-        }
-        // Mid-run TLP throttles and L1-bypass flips end the run span —
-        // each is a forced window flush the engines must agree across.
-        if leg % 3 == 2 {
-            let lvl = TlpLevel::new(1 + rng.next_below(8) as u32).unwrap();
-            serial.set_tlp(AppId::new(1), lvl);
-            for m in &mut parallel {
-                m.set_tlp(AppId::new(1), lvl);
-            }
-        }
-        if leg % 2 == 1 {
-            let bypass = rng.next_below(2) == 0;
-            serial.set_bypass_l1(AppId::new(0), bypass);
-            for m in &mut parallel {
-                m.set_bypass_l1(AppId::new(0), bypass);
-            }
-        }
-    }
-    // The whole point of windowed synchronization on a memory-bound co-run:
-    // each barrier crossing covers more than one simulated cycle.
-    let sync = parallel[0].engine_stats();
-    assert!(
-        sync.windows > 0 && sync.mean_window_cycles() > 1.0,
-        "memory-bound co-run must amortize barriers across windows: {sync:?}"
-    );
-    assert_eq!(
-        serial.engine_stats().sync_points,
-        0,
-        "the serial engine never synchronizes"
-    );
-}
-
-/// Heavy congestion at the minimum crossbar latency: lookahead 1 pins
-/// every window to a single cycle (the windowed engine's degenerate
-/// worst case), and the results must still be byte-identical to serial.
-#[test]
-fn unit_latency_congestion_drives_windows_to_one_cycle() {
-    let mut rng = SplitMix64::new(0xE961_7E60);
-    let mut cfg = GpuConfig::small();
-    cfg.xbar_latency = 1;
-    let w = Workload::pair("BLK", "TRD");
-    let build = |threads: usize| {
-        let mut g = Gpu::new(&cfg, w.apps(), 42);
-        g.set_sim_threads(threads);
-        g.set_tlp(AppId::new(0), TlpLevel::new(8).unwrap());
-        g.set_tlp(AppId::new(1), TlpLevel::new(8).unwrap());
-        g
-    };
-    let mut serial = build(1);
-    let mut parallel: Vec<Gpu> = [2, 4, 7].iter().map(|&t| build(t)).collect();
-    for leg in 0..4 {
-        let span = 1 + rng.next_below(1_200);
-        serial.run(span);
-        for (i, m) in parallel.iter_mut().enumerate() {
-            m.run(span);
-            assert_machines_equal(m, &serial, &format!("congested leg {leg} machine {i}"));
-        }
-    }
-    let s = parallel[0].engine_stats();
-    assert_eq!(s.sans_sync(), serial.engine_stats().sans_sync());
-    assert_eq!(
-        s.windows, s.window_cycles,
-        "a 1-cycle lookahead pins every window to one cycle: {s:?}"
-    );
-    assert!(s.windows > 0 && s.mean_window_cycles() == 1.0);
-}
-
-/// The lookahead window tracks the crossbar latency: every latency from 1
-/// to 8 must agree with serial at multiple worker counts, with mean window
-/// length never exceeding the lookahead.
-#[test]
-fn every_crossbar_latency_agrees_across_sim_thread_counts() {
-    let mut rng = SplitMix64::new(0xE961_7E61);
-    for lat in 1..=8u32 {
-        let mut cfg = GpuConfig::small();
-        cfg.xbar_latency = lat;
-        let w = Workload::pair("BLK", "TRD");
-        let build = |threads: usize| {
-            let mut g = Gpu::new(&cfg, w.apps(), 7 + lat as u64);
-            g.set_sim_threads(threads);
-            g
-        };
-        let mut serial = build(1);
-        let mut parallel: Vec<Gpu> = [2, 7].iter().map(|&t| build(t)).collect();
-        for leg in 0..3 {
-            if leg == 1 {
-                let lvl = TlpLevel::new(1 + rng.next_below(8) as u32).unwrap();
-                serial.set_tlp(AppId::new(0), lvl);
-                serial.set_bypass_l1(AppId::new(1), true);
-                for m in &mut parallel {
-                    m.set_tlp(AppId::new(0), lvl);
-                    m.set_bypass_l1(AppId::new(1), true);
-                }
-            }
-            let span = 1 + rng.next_below(900);
-            serial.run(span);
-            for (i, m) in parallel.iter_mut().enumerate() {
-                m.run(span);
-                assert_machines_equal(m, &serial, &format!("latency {lat} leg {leg} machine {i}"));
-            }
-        }
-        for m in &parallel {
-            let s = m.engine_stats();
-            assert_eq!(s.sans_sync(), serial.engine_stats().sans_sync());
-            assert!(
-                s.mean_window_cycles() <= f64::from(lat),
-                "latency {lat}: windows cannot exceed the lookahead: {s:?}"
-            );
-        }
-    }
-}
-
-/// Traced controlled runs — the controller changing knobs at every window
-/// boundary — must be *fully* byte-identical between the serial and
-/// domain-parallel engines, with no diagnostic scrubbing: unlike the
-/// reference comparison above, both sides are the same event engine, so
-/// even the fast-forward / idle-skip fractions must match exactly.
-///
-/// The one exception is `domain_window`: it reports on the domain workers
-/// themselves (sync windows, per-domain step counts), which only exist on
-/// the parallel engine, so it is excluded from the comparison — and the
-/// serial stream must carry none at all.
-#[test]
-fn traced_controlled_runs_identical_serial_vs_domain_parallel() {
-    let mut rng = SplitMix64::new(0xE961_7E5F);
-    for trial in 0..3 {
-        let (mut par, mut serial) = random_pair(&mut rng);
-        let threads = [2, 4, 7][rng.next_below(3) as usize];
-        par.set_sim_threads(threads);
-        serial.set_sim_threads(1);
-        let window = serial.config().sampling.window_cycles;
-        let total = window * 3 + 89;
-        let mut sink_par = RingSink::new(1 << 14);
-        let mut sink_ser = RingSink::new(1 << 14);
-        let run_par =
-            run_controlled_traced(&mut par, &mut FlipFlop(false), total, 0, &mut sink_par);
-        let run_ser =
-            run_controlled_traced(&mut serial, &mut FlipFlop(false), total, 0, &mut sink_ser);
-        assert_eq!(
-            run_par.tlp_trace, run_ser.tlp_trace,
-            "trial {trial}: TLP traces differ at {threads} sim threads"
-        );
-        for (a, b) in run_par.overall.iter().zip(&run_ser.overall) {
-            assert_eq!(a.counters, b.counters, "trial {trial}: overall differs");
-            assert_eq!(a.cycles, b.cycles, "trial {trial}: spans differ");
-        }
-        assert_eq!(sink_par.dropped(), 0, "ring sink overflowed");
-        let not_domain = |e: &&TraceEvent| !matches!(e, TraceEvent::DomainWindow { .. });
-        assert!(
-            sink_ser.events().iter().all(|e| not_domain(&e)),
-            "trial {trial}: serial engine must not emit domain_window"
-        );
-        assert_eq!(
-            sink_par
-                .events()
-                .iter()
-                .filter(not_domain)
-                .collect::<Vec<_>>(),
-            sink_ser
-                .events()
-                .iter()
-                .filter(not_domain)
-                .collect::<Vec<_>>(),
-            "trial {trial}: traced event streams differ at {threads} sim threads"
-        );
-        assert_machines_equal(&par, &serial, &format!("trial {trial} post-run"));
-    }
-}
-
 /// The fast-forward path actually engages — otherwise the equivalence
 /// above would be vacuous. Whole-machine quiescence needs every core
 /// asleep *and* the memory system event-free at once, so the test uses the
@@ -594,11 +357,12 @@ fn fast_forward_engages_on_quiescent_stretches() {
 }
 
 /// Engine transitions: one machine walks a randomized schedule of manual
-/// `step()` bursts, `run` spans, worker-count changes (1 → 3 → 1 → 7) and
-/// knob changes, at crossbar latencies with no lookahead (0), the minimum
-/// (1) and a real window (4). After every leg it must equal the reference
-/// machine, and its engine accounting must equal an all-serial twin's —
-/// whatever was derived before a transition has to be re-derived after it.
+/// `step()` bursts, `run` spans and knob changes, at crossbar latencies
+/// zero (0), the minimum (1) and a typical one (4). After every leg it must
+/// equal the reference machine, and its engine accounting must equal that
+/// of a twin that covers each leg in a single span — whatever was derived
+/// before a transition has to be re-derived after it, and how the cycles
+/// are cut into spans must not show.
 #[test]
 fn engine_transitions_preserve_agreement_and_accounting() {
     let mut rng = SplitMix64::new(0xE961_7E62);
@@ -607,29 +371,26 @@ fn engine_transitions_preserve_agreement_and_accounting() {
         cfg.xbar_latency = lat;
         let w = Workload::pair("BLK", "TRD");
         let build = || Gpu::new(&cfg, w.apps(), 11 + u64::from(lat));
-        let (mut walker, mut serial, mut reference) = (build(), build(), build());
-        serial.set_sim_threads(1);
+        let (mut walker, mut spanned, mut reference) = (build(), build(), build());
         reference.set_reference_engine(true);
-        let mut threads = [1usize, 3, 1, 7].into_iter().cycle();
         for leg in 0..20 {
             let app = AppId::new(rng.next_below(2) as u8);
             match rng.next_below(6) {
-                0 => walker.set_sim_threads(threads.next().expect("cycle never ends")),
                 1 => {
                     let lvl = TlpLevel::new(1 + rng.next_below(8) as u32).unwrap();
-                    for gpu in [&mut walker, &mut serial, &mut reference] {
+                    for gpu in [&mut walker, &mut spanned, &mut reference] {
                         gpu.set_tlp(app, lvl);
                     }
                 }
                 2 => {
                     let bypass = rng.next_below(2) == 0;
-                    for gpu in [&mut walker, &mut serial, &mut reference] {
+                    for gpu in [&mut walker, &mut spanned, &mut reference] {
                         gpu.set_bypass_l1(app, bypass);
                     }
                 }
                 3 => {
                     let on = rng.next_below(2) == 0;
-                    for gpu in [&mut walker, &mut serial, &mut reference] {
+                    for gpu in [&mut walker, &mut spanned, &mut reference] {
                         gpu.set_ccws(app, on);
                     }
                 }
@@ -637,18 +398,19 @@ fn engine_transitions_preserve_agreement_and_accounting() {
             }
             let steps = rng.next_below(4);
             let span = rng.next_below(300);
-            for gpu in [&mut walker, &mut serial, &mut reference] {
+            for gpu in [&mut walker, &mut reference] {
                 for _ in 0..steps {
                     gpu.step();
                 }
                 gpu.run(span);
             }
+            spanned.run(steps + span);
             let ctx = format!("latency {lat} leg {leg}");
             assert_machines_equal(&walker, &reference, &ctx);
             assert_eq!(
-                walker.engine_stats().sans_sync(),
-                serial.engine_stats().sans_sync(),
-                "{ctx}: engine accounting diverged from the all-serial twin"
+                walker.engine_stats(),
+                spanned.engine_stats(),
+                "{ctx}: engine accounting diverged from the one-span-per-leg twin"
             );
         }
     }

@@ -1,10 +1,7 @@
 //! The SIMT core: warps + GTO schedulers + coalescer + private L1.
 //!
-//! A core is self-contained and `Send`: it talks to the memory system only
-//! through its egress queue (`pop_request`) and `receive`, so the machine
-//! layer may step disjoint sets of cores on different threads (the
-//! `gpu-sim` crate's intra-simulation domain workers, docs/PARALLELISM.md)
-//! without any synchronization inside this crate.
+//! A core is self-contained: it talks to the memory system only through
+//! its egress queue (`pop_request`) and `receive`.
 
 use crate::ccws::{CcwsParams, CcwsThrottle};
 use crate::inst::{coalesce, Inst, InstStream};

@@ -186,9 +186,8 @@ impl Inst {
 ///
 /// Implementations must be deterministic given their construction seed; the
 /// whole simulator is reproducible from `(config, seed)`. The `Send` bound
-/// lets whole cores migrate to intra-simulation domain workers (the
-/// `gpu-sim` crate's parallel engine); streams are plain data plus a seeded
-/// RNG, so this costs implementors nothing.
+/// lets a machine move between threads (fan-out workers); streams are plain
+/// data plus a seeded RNG, so this costs implementors nothing.
 pub trait InstStream: Send {
     /// Produces the warp's next instruction, or `None` when the warp has
     /// retired (streams modeling steady-state kernels never return `None`).

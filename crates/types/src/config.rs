@@ -8,8 +8,8 @@
 //! * [`GpuConfig::paper`] — the evaluation configuration (reconstructed from
 //!   the garbled OCR against GPGPU-Sim v3.x / MAFIA defaults, see DESIGN.md).
 //! * [`GpuConfig::small`] — a scaled-down machine for fast unit tests.
-//! * [`GpuConfig::volta`] — an 80-SM Volta-scale machine for intra-simulation
-//!   parallelism scaling runs (docs/PARALLELISM.md).
+//! * [`GpuConfig::volta`] — an 80-SM Volta-scale machine, the benchmark's
+//!   big-machine workload.
 
 use crate::tlp::{TlpLevel, MAX_TLP};
 use std::fmt;
@@ -318,10 +318,8 @@ impl GpuConfig {
     /// slices — 4 MB aggregate — over the paper's GDDR5 channel model).
     ///
     /// This is the big-machine preset of the benchmark's `volta-busy`
-    /// workload and its `domain.*` intra-simulation scaling metrics
-    /// (`benchmark/README.md`): large enough that
-    /// per-cycle work dominates barrier overhead when the machine is split
-    /// across `EBM_SIM_THREADS` domains. The SM/warp geometry follows the
+    /// workload (`benchmark/README.md`), where O(configured) → O(active)
+    /// changes to the engine show. The SM/warp geometry follows the
     /// Volta Titan V constants (80 SMs, 64 warp slots per SM); the memory
     /// side keeps the paper's DRAM timings so behavior stays comparable.
     pub fn volta() -> Self {

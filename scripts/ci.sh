@@ -49,9 +49,11 @@ for W in small-membound small-compute volta-busy campaign-quick; do
   echo "golden digests OK: $W"
 done
 
-echo "== docs gates (PARALLELISM names its knobs; TRACE_SCHEMA pins the emitter's version) =="
-grep -q 'EBM_SIM_THREADS' docs/PARALLELISM.md
-grep -q 'EBM_THREADS' docs/PARALLELISM.md
+echo "== docs gates (TRACE_SCHEMA pins the emitter's version; the retired intra-sim knob stays gone) =="
+if grep -rnE 'EBM_SIM_THREADS|sim_worker_count|run_windowed' crates docs README.md ARCHITECTURE.md DESIGN.md EXPERIMENTS.md; then
+  echo "FAIL: the intra-simulation engine retired in PR 14 is back" >&2
+  exit 1
+fi
 TRACE_VER="$(sed -n 's/^pub const TRACE_SCHEMA_VERSION: u32 = \([0-9]*\);$/\1/p' crates/sim/src/trace.rs)"
 grep -q "Trace schema (v$TRACE_VER)" docs/TRACE_SCHEMA.md
 echo "docs gates OK: trace schema v$TRACE_VER"
@@ -72,20 +74,6 @@ echo "cache round trip OK: warm run hit the cache and reproduced every report"
 
 echo "== trace schema gate (trace-tools validate on the --quick campaign trace) =="
 trace_tools validate "$TMP/cold.jsonl"
-
-echo "== intra-sim determinism gate (experiments --quick at 1 vs 4 sim threads, byte-compared) =="
-# No EBM_CACHE_DIR: each process starts with an empty in-process registry,
-# so both runs genuinely simulate. Scoped to the trace-enabled fig11
-# artifact: on a 1-core host EBM_THREADS resolves to 1, sweeps run inline
-# rather than in fan-out workers, and the whole campaign would pay 4-worker
-# barrier overhead per simulation — fig11 keeps the gate an end-to-end
-# release-mode byte-compare at tolerable cost.
-for T in 1 4; do
-  mkdir "$TMP/sim$T"
-  EBM_SIM_THREADS=$T experiments --only fig11 --out "$TMP/sim$T" 2> "$TMP/sim$T/stderr.log"
-done
-same_artifacts "$TMP/sim1" "$TMP/sim4"
-echo "intra-sim determinism OK: 1-thread and 4-thread artifacts are byte-identical"
 
 echo "== campaign scheduler gate (experiments --quick serial vs scheduled, byte-compared at 1/2/4 workers) =="
 # No EBM_CACHE_DIR: each process starts cold, so the scheduled runs
