@@ -7,6 +7,7 @@
 //! (a single-iteration iSLIP). A flit becomes eligible for delivery
 //! `latency` cycles after it was pushed, modeling wire/router traversal.
 
+use gpu_types::bits::{BitSet, BitWalk};
 use std::collections::VecDeque;
 
 #[derive(Debug)]
@@ -33,9 +34,18 @@ pub struct Crossbar<T> {
     /// [`Crossbar::take_peak_in_flight`] — one compare per push, cheap
     /// enough to track unconditionally.
     peak_buffered: usize,
-    /// Arbitration scratch ("this input already sent a flit this cycle"),
-    /// kept as a member so [`Crossbar::step_with`] allocates nothing.
-    input_used: Vec<bool>,
+    /// Inputs whose FIFO holds a flit: set in [`Crossbar::push`], cleared
+    /// by the pop that empties the FIFO, so arbitration and
+    /// [`Crossbar::earliest_head_ready`] visit buffered inputs only.
+    non_empty: BitSet,
+    /// Arbitration scratch, empty between steps: row `out` (`row_bits`
+    /// indices, word-aligned) holds the inputs whose head is deliverable to
+    /// `out` this cycle. An input has one head, so the rows are disjoint and
+    /// no input can be granted twice in a cycle.
+    candidates: BitSet,
+    row_bits: usize,
+    /// Arbitration scratch, empty between steps: outputs with a candidate.
+    contended: BitSet,
 }
 
 impl<T> Crossbar<T> {
@@ -58,6 +68,7 @@ impl<T> Crossbar<T> {
             n_inputs > 0 && n_outputs > 0 && grants_per_output > 0 && queue_capacity > 0,
             "crossbar dimensions must be non-zero"
         );
+        let row_bits = n_inputs.next_multiple_of(64);
         Crossbar {
             inputs: (0..n_inputs).map(|_| VecDeque::new()).collect(),
             n_outputs,
@@ -67,7 +78,10 @@ impl<T> Crossbar<T> {
             rr: vec![0; n_outputs],
             buffered: 0,
             peak_buffered: 0,
-            input_used: vec![false; n_inputs],
+            non_empty: BitSet::new(n_inputs),
+            candidates: BitSet::new(n_outputs * row_bits),
+            row_bits,
+            contended: BitSet::new(n_outputs),
         }
     }
 
@@ -105,6 +119,7 @@ impl<T> Crossbar<T> {
             ready_at: now + self.latency,
             payload,
         });
+        self.non_empty.set(input);
         self.buffered += 1;
         if self.buffered > self.peak_buffered {
             self.peak_buffered = self.buffered;
@@ -112,68 +127,90 @@ impl<T> Crossbar<T> {
         Ok(())
     }
 
+    fn pop(&mut self, input: usize) -> T {
+        let flit = self.inputs[input].pop_front().expect("granted a head");
+        if self.inputs[input].is_empty() {
+            self.non_empty.clear(input);
+        }
+        self.buffered -= 1;
+        flit.payload
+    }
+
     /// Advances one cycle: each output port grants up to
     /// `grants_per_output` eligible head-of-line flits, round-robin over
     /// inputs; each input sends at most one flit per cycle, delivered
     /// through `deliver(output_port, payload)` in grant order.
     ///
-    /// This is the hot-path form: arbitration scratch lives on the crossbar
-    /// and nothing is allocated. When no head-of-line flit is deliverable it
-    /// returns immediately — exact, because grants (and thus `rr` pointer
-    /// movement) only ever happen for deliverable flits.
+    /// This is the hot-path form, and its cost follows the traffic rather
+    /// than the port count: one pass over the non-empty inputs files each
+    /// deliverable head under its destination, then only the outputs that
+    /// drew a candidate arbitrate, in ascending order, each walking its
+    /// candidates circularly from its round-robin pointer. Nothing is
+    /// allocated. Grants, their order and the pointer movement are those of
+    /// [`Crossbar::step`], which scans every input at every output.
     pub fn step_with(&mut self, now: u64, mut deliver: impl FnMut(usize, T)) {
         if self.buffered == 0 {
             return;
         }
-        if !self
-            .inputs
-            .iter()
-            .any(|q| matches!(q.front(), Some(f) if f.ready_at <= now))
-        {
-            return;
-        }
         let n_inputs = self.inputs.len();
-        for u in &mut self.input_used {
-            *u = false;
+        let mut buffered = BitWalk::over(0..n_inputs);
+        while let Some(i) = self.non_empty.next(&mut buffered) {
+            let head = self.inputs[i].front().expect("non-empty input");
+            if head.ready_at <= now {
+                self.candidates.set(head.dest * self.row_bits + i);
+                self.contended.set(head.dest);
+            }
         }
-        for out in 0..self.n_outputs {
-            let mut grants = 0;
+        let mut outputs = BitWalk::over(0..self.n_outputs);
+        while let Some(out) = self.contended.next(&mut outputs) {
+            self.contended.clear(out);
+            let row = out * self.row_bits;
             let start = self.rr[out];
-            for k in 0..n_inputs {
-                if grants == self.grants_per_output {
-                    break;
-                }
-                let i = (start + k) % n_inputs;
-                if self.input_used[i] {
-                    continue;
-                }
-                let eligible = matches!(
-                    self.inputs[i].front(),
-                    Some(f) if f.dest == out && f.ready_at <= now
-                );
-                if eligible {
-                    let flit = self.inputs[i].pop_front().expect("front checked above");
-                    self.buffered -= 1;
-                    deliver(out, flit.payload);
-                    self.input_used[i] = true;
+            let mut grants = 0;
+            // Circularly from the pointer: `start..n_inputs`, then `0..start`.
+            for span in [start..n_inputs, 0..start] {
+                let mut row_walk = BitWalk::over(row + span.start..row + span.end);
+                while grants < self.grants_per_output {
+                    let Some(i) = self.candidates.next(&mut row_walk) else {
+                        break;
+                    };
+                    let i = i - row;
+                    deliver(out, self.pop(i));
                     grants += 1;
                     // Advance the pointer past the last granted input so a
                     // persistent sender cannot starve others.
-                    self.rr[out] = (i + 1) % n_inputs;
+                    self.rr[out] = if i + 1 == n_inputs { 0 } else { i + 1 };
                 }
             }
+            self.candidates
+                .zero_words(row / 64..(row + self.row_bits) / 64);
         }
+        self.debug_check();
+    }
+
+    /// Debug builds hold the running count and the non-empty set to a scan
+    /// of the FIFOs.
+    fn debug_check(&self) {
         debug_assert_eq!(
             self.buffered,
             self.inputs.iter().map(VecDeque::len).sum::<usize>(),
             "running flit count diverged from the scan"
         );
+        debug_assert!(
+            self.inputs
+                .iter()
+                .enumerate()
+                .all(|(i, q)| self.non_empty.get(i) != q.is_empty()),
+            "non-empty input set diverged from the scan"
+        );
     }
 
     /// Reference form of [`Crossbar::step_with`]: the original per-cycle
     /// algorithm with freshly allocated scratch and a collected result
-    /// vector, no early-outs. Kept for differential testing
-    /// (`engine_equivalence`) and unit tests; never used on the hot path.
+    /// vector, no early-outs, every input probed at every output. Kept for
+    /// differential testing (`engine_equivalence`, the `properties`
+    /// differential) and unit tests; never used on the hot path, with which
+    /// it shares only the FIFO pop.
     pub fn step(&mut self, now: u64) -> Vec<(usize, T)> {
         let n_inputs = self.inputs.len();
         let mut delivered = Vec::new();
@@ -194,9 +231,7 @@ impl<T> Crossbar<T> {
                     Some(f) if f.dest == out && f.ready_at <= now
                 );
                 if eligible {
-                    let flit = self.inputs[i].pop_front().expect("front checked above");
-                    self.buffered -= 1;
-                    delivered.push((out, flit.payload));
+                    delivered.push((out, self.pop(i)));
                     input_used[i] = true;
                     grants += 1;
                     self.rr[out] = (i + 1) % n_inputs;
@@ -216,31 +251,23 @@ impl<T> Crossbar<T> {
             return None;
         }
         let mut next = u64::MAX;
-        for q in &self.inputs {
-            if let Some(f) = q.front() {
-                next = next.min(f.ready_at);
-            }
+        let mut buffered = BitWalk::over(0..self.inputs.len());
+        while let Some(i) = self.non_empty.next(&mut buffered) {
+            let head = self.inputs[i].front().expect("non-empty input");
+            next = next.min(head.ready_at);
         }
         Some(next)
     }
 
     /// Total flits currently buffered (O(1): a running count).
     pub fn in_flight(&self) -> usize {
-        debug_assert_eq!(
-            self.buffered,
-            self.inputs.iter().map(VecDeque::len).sum::<usize>(),
-            "running flit count diverged from the scan"
-        );
+        self.debug_check();
         self.buffered
     }
 
     /// True when no flits are buffered (O(1): a running count).
     pub fn is_empty(&self) -> bool {
-        debug_assert_eq!(
-            self.buffered == 0,
-            self.inputs.iter().all(VecDeque::is_empty),
-            "running flit count diverged from the scan"
-        );
+        self.debug_check();
         self.buffered == 0
     }
 
@@ -398,32 +425,6 @@ mod tests {
             x.step(2);
         }
         assert_eq!(x.in_flight(), 0);
-    }
-
-    #[test]
-    fn step_with_matches_step() {
-        // Same stimulus through both step forms: identical deliveries in
-        // identical order, cycle by cycle.
-        let stimulate = |x: &mut Crossbar<u32>, now: u64| {
-            if now % 3 != 2 {
-                let _ = x.push((now % 4) as usize, (now % 2) as usize, now as u32, now);
-                let _ = x.push(
-                    ((now + 2) % 4) as usize,
-                    ((now + 1) % 2) as usize,
-                    100 + now as u32,
-                    now,
-                );
-            }
-        };
-        let mut a: Crossbar<u32> = Crossbar::new(4, 2, 2, 1, 4);
-        let mut b: Crossbar<u32> = Crossbar::new(4, 2, 2, 1, 4);
-        for now in 0..40u64 {
-            stimulate(&mut a, now);
-            stimulate(&mut b, now);
-            let mut got_a = Vec::new();
-            a.step_with(now, |out, p| got_a.push((out, p)));
-            assert_eq!(got_a, b.step(now), "divergence at cycle {now}");
-        }
     }
 
     #[test]

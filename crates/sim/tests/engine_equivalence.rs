@@ -16,7 +16,7 @@ use gpu_sim::harness::run_controlled_traced;
 use gpu_sim::machine::Gpu;
 use gpu_sim::trace::{RingSink, TraceEvent};
 use gpu_simt::CoreStats;
-use gpu_types::{AppId, GpuConfig, MemCounters, SplitMix64, TlpLevel};
+use gpu_types::{AppId, GpuConfig, MemCounters, SplitMix64, TlpLevel, WarpSchedPolicy};
 use gpu_workloads::{all_apps, Workload};
 
 /// A randomized small machine: both returned [`Gpu`]s are identically
@@ -113,6 +113,57 @@ fn random_knob_changes_preserve_agreement() {
             opt.run(span);
             reference.run(span);
             assert_machines_equal(&opt, &reference, &format!("trial {trial} leg {leg}"));
+        }
+    }
+}
+
+/// Volta-shaped machines — more cores than a bitset word holds (up to three
+/// words of crossbar inputs), 16 partitions, 64 warps over 4 schedulers, so
+/// every scheduler's window sits at its own offset in the core's one-word
+/// warp sets — under both scheduling policies and the knobs that move the
+/// SWL window. Spans are short: the reference engine scans every warp of
+/// every core each cycle.
+#[test]
+fn volta_shaped_machines_agree_under_knob_changes() {
+    let mut rng = SplitMix64::new(0xE961_7E63);
+    for (trial, n_cores) in [66, 80, 130].into_iter().enumerate() {
+        for policy in [WarpSchedPolicy::Gto, WarpSchedPolicy::Lrr] {
+            let mut cfg = GpuConfig::volta();
+            cfg.n_cores = n_cores;
+            cfg.scheduler = policy;
+            cfg.xbar_requests_per_cycle = 1 + rng.next_below(2) as usize;
+            let apps = all_apps();
+            let a = rng.next_below(apps.len() as u64) as usize;
+            let b = rng.next_below(apps.len() as u64) as usize;
+            let build = || Gpu::new(&cfg, &[&apps[a], &apps[b]], 7 + trial as u64);
+            let (mut opt, mut reference) = (build(), build());
+            reference.set_reference_engine(true);
+            for leg in 0..5 {
+                let app = AppId::new(rng.next_below(2) as u8);
+                match rng.next_below(4) {
+                    0 => {
+                        let lvl = TlpLevel::new(1 + rng.next_below(16) as u32).unwrap();
+                        opt.set_tlp(app, lvl);
+                        reference.set_tlp(app, lvl);
+                    }
+                    1 => {
+                        let bypass = rng.next_below(2) == 0;
+                        opt.set_bypass_l1(app, bypass);
+                        reference.set_bypass_l1(app, bypass);
+                    }
+                    2 => {
+                        let on = rng.next_below(2) == 0;
+                        opt.set_ccws(app, on);
+                        reference.set_ccws(app, on);
+                    }
+                    _ => {}
+                }
+                let span = 1 + rng.next_below(120);
+                opt.run(span);
+                reference.run(span);
+                let ctx = format!("{n_cores} cores {policy:?} leg {leg}");
+                assert_machines_equal(&opt, &reference, &ctx);
+            }
         }
     }
 }

@@ -6,9 +6,10 @@
 use crate::ccws::{CcwsParams, CcwsThrottle};
 use crate::inst::{coalesce, Inst, InstStream};
 use crate::scheduler::GtoScheduler;
-use crate::warp::Warp;
+use crate::warp::{Warp, WarpIssueState};
 use gpu_mem::cache::{Cache, CacheCounters, Lookup};
 use gpu_mem::req::{AccessKind, MemRequest, ReqId};
+use gpu_types::bits::BitWalk;
 use gpu_types::FxHashMap;
 use gpu_types::{Address, AppId, CoreId, GpuConfig, TlpLevel};
 use std::cmp::Reverse;
@@ -126,9 +127,9 @@ struct PendingLoad {
 }
 
 /// Why a sleeping core's cycles are charged: the stall classification is
-/// constant over the whole quiescent stretch (it only depends on
-/// `waiting_mem` state, which changes only via [`SimtCore::receive`] — and a
-/// receive wakes the core).
+/// constant over the whole quiescent stretch (it only depends on which
+/// warps wait on memory, which changes only via [`SimtCore::receive`] — and
+/// a receive wakes the core).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SleepKind {
     /// At least one active warp is blocked on outstanding memory.
@@ -149,7 +150,11 @@ pub struct SimtCore {
     pub id: CoreId,
     /// The application the core is assigned to (§II-A: exclusive core sets).
     pub app: AppId,
+    /// Instruction supply per warp slot — cold, touched only at issue.
     warps: Vec<Warp>,
+    /// Issue/stall state of all warp slots — the arrays and bitsets every
+    /// step reads.
+    issue: WarpIssueState,
     schedulers: Vec<GtoScheduler>,
     l1: Cache,
     l1_hit_latency: u64,
@@ -161,9 +166,6 @@ pub struct SimtCore {
     params: CoreParams,
     next_req: u64,
     seq: u64,
-    /// Active warps currently blocked on outstanding memory (maintained
-    /// incrementally; feeds `CoreStats::warp_mem_wait_cycles`).
-    waiting_now: usize,
     /// CCWS-style cache-conscious throttling, when enabled: modulates an
     /// additional warp limit from lost-locality scores.
     ccws: Option<CcwsThrottle>,
@@ -222,23 +224,15 @@ impl SimtCore {
             cfg.warps_per_core,
             "need one instruction stream per warp slot"
         );
-        let warps: Vec<Warp> = streams
-            .into_iter()
-            .map(|s| Warp::new(s, params.max_outstanding_loads))
-            .collect();
         let per_sched = cfg.warps_per_scheduler();
         let schedulers = (0..cfg.schedulers_per_core)
-            .map(|s| {
-                GtoScheduler::with_policy(
-                    (s * per_sched..(s + 1) * per_sched).collect(),
-                    cfg.scheduler,
-                )
-            })
+            .map(|s| GtoScheduler::with_policy(s * per_sched..(s + 1) * per_sched, cfg.scheduler))
             .collect();
         SimtCore {
             id,
             app,
-            warps,
+            issue: WarpIssueState::new(streams.len(), params.max_outstanding_loads),
+            warps: streams.into_iter().map(Warp::new).collect(),
             schedulers,
             // The L1 is private to this core's application, but counters are
             // indexed by the machine-wide AppId, so size up to it.
@@ -252,7 +246,6 @@ impl SimtCore {
             params,
             next_req: 0,
             seq: 0,
-            waiting_now: 0,
             ccws: None,
             line_owner: FxHashMap::default(),
             swl_limit: cfg.warps_per_scheduler(),
@@ -285,7 +278,7 @@ impl SimtCore {
         }
         let total = self.warps.len() as u64;
         let active = self.active_slots_total;
-        let waiting = self.waiting_now as u64;
+        let waiting = self.issue.n_waiting_mem() as u64;
         self.warp_stalls.mem += waiting * k;
         self.warp_stalls.tlp_capped += total.saturating_sub(active) * k;
         self.warp_stalls.exec += active.saturating_sub(waiting + issued) * k;
@@ -368,11 +361,7 @@ impl SimtCore {
 
     fn complete(&mut self, id: ReqId) {
         if let Some(p) = self.pending.remove(&id) {
-            let was_waiting = self.warps[p.warp_slot].waiting_mem();
-            self.warps[p.warp_slot].load_returned();
-            if was_waiting && !self.warps[p.warp_slot].waiting_mem() {
-                self.waiting_now -= 1;
-            }
+            self.issue.load_returned(p.warp_slot);
         }
     }
 
@@ -431,9 +420,11 @@ impl SimtCore {
         self.egress.front()
     }
 
-    fn issue_load(&mut self, slot: usize, addrs: &[Address], now: u64) -> bool {
-        let mut lines = coalesce(addrs);
-        lines.truncate(self.params.max_txn_per_inst);
+    /// Issues a load of the coalesced `lines` (the caller coalesces, so the
+    /// borrow of the warp's stashed address list ends before this one of
+    /// the whole core starts and no list is copied).
+    fn issue_load(&mut self, slot: usize, lines: &[Address], now: u64) -> bool {
+        let lines = &lines[..lines.len().min(self.params.max_txn_per_inst)];
         // Structural hazards: egress space for the worst case (all miss or
         // bypass), and enough free L1 MSHR headroom when cached.
         if self.egress.len() + lines.len() > self.egress_capacity {
@@ -442,9 +433,7 @@ impl SimtCore {
         if !self.bypass_l1 && self.l1.mshr_free() < lines.len() {
             return false;
         }
-        let n = lines.len();
-        let was_waiting = self.warps[slot].waiting_mem();
-        for &line in &lines {
+        for &line in lines {
             let id = self.fresh_id();
             self.pending.insert(
                 id,
@@ -491,20 +480,17 @@ impl SimtCore {
                 }
             }
         }
-        self.warps[slot].issue_mem(now, n);
-        if !was_waiting && self.warps[slot].waiting_mem() {
-            self.waiting_now += 1;
-        }
+        self.issue.issue_mem(slot, now, lines.len());
         true
     }
 
-    fn issue_store(&mut self, slot: usize, addrs: &[Address], now: u64) -> bool {
-        let mut lines = coalesce(addrs);
-        lines.truncate(self.params.max_txn_per_inst);
+    /// Issues a store of the coalesced `lines`.
+    fn issue_store(&mut self, slot: usize, lines: &[Address], now: u64) -> bool {
+        let lines = &lines[..lines.len().min(self.params.max_txn_per_inst)];
         if self.egress.len() + lines.len() > self.egress_capacity {
             return false;
         }
-        for &line in &lines {
+        for &line in lines {
             let id = self.fresh_id();
             self.egress.push_back(MemRequest::new(
                 id,
@@ -515,7 +501,7 @@ impl SimtCore {
                 AccessKind::Store,
             ));
         }
-        self.warps[slot].issue_mem(now, 0);
+        self.issue.issue_mem(slot, now, 0);
         true
     }
 
@@ -531,7 +517,7 @@ impl SimtCore {
         if let Some((until, kind)) = self.sleep {
             if now < until {
                 self.stats.cycles += 1;
-                self.stats.warp_mem_wait_cycles += self.waiting_now as u64;
+                self.stats.warp_mem_wait_cycles += self.issue.n_waiting_mem() as u64;
                 self.stats.active_warp_cycles += self.active_slots_total;
                 match kind {
                     SleepKind::Mem => self.stats.mem_stall_cycles += 1,
@@ -555,7 +541,7 @@ impl SimtCore {
                 self.apply_limits();
             }
         }
-        self.stats.warp_mem_wait_cycles += self.waiting_now as u64;
+        self.stats.warp_mem_wait_cycles += self.issue.n_waiting_mem() as u64;
         debug_assert_eq!(
             self.active_slots_total,
             self.schedulers
@@ -564,6 +550,7 @@ impl SimtCore {
                 .sum::<u64>(),
             "incremental active-slot count diverged from the scan"
         );
+        self.issue.debug_check();
         self.stats.active_warp_cycles += self.active_slots_total;
 
         // 1. L1 hits whose latency elapsed wake their warps.
@@ -572,153 +559,124 @@ impl SimtCore {
             self.complete(id);
         }
 
-        // 2. Issue: per scheduler, walk GTO priority order and issue the
-        //    first warp whose instruction clears structural hazards.
+        // 2. Issue: per scheduler, walk the policy's priority order (GTO:
+        //    greedy then oldest-first; LRR: rotate past the last issued
+        //    warp) over the warps that are neither retired nor blocked on
+        //    memory — skipped 64 at a time — and issue the first one whose
+        //    latency has elapsed and whose instruction clears structural
+        //    hazards.
         let mut issued_total = 0;
         let mut saw_struct_block = false;
         for si in 0..self.schedulers.len() {
-            // Policy-defined priority order (GTO: greedy then oldest-first;
-            // LRR: rotate past the last issued warp), walked by index to
-            // avoid per-cycle allocation.
-            let n_candidates = self.schedulers[si].n_candidates();
-            for k in 0..n_candidates {
-                let Some(slot) = self.schedulers[si].candidate(k) else {
-                    continue;
-                };
-                if !self.warps[slot].ready(now) {
-                    continue;
-                }
-                // O(1) structural gates, read before touching the
-                // instruction: under congestion every scheduler re-offers
-                // its blocked warps each cycle, and peeking by reference
-                // with these gates keeps that retry free of both the
-                // coalesce scan and any copy of the warp-width address
-                // list. The gated outcome is exactly what `issue_load` /
-                // `issue_store` would return (their line count is >= 1 for
-                // a non-empty address list).
-                let egress_full = self.egress.len() >= self.egress_capacity;
-                let mshr_exhausted = !self.bypass_l1 && self.l1.mshr_free() == 0;
-                let ok = match self.warps[slot].peek_inst() {
-                    None => continue,
-                    Some(Inst::Alu { cycles }) => {
-                        let cycles = *cycles;
+            'offer: for span in self.schedulers[si].scan_order() {
+                let mut slots = BitWalk::over(span);
+                while let Some(slot) = self.issue.next_issuable(&mut slots) {
+                    if self.issue.ready_at(slot) > now {
+                        continue;
+                    }
+                    // O(1) structural gates, read before touching the
+                    // instruction: under congestion every scheduler
+                    // re-offers its blocked warps each cycle, and peeking by
+                    // reference with these gates keeps that retry free of
+                    // both the coalesce scan and any copy of the warp-width
+                    // address list. The gated outcome is exactly what
+                    // `issue_load` / `issue_store` would return (their line
+                    // count is >= 1 for a non-empty address list).
+                    let egress_full = self.egress.len() >= self.egress_capacity;
+                    let mshr_exhausted = !self.bypass_l1 && self.l1.mshr_free() == 0;
+                    let ok = match self.warps[slot].peek_inst() {
+                        None => {
+                            self.issue.finish(slot);
+                            continue;
+                        }
+                        Some(Inst::Alu { cycles }) => {
+                            self.issue.issue_alu(slot, now, *cycles);
+                            true
+                        }
+                        Some(Inst::Load { addrs }) => {
+                            if !addrs.is_empty() && (egress_full || mshr_exhausted) {
+                                false
+                            } else {
+                                let lines = coalesce(addrs);
+                                self.issue_load(slot, &lines, now)
+                            }
+                        }
+                        Some(Inst::Store { addrs }) => {
+                            if !addrs.is_empty() && egress_full {
+                                false
+                            } else {
+                                let lines = coalesce(addrs);
+                                self.issue_store(slot, &lines, now)
+                            }
+                        }
+                    };
+                    if ok {
                         self.warps[slot].consume_inst();
-                        self.warps[slot].issue_alu(now, cycles);
-                        true
+                        self.stats.insts += 1;
+                        issued_total += 1;
+                        self.schedulers[si].record_issue(slot);
+                        break 'offer;
                     }
-                    Some(Inst::Load { addrs }) => {
-                        if !addrs.is_empty() && (egress_full || mshr_exhausted) {
-                            false
-                        } else {
-                            let addrs = *addrs;
-                            let ok = self.issue_load(slot, &addrs, now);
-                            if ok {
-                                self.warps[slot].consume_inst();
-                            }
-                            ok
-                        }
-                    }
-                    Some(Inst::Store { addrs }) => {
-                        if !addrs.is_empty() && egress_full {
-                            false
-                        } else {
-                            let addrs = *addrs;
-                            let ok = self.issue_store(slot, &addrs, now);
-                            if ok {
-                                self.warps[slot].consume_inst();
-                            }
-                            ok
-                        }
-                    }
-                };
-                if ok {
-                    self.stats.insts += 1;
-                    issued_total += 1;
-                    self.schedulers[si].record_issue(slot);
-                    break;
+                    // Structural hazard: the instruction stays in the warp's
+                    // stash; the next peek returns it again.
+                    saw_struct_block = true;
                 }
-                // Structural hazard: the instruction stays in the warp's
-                // stash; the next peek returns it again.
-                saw_struct_block = true;
             }
         }
 
         // 3. Stall classification for DynCTA-style heuristics, fused with
-        //    the sleep-horizon computation: in a no-issue, no-struct-block
-        //    cycle every active ready warp was offered and declined (only
-        //    possible by being finished or not yet ready), so nothing can
-        //    happen before the earliest of {pending hit return, earliest
-        //    warp ready_at} — unless an external event (receive, knob
-        //    change) clears the sleep first.
+        //    the sleep-horizon computation. In a no-issue cycle every active
+        //    warp whose latency had elapsed was offered and either retired
+        //    or hit a structural hazard. Egress and MSHR space free only via
+        //    pop_request / receive, which clear the sleep, so nothing can
+        //    happen before the earliest of {pending hit return, an
+        //    ALU-latency warp becoming ready} — unless an external event
+        //    (receive, knob change) clears the sleep first.
         if issued_total == 0 {
-            if saw_struct_block {
+            let mut any_waiting = false;
+            let mut wake = match self.hit_returns.peek() {
+                Some(Reverse((t, _, _))) => *t,
+                None => u64::MAX,
+            };
+            for s in &self.schedulers {
+                let active = s.active_slots();
+                any_waiting |= self.issue.any_waiting_mem(active.clone());
+                let mut slots = BitWalk::over(active);
+                while let Some(slot) = self.issue.next_issuable(&mut slots) {
+                    let ready_at = self.issue.ready_at(slot);
+                    debug_assert!(
+                        saw_struct_block || ready_at > now,
+                        "a ready warp should have issued this cycle"
+                    );
+                    if ready_at > now {
+                        wake = wake.min(ready_at);
+                    }
+                }
+            }
+            let kind = if saw_struct_block {
                 self.stats.struct_stall_cycles += 1;
-                // Every ready warp was offered and structurally blocked.
-                // Egress and MSHR space free only via pop_request / receive,
-                // which clear the sleep, so until then the only internal
-                // events are pending hit returns and ALU-latency warps
-                // becoming ready.
-                if self.ccws.is_none() {
-                    let mut wake = u64::MAX;
-                    if let Some(Reverse((t, _, _))) = self.hit_returns.peek() {
-                        wake = *t;
-                    }
-                    for s in &self.schedulers {
-                        for &slot in s.active_slots() {
-                            let w = &self.warps[slot];
-                            if w.finished() || w.waiting_mem() || w.ready(now) {
-                                continue;
-                            }
-                            wake = wake.min(w.next_ready_at());
-                        }
-                    }
-                    debug_assert!(wake > now, "pending wakes must lie in the future");
-                    self.sleep = Some((wake, SleepKind::Struct));
-                }
+                SleepKind::Struct
+            } else if any_waiting {
+                self.stats.mem_stall_cycles += 1;
+                SleepKind::Mem
             } else {
-                let mut any_waiting = false;
-                let mut wake = u64::MAX;
-                if let Some(Reverse((t, _, _))) = self.hit_returns.peek() {
-                    wake = *t;
-                }
-                for s in &self.schedulers {
-                    for &slot in s.active_slots() {
-                        let w = &self.warps[slot];
-                        if w.finished() {
-                            continue;
-                        }
-                        if w.waiting_mem() {
-                            any_waiting = true;
-                        } else {
-                            wake = wake.min(w.next_ready_at());
-                        }
-                    }
-                }
-                if any_waiting {
-                    self.stats.mem_stall_cycles += 1;
-                } else {
-                    self.stats.idle_cycles += 1;
-                }
-                // CCWS must tick every cycle, so throttled cores never sleep.
-                if self.ccws.is_none() {
-                    debug_assert!(wake > now, "a ready warp should have issued this cycle");
-                    self.sleep = Some((
-                        wake,
-                        if any_waiting {
-                            SleepKind::Mem
-                        } else {
-                            SleepKind::Idle
-                        },
-                    ));
-                }
+                self.stats.idle_cycles += 1;
+                SleepKind::Idle
+            };
+            // CCWS must tick every cycle, so throttled cores never sleep.
+            if self.ccws.is_none() {
+                debug_assert!(wake > now, "pending wakes must lie in the future");
+                self.sleep = Some((wake, kind));
             }
         }
         self.record_warp_stalls(issued_total, 1);
     }
 
     /// Reference implementation of [`Self::step`]: the original per-cycle
-    /// algorithm with no sleep fast path and the active-slot sum recomputed
-    /// by scanning every cycle. Kept only for differential testing
+    /// algorithm with no sleep fast path, every warp of every scheduler's
+    /// priority order tested slot by slot from the per-warp arrays (the
+    /// `mem_blocked` summary is not consulted), and the active-slot sum
+    /// recomputed by scanning every cycle. Kept only for differential testing
     /// (`engine_equivalence`); never used on the hot path.
     pub fn step_reference(&mut self, now: u64) {
         self.sleep = None;
@@ -730,7 +688,7 @@ impl SimtCore {
                 self.apply_limits();
             }
         }
-        self.stats.warp_mem_wait_cycles += self.waiting_now as u64;
+        self.stats.warp_mem_wait_cycles += self.issue.n_waiting_mem() as u64;
         self.stats.active_warp_cycles += self
             .schedulers
             .iter()
@@ -750,19 +708,20 @@ impl SimtCore {
                 let Some(slot) = self.schedulers[si].candidate(k) else {
                     continue;
                 };
-                if !self.warps[slot].ready(now) {
+                if !self.issue.ready(slot, now) {
                     continue;
                 }
                 let Some(inst) = self.warps[slot].fetch() else {
+                    self.issue.finish(slot);
                     continue;
                 };
                 let ok = match &inst {
                     Inst::Alu { cycles } => {
-                        self.warps[slot].issue_alu(now, *cycles);
+                        self.issue.issue_alu(slot, now, *cycles);
                         true
                     }
-                    Inst::Load { addrs } => self.issue_load(slot, addrs, now),
-                    Inst::Store { addrs } => self.issue_store(slot, addrs, now),
+                    Inst::Load { addrs } => self.issue_load(slot, &coalesce(addrs), now),
+                    Inst::Store { addrs } => self.issue_store(slot, &coalesce(addrs), now),
                 };
                 if ok {
                     self.stats.insts += 1;
@@ -783,7 +742,7 @@ impl SimtCore {
                     .schedulers
                     .iter()
                     .flat_map(|s| s.active_slots())
-                    .any(|&slot| self.warps[slot].waiting_mem());
+                    .any(|slot| self.issue.waiting_mem(slot));
                 if any_waiting_mem {
                     self.stats.mem_stall_cycles += 1;
                 } else {
@@ -822,7 +781,7 @@ impl SimtCore {
             return;
         };
         self.stats.cycles += k;
-        self.stats.warp_mem_wait_cycles += self.waiting_now as u64 * k;
+        self.stats.warp_mem_wait_cycles += self.issue.n_waiting_mem() as u64 * k;
         self.stats.active_warp_cycles += self.active_slots_total * k;
         match kind {
             SleepKind::Mem => self.stats.mem_stall_cycles += k,
@@ -849,7 +808,7 @@ impl SimtCore {
 
     /// True when every warp has retired and no memory is outstanding.
     pub fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.egress.is_empty() && self.warps.iter().all(|w| w.finished())
+        self.pending.is_empty() && self.egress.is_empty() && self.issue.all_finished()
     }
 
     /// Loads in flight from this core.

@@ -30,4 +30,4 @@ pub use crate::ccws::{CcwsParams, CcwsThrottle};
 pub use crate::core::{CoreParams, CoreStats, SimtCore, WarpStalls};
 pub use inst::{Inst, InstStream};
 pub use scheduler::GtoScheduler;
-pub use warp::Warp;
+pub use warp::{Warp, WarpIssueState};

@@ -8,12 +8,14 @@
 //! may still receive outstanding responses; they simply cannot issue.
 
 use gpu_types::WarpSchedPolicy;
+use std::ops::Range;
 
 /// One warp scheduler's selection state.
 #[derive(Debug, Clone)]
 pub struct GtoScheduler {
-    /// Slots this scheduler owns, oldest first.
-    slots: Vec<usize>,
+    /// Slots this scheduler owns, oldest first: a contiguous range, so the
+    /// SWL window is a sub-range of the core's per-warp bitsets.
+    slots: Range<usize>,
     /// The warp issued from most recently (GTO's greedy candidate / LRR's
     /// rotation anchor).
     greedy: Option<usize>,
@@ -30,7 +32,7 @@ impl GtoScheduler {
     /// # Panics
     ///
     /// Panics if `slots` is empty.
-    pub fn new(slots: Vec<usize>) -> Self {
+    pub fn new(slots: Range<usize>) -> Self {
         Self::with_policy(slots, WarpSchedPolicy::Gto)
     }
 
@@ -39,7 +41,7 @@ impl GtoScheduler {
     /// # Panics
     ///
     /// Panics if `slots` is empty.
-    pub fn with_policy(slots: Vec<usize>, policy: WarpSchedPolicy) -> Self {
+    pub fn with_policy(slots: Range<usize>, policy: WarpSchedPolicy) -> Self {
         assert!(
             !slots.is_empty(),
             "a scheduler must own at least one warp slot"
@@ -53,8 +55,23 @@ impl GtoScheduler {
         }
     }
 
-    /// Priority-ordered candidate slots for this cycle: GTO puts the greedy
-    /// warp first then oldest-first; LRR starts after the last issued warp.
+    /// This cycle's priority order as up to three ascending slot ranges,
+    /// walked in turn: GTO offers the greedy warp, then the active slots
+    /// oldest first around it; LRR starts after the last issued warp and
+    /// wraps. The core walks these over its issuable-warp bitsets; it is
+    /// the order [`Self::candidate`] enumerates slot by slot.
+    pub fn scan_order(&self) -> [Range<usize>; 3] {
+        let active = self.active_slots();
+        match (self.policy, self.greedy) {
+            (_, None) => [active, 0..0, 0..0],
+            (WarpSchedPolicy::Gto, Some(g)) => [g..g + 1, active.start..g, g + 1..active.end],
+            (WarpSchedPolicy::Lrr, Some(g)) => [g + 1..active.end, active.start..g + 1, 0..0],
+        }
+    }
+
+    /// The `k`-th slot of this cycle's priority order, `None` for a
+    /// position that offers nothing — the oracle's slot-by-slot form of
+    /// [`Self::scan_order`].
     pub fn candidate(&self, k: usize) -> Option<usize> {
         let active = self.active_slots();
         match self.policy {
@@ -62,25 +79,17 @@ impl GtoScheduler {
                 if k == 0 {
                     self.greedy
                 } else {
-                    let s = *active.get(k - 1)?;
+                    let s = active.start + k - 1;
                     // The greedy warp was already offered at k = 0.
-                    if Some(s) == self.greedy {
-                        None
-                    } else {
-                        Some(s)
-                    }
+                    (s < active.end && Some(s) != self.greedy).then_some(s)
                 }
             }
             WarpSchedPolicy::Lrr => {
                 if k >= active.len() {
                     return None;
                 }
-                let start = self
-                    .greedy
-                    .and_then(|g| active.iter().position(|&s| s == g))
-                    .map(|p| p + 1)
-                    .unwrap_or(0);
-                Some(active[(start + k) % active.len()])
+                let start = self.greedy.map_or(0, |g| g + 1 - active.start);
+                Some(active.start + (start + k) % active.len())
             }
         }
     }
@@ -110,18 +119,8 @@ impl GtoScheduler {
     }
 
     /// Slots currently allowed to issue.
-    pub fn active_slots(&self) -> &[usize] {
-        &self.slots[..self.limit]
-    }
-
-    /// All slots owned by this scheduler.
-    pub fn slots(&self) -> &[usize] {
-        &self.slots
-    }
-
-    /// The current greedy (most recently issued) warp slot, if any.
-    pub fn greedy(&self) -> Option<usize> {
-        self.greedy
+    pub fn active_slots(&self) -> Range<usize> {
+        self.slots.start..self.slots.start + self.limit
     }
 
     /// Records that `slot` issued this cycle, making it the greedy warp.
@@ -132,31 +131,23 @@ impl GtoScheduler {
         );
         self.greedy = Some(slot);
     }
-
-    /// Picks the slot to issue from among active slots for which
-    /// `ready(slot)` holds: the greedy warp if still ready, else the oldest
-    /// ready warp. Records the pick as the new greedy warp.
-    pub fn pick(&mut self, mut ready: impl FnMut(usize) -> bool) -> Option<usize> {
-        if let Some(g) = self.greedy {
-            if ready(g) {
-                return Some(g);
-            }
-        }
-        let pick = self.active_slots().iter().copied().find(|&s| ready(s));
-        if pick.is_some() {
-            self.greedy = pick;
-        }
-        pick
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// What the core does with a scheduler each cycle: issue from the first
+    /// slot of the scan order for which `ready` holds.
+    fn issue(s: &mut GtoScheduler, ready: impl Fn(usize) -> bool) -> Option<usize> {
+        let slot = s.scan_order().into_iter().flatten().find(|&w| ready(w))?;
+        s.record_issue(slot);
+        Some(slot)
+    }
+
     #[test]
     fn lrr_rotates_past_the_last_issued_warp() {
-        let mut s = GtoScheduler::with_policy(vec![0, 1, 2, 3], WarpSchedPolicy::Lrr);
+        let mut s = GtoScheduler::with_policy(0..4, WarpSchedPolicy::Lrr);
         s.record_issue(1);
         // Next cycle, scanning starts at slot 2.
         assert_eq!(s.candidate(0), Some(2));
@@ -168,7 +159,7 @@ mod tests {
 
     #[test]
     fn gto_candidates_offer_greedy_first() {
-        let mut s = GtoScheduler::new(vec![0, 1, 2, 3]);
+        let mut s = GtoScheduler::new(0..4);
         s.record_issue(2);
         assert_eq!(s.candidate(0), Some(2));
         assert_eq!(s.candidate(1), Some(0));
@@ -177,45 +168,75 @@ mod tests {
     }
 
     #[test]
+    fn scan_order_enumerates_the_candidates() {
+        // Every policy, window and greedy slot, on a range that does not
+        // start at zero: the ranges the core walks are the oracle's order.
+        for policy in [WarpSchedPolicy::Gto, WarpSchedPolicy::Lrr] {
+            for limit in 1..=5 {
+                for greedy in std::iter::once(None).chain((8..8 + limit).map(Some)) {
+                    let mut s = GtoScheduler::with_policy(8..13, policy);
+                    s.set_limit(limit);
+                    if let Some(g) = greedy {
+                        s.record_issue(g);
+                    }
+                    let walked: Vec<usize> = s.scan_order().into_iter().flatten().collect();
+                    let offered: Vec<usize> = (0..s.n_candidates())
+                        .filter_map(|k| s.candidate(k))
+                        .collect();
+                    assert_eq!(
+                        walked, offered,
+                        "{policy:?} limit {limit} greedy {greedy:?}"
+                    );
+                    assert_eq!(walked.len(), limit, "each active slot offered once");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn greedy_sticks_to_ready_warp() {
-        let mut s = GtoScheduler::new(vec![0, 1, 2, 3]);
-        assert_eq!(s.pick(|w| w == 2), Some(2));
+        let mut s = GtoScheduler::new(0..4);
+        assert_eq!(issue(&mut s, |w| w == 2), Some(2));
         // Warp 2 stays ready: greedy keeps it even though 0 is also ready.
-        assert_eq!(s.pick(|w| w == 2 || w == 0), Some(2));
+        assert_eq!(issue(&mut s, |w| w == 2 || w == 0), Some(2));
     }
 
     #[test]
     fn falls_back_to_oldest_ready() {
-        let mut s = GtoScheduler::new(vec![0, 1, 2, 3]);
-        assert_eq!(s.pick(|w| w == 3), Some(3));
+        let mut s = GtoScheduler::new(0..4);
+        assert_eq!(issue(&mut s, |w| w == 3), Some(3));
         // Greedy warp 3 stalls: oldest ready (1) wins over younger (2).
-        assert_eq!(s.pick(|w| w == 1 || w == 2), Some(1));
+        assert_eq!(issue(&mut s, |w| w == 1 || w == 2), Some(1));
         // And 1 becomes the new greedy warp.
-        assert_eq!(s.pick(|w| w == 1 || w == 2), Some(1));
+        assert_eq!(issue(&mut s, |w| w == 1 || w == 2), Some(1));
     }
 
     #[test]
     fn swl_masks_younger_slots() {
-        let mut s = GtoScheduler::new(vec![0, 1, 2, 3]);
+        let mut s = GtoScheduler::new(0..4);
         s.set_limit(2);
-        assert_eq!(s.active_slots(), &[0, 1]);
-        assert_eq!(s.pick(|w| w >= 2), None, "limited-out warps must not issue");
-        assert_eq!(s.pick(|w| w == 1), Some(1));
+        assert_eq!(s.active_slots(), 0..2);
+        assert_eq!(
+            issue(&mut s, |w| w >= 2),
+            None,
+            "limited-out warps must not issue"
+        );
+        assert_eq!(issue(&mut s, |w| w == 1), Some(1));
     }
 
     #[test]
     fn lowering_limit_evicts_greedy_pointer() {
-        let mut s = GtoScheduler::new(vec![0, 1, 2, 3]);
-        assert_eq!(s.pick(|w| w == 3), Some(3));
+        let mut s = GtoScheduler::new(0..4);
+        assert_eq!(issue(&mut s, |w| w == 3), Some(3));
         s.set_limit(2);
         // Greedy warp 3 is outside the window; even if "ready", it may not
         // be picked.
-        assert_eq!(s.pick(|w| w == 3 || w == 0), Some(0));
+        assert_eq!(issue(&mut s, |w| w == 3 || w == 0), Some(0));
     }
 
     #[test]
     fn limit_clamps() {
-        let mut s = GtoScheduler::new(vec![0, 1]);
+        let mut s = GtoScheduler::new(0..2);
         s.set_limit(0);
         assert_eq!(s.limit(), 1);
         s.set_limit(99);
@@ -224,13 +245,13 @@ mod tests {
 
     #[test]
     fn no_ready_warp_returns_none() {
-        let mut s = GtoScheduler::new(vec![0, 1]);
-        assert_eq!(s.pick(|_| false), None);
+        let mut s = GtoScheduler::new(0..2);
+        assert_eq!(issue(&mut s, |_| false), None);
     }
 
     #[test]
     #[should_panic(expected = "at least one")]
     fn empty_scheduler_panics() {
-        let _ = GtoScheduler::new(vec![]);
+        let _ = GtoScheduler::new(0..0);
     }
 }

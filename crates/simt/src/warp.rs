@@ -1,118 +1,65 @@
-//! Per-warp execution state.
+//! Per-warp execution state, split by how often the core looks at it.
+//!
+//! A [`Warp`] is the cold half: the instruction stream and the one
+//! instruction fetched from it but not yet issued, touched only when a
+//! scheduler offers the warp an issue slot. [`WarpIssueState`] is the hot
+//! half for all of a core's warps at once — struct-of-arrays, so the
+//! per-cycle "which warp can issue" question is a walk over two bitset
+//! words and the `ready_at` array instead of one cache line per warp.
 
-use crate::inst::InstStream;
+use crate::inst::{Inst, InstStream};
+use gpu_types::bits::{BitSet, BitWalk};
+use std::ops::Range;
 
-/// A warp: an instruction stream plus the issue/stall state the scheduler
-/// inspects every cycle.
+/// A warp's instruction supply.
 pub struct Warp {
     stream: Box<dyn InstStream>,
     /// An instruction fetched but not issued (structural hazard); retried
     /// before the stream is consulted again.
-    stashed: Option<crate::inst::Inst>,
-    /// Earliest cycle the warp may issue again (ALU latency).
-    ready_at: u64,
-    /// Load transactions issued but not yet returned.
-    inflight_loads: usize,
-    /// Outstanding-load tolerance: once `inflight_loads` reaches this, the
-    /// warp stalls until returns bring it back below. Models the dependency
-    /// distance of the application's code — small values make it
-    /// latency-bound, large values give memory-level parallelism.
-    max_outstanding: usize,
-    /// The stream returned `None`; the warp has retired.
-    finished: bool,
-    /// Warp instructions issued (for per-warp diagnostics).
-    issued: u64,
+    stashed: Option<Inst>,
 }
 
 impl std::fmt::Debug for Warp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Warp")
-            .field("ready_at", &self.ready_at)
-            .field("inflight_loads", &self.inflight_loads)
-            .field("max_outstanding", &self.max_outstanding)
-            .field("finished", &self.finished)
-            .field("issued", &self.issued)
+            .field("stashed", &self.stashed)
             .finish()
     }
 }
 
 impl Warp {
-    /// Creates a warp over `stream` with the given outstanding-load
-    /// tolerance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_outstanding` is zero.
-    pub fn new(stream: Box<dyn InstStream>, max_outstanding: usize) -> Self {
-        assert!(
-            max_outstanding > 0,
-            "a warp must tolerate at least one outstanding load"
-        );
+    /// Creates a warp over `stream`.
+    pub fn new(stream: Box<dyn InstStream>) -> Self {
         Warp {
             stream,
             stashed: None,
-            ready_at: 0,
-            inflight_loads: 0,
-            max_outstanding,
-            finished: false,
-            issued: 0,
         }
     }
 
-    /// True when the warp could issue an instruction at `now` (ignoring
-    /// structural hazards, which the core checks separately).
-    pub fn ready(&self, now: u64) -> bool {
-        !self.finished && self.ready_at <= now && self.inflight_loads < self.max_outstanding
-    }
-
-    /// True when the warp is alive but blocked on outstanding loads.
-    pub fn waiting_mem(&self) -> bool {
-        !self.finished && self.inflight_loads >= self.max_outstanding
-    }
-
-    /// True when the warp has retired.
-    pub fn finished(&self) -> bool {
-        self.finished
-    }
-
-    /// Pulls the next instruction (a previously stashed one first); marks
-    /// the warp finished when the stream ends. Only call when [`Self::ready`].
-    pub fn fetch(&mut self) -> Option<crate::inst::Inst> {
-        if let Some(i) = self.stashed.take() {
-            return Some(i);
-        }
-        match self.stream.next_inst() {
-            Some(i) => Some(i),
-            None => {
-                self.finished = true;
-                None
-            }
-        }
+    /// Pulls the next instruction (a previously stashed one first); `None`
+    /// means the stream ended and the caller retires the warp
+    /// ([`WarpIssueState::finish`]). Only call for a ready warp.
+    pub fn fetch(&mut self) -> Option<Inst> {
+        self.stashed.take().or_else(|| self.stream.next_inst())
     }
 
     /// Puts back an instruction that could not issue due to a structural
     /// hazard; the next [`Self::fetch`] returns it again.
-    pub fn stash(&mut self, inst: crate::inst::Inst) {
+    pub fn stash(&mut self, inst: Inst) {
         debug_assert!(self.stashed.is_none(), "double stash");
         self.stashed = Some(inst);
     }
 
     /// The next instruction *without* consuming it, filling the one-entry
-    /// stash from the stream on first peek; marks the warp finished when
-    /// the stream ends. The hot issue path peeks by reference so a
-    /// structural-hazard retry moves no instruction bytes at all
-    /// ([`crate::inst::Inst`] carries a full warp-width address list), and
-    /// calls [`Self::consume_inst`] only on successful issue. Equivalent to
-    /// [`Self::fetch`] + [`Self::stash`], which the reference engine keeps.
-    pub fn peek_inst(&mut self) -> Option<&crate::inst::Inst> {
+    /// stash from the stream on first peek; `None` means the stream ended.
+    /// The hot issue path peeks by reference so a structural-hazard retry
+    /// moves no instruction bytes at all ([`Inst`] carries a full
+    /// warp-width address list), and calls [`Self::consume_inst`] only on
+    /// successful issue. Equivalent to [`Self::fetch`] + [`Self::stash`],
+    /// which the reference engine keeps.
+    pub fn peek_inst(&mut self) -> Option<&Inst> {
         if self.stashed.is_none() {
-            match self.stream.next_inst() {
-                Some(i) => self.stashed = Some(i),
-                None => {
-                    self.finished = true;
-                    return None;
-                }
-            }
+            self.stashed = self.stream.next_inst();
         }
         self.stashed.as_ref()
     }
@@ -122,117 +69,262 @@ impl Warp {
         debug_assert!(self.stashed.is_some(), "consume without a peeked inst");
         self.stashed = None;
     }
+}
+
+/// The issue/stall state of every warp slot of one core.
+///
+/// Two bitsets summarise the arrays: `finished` (the stream ended) and
+/// `mem_blocked` (alive with `inflight >= max_outstanding`). They change
+/// only in [`Self::finish`], [`Self::issue_mem`] and [`Self::load_returned`],
+/// and a slot is never in both — a warp retires only when offered an issue
+/// slot, which a blocked warp is not, and a retired warp issues no more
+/// loads. So a slot in neither set can issue as soon as `ready_at` passes.
+#[derive(Debug)]
+pub struct WarpIssueState {
+    /// Earliest cycle each warp may issue again (ALU / issue latency).
+    ready_at: Vec<u64>,
+    /// Load transactions issued but not yet returned, per warp.
+    inflight: Vec<usize>,
+    /// Outstanding-load tolerance: once a warp's `inflight` reaches this it
+    /// stalls until returns bring it back below. Models the dependency
+    /// distance of the application's code — small values make it
+    /// latency-bound, large values give memory-level parallelism.
+    max_outstanding: usize,
+    finished: BitSet,
+    mem_blocked: BitSet,
+    n_mem_blocked: usize,
+}
+
+impl WarpIssueState {
+    /// State for `n_warps` fresh warps with the given outstanding-load
+    /// tolerance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_outstanding` is zero.
+    pub fn new(n_warps: usize, max_outstanding: usize) -> Self {
+        assert!(
+            max_outstanding > 0,
+            "a warp must tolerate at least one outstanding load"
+        );
+        WarpIssueState {
+            ready_at: vec![0; n_warps],
+            inflight: vec![0; n_warps],
+            max_outstanding,
+            finished: BitSet::new(n_warps),
+            mem_blocked: BitSet::new(n_warps),
+            n_mem_blocked: 0,
+        }
+    }
+
+    /// True when warp `slot` could issue an instruction at `now` (ignoring
+    /// structural hazards, which the core checks separately) — the scan
+    /// form, read from the arrays.
+    pub fn ready(&self, slot: usize, now: u64) -> bool {
+        !self.finished.get(slot)
+            && self.ready_at[slot] <= now
+            && self.inflight[slot] < self.max_outstanding
+    }
+
+    /// True when warp `slot` is alive but blocked on outstanding loads —
+    /// the scan form, read from the arrays.
+    pub fn waiting_mem(&self, slot: usize) -> bool {
+        !self.finished.get(slot) && self.inflight[slot] >= self.max_outstanding
+    }
+
+    /// Earliest cycle warp `slot` may issue again.
+    pub fn ready_at(&self, slot: usize) -> u64 {
+        self.ready_at[slot]
+    }
+
+    /// The next slot along `slots` that is neither retired nor blocked on
+    /// memory: it issues once its [`Self::ready_at`] has passed. Between
+    /// calls the walked slot may retire or issue; no other slot changes
+    /// while a core offers issue slots.
+    #[inline]
+    pub fn next_issuable(&self, slots: &mut BitWalk) -> Option<usize> {
+        slots.next(|w| !(self.finished.word(w) | self.mem_blocked.word(w)))
+    }
+
+    /// True when a warp in `slots` is blocked on outstanding loads.
+    pub fn any_waiting_mem(&self, slots: Range<usize>) -> bool {
+        self.mem_blocked.any_in(slots)
+    }
+
+    /// Warps currently blocked on outstanding loads.
+    pub fn n_waiting_mem(&self) -> usize {
+        self.n_mem_blocked
+    }
+
+    /// True when every warp has retired.
+    pub fn all_finished(&self) -> bool {
+        self.finished.count() == self.ready_at.len()
+    }
+
+    /// Retires warp `slot`: its stream ended.
+    pub fn finish(&mut self, slot: usize) {
+        debug_assert!(!self.mem_blocked.get(slot), "a blocked warp was offered");
+        self.finished.set(slot);
+    }
 
     /// Records the issue of an ALU instruction taking `cycles`.
-    pub fn issue_alu(&mut self, now: u64, cycles: u32) {
-        self.issued += 1;
-        self.ready_at = now + cycles.max(1) as u64;
+    pub fn issue_alu(&mut self, slot: usize, now: u64, cycles: u32) {
+        self.ready_at[slot] = now + cycles.max(1) as u64;
     }
 
     /// Records the issue of a memory instruction that produced
-    /// `transactions` in-flight loads (zero for stores and all-hit loads
-    /// resolved instantly — though the core still routes hits through the
-    /// in-flight path to model hit latency).
-    pub fn issue_mem(&mut self, now: u64, transactions: usize) {
-        self.issued += 1;
-        self.ready_at = now + 1;
-        self.inflight_loads += transactions;
+    /// `transactions` in-flight loads (zero for stores; L1 hits count, the
+    /// core routes them through the in-flight path to model hit latency).
+    pub fn issue_mem(&mut self, slot: usize, now: u64, transactions: usize) {
+        self.ready_at[slot] = now + 1;
+        let before = self.inflight[slot];
+        self.inflight[slot] = before + transactions;
+        if before < self.max_outstanding && before + transactions >= self.max_outstanding {
+            self.mem_blocked.set(slot);
+            self.n_mem_blocked += 1;
+        }
     }
 
-    /// One of this warp's load transactions returned.
+    /// One of warp `slot`'s load transactions returned.
     ///
     /// # Panics
     ///
     /// Panics if no loads were in flight (a routing bug in the caller).
-    pub fn load_returned(&mut self) {
+    pub fn load_returned(&mut self, slot: usize) {
         assert!(
-            self.inflight_loads > 0,
+            self.inflight[slot] > 0,
             "load return routed to a warp with none in flight"
         );
-        self.inflight_loads -= 1;
+        self.inflight[slot] -= 1;
+        // Dropping just below the tolerance means the warp was blocked, and
+        // so alive: a retired warp stays below it for good.
+        if self.inflight[slot] + 1 == self.max_outstanding {
+            self.mem_blocked.clear(slot);
+            self.n_mem_blocked -= 1;
+        }
     }
 
-    /// Warp instructions issued so far.
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    /// Earliest cycle the warp may issue again (ALU/issue latency). The
-    /// core's quiescence tracking uses this to compute the next cycle at
-    /// which any warp could become schedulable.
-    pub fn next_ready_at(&self) -> u64 {
-        self.ready_at
-    }
-
-    /// Loads currently in flight.
-    pub fn inflight(&self) -> usize {
-        self.inflight_loads
+    /// Debug builds hold the bitsets and the blocked count to a scan of the
+    /// arrays.
+    pub fn debug_check(&self) {
+        debug_assert!(
+            (0..self.ready_at.len()).all(|s| self.mem_blocked.get(s) == self.waiting_mem(s)),
+            "mem_blocked set diverged from the scan"
+        );
+        debug_assert_eq!(
+            self.n_mem_blocked,
+            self.mem_blocked.count(),
+            "blocked-warp count diverged from the set"
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::Inst;
     use crate::streams::Scripted;
 
-    fn warp_with(insts: Vec<Inst>, tol: usize) -> Warp {
-        Warp::new(Box::new(Scripted::new(insts)), tol)
+    fn issuable(w: &WarpIssueState, slots: Range<usize>) -> Vec<usize> {
+        let mut walk = BitWalk::over(slots);
+        std::iter::from_fn(|| w.next_issuable(&mut walk)).collect()
     }
 
     #[test]
     fn alu_latency_blocks_reissue() {
-        let mut w = warp_with(vec![Inst::Alu { cycles: 3 }], 1);
-        assert!(w.ready(0));
-        w.fetch().unwrap();
-        w.issue_alu(0, 3);
-        assert!(!w.ready(2));
-        assert!(w.ready(3));
+        let mut w = WarpIssueState::new(2, 1);
+        assert!(w.ready(1, 0));
+        w.issue_alu(1, 0, 3);
+        assert!(!w.ready(1, 2));
+        assert!(w.ready(1, 3));
+        assert_eq!(issuable(&w, 0..2), [0, 1], "issuable is not yet ready");
     }
 
     #[test]
     fn outstanding_loads_block_at_tolerance() {
-        let mut w = warp_with(vec![Inst::load1(0), Inst::load1(128)], 2);
-        w.issue_mem(0, 1);
-        assert!(w.ready(1), "one outstanding load below tolerance 2");
-        w.issue_mem(1, 1);
-        assert!(!w.ready(2));
-        assert!(w.waiting_mem());
-        w.load_returned();
-        assert!(w.ready(2));
+        let mut w = WarpIssueState::new(3, 2);
+        w.issue_mem(1, 0, 1);
+        assert!(w.ready(1, 1), "one outstanding load below tolerance 2");
+        w.issue_mem(1, 1, 1);
+        assert!(!w.ready(1, 2));
+        assert!(w.waiting_mem(1));
+        assert_eq!(w.n_waiting_mem(), 1);
+        assert!(w.any_waiting_mem(0..3) && !w.any_waiting_mem(2..3));
+        assert_eq!(issuable(&w, 0..3), [0, 2], "blocked warps are skipped");
+        w.debug_check();
+        w.load_returned(1);
+        assert!(w.ready(1, 2));
+        assert_eq!(w.n_waiting_mem(), 0);
+        assert_eq!(issuable(&w, 1..3), [1, 2]);
+        w.debug_check();
+    }
+
+    #[test]
+    fn one_instruction_can_overshoot_the_tolerance() {
+        // A divergent load adds several transactions at once; the warp
+        // unblocks only when returns bring it back below the tolerance.
+        let mut w = WarpIssueState::new(1, 2);
+        w.issue_mem(0, 0, 4);
+        for _ in 0..2 {
+            w.load_returned(0);
+            assert!(w.waiting_mem(0));
+            w.debug_check();
+        }
+        w.load_returned(0);
+        assert!(!w.waiting_mem(0));
+        assert_eq!(w.n_waiting_mem(), 0);
+        w.debug_check();
     }
 
     #[test]
     fn finished_when_stream_ends() {
-        let mut w = warp_with(vec![Inst::alu1()], 1);
-        assert!(w.fetch().is_some());
-        w.issue_alu(0, 1);
-        assert!(w.fetch().is_none());
-        assert!(w.finished());
-        assert!(!w.ready(100));
+        let mut warp = Warp::new(Box::new(Scripted::new(vec![Inst::alu1()])));
+        let mut w = WarpIssueState::new(1, 1);
+        assert!(warp.fetch().is_some());
+        w.issue_alu(0, 0, 1);
+        assert!(warp.fetch().is_none());
+        w.finish(0);
+        assert!(w.all_finished());
+        assert!(!w.ready(0, 100));
+        assert_eq!(issuable(&w, 0..1), []);
     }
 
     #[test]
-    fn issue_counts() {
-        let mut w = warp_with(vec![Inst::alu1(), Inst::load1(0)], 4);
-        w.fetch().unwrap();
-        w.issue_alu(0, 1);
-        w.fetch().unwrap();
-        w.issue_mem(1, 3);
-        assert_eq!(w.issued(), 2);
-        assert_eq!(w.inflight(), 3);
+    fn straggling_returns_to_a_finished_warp_unblock_nothing() {
+        let mut w = WarpIssueState::new(1, 2);
+        w.issue_mem(0, 0, 1);
+        w.finish(0);
+        w.load_returned(0);
+        assert_eq!(w.n_waiting_mem(), 0);
+        w.debug_check();
+    }
+
+    #[test]
+    fn peek_is_fetch_plus_stash() {
+        let insts = vec![Inst::load1(0), Inst::alu1()];
+        let mut a = Warp::new(Box::new(Scripted::new(insts.clone())));
+        let mut b = Warp::new(Box::new(Scripted::new(insts)));
+        assert_eq!(a.peek_inst(), Some(&Inst::load1(0)));
+        assert_eq!(a.peek_inst(), Some(&Inst::load1(0)), "a retry re-offers it");
+        let held = b.fetch().unwrap();
+        b.stash(held);
+        a.consume_inst();
+        assert_eq!(b.fetch(), Some(Inst::load1(0)));
+        assert_eq!(a.peek_inst(), Some(&Inst::alu1()));
+        assert_eq!(b.fetch(), Some(Inst::alu1()));
+        a.consume_inst();
+        assert_eq!(a.peek_inst(), None);
+        assert_eq!(b.fetch(), None);
     }
 
     #[test]
     #[should_panic(expected = "none in flight")]
     fn spurious_return_panics() {
-        let mut w = warp_with(vec![], 1);
-        w.load_returned();
+        WarpIssueState::new(1, 1).load_returned(0);
     }
 
     #[test]
     #[should_panic(expected = "at least one")]
     fn zero_tolerance_panics() {
-        let _ = warp_with(vec![], 0);
+        let _ = WarpIssueState::new(1, 0);
     }
 }

@@ -1,0 +1,192 @@
+//! A fixed-size bitset over `u64` words, for "which of N components have
+//! work" sets the per-cycle hot path walks instead of scanning all N.
+//!
+//! Words are a `Vec`, so N is unbounded; a [`BitWalk`] visits the members
+//! in ascending order at one word load per 64 indices.
+
+use std::ops::Range;
+
+/// A position in an ascending walk over the set bits of an index range.
+///
+/// The walk does not borrow what it walks: every [`BitWalk::next`] is
+/// handed the word source again, so the caller is free to mutate between
+/// calls — and the source can be an expression over several sets
+/// (`!(a | b)`) that is never materialised. Each word is read once, when
+/// the walk reaches it; later changes to bits above the last returned index
+/// *in that word* are not seen. Callers here only ever change bits at or
+/// below it.
+#[derive(Debug)]
+pub struct BitWalk {
+    /// Unvisited set bits of the word at index `base / 64`.
+    bits: u64,
+    base: usize,
+    /// First index not yet loaded into `bits`.
+    next: usize,
+    end: usize,
+}
+
+impl BitWalk {
+    /// A walk over the indices in `range`.
+    #[inline]
+    pub fn over(range: Range<usize>) -> Self {
+        BitWalk {
+            bits: 0,
+            base: 0,
+            next: range.start,
+            end: range.end,
+        }
+    }
+
+    /// The next index whose bit is set, where `word(w)` is the 64-bit word
+    /// holding indices `64 * w .. 64 * w + 64`.
+    #[inline]
+    pub fn next(&mut self, word: impl Fn(usize) -> u64) -> Option<usize> {
+        while self.bits == 0 {
+            if self.next >= self.end {
+                return None;
+            }
+            self.base = self.next & !63;
+            self.bits = word(self.base >> 6) & (!0u64 << (self.next & 63));
+            self.next = self.base + 64;
+            if self.next > self.end {
+                self.bits &= !0u64 >> (self.next - self.end);
+            }
+        }
+        let i = self.base + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(i)
+    }
+}
+
+/// A set of indices below a fixed length.
+#[derive(Debug, Clone)]
+pub struct BitSet {
+    words: Vec<u64>,
+}
+
+impl BitSet {
+    /// An empty set over indices `0..len`.
+    pub fn new(len: usize) -> Self {
+        BitSet {
+            words: vec![0; len.div_ceil(64)],
+        }
+    }
+
+    /// Adds `i`.
+    #[inline]
+    pub fn set(&mut self, i: usize) {
+        self.words[i >> 6] |= 1 << (i & 63);
+    }
+
+    /// Removes `i`.
+    #[inline]
+    pub fn clear(&mut self, i: usize) {
+        self.words[i >> 6] &= !(1 << (i & 63));
+    }
+
+    /// True when `i` is in the set.
+    #[inline]
+    pub fn get(&self, i: usize) -> bool {
+        self.words[i >> 6] & (1 << (i & 63)) != 0
+    }
+
+    /// The word holding indices `64 * w .. 64 * w + 64`.
+    #[inline]
+    pub fn word(&self, w: usize) -> u64 {
+        self.words[w]
+    }
+
+    /// Empties the words `words` (indices `64 * start .. 64 * end`).
+    #[inline]
+    pub fn zero_words(&mut self, words: Range<usize>) {
+        self.words[words].fill(0);
+    }
+
+    /// Number of indices in the set.
+    pub fn count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The next member along `walk`.
+    #[inline]
+    pub fn next(&self, walk: &mut BitWalk) -> Option<usize> {
+        walk.next(|w| self.words[w])
+    }
+
+    /// True when the set has a member in `range`.
+    #[inline]
+    pub fn any_in(&self, range: Range<usize>) -> bool {
+        self.next(&mut BitWalk::over(range)).is_some()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SplitMix64;
+
+    #[test]
+    fn walk_matches_a_scan_across_word_boundaries() {
+        let mut rng = SplitMix64::new(0xB175);
+        for len in [1usize, 63, 64, 65, 128, 200] {
+            let mut s = BitSet::new(len);
+            let mut model = vec![false; len];
+            for _ in 0..len {
+                let i = rng.next_below(len as u64) as usize;
+                let member = rng.next_below(3) != 0;
+                if member {
+                    s.set(i);
+                } else {
+                    s.clear(i);
+                }
+                model[i] = member;
+            }
+            assert_eq!(s.count(), model.iter().filter(|&&b| b).count());
+            for from in 0..=len {
+                for to in from..=len {
+                    let mut walk = BitWalk::over(from..to);
+                    let walked: Vec<usize> = std::iter::from_fn(|| s.next(&mut walk)).collect();
+                    let scanned: Vec<usize> = (from..to).filter(|&i| model[i]).collect();
+                    assert_eq!(walked, scanned, "len {len} range {from}..{to}");
+                    assert_eq!(s.any_in(from..to), !scanned.is_empty());
+                }
+            }
+            for (i, &m) in model.iter().enumerate() {
+                assert_eq!(s.get(i), m);
+            }
+        }
+    }
+
+    #[test]
+    fn walk_over_an_expression_sees_changes_behind_it() {
+        let (mut a, mut b) = (BitSet::new(130), BitSet::new(130));
+        for i in [0, 5, 64, 129] {
+            a.set(i);
+        }
+        for i in [5, 70, 129] {
+            b.set(i);
+        }
+        // Neither in `a` nor in `b`, from 62 on.
+        let mut walk = BitWalk::over(62..130);
+        let mut seen = Vec::new();
+        while let Some(i) = walk.next(|w| !(a.word(w) | b.word(w))) {
+            a.set(i); // at the returned index: allowed mid-walk
+            seen.push(i);
+        }
+        let expect: Vec<usize> = (62..129).filter(|i| ![64, 70].contains(i)).collect();
+        assert_eq!(seen, expect, "bits past the range end never leak in");
+    }
+
+    #[test]
+    fn zero_words_empties_whole_words_only() {
+        let mut s = BitSet::new(192);
+        for i in [3, 64, 100, 127, 128] {
+            s.set(i);
+        }
+        s.zero_words(1..2);
+        let mut walk = BitWalk::over(0..192);
+        assert_eq!(s.next(&mut walk), Some(3));
+        assert_eq!(s.next(&mut walk), Some(128));
+        assert_eq!(s.next(&mut walk), None);
+    }
+}

@@ -319,7 +319,10 @@ impl GpuConfig {
     ///
     /// This is the big-machine preset of the benchmark's `volta-busy`
     /// workload (`benchmark/README.md`), where O(configured) → O(active)
-    /// changes to the engine show. The SM/warp geometry follows the
+    /// changes to the engine show: at this size a core's 64 warps are one
+    /// word of its issue-state bitsets and the request crossbar's 80
+    /// inputs are two (ARCHITECTURE.md "Hot path"), while a scan over
+    /// either falls out of the host's L1. The SM/warp geometry follows the
     /// Volta Titan V constants (80 SMs, 64 warp slots per SM); the memory
     /// side keeps the paper's DRAM timings so behavior stays comparable.
     pub fn volta() -> Self {
@@ -399,6 +402,14 @@ impl GpuConfig {
         if self.n_partitions == 0 {
             return Err(ConfigError::new("n_partitions must be non-zero".to_owned()));
         }
+        // Zero is a multiple of everything, so it needs its own test: a
+        // scheduler owns at least one warp slot. There is no upper bound —
+        // the cores' per-warp bitsets are `u64` word vectors of any length.
+        if self.warps_per_core == 0 {
+            return Err(ConfigError::new(
+                "warps_per_core must be non-zero".to_owned(),
+            ));
+        }
         if self.schedulers_per_core == 0
             || !self.warps_per_core.is_multiple_of(self.schedulers_per_core)
         {
@@ -465,6 +476,16 @@ mod tests {
         GpuConfig::paper().validate().unwrap();
         GpuConfig::small().validate().unwrap();
         GpuConfig::volta().validate().unwrap();
+    }
+
+    #[test]
+    fn validate_rejects_zero_warps() {
+        // 0 is a multiple of any scheduler count; before the explicit test
+        // it validated and `max_tlp` then panicked.
+        let mut cfg = GpuConfig::paper();
+        cfg.warps_per_core = 0;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.to_string().contains("warps_per_core"), "{err}");
     }
 
     #[test]

@@ -22,6 +22,7 @@
 #![deny(missing_docs)]
 
 pub mod addr;
+pub mod bits;
 pub mod canon;
 pub mod config;
 pub mod fxmap;
@@ -32,6 +33,7 @@ pub mod stats;
 pub mod tlp;
 
 pub use addr::{Address, LINE_SIZE};
+pub use bits::BitSet;
 pub use canon::{fingerprint, Canon, CanonBuf, CanonReader, Fingerprint};
 pub use config::{
     CacheConfig, ConfigError, DramConfig, GpuConfig, PagePolicy, SamplingConfig, WarpSchedPolicy,

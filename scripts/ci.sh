@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Offline CI gate: format check, lints, release build, full test suite (the
-# engine-vs-oracle differential suite included), the benchmark's binaries
+# Offline CI gate: format check, lints, release build, the engine crates'
+# tests in the dev profile, full release test suite (the engine-vs-oracle
+# differential suite included in both), the benchmark's binaries
 # and golden digests, and the byte-compare gates over `experiments --quick`.
 # Speed is not gated here: that is `bash benchmark/run.sh`
 # (benchmark/README.md). No network access required.
@@ -25,6 +26,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release (workspace) =="
 cargo build --workspace --release
+
+echo "== cargo test, dev profile (gpu-mem, gpu-simt, gpu-sim: debug_assert cross-checks on) =="
+# The release suite below compiles every debug_assert! out. The engine's
+# incrementally maintained state (running flit count, non-empty-input set,
+# active-slot sum, warp bitsets) is held to a scan of the ground truth only
+# by such assertions, so the three engine crates also run unoptimised.
+cargo test -q -p gpu-mem -p gpu-simt -p gpu-sim
 
 echo "== cargo test (workspace) =="
 cargo test --workspace --release -q
