@@ -103,7 +103,7 @@ impl DramChannel {
     /// True when `addr`'s bank currently has `addr`'s row open — the
     /// "first-ready" predicate of FR-FCFS.
     pub fn is_row_hit(&self, addr: Address) -> bool {
-        self.row_open(self.bank_of(addr), self.row_of(addr))
+        self.open_row(self.bank_of(addr)) == Some(self.row_of(addr))
     }
 
     /// True when `addr`'s bank can accept a request at `now`.
@@ -111,11 +111,10 @@ impl DramChannel {
         self.bank_free_idx(self.bank_of(addr), now)
     }
 
-    /// [`Self::is_row_hit`] with a precomputed bank/row (the controller
-    /// caches both per queued request to keep the FR-FCFS scan free of
-    /// divisions).
-    pub fn row_open(&self, bank: usize, row: u64) -> bool {
-        self.banks[bank].open_row == Some(row)
+    /// The row `bank` holds open, if any (the controller caches bank and
+    /// row per queued request, so its FR-FCFS pick is free of divisions).
+    pub fn open_row(&self, bank: usize) -> Option<u64> {
+        self.banks[bank].open_row
     }
 
     /// [`Self::bank_free`] with a precomputed bank index.

@@ -7,16 +7,23 @@
 //! the caller at their data-completion cycle; stores consume bandwidth but
 //! produce no response.
 //!
+//! The queue is organised by bank, not by arrival: one FIFO per bank in
+//! arrival order (index-linked through a single slab) and a set of the
+//! banks that hold anything. A pick looks at each such bank once — busy
+//! banks cost one probe, whatever is queued behind them — and arrival
+//! stamps decide between banks, so the choice is the one a front-to-back
+//! scan of a single arrival-ordered queue makes (debug builds check that).
+//!
 //! The controller also owns the per-application accounting the paper's
 //! designated-partition sampling reads: useful bytes transferred (attained
 //! bandwidth) and row-buffer hit/miss counts.
 
 use crate::dram::DramChannel;
 use crate::req::{AccessKind, MemRequest};
+use gpu_types::bits::{BitSet, BitWalk};
 use gpu_types::{AppId, Histogram, LINE_SIZE};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::collections::VecDeque;
 
 /// Per-application DRAM-side counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,6 +60,9 @@ impl Ord for InFlight {
     }
 }
 
+/// "No slot": the end of a bank's FIFO or of the free list.
+const NIL: u32 = u32::MAX;
+
 #[derive(Debug, Clone, Copy)]
 struct Queued {
     req: MemRequest,
@@ -61,12 +71,41 @@ struct Queued {
     /// Arrival cycle, recorded so the metrics layer can attribute the full
     /// queue-to-data latency (`done_at - at`) when the request is issued.
     at: u64,
+    /// Arrival order across the whole controller (several requests may
+    /// arrive in one cycle).
+    stamp: u64,
+    /// The next-younger request on the same bank; the next free slot while
+    /// this one is vacant.
+    next: u32,
+}
+
+/// One bank's queued requests, oldest first, as slab indices.
+#[derive(Debug, Clone, Copy)]
+struct BankFifo {
+    head: u32,
+    tail: u32,
+}
+
+/// A queued request as a pick names it: its slab slot and the slot linking
+/// to it ([`NIL`] for a bank's head).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Pick {
+    slot: u32,
+    prev: u32,
 }
 
 /// An FR-FCFS controller fronting one [`DramChannel`].
 #[derive(Debug)]
 pub struct MemoryController {
-    queue: VecDeque<Queued>,
+    /// Queued requests; grows to at most `capacity` slots, vacated ones are
+    /// chained from `free`.
+    slab: Vec<Queued>,
+    free: u32,
+    banks: Vec<BankFifo>,
+    /// Banks whose FIFO is non-empty.
+    pending: BitSet,
+    queued: usize,
+    arrivals: u64,
     capacity: usize,
     in_flight: BinaryHeap<Reverse<InFlight>>,
     seq: u64,
@@ -78,15 +117,27 @@ pub struct MemoryController {
 }
 
 impl MemoryController {
-    /// Creates a controller with a request queue of `capacity` entries.
+    /// Creates a controller with a request queue of `capacity` entries in
+    /// front of a channel of `n_banks` banks.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub fn new(capacity: usize, n_banks: usize) -> Self {
         assert!(capacity > 0, "controller queue capacity must be non-zero");
         MemoryController {
-            queue: VecDeque::new(),
+            slab: Vec::new(),
+            free: NIL,
+            banks: vec![
+                BankFifo {
+                    head: NIL,
+                    tail: NIL
+                };
+                n_banks
+            ],
+            pending: BitSet::new(n_banks),
+            queued: 0,
+            arrivals: 0,
             capacity,
             in_flight: BinaryHeap::new(),
             seq: 0,
@@ -105,11 +156,11 @@ impl MemoryController {
 
     /// True when another request can be enqueued.
     pub fn can_accept(&self) -> bool {
-        self.queue.len() < self.capacity
+        self.queued < self.capacity
     }
 
     /// Enqueues a request arriving at cycle `now`. The bank/row decode
-    /// happens once here so the per-cycle FR-FCFS scan is division-free.
+    /// happens once here so the per-cycle FR-FCFS pick is division-free.
     ///
     /// # Errors
     ///
@@ -123,13 +174,117 @@ impl MemoryController {
         if !self.can_accept() {
             return Err(req);
         }
-        self.queue.push_back(Queued {
+        let bank = dram.bank_of(req.addr);
+        let queued = Queued {
             req,
-            bank: dram.bank_of(req.addr),
+            bank,
             row: dram.row_of(req.addr),
             at: now,
-        });
+            stamp: self.arrivals,
+            next: NIL,
+        };
+        self.arrivals += 1;
+        let slot = if self.free == NIL {
+            self.slab.push(queued);
+            (self.slab.len() - 1) as u32
+        } else {
+            let slot = self.free;
+            self.free = self.slab[slot as usize].next;
+            self.slab[slot as usize] = queued;
+            slot
+        };
+        let fifo = &mut self.banks[bank];
+        if fifo.head == NIL {
+            fifo.head = slot;
+            self.pending.set(bank);
+        } else {
+            self.slab[fifo.tail as usize].next = slot;
+        }
+        fifo.tail = slot;
+        self.queued += 1;
         Ok(())
+    }
+
+    /// Unlinks `pick` from its bank's FIFO and returns it.
+    fn take(&mut self, pick: Pick) -> Queued {
+        let q = self.slab[pick.slot as usize];
+        let fifo = &mut self.banks[q.bank];
+        if pick.prev == NIL {
+            fifo.head = q.next;
+        } else {
+            self.slab[pick.prev as usize].next = q.next;
+        }
+        if fifo.tail == pick.slot {
+            fifo.tail = pick.prev;
+        }
+        if fifo.head == NIL {
+            self.pending.clear(q.bank);
+        }
+        self.slab[pick.slot as usize].next = self.free;
+        self.free = pick.slot;
+        self.queued -= 1;
+        q
+    }
+
+    /// The FR-FCFS choice at `now`: the oldest row-hit on a free bank, else
+    /// the oldest request on a free bank. Each pending bank is probed once;
+    /// a free one offers its head and, with a row open, the first request
+    /// of its FIFO for that row.
+    fn pick(&self, now: u64, dram: &DramChannel) -> Option<Pick> {
+        let mut oldest: Option<(u64, Pick)> = None;
+        let mut oldest_hit: Option<(u64, Pick)> = None;
+        let mut banks = BitWalk::over(0..self.banks.len());
+        while let Some(bank) = self.pending.next(&mut banks) {
+            if !dram.bank_free_idx(bank, now) {
+                continue;
+            }
+            let head = self.banks[bank].head;
+            let stamp = self.slab[head as usize].stamp;
+            if oldest.is_none_or(|(s, _)| stamp < s) {
+                let pick = Pick {
+                    slot: head,
+                    prev: NIL,
+                };
+                oldest = Some((stamp, pick));
+            }
+            let Some(open) = dram.open_row(bank) else {
+                continue;
+            };
+            let (mut prev, mut slot) = (NIL, head);
+            while slot != NIL {
+                let q = &self.slab[slot as usize];
+                // Stamps ascend along a FIFO: past the best hit so far,
+                // this bank has nothing older to offer.
+                if oldest_hit.is_some_and(|(s, _)| q.stamp > s) {
+                    break;
+                }
+                if q.row == open {
+                    oldest_hit = Some((q.stamp, Pick { slot, prev }));
+                    break;
+                }
+                (prev, slot) = (slot, q.next);
+            }
+        }
+        oldest_hit.or(oldest).map(|(_, pick)| pick)
+    }
+
+    /// [`Self::pick`] as a scan of every queued request in arrival order —
+    /// the definition of FR-FCFS the per-bank form is held to.
+    fn pick_by_scan(&self, now: u64, dram: &DramChannel) -> Option<u32> {
+        let mut live: Vec<u32> = Vec::new();
+        for fifo in &self.banks {
+            let mut slot = fifo.head;
+            while slot != NIL {
+                live.push(slot);
+                slot = self.slab[slot as usize].next;
+            }
+        }
+        live.sort_by_key(|&slot| self.slab[slot as usize].stamp);
+        let queued = live.iter().map(|&slot| (slot, &self.slab[slot as usize]));
+        let mut on_free_banks = queued.filter(|(_, q)| dram.bank_free_idx(q.bank, now));
+        let first_free = on_free_banks.clone().next();
+        let first_hit = on_free_banks.find(|(_, q)| dram.open_row(q.bank) == Some(q.row));
+        first_hit.or(first_free).map(|(slot, _)| slot)
     }
 
     fn counters_mut(&mut self, app: AppId) -> &mut McCounters {
@@ -139,26 +294,16 @@ impl MemoryController {
         &mut self.counters[app.index()]
     }
 
-    /// FR-FCFS issue: forwards at most one queued request to `dram` —
-    /// the oldest row-hit with a free bank, else the oldest with a free
-    /// bank (single scan, both candidates tracked).
+    /// FR-FCFS issue: forwards at most one queued request to `dram`.
     fn issue_one(&mut self, now: u64, dram: &mut DramChannel) {
-        let mut first_free = None;
-        let mut pick = None;
-        for (i, q) in self.queue.iter().enumerate() {
-            if dram.bank_free_idx(q.bank, now) {
-                if first_free.is_none() {
-                    first_free = Some(i);
-                }
-                if dram.row_open(q.bank, q.row) {
-                    pick = Some(i);
-                    break;
-                }
-            }
-        }
-        let pick = pick.or(first_free);
-        if let Some(i) = pick {
-            let q = self.queue.remove(i).expect("index from position");
+        let pick = self.pick(now, dram);
+        debug_assert_eq!(
+            pick.map(|p| p.slot),
+            self.pick_by_scan(now, dram),
+            "per-bank pick diverged from the arrival-order scan"
+        );
+        if let Some(pick) = pick {
+            let q = self.take(pick);
             let req = q.req;
             let svc = dram.service_at(q.bank, q.row, now);
             if self.metrics {
@@ -220,8 +365,9 @@ impl MemoryController {
     /// contract for the event engine.
     pub fn next_issue_at(&self, dram: &DramChannel, from: u64) -> u64 {
         let mut next = u64::MAX;
-        for q in &self.queue {
-            let t = dram.bank_busy_until(q.bank);
+        let mut banks = BitWalk::over(0..self.banks.len());
+        while let Some(bank) = self.pending.next(&mut banks) {
+            let t = dram.bank_busy_until(bank);
             if t <= from {
                 return from;
             }
@@ -247,7 +393,7 @@ impl MemoryController {
 
     /// Requests waiting to be issued.
     pub fn queued(&self) -> usize {
-        self.queue.len()
+        self.queued
     }
 
     /// Loads issued to DRAM whose data has not yet returned.
@@ -257,7 +403,7 @@ impl MemoryController {
 
     /// True when no work is queued or in flight.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.in_flight.is_empty()
+        self.queued == 0 && self.in_flight.is_empty()
     }
 }
 
@@ -314,7 +460,7 @@ mod tests {
 
     #[test]
     fn single_load_round_trips() {
-        let mut mc = MemoryController::new(8);
+        let mut mc = MemoryController::new(8, 8);
         let mut ch = dram();
         mc.push_with(load(1, 0), &ch, 0).unwrap();
         let done = run_until_idle(&mut mc, &mut ch);
@@ -327,7 +473,7 @@ mod tests {
 
     #[test]
     fn stores_complete_without_response() {
-        let mut mc = MemoryController::new(8);
+        let mut mc = MemoryController::new(8, 8);
         let mut ch = dram();
         let mut st = load(1, 0);
         st.kind = AccessKind::Store;
@@ -339,7 +485,7 @@ mod tests {
 
     #[test]
     fn row_hits_are_prioritized_over_older_conflicts() {
-        let mut mc = MemoryController::new(8);
+        let mut mc = MemoryController::new(8, 8);
         let mut ch = dram();
         // Open bank 0 row 0 (chunks 0..4 are row 0 of bank 0; with 8 banks
         // and 4 chunks per row, chunk 32 is bank 0 row 1).
@@ -373,7 +519,7 @@ mod tests {
 
     #[test]
     fn queue_capacity_backpressures() {
-        let mut mc = MemoryController::new(2);
+        let mut mc = MemoryController::new(2, 8);
         let ch = dram();
         mc.push_with(load(1, 0), &ch, 0).unwrap();
         mc.push_with(load(2, 1), &ch, 0).unwrap();
@@ -383,7 +529,7 @@ mod tests {
 
     #[test]
     fn per_app_bandwidth_attribution() {
-        let mut mc = MemoryController::new(8);
+        let mut mc = MemoryController::new(8, 8);
         let mut ch = dram();
         mc.push_with(load(1, 0), &ch, 0).unwrap();
         let mut r2 = load(2, 100);
@@ -396,7 +542,7 @@ mod tests {
 
     #[test]
     fn completions_preserve_data_order_per_bank_stream() {
-        let mut mc = MemoryController::new(16);
+        let mut mc = MemoryController::new(16, 8);
         let mut ch = dram();
         for i in 0..8 {
             mc.push_with(load(i, i / 2), &ch, 0).unwrap(); // 2 lines per chunk; one row
@@ -410,7 +556,7 @@ mod tests {
 
     #[test]
     fn latency_histogram_gated_and_taken() {
-        let mut mc = MemoryController::new(8);
+        let mut mc = MemoryController::new(8, 8);
         let mut ch = dram();
         // Disabled (default): nothing recorded.
         mc.push_with(load(1, 0), &ch, 0).unwrap();

@@ -78,7 +78,7 @@ impl MemoryPartition {
         MemoryPartition {
             id,
             l2: Cache::new(&cfg.l2, n_apps),
-            mc: MemoryController::new(64),
+            mc: MemoryController::new(64, cfg.dram.n_banks),
             dram: DramChannel::new(cfg.dram.clone(), cfg.n_partitions),
             ingress: VecDeque::new(),
             ingress_capacity: 32,

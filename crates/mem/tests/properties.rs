@@ -10,11 +10,11 @@
 
 use gpu_mem::cache::{Cache, Lookup};
 use gpu_mem::dram::DramChannel;
-use gpu_mem::mc::MemoryController;
+use gpu_mem::mc::{McCounters, MemoryController};
 use gpu_mem::req::{AccessKind, MemRequest, ReqId};
 use gpu_mem::xbar::Crossbar;
 use gpu_types::{Address, AppId, CacheConfig, CoreId, DramConfig, SplitMix64, LINE_SIZE};
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 
 const CASES: usize = 128;
 
@@ -270,7 +270,7 @@ fn controller_conserves_loads() {
     let mut rng = SplitMix64::new(0x3E3_0005);
     for _ in 0..CASES {
         let chunks = arb_vec(&mut rng, 128, 1, 64);
-        let mut mc = MemoryController::new(64);
+        let mut mc = MemoryController::new(64, dram_cfg().n_banks);
         let mut ch = DramChannel::new(dram_cfg(), 1);
         let mut pending: Vec<MemRequest> = chunks
             .iter()
@@ -305,5 +305,176 @@ fn controller_conserves_loads() {
         let b0 = mc.counters(AppId::new(0)).dram_bytes;
         let b1 = mc.counters(AppId::new(1)).dram_bytes;
         assert_eq!(b0 + b1, total as u64 * LINE_SIZE);
+    }
+}
+
+/// FR-FCFS as one arrival-ordered queue scanned front to back — the
+/// controller before it was organised by bank, kept here as the model the
+/// per-bank controller must match decision for decision.
+struct ScanController {
+    /// `(request, bank, row)` in arrival order.
+    queue: VecDeque<(MemRequest, usize, u64)>,
+    capacity: usize,
+    /// `(done_at, issue sequence, request)`.
+    in_flight: Vec<(u64, u64, MemRequest)>,
+    seq: u64,
+    counters: [McCounters; 2],
+}
+
+impl ScanController {
+    fn push(&mut self, req: MemRequest, dram: &DramChannel) -> bool {
+        if self.queue.len() >= self.capacity {
+            return false;
+        }
+        self.queue
+            .push_back((req, dram.bank_of(req.addr), dram.row_of(req.addr)));
+        true
+    }
+
+    /// The oldest row-hit on a free bank, else the oldest request on a
+    /// free bank; then the loads whose data is back, in completion order.
+    fn step(&mut self, now: u64, dram: &mut DramChannel) -> Vec<MemRequest> {
+        let mut first_free = None;
+        let mut pick = None;
+        for (i, &(_, bank, row)) in self.queue.iter().enumerate() {
+            if dram.bank_free_idx(bank, now) {
+                first_free = first_free.or(Some(i));
+                if dram.open_row(bank) == Some(row) {
+                    pick = Some(i);
+                    break;
+                }
+            }
+        }
+        if let Some(i) = pick.or(first_free) {
+            let (req, bank, row) = self.queue.remove(i).expect("index from the scan");
+            let svc = dram.service_at(bank, row, now);
+            let c = &mut self.counters[req.app.index()];
+            c.dram_bytes += LINE_SIZE;
+            if svc.row_hit {
+                c.row_hits += 1;
+            } else {
+                c.row_misses += 1;
+            }
+            if req.kind == AccessKind::Load {
+                self.seq += 1;
+                self.in_flight.push((svc.done_at, self.seq, req));
+            }
+        }
+        self.in_flight
+            .sort_by_key(|&(done_at, seq, _)| (done_at, seq));
+        let n_done = self
+            .in_flight
+            .partition_point(|&(done_at, ..)| done_at <= now);
+        self.in_flight.drain(..n_done).map(|(.., r)| r).collect()
+    }
+
+    fn next_issue_at(&self, dram: &DramChannel, from: u64) -> u64 {
+        self.queue
+            .iter()
+            .map(|&(_, bank, _)| dram.bank_busy_until(bank).max(from))
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+}
+
+/// The per-bank controller makes the scan's decisions: same completions on
+/// the same cycles, same DRAM bank state (so the same issue order), same
+/// counters, queue depth and next-issue horizon, every cycle.
+#[test]
+fn per_bank_controller_matches_the_arrival_order_scan() {
+    let mut rng = SplitMix64::new(0x3E3_0007);
+    for mix in ["row-hit", "row-hostile", "two-app"] {
+        for capacity in [1usize, 8, 64] {
+            for n_banks in [8usize, 16] {
+                for page_policy in [gpu_types::PagePolicy::Open, gpu_types::PagePolicy::Closed] {
+                    let case = format!("{mix} capacity {capacity} banks {n_banks} {page_policy:?}");
+                    let cfg = DramConfig {
+                        n_banks,
+                        page_policy,
+                        ..dram_cfg()
+                    };
+                    let (mut fast_ch, mut scan_ch) =
+                        (DramChannel::new(cfg.clone(), 1), DramChannel::new(cfg, 1));
+                    let mut fast = MemoryController::new(capacity, n_banks);
+                    let mut scan = ScanController {
+                        queue: VecDeque::new(),
+                        capacity,
+                        in_flight: Vec::new(),
+                        seq: 0,
+                        counters: [McCounters::default(); 2],
+                    };
+                    let mut next_id = 0u64;
+                    let mut stream_chunk = 0u64;
+                    let mut completed = 0usize;
+                    for now in 0..3_000u64 {
+                        // Up to two arrivals a cycle for the first two thirds
+                        // of the run, then the queue drains.
+                        let arrivals = if now < 2_000 { rng.next_below(3) } else { 0 };
+                        for _ in 0..arrivals {
+                            let hostile = match mix {
+                                "row-hit" => false,
+                                "row-hostile" => true,
+                                _ => rng.next_below(2) == 0,
+                            };
+                            let chunk = if hostile {
+                                rng.next_below(1 << 16)
+                            } else {
+                                // A few chunks of a row, then on to the next
+                                // bank, as a streaming kernel does.
+                                stream_chunk += rng.next_below(2);
+                                stream_chunk
+                            };
+                            let mut req = MemRequest::new(
+                                ReqId(next_id),
+                                AppId::new(if mix == "two-app" { hostile as u8 } else { 0 }),
+                                CoreId(0),
+                                0,
+                                Address::new(chunk * 256),
+                                AccessKind::Load,
+                            );
+                            if rng.next_below(5) == 0 {
+                                req.kind = AccessKind::Store;
+                            }
+                            next_id += 1;
+                            let accepted = fast.push_with(req, &fast_ch, now).is_ok();
+                            assert_eq!(accepted, scan.push(req, &scan_ch), "{case} cycle {now}");
+                        }
+                        let done: Vec<ReqId> =
+                            fast.step(now, &mut fast_ch).iter().map(|r| r.id).collect();
+                        let expect: Vec<ReqId> =
+                            scan.step(now, &mut scan_ch).iter().map(|r| r.id).collect();
+                        assert_eq!(done, expect, "{case} cycle {now}: completions");
+                        completed += done.len();
+                        for bank in 0..n_banks {
+                            assert_eq!(
+                                (fast_ch.bank_busy_until(bank), fast_ch.open_row(bank)),
+                                (scan_ch.bank_busy_until(bank), scan_ch.open_row(bank)),
+                                "{case} cycle {now}: bank {bank} saw a different issue"
+                            );
+                        }
+                        assert_eq!(fast.queued(), scan.queue.len(), "{case} cycle {now}");
+                        assert_eq!(
+                            fast.outstanding(),
+                            scan.in_flight.len(),
+                            "{case} cycle {now}"
+                        );
+                        assert_eq!(
+                            fast.next_issue_at(&fast_ch, now + 1),
+                            scan.next_issue_at(&scan_ch, now + 1),
+                            "{case} cycle {now}: next issue"
+                        );
+                        for app in 0..2 {
+                            assert_eq!(
+                                fast.counters(AppId::new(app)),
+                                scan.counters[app as usize],
+                                "{case} cycle {now}: app {app} counters"
+                            );
+                        }
+                    }
+                    assert!(fast.is_idle(), "{case}: controller failed to drain");
+                    assert!(completed > 100, "{case}: only {completed} loads completed");
+                }
+            }
+        }
     }
 }

@@ -4,9 +4,10 @@
 //!
 //! A [`Domain`] is the machine's cores and memory partitions with their
 //! staging backlogs, plus the [`DomainState`] the engine keeps for them
-//! between run spans: a timing wheel of component wake times, the
-//! per-cycle due flags it fires into, lazy idle-credit watermarks and the
-//! egress-pending set. [`Domain::step_cycle`] is the only production copy
+//! between run spans: per-component due flags for the components awake at
+//! the next cycle, a timing wheel of the sleepers' wake times that fires
+//! into the same flags, lazy idle-credit watermarks and the egress-pending
+//! set. [`Domain::step_cycle`] is the only production copy
 //! of the machine cycle (partitions → response delivery → cores → egress →
 //! ejection/ingress); [`Domain::advance`] is the only jump-or-step loop
 //! around it. [`DirectFabric`] owns both crossbars for the span and pushes,
@@ -19,7 +20,12 @@ use gpu_mem::req::MemRequest;
 use gpu_mem::{Crossbar, MemoryPartition};
 use gpu_simt::SimtCore;
 use gpu_types::GpuConfig;
+use gpu_workloads::AppStream;
 use std::collections::VecDeque;
+
+/// The machine's cores: statically dispatched over the one stream type
+/// applications are built from.
+pub(crate) type Core = SimtCore<AppStream>;
 
 /// The cycle from which `net` can next deliver, seen from cycle `from`:
 /// its earliest head-of-line ready time clamped to `from`, [`NEVER`] when
@@ -154,12 +160,16 @@ impl<'a> DirectFabric<'a> {
 /// exact until the machine's one invalidation rule fires
 /// (`Gpu::invalidate_wake_state`).
 pub(crate) struct DomainState {
-    /// One wake time per component: cores at `0..n`, partitions after
-    /// them.
+    /// One wake time per sleeping component: cores at `0..n`, partitions
+    /// after them. A component awake at the next cycle is not in the wheel.
     timeq: TimeQ,
-    /// Per-cycle scratch: which cores / partitions step this cycle.
-    core_due: Vec<bool>,
-    part_due: Vec<bool>,
+    /// Per component, indexed like the wheel: whether it steps at the next
+    /// cycle the domain opens. Between cycles the set flags are the awake
+    /// components (`n_awake` of them) — they skip the wheel's schedule →
+    /// slot → fire round trip — and opening a cycle fires the wheel's due
+    /// sleepers into the same flags.
+    due: Vec<bool>,
+    n_awake: usize,
     /// Per core: the cycle up to which its per-cycle counters have been
     /// charged. A sleeping, skipped core is credited in one batch when it
     /// is next touched or when the span ends.
@@ -179,13 +189,27 @@ impl DomainState {
     pub(crate) fn new(n_cores: usize, n_parts: usize) -> Self {
         DomainState {
             timeq: TimeQ::new(n_cores + n_parts),
-            core_due: vec![false; n_cores],
-            part_due: vec![false; n_parts],
+            due: vec![false; n_cores + n_parts],
+            n_awake: 0,
             credited: vec![0; n_cores],
             egress: vec![false; n_cores],
             egress_count: 0,
             core_steps: 0,
             partition_steps: 0,
+        }
+    }
+
+    /// Books component `comp`'s wake time `wake >= next`, where `next` is
+    /// the next cycle the domain can open: awake then, it is flagged due
+    /// and leaves the wheel; otherwise the wheel holds it.
+    fn book(&mut self, comp: usize, wake: u64, next: u64) {
+        debug_assert!(wake >= next && !self.due[comp]);
+        if wake == next {
+            self.timeq.cancel(comp);
+            self.due[comp] = true;
+            self.n_awake += 1;
+        } else {
+            self.timeq.schedule(comp, wake);
         }
     }
 
@@ -201,7 +225,7 @@ impl DomainState {
 /// The domain for the duration of a run span: the machine's components
 /// plus its persistent engine state.
 pub(crate) struct Domain<'a> {
-    cores: &'a mut [SimtCore],
+    cores: &'a mut [Core],
     partitions: &'a mut [MemoryPartition],
     /// Responses waiting for response-network space, per partition.
     resp_backlog: &'a mut [VecDeque<MemRequest>],
@@ -217,7 +241,7 @@ pub(crate) struct Domain<'a> {
 /// Batch-credits `core`'s skipped fast-path cycles up to (excluding)
 /// `now`. Must run *before* `receive`/`pop_request`: the credit reads the
 /// sleep kind those calls clear.
-fn credit_core(core: &mut SimtCore, credited: &mut u64, now: u64) {
+fn credit_core(core: &mut Core, credited: &mut u64, now: u64) {
     if *credited < now {
         core.credit_idle_cycles(now - *credited);
         *credited = now;
@@ -228,7 +252,7 @@ impl<'a> Domain<'a> {
     /// Views the machine's components and engine state as the domain.
     pub(crate) fn new(
         state: &'a mut DomainState,
-        cores: &'a mut [SimtCore],
+        cores: &'a mut [Core],
         partitions: &'a mut [MemoryPartition],
         resp_backlog: &'a mut [VecDeque<MemRequest>],
         ingress_backlog: &'a mut [VecDeque<MemRequest>],
@@ -248,24 +272,23 @@ impl<'a> Domain<'a> {
     /// Derives every wake time, the egress-pending set and the credit
     /// watermarks from component state at `now`, a span boundary (every
     /// core is charged up to `now` there). The simulated machine cannot
-    /// tell derived state from state carried along: a wake time only ever
-    /// errs on the early side, and an early step is a no-op. The step
-    /// *counts* can (phase 5 of [`Domain::step_cycle`] wakes a partition
-    /// one cycle after fresh ingress even when its controller is full),
-    /// which is why state is carried wherever it is still valid.
+    /// tell derived state from state carried along: both hold each
+    /// component's own next event.
     pub(crate) fn derive_wake_state(&mut self, now: u64) {
         let st = &mut *self.state;
         st.timeq.reset(now);
+        st.due.fill(false);
+        st.n_awake = 0;
         st.egress_count = 0;
         for (lc, core) in self.cores.iter().enumerate() {
             st.credited[lc] = now;
             st.egress[lc] = core.has_egress();
             st.egress_count += usize::from(st.egress[lc]);
-            st.timeq.schedule(lc, core.next_event(now));
+            st.book(lc, core.next_event(now), now);
         }
         for lp in 0..self.partitions.len() {
             let wake = self.partition_wake(lp, now);
-            self.state.timeq.schedule(self.cores.len() + lp, wake);
+            self.state.book(self.cores.len() + lp, wake, now);
         }
     }
 
@@ -281,10 +304,11 @@ impl<'a> Domain<'a> {
     }
 
     /// The earliest cycle `>= from` at which the domain has work of its
-    /// own: `from` while egress is pending (it drains once per cycle even
-    /// though its holders may be asleep), else the wheel's next wake.
+    /// own: `from` while a component is awake or egress is pending (it
+    /// drains once per cycle even though its holders may be asleep), else
+    /// the wheel's next wake.
     fn next_event(&self, from: u64) -> u64 {
-        if self.state.egress_count > 0 {
+        if self.state.n_awake > 0 || self.state.egress_count > 0 {
             from
         } else {
             self.state.timeq.next_at()
@@ -316,27 +340,22 @@ impl<'a> Domain<'a> {
     /// event at" contract), and a skipped core's counters-only fast path is
     /// credited in batch before anything can observe or change its state.
     fn step_cycle(&mut self, t: u64, fabric: &mut DirectFabric<'_>) {
-        let st = &mut *self.state;
         let n_lc = self.cores.len();
         let n_lp = self.partitions.len();
         fabric.begin_cycle(t);
         {
-            let (core_due, part_due) = (&mut st.core_due, &mut st.part_due);
-            st.timeq.advance(t, |comp| {
-                let comp = comp as usize;
-                if comp < n_lc {
-                    core_due[comp] = true;
-                } else {
-                    part_due[comp - n_lc] = true;
-                }
-            });
+            let st = &mut *self.state;
+            let due = &mut st.due;
+            st.timeq.advance(t, |comp| due[comp as usize] = true);
         }
+        self.debug_check_due(t);
+        let st = &mut *self.state;
 
         // 1. Due partitions produce responses and stage them toward the
         //    response network. A non-empty backlog keeps its partition due,
         //    so non-due partitions have nothing staged.
         for lp in 0..n_lp {
-            if !st.part_due[lp] {
+            if !st.due[n_lc + lp] {
                 continue;
             }
             st.partition_steps += 1;
@@ -355,12 +374,11 @@ impl<'a> Domain<'a> {
         // 2. Deliver responses to cores, crediting a woken core's skipped
         //    cycles before `receive` clears its sleep state.
         {
-            let (cores, credited, core_due) =
-                (&mut *self.cores, &mut st.credited, &mut st.core_due);
+            let (cores, credited, due) = (&mut *self.cores, &mut st.credited, &mut st.due);
             fabric.deliver_resps(|lc, resp| {
                 credit_core(&mut cores[lc], &mut credited[lc], t);
                 cores[lc].receive(resp);
-                core_due[lc] = true;
+                due[lc] = true;
             });
         }
 
@@ -368,7 +386,7 @@ impl<'a> Domain<'a> {
         //    observes exactly the state per-cycle stepping would). A step
         //    can enqueue egress, so the egress-pending set is refreshed.
         for lc in 0..n_lc {
-            if !st.core_due[lc] {
+            if !st.due[lc] {
                 continue;
             }
             st.core_steps += 1;
@@ -412,52 +430,62 @@ impl<'a> Domain<'a> {
                         st.egress[lc] = false;
                         st.egress_count -= 1;
                     }
-                    // A pop may have woken a struct-stalled sleeper; a
-                    // non-due core is not rescheduled by the epilogue, so
-                    // do it here.
-                    if !st.core_due[lc] {
-                        st.timeq.schedule(lc, self.cores[lc].next_event(t + 1));
-                    }
+                    // A pop may have woken a struct-stalled sleeper: have
+                    // the epilogue rebook it like the cores that stepped.
+                    st.due[lc] = true;
                 }
             }
         }
 
         // 5. Eject requests into the ingress backlogs (arbitration order),
-        //    then every backlog drain-retries into its partition.
+        //    then every backlog drain-retries into its partition. With
+        //    that, the partitions touched this cycle are rebooked.
         {
             let backlog = &mut *self.ingress_backlog;
             fabric.eject_reqs(|lp, req| backlog[lp].push_back(req));
         }
+        self.state.n_awake = 0;
         for lp in 0..n_lp {
-            if self.ingress_backlog[lp].is_empty() {
-                continue;
-            }
+            let fresh = !self.ingress_backlog[lp].is_empty();
             while let Some(req) = self.ingress_backlog[lp].front().copied() {
                 if self.partitions[lp].push(req).is_err() {
                     break;
                 }
                 self.ingress_backlog[lp].pop_front();
             }
-            // Fresh ingress (or a retry) makes the partition due next
-            // cycle — unconditionally, even if a full controller makes that
-            // step a no-op. Due partitions are rescheduled below.
-            if !st.part_due[lp] {
-                st.timeq.schedule_min(n_lc + lp, t + 1);
+            // Only a step or fresh ingress (or a retry) moves a partition's
+            // wake; ingress behind a full controller leaves it where it was.
+            if std::mem::take(&mut self.state.due[n_lc + lp]) || fresh {
+                let wake = self.partition_wake(lp, t + 1);
+                self.state.book(n_lc + lp, wake, t + 1);
             }
         }
 
-        // Reschedule everything stepped this cycle and clear the flags.
+        // Rebook the cores stepped or woken this cycle.
+        let st = &mut *self.state;
         for lc in 0..n_lc {
-            if std::mem::take(&mut st.core_due[lc]) {
-                st.timeq.schedule(lc, self.cores[lc].next_event(t + 1));
+            if std::mem::take(&mut st.due[lc]) {
+                st.book(lc, self.cores[lc].next_event(t + 1), t + 1);
             }
         }
-        for lp in 0..n_lp {
-            if std::mem::take(&mut self.state.part_due[lp]) {
-                let wake = self.partition_wake(lp, t + 1);
-                self.state.timeq.schedule(n_lc + lp, wake);
-            }
-        }
+    }
+
+    /// Debug builds hold the due set of cycle `t` — the awake flags plus
+    /// what the wheel just fired — to a scan of the components: one is due
+    /// exactly when its next event has come (deliveries add to the set
+    /// later in the cycle).
+    fn debug_check_due(&self, t: u64) {
+        let n_lc = self.cores.len();
+        let due = &self.state.due;
+        debug_assert!(
+            (0..n_lc).all(|lc| due[lc] == (self.cores[lc].next_event(t) <= t)),
+            "core due flags diverged from the scan at cycle {t}"
+        );
+        debug_assert!(
+            (0..self.partitions.len())
+                .all(|lp| due[n_lc + lp] == (self.partition_wake(lp, t) <= t)),
+            "partition due flags diverged from the scan at cycle {t}"
+        );
     }
 
     /// Batch-credits every core's per-cycle counters up to `now`, the end

@@ -2,9 +2,10 @@
 
 mod oracle;
 
-use crate::domain::{DirectFabric, Domain, DomainState};
+use crate::domain::{Core, DirectFabric, Domain, DomainState};
 use gpu_mem::req::MemRequest;
 use gpu_mem::{Crossbar, MemoryPartition};
+use gpu_simt::core::EGRESS_CAPACITY;
 use gpu_simt::{CoreStats, SimtCore, WarpStalls};
 use gpu_types::{
     AppId, CoreId, GpuConfig, Histogram, MemCounters, PartitionId, TlpCombo, TlpLevel,
@@ -29,7 +30,7 @@ use std::collections::VecDeque;
 /// ```
 pub struct Gpu {
     cfg: GpuConfig,
-    cores: Vec<SimtCore>,
+    cores: Vec<Core>,
     /// Core indices assigned to each application.
     app_cores: Vec<Vec<usize>>,
     req_net: Crossbar<MemRequest>,
@@ -153,7 +154,9 @@ impl Gpu {
     /// # Panics
     ///
     /// Panics if the configuration is invalid, the split length mismatches
-    /// `apps`, any share is zero, or the total exceeds `cfg.n_cores`.
+    /// `apps`, any share is zero, the total exceeds `cfg.n_cores`, or an
+    /// application's memory instructions are wider than a core's egress
+    /// queue.
     pub fn with_core_split(
         cfg: &GpuConfig,
         apps: &[&AppProfile],
@@ -168,6 +171,15 @@ impl Gpu {
         );
         let total: usize = split.iter().sum();
         assert!(total <= cfg.n_cores, "core split exceeds the machine");
+        for profile in apps {
+            assert!(
+                profile.coalesce_degree <= EGRESS_CAPACITY,
+                "{}: coalesce_degree {} exceeds the {EGRESS_CAPACITY}-entry core egress \
+                 queue; such an instruction could never issue",
+                profile.name,
+                profile.coalesce_degree
+            );
+        }
 
         let mut cores = Vec::with_capacity(total);
         let mut app_cores = Vec::with_capacity(apps.len());
@@ -177,7 +189,7 @@ impl Gpu {
             let mut mine = Vec::with_capacity(share);
             for rank in 0..share {
                 let streams = (0..cfg.warps_per_core)
-                    .map(|slot| profile.stream(app, rank, slot, cfg.warps_per_core, seed))
+                    .map(|slot| profile.app_stream(app, rank, slot, cfg.warps_per_core, seed))
                     .collect();
                 cores.push(SimtCore::new(
                     CoreId(next_core),
@@ -251,7 +263,7 @@ impl Gpu {
 
     /// Applies `knob` to every core of `app`. Knobs clear the affected
     /// cores' sleep states, so every wake time derived from them is stale.
-    fn set_core_knob(&mut self, app: AppId, knob: impl Fn(&mut SimtCore)) {
+    fn set_core_knob(&mut self, app: AppId, knob: impl Fn(&mut Core)) {
         for &c in &self.app_cores[app.index()] {
             knob(&mut self.cores[c]);
         }
@@ -756,6 +768,28 @@ mod tests {
         // 5 cores cannot be split over 2 apps — but 5 cores also fails
         // validate? No: n_cores 5 is fine; the even split fails.
         let _ = Gpu::new(&cfg, &[by_name("BLK").unwrap(), by_name("BFS").unwrap()], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "WIDE: coalesce_degree 17 exceeds the 16-entry core egress queue")]
+    fn an_app_wider_than_the_egress_queue_is_rejected() {
+        // A valid profile (`assert_valid` admits 1..=32) whose every memory
+        // instruction would struct-stall its warp forever.
+        let mut wide = *by_name("GUPS").unwrap();
+        wide.name = "WIDE";
+        wide.coalesce_degree = EGRESS_CAPACITY + 1;
+        wide.assert_valid();
+        let _ = Gpu::with_core_split(&GpuConfig::small(), &[&wide], &[2], 1);
+    }
+
+    #[test]
+    fn an_app_as_wide_as_the_egress_queue_runs() {
+        let mut wide = *by_name("GUPS").unwrap();
+        wide.coalesce_degree = EGRESS_CAPACITY;
+        let mut gpu = Gpu::with_core_split(&GpuConfig::small(), &[&wide], &[2], 1);
+        gpu.run(3_000);
+        let c = gpu.counters(AppId::new(0));
+        assert!(c.warp_insts > 100 && c.dram_bytes > 0, "{c:?}");
     }
 
     #[test]

@@ -75,14 +75,20 @@ impl TimeQ {
     /// Creates a wheel for `n` components, all unscheduled, with its base
     /// at cycle 0.
     pub fn new(n: usize) -> Self {
-        let mk = || Level {
+        let mk = |slot_capacity| Level {
             occupied: 0,
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
+            slots: (0..SLOTS)
+                .map(|_| Vec::with_capacity(slot_capacity))
+                .collect(),
         };
         TimeQ {
             base: 0,
             when: vec![NEVER; n],
-            levels: [mk(), mk(), mk(), mk()],
+            // Every entry reaches level 0 before it fires, and sleepers
+            // woken by one event share a slot: its slots start with room
+            // for a burst, so they do not grow one reallocation at a time
+            // deep into a run.
+            levels: [mk(n.min(16)), mk(0), mk(0), mk(0)],
             far: Vec::new(),
             live: 0,
             stored: 0,
@@ -150,14 +156,6 @@ impl TimeQ {
         }
         // A replaced entry stays in its slot as stale and is discarded on
         // drain/cascade (validity check: `when[comp] == at`).
-    }
-
-    /// Moves `comp`'s wake time earlier to `at` if that improves it; a
-    /// later `at` is ignored (the existing earlier wake stands).
-    pub fn schedule_min(&mut self, comp: usize, at: u64) {
-        if at < self.when[comp] {
-            self.schedule(comp, at);
-        }
     }
 
     /// Unschedules `comp`.
@@ -347,11 +345,6 @@ mod tests {
         fn schedule(&mut self, comp: usize, at: u64) {
             self.when[comp] = at;
         }
-        fn schedule_min(&mut self, comp: usize, at: u64) {
-            if at < self.when[comp] {
-                self.when[comp] = at;
-            }
-        }
         fn next_at(&self) -> u64 {
             self.when.iter().copied().min().unwrap_or(NEVER)
         }
@@ -428,16 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_min_only_improves() {
-        let mut q = TimeQ::new(1);
-        q.schedule(0, 100);
-        q.schedule_min(0, 200);
-        assert_eq!(q.next_at(), 100);
-        q.schedule_min(0, 40);
-        assert_eq!(q.next_at(), 40);
-    }
-
-    #[test]
     fn cancel_unschedules() {
         let mut q = TimeQ::new(2);
         q.schedule(0, 64);
@@ -504,7 +487,7 @@ mod tests {
             let mut now = 0u64;
             for _op in 0..400 {
                 match rng.below(10) {
-                    0..=4 => {
+                    0..=5 => {
                         let c = rng.below(n as u64) as usize;
                         // Mix of near, mid, far and very far horizons.
                         let d = match rng.below(4) {
@@ -515,12 +498,6 @@ mod tests {
                         };
                         q.schedule(c, now + d);
                         m.schedule(c, now + d);
-                    }
-                    5 => {
-                        let c = rng.below(n as u64) as usize;
-                        let d = rng.below(1 << 12);
-                        q.schedule_min(c, now + d);
-                        m.schedule_min(c, now + d);
                     }
                     6 => {
                         let c = rng.below(n as u64) as usize;

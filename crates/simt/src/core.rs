@@ -5,7 +5,7 @@
 
 use crate::ccws::{CcwsParams, CcwsThrottle};
 use crate::inst::{coalesce, Inst, InstStream};
-use crate::scheduler::GtoScheduler;
+use crate::scheduler::{GtoScheduler, ScanOrder};
 use crate::warp::{Warp, WarpIssueState};
 use gpu_mem::cache::{Cache, CacheCounters, Lookup};
 use gpu_mem::req::{AccessKind, MemRequest, ReqId};
@@ -15,6 +15,12 @@ use gpu_types::{Address, AppId, CoreId, GpuConfig, TlpLevel};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
+/// Entries in a core's egress queue toward the request network. One
+/// instruction's transactions enter it together, so an instruction with
+/// more coalesced lines than this could never issue:
+/// [`CoreParams::max_txn_per_inst`] may not exceed it.
+pub const EGRESS_CAPACITY: usize = 16;
+
 /// Per-application tuning of a core's warps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreParams {
@@ -22,7 +28,7 @@ pub struct CoreParams {
     /// application's code).
     pub max_outstanding_loads: usize,
     /// Upper bound on transactions one instruction may generate after
-    /// coalescing (32 = fully divergent warp).
+    /// coalescing; lines past it are dropped. At most [`EGRESS_CAPACITY`].
     pub max_txn_per_inst: usize,
 }
 
@@ -30,7 +36,7 @@ impl Default for CoreParams {
     fn default() -> Self {
         CoreParams {
             max_outstanding_loads: 2,
-            max_txn_per_inst: 32,
+            max_txn_per_inst: EGRESS_CAPACITY,
         }
     }
 }
@@ -144,14 +150,17 @@ enum SleepKind {
     Struct,
 }
 
-/// One SIMT core running a single application's warps.
-pub struct SimtCore {
+/// One SIMT core running a single application's warps, generic over
+/// their stream type: the machine instantiates it over its one concrete
+/// application stream (decode inlines into the issue path, warps sit flat
+/// in one allocation); the default keeps mixed streams behind a box.
+pub struct SimtCore<S = Box<dyn InstStream>> {
     /// This core's identity.
     pub id: CoreId,
     /// The application the core is assigned to (§II-A: exclusive core sets).
     pub app: AppId,
     /// Instruction supply per warp slot — cold, touched only at issue.
-    warps: Vec<Warp>,
+    warps: Vec<Warp<S>>,
     /// Issue/stall state of all warp slots — the arrays and bitsets every
     /// step reads.
     issue: WarpIssueState,
@@ -162,7 +171,6 @@ pub struct SimtCore {
     pending: FxHashMap<ReqId, PendingLoad>,
     hit_returns: BinaryHeap<Reverse<(u64, u64, ReqId)>>,
     egress: VecDeque<MemRequest>,
-    egress_capacity: usize,
     params: CoreParams,
     next_req: u64,
     seq: u64,
@@ -193,7 +201,7 @@ pub struct SimtCore {
     warp_stalls: WarpStalls,
 }
 
-impl std::fmt::Debug for SimtCore {
+impl<S> std::fmt::Debug for SimtCore<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimtCore")
             .field("id", &self.id)
@@ -204,25 +212,33 @@ impl std::fmt::Debug for SimtCore {
     }
 }
 
-impl SimtCore {
+impl<S: InstStream> SimtCore<S> {
     /// Builds a core for application `app` with one instruction stream per
     /// warp slot.
     ///
     /// # Panics
     ///
     /// Panics if `streams` does not provide exactly
-    /// `cfg.warps_per_core` streams.
+    /// `cfg.warps_per_core` streams, or if `params.max_txn_per_inst`
+    /// exceeds [`EGRESS_CAPACITY`] (a wider instruction would struct-stall
+    /// its warp forever).
     pub fn new(
         id: CoreId,
         app: AppId,
         cfg: &GpuConfig,
         params: CoreParams,
-        streams: Vec<Box<dyn InstStream>>,
+        streams: Vec<S>,
     ) -> Self {
         assert_eq!(
             streams.len(),
             cfg.warps_per_core,
             "need one instruction stream per warp slot"
+        );
+        assert!(
+            params.max_txn_per_inst <= EGRESS_CAPACITY,
+            "{app}: an instruction of {} transactions can never enter the \
+             {EGRESS_CAPACITY}-entry egress queue",
+            params.max_txn_per_inst
         );
         let per_sched = cfg.warps_per_scheduler();
         let schedulers = (0..cfg.schedulers_per_core)
@@ -242,7 +258,6 @@ impl SimtCore {
             pending: FxHashMap::default(),
             hit_returns: BinaryHeap::new(),
             egress: VecDeque::new(),
-            egress_capacity: 16,
             params,
             next_req: 0,
             seq: 0,
@@ -427,7 +442,7 @@ impl SimtCore {
         let lines = &lines[..lines.len().min(self.params.max_txn_per_inst)];
         // Structural hazards: egress space for the worst case (all miss or
         // bypass), and enough free L1 MSHR headroom when cached.
-        if self.egress.len() + lines.len() > self.egress_capacity {
+        if self.egress.len() + lines.len() > EGRESS_CAPACITY {
             return false;
         }
         if !self.bypass_l1 && self.l1.mshr_free() < lines.len() {
@@ -487,7 +502,7 @@ impl SimtCore {
     /// Issues a store of the coalesced `lines`.
     fn issue_store(&mut self, slot: usize, lines: &[Address], now: u64) -> bool {
         let lines = &lines[..lines.len().min(self.params.max_txn_per_inst)];
-        if self.egress.len() + lines.len() > self.egress_capacity {
+        if self.egress.len() + lines.len() > EGRESS_CAPACITY {
             return false;
         }
         for &line in lines {
@@ -532,6 +547,87 @@ impl SimtCore {
         self.step_full(now);
     }
 
+    /// Offers warp `slot` — neither retired nor blocked on memory — this
+    /// cycle's issue slot; true when it issued. A warp whose stream ended
+    /// retires here; one that hits a structural hazard keeps its
+    /// instruction stashed (the next peek returns it again) and sets
+    /// `saw_struct_block`.
+    #[inline]
+    fn offer(&mut self, slot: usize, now: u64, saw_struct_block: &mut bool) -> bool {
+        if self.issue.ready_at(slot) > now {
+            return false;
+        }
+        // O(1) structural gates, read before touching the instruction:
+        // under congestion every scheduler re-offers its blocked warps each
+        // cycle, and peeking by reference with these gates keeps that retry
+        // free of both the coalesce scan and any copy of the warp-width
+        // address list. The gated outcome is exactly what `issue_load` /
+        // `issue_store` would return (their line count is >= 1 for a
+        // non-empty address list).
+        let egress_full = self.egress.len() >= EGRESS_CAPACITY;
+        let mshr_exhausted = !self.bypass_l1 && self.l1.mshr_free() == 0;
+        let ok = match self.warps[slot].peek_inst() {
+            None => {
+                self.issue.finish(slot);
+                return false;
+            }
+            Some(Inst::Alu { cycles }) => {
+                self.issue.issue_alu(slot, now, *cycles);
+                true
+            }
+            Some(Inst::Load { addrs }) => {
+                if !addrs.is_empty() && (egress_full || mshr_exhausted) {
+                    false
+                } else {
+                    let lines = coalesce(addrs);
+                    self.issue_load(slot, &lines, now)
+                }
+            }
+            Some(Inst::Store { addrs }) => {
+                if !addrs.is_empty() && egress_full {
+                    false
+                } else {
+                    let lines = coalesce(addrs);
+                    self.issue_store(slot, &lines, now)
+                }
+            }
+        };
+        if ok {
+            self.warps[slot].consume_inst();
+            self.stats.insts += 1;
+        } else {
+            *saw_struct_block = true;
+        }
+        ok
+    }
+
+    /// [`Self::offer`]s the warps of `order` in turn — the first slot tested
+    /// directly, then the issuable warps along the walks, passing over it —
+    /// until one issues; that slot, if any.
+    #[inline]
+    fn offer_in_order(
+        &mut self,
+        order: ScanOrder,
+        now: u64,
+        saw_struct_block: &mut bool,
+    ) -> Option<usize> {
+        let ScanOrder { first, walks } = order;
+        if let Some(g) = first {
+            if self.issue.issuable(g) && self.offer(g, now, saw_struct_block) {
+                return first;
+            }
+        }
+        for span in walks {
+            let mut walk = BitWalk::over(span);
+            while let Some(slot) = self.issue.next_issuable(&mut walk) {
+                if Some(slot) != first && self.offer(slot, now, saw_struct_block) {
+                    return Some(slot);
+                }
+            }
+        }
+        None
+    }
+
     fn step_full(&mut self, now: u64) {
         self.stats.cycles += 1;
         if let Some(ccws) = &mut self.ccws {
@@ -559,68 +655,17 @@ impl SimtCore {
             self.complete(id);
         }
 
-        // 2. Issue: per scheduler, walk the policy's priority order (GTO:
-        //    greedy then oldest-first; LRR: rotate past the last issued
-        //    warp) over the warps that are neither retired nor blocked on
-        //    memory — skipped 64 at a time — and issue the first one whose
-        //    latency has elapsed and whose instruction clears structural
-        //    hazards.
+        // 2. Issue: per scheduler, offer the policy's priority order (GTO:
+        //    the greedy warp, then oldest first; LRR: rotate past the last
+        //    issued warp) to the warps that are neither retired nor blocked
+        //    on memory — skipped 64 at a time — until one issues.
         let mut issued_total = 0;
         let mut saw_struct_block = false;
         for si in 0..self.schedulers.len() {
-            'offer: for span in self.schedulers[si].scan_order() {
-                let mut slots = BitWalk::over(span);
-                while let Some(slot) = self.issue.next_issuable(&mut slots) {
-                    if self.issue.ready_at(slot) > now {
-                        continue;
-                    }
-                    // O(1) structural gates, read before touching the
-                    // instruction: under congestion every scheduler
-                    // re-offers its blocked warps each cycle, and peeking by
-                    // reference with these gates keeps that retry free of
-                    // both the coalesce scan and any copy of the warp-width
-                    // address list. The gated outcome is exactly what
-                    // `issue_load` / `issue_store` would return (their line
-                    // count is >= 1 for a non-empty address list).
-                    let egress_full = self.egress.len() >= self.egress_capacity;
-                    let mshr_exhausted = !self.bypass_l1 && self.l1.mshr_free() == 0;
-                    let ok = match self.warps[slot].peek_inst() {
-                        None => {
-                            self.issue.finish(slot);
-                            continue;
-                        }
-                        Some(Inst::Alu { cycles }) => {
-                            self.issue.issue_alu(slot, now, *cycles);
-                            true
-                        }
-                        Some(Inst::Load { addrs }) => {
-                            if !addrs.is_empty() && (egress_full || mshr_exhausted) {
-                                false
-                            } else {
-                                let lines = coalesce(addrs);
-                                self.issue_load(slot, &lines, now)
-                            }
-                        }
-                        Some(Inst::Store { addrs }) => {
-                            if !addrs.is_empty() && egress_full {
-                                false
-                            } else {
-                                let lines = coalesce(addrs);
-                                self.issue_store(slot, &lines, now)
-                            }
-                        }
-                    };
-                    if ok {
-                        self.warps[slot].consume_inst();
-                        self.stats.insts += 1;
-                        issued_total += 1;
-                        self.schedulers[si].record_issue(slot);
-                        break 'offer;
-                    }
-                    // Structural hazard: the instruction stays in the warp's
-                    // stash; the next peek returns it again.
-                    saw_struct_block = true;
-                }
+            let order = self.schedulers[si].scan_order();
+            if let Some(slot) = self.offer_in_order(order, now, &mut saw_struct_block) {
+                issued_total += 1;
+                self.schedulers[si].record_issue(slot);
             }
         }
 
@@ -897,7 +942,7 @@ mod tests {
             Box::new(Scripted::new(vec![Inst::load1(0), Inst::alu1()])),
             CoreParams {
                 max_outstanding_loads: 1,
-                max_txn_per_inst: 32,
+                max_txn_per_inst: EGRESS_CAPACITY,
             },
         );
         core.step(0);
@@ -919,7 +964,7 @@ mod tests {
             Box::new(LoopOverSet::new(0, 1)),
             CoreParams {
                 max_outstanding_loads: 1,
-                max_txn_per_inst: 32,
+                max_txn_per_inst: EGRESS_CAPACITY,
             },
         );
         let stats = run_closed_loop(&mut core, 200, 20);
@@ -935,7 +980,7 @@ mod tests {
             Box::new(LoopOverSet::new(0, 1)),
             CoreParams {
                 max_outstanding_loads: 1,
-                max_txn_per_inst: 32,
+                max_txn_per_inst: EGRESS_CAPACITY,
             },
         );
         core.set_bypass_l1(true);
@@ -970,7 +1015,7 @@ mod tests {
             Box::new(Scripted::new(vec![Inst::Load { addrs }])),
             CoreParams {
                 max_outstanding_loads: 8,
-                max_txn_per_inst: 32,
+                max_txn_per_inst: EGRESS_CAPACITY,
             },
         );
         core.step(0);
@@ -994,7 +1039,7 @@ mod tests {
             &cfg,
             CoreParams {
                 max_outstanding_loads: 1,
-                max_txn_per_inst: 32,
+                max_txn_per_inst: EGRESS_CAPACITY,
             },
             streams,
         );
@@ -1017,7 +1062,7 @@ mod tests {
             Box::new(Scripted::new(vec![Inst::store1(0), Inst::alu1()])),
             CoreParams {
                 max_outstanding_loads: 1,
-                max_txn_per_inst: 32,
+                max_txn_per_inst: EGRESS_CAPACITY,
             },
         );
         core.step(0);
@@ -1037,13 +1082,50 @@ mod tests {
             Box::new(Scripted::new(insts)),
             CoreParams {
                 max_outstanding_loads: 1024,
-                max_txn_per_inst: 32,
+                max_txn_per_inst: EGRESS_CAPACITY,
             },
         );
         for now in 0..8 {
             core.step(now);
         }
         assert!(core.stats().struct_stall_cycles > 0);
+    }
+
+    #[test]
+    fn a_load_as_wide_as_the_egress_queue_issues() {
+        let addrs: AddrList = (0..EGRESS_CAPACITY as u64)
+            .map(|i| Address::new(i * 128 * 4096))
+            .collect();
+        let mut core = core_with_one_stream(
+            Box::new(Scripted::new(vec![Inst::Load { addrs }])),
+            CoreParams::default(),
+        );
+        core.step(0);
+        assert_eq!(core.stats().insts, 1);
+        assert_eq!(
+            std::iter::from_fn(|| core.pop_request()).count(),
+            EGRESS_CAPACITY
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "App-4: an instruction of 17 transactions can never enter the 16-entry"
+    )]
+    fn instructions_wider_than_the_egress_queue_are_rejected() {
+        // Such a load would struct-stall its warp forever: no egress drain
+        // ever makes room for it.
+        let cfg = small_cfg();
+        let _ = SimtCore::new(
+            CoreId(0),
+            AppId::new(3),
+            &cfg,
+            CoreParams {
+                max_outstanding_loads: 2,
+                max_txn_per_inst: EGRESS_CAPACITY + 1,
+            },
+            idle_streams(&cfg),
+        );
     }
 
     #[test]
@@ -1098,7 +1180,7 @@ mod tests {
             Box::new(Scripted::new(vec![Inst::load1(0), Inst::load1(1 << 20)])),
             CoreParams {
                 max_outstanding_loads: 2,
-                max_txn_per_inst: 32,
+                max_txn_per_inst: EGRESS_CAPACITY,
             },
         );
         core.step(0);
@@ -1129,7 +1211,7 @@ mod tests {
             &cfg,
             CoreParams {
                 max_outstanding_loads: 2,
-                max_txn_per_inst: 32,
+                max_txn_per_inst: EGRESS_CAPACITY,
             },
             streams,
         );
@@ -1169,7 +1251,7 @@ mod tests {
             &cfg,
             CoreParams {
                 max_outstanding_loads: 2,
-                max_txn_per_inst: 32,
+                max_txn_per_inst: EGRESS_CAPACITY,
             },
             streams,
         );
@@ -1226,7 +1308,7 @@ mod tests {
                 ])),
                 CoreParams {
                     max_outstanding_loads: 1,
-                    max_txn_per_inst: 32,
+                    max_txn_per_inst: EGRESS_CAPACITY,
                 },
             )
         };

@@ -194,6 +194,17 @@ pub trait InstStream: Send {
     fn next_inst(&mut self) -> Option<Inst>;
 }
 
+/// A boxed stream is a stream, so a core can be generic over its stream
+/// type (static dispatch for the machine's one concrete application
+/// stream) while tests and probes keep mixing kinds behind
+/// `Box<dyn InstStream>`.
+impl<T: InstStream + ?Sized> InstStream for Box<T> {
+    #[inline]
+    fn next_inst(&mut self) -> Option<Inst> {
+        (**self).next_inst()
+    }
+}
+
 /// Coalesces per-thread addresses into unique line-aligned transaction
 /// addresses, preserving first-appearance order (Table I: "memory coalescing
 /// and inter-warp merging enabled" — inter-warp merging happens in the

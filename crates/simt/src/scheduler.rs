@@ -10,6 +10,18 @@
 use gpu_types::WarpSchedPolicy;
 use std::ops::Range;
 
+/// A scheduler's priority order for one cycle, in the form the core walks
+/// over its issuable-warp bitsets: one slot checked directly, then at most
+/// two ascending ranges.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScanOrder {
+    /// Offered first; the walks pass over it.
+    pub first: Option<usize>,
+    /// Ascending slot ranges offered after `first`, in turn. The second is
+    /// empty unless the order wraps.
+    pub walks: [Range<usize>; 2],
+}
+
 /// One warp scheduler's selection state.
 #[derive(Debug, Clone)]
 pub struct GtoScheduler {
@@ -55,17 +67,21 @@ impl GtoScheduler {
         }
     }
 
-    /// This cycle's priority order as up to three ascending slot ranges,
-    /// walked in turn: GTO offers the greedy warp, then the active slots
-    /// oldest first around it; LRR starts after the last issued warp and
-    /// wraps. The core walks these over its issuable-warp bitsets; it is
-    /// the order [`Self::candidate`] enumerates slot by slot.
-    pub fn scan_order(&self) -> [Range<usize>; 3] {
+    /// This cycle's priority order. GTO offers the greedy warp, then the
+    /// active slots oldest first; LRR starts after the last issued warp and
+    /// wraps. It is the order [`Self::candidate`] enumerates slot by slot.
+    #[inline]
+    pub fn scan_order(&self) -> ScanOrder {
         let active = self.active_slots();
         match (self.policy, self.greedy) {
-            (_, None) => [active, 0..0, 0..0],
-            (WarpSchedPolicy::Gto, Some(g)) => [g..g + 1, active.start..g, g + 1..active.end],
-            (WarpSchedPolicy::Lrr, Some(g)) => [g + 1..active.end, active.start..g + 1, 0..0],
+            (WarpSchedPolicy::Lrr, Some(g)) => ScanOrder {
+                first: None,
+                walks: [g + 1..active.end, active.start..g + 1],
+            },
+            (_, greedy) => ScanOrder {
+                first: greedy,
+                walks: [active, 0..0],
+            },
         }
     }
 
@@ -137,10 +153,19 @@ impl GtoScheduler {
 mod tests {
     use super::*;
 
+    /// The slots of a scan order, in the order the core offers them.
+    fn slots(order: ScanOrder) -> impl Iterator<Item = usize> {
+        let rest = order.walks.into_iter().flatten();
+        let first = order.first;
+        first
+            .into_iter()
+            .chain(rest.filter(move |&s| Some(s) != first))
+    }
+
     /// What the core does with a scheduler each cycle: issue from the first
     /// slot of the scan order for which `ready` holds.
     fn issue(s: &mut GtoScheduler, ready: impl Fn(usize) -> bool) -> Option<usize> {
-        let slot = s.scan_order().into_iter().flatten().find(|&w| ready(w))?;
+        let slot = slots(s.scan_order()).find(|&w| ready(w))?;
         s.record_issue(slot);
         Some(slot)
     }
@@ -170,7 +195,7 @@ mod tests {
     #[test]
     fn scan_order_enumerates_the_candidates() {
         // Every policy, window and greedy slot, on a range that does not
-        // start at zero: the ranges the core walks are the oracle's order.
+        // start at zero: the order the core walks is the oracle's.
         for policy in [WarpSchedPolicy::Gto, WarpSchedPolicy::Lrr] {
             for limit in 1..=5 {
                 for greedy in std::iter::once(None).chain((8..8 + limit).map(Some)) {
@@ -179,7 +204,7 @@ mod tests {
                     if let Some(g) = greedy {
                         s.record_issue(g);
                     }
-                    let walked: Vec<usize> = s.scan_order().into_iter().flatten().collect();
+                    let walked: Vec<usize> = slots(s.scan_order()).collect();
                     let offered: Vec<usize> = (0..s.n_candidates())
                         .filter_map(|k| s.candidate(k))
                         .collect();

@@ -11,15 +11,17 @@ use crate::inst::{Inst, InstStream};
 use gpu_types::bits::{BitSet, BitWalk};
 use std::ops::Range;
 
-/// A warp's instruction supply.
-pub struct Warp {
-    stream: Box<dyn InstStream>,
+/// A warp's instruction supply, generic over its stream so a core over
+/// one concrete stream type holds its warps flat and decodes without a
+/// virtual call.
+pub struct Warp<S = Box<dyn InstStream>> {
+    stream: S,
     /// An instruction fetched but not issued (structural hazard); retried
     /// before the stream is consulted again.
     stashed: Option<Inst>,
 }
 
-impl std::fmt::Debug for Warp {
+impl<S> std::fmt::Debug for Warp<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Warp")
             .field("stashed", &self.stashed)
@@ -27,9 +29,9 @@ impl std::fmt::Debug for Warp {
     }
 }
 
-impl Warp {
+impl<S: InstStream> Warp<S> {
     /// Creates a warp over `stream`.
-    pub fn new(stream: Box<dyn InstStream>) -> Self {
+    pub fn new(stream: S) -> Self {
         Warp {
             stream,
             stashed: None,
@@ -57,6 +59,7 @@ impl Warp {
     /// warp-width address list), and calls [`Self::consume_inst`] only on
     /// successful issue. Equivalent to [`Self::fetch`] + [`Self::stash`],
     /// which the reference engine keeps.
+    #[inline]
     pub fn peek_inst(&mut self) -> Option<&Inst> {
         if self.stashed.is_none() {
             self.stashed = self.stream.next_inst();
@@ -65,6 +68,7 @@ impl Warp {
     }
 
     /// Consumes the instruction returned by the last [`Self::peek_inst`].
+    #[inline]
     pub fn consume_inst(&mut self) {
         debug_assert!(self.stashed.is_some(), "consume without a peeked inst");
         self.stashed = None;
@@ -133,8 +137,16 @@ impl WarpIssueState {
     }
 
     /// Earliest cycle warp `slot` may issue again.
+    #[inline]
     pub fn ready_at(&self, slot: usize) -> u64 {
         self.ready_at[slot]
+    }
+
+    /// True when `slot` is neither retired nor blocked on memory — the
+    /// one-slot form of [`Self::next_issuable`].
+    #[inline]
+    pub fn issuable(&self, slot: usize) -> bool {
+        !(self.finished.get(slot) | self.mem_blocked.get(slot))
     }
 
     /// The next slot along `slots` that is neither retired nor blocked on

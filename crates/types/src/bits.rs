@@ -1,8 +1,11 @@
 //! A fixed-size bitset over `u64` words, for "which of N components have
 //! work" sets the per-cycle hot path walks instead of scanning all N.
 //!
-//! Words are a `Vec`, so N is unbounded; a [`BitWalk`] visits the members
-//! in ascending order at one word load per 64 indices.
+//! Sets of up to 128 indices keep their words inline — the per-core warp
+//! sets and the crossbar's input set are read every stepped cycle, and a
+//! heap hop per read is a cache miss at Volta scale — and longer ones on
+//! the heap, so N is unbounded. A [`BitWalk`] visits the members in
+//! ascending order at one word load per 64 indices.
 
 use std::ops::Range;
 
@@ -58,59 +61,88 @@ impl BitWalk {
     }
 }
 
+/// Words every set stores inline; only the words past them go to the heap.
+const INLINE_WORDS: usize = 2;
+
 /// A set of indices below a fixed length.
 #[derive(Debug, Clone)]
 pub struct BitSet {
-    words: Vec<u64>,
+    /// Words in use, inline and spilled together.
+    n_words: usize,
+    inline: [u64; INLINE_WORDS],
+    /// Words `INLINE_WORDS..n_words`; empty (and unallocated) for sets of
+    /// up to `64 * INLINE_WORDS` indices.
+    spill: Vec<u64>,
 }
 
 impl BitSet {
     /// An empty set over indices `0..len`.
     pub fn new(len: usize) -> Self {
+        let n_words = len.div_ceil(64);
         BitSet {
-            words: vec![0; len.div_ceil(64)],
+            n_words,
+            inline: [0; INLINE_WORDS],
+            spill: vec![0; n_words.saturating_sub(INLINE_WORDS)],
+        }
+    }
+
+    #[inline]
+    fn word_mut(&mut self, w: usize) -> &mut u64 {
+        assert!(w < self.n_words, "bit index beyond the set's length");
+        if w < INLINE_WORDS {
+            &mut self.inline[w]
+        } else {
+            &mut self.spill[w - INLINE_WORDS]
         }
     }
 
     /// Adds `i`.
     #[inline]
     pub fn set(&mut self, i: usize) {
-        self.words[i >> 6] |= 1 << (i & 63);
+        *self.word_mut(i >> 6) |= 1 << (i & 63);
     }
 
     /// Removes `i`.
     #[inline]
     pub fn clear(&mut self, i: usize) {
-        self.words[i >> 6] &= !(1 << (i & 63));
+        *self.word_mut(i >> 6) &= !(1 << (i & 63));
     }
 
     /// True when `i` is in the set.
     #[inline]
     pub fn get(&self, i: usize) -> bool {
-        self.words[i >> 6] & (1 << (i & 63)) != 0
+        self.word(i >> 6) & (1 << (i & 63)) != 0
     }
 
     /// The word holding indices `64 * w .. 64 * w + 64`.
     #[inline]
     pub fn word(&self, w: usize) -> u64 {
-        self.words[w]
+        assert!(w < self.n_words, "bit index beyond the set's length");
+        if w < INLINE_WORDS {
+            self.inline[w]
+        } else {
+            self.spill[w - INLINE_WORDS]
+        }
     }
 
     /// Empties the words `words` (indices `64 * start .. 64 * end`).
     #[inline]
     pub fn zero_words(&mut self, words: Range<usize>) {
-        self.words[words].fill(0);
+        for w in words {
+            *self.word_mut(w) = 0;
+        }
     }
 
     /// Number of indices in the set.
     pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        let words = self.inline.iter().chain(&self.spill);
+        words.map(|w| w.count_ones() as usize).sum()
     }
 
     /// The next member along `walk`.
     #[inline]
     pub fn next(&self, walk: &mut BitWalk) -> Option<usize> {
-        walk.next(|w| self.words[w])
+        walk.next(|w| self.word(w))
     }
 
     /// True when the set has a member in `range`.
@@ -127,8 +159,10 @@ mod tests {
 
     #[test]
     fn walk_matches_a_scan_across_word_boundaries() {
+        // Lengths on both sides of every word boundary and of the
+        // inline/heap boundary (two words).
         let mut rng = SplitMix64::new(0xB175);
-        for len in [1usize, 63, 64, 65, 128, 200] {
+        for len in [1usize, 63, 64, 65, 128, 129, 200] {
             let mut s = BitSet::new(len);
             let mut model = vec![false; len];
             for _ in 0..len {
@@ -154,7 +188,29 @@ mod tests {
             for (i, &m) in model.iter().enumerate() {
                 assert_eq!(s.get(i), m);
             }
+            // Emptying whole words, one word range at a time.
+            let n_words = len.div_ceil(64);
+            for from in 0..=n_words {
+                for to in from..=n_words {
+                    let mut zeroed = s.clone();
+                    zeroed.zero_words(from..to);
+                    let kept = |i: usize| model[i] && !(from..to).contains(&(i / 64));
+                    let mut walk = BitWalk::over(0..len);
+                    let walked: Vec<usize> =
+                        std::iter::from_fn(|| zeroed.next(&mut walk)).collect();
+                    let scanned: Vec<usize> = (0..len).filter(|&i| kept(i)).collect();
+                    assert_eq!(walked, scanned, "len {len} zeroed words {from}..{to}");
+                    assert_eq!(zeroed.count(), scanned.len());
+                }
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the set's length")]
+    fn an_index_past_a_short_set_is_refused() {
+        // 65..128 would fit the inline words, but not this set.
+        BitSet::new(64).set(64);
     }
 
     #[test]

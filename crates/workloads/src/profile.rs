@@ -161,7 +161,7 @@ impl AppProfile {
     pub fn core_params(&self) -> CoreParams {
         CoreParams {
             max_outstanding_loads: self.max_outstanding,
-            max_txn_per_inst: 32,
+            max_txn_per_inst: self.coalesce_degree,
         }
     }
 

@@ -31,7 +31,13 @@ const STREAM_WRAP_LINES: u64 = (1 << 24) / LINE_SIZE;
 /// * the [`AccessPattern::SharedHotStream`] hot region is per-core: shared
 ///   by its warps, disjoint across cores.
 pub struct AppStream {
-    profile: AppProfile,
+    // What decode reads of the application's profile; a machine holds one
+    // stream per warp, so the rest of the profile stays out.
+    mem_ratio: f64,
+    store_ratio: f64,
+    alu_cycles: u32,
+    pattern: AccessPattern,
+    coalesce_degree: u64,
     rng: SplitMix64,
     slot: u64,
     warps_per_core: u64,
@@ -53,7 +59,6 @@ pub struct AppStream {
 impl std::fmt::Debug for AppStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AppStream")
-            .field("app", &self.profile.name)
             .field("slot", &self.slot)
             .field("warp_base", &format_args!("{:#x}", self.warp_base))
             .finish()
@@ -115,7 +120,11 @@ impl AppStream {
             _ => 1,
         };
         AppStream {
-            profile,
+            mem_ratio: profile.mem_ratio,
+            store_ratio: profile.store_ratio,
+            alu_cycles: profile.alu_cycles,
+            pattern: profile.pattern,
+            coalesce_degree: profile.coalesce_degree as u64,
             rng,
             slot: slot as u64,
             warps_per_core: warps_per_core as u64,
@@ -141,7 +150,7 @@ impl AppStream {
 
     /// One base address per the profile's pattern.
     fn gen_base(&mut self) -> u64 {
-        match self.profile.pattern {
+        match self.pattern {
             AccessPattern::Stream { .. } => self.stream_line(0),
             AccessPattern::HotStream {
                 hot_lines,
@@ -218,8 +227,8 @@ impl AppStream {
     /// instruction: `coalesce_degree` distinct lines. Returns the inline
     /// [`AddrList`] so the per-cycle hot path never allocates.
     fn gen_addrs(&mut self) -> AddrList {
-        let d = self.profile.coalesce_degree as u64;
-        match self.profile.pattern {
+        let d = self.coalesce_degree;
+        match self.pattern {
             // Contiguous patterns touch `d` consecutive lines.
             AccessPattern::Stream { .. } | AccessPattern::Tiled { .. } => {
                 let base = self.gen_base();
@@ -232,21 +241,21 @@ impl AppStream {
 }
 
 impl InstStream for AppStream {
+    #[inline]
     fn next_inst(&mut self) -> Option<Inst> {
         self.insts += 1;
         let u = self.rng.next_f64();
-        let p = &self.profile;
-        if u < p.mem_ratio {
+        if u < self.mem_ratio {
             Some(Inst::Load {
                 addrs: self.gen_addrs(),
             })
-        } else if u < p.mem_ratio + p.store_ratio {
+        } else if u < self.mem_ratio + self.store_ratio {
             Some(Inst::Store {
                 addrs: self.gen_addrs(),
             })
         } else {
             Some(Inst::Alu {
-                cycles: p.alu_cycles,
+                cycles: self.alu_cycles,
             })
         }
     }

@@ -27,12 +27,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release (workspace) =="
 cargo build --workspace --release
 
-echo "== cargo test, dev profile (gpu-mem, gpu-simt, gpu-sim: debug_assert cross-checks on) =="
+echo "== cargo test, dev profile (gpu-types, gpu-mem, gpu-simt, gpu-sim: debug_assert cross-checks on) =="
 # The release suite below compiles every debug_assert! out. The engine's
 # incrementally maintained state (running flit count, non-empty-input set,
-# active-slot sum, warp bitsets) is held to a scan of the ground truth only
-# by such assertions, so the three engine crates also run unoptimised.
-cargo test -q -p gpu-mem -p gpu-simt -p gpu-sim
+# active-slot sum, warp bitsets, per-bank FR-FCFS pick, due flags) is held
+# to a scan of the ground truth only by such assertions, so the three engine
+# crates — and gpu-types, where the bitsets they walk live — also run
+# unoptimised.
+cargo test -q -p gpu-types -p gpu-mem -p gpu-simt -p gpu-sim
 
 echo "== cargo test (workspace) =="
 cargo test --workspace --release -q
