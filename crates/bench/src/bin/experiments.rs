@@ -30,6 +30,7 @@ use ebm_bench::{campaign, log, profiler, run_and_save, BenchArgs};
 use ebm_core::eval::Evaluator;
 
 fn main() {
+    ebm_bench::logging::pin_epoch();
     let args = BenchArgs::parse();
     args.apply_settings();
     let t0 = std::time::Instant::now();

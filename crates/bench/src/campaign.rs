@@ -12,15 +12,19 @@
 //! * [`plan`] walks the artifact list ([`ARTIFACTS`]) and emits one
 //!   **work unit** per underlying measurement — an alone
 //!   profile, a sweep, a fixed-combination run, a memoized PBS run, a
-//!   scheme evaluation — keyed by the *same content-addressed fingerprint*
+//!   sampling-error run, a scheme evaluation — keyed by the *same
+//!   content-addressed fingerprint*
 //!   the persistent result cache uses ([`alone_fingerprint`],
 //!   [`sweep_fingerprint`], [`FixedRunInputs::fingerprint`],
 //!   [`pbsrun_fingerprint`], [`scheme_fingerprint`]). Planning never
 //!   simulates; it is a pure function of the campaign configuration.
 //!   Units demanded twice (Fig. 9 and Fig. 10 share every baseline; the
-//!   ablation and sampling studies share their PBS paper runs; the
-//!   GTO/open-page sensitivity arms are bit-identical to the base config)
-//!   collapse into one node — the plan's *dedup ratio*.
+//!   ablation and sampling studies and Fig. 11 share their PBS paper runs;
+//!   the GTO/open-page sensitivity arms are bit-identical to the base
+//!   config) collapse into one node — the plan's *dedup ratio*. Units that
+//!   name the same simulation at two levels (a `scheme:` unit resolves to
+//!   the `fixed` or `pbsrun` record a `bestfixed:` or `pbs:` unit also
+//!   writes) meet in the cache's single-flight tier instead.
 //! * [`run`] executes the unit graph over a [`gpu_sim::exec::with_workers`]
 //!   pool. The frontier is a max-heap ordered by a per-unit **cost model**
 //!   ([`CostModel`]) seeded from the previous run's `PROFILE.json` span
@@ -36,11 +40,14 @@
 //! Determinism is inherited, not re-proved: every unit is a pure function
 //! of its fingerprint inputs, results land in the shared
 //! [`ebm_core::ResultStore`] / [`gpu_sim::cache`] tiers, and renders only
-//! read memoized state. A unit the planner missed is recomputed inline by
-//! the render (correct, merely slower); a unit computed twice is collapsed
-//! by the cache's single-flight tier. Worker panics are caught, flagged,
-//! and re-raised on the caller after the pool drains — the
-//! "catch-and-flag" pattern [`gpu_sim::exec::with_workers`] documents.
+//! read memoized state — no render simulates, so an untraced campaign's
+//! `unit` spans add up to its simulated cycles and a warm one simulates
+//! none (`tests/campaign_warm.rs`). A unit the planner missed is
+//! recomputed inline by the render (correct, merely slower); a unit
+//! computed twice is collapsed by the cache's single-flight tier. Worker
+//! panics are caught, flagged, and re-raised on the caller after the pool
+//! drains — the "catch-and-flag" pattern [`gpu_sim::exec::with_workers`]
+//! documents.
 //!
 //! [`alone_fingerprint`]: gpu_sim::alone::alone_fingerprint
 //! [`sweep_fingerprint`]: ebm_core::sweep::sweep_fingerprint
@@ -57,7 +64,7 @@ use ebm_core::pbsrun::{pbsrun_fingerprint, run_pbs_cached, PbsRunSpec};
 use ebm_core::scaling::ScalingFactors;
 use ebm_core::sweep::{sweep_fingerprint, ComboSweep};
 use gpu_sim::alone::{alone_fingerprint, profile_alone};
-use gpu_sim::harness::{measure_fixed_cached, FixedRunInputs, RunSpec};
+use gpu_sim::harness::{measure_fixed_cached, sampling_error_cached, FixedRunInputs, RunSpec};
 use gpu_sim::trace::{TraceEvent, TraceSink};
 use gpu_sim::{cache, exec};
 use gpu_types::{Fingerprint, FxHashMap, GpuConfig, TlpCombo, TlpLevel};
@@ -532,14 +539,22 @@ impl Planner {
         )
     }
 
-    /// The ++bestTLP fixed run of a workload on the equal-split machine:
-    /// the combination comes from the alone profiles (its dependencies),
-    /// so the unit's content address is synthetic — a fingerprint over
-    /// everything the composite reads.
-    fn best_fixed(&mut self, w: &Workload, spec: RunSpec) -> usize {
+    /// A run of a workload on the equal-split machine at its ++bestTLP
+    /// combination: the combination comes from the alone profiles (its
+    /// dependencies), so the unit's content address is synthetic — a
+    /// fingerprint over everything the composite reads, `params` being the
+    /// run's own.
+    fn at_best_tlp(
+        &mut self,
+        kind: &str,
+        w: &Workload,
+        cost: u64,
+        params: &[u64],
+        run: impl Fn(&FixedRunInputs<'_>, &TlpCombo) + Send + 'static,
+    ) -> usize {
         let n = self.cfg.gpu.n_cores / w.n_apps();
         let deps: Vec<usize> = w.apps().iter().map(|a| self.alone(a, n)).collect();
-        let mut key = cache::KeyBuilder::new("campaign-bestfixed");
+        let mut key = cache::KeyBuilder::new(&format!("campaign-{kind}"));
         key.push(&self.cfg.gpu)
             .push_u64(self.cfg.seed)
             .push(&self.cfg.alone_spec)
@@ -547,14 +562,16 @@ impl Planner {
         for app in w.apps() {
             key.push(*app);
         }
-        key.push(&spec);
+        for &v in params {
+            key.push_u64(v);
+        }
         let fp = key.finish();
-        let label = format!("bestfixed:{}", w.name());
+        let label = format!("{kind}:{}", w.name());
         let wl = w.clone();
         self.unit(
             fp,
             label,
-            spec.warmup + spec.window,
+            cost,
             deps,
             Box::new(move |ev| {
                 let combo = ev.best_tlp_combo(&wl);
@@ -566,8 +583,37 @@ impl Planner {
                     seed: cfg.seed,
                     ccws: false,
                 };
-                measure_fixed_cached(&inputs, &combo, spec);
+                run(&inputs, &combo);
             }),
+        )
+    }
+
+    /// The ++bestTLP fixed run of a workload.
+    fn best_fixed(&mut self, w: &Workload, spec: RunSpec) -> usize {
+        self.at_best_tlp(
+            "bestfixed",
+            w,
+            spec.warmup + spec.window,
+            &[spec.warmup, spec.window],
+            move |inputs, combo| {
+                measure_fixed_cached(inputs, combo, spec);
+            },
+        )
+    }
+
+    /// The designated-vs-exact estimation-error run of a workload
+    /// (`figures::sampling`, part 1).
+    fn sampling_error(&mut self, w: &Workload) -> usize {
+        let spec = figures::SAMPLING_ERROR_SPEC;
+        let n_windows = figures::SAMPLING_ERROR_WINDOWS;
+        self.at_best_tlp(
+            "sampling",
+            w,
+            spec.warmup + n_windows * spec.window,
+            &[spec.warmup, spec.window, n_windows],
+            move |inputs, combo| {
+                sampling_error_cached(inputs, combo, spec, n_windows);
+            },
         )
     }
 
@@ -787,10 +833,25 @@ fn plan_artifact(
                 _ => Box::new(move |ev, _| figures::hs_results(ev, &ws)),
             }
         }
-        // Fig. 11 is a traced run: streaming events to the sink is not a
-        // pure function of the run inputs, so it stays inline on the
-        // coordinator (still deterministic — same config, same seed).
-        "fig11" => Box::new(|ev, sink| figures::fig11_traced(ev, sink)),
+        // Fig. 11 reads two ordinary PBS records (the WS one is the
+        // ablation's paper run of BLK_BFS). Only an enabled sink makes the
+        // render simulate them again inline, for the events `--trace`
+        // asked to record.
+        "fig11" => {
+            let w = Workload::pair("BLK", "BFS");
+            for objective in [EbObjective::Ws, EbObjective::Fi] {
+                deps.push(p.pbs(
+                    &gpu,
+                    w.apps().to_vec(),
+                    None,
+                    TlpCombo::uniform(gpu.max_tlp(), 2),
+                    cfg.run_cycles,
+                    cfg.measure_from,
+                    PbsRunSpec::scheme(objective, cfg.pbs_hold_windows),
+                ));
+            }
+            Box::new(|ev, sink| figures::fig11_traced(ev, sink))
+        }
         "sens_part" => {
             let spec = RunSpec::new(10_000, 25_000);
             let w = Workload::pair("BLK", "BFS");
@@ -907,6 +968,7 @@ fn plan_artifact(
                 ("DS", "TRD"),
             ] {
                 let w = Workload::pair(a, b);
+                deps.push(p.sampling_error(&w));
                 deps.push(p.best_fixed(&w, spec));
                 // designated = false is bit-identical to the base config,
                 // so that arm's PBS run dedups against the ablation's

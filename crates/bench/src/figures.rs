@@ -10,16 +10,16 @@ use ebm_core::eval::{Evaluator, Scheme};
 use ebm_core::hw::OverheadReport;
 use ebm_core::metrics::{alone_ratio, EbObjective};
 use ebm_core::pattern::{pbs_offline_search, SweepCurve};
-use ebm_core::pbsrun::{run_pbs_cached, PbsRunSpec};
+use ebm_core::pbsrun::{run_pbs_cached, run_pbs_traced, PbsRunSpec};
 use ebm_core::scaling::ScalingFactors;
 use ebm_core::search::{best_combo_by_eb, best_combo_by_sd};
 use ebm_core::sweep::ComboSweep;
 use gpu_sim::alone::profile_alone;
-use gpu_sim::control::Controller;
-use gpu_sim::harness::{measure_fixed_cached, run_controlled_traced, FixedRunInputs, RunSpec};
-use gpu_sim::machine::Gpu;
+use gpu_sim::harness::{
+    measure_fixed_cached, sampling_error_cached, series_csv, FixedRunInputs, RunSpec,
+};
 use gpu_sim::metrics::{fi_of, gmean, hs_of, ws_of};
-use gpu_sim::trace::{NullSink, RingSink, TraceSink};
+use gpu_sim::trace::{NullSink, TraceSink};
 use gpu_types::{GpuConfig, TlpCombo, TlpLevel};
 use gpu_workloads::{all_apps, representative_workloads, Workload};
 
@@ -395,56 +395,43 @@ pub fn fig11(ev: &Evaluator) -> Report {
     fig11_traced(ev, &mut NullSink)
 }
 
-/// [`fig11`] driven through the generic trace layer: each PBS run is
-/// captured into an in-memory [`RingSink`], the per-window CSV series is
-/// reconstructed from the captured `window_sample` events (byte-identical
-/// to the harness's bespoke `ControlledRun::series_csv`), and every
-/// captured event is then replayed into `sink` — pass a
-/// [`gpu_sim::JsonlSink`] to persist the raw trace (the `--trace <path>`
-/// flag of the `experiments`/`fig11` binaries).
+/// [`fig11`] with a sink for the two runs' events. Both runs are ordinary
+/// memoized PBS records ([`run_pbs_traced`]) — the evaluator's
+/// `Scheme::Pbs(Ws | Fi)` on BLK_BFS, the WS one also the ablation's paper
+/// run — and everything printed here, the per-window CSV included, is read
+/// from the record. Only an enabled sink (the `--trace <path>` flag of
+/// `experiments`) makes them simulate inline, to have events to stream.
 pub fn fig11_traced(ev: &Evaluator, sink: &mut dyn TraceSink) -> Report {
     let mut r = Report::new("fig11", "TLP over time for BLK_BFS under PBS");
-    let cfg = ev.config().gpu.clone();
-    let seed = ev.config().seed;
+    let cfg = ev.config();
     let w = pair("BLK", "BFS");
+    let inputs = FixedRunInputs {
+        cfg: &cfg.gpu,
+        apps: w.apps(),
+        core_split: None,
+        seed: cfg.seed,
+        ccws: false,
+    };
     for objective in [EbObjective::Ws, EbObjective::Fi] {
         let _span = crate::profiler::span("run", &format!("fig11_PBS-{objective}"));
-        let scaling = if objective.wants_scaling() {
-            ebm_core::policy::pbs::PbsScaling::Sampled
-        } else {
-            ebm_core::policy::pbs::PbsScaling::None
-        };
-        let mut pbs = ebm_core::Pbs::new(objective, cfg.max_tlp(), scaling)
-            .with_hold_windows(ev.config().pbs_hold_windows);
-        let mut gpu = Gpu::new(&cfg, w.apps(), seed);
-        gpu.set_combo(&TlpCombo::uniform(cfg.max_tlp(), 2));
-        // Generous bound: a paper-length run emits a few thousand events
-        // per kind, far below this, so nothing is ever dropped.
-        let mut ring = RingSink::new(1 << 20);
-        let run = run_controlled_traced(
-            &mut gpu,
-            &mut pbs as &mut dyn Controller,
-            ev.config().run_cycles,
-            ev.config().measure_from,
-            &mut ring,
+        let run = run_pbs_traced(
+            &inputs,
+            &TlpCombo::uniform(cfg.gpu.max_tlp(), 2),
+            cfg.run_cycles,
+            cfg.measure_from,
+            &PbsRunSpec::scheme(objective, cfg.pbs_hold_windows),
+            sink,
         );
-        let events = ring.drain();
         let csv_path = crate::util::out_path(&format!("fig11_{objective}.csv"));
         if let Some(dir) = csv_path.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
-        let _ = std::fs::write(&csv_path, gpu_sim::trace::series_csv(&events));
-        if sink.enabled() {
-            for e in events {
-                sink.emit(e);
-            }
-            sink.flush();
-        }
+        let _ = std::fs::write(&csv_path, series_csv(&run.window_series));
         r.line(format!(
             "--- PBS-{objective}: {} TLP changes over {} windows (search probed {} combos) ---",
             run.tlp_trace.len(),
             run.n_windows,
-            pbs.samples_last_search()
+            run.samples_last_search
         ));
         r.header("cycle", &["TLP-BLK", "TLP-BFS"]);
         for (cycle, levels) in &run.tlp_trace {
@@ -896,6 +883,14 @@ pub fn sched(ev: &Evaluator) -> Report {
     r
 }
 
+/// Warm-up and window length of [`sampling`]'s estimation-error runs.
+pub const SAMPLING_ERROR_SPEC: RunSpec = RunSpec {
+    warmup: 3_000,
+    window: 2_000,
+};
+/// Windows each of [`sampling`]'s estimation-error runs measures.
+pub const SAMPLING_ERROR_WINDOWS: u64 = 20;
+
 /// Validates the Fig. 8 designated-sampling hardware: per-window EB
 /// estimates from one core + one partition versus exact aggregation, and
 /// the effect on PBS-WS end results (§V-E's uniformity claim).
@@ -917,36 +912,20 @@ pub fn sampling(ev: &Evaluator) -> Report {
     r.header("workload", &["err app1 %", "err app2 %"]);
     for (a, b) in mixes {
         let w = pair(a, b);
-        let combo = ev.best_tlp_combo(&w);
-        let mut gpu = Gpu::new(&base_cfg, w.apps(), seed);
-        gpu.set_combo(&combo);
-        gpu.run(3_000);
-        let peak = base_cfg.peak_bw_bytes_per_cycle();
-        let mut errs = [Vec::new(), Vec::new()];
-        let mut prev_exact: Vec<_> = (0..2)
-            .map(|i| gpu.counters(gpu_types::AppId::new(i as u8)))
-            .collect();
-        let mut prev_des: Vec<_> = (0..2)
-            .map(|i| gpu.designated_counters(gpu_types::AppId::new(i as u8)))
-            .collect();
-        for _ in 0..20 {
-            gpu.run(2_000);
-            for i in 0..2 {
-                let app = gpu_types::AppId::new(i as u8);
-                let exact = gpu.counters(app);
-                let des = gpu.designated_counters(app);
-                let we = gpu_types::AppWindow::new(exact - prev_exact[i], 2_000, peak);
-                let wd = gpu_types::AppWindow::new(des - prev_des[i], 2_000, peak);
-                let (e, d) = (we.effective_bandwidth(), wd.effective_bandwidth());
-                if e > 1e-6 {
-                    errs[i].push(((d - e) / e).abs());
-                }
-                prev_exact[i] = exact;
-                prev_des[i] = des;
-            }
-        }
-        let mean = |v: &Vec<f64>| 100.0 * v.iter().sum::<f64>() / v.len().max(1) as f64;
-        r.row(&w.name(), &[mean(&errs[0]), mean(&errs[1])]);
+        let inputs = FixedRunInputs {
+            cfg: &base_cfg,
+            apps: w.apps(),
+            core_split: None,
+            seed,
+            ccws: false,
+        };
+        let errs = sampling_error_cached(
+            &inputs,
+            &ev.best_tlp_combo(&w),
+            SAMPLING_ERROR_SPEC,
+            SAMPLING_ERROR_WINDOWS,
+        );
+        r.row(&w.name(), &errs);
     }
     r.blank();
 

@@ -12,16 +12,24 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// The process-wide log epoch, pinned on first use (first log line or
-/// first `level()` query, whichever comes first).
+/// The process-wide log epoch: [`pin_epoch`], or failing that the first
+/// log line or `level()` query.
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Seconds elapsed since the first log call of the process — the
-/// monotonic timestamp every [`log!`](crate::log) line is prefixed with,
-/// so slow campaign phases are identifiable from the log alone.
+/// Pins the log epoch to now unless it is pinned already. A binary calls
+/// this first thing in `main`, so timestamps count from process start
+/// rather than from whichever log call happens to come first — in a
+/// scheduled campaign, a progress dot deep in a late render.
+pub fn pin_epoch() {
+    epoch();
+}
+
+/// Seconds elapsed since the log epoch — the monotonic timestamp every
+/// [`log!`](crate::log) line is prefixed with, so slow campaign phases are
+/// identifiable from the log alone.
 pub fn elapsed_s() -> f64 {
     epoch().elapsed().as_secs_f64()
 }
@@ -85,8 +93,8 @@ pub fn progress_end() {
 }
 
 /// Logs a formatted message to stderr, gated on `EBM_LOG`. Every line is
-/// prefixed with the monotonic seconds elapsed since the process's first
-/// log call, e.g. `[   1.204s] cache: 11 hits …`.
+/// prefixed with the monotonic seconds elapsed since the log epoch
+/// ([`pin_epoch`](crate::logging::pin_epoch)), e.g. `[   1.204s] cache: 11 hits …`.
 ///
 /// ```
 /// ebm_bench::log!(info, "campaign completed in {:.1}s", 12.5);
@@ -124,6 +132,18 @@ mod tests {
         assert_eq!(LogLevel::parse("INFO"), Some(LogLevel::Info));
         assert_eq!(LogLevel::parse(" debug "), Some(LogLevel::Debug));
         assert_eq!(LogLevel::parse("nope"), None);
+    }
+
+    #[test]
+    fn elapsed_counts_from_the_pin() {
+        pin_epoch();
+        let pinned = Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(15));
+        // Neither a gate check nor a second pin moves the epoch.
+        let _ = level();
+        pin_epoch();
+        let since_pin = pinned.elapsed().as_secs_f64();
+        assert!(since_pin >= 0.015 && elapsed_s() >= since_pin);
     }
 
     #[test]

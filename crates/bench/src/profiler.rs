@@ -2,10 +2,11 @@
 //!
 //! A campaign is a tree of phases — campaign → figure → sweep → run — and
 //! each phase is wrapped in a [`span`]: the returned guard records, on
-//! drop, the phase's wall time, the simulated-cycle delta (via the
-//! process-wide counter in [`gpu_sim::metrics::cycles_simulated`]), the
-//! result-cache hit/miss deltas (via [`gpu_sim::cache::stats`]) and the
-//! worker-pool width.  The finished spans are written to `PROFILE.json`
+//! drop, the phase's wall time, the simulated-cycle delta (the process-wide
+//! [`gpu_sim::metrics::cycles_simulated`], or the thread's own count for a
+//! span opened on a pool thread), the result-cache hit/miss deltas (via
+//! [`gpu_sim::cache::stats`]) and the worker-pool width.  The finished
+//! spans are written to `PROFILE.json`
 //! by [`write_profile`] and can be appended to a trace as
 //! [`gpu_sim::TraceEvent::ProfileSpan`] events by [`emit_spans`] — so the
 //! same `trace-tools` pipeline that analyzes simulator metrics can also
@@ -37,8 +38,10 @@ pub struct SpanRecord {
     pub depth: u32,
     /// Wall-clock duration in seconds.
     pub wall_s: f64,
-    /// Simulated cycles attributed to this span (process-wide delta,
-    /// including cycles simulated by worker threads it fanned out to).
+    /// Simulated cycles attributed to this span: what the opening thread
+    /// stepped itself if it is a pool worker (a `unit` span), otherwise the
+    /// process-wide delta, including cycles simulated by worker threads the
+    /// span fanned out to.
     pub cycles: u64,
     /// Result-cache hits (memory + disk) during this span.
     pub cache_hits: u64,
@@ -75,6 +78,19 @@ fn with_state<R>(f: impl FnOnce(&mut ProfilerState) -> R) -> R {
     f(state)
 }
 
+/// The simulated-cycle counter this thread's spans difference. A fan-out
+/// worker steps everything it runs itself (nested fan-outs collapse to
+/// serial), so its own count is exact where the process-wide one would
+/// also charge it the neighbours' cycles; any other thread may fan out and
+/// reads the process-wide count.
+fn cycles_now() -> u64 {
+    if gpu_sim::exec::in_sweep_fanout() {
+        gpu_sim::metrics::thread_cycles_simulated()
+    } else {
+        gpu_sim::metrics::cycles_simulated()
+    }
+}
+
 /// Opens a profiling span; the returned guard closes it on drop.
 ///
 /// `level` should be one of `campaign`, `figure`, `sweep`, `run` —
@@ -101,8 +117,9 @@ pub fn span(level: &str, name: &str) -> SpanGuard {
             thread,
             OpenSpan {
                 start: Instant::now(),
-                cycles0: gpu_sim::metrics::cycles_simulated(),
-                hits0: stats.hits + stats.disk_hits,
+                cycles0: cycles_now(),
+                // `disk_hits` is a subset of `hits`, not a second tally.
+                hits0: stats.hits,
                 misses0: stats.misses,
             },
         ));
@@ -120,7 +137,7 @@ pub struct SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let stats = gpu_sim::cache::stats();
-        let cycles_now = gpu_sim::metrics::cycles_simulated();
+        let cycles = cycles_now();
         with_state(|s| {
             let Some(pos) = s.open.iter().position(|(i, _, _)| *i == self.idx) else {
                 return; // already closed (double drop cannot happen, but stay safe)
@@ -128,8 +145,8 @@ impl Drop for SpanGuard {
             let (_, _, open) = s.open.remove(pos);
             let rec = &mut s.spans[self.idx];
             rec.wall_s = open.start.elapsed().as_secs_f64();
-            rec.cycles = cycles_now.saturating_sub(open.cycles0);
-            rec.cache_hits = (stats.hits + stats.disk_hits).saturating_sub(open.hits0);
+            rec.cycles = cycles.saturating_sub(open.cycles0);
+            rec.cache_hits = stats.hits.saturating_sub(open.hits0);
             rec.cache_misses = stats.misses.saturating_sub(open.misses0);
         });
     }

@@ -7,7 +7,9 @@
 use ebm_bench::campaign::{self, CostModel};
 use ebm_bench::util::{BenchArgs, Report};
 use ebm_core::eval::{Evaluator, EvaluatorConfig};
-use gpu_sim::{cache, trace::NullSink};
+use gpu_sim::cache;
+use gpu_sim::trace::{NullSink, RingSink, TraceEvent, TraceSink};
+use std::path::Path;
 
 fn quick_args(only: &[&str]) -> BenchArgs {
     let mut args = BenchArgs {
@@ -83,4 +85,105 @@ fn shared_units_dedup_and_warm_the_renders() {
     assert_eq!(stats.executed, stats.planned);
     assert!(stats.peak_ready > 0);
     assert!(stats.wall_s > 0.0);
+}
+
+/// Labels of the units `only` plans, in plan order.
+fn planned_labels(only: &[&str]) -> Vec<String> {
+    let ev = Evaluator::new(EvaluatorConfig::quick());
+    let plan = campaign::plan_with_costs(&quick_args(only), &ev, CostModel::empty());
+    let mut ring = RingSink::new(1 << 12);
+    campaign::emit_plan(&plan, &mut ring);
+    let labels: Vec<String> = ring
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::SchedUnit { label, .. } => Some(label.clone()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(labels.len(), plan.planned());
+    labels
+}
+
+#[test]
+fn fig11_and_sampling_plan_their_simulations_as_units() {
+    // Fig. 11's WS run is the ablation's paper run of BLK_BFS; only the
+    // FI run is new.
+    let ablation = planned_labels(&["ablation"]);
+    let with_fig11 = planned_labels(&["fig11", "ablation"]);
+    assert_eq!(with_fig11.len(), ablation.len() + 1);
+    assert_eq!(
+        planned_labels(&["fig11"])
+            .iter()
+            .filter(|l| l.starts_with("pbs:BLK_BFS#"))
+            .count(),
+        2
+    );
+    let sampling = planned_labels(&["sampling"]);
+    assert_eq!(
+        sampling
+            .iter()
+            .filter(|l| l.starts_with("sampling:"))
+            .count(),
+        4,
+        "one designated-error unit per mix: {sampling:?}"
+    );
+}
+
+/// One run of `fig11` + `sampling` on a fresh quick evaluator, artifacts
+/// under `out`: the rendered reports plus the CSVs `fig11` wrote there.
+fn fig11_and_sampling(
+    out: &Path,
+    serial: bool,
+    sink: &mut dyn TraceSink,
+) -> Vec<(String, Vec<u8>)> {
+    std::fs::create_dir_all(out).expect("temp dir is writable");
+    ebm_bench::set_out_dir(Some(out.to_owned()));
+    let ev = Evaluator::new(EvaluatorConfig::quick());
+    let plan =
+        campaign::plan_with_costs(&quick_args(&["fig11", "sampling"]), &ev, CostModel::empty());
+    let mut files = Vec::new();
+    let emit = &mut |r: &Report| files.push((format!("{}.txt", r.id()), r.render().into_bytes()));
+    if serial {
+        campaign::run_serial(plan, &ev, sink, emit);
+    } else {
+        campaign::run(plan, &ev, sink, emit);
+    }
+    ebm_bench::set_out_dir(None);
+    for csv in ["fig11_WS.csv", "fig11_FI.csv"] {
+        let bytes = std::fs::read(out.join(csv)).expect("fig11 exports its series");
+        files.push((csv.to_owned(), bytes));
+    }
+    files
+}
+
+#[test]
+fn fig11_and_sampling_bytes_do_not_depend_on_who_simulated() {
+    let dir = std::env::temp_dir().join(format!("ebm_campaign_sched_{}", std::process::id()));
+
+    // Traced: the serial walk with an enabled sink simulates inline and
+    // streams the events.
+    cache::clear_memory();
+    let mut ring = RingSink::new(1 << 16);
+    let traced = fig11_and_sampling(&dir.join("traced"), true, &mut ring);
+    assert_eq!(traced.len(), 4);
+    assert!(
+        ring.events()
+            .iter()
+            .any(|e| matches!(e, TraceEvent::TlpDecision { .. })),
+        "a traced fig11 must stream its runs"
+    );
+
+    // Cold scheduled: units simulate, the renders read their records.
+    cache::clear_memory();
+    let scheduled = fig11_and_sampling(&dir.join("scheduled"), false, &mut NullSink);
+    assert_eq!(scheduled, traced, "cold-scheduled vs traced-inline");
+    // Warm: the same again, served from the memory tier.
+    let warm = fig11_and_sampling(&dir.join("warm"), false, &mut NullSink);
+    assert_eq!(warm, traced, "warm vs traced-inline");
+    // Serial, cold, untraced: the renders compute their records inline.
+    cache::clear_memory();
+    let serial = fig11_and_sampling(&dir.join("serial"), true, &mut NullSink);
+    assert_eq!(serial, traced, "serial vs traced-inline");
+    let _ = std::fs::remove_dir_all(&dir);
 }

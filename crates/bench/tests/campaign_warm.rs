@@ -1,47 +1,125 @@
-//! `CampaignStats::cache_hits` on a disk-warm rerun. A test binary of its
-//! own: the result cache's counters are process-global, and here every
-//! lookup they see is this test's.
+//! Disk-warm reruns of a scheduled campaign: every lookup a hit counted
+//! once, nothing simulated, the same reports — and, cold, every simulated
+//! cycle inside exactly one `unit` span. A test binary of its own: the
+//! result cache's counters, the profiler and the cycle counter are
+//! process-global, so the tests here take turns and every lookup they see
+//! is their own.
 
 use ebm_bench::campaign::{self, CampaignStats, CostModel};
+use ebm_bench::profiler::{self, SpanRecord};
 use ebm_bench::util::BenchArgs;
 use ebm_core::eval::{Evaluator, EvaluatorConfig};
 use gpu_sim::{cache, trace::NullSink};
+use std::path::PathBuf;
+use std::sync::Mutex;
 
-/// Plans and runs `tab04` + `fig05` on a fresh quick evaluator.
-fn run() -> CampaignStats {
+static TURN: Mutex<()> = Mutex::new(());
+
+/// What one scheduled run of the quick campaign left behind.
+struct Run {
+    stats: CampaignStats,
+    /// The campaign-level span around the run.
+    root: SpanRecord,
+    /// Every `unit` span the pool recorded.
+    units: Vec<SpanRecord>,
+    /// `(artifact id, rendered report)` in emission order.
+    reports: Vec<(String, String)>,
+}
+
+/// Plans and runs `only` (`None` = all 21 artifacts) on a fresh quick
+/// evaluator, inside a `campaign` span of its own.
+fn run(only: Option<&[&str]>) -> Run {
     let args = BenchArgs {
         quick: true,
-        only: Some(vec!["tab04".to_owned(), "fig05".to_owned()]),
+        only: only.map(|ids| ids.iter().map(|s| s.to_string()).collect()),
         ..BenchArgs::default()
     };
     let ev = Evaluator::new(EvaluatorConfig::quick());
     let plan = campaign::plan_with_costs(&args, &ev, CostModel::empty());
-    campaign::run(plan, &ev, &mut NullSink, &mut |_| {})
+    let _ = profiler::take_spans();
+    let mut reports = Vec::new();
+    let root = profiler::span("campaign", "test");
+    let stats = campaign::run(plan, &ev, &mut NullSink, &mut |r| {
+        reports.push((r.id().to_owned(), r.render()))
+    });
+    drop(root);
+    let spans = profiler::take_spans();
+    Run {
+        stats,
+        root: spans[0].clone(),
+        units: spans.into_iter().filter(|s| s.level == "unit").collect(),
+        reports,
+    }
+}
+
+/// Runs `body` with the disk tier in a fresh directory (artifact CSVs go
+/// there too), both tiers empty, on a two-worker pool.
+fn with_cache_dir(tag: &str, body: impl FnOnce()) {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("ebm_campaign_warm_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::env::set_var("EBM_THREADS", "2");
+    ebm_bench::set_out_dir(Some(dir.clone()));
+    cache::set_enabled(true);
+    cache::set_dir(Some(dir.clone()));
+    cache::clear_memory();
+    body();
+    cache::set_dir(None);
+    ebm_bench::set_out_dir(None);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn disk_warm_rerun_counts_each_hit_once() {
-    let dir = std::env::temp_dir().join(format!("ebm_campaign_warm_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    cache::set_enabled(true);
-    cache::set_dir(Some(dir.clone()));
+    with_cache_dir("hits", || {
+        let only = ["tab04", "fig05"];
+        let cold = run(Some(&only));
+        assert_eq!(cold.stats.cache_hits, 0, "nothing to hit in an empty cache");
 
-    let cold = run();
-    assert_eq!(cold.cache_hits, 0, "nothing to hit in an empty cache");
+        // Only the disk tier survives: every warm lookup is a disk hit, which
+        // the cache counts under `hits` and, as a subset, under `disk_hits`.
+        cache::clear_memory();
+        let before = cache::stats();
+        let warm = run(Some(&only));
+        let after = cache::stats();
 
-    // Only the disk tier survives: every warm lookup is a disk hit, which
-    // the cache counts under `hits` and, as a subset, under `disk_hits`.
-    cache::clear_memory();
-    let before = cache::stats();
-    let warm = run();
-    let after = cache::stats();
-    cache::set_dir(None);
-    let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            warm.stats.cache_hits > 0,
+            "the warm run must be served by the cache"
+        );
+        assert_eq!(warm.stats.cache_hits, after.hits - before.hits);
+        assert_eq!(warm.stats.cache_hits, after.disk_hits - before.disk_hits);
+        // The profiler's spans tell the same story as the `sched:` line.
+        assert_eq!(warm.root.cache_hits, warm.stats.cache_hits);
+    });
+}
 
-    assert!(
-        warm.cache_hits > 0,
-        "the warm run must be served by the cache"
-    );
-    assert_eq!(warm.cache_hits, after.hits - before.hits);
-    assert_eq!(warm.cache_hits, after.disk_hits - before.disk_hits);
+#[test]
+fn every_cycle_sits_in_one_unit_and_a_warm_campaign_simulates_nothing() {
+    with_cache_dir("all", || {
+        // Cold, untraced, two workers: no render simulates, and a unit span
+        // counts what its own thread stepped — so the units add up to the
+        // campaign exactly.
+        let cold = run(None);
+        assert_eq!(cold.stats.workers, 2);
+        assert_eq!(cold.reports.len(), campaign::ARTIFACTS.len());
+        assert!(cold.root.cycles > 0);
+        assert_eq!(
+            cold.units.iter().map(|u| u.cycles).sum::<u64>(),
+            cold.root.cycles,
+            "simulated cycles outside a unit span, or charged to two"
+        );
+
+        // Warm from disk: plan, decode, render.
+        cache::clear_memory();
+        let before = cache::stats();
+        let warm = run(None);
+        let after = cache::stats();
+        assert_eq!(warm.root.cycles, 0, "a warm campaign re-simulated");
+        assert_eq!(after.misses - before.misses, 0);
+        assert_eq!(warm.root.cache_misses, 0);
+        assert_eq!(warm.root.cache_hits, warm.stats.cache_hits);
+        assert_eq!(warm.reports, cold.reports);
+    });
 }

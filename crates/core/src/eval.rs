@@ -5,12 +5,16 @@
 //! harnesses: it caches alone-run profiles (the SD denominators and
 //! bestTLP values) and 64-combination sweeps (shared by opt, BF and the
 //! offline PBS variants), then executes each scheme end-to-end on a fresh
-//! machine.
+//! machine. A scheme that comes down to one fixed-combination run (the
+//! static and offline schemes, `++CCWS`) or to one PBS run reads it through
+//! the run-level caches ([`measure_fixed_cached`], [`run_pbs_traced`]), so
+//! schemes picking the same combination, and campaign units naming the same
+//! run, share one simulation.
 
 use crate::metrics::EbObjective;
 use crate::pattern::pbs_offline_search;
-use crate::policy::pbs::PbsScaling;
-use crate::policy::{DynCta, ModBypass, Pbs};
+use crate::pbsrun::{run_pbs_traced, PbsRunSpec};
+use crate::policy::{DynCta, ModBypass};
 use crate::scaling::ScalingFactors;
 use crate::search::{best_combo_by_eb, best_combo_by_sd};
 use crate::store::ResultStore;
@@ -18,7 +22,7 @@ use crate::sweep::ComboSweep;
 use gpu_sim::alone::{profile_alone, AloneProfile};
 use gpu_sim::control::Controller;
 use gpu_sim::exec;
-use gpu_sim::harness::{measure_fixed, run_controlled_traced, RunSpec};
+use gpu_sim::harness::{measure_fixed_cached, run_controlled_traced, FixedRunInputs, RunSpec};
 use gpu_sim::machine::Gpu;
 use gpu_sim::metrics::SystemMetrics;
 use gpu_sim::trace::{NullSink, TraceEvent, TraceSink};
@@ -262,6 +266,39 @@ fn emit_overall(sink: &mut dyn TraceSink, cycle: u64, windows: &[gpu_types::AppW
     sink.flush();
 }
 
+/// The machine every scheme of `workload` runs on, as the run-level caches
+/// key it.
+fn machine_of<'a>(
+    cfg: &'a EvaluatorConfig,
+    workload: &'a Workload,
+    ccws: bool,
+) -> FixedRunInputs<'a> {
+    FixedRunInputs {
+        cfg: &cfg.gpu,
+        apps: workload.apps(),
+        core_split: None,
+        seed: cfg.seed,
+        ccws,
+    }
+}
+
+/// One fixed-combination run of `workload` over the scheme-run span, read
+/// through the run-level cache ([`measure_fixed_cached`]): schemes that
+/// resolve to the same combination, and `fixed` / `bestfixed` campaign
+/// units naming it, share one simulation.
+fn fixed_windows(
+    cfg: &EvaluatorConfig,
+    workload: &Workload,
+    combo: &TlpCombo,
+    ccws: bool,
+    sink: &mut dyn TraceSink,
+) -> Vec<AppWindow> {
+    let spec = RunSpec::new(cfg.measure_from, cfg.run_cycles - cfg.measure_from);
+    let windows = measure_fixed_cached(&machine_of(cfg, workload, ccws), combo, spec);
+    emit_overall(sink, cfg.run_cycles, &windows);
+    windows
+}
+
 fn static_run(
     ctx: &SchemeCtx<'_>,
     workload: &Workload,
@@ -269,20 +306,13 @@ fn static_run(
     scheme: Scheme,
     sink: &mut dyn TraceSink,
 ) -> SchemeResult {
-    let cfg = ctx.cfg;
-    let mut gpu = Gpu::new(&cfg.gpu, workload.apps(), cfg.seed);
-    let windows = measure_fixed(
-        &mut gpu,
-        &combo,
-        RunSpec::new(cfg.measure_from, cfg.run_cycles - cfg.measure_from),
-    );
-    emit_overall(sink, gpu.now(), &windows);
+    let windows = fixed_windows(ctx.cfg, workload, &combo, false, sink);
     let metrics = metrics_for(&ctx.alone_ipcs, &windows);
     SchemeResult {
         scheme,
         metrics,
-        combo: Some(combo.clone()),
         tlp_trace: vec![(0, combo.levels().to_vec())],
+        combo: Some(combo),
         windows,
     }
 }
@@ -310,8 +340,10 @@ fn dynamic_run(
 }
 
 /// Runs one scheme end-to-end from a warmed context, streaming its events
-/// into `sink`. Shared verbatim by the serial and the parallel evaluation
-/// paths (the latter always passes a [`NullSink`]).
+/// into `sink` (an enabled sink makes the controller runs simulate inline;
+/// fixed-combination runs only ever emit their overall windows). Shared
+/// verbatim by the serial and the parallel evaluation paths (the latter
+/// always passes a [`NullSink`]).
 fn run_scheme(
     ctx: &SchemeCtx<'_>,
     workload: &Workload,
@@ -337,16 +369,7 @@ fn run_scheme(
         }
         Scheme::Ccws => {
             // CCWS throttles inside the cores; no window controller.
-            let mut gpu = Gpu::new(&cfg.gpu, workload.apps(), cfg.seed);
-            for a in 0..n {
-                gpu.set_ccws(gpu_types::AppId::new(a as u8), true);
-            }
-            let windows = measure_fixed(
-                &mut gpu,
-                &TlpCombo::uniform(max, n),
-                RunSpec::new(cfg.measure_from, cfg.run_cycles - cfg.measure_from),
-            );
-            emit_overall(sink, gpu.now(), &windows);
+            let windows = fixed_windows(cfg, workload, &TlpCombo::uniform(max, n), true, sink);
             let metrics = metrics_for(&ctx.alone_ipcs, &windows);
             SchemeResult {
                 scheme,
@@ -368,20 +391,23 @@ fn run_scheme(
             )
         }
         Scheme::Pbs(objective) => {
-            let scaling = if objective.wants_scaling() {
-                PbsScaling::Sampled
-            } else {
-                PbsScaling::None
-            };
-            let mut c = Pbs::new(objective, max, scaling).with_hold_windows(cfg.pbs_hold_windows);
-            dynamic_run(
-                ctx,
-                workload,
-                &mut c,
-                TlpCombo::uniform(max, n),
-                scheme,
+            // The run-level record: the `pbs:` paper unit, Fig. 11 and this
+            // scheme name one simulation.
+            let run = run_pbs_traced(
+                &machine_of(cfg, workload, false),
+                &TlpCombo::uniform(max, n),
+                cfg.run_cycles,
+                cfg.measure_from,
+                &PbsRunSpec::scheme(objective, cfg.pbs_hold_windows),
                 sink,
-            )
+            );
+            SchemeResult {
+                scheme,
+                metrics: metrics_for(&ctx.alone_ipcs, &run.overall),
+                combo: None,
+                tlp_trace: run.tlp_trace,
+                windows: run.overall,
+            }
         }
         Scheme::PbsOffline(objective) => {
             let sweep = ctx

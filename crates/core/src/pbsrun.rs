@@ -6,21 +6,21 @@
 //! whole experiment through [`gpu_sim::cache`] under a `"pbsrun"`
 //! fingerprint of the machine inputs, the starting combination, the run
 //! span, and a declarative [`PbsRunSpec`] of the controller knobs — so the
-//! ablation grid, the phased online runs, the sampling-mode comparison and
-//! the three-application workloads each re-simulate once per cache
-//! lifetime, and the campaign planner can name every one of these units up
-//! front.
+//! ablation grid, the phased online runs, the sampling-mode comparison, the
+//! three-application workloads, Fig. 11 and the evaluator's `Scheme::Pbs`
+//! each re-simulate once per cache lifetime, and the campaign planner can
+//! name every one of these units up front.
 //!
-//! Fig. 11 keeps its inline [`run_controlled_traced`] call: a traced run
-//! streams events to a sink and is not a pure function of the inputs above.
-//!
-//! [`run_controlled_traced`]: gpu_sim::harness::run_controlled_traced
+//! A traced run is the same pure function of those inputs — the sink only
+//! observes — so the record is what Fig. 11 reads too. Only when a caller
+//! hands [`run_pbs_traced`] an *enabled* sink does the run simulate inline:
+//! the events are what was asked for, and a cache hit would emit none.
 
 use crate::metrics::EbObjective;
 use crate::policy::pbs::{Pbs, PbsScaling};
 use gpu_sim::cache;
-use gpu_sim::control::Controller;
-use gpu_sim::harness::{run_controlled, FixedRunInputs};
+use gpu_sim::harness::{run_controlled_traced, FixedRunInputs};
+use gpu_sim::trace::{NullSink, TraceSink};
 use gpu_types::canon::{Canon, CanonBuf, CanonReader};
 use gpu_types::{AppWindow, Fingerprint, TlpCombo, TlpLevel};
 
@@ -54,6 +54,16 @@ impl PbsRunSpec {
             probe: None,
             settle: true,
             table_pick: true,
+        }
+    }
+
+    /// The evaluator's `Scheme::Pbs(objective)` (and Fig. 11's runs): the
+    /// paper configuration, with sampled scaling factors for the objectives
+    /// that are defined on scaled EBs.
+    pub fn scheme(objective: EbObjective, hold_windows: u64) -> Self {
+        PbsRunSpec {
+            scaling_sampled: objective.wants_scaling(),
+            ..Self::paper(objective, hold_windows)
         }
     }
 
@@ -97,9 +107,9 @@ impl Canon for PbsRunSpec {
     }
 }
 
-/// The cacheable slice of a [`gpu_sim::harness::ControlledRun`]: the
-/// per-window series is dropped (it is large and only traced figures read
-/// it; those stay uncached).
+/// The cached record of one PBS controller run: a
+/// [`gpu_sim::harness::ControlledRun`] plus what the controller reports
+/// about its search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PbsRun {
     /// One overall window per application over the measured region.
@@ -108,6 +118,13 @@ pub struct PbsRun {
     pub tlp_trace: Vec<(u64, Vec<TlpLevel>)>,
     /// Number of sampling windows the controller observed.
     pub n_windows: u64,
+    /// `(window-end cycle, per-app windows)` for every sampling window —
+    /// Fig. 11's per-window series ([`gpu_sim::harness::series_csv`]
+    /// renders it). All windows are one sampling window long and
+    /// normalized like `overall` (the payload relies on it).
+    pub window_series: Vec<(u64, Vec<AppWindow>)>,
+    /// Combinations probed by the controller's last completed search.
+    pub samples_last_search: usize,
 }
 
 /// Cache key of [`run_pbs_cached`] — public so a campaign planner can name
@@ -143,14 +160,57 @@ fn encode_run(run: &PbsRun) -> Vec<u8> {
         }
     }
     buf.push_u64(run.n_windows);
+    buf.push_usize(run.samples_last_search);
+    // The series: every sampling window has the same length and shares the
+    // overall windows' peak-bandwidth normalizer, so an entry is its end
+    // cycle plus eight counters per application, as varints (~20 bytes per
+    // window where `cache::push_window` takes 80).
+    let window_cycles = run
+        .window_series
+        .first()
+        .and_then(|(_, ws)| ws.first())
+        .map_or(0, |w| w.cycles);
+    buf.push_usize(run.window_series.len());
+    buf.push_u64(window_cycles);
+    for (cycle, windows) in &run.window_series {
+        push_varint(&mut buf, *cycle);
+        debug_assert_eq!(windows.len(), run.overall.len());
+        for w in windows {
+            debug_assert_eq!(w.cycles, window_cycles);
+            for v in cache::counters_to_array(&w.counters) {
+                push_varint(&mut buf, v);
+            }
+        }
+    }
     buf.into_bytes()
+}
+
+/// LEB128: seven value bits per byte, low group first.
+fn push_varint(buf: &mut CanonBuf, mut v: u64) {
+    while v >= 0x80 {
+        buf.push_u8(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push_u8(v as u8);
+}
+
+fn read_varint(r: &mut CanonReader<'_>) -> Option<u64> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let byte = r.read_u8()?;
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return Some(v);
+        }
+    }
+    None
 }
 
 fn decode_run(bytes: &[u8]) -> Option<PbsRun> {
     let mut r = CanonReader::new(bytes);
-    let n = r.read_usize()?;
-    let mut overall = Vec::with_capacity(n);
-    for _ in 0..n {
+    let n_apps = r.read_usize()?;
+    let mut overall = Vec::with_capacity(n_apps);
+    for _ in 0..n_apps {
         overall.push(cache::read_window(&mut r)?);
     }
     let n = r.read_usize()?;
@@ -165,17 +225,42 @@ fn decode_run(bytes: &[u8]) -> Option<PbsRun> {
         tlp_trace.push((cycle, levels));
     }
     let n_windows = r.read_u64()?;
+    let samples_last_search = r.read_usize()?;
+    let n = r.read_usize()?;
+    let window_cycles = r.read_u64()?;
+    if n > 0 && n_apps > 0 && window_cycles == 0 {
+        return None;
+    }
+    let mut window_series = Vec::with_capacity(n);
+    for _ in 0..n {
+        let cycle = read_varint(&mut r)?;
+        let mut windows = Vec::with_capacity(n_apps);
+        for app in &overall {
+            let mut counters = [0u64; 8];
+            for v in &mut counters {
+                *v = read_varint(&mut r)?;
+            }
+            windows.push(AppWindow::new(
+                cache::counters_from_array(counters),
+                window_cycles,
+                app.peak_bw_bytes_per_cycle,
+            ));
+        }
+        window_series.push((cycle, windows));
+    }
     r.is_empty().then_some(PbsRun {
         overall,
         tlp_trace,
         n_windows,
+        window_series,
+        samples_last_search,
     })
 }
 
 /// Builds the machine described by `inputs`, applies `start`, and runs the
 /// [`Pbs`] controller described by `spec` for `run_cycles` (measuring from
 /// `measure_from`). Memoized under [`pbsrun_fingerprint`]; bit-identical to
-/// the equivalent inline [`run_controlled`] call.
+/// the equivalent inline [`gpu_sim::harness::run_controlled`] call.
 pub fn run_pbs_cached(
     inputs: &FixedRunInputs<'_>,
     start: &TlpCombo,
@@ -183,28 +268,50 @@ pub fn run_pbs_cached(
     measure_from: u64,
     spec: &PbsRunSpec,
 ) -> PbsRun {
+    run_pbs_traced(inputs, start, run_cycles, measure_from, spec, &mut NullSink)
+}
+
+/// [`run_pbs_cached`] with a [`TraceSink`] for the run's events. A disabled
+/// sink reads the record; an enabled one bypasses the cache on read and
+/// simulates inline so the events exist — same bytes out, and the record is
+/// still published, so a traced cold run leaves a warm cache.
+pub fn run_pbs_traced(
+    inputs: &FixedRunInputs<'_>,
+    start: &TlpCombo,
+    run_cycles: u64,
+    measure_from: u64,
+    spec: &PbsRunSpec,
+    sink: &mut dyn TraceSink,
+) -> PbsRun {
     let fp = pbsrun_fingerprint(inputs, start, run_cycles, measure_from, spec);
-    cache::memoize(fp, encode_run, decode_run, || {
+    let traced = sink.enabled();
+    let mut simulate = || {
         let mut pbs = spec.build(inputs.cfg.max_tlp());
         let mut gpu = inputs.build();
         gpu.set_combo(start);
-        let run = run_controlled(
-            &mut gpu,
-            &mut pbs as &mut dyn Controller,
-            run_cycles,
-            measure_from,
-        );
+        let run = run_controlled_traced(&mut gpu, &mut pbs, run_cycles, measure_from, sink);
         PbsRun {
             overall: run.overall,
             tlp_trace: run.tlp_trace,
             n_windows: run.n_windows,
+            window_series: run.window_series,
+            samples_last_search: pbs.samples_last_search(),
         }
-    })
+    };
+    if traced {
+        let run = simulate();
+        cache::get_or_compute(fp, || encode_run(&run));
+        run
+    } else {
+        cache::memoize(fp, encode_run, decode_run, simulate)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::control::Controller;
+    use gpu_sim::harness::series_csv;
     use gpu_types::GpuConfig;
     use gpu_workloads::by_name;
 
@@ -243,7 +350,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_run_matches_inline_run() {
+    fn cached_record_matches_inline_traced_run() {
         let cfg = GpuConfig::small();
         let apps = [by_name("BLK").unwrap(), by_name("BFS").unwrap()];
         let inputs = FixedRunInputs {
@@ -254,23 +361,49 @@ mod tests {
             ccws: false,
         };
         let start = TlpCombo::uniform(cfg.max_tlp(), 2);
-        let spec = PbsRunSpec::paper(EbObjective::Ws, 4);
-        let cached = run_pbs_cached(&inputs, &start, 20_000, 1_000, &spec);
+        for objective in [EbObjective::Ws, EbObjective::Fi] {
+            let spec = PbsRunSpec::scheme(objective, 4);
+            let cached = run_pbs_cached(&inputs, &start, 20_000, 1_000, &spec);
 
-        let mut pbs = spec.build(cfg.max_tlp());
-        let mut gpu = inputs.build();
-        gpu.set_combo(&start);
-        let inline = run_controlled(&mut gpu, &mut pbs as &mut dyn Controller, 20_000, 1_000);
-        assert_eq!(cached.overall.len(), inline.overall.len());
-        for (c, i) in cached.overall.iter().zip(&inline.overall) {
-            assert_eq!(c.counters, i.counters);
-            assert_eq!(c.cycles, i.cycles);
+            let mut pbs = spec.build(cfg.max_tlp());
+            let mut gpu = inputs.build();
+            gpu.set_combo(&start);
+            let mut ring = gpu_sim::trace::RingSink::new(1 << 16);
+            let inline = run_controlled_traced(
+                &mut gpu,
+                &mut pbs as &mut dyn Controller,
+                20_000,
+                1_000,
+                &mut ring,
+            );
+            assert_eq!(cached.overall, inline.overall, "{objective}");
+            assert_eq!(cached.tlp_trace, inline.tlp_trace, "{objective}");
+            assert_eq!(cached.n_windows, inline.n_windows, "{objective}");
+            assert_eq!(
+                series_csv(&cached.window_series),
+                inline.series_csv(),
+                "{objective}"
+            );
+            assert_eq!(
+                series_csv(&cached.window_series),
+                gpu_sim::trace::series_csv(ring.events()),
+                "{objective}: the record's series is the traced run's"
+            );
+            assert_eq!(cached.samples_last_search, pbs.samples_last_search());
+
+            // The encode/decode pair is lossless, and no proper prefix of a
+            // payload decodes.
+            let bytes = encode_run(&cached);
+            assert_eq!(decode_run(&bytes).as_ref(), Some(&cached));
+            for cut in [0, 8, bytes.len() / 2, bytes.len() - 1] {
+                assert_eq!(decode_run(&bytes[..cut]), None, "cut at {cut}");
+            }
+
+            // An enabled sink simulates inline and returns the same record.
+            let mut ring2 = gpu_sim::trace::RingSink::new(1 << 16);
+            let traced = run_pbs_traced(&inputs, &start, 20_000, 1_000, &spec, &mut ring2);
+            assert_eq!(traced, cached);
+            assert_eq!(ring2.events(), ring.events());
         }
-        assert_eq!(cached.tlp_trace, inline.tlp_trace);
-        assert_eq!(cached.n_windows, inline.n_windows);
-
-        // And the encode/decode pair is lossless.
-        let decoded = decode_run(&encode_run(&cached)).expect("round trip");
-        assert_eq!(decoded, cached);
     }
 }

@@ -10,9 +10,17 @@
 
 use ebm_core::eval::{Evaluator, EvaluatorConfig, Scheme};
 use ebm_core::metrics::EbObjective;
+use ebm_core::pbsrun::{run_pbs_cached, PbsRunSpec};
+use ebm_core::policy::pbs::PbsScaling;
 use ebm_core::sweep::ComboSweep;
-use gpu_sim::harness::RunSpec;
-use gpu_types::GpuConfig;
+use ebm_core::Pbs;
+use gpu_sim::harness::{
+    measure_fixed, measure_fixed_cached, run_controlled, sampling_error_cached, FixedRunInputs,
+    RunSpec,
+};
+use gpu_sim::machine::Gpu;
+use gpu_sim::metrics::cycles_simulated;
+use gpu_types::{AppId, AppWindow, GpuConfig, TlpCombo, TlpLevel};
 use gpu_workloads::Workload;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -166,5 +174,125 @@ fn verify_mode_checks_hits_and_changes_nothing() {
         gpu_sim::cache::set_verify_fraction(0.0);
         assert!(after.verified > before.verified, "verify mode never fired");
         assert_sweeps_identical(&fresh, &warm, "verified hit vs fresh");
+    });
+}
+
+#[test]
+fn schemes_resolve_to_the_run_records_campaign_units_write() {
+    let _guard = CACHE_CONFIG.lock().unwrap();
+    let w = Workload::pair("BLK", "BFS");
+    let cfg = EvaluatorConfig::quick();
+    let max = cfg.gpu.max_tlp();
+    let inputs = FixedRunInputs {
+        cfg: &cfg.gpu,
+        apps: w.apps(),
+        core_split: None,
+        seed: cfg.seed,
+        ccws: false,
+    };
+    let span = RunSpec::new(cfg.measure_from, cfg.run_cycles - cfg.measure_from);
+
+    with_cache_dir("resolve", |_dir| {
+        let ev = Evaluator::new(cfg.clone());
+        let best_combo = ev.best_tlp_combo(&w);
+
+        // The runs as a scheme evaluation has always made them: a private
+        // machine, no run-level cache in sight.
+        let mut gpu = Gpu::new(&cfg.gpu, w.apps(), cfg.seed);
+        let inline_best = measure_fixed(&mut gpu, &best_combo, span);
+        let mut gpu = Gpu::new(&cfg.gpu, w.apps(), cfg.seed);
+        gpu.set_combo(&TlpCombo::uniform(max, 2));
+        let mut pbs = Pbs::new(EbObjective::Ws, max, PbsScaling::None)
+            .with_hold_windows(cfg.pbs_hold_windows);
+        let inline_pbs = run_controlled(&mut gpu, &mut pbs, cfg.run_cycles, cfg.measure_from);
+
+        // What the `bestfixed:` and `pbs:` paper units of a campaign run.
+        let unit_best = measure_fixed_cached(&inputs, &best_combo, span);
+        let unit_pbs = run_pbs_cached(
+            &inputs,
+            &TlpCombo::uniform(max, 2),
+            cfg.run_cycles,
+            cfg.measure_from,
+            &PbsRunSpec::paper(EbObjective::Ws, cfg.pbs_hold_windows),
+        );
+
+        // The schemes name the same simulations: nothing left to step.
+        let before = cycles_simulated();
+        let best = ev.evaluate(&w, Scheme::BestTlp);
+        let online = ev.evaluate(&w, Scheme::Pbs(EbObjective::Ws));
+        assert_eq!(cycles_simulated(), before, "a scheme re-simulated its run");
+
+        assert_eq!(best.windows, inline_best);
+        assert_eq!(best.windows, unit_best);
+        assert_eq!(best.combo.as_ref(), Some(&best_combo));
+        assert_eq!(best.tlp_trace, vec![(0, best_combo.levels().to_vec())]);
+        assert_eq!(online.windows, inline_pbs.overall);
+        assert_eq!(online.windows, unit_pbs.overall);
+        assert_eq!(online.tlp_trace, inline_pbs.tlp_trace);
+        assert_eq!(online.combo, None);
+        let alone = ev.alone_ipcs(&w);
+        for r in [&best, &online] {
+            let sds: Vec<f64> = r
+                .windows
+                .iter()
+                .zip(&alone)
+                .map(|(x, a)| x.ipc() / a)
+                .collect();
+            assert_eq!(r.metrics.sds, sds, "{}", r.scheme);
+        }
+    });
+}
+
+#[test]
+fn memoized_sampling_error_equals_the_inline_loop() {
+    let _guard = CACHE_CONFIG.lock().unwrap();
+    let cfg = GpuConfig::small();
+    let w = Workload::pair("BFS", "FFT");
+    let combo = TlpCombo::pair(TlpLevel::new(2).unwrap(), TlpLevel::new(4).unwrap());
+    let (warmup, window, n_windows) = (1_000, 500, 6);
+
+    // `figures::sampling`'s part 1 as it was written inline.
+    let mut gpu = Gpu::new(&cfg, w.apps(), 42);
+    gpu.set_combo(&combo);
+    gpu.run(warmup);
+    let peak = cfg.peak_bw_bytes_per_cycle();
+    let apps = [AppId::new(0), AppId::new(1)];
+    let mut errs = [Vec::new(), Vec::new()];
+    let mut prev_exact = apps.map(|a| gpu.counters(a));
+    let mut prev_des = apps.map(|a| gpu.designated_counters(a));
+    for _ in 0..n_windows {
+        gpu.run(window);
+        for (i, app) in apps.into_iter().enumerate() {
+            let (exact, des) = (gpu.counters(app), gpu.designated_counters(app));
+            let e = AppWindow::new(exact - prev_exact[i], window, peak).effective_bandwidth();
+            let d = AppWindow::new(des - prev_des[i], window, peak).effective_bandwidth();
+            if e > 1e-6 {
+                errs[i].push(((d - e) / e).abs());
+            }
+            prev_exact[i] = exact;
+            prev_des[i] = des;
+        }
+    }
+    let inline: Vec<f64> = errs
+        .iter()
+        .map(|v| 100.0 * v.iter().sum::<f64>() / v.len().max(1) as f64)
+        .collect();
+    assert!(inline.iter().all(|e| e.is_finite()) && inline.iter().any(|&e| e > 0.0));
+
+    let inputs = FixedRunInputs {
+        cfg: &cfg,
+        apps: w.apps(),
+        core_split: None,
+        seed: 42,
+        ccws: false,
+    };
+    let helper = || sampling_error_cached(&inputs, &combo, RunSpec::new(warmup, window), n_windows);
+    with_cache_dir("sampling", |_dir| {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&helper()), bits(&inline), "cold");
+        gpu_sim::cache::clear_memory();
+        let before = cycles_simulated();
+        assert_eq!(bits(&helper()), bits(&inline), "decoded from disk");
+        assert_eq!(cycles_simulated(), before);
     });
 }

@@ -80,7 +80,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 ///
 /// The golden-fingerprint test pins the `(ENGINE_VERSION, canonical
 /// encoding, hash)` triple so accidental drift fails CI.
-pub const ENGINE_VERSION: u32 = 1;
+pub const ENGINE_VERSION: u32 = 2;
 
 /// Version of the on-disk record *frame* (not the payload semantics).
 pub const FORMAT_VERSION: u32 = 1;
@@ -653,14 +653,10 @@ impl DiskStore {
     }
 }
 
-/// Appends one [`AppWindow`](gpu_types::AppWindow) to a payload: the eight
-/// raw counters, the window length and the peak-bandwidth normalizer, all
-/// exact (floats as bit patterns). Payload helpers live here so every
-/// memoized entry point (alone profiles, sweeps, evaluator results) encodes
-/// windows identically.
-pub fn push_window(buf: &mut CanonBuf, w: &gpu_types::AppWindow) {
-    let c = &w.counters;
-    for v in [
+/// A window's eight raw counters in payload order — the one place that
+/// order is written down ([`counters_from_array`] is its inverse).
+pub fn counters_to_array(c: &gpu_types::MemCounters) -> [u64; 8] {
+    [
         c.l1_accesses,
         c.l1_misses,
         c.l2_accesses,
@@ -669,7 +665,32 @@ pub fn push_window(buf: &mut CanonBuf, w: &gpu_types::AppWindow) {
         c.row_hits,
         c.row_misses,
         c.warp_insts,
-    ] {
+    ]
+}
+
+/// Rebuilds the counters [`counters_to_array`] flattened.
+pub fn counters_from_array(v: [u64; 8]) -> gpu_types::MemCounters {
+    let [l1_accesses, l1_misses, l2_accesses, l2_misses, dram_bytes, row_hits, row_misses, warp_insts] =
+        v;
+    gpu_types::MemCounters {
+        l1_accesses,
+        l1_misses,
+        l2_accesses,
+        l2_misses,
+        dram_bytes,
+        row_hits,
+        row_misses,
+        warp_insts,
+    }
+}
+
+/// Appends one [`AppWindow`](gpu_types::AppWindow) to a payload: the eight
+/// raw counters, the window length and the peak-bandwidth normalizer, all
+/// exact (floats as bit patterns). Payload helpers live here so every
+/// memoized entry point (alone profiles, sweeps, evaluator results) encodes
+/// windows identically.
+pub fn push_window(buf: &mut CanonBuf, w: &gpu_types::AppWindow) {
+    for v in counters_to_array(&w.counters) {
         buf.push_u64(v);
     }
     buf.push_u64(w.cycles);
@@ -679,16 +700,10 @@ pub fn push_window(buf: &mut CanonBuf, w: &gpu_types::AppWindow) {
 /// Reads one window written by [`push_window`]; `None` on truncation or an
 /// invalid (empty) window.
 pub fn read_window(r: &mut gpu_types::CanonReader<'_>) -> Option<gpu_types::AppWindow> {
-    let counters = gpu_types::MemCounters {
-        l1_accesses: r.read_u64()?,
-        l1_misses: r.read_u64()?,
-        l2_accesses: r.read_u64()?,
-        l2_misses: r.read_u64()?,
-        dram_bytes: r.read_u64()?,
-        row_hits: r.read_u64()?,
-        row_misses: r.read_u64()?,
-        warp_insts: r.read_u64()?,
-    };
+    let mut counters = [0u64; 8];
+    for v in &mut counters {
+        *v = r.read_u64()?;
+    }
     let cycles = r.read_u64()?;
     let peak = r.read_f64()?;
     // `AppWindow::new` requires positive cycles and peak bandwidth; a NaN
@@ -696,7 +711,11 @@ pub fn read_window(r: &mut gpu_types::CanonReader<'_>) -> Option<gpu_types::AppW
     if cycles == 0 || peak.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
         return None;
     }
-    Some(gpu_types::AppWindow::new(counters, cycles, peak))
+    Some(gpu_types::AppWindow::new(
+        counters_from_array(counters),
+        cycles,
+        peak,
+    ))
 }
 
 #[cfg(test)]

@@ -198,6 +198,78 @@ pub fn measure_fixed_cached(
     )
 }
 
+/// The Fig. 8 designated-sampling estimate held against exact aggregation:
+/// applies `combo`, warms up, then measures `n_windows` consecutive windows
+/// of `spec.window` cycles and returns, per application, the mean relative
+/// error of the designated core + partition EB estimate, in percent
+/// (windows whose exact EB is ~0 are skipped).
+fn sampling_error(gpu: &mut Gpu, combo: &TlpCombo, spec: RunSpec, n_windows: u64) -> Vec<f64> {
+    gpu.set_combo(combo);
+    gpu.run(spec.warmup);
+    let peak = gpu.config().peak_bw_bytes_per_cycle();
+    let apps: Vec<AppId> = (0..gpu.n_apps()).map(|a| AppId::new(a as u8)).collect();
+    let mut errs = vec![Vec::new(); apps.len()];
+    let mut prev_exact = snapshot_all(gpu);
+    let mut prev_des: Vec<_> = apps.iter().map(|&a| gpu.designated_counters(a)).collect();
+    for _ in 0..n_windows {
+        gpu.run(spec.window);
+        for (i, &app) in apps.iter().enumerate() {
+            let exact = gpu.counters(app);
+            let des = gpu.designated_counters(app);
+            let e = AppWindow::new(exact - prev_exact[i], spec.window, peak).effective_bandwidth();
+            let d = AppWindow::new(des - prev_des[i], spec.window, peak).effective_bandwidth();
+            if e > 1e-6 {
+                errs[i].push(((d - e) / e).abs());
+            }
+            prev_exact[i] = exact;
+            prev_des[i] = des;
+        }
+    }
+    errs.iter()
+        .map(|v| 100.0 * v.iter().sum::<f64>() / v.len().max(1) as f64)
+        .collect()
+}
+
+/// Mean per-window error (percent, one entry per application) of the
+/// Fig. 8 designated-sampling EB estimate against exact aggregation, on a
+/// freshly built machine held at `combo`: `spec.warmup` cycles, then
+/// `n_windows` windows of `spec.window` cycles each. Memoized like
+/// [`measure_fixed_cached`], under a `"sampling"` fingerprint of `inputs`,
+/// `combo`, `spec` and `n_windows`.
+pub fn sampling_error_cached(
+    inputs: &FixedRunInputs<'_>,
+    combo: &TlpCombo,
+    spec: RunSpec,
+    n_windows: u64,
+) -> Vec<f64> {
+    let mut key = crate::cache::KeyBuilder::new("sampling");
+    inputs.push_key(&mut key);
+    key.push(combo);
+    key.push(&spec);
+    key.push_u64(n_windows);
+    crate::cache::memoize(
+        key.finish(),
+        |errs: &Vec<f64>| {
+            let mut buf = CanonBuf::new();
+            buf.push_usize(errs.len());
+            for &e in errs {
+                buf.push_f64(e);
+            }
+            buf.into_bytes()
+        },
+        |bytes| {
+            let mut r = CanonReader::new(bytes);
+            let n = r.read_usize()?;
+            let mut errs = Vec::with_capacity(n);
+            for _ in 0..n {
+                errs.push(r.read_f64()?);
+            }
+            r.is_empty().then_some(errs)
+        },
+        || sampling_error(&mut inputs.build(), combo, spec, n_windows),
+    )
+}
+
 /// Result of a controlled (policy-driven) run.
 #[derive(Debug, Clone)]
 pub struct ControlledRun {
@@ -217,23 +289,30 @@ pub struct ControlledRun {
 }
 
 impl ControlledRun {
-    /// Renders the per-window series as CSV
-    /// (`cycle,app,tlp?,ipc,bw,cmr,eb` — TLP comes from the trace).
+    /// [`series_csv`] of this run's window series.
     pub fn series_csv(&self) -> String {
-        let mut out = String::from("cycle,app,ipc,bw,cmr,eb\n");
-        for (cycle, windows) in &self.window_series {
-            for (a, w) in windows.iter().enumerate() {
-                out.push_str(&format!(
-                    "{cycle},{a},{:.4},{:.4},{:.4},{:.4}\n",
-                    w.ipc(),
-                    w.attained_bw(),
-                    w.combined_miss_rate(),
-                    w.effective_bandwidth()
-                ));
-            }
-        }
-        out
+        series_csv(&self.window_series)
     }
+}
+
+/// Renders a per-window series ([`ControlledRun::window_series`], or the
+/// copy a cached controller-run record carries) as the
+/// `cycle,app,ipc,bw,cmr,eb` CSV of the Fig. 11 exports (TLP comes from the
+/// trace).
+pub fn series_csv(series: &[(u64, Vec<AppWindow>)]) -> String {
+    let mut out = String::from("cycle,app,ipc,bw,cmr,eb\n");
+    for (cycle, windows) in series {
+        for (a, w) in windows.iter().enumerate() {
+            out.push_str(&format!(
+                "{cycle},{a},{:.4},{:.4},{:.4},{:.4}\n",
+                w.ipc(),
+                w.attained_bw(),
+                w.combined_miss_rate(),
+                w.effective_bandwidth()
+            ));
+        }
+    }
+    out
 }
 
 /// Runs `gpu` for `total_cycles` under `controller`.

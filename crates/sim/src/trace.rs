@@ -757,9 +757,8 @@ where
 
 /// Renders the captured [`TraceEvent::WindowSample`] events as the
 /// `cycle,app,ipc,bw,cmr,eb` CSV of the Fig. 11 exports — byte-identical to
-/// [`crate::harness::ControlledRun::series_csv`] for the same run, which is
-/// how `fig11` regenerates its CSVs from the generic trace instead of
-/// bespoke plumbing.
+/// [`crate::harness::series_csv`] of the same run's window series, which is
+/// what `fig11` writes: the generic trace carries the whole artifact.
 pub fn series_csv<'a, I>(events: I) -> String
 where
     I: IntoIterator<Item = &'a TraceEvent>,

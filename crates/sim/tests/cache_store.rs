@@ -33,7 +33,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// update it in the same commit.
 #[test]
 fn golden_fingerprint_is_stable() {
-    assert_eq!(ENGINE_VERSION, 1, "update the golden hash with the bump");
+    assert_eq!(ENGINE_VERSION, 2, "update the golden hash with the bump");
     let mut key = KeyBuilder::new("golden");
     key.push(&GpuConfig::small())
         .push(by_name("BLK").expect("known app"))
@@ -41,7 +41,7 @@ fn golden_fingerprint_is_stable() {
         .push(&RunSpec::new(500, 2_000));
     assert_eq!(
         key.finish().to_hex(),
-        "ef3b8709a682acbf52082aedef130585",
+        "ae968d05947d97ae8dc56131c57a5b0b",
         "canonical encoding or hash changed: bump ENGINE_VERSION and update \
          this constant in the same commit"
     );

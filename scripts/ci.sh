@@ -78,9 +78,16 @@ if grep -q '\] cache: .*hit rate 0\.000' "$TMP/warm/stderr.log"; then
   echo "FAIL: warm experiments run reported a zero cache hit rate" >&2
   exit 1
 fi
+# ...by the cache alone: a hit rate above zero is also what a run that
+# re-simulates half its renders reports.
+if ! grep -q '\] cache: .* 0 misses' "$TMP/warm/stderr.log" ||
+  ! grep -q '^{"schema":1,"workers":[0-9]*,"spans":\[{"level":"campaign",[^}]*"cycles":0,' "$TMP/warm/PROFILE.json"; then
+  echo "FAIL: warm experiments run missed the cache or simulated (PROFILE.json root span: $(grep -o '^[^}]*}' "$TMP/warm/PROFILE.json"))" >&2
+  exit 1
+fi
 # ...and must reproduce the cold run's reports byte for byte.
 same_artifacts "$TMP/cold" "$TMP/warm"
-echo "cache round trip OK: warm run hit the cache and reproduced every report"
+echo "cache round trip OK: warm run simulated nothing and reproduced every report"
 
 echo "== trace schema gate (trace-tools validate on the --quick campaign trace) =="
 trace_tools validate "$TMP/cold.jsonl"
