@@ -2,29 +2,38 @@
 //! whole-campaign parallelism.
 //!
 //! Rendered one after another ([`run_serial`]), the 21 artifacts
-//! parallelize only their own inner loops — the alone-profile ladder, one
-//! workload's 64-combination sweep, one batch of scheme runs. Between
-//! those bursts the worker pool sits idle, and several artifacts quietly
-//! re-demand measurements an earlier artifact already produced.
+//! parallelize only the inner loops of one measurement — the alone-profile
+//! ladder, one workload's 64-combination sweep. Between those bursts the
+//! worker pool sits idle, and several artifacts quietly re-demand
+//! measurements an earlier artifact already produced.
 //!
 //! This module compiles the campaign into an explicit work graph instead:
 //!
-//! * [`plan`] walks the artifact list ([`ARTIFACTS`]) and emits one
-//!   **work unit** per underlying measurement — an alone
-//!   profile, a sweep, a fixed-combination run, a memoized PBS run, a
-//!   sampling-error run, a scheme evaluation — keyed by the *same
-//!   content-addressed fingerprint*
-//!   the persistent result cache uses ([`alone_fingerprint`],
+//! * [`plan`] runs each selected artifact's declaration
+//!   ([`crate::figures`], in [`ARTIFACTS`] order) against one planner. A
+//!   declaration calls the planner's constructors for what its render is
+//!   going to read — an alone profile, a sweep, a fixed-combination run, a
+//!   memoized PBS run, a sampling-error run, a scheme evaluation — and each
+//!   call registers one **work unit**, keyed by the *same content-addressed
+//!   fingerprint* the persistent result cache uses ([`alone_fingerprint`],
 //!   [`sweep_fingerprint`], [`FixedRunInputs::fingerprint`],
-//!   [`pbsrun_fingerprint`], [`scheme_fingerprint`]). Planning never
-//!   simulates; it is a pure function of the campaign configuration.
-//!   Units demanded twice (Fig. 9 and Fig. 10 share every baseline; the
-//!   ablation and sampling studies and Fig. 11 share their PBS paper runs;
-//!   the GTO/open-page sensitivity arms are bit-identical to the base
-//!   config) collapse into one node — the plan's *dedup ratio*. Units that
-//!   name the same simulation at two levels (a `scheme:` unit resolves to
-//!   the `fixed` or `pbsrun` record a `bestfixed:` or `pbs:` unit also
-//!   writes) meet in the cache's single-flight tier instead.
+//!   [`pbsrun_fingerprint`], [`scheme_fingerprint`]), and hands back a
+//!   `Demand<T>`: a typed handle on the unit's closure. That one closure is
+//!   the unit's body (a worker calls it and drops the value, which stays
+//!   behind in the caches) *and* the render's read (`Demand::get`), and a
+//!   render has no other way to a measured value — so an artifact is
+//!   described once, its figure node depends on exactly the units its
+//!   declaration demanded, and a read the plan does not know about cannot
+//!   be written. Planning never simulates; it is a pure function of the
+//!   campaign configuration. Units demanded twice (Fig. 9 and Fig. 10
+//!   share every baseline; the ablation and sampling studies and Fig. 11
+//!   share their PBS paper runs; the GTO/open-page sensitivity arms are
+//!   bit-identical to the base config) collapse into one node whose
+//!   closure every demand of that fingerprint shares — the plan's *dedup
+//!   ratio*. Units that name the same simulation at two levels (a
+//!   `scheme:` unit resolves to the `fixed` or `pbsrun` record a
+//!   `bestfixed:` or `pbs:` unit also writes) meet in the cache's
+//!   single-flight tier instead.
 //! * [`run`] executes the unit graph over a [`gpu_sim::exec::with_workers`]
 //!   pool. The frontier is a max-heap ordered by a per-unit **cost model**
 //!   ([`CostModel`]) seeded from the previous run's `PROFILE.json` span
@@ -35,19 +44,18 @@
 //!   artifacts are **byte-identical** to the serial campaign while the
 //!   pool keeps simulating ahead.
 //! * [`run_serial`] is the reference the scheduler is held to: the same
-//!   plan's figures rendered in order with no unit executed.
+//!   plan's figures rendered in order with no unit executed, every
+//!   `Demand::get` computing inline through the same closure.
 //!
 //! Determinism is inherited, not re-proved: every unit is a pure function
 //! of its fingerprint inputs, results land in the shared
-//! [`ebm_core::ResultStore`] / [`gpu_sim::cache`] tiers, and renders only
-//! read memoized state — no render simulates, so an untraced campaign's
-//! `unit` spans add up to its simulated cycles and a warm one simulates
-//! none (`tests/campaign_warm.rs`). A unit the planner missed is
-//! recomputed inline by the render (correct, merely slower); a unit
-//! computed twice is collapsed by the cache's single-flight tier. Worker
-//! panics are caught, flagged, and re-raised on the caller after the pool
-//! drains — the "catch-and-flag" pattern [`gpu_sim::exec::with_workers`]
-//! documents.
+//! [`ebm_core::ResultStore`] / [`gpu_sim::cache`] tiers, and a scheduled
+//! render reads only what its units left there — no render simulates, so
+//! an untraced campaign's `unit` spans add up to its simulated cycles and
+//! a warm one simulates none (`tests/campaign_warm.rs`). A unit computed
+//! twice is collapsed by the cache's single-flight tier. Worker panics are
+//! caught, flagged, and re-raised on the caller after the pool drains —
+//! the "catch-and-flag" pattern [`gpu_sim::exec::with_workers`] documents.
 //!
 //! [`alone_fingerprint`]: gpu_sim::alone::alone_fingerprint
 //! [`sweep_fingerprint`]: ebm_core::sweep::sweep_fingerprint
@@ -57,62 +65,89 @@
 
 use crate::figures;
 use crate::util::{BenchArgs, Report};
-use ebm_core::eval::{scheme_fingerprint, Evaluator, EvaluatorConfig, Scheme};
+use ebm_core::eval::{scheme_fingerprint, Evaluator, EvaluatorConfig, Scheme, SchemeResult};
 use ebm_core::metrics::EbObjective;
 use ebm_core::pattern::pbs_offline_search;
-use ebm_core::pbsrun::{pbsrun_fingerprint, run_pbs_cached, PbsRunSpec};
+use ebm_core::pbsrun::{pbsrun_fingerprint, run_pbs_traced, PbsRun, PbsRunSpec};
 use ebm_core::scaling::ScalingFactors;
 use ebm_core::sweep::{sweep_fingerprint, ComboSweep};
-use gpu_sim::alone::{alone_fingerprint, profile_alone};
+use gpu_sim::alone::{alone_fingerprint, profile_alone, AloneProfile};
 use gpu_sim::harness::{measure_fixed_cached, sampling_error_cached, FixedRunInputs, RunSpec};
-use gpu_sim::trace::{TraceEvent, TraceSink};
+use gpu_sim::trace::{NullSink, TraceEvent, TraceSink};
 use gpu_sim::{cache, exec};
-use gpu_types::{Fingerprint, FxHashMap, GpuConfig, TlpCombo, TlpLevel};
-use gpu_workloads::{all_apps, by_name, representative_workloads, AppProfile, Workload};
+use gpu_types::{AppWindow, Fingerprint, FxHashMap, GpuConfig, TlpCombo};
+use gpu_workloads::{AppProfile, Workload};
+use std::any::Any;
 use std::collections::BinaryHeap;
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Every campaign artifact, in generation order: the only artifact list
-/// there is (`--only` ids are checked against it, `plan_artifact` pairs
-/// each id with its units and render). Serial walk and scheduled
-/// coordinator both render in exactly this order, so stdout and the
-/// `results/` files are byte-identical between them.
-pub const ARTIFACTS: [&str; 21] = [
-    "tab04",
-    "fig01",
-    "fig02",
-    "fig03",
-    "fig04",
-    "fig05",
-    "fig06",
-    "fig07",
-    "fig08",
-    "fig09",
-    "fig10",
-    "hs",
-    "fig11",
-    "sens_part",
-    "ablation",
-    "phased",
-    "sampling",
-    "sched",
-    "ccws",
-    "dram_policy",
-    "threeapp",
-];
+/// Every campaign artifact, in generation order — the ids of
+/// `figures::TABLE`, the only artifact list there is (`--only` ids are
+/// checked against it). Serial walk and scheduled coordinator both render
+/// in exactly this order, so stdout and the `results/` files are
+/// byte-identical between them.
+pub const ARTIFACTS: [&str; 21] = {
+    let mut ids = [""; 21];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = figures::TABLE[i].0;
+        i += 1;
+    }
+    ids
+};
 
-/// A work unit's executable body. Results are not returned: they land in
-/// the shared [`ebm_core::ResultStore`] and [`gpu_sim::cache`] tiers,
-/// where the dependent figure renders re-read them warm.
-type UnitFn = Box<dyn FnOnce(&Evaluator) + Send>;
+/// A measurement as a function of the evaluator whose caches it reads
+/// and fills. The sink is for the one kind of run that can stream events
+/// while it simulates (a PBS run under `--trace`); workers and plain reads
+/// pass a [`NullSink`].
+type Read<T> = Arc<dyn Fn(&Evaluator, &mut dyn TraceSink) -> T + Send + Sync>;
+
+/// A typed handle on one planned measurement: what a [`Planner`]
+/// constructor returns and the only way a render obtains a measured value.
+/// The closure behind it is the work unit's body — a worker calls it and
+/// drops the value, which stays behind in the [`ebm_core::ResultStore`] /
+/// [`gpu_sim::cache`] tiers — so [`Demand::get`] after the unit ran is a
+/// warm read of exactly that computation, and without one (`--serial`, a
+/// standalone figure) computes it inline.
+pub(crate) struct Demand<T> {
+    /// Index of the unit in the plan (a dependency edge's target).
+    unit: usize,
+    read: Read<T>,
+}
+
+impl<T> Demand<T> {
+    /// The measured value.
+    pub(crate) fn get(&self, ev: &Evaluator) -> T {
+        (self.read)(ev, &mut NullSink)
+    }
+
+    /// [`Demand::get`] with a sink for the events of a run that streams
+    /// them: an enabled sink makes a PBS run simulate inline.
+    pub(crate) fn get_traced(&self, ev: &Evaluator, sink: &mut dyn TraceSink) -> T {
+        (self.read)(ev, sink)
+    }
+}
+
+/// A unit's computation with its value type erased: what a worker runs,
+/// and what a later demand of the same fingerprint recovers its typed
+/// [`Read`] from.
+trait Body: Any + Send + Sync {
+    fn run(&self, ev: &Evaluator);
+}
+
+impl<T: 'static> Body for Read<T> {
+    fn run(&self, ev: &Evaluator) {
+        drop(self(ev, &mut NullSink));
+    }
+}
 
 /// A figure render: runs on the coordinator thread only, in serial
-/// artifact order, once its units are done.
-type RenderFn = Box<dyn FnOnce(&Evaluator, &mut dyn TraceSink) -> Report>;
+/// artifact order, once the units it demanded are done.
+pub(crate) type Render = Box<dyn FnOnce(&Evaluator, &mut dyn TraceSink) -> Report>;
 
 /// One content-addressed measurement node of the work graph.
 struct Unit {
@@ -125,15 +160,15 @@ struct Unit {
     cost: u64,
     /// Indices of units that must finish before this one starts.
     deps: Vec<usize>,
-    /// The body, taken exactly once by whichever worker claims the unit.
-    run: Mutex<Option<UnitFn>>,
+    /// The computation, shared with every [`Demand`] of this fingerprint.
+    body: Box<dyn Body>,
 }
 
 /// One artifact: a consumer node depending on the units it reads.
 struct FigureNode {
     id: &'static str,
     deps: Vec<usize>,
-    render: RenderFn,
+    render: Render,
 }
 
 /// A compiled campaign: the deduplicated unit graph plus the figure
@@ -283,53 +318,94 @@ impl PartialOrd for Ready {
     }
 }
 
-/// Builds the unit graph by walking the artifact list.
-struct Planner {
-    cfg: EvaluatorConfig,
+/// The machine a fixed-combination or controller run simulates, owned so
+/// that a unit's closure can carry it ([`FixedRunInputs`] borrows).
+struct Machine {
+    gpu: GpuConfig,
+    w: Workload,
+    split: Option<Vec<usize>>,
+    seed: u64,
+    ccws: bool,
+}
+
+impl Machine {
+    fn inputs(&self) -> FixedRunInputs<'_> {
+        FixedRunInputs {
+            cfg: &self.gpu,
+            apps: self.w.apps(),
+            core_split: self.split.as_deref(),
+            seed: self.seed,
+            ccws: self.ccws,
+        }
+    }
+}
+
+fn units_of<T>(demands: &[Demand<T>]) -> Vec<usize> {
+    demands.iter().map(|d| d.unit).collect()
+}
+
+/// Builds the unit graph. An artifact declaration in [`figures`] calls the
+/// constructors below for what its render is going to read; each registers
+/// (or dedups) one unit and returns the [`Demand`] to read it through.
+pub(crate) struct Planner {
+    /// The campaign configuration: the base machine, seed and run lengths
+    /// every unit that names no other is keyed on.
+    pub(crate) cfg: EvaluatorConfig,
     costs: CostModel,
     units: Vec<Unit>,
     by_fp: FxHashMap<Fingerprint, usize>,
     requested: usize,
+    /// Every unit demanded since the last figure node was cut: the
+    /// dependency list of the artifact being declared.
+    demanded: Vec<usize>,
 }
 
 impl Planner {
-    fn new(cfg: EvaluatorConfig, costs: CostModel) -> Self {
+    pub(crate) fn new(cfg: EvaluatorConfig, costs: CostModel) -> Self {
         Planner {
             cfg,
             costs,
             units: Vec::new(),
             by_fp: FxHashMap::default(),
             requested: 0,
+            demanded: Vec::new(),
         }
     }
 
     /// Registers (or dedups) the unit with content address `fp`. The first
     /// registration wins: a later demand with the same fingerprint names
-    /// the same computation, so its label, cost and dependencies are
-    /// already correct.
-    fn unit(
+    /// the same computation, so it shares the first one's closure, and the
+    /// unit's label, cost and dependencies are already correct.
+    fn unit<T: 'static>(
         &mut self,
         fp: Fingerprint,
         label: String,
         fallback_cost: u64,
         deps: Vec<usize>,
-        run: UnitFn,
-    ) -> usize {
+        read: impl Fn(&Evaluator, &mut dyn TraceSink) -> T + Send + Sync + 'static,
+    ) -> Demand<T> {
         self.requested += 1;
-        if let Some(&idx) = self.by_fp.get(&fp) {
-            return idx;
+        let unit = *self.by_fp.entry(fp).or_insert(self.units.len());
+        if unit == self.units.len() {
+            let cost = self.costs.cost(&label, fallback_cost);
+            let read: Read<T> = Arc::new(read);
+            self.units.push(Unit {
+                label,
+                fp,
+                cost,
+                deps,
+                body: Box::new(read),
+            });
         }
-        let idx = self.units.len();
-        let cost = self.costs.cost(&label, fallback_cost);
-        self.units.push(Unit {
-            label,
-            fp,
-            cost,
-            deps,
-            run: Mutex::new(Some(run)),
-        });
-        self.by_fp.insert(fp, idx);
-        idx
+        self.demanded.push(unit);
+        let first: &dyn Any = &*self.units[unit].body;
+        let read = first
+            .downcast_ref::<Read<T>>()
+            .expect("one fingerprint names one computation, of one type");
+        Demand {
+            unit,
+            read: read.clone(),
+        }
     }
 
     /// Distinct clamped ladder levels on `g` (alone-profile runs per app).
@@ -338,205 +414,172 @@ impl Planner {
     }
 
     /// An alone profile through the evaluator's store (base config only).
-    fn alone(&mut self, app: &'static AppProfile, n_cores: usize) -> usize {
-        let cfg = self.cfg.clone();
+    pub(crate) fn alone(
+        &mut self,
+        app: &'static AppProfile,
+        n_cores: usize,
+    ) -> Demand<AloneProfile> {
+        let cfg = &self.cfg;
         let fp = alone_fingerprint(&cfg.gpu, app, n_cores, cfg.seed, cfg.alone_spec);
         let label = format!("alone:{}@{}", app.name, n_cores);
         let est = Self::ladder_len(&cfg.gpu) * (cfg.alone_spec.warmup + cfg.alone_spec.window);
-        self.unit(
-            fp,
-            label,
-            est,
-            Vec::new(),
-            Box::new(move |ev| {
-                ev.alone(app, n_cores);
-            }),
-        )
+        self.unit(fp, label, est, Vec::new(), move |ev, _| {
+            ev.alone(app, n_cores)
+        })
+    }
+
+    /// The alone profiles of `w`'s applications, each on its equal share of
+    /// the base machine's cores: the SD denominators and the ++bestTLP
+    /// combination of every run of `w` there.
+    pub(crate) fn alones(&mut self, w: &Workload) -> Vec<Demand<AloneProfile>> {
+        let n = self.cfg.gpu.n_cores / w.n_apps();
+        w.apps().iter().map(|a| self.alone(a, n)).collect()
     }
 
     /// An alone profile under a modified machine config (sensitivity arms),
     /// memoized by [`gpu_sim::cache`] rather than the evaluator store.
-    fn alone_at(
+    pub(crate) fn alone_at(
         &mut self,
         g: &GpuConfig,
         app: &'static AppProfile,
         n_cores: usize,
         spec: RunSpec,
-    ) -> usize {
+    ) -> Demand<AloneProfile> {
         let seed = self.cfg.seed;
         let fp = alone_fingerprint(g, app, n_cores, seed, spec);
         let label = format!("alone:{}@{}#{}", app.name, n_cores, &fp.to_hex()[..8]);
         let est = Self::ladder_len(g) * (spec.warmup + spec.window);
         let g = g.clone();
-        self.unit(
-            fp,
-            label,
-            est,
-            Vec::new(),
-            Box::new(move |_ev| {
-                profile_alone(&g, app, n_cores, seed, spec);
-            }),
-        )
+        self.unit(fp, label, est, Vec::new(), move |_, _| {
+            profile_alone(&g, app, n_cores, seed, spec)
+        })
     }
 
     /// A 64-combination sweep through the evaluator's store.
-    fn sweep(&mut self, w: &Workload) -> usize {
-        let cfg = self.cfg.clone();
+    pub(crate) fn sweep(&mut self, w: &Workload) -> Demand<ComboSweep> {
+        let cfg = &self.cfg;
         let fp = sweep_fingerprint(&cfg.gpu, w, cfg.seed, cfg.sweep_spec);
         let label = format!("sweep:{}", w.name());
         let est = ComboSweep::combos(&cfg.gpu, w.n_apps()).len() as u64
             * (cfg.sweep_spec.warmup + cfg.sweep_spec.window);
         let wl = w.clone();
-        self.unit(
-            fp,
-            label,
-            est,
-            Vec::new(),
-            Box::new(move |ev| {
-                ev.sweep(&wl);
-            }),
-        )
+        self.unit(fp, label, est, Vec::new(), move |ev, _| ev.sweep(&wl))
     }
 
     /// A sweep under a modified machine config.
-    fn sweep_at(&mut self, g: &GpuConfig, w: &Workload, spec: RunSpec) -> usize {
+    pub(crate) fn sweep_at(
+        &mut self,
+        g: &GpuConfig,
+        w: &Workload,
+        spec: RunSpec,
+    ) -> Demand<ComboSweep> {
         let seed = self.cfg.seed;
         let fp = sweep_fingerprint(g, w, seed, spec);
         let label = format!("sweep:{}#{}", w.name(), &fp.to_hex()[..8]);
         let est = ComboSweep::combos(g, w.n_apps()).len() as u64 * (spec.warmup + spec.window);
-        let g = g.clone();
-        let wl = w.clone();
-        self.unit(
-            fp,
-            label,
-            est,
-            Vec::new(),
-            Box::new(move |_ev| {
-                ComboSweep::measure(&g, &wl, seed, spec);
-            }),
-        )
+        let (g, wl) = (g.clone(), w.clone());
+        self.unit(fp, label, est, Vec::new(), move |_, _| {
+            ComboSweep::measure(&g, &wl, seed, spec)
+        })
     }
 
     /// A full scheme evaluation. Depends on the workload's alone profiles
     /// (SD denominators, ++bestTLP combination), the sweep for offline
     /// schemes and the ++bestTLP result for `opt*`'s baseline guard — so
     /// the run's warm-up phase is all store hits.
-    fn scheme(&mut self, w: &Workload, s: Scheme) -> usize {
-        let n = self.cfg.gpu.n_cores / w.n_apps();
-        let mut deps: Vec<usize> = Vec::new();
-        for app in w.apps() {
-            deps.push(self.alone(app, n));
-        }
+    pub(crate) fn scheme(&mut self, w: &Workload, s: Scheme) -> Demand<SchemeResult> {
+        let mut deps = units_of(&self.alones(w));
         if matches!(
             s,
             Scheme::PbsOffline(_) | Scheme::BruteForce(_) | Scheme::Opt(_) | Scheme::OptIt
         ) {
-            deps.push(self.sweep(w));
+            deps.push(self.sweep(w).unit);
         }
         if matches!(s, Scheme::Opt(_)) {
-            deps.push(self.scheme(w, Scheme::BestTlp));
+            deps.push(self.scheme(w, Scheme::BestTlp).unit);
         }
         let fp = scheme_fingerprint(&self.cfg, w, s);
         let label = format!("scheme:{}/{}", w.name(), s);
         let est = self.cfg.run_cycles;
         let wl = w.clone();
-        self.unit(
-            fp,
-            label,
-            est,
-            deps,
-            Box::new(move |ev| {
-                ev.evaluate(&wl, s);
-            }),
-        )
+        self.unit(fp, label, est, deps, move |ev, _| ev.evaluate(&wl, s))
     }
 
     /// A fixed-combination measurement on an explicitly described machine.
-    #[allow(clippy::too_many_arguments)]
-    fn fixed(
+    pub(crate) fn fixed(
         &mut self,
         g: &GpuConfig,
-        apps: Vec<&'static AppProfile>,
+        w: &Workload,
         split: Option<Vec<usize>>,
         ccws: bool,
         combo: TlpCombo,
         spec: RunSpec,
-    ) -> usize {
-        let seed = self.cfg.seed;
-        let fp = FixedRunInputs {
-            cfg: g,
-            apps: &apps,
-            core_split: split.as_deref(),
-            seed,
+    ) -> Demand<Vec<AppWindow>> {
+        let m = Machine {
+            gpu: g.clone(),
+            w: w.clone(),
+            split,
+            seed: self.cfg.seed,
             ccws,
-        }
-        .fingerprint(&combo, spec);
-        let names: Vec<&str> = apps.iter().map(|a| a.name).collect();
-        let label = format!("fixed:{}@{}#{}", names.join("_"), combo, &fp.to_hex()[..8]);
-        let g = g.clone();
-        self.unit(
-            fp,
-            label,
-            spec.warmup + spec.window,
-            Vec::new(),
-            Box::new(move |_ev| {
-                let inputs = FixedRunInputs {
-                    cfg: &g,
-                    apps: &apps,
-                    core_split: split.as_deref(),
-                    seed,
-                    ccws,
-                };
-                measure_fixed_cached(&inputs, &combo, spec);
-            }),
-        )
+        };
+        let fp = m.inputs().fingerprint(&combo, spec);
+        let label = format!("fixed:{}@{}#{}", w.name(), combo, &fp.to_hex()[..8]);
+        let est = spec.warmup + spec.window;
+        self.unit(fp, label, est, Vec::new(), move |_, _| {
+            measure_fixed_cached(&m.inputs(), &combo, spec)
+        })
     }
 
-    /// A memoized PBS controller run.
+    /// A memoized PBS controller run. The one demand whose sink matters:
+    /// read through [`Demand::get_traced`] with an enabled sink, the run
+    /// simulates inline and streams its events.
     #[allow(clippy::too_many_arguments)]
-    fn pbs(
+    pub(crate) fn pbs(
         &mut self,
         g: &GpuConfig,
-        apps: Vec<&'static AppProfile>,
+        w: &Workload,
         split: Option<Vec<usize>>,
         start: TlpCombo,
         run_cycles: u64,
         measure_from: u64,
         spec: PbsRunSpec,
-    ) -> usize {
-        let seed = self.cfg.seed;
-        let fp = pbsrun_fingerprint(
-            &FixedRunInputs {
-                cfg: g,
-                apps: &apps,
-                core_split: split.as_deref(),
-                seed,
-                ccws: false,
-            },
-            &start,
-            run_cycles,
-            measure_from,
-            &spec,
-        );
-        let names: Vec<&str> = apps.iter().map(|a| a.name).collect();
-        let label = format!("pbs:{}#{}", names.join("_"), &fp.to_hex()[..8]);
-        let g = g.clone();
-        self.unit(
-            fp,
-            label,
-            run_cycles,
-            Vec::new(),
-            Box::new(move |_ev| {
-                let inputs = FixedRunInputs {
-                    cfg: &g,
-                    apps: &apps,
-                    core_split: split.as_deref(),
-                    seed,
-                    ccws: false,
-                };
-                run_pbs_cached(&inputs, &start, run_cycles, measure_from, &spec);
-            }),
-        )
+    ) -> Demand<PbsRun> {
+        let m = Machine {
+            gpu: g.clone(),
+            w: w.clone(),
+            split,
+            seed: self.cfg.seed,
+            ccws: false,
+        };
+        let fp = pbsrun_fingerprint(&m.inputs(), &start, run_cycles, measure_from, &spec);
+        let label = format!("pbs:{}#{}", w.name(), &fp.to_hex()[..8]);
+        self.unit(fp, label, run_cycles, Vec::new(), move |_, sink| {
+            run_pbs_traced(&m.inputs(), &start, run_cycles, measure_from, &spec, sink)
+        })
+    }
+
+    /// [`Planner::pbs`] of `w` as the scheme runs do it: on the equal-split
+    /// machine `g`, from ++maxTLP, over the campaign's run length.
+    pub(crate) fn pbs_of(
+        &mut self,
+        g: &GpuConfig,
+        w: &Workload,
+        spec: PbsRunSpec,
+    ) -> Demand<PbsRun> {
+        let start = TlpCombo::uniform(g.max_tlp(), w.n_apps());
+        let (run_cycles, measure_from) = (self.cfg.run_cycles, self.cfg.measure_from);
+        self.pbs(g, w, None, start, run_cycles, measure_from, spec)
+    }
+
+    /// The equal-split base machine running `w`, as scheme runs key it.
+    fn machine(&self, w: &Workload) -> Machine {
+        Machine {
+            gpu: self.cfg.gpu.clone(),
+            w: w.clone(),
+            split: None,
+            seed: self.cfg.seed,
+            ccws: false,
+        }
     }
 
     /// A run of a workload on the equal-split machine at its ++bestTLP
@@ -544,16 +587,15 @@ impl Planner {
     /// dependencies), so the unit's content address is synthetic — a
     /// fingerprint over everything the composite reads, `params` being the
     /// run's own.
-    fn at_best_tlp(
+    fn at_best_tlp<T: 'static>(
         &mut self,
         kind: &str,
         w: &Workload,
         cost: u64,
         params: &[u64],
-        run: impl Fn(&FixedRunInputs<'_>, &TlpCombo) + Send + 'static,
-    ) -> usize {
-        let n = self.cfg.gpu.n_cores / w.n_apps();
-        let deps: Vec<usize> = w.apps().iter().map(|a| self.alone(a, n)).collect();
+        run: impl Fn(&FixedRunInputs<'_>, &TlpCombo) -> T + Send + Sync + 'static,
+    ) -> Demand<T> {
+        let deps = units_of(&self.alones(w));
         let mut key = cache::KeyBuilder::new(&format!("campaign-{kind}"));
         key.push(&self.cfg.gpu)
             .push_u64(self.cfg.seed)
@@ -565,62 +607,45 @@ impl Planner {
         for &v in params {
             key.push_u64(v);
         }
-        let fp = key.finish();
         let label = format!("{kind}:{}", w.name());
-        let wl = w.clone();
-        self.unit(
-            fp,
-            label,
-            cost,
-            deps,
-            Box::new(move |ev| {
-                let combo = ev.best_tlp_combo(&wl);
-                let cfg = ev.config();
-                let inputs = FixedRunInputs {
-                    cfg: &cfg.gpu,
-                    apps: wl.apps(),
-                    core_split: None,
-                    seed: cfg.seed,
-                    ccws: false,
-                };
-                run(&inputs, &combo);
-            }),
-        )
+        let m = self.machine(w);
+        self.unit(key.finish(), label, cost, deps, move |ev, _| {
+            run(&m.inputs(), &ev.best_tlp_combo(&m.w))
+        })
     }
 
     /// The ++bestTLP fixed run of a workload.
-    fn best_fixed(&mut self, w: &Workload, spec: RunSpec) -> usize {
+    pub(crate) fn best_fixed(&mut self, w: &Workload, spec: RunSpec) -> Demand<Vec<AppWindow>> {
         self.at_best_tlp(
             "bestfixed",
             w,
             spec.warmup + spec.window,
             &[spec.warmup, spec.window],
-            move |inputs, combo| {
-                measure_fixed_cached(inputs, combo, spec);
-            },
+            move |inputs, combo| measure_fixed_cached(inputs, combo, spec),
         )
     }
 
-    /// The designated-vs-exact estimation-error run of a workload
-    /// (`figures::sampling`, part 1).
-    fn sampling_error(&mut self, w: &Workload) -> usize {
-        let spec = figures::SAMPLING_ERROR_SPEC;
-        let n_windows = figures::SAMPLING_ERROR_WINDOWS;
+    /// The designated-vs-exact estimation-error run of a workload: mean
+    /// per-application error over `n_windows` windows of `spec`.
+    pub(crate) fn sampling_error(
+        &mut self,
+        w: &Workload,
+        spec: RunSpec,
+        n_windows: u64,
+    ) -> Demand<Vec<f64>> {
         self.at_best_tlp(
             "sampling",
             w,
             spec.warmup + n_windows * spec.window,
             &[spec.warmup, spec.window, n_windows],
-            move |inputs, combo| {
-                sampling_error_cached(inputs, combo, spec, n_windows);
-            },
+            move |inputs, combo| sampling_error_cached(inputs, combo, spec, n_windows),
         )
     }
 
     /// The offline-PBS fixed run of a workload: the combination comes from
     /// the sweep (its dependency) via [`pbs_offline_search`] on raw EBs.
-    fn offline_fixed(&mut self, w: &Workload, spec: RunSpec) -> usize {
-        let deps = vec![self.sweep(w)];
+    pub(crate) fn offline_fixed(&mut self, w: &Workload, spec: RunSpec) -> Demand<Vec<AppWindow>> {
+        let sweep = self.sweep(w);
         let mut key = cache::KeyBuilder::new("campaign-offlinefixed");
         key.push(&self.cfg.gpu)
             .push_u64(self.cfg.seed)
@@ -630,78 +655,50 @@ impl Planner {
             key.push(*app);
         }
         key.push(&spec);
-        let fp = key.finish();
         let label = format!("offlinefixed:{}", w.name());
-        let wl = w.clone();
-        self.unit(
-            fp,
-            label,
-            spec.warmup + spec.window,
-            deps,
-            Box::new(move |ev| {
-                let sweep = ev.sweep(&wl);
-                let scaling = ScalingFactors::none(wl.n_apps());
-                let (combo, _) = pbs_offline_search(&sweep, EbObjective::Ws, &scaling);
-                let cfg = ev.config();
-                let inputs = FixedRunInputs {
-                    cfg: &cfg.gpu,
-                    apps: wl.apps(),
-                    core_split: None,
-                    seed: cfg.seed,
-                    ccws: false,
-                };
-                measure_fixed_cached(&inputs, &combo, spec);
-            }),
-        )
+        let (est, deps, m) = (spec.warmup + spec.window, vec![sweep.unit], self.machine(w));
+        self.unit(key.finish(), label, est, deps, move |ev, _| {
+            let scaling = ScalingFactors::none(m.w.n_apps());
+            let (combo, _) = pbs_offline_search(&sweep.get(ev), EbObjective::Ws, &scaling);
+            measure_fixed_cached(&m.inputs(), &combo, spec)
+        })
     }
 
     /// The ++bestTLP fixed run of an explicit-split mix (three-application
-    /// workloads): the combination comes from per-split alone profiles.
-    fn best_fixed_split(
+    /// workloads): the combination comes from the applications' alone
+    /// profiles on `per_app` cores each.
+    pub(crate) fn best_fixed_split(
         &mut self,
-        apps: Vec<&'static AppProfile>,
+        w: &Workload,
         per_app: usize,
         alone_spec: RunSpec,
         spec: RunSpec,
-        deps: Vec<usize>,
-    ) -> usize {
-        let seed = self.cfg.seed;
+    ) -> Demand<Vec<AppWindow>> {
+        let m = Machine {
+            split: Some(vec![per_app; w.n_apps()]),
+            ..self.machine(w)
+        };
+        let alones: Vec<_> = w
+            .apps()
+            .iter()
+            .map(|a| self.alone_at(&m.gpu, a, per_app, alone_spec))
+            .collect();
         let mut key = cache::KeyBuilder::new("campaign-bestfixed-split");
-        key.push(&self.cfg.gpu)
-            .push_u64(seed)
+        key.push(&m.gpu)
+            .push_u64(m.seed)
             .push(&alone_spec)
             .push_usize(per_app)
-            .push_usize(apps.len());
-        for app in &apps {
+            .push_usize(w.n_apps());
+        for app in w.apps() {
             key.push(*app);
         }
         key.push(&spec);
-        let fp = key.finish();
-        let names: Vec<&str> = apps.iter().map(|a| a.name).collect();
-        let label = format!("bestfixed3:{}", names.join("_"));
-        let g = self.cfg.gpu.clone();
-        self.unit(
-            fp,
-            label,
-            spec.warmup + spec.window,
-            deps,
-            Box::new(move |_ev| {
-                let best = TlpCombo::new(
-                    apps.iter()
-                        .map(|a| profile_alone(&g, a, per_app, seed, alone_spec).best_tlp())
-                        .collect(),
-                );
-                let split = vec![per_app; apps.len()];
-                let inputs = FixedRunInputs {
-                    cfg: &g,
-                    apps: &apps,
-                    core_split: Some(&split),
-                    seed,
-                    ccws: false,
-                };
-                measure_fixed_cached(&inputs, &best, spec);
-            }),
-        )
+        let label = format!("bestfixed3:{}", w.name());
+        let (est, deps) = (spec.warmup + spec.window, units_of(&alones));
+        self.unit(key.finish(), label, est, deps, move |ev, _| {
+            let best = TlpCombo::new(alones.iter().map(|d| d.get(ev).best_tlp()).collect());
+            measure_fixed_cached(&m.inputs(), &best, spec)
+        })
     }
 }
 
@@ -713,407 +710,26 @@ pub fn plan(args: &BenchArgs, ev: &Evaluator) -> Campaign {
     plan_with_costs(args, ev, costs)
 }
 
-/// [`plan`] with an explicit cost model (tests, benchmarks).
+/// [`plan`] with an explicit cost model (tests, benchmarks). Each selected
+/// artifact's declaration runs against one planner; the units it demanded
+/// on the way are its figure node's dependencies.
 pub fn plan_with_costs(args: &BenchArgs, ev: &Evaluator, costs: CostModel) -> Campaign {
     let mut p = Planner::new(ev.config().clone(), costs);
-    let workloads = gpu_workloads::all_workloads();
-    let mut figure_nodes = Vec::new();
-    for id in ARTIFACTS {
-        if !args.wants(id) {
-            continue;
+    let mut nodes = Vec::new();
+    for (id, declare) in figures::TABLE {
+        if args.wants(id) {
+            let render = declare(&mut p);
+            let mut deps = std::mem::take(&mut p.demanded);
+            deps.sort_unstable();
+            deps.dedup();
+            nodes.push(FigureNode { id, deps, render });
         }
-        let (deps, render) = plan_artifact(&mut p, id, &workloads);
-        figure_nodes.push(FigureNode { id, deps, render });
     }
     Campaign {
         units: p.units,
-        figures: figure_nodes,
+        figures: nodes,
         requested: p.requested,
     }
-}
-
-/// The scheme set of one Fig. 9/10/`hs` column group, baseline first —
-/// must stay in step with `figures::scheme_figure`.
-fn scheme_set(objective: EbObjective) -> [Scheme; 7] {
-    [
-        Scheme::BestTlp,
-        Scheme::DynCta,
-        Scheme::ModBypass,
-        Scheme::Pbs(objective),
-        Scheme::PbsOffline(objective),
-        Scheme::BruteForce(objective),
-        Scheme::Opt(objective),
-    ]
-}
-
-/// Plans one artifact: registers its units and returns the figure node's
-/// dependency list plus its render closure. The unit demands here mirror,
-/// one for one, what the corresponding generator in [`figures`] reads.
-fn plan_artifact(
-    p: &mut Planner,
-    id: &'static str,
-    workloads: &[Workload],
-) -> (Vec<usize>, RenderFn) {
-    let cfg = p.cfg.clone();
-    let gpu = cfg.gpu.clone();
-    let n2 = gpu.n_cores / 2;
-    let mut deps: Vec<usize> = Vec::new();
-    let render: RenderFn = match id {
-        "tab04" => {
-            for app in all_apps() {
-                deps.push(p.alone(app, n2));
-            }
-            Box::new(|ev, _| figures::tab04(ev))
-        }
-        "fig01" => {
-            let w = Workload::pair("BFS", "FFT");
-            for s in [
-                Scheme::BestTlp,
-                Scheme::MaxTlp,
-                Scheme::Opt(EbObjective::Ws),
-                Scheme::Opt(EbObjective::Fi),
-            ] {
-                deps.push(p.scheme(&w, s));
-            }
-            Box::new(|ev, _| figures::fig01(ev))
-        }
-        "fig02" => {
-            deps.push(p.alone(by_name("BFS").expect("BFS exists"), n2));
-            Box::new(|ev, _| figures::fig02(ev))
-        }
-        "fig03" => {
-            for name in ["BFS", "BLK"] {
-                deps.push(p.alone(by_name(name).expect("known app"), n2));
-            }
-            Box::new(|ev, _| figures::fig03(ev))
-        }
-        "fig04" => {
-            for w in representative_workloads() {
-                for app in w.apps() {
-                    deps.push(p.alone(app, n2));
-                }
-                deps.push(p.sweep(&w));
-            }
-            Box::new(|ev, _| figures::fig04(ev))
-        }
-        "fig05" => {
-            for app in all_apps() {
-                deps.push(p.alone(app, n2));
-            }
-            Box::new(|ev, _| figures::fig05(ev))
-        }
-        "fig06" => {
-            deps.push(p.sweep(&Workload::pair("BLK", "TRD")));
-            Box::new(|ev, _| figures::fig06(ev))
-        }
-        "fig07" => {
-            let w = Workload::pair("BLK", "TRD");
-            for app in w.apps() {
-                deps.push(p.alone(app, n2));
-            }
-            deps.push(p.sweep(&w));
-            Box::new(|ev, _| figures::fig07(ev))
-        }
-        "fig08" => Box::new(|_, _| figures::fig08()),
-        "fig09" | "fig10" | "hs" => {
-            let objective = match id {
-                "fig09" => EbObjective::Ws,
-                "fig10" => EbObjective::Fi,
-                _ => EbObjective::Hs,
-            };
-            for w in workloads {
-                for s in scheme_set(objective) {
-                    deps.push(p.scheme(w, s));
-                }
-            }
-            let ws = workloads.to_vec();
-            match id {
-                "fig09" => Box::new(move |ev, _| figures::fig09(ev, &ws)),
-                "fig10" => Box::new(move |ev, _| figures::fig10(ev, &ws)),
-                _ => Box::new(move |ev, _| figures::hs_results(ev, &ws)),
-            }
-        }
-        // Fig. 11 reads two ordinary PBS records (the WS one is the
-        // ablation's paper run of BLK_BFS). Only an enabled sink makes the
-        // render simulate them again inline, for the events `--trace`
-        // asked to record.
-        "fig11" => {
-            let w = Workload::pair("BLK", "BFS");
-            for objective in [EbObjective::Ws, EbObjective::Fi] {
-                deps.push(p.pbs(
-                    &gpu,
-                    w.apps().to_vec(),
-                    None,
-                    TlpCombo::uniform(gpu.max_tlp(), 2),
-                    cfg.run_cycles,
-                    cfg.measure_from,
-                    PbsRunSpec::scheme(objective, cfg.pbs_hold_windows),
-                ));
-            }
-            Box::new(|ev, sink| figures::fig11_traced(ev, sink))
-        }
-        "sens_part" => {
-            let spec = RunSpec::new(10_000, 25_000);
-            let w = Workload::pair("BLK", "BFS");
-            let total = gpu.n_cores;
-            let quarter = (total / 4).max(1);
-            for (c0, c1) in [
-                (quarter, total - quarter),
-                (total / 2, total - total / 2),
-                (total - quarter, quarter),
-            ] {
-                for (app, c) in w.apps().iter().zip([c0, c1]) {
-                    deps.push(p.alone_at(&gpu, app, c, spec));
-                }
-                for combo in ComboSweep::combos(&gpu, 2) {
-                    deps.push(p.fixed(
-                        &gpu,
-                        w.apps().to_vec(),
-                        Some(vec![c0, c1]),
-                        false,
-                        combo,
-                        spec,
-                    ));
-                }
-            }
-            let w2 = Workload::pair("BFS", "FFT");
-            for l2_kb in [64u64, 128, 256] {
-                let mut g = gpu.clone();
-                g.l2.capacity_bytes = l2_kb * 1024;
-                let n = g.n_cores / 2;
-                for app in w2.apps() {
-                    deps.push(p.alone_at(&g, app, n, spec));
-                }
-                deps.push(p.sweep_at(&g, &w2, spec));
-            }
-            Box::new(|ev, _| figures::sens_part(ev))
-        }
-        "ablation" => {
-            let spec = RunSpec::new(cfg.measure_from, cfg.run_cycles - cfg.measure_from);
-            let paper = PbsRunSpec::paper(EbObjective::Ws, cfg.pbs_hold_windows);
-            let variants = [
-                paper,
-                PbsRunSpec {
-                    probe: Some(TlpLevel::MAX),
-                    ..paper
-                },
-                PbsRunSpec {
-                    settle: false,
-                    ..paper
-                },
-                PbsRunSpec {
-                    table_pick: false,
-                    ..paper
-                },
-            ];
-            for (a, b) in [
-                ("BLK", "BFS"),
-                ("BFS", "FFT"),
-                ("DS", "TRD"),
-                ("JPEG", "LIB"),
-            ] {
-                let w = Workload::pair(a, b);
-                deps.push(p.best_fixed(&w, spec));
-                for v in variants {
-                    deps.push(p.pbs(
-                        &gpu,
-                        w.apps().to_vec(),
-                        None,
-                        TlpCombo::uniform(gpu.max_tlp(), 2),
-                        cfg.run_cycles,
-                        cfg.measure_from,
-                        v,
-                    ));
-                }
-            }
-            Box::new(|ev, _| figures::ablation(ev))
-        }
-        "phased" => {
-            let spec = RunSpec::new(cfg.measure_from, cfg.run_cycles - cfg.measure_from);
-            let mixes = [
-                Workload::from_profiles(vec![
-                    &gpu_workloads::PH1,
-                    by_name("TRD").expect("known app"),
-                ]),
-                Workload::from_profiles(vec![
-                    &gpu_workloads::PH1,
-                    by_name("BLK").expect("known app"),
-                ]),
-                Workload::from_profiles(vec![
-                    &gpu_workloads::PH2,
-                    by_name("SCP").expect("known app"),
-                ]),
-            ];
-            for w in mixes {
-                deps.push(p.best_fixed(&w, spec));
-                deps.push(p.offline_fixed(&w, spec));
-                deps.push(p.pbs(
-                    &gpu,
-                    w.apps().to_vec(),
-                    None,
-                    TlpCombo::uniform(gpu.max_tlp(), 2),
-                    cfg.run_cycles,
-                    cfg.measure_from,
-                    PbsRunSpec::paper(EbObjective::Ws, 60),
-                ));
-            }
-            Box::new(|ev, _| figures::phased(ev))
-        }
-        "sampling" => {
-            let spec = RunSpec::new(cfg.measure_from, cfg.run_cycles - cfg.measure_from);
-            for (a, b) in [
-                ("BLK", "BFS"),
-                ("BFS", "FFT"),
-                ("JPEG", "LIB"),
-                ("DS", "TRD"),
-            ] {
-                let w = Workload::pair(a, b);
-                deps.push(p.sampling_error(&w));
-                deps.push(p.best_fixed(&w, spec));
-                // designated = false is bit-identical to the base config,
-                // so that arm's PBS run dedups against the ablation's
-                // paper-variant run of the same mix.
-                for designated in [false, true] {
-                    let mut g = gpu.clone();
-                    g.sampling.designated = designated;
-                    deps.push(p.pbs(
-                        &g,
-                        w.apps().to_vec(),
-                        None,
-                        TlpCombo::uniform(g.max_tlp(), 2),
-                        cfg.run_cycles,
-                        cfg.measure_from,
-                        PbsRunSpec::paper(EbObjective::Ws, cfg.pbs_hold_windows),
-                    ));
-                }
-            }
-            Box::new(|ev, _| figures::sampling(ev))
-        }
-        "sched" => {
-            let spec = RunSpec::new(10_000, 25_000);
-            let policies = [
-                gpu_types::WarpSchedPolicy::Gto,
-                gpu_types::WarpSchedPolicy::Lrr,
-            ];
-            for policy in policies {
-                let mut g = gpu.clone();
-                g.scheduler = policy;
-                deps.push(p.alone_at(&g, by_name("BFS").expect("BFS exists"), g.n_cores / 2, spec));
-            }
-            for (a, b) in [("BLK", "BFS"), ("BFS", "FFT")] {
-                let w = Workload::pair(a, b);
-                for policy in policies {
-                    let mut g = gpu.clone();
-                    g.scheduler = policy;
-                    let n = g.n_cores / 2;
-                    for app in w.apps() {
-                        deps.push(p.alone_at(&g, app, n, spec));
-                    }
-                    deps.push(p.sweep_at(&g, &w, spec));
-                }
-            }
-            Box::new(|ev, _| figures::sched(ev))
-        }
-        "ccws" => {
-            for name in ["BFS", "FFT", "HS", "BLK"] {
-                let app = by_name(name).expect("known app");
-                deps.push(p.alone(app, n2));
-                deps.push(p.fixed(
-                    &gpu,
-                    vec![app],
-                    Some(vec![n2]),
-                    true,
-                    TlpCombo::uniform(gpu.max_tlp(), 1),
-                    RunSpec::new(80_000, 40_000),
-                ));
-            }
-            for (a, b) in [("BLK", "BFS"), ("BFS", "FFT"), ("DS", "TRD")] {
-                let w = Workload::pair(a, b);
-                for s in [
-                    Scheme::BestTlp,
-                    Scheme::Ccws,
-                    Scheme::DynCta,
-                    Scheme::Pbs(EbObjective::Ws),
-                ] {
-                    deps.push(p.scheme(&w, s));
-                }
-            }
-            Box::new(|ev, _| figures::ccws(ev))
-        }
-        "dram_policy" => {
-            let spec = RunSpec::new(10_000, 25_000);
-            let policies = [gpu_types::PagePolicy::Open, gpu_types::PagePolicy::Closed];
-            for name in ["BLK", "GUPS"] {
-                let app = by_name(name).expect("known app");
-                for policy in policies {
-                    let mut g = gpu.clone();
-                    g.dram.page_policy = policy;
-                    deps.push(p.fixed(
-                        &g,
-                        vec![app],
-                        Some(vec![g.n_cores / 2]),
-                        false,
-                        TlpCombo::uniform(g.max_tlp(), 1),
-                        spec,
-                    ));
-                }
-            }
-            let w = Workload::pair("BFS", "FFT");
-            for policy in policies {
-                let mut g = gpu.clone();
-                g.dram.page_policy = policy;
-                let n = g.n_cores / 2;
-                for app in w.apps() {
-                    deps.push(p.alone_at(&g, app, n, spec));
-                }
-                deps.push(p.sweep_at(&g, &w, spec));
-            }
-            Box::new(|ev, _| figures::dram_policy(ev))
-        }
-        "threeapp" => {
-            let per_app = (gpu.n_cores / 3).max(1);
-            let alone_spec = RunSpec::new(10_000, 25_000);
-            let run_spec = RunSpec::new(3_000, 300_000);
-            let mixes: [[&str; 3]; 4] = [
-                ["BLK", "BFS", "FFT"],
-                ["TRD", "DS", "JPEG"],
-                ["SCP", "HS", "GUPS"],
-                ["LIB", "BLK", "BFS"],
-            ];
-            for mix in mixes {
-                let apps: Vec<&'static AppProfile> = mix
-                    .iter()
-                    .map(|name| by_name(name).expect("known app"))
-                    .collect();
-                let adeps: Vec<usize> = apps
-                    .iter()
-                    .map(|a| p.alone_at(&gpu, a, per_app, alone_spec))
-                    .collect();
-                deps.extend(adeps.iter().copied());
-                deps.push(p.best_fixed_split(apps.clone(), per_app, alone_spec, run_spec, adeps));
-                deps.push(p.fixed(
-                    &gpu,
-                    apps.clone(),
-                    Some(vec![per_app; 3]),
-                    false,
-                    TlpCombo::uniform(gpu.max_tlp(), 3),
-                    run_spec,
-                ));
-                deps.push(p.pbs(
-                    &gpu,
-                    apps,
-                    Some(vec![per_app; 3]),
-                    TlpCombo::uniform(gpu.max_tlp(), 3),
-                    300_000,
-                    3_000,
-                    PbsRunSpec::paper(EbObjective::Ws, 150),
-                ));
-            }
-            Box::new(|ev, _| figures::threeapp(ev))
-        }
-        other => unreachable!("unknown artifact id {other}"),
-    };
-    (deps, render)
 }
 
 /// Execution statistics of one scheduled campaign run (the `sched:` log
@@ -1280,21 +896,14 @@ fn run_with(
                 s = cvar.wait(s).unwrap_or_else(|e| e.into_inner());
             }
         };
-        let job = units[idx]
-            .run
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
         let started = Instant::now();
         let cycles0 = gpu_sim::metrics::thread_cycles_simulated();
         // Catch the panic instead of dying: a dead worker would leave the
         // coordinator (and its siblings) blocked on the condvar forever.
         // The payload is stored first-wins and re-raised by the caller.
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            if let Some(job) = job {
-                let _span = crate::profiler::span("unit", &units[idx].label);
-                job(ev);
-            }
+            let _span = crate::profiler::span("unit", &units[idx].label);
+            units[idx].body.run(ev);
         }));
         let wall = started.elapsed();
         busy_ns.fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
@@ -1346,10 +955,7 @@ fn run_with(
                     return;
                 }
             }
-            crate::log!(debug, "starting {}", fig.id);
-            let _span = crate::profiler::span("figure", fig.id);
-            let report = (fig.render)(ev, sink);
-            emit(&report);
+            render_figure(fig, ev, sink, emit);
         }
     };
 
@@ -1418,6 +1024,26 @@ fn run_with(
     stats
 }
 
+/// Renders one figure inside its `figure` profiling span and hands the
+/// report to `emit`. What the report attaches (Fig. 11's CSVs) is saved
+/// here rather than by `emit`, so every caller of [`run`] / [`run_serial`]
+/// leaves the same files in the output directory whatever it does with
+/// the text.
+fn render_figure(
+    fig: FigureNode,
+    ev: &Evaluator,
+    sink: &mut dyn TraceSink,
+    emit: &mut dyn FnMut(&Report),
+) {
+    crate::log!(debug, "starting {}", fig.id);
+    let _span = crate::profiler::span("figure", fig.id);
+    let report = (fig.render)(ev, sink);
+    for (name, text) in report.attachments() {
+        crate::util::save(name, text);
+    }
+    emit(&report);
+}
+
 /// The serial reference path: renders the plan's figures in artifact
 /// order on the calling thread, each inside its `figure` profiling span,
 /// and executes no unit — a render computes whatever it reads inline on a
@@ -1433,9 +1059,7 @@ pub fn run_serial(
     emit: &mut dyn FnMut(&Report),
 ) {
     for fig in std::mem::take(&mut campaign.figures) {
-        crate::log!(debug, "starting {}", fig.id);
-        let _span = crate::profiler::span("figure", fig.id);
-        emit(&(fig.render)(ev, sink));
+        render_figure(fig, ev, sink, emit);
     }
     emit_plan(&campaign, sink);
 }
@@ -1466,7 +1090,7 @@ pub fn emit_plan(campaign: &Campaign, sink: &mut dyn TraceSink) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebm_core::eval::EvaluatorConfig;
+    use gpu_workloads::all_apps;
 
     #[test]
     fn ready_orders_by_cost_then_index() {
@@ -1532,6 +1156,35 @@ mod tests {
             assert!(u.deps.iter().all(|&d| d < i), "unit {i} has forward dep");
             assert!(u.cost >= 1);
         }
+        // The shape of the full `--quick` graph, as the header of
+        // `trace-tools report` prints it. The schedule, the cache traffic
+        // and `PROFILE.json`'s unit spans all follow from it, so an edit
+        // that moves one of these is a change to review, not a detail.
+        let with_deps = plan.units.iter().filter(|u| !u.deps.is_empty()).count();
+        let estimate: u64 = plan.units.iter().map(|u| u.cost).sum();
+        assert_eq!(
+            (plan.planned(), with_deps, estimate, plan.requested()),
+            (602, 397, 44_981_000, 2_430)
+        );
+    }
+
+    #[test]
+    fn a_deduped_demand_is_the_first_registrations_computation() {
+        let ev = Evaluator::new(EvaluatorConfig::quick());
+        let mut p = Planner::new(ev.config().clone(), CostModel::empty());
+        let (gpu, bfs) = (ev.config().gpu.clone(), &all_apps()[0]);
+        let spec = RunSpec::new(300, 1_000);
+        // Two artifacts demanding one fingerprint: one unit, one closure.
+        let first = p.alone_at(&gpu, bfs, 2, spec);
+        let deps = std::mem::take(&mut p.demanded);
+        let second = p.alone_at(&gpu, bfs, 2, spec);
+        assert_eq!((p.units.len(), p.requested), (1, 2));
+        assert_eq!((deps, &p.demanded), (vec![0], &vec![0]));
+        assert!(Arc::ptr_eq(&first.read, &second.read));
+        assert_eq!(first.get(&ev), second.get(&ev));
+        // A different computation is a different unit.
+        let other = p.alone_at(&gpu, bfs, 1, spec);
+        assert_eq!((other.unit, p.units.len()), (1, 2));
     }
 
     #[test]
@@ -1605,13 +1258,14 @@ mod tests {
     #[test]
     fn panicking_unit_propagates_after_drain() {
         let ev = Evaluator::new(EvaluatorConfig::quick());
+        let boom: Read<()> = Arc::new(|_, _| panic!("unit exploded"));
         let campaign = Campaign {
             units: vec![Unit {
                 label: "boom".into(),
                 fp: Fingerprint(0),
                 cost: 1,
                 deps: Vec::new(),
-                run: Mutex::new(Some(Box::new(|_| panic!("unit exploded")))),
+                body: Box::new(boom),
             }],
             figures: Vec::new(),
             requested: 1,

@@ -1,196 +1,325 @@
-//! Generators for every table and figure of the paper's evaluation.
+//! Every table and figure of the paper's evaluation, each declared once.
 //!
-//! Each function renders one artifact as a [`Report`]; the per-experiment
-//! index in `DESIGN.md` maps them back to the paper. All generators share
-//! one memoizing [`Evaluator`], so alone profiles and 64-combination sweeps
-//! are measured once per campaign.
+//! An artifact is one function `fn plan_<id>(p: &mut Planner) -> Render`.
+//! It *declares* what it reads by calling the planner's constructors
+//! (`alone`, `sweep`, `scheme`, `fixed`, `pbs`, … — see
+//! [`crate::campaign`]), which register the campaign's work units and hand
+//! back typed `Demand`s, and it returns the closure that renders the
+//! [`Report`] from those handles. A render has no other way to a measured
+//! value, so what a figure reads *is* its plan: the scheduler runs exactly
+//! that ahead of time, the figure node's dependencies are whatever the
+//! function demanded, and nothing here simulates, touches a cache or
+//! writes a file by itself. `TABLE` lists the declarations in generation
+//! order; the per-experiment index in `DESIGN.md` maps them back to the
+//! paper.
+//!
+//! The public `<id>(ev)` functions render one artifact on its own — the
+//! same declaration, planned alone and rendered inline with no unit
+//! executed, every read computing through `ev`'s caches — for tests and
+//! the benchmark's render probe. The campaign itself goes through
+//! [`crate::campaign::plan`].
 
+use crate::campaign::{CostModel, Demand, Planner, Render};
 use crate::util::Report;
 use ebm_core::eval::{Evaluator, Scheme};
 use ebm_core::hw::OverheadReport;
 use ebm_core::metrics::{alone_ratio, EbObjective};
 use ebm_core::pattern::{pbs_offline_search, SweepCurve};
-use ebm_core::pbsrun::{run_pbs_cached, run_pbs_traced, PbsRunSpec};
+use ebm_core::pbsrun::PbsRunSpec;
 use ebm_core::scaling::ScalingFactors;
 use ebm_core::search::{best_combo_by_eb, best_combo_by_sd};
 use ebm_core::sweep::ComboSweep;
-use gpu_sim::alone::profile_alone;
-use gpu_sim::harness::{
-    measure_fixed_cached, sampling_error_cached, series_csv, FixedRunInputs, RunSpec,
+use gpu_sim::alone::AloneProfile;
+use gpu_sim::harness::{series_csv, RunSpec};
+use gpu_sim::metrics::{fi_of, gmean, ws_of, SystemMetrics};
+use gpu_sim::trace::NullSink;
+use gpu_types::{AppWindow, GpuConfig, PagePolicy, TlpCombo, TlpLevel, WarpSchedPolicy};
+use gpu_workloads::{
+    all_apps, all_workloads, by_name, representative_workloads, AppProfile, EbGroup, Workload, PH1,
+    PH2,
 };
-use gpu_sim::metrics::{fi_of, gmean, hs_of, ws_of};
-use gpu_sim::trace::{NullSink, TraceSink};
-use gpu_types::{GpuConfig, TlpCombo, TlpLevel};
-use gpu_workloads::{all_apps, representative_workloads, Workload};
+use std::collections::BTreeMap;
 
-fn pair(a: &str, b: &str) -> Workload {
-    Workload::pair(a, b)
+/// An artifact's declaration: demands on the planner what the render it
+/// returns is going to read.
+type Declare = fn(&mut Planner) -> Render;
+
+/// Every artifact id with its declaration, in generation order: what
+/// `campaign::plan` walks and `campaign::ARTIFACTS` lists.
+pub(crate) const TABLE: [(&str, Declare); 21] = [
+    ("tab04", plan_tab04),
+    ("fig01", plan_fig01),
+    ("fig02", plan_fig02),
+    ("fig03", plan_fig03),
+    ("fig04", plan_fig04),
+    ("fig05", plan_fig05),
+    ("fig06", plan_fig06),
+    ("fig07", plan_fig07),
+    ("fig08", |_| Box::new(|_, _| fig08())),
+    ("fig09", |p| plan_fig09(p, &all_workloads())),
+    ("fig10", |p| plan_fig10(p, &all_workloads())),
+    ("hs", |p| plan_hs(p, &all_workloads())),
+    ("fig11", plan_fig11),
+    ("sens_part", plan_sens_part),
+    ("ablation", plan_ablation),
+    ("phased", plan_phased),
+    ("sampling", plan_sampling),
+    ("sched", plan_sched),
+    ("ccws", plan_ccws),
+    ("dram_policy", plan_dram_policy),
+    ("threeapp", plan_threeapp),
+];
+
+/// Renders one artifact on its own: plans `declare` alone and runs the
+/// render it returns with no unit executed, so every [`Demand::get`]
+/// computes inline through `ev`'s caches — `campaign::run_serial` of a
+/// one-artifact plan.
+fn standalone(ev: &Evaluator, declare: impl FnOnce(&mut Planner) -> Render) -> Report {
+    let mut p = Planner::new(ev.config().clone(), CostModel::empty());
+    declare(&mut p)(ev, &mut NullSink)
+}
+
+fn app(name: &str) -> &'static AppProfile {
+    by_name(name).expect("a Table IV application")
+}
+
+/// Reads the alone profiles a co-run is normalized against: the
+/// per-application `IPC@bestTLP` (the slowdown denominators) and the
+/// ++bestTLP combination.
+fn alone_baseline(ev: &Evaluator, alones: &[Demand<AloneProfile>]) -> (Vec<f64>, TlpCombo) {
+    let profiles: Vec<AloneProfile> = alones.iter().map(|d| d.get(ev)).collect();
+    let ipcs = profiles.iter().map(AloneProfile::ipc_at_best).collect();
+    let best = profiles.iter().map(AloneProfile::best_tlp).collect();
+    (ipcs, TlpCombo::new(best))
+}
+
+/// Per-application slowdowns: co-run IPCs over the alone IPCs.
+fn slowdowns(ipcs: impl IntoIterator<Item = f64>, alone: &[f64]) -> Vec<f64> {
+    ipcs.into_iter().zip(alone).map(|(i, a)| i / a).collect()
+}
+
+/// Weighted speedup of a run's overall windows against the alone IPCs.
+fn ws_of_run(windows: &[AppWindow], alone: &[f64]) -> f64 {
+    ws_of(&slowdowns(windows.iter().map(AppWindow::ipc), alone))
+}
+
+/// One `[bestWS, optWS, gain%]` row.
+fn gain_row(base: f64, opt: f64) -> [f64; 3] {
+    [base, opt, 100.0 * (opt / base.max(1e-9) - 1.0)]
+}
+
+/// Demands what a `[bestWS, optWS, gain%]` row of `w` on machine `g` reads
+/// — the alone profiles and the sweep, both at `spec` — and returns the
+/// row's computation: the WS of the ++bestTLP combination and the best WS
+/// of any combination, both looked up in the sweep.
+fn ws_gain(
+    p: &mut Planner,
+    g: &GpuConfig,
+    w: &Workload,
+    spec: RunSpec,
+) -> impl Fn(&Evaluator) -> [f64; 3] {
+    let n = g.n_cores / w.n_apps();
+    let alones: Vec<_> = w.apps().iter().map(|a| p.alone_at(g, a, n, spec)).collect();
+    let sweep = p.sweep_at(g, w, spec);
+    move |ev| {
+        let (alone, best) = alone_baseline(ev, &alones);
+        let sweep = sweep.get(ev);
+        let (_, opt_ws) = best_combo_by_sd(&sweep, EbObjective::Ws, &alone);
+        gain_row(ws_of(&slowdowns(sweep.ipcs(&best), &alone)), opt_ws)
+    }
 }
 
 /// Fig. 1: WS and FI of BFS_FFT under ++bestTLP, ++maxTLP and the oracle
 /// combinations, normalized to ++bestTLP.
 pub fn fig01(ev: &Evaluator) -> Report {
-    let mut r = Report::new("fig01", "WS and FI for BFS_FFT (normalized to ++bestTLP)");
-    let w = pair("BFS", "FFT");
-    let base = ev.evaluate(&w, Scheme::BestTlp);
-    r.header("scheme", &["WS", "FI", "combo0", "combo1"]);
-    for s in [
+    standalone(ev, plan_fig01)
+}
+
+fn plan_fig01(p: &mut Planner) -> Render {
+    let w = Workload::pair("BFS", "FFT");
+    // Baseline first: every row is normalized to it.
+    let runs = [
         Scheme::BestTlp,
         Scheme::MaxTlp,
         Scheme::Opt(EbObjective::Ws),
         Scheme::Opt(EbObjective::Fi),
-    ] {
-        let res = ev.evaluate(&w, s);
-        let combo = res.combo.clone().expect("static scheme");
-        r.row(
-            &s.to_string(),
-            &[
-                res.metrics.ws / base.metrics.ws,
-                res.metrics.fi / base.metrics.fi,
-                combo.level(0).get() as f64,
-                combo.level(1).get() as f64,
-            ],
-        );
-    }
-    r.line("shape goal: opt columns well above 1.0; ++maxTLP at or below ++bestTLP.");
-    r
+    ]
+    .map(|s| p.scheme(&w, s));
+    Box::new(move |ev, _| {
+        let mut r = Report::new("fig01", "WS and FI for BFS_FFT (normalized to ++bestTLP)");
+        r.header("scheme", &["WS", "FI", "combo0", "combo1"]);
+        let results = runs.map(|run| run.get(ev));
+        let base = &results[0].metrics;
+        for res in &results {
+            let combo = res.combo.as_ref().expect("static scheme");
+            r.row(
+                &res.scheme.to_string(),
+                &[
+                    res.metrics.ws / base.ws,
+                    res.metrics.fi / base.fi,
+                    combo.level(0).get() as f64,
+                    combo.level(1).get() as f64,
+                ],
+            );
+        }
+        r.line("shape goal: opt columns well above 1.0; ++maxTLP at or below ++bestTLP.");
+        r
+    })
 }
 
 /// Fig. 2: effect of TLP on IPC, BW, CMR and EB for BFS running alone
 /// (all normalized to the bestTLP values, as in the paper).
 pub fn fig02(ev: &Evaluator) -> Report {
-    let mut r = Report::new("fig02", "TLP sweep for BFS alone (normalized to bestTLP)");
-    let n = ev.config().gpu.n_cores / 2;
-    let p = ev
-        .alone(gpu_workloads::by_name("BFS").expect("BFS exists"), n)
-        .clone();
-    let best = *p.best();
-    r.line(format!("bestTLP = {}", p.best_tlp()));
-    r.header("TLP", &["IPC", "BW", "CMR", "EB"]);
-    for s in &p.samples {
-        r.row(
-            &s.tlp.to_string(),
-            &[
-                s.ipc / best.ipc,
-                s.bw / best.bw,
-                s.cmr / best.cmr,
-                s.eb / best.eb,
-            ],
-        );
-    }
-    r.line("shape goals: IPC hill peaking at bestTLP; BW rises then saturates;");
-    r.line("CMR grows with TLP; EB tracks IPC (the paper's central observation).");
-    r
+    standalone(ev, plan_fig02)
+}
+
+fn plan_fig02(p: &mut Planner) -> Render {
+    let bfs = p.alone(app("BFS"), p.cfg.gpu.n_cores / 2);
+    Box::new(move |ev, _| {
+        let mut r = Report::new("fig02", "TLP sweep for BFS alone (normalized to bestTLP)");
+        let profile = bfs.get(ev);
+        let best = *profile.best();
+        r.line(format!("bestTLP = {}", profile.best_tlp()));
+        r.header("TLP", &["IPC", "BW", "CMR", "EB"]);
+        for s in &profile.samples {
+            r.row(
+                &s.tlp.to_string(),
+                &[
+                    s.ipc / best.ipc,
+                    s.bw / best.bw,
+                    s.cmr / best.cmr,
+                    s.eb / best.eb,
+                ],
+            );
+        }
+        r.line("shape goals: IPC hill peaking at bestTLP; BW rises then saturates;");
+        r.line("CMR grows with TLP; EB tracks IPC (the paper's central observation).");
+        r
+    })
 }
 
 /// Fig. 3: effective bandwidth observed at the DRAM (A), at the L2 (B) and
 /// at the core (C) for a cache-sensitive (BFS) and a cache-insensitive
 /// (BLK) application.
 pub fn fig03(ev: &Evaluator) -> Report {
-    let mut r = Report::new("fig03", "EB at hierarchy levels A (DRAM), B (L2), C (core)");
-    let n = ev.config().gpu.n_cores / 2;
-    r.header("app", &["A=BW", "B", "C=EB", "L1MR", "L2MR"]);
-    for name in ["BFS", "BLK"] {
-        let p = ev
-            .alone(gpu_workloads::by_name(name).expect("known app"), n)
-            .clone();
-        let b = p.best();
-        let at_l2 = b.bw / b.l2_miss_rate.max(1e-9);
-        r.row(name, &[b.bw, at_l2, b.eb, b.l1_miss_rate, b.l2_miss_rate]);
-    }
-    r.line("shape goal: A <= B <= C for BFS (caches amplify); A = B = C for BLK (CMR = 1).");
-    r
+    standalone(ev, plan_fig03)
+}
+
+fn plan_fig03(p: &mut Planner) -> Render {
+    let n = p.cfg.gpu.n_cores / 2;
+    let apps = ["BFS", "BLK"].map(|name| (name, p.alone(app(name), n)));
+    Box::new(move |ev, _| {
+        let mut r = Report::new("fig03", "EB at hierarchy levels A (DRAM), B (L2), C (core)");
+        r.header("app", &["A=BW", "B", "C=EB", "L1MR", "L2MR"]);
+        for (name, profile) in &apps {
+            let b = *profile.get(ev).best();
+            let at_l2 = b.bw / b.l2_miss_rate.max(1e-9);
+            r.row(name, &[b.bw, at_l2, b.eb, b.l1_miss_rate, b.l2_miss_rate]);
+        }
+        r.line("shape goal: A <= B <= C for BFS (caches amplify); A = B = C for BLK (CMR = 1).");
+        r
+    })
 }
 
 /// Fig. 4: per-application slowdown and EB stacks under ++bestTLP versus
 /// the optimal combinations, for the ten representative workloads.
 pub fn fig04(ev: &Evaluator) -> Report {
-    let mut r = Report::new(
-        "fig04",
-        "per-app SD (++bestTLP vs optWS) and EB (++bestTLP vs BF-WS) stacks",
-    );
-    r.header(
-        "workload",
-        &[
-            "SD1b", "SD2b", "SD1o", "SD2o", "EB1b", "EB2b", "EB1o", "EB2o",
-        ],
-    );
-    for w in representative_workloads() {
-        let alone = ev.alone_ipcs(&w);
-        let best = ev.best_tlp_combo(&w);
-        let scaling = ScalingFactors::none(2);
-        let sweep = ev.sweep(&w).clone();
-        let (opt, _) = best_combo_by_sd(&sweep, EbObjective::Ws, &alone);
-        let (bf, _) = best_combo_by_eb(&sweep, EbObjective::Ws, &scaling);
-        let sd = |c: &TlpCombo| -> Vec<f64> {
-            sweep
-                .ipcs(c)
-                .iter()
-                .zip(&alone)
-                .map(|(i, a)| i / a)
-                .collect()
-        };
-        let (sb, so) = (sd(&best), sd(&opt));
-        let (eb, eo) = (sweep.ebs(&best), sweep.ebs(&bf));
-        r.row(
-            &w.name(),
-            &[sb[0], sb[1], so[0], so[1], eb[0], eb[1], eo[0], eo[1]],
+    standalone(ev, plan_fig04)
+}
+
+fn plan_fig04(p: &mut Planner) -> Render {
+    let rows: Vec<_> = representative_workloads()
+        .iter()
+        .map(|w| (w.name(), p.alones(w), p.sweep(w)))
+        .collect();
+    Box::new(move |ev, _| {
+        let mut r = Report::new(
+            "fig04",
+            "per-app SD (++bestTLP vs optWS) and EB (++bestTLP vs BF-WS) stacks",
         );
-    }
-    r.line("shape goals: SD1o+SD2o >= SD1b+SD2b on every row (Observation 1:");
-    r.line("the combo with the highest EB sum also gives the highest WS), and the");
-    r.line("opt stacks are more balanced than the bestTLP stacks.");
-    r
+        r.header(
+            "workload",
+            &[
+                "SD1b", "SD2b", "SD1o", "SD2o", "EB1b", "EB2b", "EB1o", "EB2o",
+            ],
+        );
+        for (name, alones, sweep) in &rows {
+            let (alone, best) = alone_baseline(ev, alones);
+            let sweep = sweep.get(ev);
+            let (opt, _) = best_combo_by_sd(&sweep, EbObjective::Ws, &alone);
+            let (bf, _) = best_combo_by_eb(&sweep, EbObjective::Ws, &ScalingFactors::none(2));
+            let (sb, so) = (
+                slowdowns(sweep.ipcs(&best), &alone),
+                slowdowns(sweep.ipcs(&opt), &alone),
+            );
+            let (eb, eo) = (sweep.ebs(&best), sweep.ebs(&bf));
+            r.row(
+                name,
+                &[sb[0], sb[1], so[0], so[1], eb[0], eb[1], eo[0], eo[1]],
+            );
+        }
+        r.line("shape goals: SD1o+SD2o >= SD1b+SD2b on every row (Observation 1:");
+        r.line("the combo with the highest EB sum also gives the highest WS), and the");
+        r.line("opt stacks are more balanced than the bestTLP stacks.");
+        r
+    })
 }
 
 /// Fig. 5: `IPC_AR` versus `EB_AR` over all two-application pairings of the
 /// 26 applications.
 pub fn fig05(ev: &Evaluator) -> Report {
-    let mut r = Report::new(
-        "fig05",
-        "alone-ratio bias: IPC_AR vs EB_AR over all pairings",
-    );
-    let n = ev.config().gpu.n_cores / 2;
-    let profiles: Vec<(f64, f64)> = all_apps()
-        .iter()
-        .map(|a| {
-            let p = ev.alone(a, n);
-            (p.ipc_at_best(), p.eb_at_best())
-        })
-        .collect();
-    let mut ipc_ars = Vec::new();
-    let mut eb_ars = Vec::new();
-    for i in 0..profiles.len() {
-        for j in i + 1..profiles.len() {
-            ipc_ars.push(alone_ratio(profiles[i].0, profiles[j].0));
-            eb_ars.push(alone_ratio(profiles[i].1, profiles[j].1));
+    standalone(ev, plan_fig05)
+}
+
+fn plan_fig05(p: &mut Planner) -> Render {
+    let n = p.cfg.gpu.n_cores / 2;
+    let alones: Vec<_> = all_apps().iter().map(|a| p.alone(a, n)).collect();
+    Box::new(move |ev, _| {
+        let mut r = Report::new(
+            "fig05",
+            "alone-ratio bias: IPC_AR vs EB_AR over all pairings",
+        );
+        let profiles: Vec<(f64, f64)> = alones
+            .iter()
+            .map(|d| {
+                let p = d.get(ev);
+                (p.ipc_at_best(), p.eb_at_best())
+            })
+            .collect();
+        let mut ipc_ars = Vec::new();
+        let mut eb_ars = Vec::new();
+        for i in 0..profiles.len() {
+            for j in i + 1..profiles.len() {
+                ipc_ars.push(alone_ratio(profiles[i].0, profiles[j].0));
+                eb_ars.push(alone_ratio(profiles[i].1, profiles[j].1));
+            }
         }
-    }
-    let wins = ipc_ars.iter().zip(&eb_ars).filter(|(i, e)| e < i).count();
-    r.header("statistic", &["IPC_AR", "EB_AR"]);
-    r.row("geometric mean", &[gmean(&ipc_ars), gmean(&eb_ars)]);
-    r.row(
-        "arithmetic mean",
-        &[
-            ipc_ars.iter().sum::<f64>() / ipc_ars.len() as f64,
-            eb_ars.iter().sum::<f64>() / eb_ars.len() as f64,
-        ],
-    );
-    r.row(
-        "max",
-        &[
-            ipc_ars.iter().copied().fold(0.0, f64::max),
-            eb_ars.iter().copied().fold(0.0, f64::max),
-        ],
-    );
-    r.line(format!(
-        "EB_AR < IPC_AR in {wins} of {} pairings ({:.0}%)",
-        ipc_ars.len(),
-        100.0 * wins as f64 / ipc_ars.len() as f64
-    ));
-    r.line("shape goal: EB_AR is much lower than IPC_AR on average — the §IV");
-    r.line("argument for optimizing EB-based rather than IPC-based system metrics.");
-    r
+        let wins = ipc_ars.iter().zip(&eb_ars).filter(|(i, e)| e < i).count();
+        r.header("statistic", &["IPC_AR", "EB_AR"]);
+        r.row("geometric mean", &[gmean(&ipc_ars), gmean(&eb_ars)]);
+        r.row(
+            "arithmetic mean",
+            &[
+                ipc_ars.iter().sum::<f64>() / ipc_ars.len() as f64,
+                eb_ars.iter().sum::<f64>() / eb_ars.len() as f64,
+            ],
+        );
+        r.row(
+            "max",
+            &[
+                ipc_ars.iter().copied().fold(0.0, f64::max),
+                eb_ars.iter().copied().fold(0.0, f64::max),
+            ],
+        );
+        r.line(format!(
+            "EB_AR < IPC_AR in {wins} of {} pairings ({:.0}%)",
+            ipc_ars.len(),
+            100.0 * wins as f64 / ipc_ars.len() as f64
+        ));
+        r.line("shape goal: EB_AR is much lower than IPC_AR on average — the §IV");
+        r.line("argument for optimizing EB-based rather than IPC-based system metrics.");
+        r
+    })
 }
 
 fn grid_section(r: &mut Report, sweep: &ComboSweep, title: &str, value: impl Fn(&TlpCombo) -> f64) {
@@ -215,79 +344,96 @@ fn grid_section(r: &mut Report, sweep: &ComboSweep, title: &str, value: impl Fn(
 /// the critical application stays at the same TLP level regardless of the
 /// co-runner's TLP.
 pub fn fig06(ev: &Evaluator) -> Report {
-    let mut r = Report::new("fig06", "EB-WS patterns for BLK_TRD");
-    let w = pair("BLK", "TRD");
-    let sweep = ev.sweep(&w).clone();
-    let scaling = ScalingFactors::none(2);
-    grid_section(
-        &mut r,
-        &sweep,
-        "EB-WS (rows: TLP-BLK, cols: TLP-TRD)",
-        |c| EbObjective::Ws.value(&sweep.ebs(c)),
-    );
-    grid_section(&mut r, &sweep, "EB-BLK", |c| sweep.ebs(c)[0]);
-    grid_section(&mut r, &sweep, "EB-TRD", |c| sweep.ebs(c)[1]);
-    // Pattern consistency: the knee of app 0's EB-WS curve for each fixed
-    // co-runner level.
-    let levels = sweep.levels();
-    let knees: Vec<f64> = levels
-        .iter()
-        .map(|l1| {
-            let fixed = TlpCombo::pair(levels[0], *l1);
-            SweepCurve::from_sweep(&sweep, 0, &fixed, EbObjective::Ws, &scaling)
-                .knee()
-                .get() as f64
-        })
-        .collect();
-    let cols: Vec<String> = levels.iter().map(|l| l.to_string()).collect();
-    r.header(
-        "knee of TLP-BLK at TLP-TRD =",
-        &cols.iter().map(String::as_str).collect::<Vec<_>>(),
-    );
-    r.row("knee(EB-WS)", &knees);
-    r.line("shape goal: the knee row is (nearly) constant — the \"pattern\" PBS exploits.");
-    r
+    standalone(ev, plan_fig06)
+}
+
+fn plan_fig06(p: &mut Planner) -> Render {
+    let sweep = p.sweep(&Workload::pair("BLK", "TRD"));
+    Box::new(move |ev, _| {
+        let mut r = Report::new("fig06", "EB-WS patterns for BLK_TRD");
+        let sweep = sweep.get(ev);
+        let scaling = ScalingFactors::none(2);
+        grid_section(
+            &mut r,
+            &sweep,
+            "EB-WS (rows: TLP-BLK, cols: TLP-TRD)",
+            |c| EbObjective::Ws.value(&sweep.ebs(c)),
+        );
+        grid_section(&mut r, &sweep, "EB-BLK", |c| sweep.ebs(c)[0]);
+        grid_section(&mut r, &sweep, "EB-TRD", |c| sweep.ebs(c)[1]);
+        // Pattern consistency: the knee of app 0's EB-WS curve for each
+        // fixed co-runner level.
+        let levels = sweep.levels();
+        let knees: Vec<f64> = levels
+            .iter()
+            .map(|l1| {
+                let fixed = TlpCombo::pair(levels[0], *l1);
+                SweepCurve::from_sweep(&sweep, 0, &fixed, EbObjective::Ws, &scaling)
+                    .knee()
+                    .get() as f64
+            })
+            .collect();
+        let cols: Vec<String> = levels.iter().map(|l| l.to_string()).collect();
+        r.header(
+            "knee of TLP-BLK at TLP-TRD =",
+            &cols.iter().map(String::as_str).collect::<Vec<_>>(),
+        );
+        r.row("knee(EB-WS)", &knees);
+        r.line("shape goal: the knee row is (nearly) constant — the \"pattern\" PBS exploits.");
+        r
+    })
 }
 
 /// Fig. 7: the PBS-FI view (scaled EB-difference) and PBS-HS view (EB-HS)
 /// of BLK_TRD, with sampled and exact scaling factors.
 pub fn fig07(ev: &Evaluator) -> Report {
-    let mut r = Report::new("fig07", "PBS-FI and PBS-HS views of BLK_TRD");
-    let w = pair("BLK", "TRD");
-    let sampled = ev.sampled_factors(&w);
-    let exact = ev.exact_factors(&w);
-    let sweep = ev.sweep(&w).clone();
-    for (name, f) in [("sampled", &sampled), ("exact", &exact)] {
-        grid_section(
-            &mut r,
-            &sweep,
-            &format!("scaled EB-difference, {name} factors (0 = perfectly fair)"),
-            |c| {
-                let e = f.apply(&sweep.ebs(c));
-                e[0] - e[1]
-            },
-        );
-    }
-    grid_section(&mut r, &sweep, "EB-HS (sampled factors)", |c| {
-        EbObjective::Hs.value(&sampled.apply(&sweep.ebs(c)))
-    });
-    let (fi_combo, _) = pbs_offline_search(&sweep, EbObjective::Fi, &sampled);
-    let (hs_combo, _) = pbs_offline_search(&sweep, EbObjective::Hs, &sampled);
-    let alone = ev.alone_ipcs(&w);
-    let (opt_fi, _) = best_combo_by_sd(&sweep, EbObjective::Fi, &alone);
-    let (opt_hs, _) = best_combo_by_sd(&sweep, EbObjective::Hs, &alone);
-    r.line(format!(
-        "PBS-FI (offline) picks {fi_combo}; optFI is {opt_fi}"
-    ));
-    r.line(format!(
-        "PBS-HS (offline) picks {hs_combo}; optHS is {opt_hs}"
-    ));
-    r.line("shape goal: near-zero EB-difference cells coincide with high-FI combos,");
-    r.line("and the PBS picks land near the oracle picks.");
-    r
+    standalone(ev, plan_fig07)
 }
 
-/// Fig. 8: the hardware organization's overhead budget (§V-E).
+fn plan_fig07(p: &mut Planner) -> Render {
+    let w = Workload::pair("BLK", "TRD");
+    let (alones, sweep) = (p.alones(&w), p.sweep(&w));
+    Box::new(move |ev, _| {
+        let mut r = Report::new("fig07", "PBS-FI and PBS-HS views of BLK_TRD");
+        let profiles: Vec<AloneProfile> = alones.iter().map(|d| d.get(ev)).collect();
+        let sweep = sweep.get(ev);
+        let sampled = ScalingFactors::sampled(&sweep);
+        let exact = ScalingFactors::from_alone_ebs(
+            profiles.iter().map(|p| p.eb_at_best().max(1e-6)).collect(),
+        );
+        for (name, f) in [("sampled", &sampled), ("exact", &exact)] {
+            grid_section(
+                &mut r,
+                &sweep,
+                &format!("scaled EB-difference, {name} factors (0 = perfectly fair)"),
+                |c| {
+                    let e = f.apply(&sweep.ebs(c));
+                    e[0] - e[1]
+                },
+            );
+        }
+        grid_section(&mut r, &sweep, "EB-HS (sampled factors)", |c| {
+            EbObjective::Hs.value(&sampled.apply(&sweep.ebs(c)))
+        });
+        let (fi_combo, _) = pbs_offline_search(&sweep, EbObjective::Fi, &sampled);
+        let (hs_combo, _) = pbs_offline_search(&sweep, EbObjective::Hs, &sampled);
+        let alone: Vec<f64> = profiles.iter().map(AloneProfile::ipc_at_best).collect();
+        let (opt_fi, _) = best_combo_by_sd(&sweep, EbObjective::Fi, &alone);
+        let (opt_hs, _) = best_combo_by_sd(&sweep, EbObjective::Hs, &alone);
+        r.line(format!(
+            "PBS-FI (offline) picks {fi_combo}; optFI is {opt_fi}"
+        ));
+        r.line(format!(
+            "PBS-HS (offline) picks {hs_combo}; optHS is {opt_hs}"
+        ));
+        r.line("shape goal: near-zero EB-difference cells coincide with high-FI combos,");
+        r.line("and the PBS picks land near the oracle picks.");
+        r
+    })
+}
+
+/// Fig. 8: the hardware organization's overhead budget (§V-E). Reads no
+/// measurement: a function of the paper machine's description alone.
 pub fn fig08() -> Report {
     let mut r = Report::new("fig08", "sampling-hardware overhead budget (§V-E)");
     let cfg = GpuConfig::paper();
@@ -307,19 +453,20 @@ pub fn fig08() -> Report {
     r
 }
 
+/// The scheme comparison behind Fig. 9, Fig. 10 and the HS study: `metric`
+/// of every scheme on every workload, normalized to ++bestTLP, with
+/// `goals` as the closing lines.
 fn scheme_figure(
-    ev: &Evaluator,
-    id: &str,
+    p: &mut Planner,
+    id: &'static str,
     objective: EbObjective,
-    metric: impl Fn(&gpu_sim::metrics::SystemMetrics) -> f64,
+    metric: fn(&SystemMetrics) -> f64,
     workloads: &[Workload],
-) -> Report {
-    let metric_name = objective.to_string();
-    let mut r = Report::new(
-        id,
-        &format!("{metric_name} of all schemes, normalized to ++bestTLP"),
-    );
+    goals: [&'static str; 2],
+) -> Render {
+    // The baseline first, then one column per scheme.
     let schemes = [
+        Scheme::BestTlp,
         Scheme::DynCta,
         Scheme::ModBypass,
         Scheme::Pbs(objective),
@@ -327,435 +474,378 @@ fn scheme_figure(
         Scheme::BruteForce(objective),
         Scheme::Opt(objective),
     ];
-    let cols: Vec<String> = schemes.iter().map(|s| s.to_string()).collect();
-    r.header(
-        "workload",
-        &cols.iter().map(String::as_str).collect::<Vec<_>>(),
-    );
-    let representative: Vec<String> = representative_workloads()
+    let rows: Vec<_> = workloads
         .iter()
-        .map(Workload::name)
+        .map(|w| (w.name(), schemes.map(|s| p.scheme(w, s))))
         .collect();
-    let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
-    for w in workloads {
-        let _span = crate::profiler::span("sweep", &w.name());
-        // One batch per workload: the baseline plus all six schemes fan out
-        // across worker threads (results identical to serial evaluation).
-        let mut batch = vec![Scheme::BestTlp];
-        batch.extend_from_slice(&schemes);
-        let results = ev.evaluate_batch(w, &batch);
-        let base = metric(&results[0].metrics).max(1e-9);
-        let mut vals = Vec::new();
-        for (i, res) in results[1..].iter().enumerate() {
-            let v = metric(&res.metrics) / base;
-            per_scheme[i].push(v.max(1e-9));
-            vals.push(v);
+    Box::new(move |ev, _| {
+        let mut r = Report::new(
+            id,
+            &format!("{objective} of all schemes, normalized to ++bestTLP"),
+        );
+        let cols: Vec<String> = schemes[1..].iter().map(|s| s.to_string()).collect();
+        r.header(
+            "workload",
+            &cols.iter().map(String::as_str).collect::<Vec<_>>(),
+        );
+        let representative: Vec<String> = representative_workloads()
+            .iter()
+            .map(Workload::name)
+            .collect();
+        let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); cols.len()];
+        for (name, runs) in &rows {
+            let _span = crate::profiler::span("sweep", name);
+            let base = metric(&runs[0].get(ev).metrics).max(1e-9);
+            let mut vals = Vec::new();
+            for (i, run) in runs[1..].iter().enumerate() {
+                let v = metric(&run.get(ev).metrics) / base;
+                per_scheme[i].push(v.max(1e-9));
+                vals.push(v);
+            }
+            if representative.contains(name) {
+                r.row(name, &vals);
+            }
+            crate::logging::progress_dot();
         }
-        if representative.contains(&w.name()) {
-            r.row(&w.name(), &vals);
+        crate::logging::progress_end();
+        let gmeans: Vec<f64> = per_scheme.iter().map(|v| gmean(v)).collect();
+        r.row("Gmean (all)", &gmeans);
+        for goal in goals {
+            r.line(goal);
         }
-        crate::logging::progress_dot();
-    }
-    crate::logging::progress_end();
-    let gmeans: Vec<f64> = per_scheme.iter().map(|v| gmean(v)).collect();
-    r.row("Gmean (all)", &gmeans);
-    r
+        r
+    })
 }
 
 /// Fig. 9: weighted speedup of every scheme across the evaluated workloads,
 /// normalized to ++bestTLP (representative rows plus the Gmean over all).
 pub fn fig09(ev: &Evaluator, workloads: &[Workload]) -> Report {
-    let mut r = scheme_figure(ev, "fig09", EbObjective::Ws, |m| m.ws, workloads);
-    r.line("shape goals: PBS-WS and its offline variant above ++DynCTA and");
-    r.line("Mod+Bypass; BF-WS within a few % of optWS; all above the 1.0 baseline.");
-    r
+    standalone(ev, |p| plan_fig09(p, workloads))
+}
+
+fn plan_fig09(p: &mut Planner, workloads: &[Workload]) -> Render {
+    let goals = [
+        "shape goals: PBS-WS and its offline variant above ++DynCTA and",
+        "Mod+Bypass; BF-WS within a few % of optWS; all above the 1.0 baseline.",
+    ];
+    scheme_figure(p, "fig09", EbObjective::Ws, |m| m.ws, workloads, goals)
 }
 
 /// Fig. 10: fairness index, same schemes (FI variants).
 pub fn fig10(ev: &Evaluator, workloads: &[Workload]) -> Report {
-    let mut r = scheme_figure(ev, "fig10", EbObjective::Fi, |m| m.fi, workloads);
-    r.line("shape goals: PBS-FI improves fairness severalfold over ++bestTLP on");
-    r.line("unfair workloads; BF-FI/optFI bound it from above.");
-    r
+    standalone(ev, |p| plan_fig10(p, workloads))
+}
+
+fn plan_fig10(p: &mut Planner, workloads: &[Workload]) -> Render {
+    let goals = [
+        "shape goals: PBS-FI improves fairness severalfold over ++bestTLP on",
+        "unfair workloads; BF-FI/optFI bound it from above.",
+    ];
+    scheme_figure(p, "fig10", EbObjective::Fi, |m| m.fi, workloads, goals)
 }
 
 /// §VI-C: harmonic weighted speedup, same schemes (HS variants).
 pub fn hs_results(ev: &Evaluator, workloads: &[Workload]) -> Report {
-    let mut r = scheme_figure(ev, "hs", EbObjective::Hs, |m| m.hs, workloads);
-    r.line("shape goal: PBS-HS lands between PBS-WS (throughput-leaning) and");
-    r.line("PBS-FI (fairness-leaning) on both WS and FI — HS balances the two.");
-    r
+    standalone(ev, |p| plan_hs(p, workloads))
 }
 
-/// Fig. 11: TLP decisions over time for BLK_BFS under PBS-WS and PBS-FI.
-/// Also exports the per-window metric series to `results/fig11_<obj>.csv`.
+fn plan_hs(p: &mut Planner, workloads: &[Workload]) -> Render {
+    let goals = [
+        "shape goal: PBS-HS lands between PBS-WS (throughput-leaning) and",
+        "PBS-FI (fairness-leaning) on both WS and FI — HS balances the two.",
+    ];
+    scheme_figure(p, "hs", EbObjective::Hs, |m| m.hs, workloads, goals)
+}
+
+/// Fig. 11: TLP decisions over time for BLK_BFS under PBS-WS and PBS-FI,
+/// with the per-window metric series attached as `fig11_<obj>.csv`.
 ///
-/// Equivalent to [`fig11_traced`] with a [`NullSink`] (no trace persisted).
+/// Both runs are ordinary memoized PBS records — the evaluator's
+/// `Scheme::Pbs(Ws | Fi)` on BLK_BFS, the WS one also the ablation's paper
+/// run — and everything printed, the CSVs included, is read from the
+/// record. Only the campaign's enabled sink (`experiments --trace <path>`)
+/// makes them simulate inline, to have events to stream.
 pub fn fig11(ev: &Evaluator) -> Report {
-    fig11_traced(ev, &mut NullSink)
+    standalone(ev, plan_fig11)
 }
 
-/// [`fig11`] with a sink for the two runs' events. Both runs are ordinary
-/// memoized PBS records ([`run_pbs_traced`]) — the evaluator's
-/// `Scheme::Pbs(Ws | Fi)` on BLK_BFS, the WS one also the ablation's paper
-/// run — and everything printed here, the per-window CSV included, is read
-/// from the record. Only an enabled sink (the `--trace <path>` flag of
-/// `experiments`) makes them simulate inline, to have events to stream.
-pub fn fig11_traced(ev: &Evaluator, sink: &mut dyn TraceSink) -> Report {
-    let mut r = Report::new("fig11", "TLP over time for BLK_BFS under PBS");
-    let cfg = ev.config();
-    let w = pair("BLK", "BFS");
-    let inputs = FixedRunInputs {
-        cfg: &cfg.gpu,
-        apps: w.apps(),
-        core_split: None,
-        seed: cfg.seed,
-        ccws: false,
-    };
-    for objective in [EbObjective::Ws, EbObjective::Fi] {
-        let _span = crate::profiler::span("run", &format!("fig11_PBS-{objective}"));
-        let run = run_pbs_traced(
-            &inputs,
-            &TlpCombo::uniform(cfg.gpu.max_tlp(), 2),
-            cfg.run_cycles,
-            cfg.measure_from,
-            &PbsRunSpec::scheme(objective, cfg.pbs_hold_windows),
-            sink,
-        );
-        let csv_path = crate::util::out_path(&format!("fig11_{objective}.csv"));
-        if let Some(dir) = csv_path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        let _ = std::fs::write(&csv_path, series_csv(&run.window_series));
-        r.line(format!(
-            "--- PBS-{objective}: {} TLP changes over {} windows (search probed {} combos) ---",
-            run.tlp_trace.len(),
-            run.n_windows,
-            run.samples_last_search
-        ));
-        r.header("cycle", &["TLP-BLK", "TLP-BFS"]);
-        for (cycle, levels) in &run.tlp_trace {
-            r.row(
-                &format!("{cycle}"),
-                &[levels[0].get() as f64, levels[1].get() as f64],
+fn plan_fig11(p: &mut Planner) -> Render {
+    let w = Workload::pair("BLK", "BFS");
+    let (gpu, hold) = (p.cfg.gpu.clone(), p.cfg.pbs_hold_windows);
+    let runs = [EbObjective::Ws, EbObjective::Fi].map(|objective| {
+        (
+            objective,
+            p.pbs_of(&gpu, &w, PbsRunSpec::scheme(objective, hold)),
+        )
+    });
+    Box::new(move |ev, sink| {
+        let mut r = Report::new("fig11", "TLP over time for BLK_BFS under PBS");
+        for (objective, run) in &runs {
+            let _span = crate::profiler::span("run", &format!("fig11_PBS-{objective}"));
+            let run = run.get_traced(ev, sink);
+            r.attach(
+                &format!("fig11_{objective}.csv"),
+                series_csv(&run.window_series),
             );
+            r.line(format!(
+                "--- PBS-{objective}: {} TLP changes over {} windows (search probed {} combos) ---",
+                run.tlp_trace.len(),
+                run.n_windows,
+                run.samples_last_search
+            ));
+            r.header("cycle", &["TLP-BLK", "TLP-BFS"]);
+            for (cycle, levels) in &run.tlp_trace {
+                r.row(
+                    &format!("{cycle}"),
+                    &[levels[0].get() as f64, levels[1].get() as f64],
+                );
+            }
+            r.line(format!(
+                "(per-window IPC/BW/CMR/EB series written to fig11_{objective}.csv)"
+            ));
+            r.blank();
         }
-        // Report text stays `--out`-independent so cached and redirected
-        // runs stay byte-identical; only the actual write moves.
-        r.line(format!(
-            "(per-window IPC/BW/CMR/EB series written to fig11_{objective}.csv)"
-        ));
-        r.blank();
-    }
-    r.line("shape goal: dense sampling phases (the shaded regions of Fig. 11)");
-    r.line("followed by long stable holds at the chosen combination.");
-    r
+        r.line("shape goal: dense sampling phases (the shaded regions of Fig. 11)");
+        r.line("followed by long stable holds at the chosen combination.");
+        r
+    })
 }
 
 /// Table IV: alone-run characteristics of all 26 applications.
 pub fn tab04(ev: &Evaluator) -> Report {
-    let mut r = Report::new("tab04", "Table IV: IPC@bestTLP, EB@bestTLP, groups");
-    let n = ev.config().gpu.n_cores / 2;
-    r.header("app", &["IPC", "EB", "BW", "CMR", "bestTLP"]);
-    let mut rows: Vec<(&str, f64, f64, f64, f64, f64, &str)> = Vec::new();
-    for a in all_apps() {
-        let p = ev.alone(a, n);
-        let b = p.best();
-        rows.push((
-            a.name,
-            b.ipc,
-            b.eb,
-            b.bw,
-            b.cmr,
-            b.tlp.get() as f64,
-            match a.group {
-                gpu_workloads::EbGroup::G1 => "G1",
-                gpu_workloads::EbGroup::G2 => "G2",
-                gpu_workloads::EbGroup::G3 => "G3",
-                gpu_workloads::EbGroup::G4 => "G4",
-            },
-        ));
-    }
-    rows.sort_by(|a, b| a.2.total_cmp(&b.2));
-    for (name, ipc, eb, bw, cmr, best, group) in rows {
-        r.row(&format!("{name} [{group}]"), &[ipc, eb, bw, cmr, best]);
-    }
-    let avgs = ev.group_averages();
-    r.blank();
-    r.line("group-average alone EB (the user-supplied scaling factors):");
-    let mut groups: Vec<_> = avgs.into_iter().collect();
-    groups.sort_by_key(|(g, _)| *g);
-    for (g, avg) in groups {
-        r.line(format!("  {g}: {avg:.3}"));
-    }
-    r.line("shape goal: EB spread from well below 1 (G1) to several (G4), with");
-    r.line("groups ordered by EB.");
-    r
+    standalone(ev, plan_tab04)
+}
+
+fn plan_tab04(p: &mut Planner) -> Render {
+    let n = p.cfg.gpu.n_cores / 2;
+    let apps: Vec<_> = all_apps().iter().map(|a| (a, p.alone(a, n))).collect();
+    Box::new(move |ev, _| {
+        let mut r = Report::new("tab04", "Table IV: IPC@bestTLP, EB@bestTLP, groups");
+        r.header("app", &["IPC", "EB", "BW", "CMR", "bestTLP"]);
+        let mut rows = Vec::new();
+        // Alone-EB sum and size of each group, summed in Table IV order.
+        let mut groups: BTreeMap<EbGroup, (f64, usize)> = BTreeMap::new();
+        for (a, profile) in &apps {
+            let b = *profile.get(ev).best();
+            rows.push((
+                format!("{} [{}]", a.name, a.group),
+                [b.ipc, b.eb, b.bw, b.cmr, b.tlp.get() as f64],
+            ));
+            let group = groups.entry(a.group).or_insert((0.0, 0));
+            *group = (group.0 + b.eb, group.1 + 1);
+        }
+        rows.sort_by(|a, b| a.1[1].total_cmp(&b.1[1]));
+        for (label, values) in &rows {
+            r.row(label, values);
+        }
+        r.blank();
+        r.line("group-average alone EB (the user-supplied scaling factors):");
+        for (g, (sum, n)) in groups {
+            r.line(format!("  {g}: {:.3}", sum / n as f64));
+        }
+        r.line("shape goal: EB spread from well below 1 (G1) to several (G4), with");
+        r.line("groups ordered by EB.");
+        r
+    })
 }
 
 /// §VI-D sensitivity: core-partition splits and L2 capacity.
 pub fn sens_part(ev: &Evaluator) -> Report {
-    let mut r = Report::new("sens_part", "sensitivity: core split and L2 capacity");
-    let seed = ev.config().seed;
-    let sweep_spec = RunSpec::new(10_000, 25_000);
+    standalone(ev, plan_sens_part)
+}
 
-    r.line("--- core-partition split (BLK_BFS): WS of ++bestTLP vs optWS ---");
-    r.header("split", &["bestWS", "optWS", "gain%"]);
-    let w = pair("BLK", "BFS");
+fn plan_sens_part(p: &mut Planner) -> Render {
+    let spec = RunSpec::new(10_000, 25_000);
+    let gpu = p.cfg.gpu.clone();
+    let w = Workload::pair("BLK", "BFS");
     // Quarter/half/three-quarter splits of whatever machine is configured:
     // (4,12), (8,8), (12,4) on the paper machine, scaled down under
     // `--quick` instead of exceeding the small machine's cores.
-    let total = ev.config().gpu.n_cores;
+    let total = gpu.n_cores;
     let quarter = (total / 4).max(1);
-    for (c0, c1) in [
+    let splits = [
         (quarter, total - quarter),
         (total / 2, total - total / 2),
         (total - quarter, quarter),
-    ] {
-        let cfg = ev.config().gpu.clone();
-        let profiles: Vec<_> = w
+    ]
+    .map(|(c0, c1)| {
+        let alones: Vec<_> = w
             .apps()
             .iter()
             .zip([c0, c1])
-            .map(|(a, n)| profile_alone(&cfg, a, n, seed, RunSpec::new(10_000, 25_000)))
+            .map(|(a, n)| p.alone_at(&gpu, a, n, spec))
             .collect();
-        let alone: Vec<f64> = profiles.iter().map(|p| p.ipc_at_best()).collect();
-        let best_combo = TlpCombo::new(profiles.iter().map(|p| p.best_tlp()).collect());
         // Exhaustive sweep on this split.
-        let mut best_ws = (best_combo.clone(), 0.0f64);
-        let mut base_ws = 0.0;
-        let split = [c0, c1];
-        for combo in ComboSweep::combos(&cfg, 2) {
-            let inputs = FixedRunInputs {
-                cfg: &cfg,
-                apps: w.apps(),
-                core_split: Some(&split),
-                seed,
-                ccws: false,
-            };
-            let windows = measure_fixed_cached(&inputs, &combo, sweep_spec);
-            let sds: Vec<f64> = windows
-                .iter()
-                .zip(&alone)
-                .map(|(x, a)| x.ipc() / a)
-                .collect();
-            let ws = ws_of(&sds);
-            if ws > best_ws.1 {
-                best_ws = (combo.clone(), ws);
+        let runs: Vec<_> = ComboSweep::combos(&gpu, 2)
+            .into_iter()
+            .map(|combo| {
+                let split = Some(vec![c0, c1]);
+                let run = p.fixed(&gpu, &w, split, false, combo.clone(), spec);
+                (combo, run)
+            })
+            .collect();
+        (format!("({c0},{c1})"), alones, runs)
+    });
+    let w = Workload::pair("BFS", "FFT");
+    let sizes = [64u64, 128, 256].map(|l2_kb| {
+        let mut g = gpu.clone();
+        g.l2.capacity_bytes = l2_kb * 1024;
+        (format!("{l2_kb} KB"), ws_gain(p, &g, &w, spec))
+    });
+    Box::new(move |ev, _| {
+        let mut r = Report::new("sens_part", "sensitivity: core split and L2 capacity");
+        r.line("--- core-partition split (BLK_BFS): WS of ++bestTLP vs optWS ---");
+        r.header("split", &["bestWS", "optWS", "gain%"]);
+        for (label, alones, runs) in &splits {
+            let (alone, best) = alone_baseline(ev, alones);
+            let (mut base_ws, mut opt_ws) = (0.0, 0.0f64);
+            for (combo, run) in runs {
+                let ws = ws_of_run(&run.get(ev), &alone);
+                opt_ws = opt_ws.max(ws);
+                if *combo == best {
+                    base_ws = ws;
+                }
             }
-            if combo == best_combo {
-                base_ws = ws;
-            }
+            r.row(label, &gain_row(base_ws, opt_ws));
+            crate::logging::progress_dot();
         }
-        r.row(
-            &format!("({c0},{c1})"),
-            &[
-                base_ws,
-                best_ws.1,
-                100.0 * (best_ws.1 / base_ws.max(1e-9) - 1.0),
-            ],
-        );
-        crate::logging::progress_dot();
-    }
-    r.blank();
+        r.blank();
 
-    r.line("--- L2 capacity (BFS_FFT): WS of ++bestTLP vs optWS ---");
-    r.header("L2/partition", &["bestWS", "optWS", "gain%"]);
-    let w = pair("BFS", "FFT");
-    for l2_kb in [64u64, 128, 256] {
-        let mut cfg = ev.config().gpu.clone();
-        cfg.l2.capacity_bytes = l2_kb * 1024;
-        let n = cfg.n_cores / 2;
-        let profiles: Vec<_> = w
-            .apps()
-            .iter()
-            .map(|a| profile_alone(&cfg, a, n, seed, RunSpec::new(10_000, 25_000)))
-            .collect();
-        let alone: Vec<f64> = profiles.iter().map(|p| p.ipc_at_best()).collect();
-        let best_combo = TlpCombo::new(profiles.iter().map(|p| p.best_tlp()).collect());
-        let sweep = ComboSweep::measure(&cfg, &w, seed, sweep_spec);
-        let (_, opt_ws) = best_combo_by_sd(&sweep, EbObjective::Ws, &alone);
-        let base_sds: Vec<f64> = sweep
-            .ipcs(&best_combo)
-            .iter()
-            .zip(&alone)
-            .map(|(i, a)| i / a)
-            .collect();
-        let base_ws = ws_of(&base_sds);
-        r.row(
-            &format!("{l2_kb} KB"),
-            &[base_ws, opt_ws, 100.0 * (opt_ws / base_ws.max(1e-9) - 1.0)],
-        );
-        crate::logging::progress_dot();
-    }
-    crate::logging::progress_end();
-    r.line("shape goals: the opt gain persists across splits; smaller L2 slices");
-    r.line("increase contention and the achievable gain.");
-    r
+        r.line("--- L2 capacity (BFS_FFT): WS of ++bestTLP vs optWS ---");
+        r.header("L2/partition", &["bestWS", "optWS", "gain%"]);
+        for (label, gain) in &sizes {
+            r.row(label, &gain(ev));
+            crate::logging::progress_dot();
+        }
+        crate::logging::progress_end();
+        r.line("shape goals: the opt gain persists across splits; smaller L2 slices");
+        r.line("increase contention and the achievable gain.");
+        r
+    })
 }
 
 /// §VI-D: PBS extends to three co-scheduled applications.
 pub fn threeapp(ev: &Evaluator) -> Report {
-    let mut r = Report::new("threeapp", "three-application workloads under PBS");
-    let cfg = ev.config().gpu.clone();
-    let seed = ev.config().seed;
+    standalone(ev, plan_threeapp)
+}
+
+fn plan_threeapp(p: &mut Planner) -> Render {
+    let gpu = p.cfg.gpu.clone();
     // An even three-way split of the configured machine: 3 x 5 cores with
     // one idle on the 16-core paper machine, scaled down under `--quick`.
-    let per_app = (ev.config().gpu.n_cores / 3).max(1);
-    let mixes: [[&str; 3]; 4] = [
+    let per_app = (gpu.n_cores / 3).max(1);
+    let alone_spec = RunSpec::new(10_000, 25_000);
+    let (run_cycles, measure_from) = (300_000, 3_000);
+    let run_spec = RunSpec::new(measure_from, run_cycles);
+    let max = TlpCombo::uniform(gpu.max_tlp(), 3);
+    let mixes = [
         ["BLK", "BFS", "FFT"],
         ["TRD", "DS", "JPEG"],
         ["SCP", "HS", "GUPS"],
         ["LIB", "BLK", "BFS"],
-    ];
-    r.header(
-        "workload",
-        &["bestWS", "maxWS", "pbsWS", "bestFI", "maxFI", "pbsFI"],
-    );
-    for mix in mixes {
-        let apps: Vec<&gpu_workloads::AppProfile> = mix
+    ]
+    .map(|[a, b, c]| {
+        let w = Workload::trio(a, b, c);
+        let split = Some(vec![per_app; 3]);
+        let alones: Vec<_> = w
+            .apps()
             .iter()
-            .map(|n| gpu_workloads::by_name(n).expect("known app"))
+            .map(|a| p.alone_at(&gpu, a, per_app, alone_spec))
             .collect();
-        let profiles: Vec<_> = apps
-            .iter()
-            .map(|a| profile_alone(&cfg, a, per_app, seed, RunSpec::new(10_000, 25_000)))
-            .collect();
-        let alone: Vec<f64> = profiles.iter().map(|p| p.ipc_at_best()).collect();
-        let best = TlpCombo::new(profiles.iter().map(|p| p.best_tlp()).collect());
-        let max = TlpCombo::uniform(cfg.max_tlp(), 3);
-
-        let split = [per_app; 3];
-        let run_static = |combo: &TlpCombo| -> Vec<f64> {
-            let inputs = FixedRunInputs {
-                cfg: &cfg,
-                apps: &apps,
-                core_split: Some(&split),
-                seed,
-                ccws: false,
-            };
-            let windows = measure_fixed_cached(&inputs, combo, RunSpec::new(3_000, 300_000));
-            windows
-                .iter()
-                .zip(&alone)
-                .map(|(w, a)| w.ipc() / a)
-                .collect()
-        };
-        let sd_best = run_static(&best);
-        let sd_max = run_static(&max);
-
-        let run = run_pbs_cached(
-            &FixedRunInputs {
-                cfg: &cfg,
-                apps: &apps,
-                core_split: Some(&split),
-                seed,
-                ccws: false,
-            },
-            &max,
-            300_000,
-            3_000,
-            &PbsRunSpec::paper(EbObjective::Ws, 150),
+        let at_best = p.best_fixed_split(&w, per_app, alone_spec, run_spec);
+        let at_max = p.fixed(&gpu, &w, split.clone(), false, max.clone(), run_spec);
+        let paper = PbsRunSpec::paper(EbObjective::Ws, 150);
+        let start = max.clone();
+        let pbs = p.pbs(&gpu, &w, split, start, run_cycles, measure_from, paper);
+        (w.name(), alones, at_best, at_max, pbs)
+    });
+    Box::new(move |ev, _| {
+        let mut r = Report::new("threeapp", "three-application workloads under PBS");
+        r.header(
+            "workload",
+            &["bestWS", "maxWS", "pbsWS", "bestFI", "maxFI", "pbsFI"],
         );
-        let sd_pbs: Vec<f64> = run
-            .overall
-            .iter()
-            .zip(&alone)
-            .map(|(w, a)| w.ipc() / a)
-            .collect();
-
-        r.row(
-            &mix.join("_"),
-            &[
-                ws_of(&sd_best),
-                ws_of(&sd_max),
-                ws_of(&sd_pbs),
-                fi_of(&sd_best),
-                fi_of(&sd_max),
-                fi_of(&sd_pbs),
-            ],
-        );
-        crate::logging::progress_dot();
-    }
-    crate::logging::progress_end();
-    r.line("shape goal: PBS-WS matches or beats ++bestTLP WS while improving FI,");
-    r.line("with a search that still costs far fewer samples than the 512-combination");
-    r.line("exhaustive space (§VI-D: PBS extends trivially to n applications).");
-    r
+        for (name, alones, at_best, at_max, pbs) in &mixes {
+            let (alone, _) = alone_baseline(ev, alones);
+            let [best, max, pbs] = [at_best.get(ev), at_max.get(ev), pbs.get(ev).overall]
+                .map(|windows| slowdowns(windows.iter().map(AppWindow::ipc), &alone));
+            r.row(
+                name,
+                &[
+                    ws_of(&best),
+                    ws_of(&max),
+                    ws_of(&pbs),
+                    fi_of(&best),
+                    fi_of(&max),
+                    fi_of(&pbs),
+                ],
+            );
+            crate::logging::progress_dot();
+        }
+        crate::logging::progress_end();
+        r.line("shape goal: PBS-WS matches or beats ++bestTLP WS while improving FI,");
+        r.line("with a search that still costs far fewer samples than the 512-combination");
+        r.line("exhaustive space (§VI-D: PBS extends trivially to n applications).");
+        r
+    })
 }
 
 /// DRAM page-policy ablation: the evaluation's row-locality behaviour
 /// under open-page (the paper's FR-FCFS baseline) versus closed-page
 /// (auto-precharge) row management.
 pub fn dram_policy(ev: &Evaluator) -> Report {
-    let mut r = Report::new("dram_policy", "DRAM page-policy ablation: open vs closed");
-    let seed = ev.config().seed;
+    standalone(ev, plan_dram_policy)
+}
 
-    r.line("--- alone attained BW at maxTLP ---");
-    r.header("app", &["open BW", "closed BW", "open RH%", "closed RH%"]);
-    for name in ["BLK", "GUPS"] {
-        let app = gpu_workloads::by_name(name).expect("known app");
-        let mut vals = Vec::new();
-        let mut hits = Vec::new();
-        for policy in [gpu_types::PagePolicy::Open, gpu_types::PagePolicy::Closed] {
-            let mut cfg = ev.config().gpu.clone();
-            cfg.dram.page_policy = policy;
-            let n = cfg.n_cores / 2;
-            let split = [n];
-            let inputs = FixedRunInputs {
-                cfg: &cfg,
-                apps: &[app],
-                core_split: Some(&split),
-                seed,
-                ccws: false,
-            };
-            let w = measure_fixed_cached(
-                &inputs,
-                &TlpCombo::uniform(cfg.max_tlp(), 1),
-                RunSpec::new(10_000, 25_000),
+fn plan_dram_policy(p: &mut Planner) -> Render {
+    let spec = RunSpec::new(10_000, 25_000);
+    let machines = [PagePolicy::Open, PagePolicy::Closed].map(|policy| {
+        let mut g = p.cfg.gpu.clone();
+        g.dram.page_policy = policy;
+        (policy, g)
+    });
+    let alone = ["BLK", "GUPS"].map(|name| {
+        let w = Workload::from_names(&[name]);
+        let runs = machines.each_ref().map(|(_, g)| {
+            let (split, max) = (Some(vec![g.n_cores / 2]), TlpCombo::uniform(g.max_tlp(), 1));
+            p.fixed(g, &w, split, false, max, spec)
+        });
+        (name, runs)
+    });
+    let w = Workload::pair("BFS", "FFT");
+    let gains = machines
+        .each_ref()
+        .map(|(policy, g)| (format!("{policy:?}"), ws_gain(p, g, &w, spec)));
+    Box::new(move |ev, _| {
+        let mut r = Report::new("dram_policy", "DRAM page-policy ablation: open vs closed");
+        r.line("--- alone attained BW at maxTLP ---");
+        r.header("app", &["open BW", "closed BW", "open RH%", "closed RH%"]);
+        for (name, runs) in &alone {
+            let [open, closed] = runs.each_ref().map(|run| run.get(ev)[0]);
+            r.row(
+                name,
+                &[
+                    open.attained_bw(),
+                    closed.attained_bw(),
+                    100.0 * open.counters.row_hit_rate(),
+                    100.0 * closed.counters.row_hit_rate(),
+                ],
             );
-            vals.push(w[0].attained_bw());
-            hits.push(100.0 * w[0].counters.row_hit_rate());
         }
-        r.row(name, &[vals[0], vals[1], hits[0], hits[1]]);
-    }
-    r.blank();
+        r.blank();
 
-    r.line("--- BFS_FFT: ++bestTLP WS vs optWS under each policy ---");
-    r.header("policy", &["bestWS", "optWS", "gain%"]);
-    let w = pair("BFS", "FFT");
-    for policy in [gpu_types::PagePolicy::Open, gpu_types::PagePolicy::Closed] {
-        let mut cfg = ev.config().gpu.clone();
-        cfg.dram.page_policy = policy;
-        let n = cfg.n_cores / 2;
-        let profiles: Vec<_> = w
-            .apps()
-            .iter()
-            .map(|app| profile_alone(&cfg, app, n, seed, RunSpec::new(10_000, 25_000)))
-            .collect();
-        let alone: Vec<f64> = profiles.iter().map(|p| p.ipc_at_best()).collect();
-        let best = TlpCombo::new(profiles.iter().map(|p| p.best_tlp()).collect());
-        let sweep = ComboSweep::measure(&cfg, &w, seed, RunSpec::new(10_000, 25_000));
-        let (_, opt_ws) = best_combo_by_sd(&sweep, EbObjective::Ws, &alone);
-        let base = ws_of(
-            &sweep
-                .ipcs(&best)
-                .iter()
-                .zip(&alone)
-                .map(|(i, x)| i / x)
-                .collect::<Vec<_>>(),
-        );
-        r.row(
-            &format!("{policy:?}"),
-            &[base, opt_ws, 100.0 * (opt_ws / base.max(1e-9) - 1.0)],
-        );
-        crate::logging::progress_dot();
-    }
-    crate::logging::progress_end();
-    r.line("shape goals: closed page forfeits the streaming apps' row hits and");
-    r.line("loses bandwidth (GUPS, already row-hostile, barely cares); the");
-    r.line("bestTLP-vs-opt gap survives either policy.");
-    r
+        r.line("--- BFS_FFT: ++bestTLP WS vs optWS under each policy ---");
+        r.header("policy", &["bestWS", "optWS", "gain%"]);
+        for (label, gain) in &gains {
+            r.row(label, &gain(ev));
+            crate::logging::progress_dot();
+        }
+        crate::logging::progress_end();
+        r.line("shape goals: closed page forfeits the streaming apps' row hits and");
+        r.line("loses bandwidth (GUPS, already row-hostile, barely cares); the");
+        r.line("bestTLP-vs-opt gap survives either policy.");
+        r
+    })
 }
 
 /// The prior-art single-application TLP finders as multi-application
@@ -763,231 +853,171 @@ pub fn dram_policy(ev: &Evaluator) -> Report {
 /// reference). Also verifies CCWS's premise: running alone, it converges
 /// near the bestTLP performance of a cache-sensitive application.
 pub fn ccws(ev: &Evaluator) -> Report {
-    let mut r = Report::new("ccws", "++CCWS baseline (and its alone-run premise)");
-    let cfg = ev.config().gpu.clone();
-    let seed = ev.config().seed;
+    standalone(ev, plan_ccws)
+}
 
-    r.line("--- alone: CCWS IPC vs bestTLP IPC (cache-sensitive apps) ---");
-    r.header("app", &["bestTLP", "IPC@best", "IPC@CCWS", "ratio"]);
-    for name in ["BFS", "FFT", "HS", "BLK"] {
-        let app = gpu_workloads::by_name(name).expect("known app");
-        let n = cfg.n_cores / 2;
-        let best = {
-            let p = ev.alone(app, n);
-            (p.best_tlp(), p.ipc_at_best())
-        };
-        let split = [n];
-        let inputs = FixedRunInputs {
-            cfg: &cfg,
-            apps: &[app],
-            core_split: Some(&split),
-            seed,
-            ccws: true,
-        };
+fn plan_ccws(p: &mut Planner) -> Render {
+    let gpu = p.cfg.gpu.clone();
+    let n = gpu.n_cores / 2;
+    let alone = ["BFS", "FFT", "HS", "BLK"].map(|name| {
+        let w = Workload::from_names(&[name]);
+        let profile = p.alone(w.apps()[0], n);
         // CCWS walks the limit one step per decision interval, so give it
         // time to converge before measuring.
-        let w = measure_fixed_cached(
-            &inputs,
-            &TlpCombo::uniform(cfg.max_tlp(), 1),
-            RunSpec::new(80_000, 40_000),
-        );
-        r.row(
-            name,
-            &[best.0.get() as f64, best.1, w[0].ipc(), w[0].ipc() / best.1],
-        );
-    }
-    r.blank();
+        let spec = RunSpec::new(80_000, 40_000);
+        let max = TlpCombo::uniform(gpu.max_tlp(), 1);
+        let run = p.fixed(&gpu, &w, Some(vec![n]), true, max, spec);
+        (name, profile, run)
+    });
+    let corun = [("BLK", "BFS"), ("BFS", "FFT"), ("DS", "TRD")].map(|(a, b)| {
+        let w = Workload::pair(a, b);
+        // The baseline first, then one column per scheme.
+        let runs = [
+            Scheme::BestTlp,
+            Scheme::Ccws,
+            Scheme::DynCta,
+            Scheme::Pbs(EbObjective::Ws),
+        ]
+        .map(|s| p.scheme(&w, s));
+        (w.name(), runs)
+    });
+    Box::new(move |ev, _| {
+        let mut r = Report::new("ccws", "++CCWS baseline (and its alone-run premise)");
+        r.line("--- alone: CCWS IPC vs bestTLP IPC (cache-sensitive apps) ---");
+        r.header("app", &["bestTLP", "IPC@best", "IPC@CCWS", "ratio"]);
+        for (name, profile, run) in &alone {
+            let best = *profile.get(ev).best();
+            let ipc = run.get(ev)[0].ipc();
+            r.row(
+                name,
+                &[best.tlp.get() as f64, best.ipc, ipc, ipc / best.ipc],
+            );
+        }
+        r.blank();
 
-    r.line("--- co-run WS (normalized to ++bestTLP) ---");
-    r.header("workload", &["++CCWS", "++DynCTA", "PBS-WS"]);
-    for (a, b) in [("BLK", "BFS"), ("BFS", "FFT"), ("DS", "TRD")] {
-        let w = pair(a, b);
-        let base = ev.evaluate(&w, Scheme::BestTlp).metrics.ws.max(1e-9);
-        let vals: Vec<f64> = [Scheme::Ccws, Scheme::DynCta, Scheme::Pbs(EbObjective::Ws)]
-            .iter()
-            .map(|s| ev.evaluate(&w, *s).metrics.ws / base)
-            .collect();
-        r.row(&w.name(), &vals);
-        crate::logging::progress_dot();
-    }
-    crate::logging::progress_end();
-    r.line("shape goals: alone, CCWS recovers most of the bestTLP IPC for");
-    r.line("cache-sensitive apps (its published premise); co-run, ++CCWS behaves");
-    r.line("like the other co-run-oblivious baselines and trails PBS.");
-    r
+        r.line("--- co-run WS (normalized to ++bestTLP) ---");
+        r.header("workload", &["++CCWS", "++DynCTA", "PBS-WS"]);
+        for (name, runs) in &corun {
+            let ws = runs.each_ref().map(|run| run.get(ev).metrics.ws);
+            let base = ws[0].max(1e-9);
+            r.row(name, &ws[1..].iter().map(|v| v / base).collect::<Vec<_>>());
+            crate::logging::progress_dot();
+        }
+        crate::logging::progress_end();
+        r.line("shape goals: alone, CCWS recovers most of the bestTLP IPC for");
+        r.line("cache-sensitive apps (its published premise); co-run, ++CCWS behaves");
+        r.line("like the other co-run-oblivious baselines and trails PBS.");
+        r
+    })
 }
 
 /// Warp-scheduler sensitivity: GTO (the paper's baseline) versus loose
 /// round-robin, for the alone TLP hill and for the bestTLP-vs-opt gap.
 pub fn sched(ev: &Evaluator) -> Report {
-    let mut r = Report::new("sched", "warp-scheduler sensitivity: GTO vs LRR");
-    let seed = ev.config().seed;
-    let mixes = [("BLK", "BFS"), ("BFS", "FFT")];
-    r.line("--- BFS alone: bestTLP and IPC@bestTLP per scheduler ---");
-    r.header("scheduler", &["bestTLP", "IPC", "EB"]);
-    for policy in [
-        gpu_types::WarpSchedPolicy::Gto,
-        gpu_types::WarpSchedPolicy::Lrr,
-    ] {
-        let mut cfg = ev.config().gpu.clone();
-        cfg.scheduler = policy;
-        let p = profile_alone(
-            &cfg,
-            gpu_workloads::by_name("BFS").expect("BFS exists"),
-            cfg.n_cores / 2,
-            seed,
-            RunSpec::new(10_000, 25_000),
-        );
-        let b = p.best();
-        r.row(&format!("{policy:?}"), &[b.tlp.get() as f64, b.ipc, b.eb]);
-    }
-    r.blank();
-    r.line("--- co-run: ++bestTLP WS vs optWS (from sweep) per scheduler ---");
-    r.header("workload/sched", &["bestWS", "optWS", "gain%"]);
-    for (a, b) in mixes {
-        let w = pair(a, b);
-        for policy in [
-            gpu_types::WarpSchedPolicy::Gto,
-            gpu_types::WarpSchedPolicy::Lrr,
-        ] {
-            let mut cfg = ev.config().gpu.clone();
-            cfg.scheduler = policy;
-            let n = cfg.n_cores / 2;
-            let profiles: Vec<_> = w
-                .apps()
-                .iter()
-                .map(|app| profile_alone(&cfg, app, n, seed, RunSpec::new(10_000, 25_000)))
-                .collect();
-            let alone: Vec<f64> = profiles.iter().map(|p| p.ipc_at_best()).collect();
-            let best = TlpCombo::new(profiles.iter().map(|p| p.best_tlp()).collect());
-            let sweep = ComboSweep::measure(&cfg, &w, seed, RunSpec::new(10_000, 25_000));
-            let (_, opt_ws) = best_combo_by_sd(&sweep, EbObjective::Ws, &alone);
-            let base = ws_of(
-                &sweep
-                    .ipcs(&best)
-                    .iter()
-                    .zip(&alone)
-                    .map(|(i, x)| i / x)
-                    .collect::<Vec<_>>(),
-            );
-            r.row(
-                &format!("{} / {policy:?}", w.name()),
-                &[base, opt_ws, 100.0 * (opt_ws / base.max(1e-9) - 1.0)],
-            );
-            crate::logging::progress_dot();
-        }
-    }
-    crate::logging::progress_end();
-    r.line("shape goal: the bestTLP-vs-opt gap and the EB mechanism are not");
-    r.line("artifacts of GTO — LRR shows the same qualitative picture.");
-    r
+    standalone(ev, plan_sched)
 }
 
-/// Warm-up and window length of [`sampling`]'s estimation-error runs.
-pub const SAMPLING_ERROR_SPEC: RunSpec = RunSpec {
-    warmup: 3_000,
-    window: 2_000,
-};
-/// Windows each of [`sampling`]'s estimation-error runs measures.
-pub const SAMPLING_ERROR_WINDOWS: u64 = 20;
+fn plan_sched(p: &mut Planner) -> Render {
+    let spec = RunSpec::new(10_000, 25_000);
+    let machines = [WarpSchedPolicy::Gto, WarpSchedPolicy::Lrr].map(|policy| {
+        let mut g = p.cfg.gpu.clone();
+        g.scheduler = policy;
+        (policy, g)
+    });
+    let bfs = machines.each_ref().map(|(policy, g)| {
+        let profile = p.alone_at(g, app("BFS"), g.n_cores / 2, spec);
+        (format!("{policy:?}"), profile)
+    });
+    let mut gains = Vec::new();
+    for (a, b) in [("BLK", "BFS"), ("BFS", "FFT")] {
+        let w = Workload::pair(a, b);
+        for (policy, g) in &machines {
+            let label = format!("{} / {policy:?}", w.name());
+            gains.push((label, ws_gain(p, g, &w, spec)));
+        }
+    }
+    Box::new(move |ev, _| {
+        let mut r = Report::new("sched", "warp-scheduler sensitivity: GTO vs LRR");
+        r.line("--- BFS alone: bestTLP and IPC@bestTLP per scheduler ---");
+        r.header("scheduler", &["bestTLP", "IPC", "EB"]);
+        for (label, profile) in &bfs {
+            let b = *profile.get(ev).best();
+            r.row(label, &[b.tlp.get() as f64, b.ipc, b.eb]);
+        }
+        r.blank();
+        r.line("--- co-run: ++bestTLP WS vs optWS (from sweep) per scheduler ---");
+        r.header("workload/sched", &["bestWS", "optWS", "gain%"]);
+        for (label, gain) in &gains {
+            r.row(label, &gain(ev));
+            crate::logging::progress_dot();
+        }
+        crate::logging::progress_end();
+        r.line("shape goal: the bestTLP-vs-opt gap and the EB mechanism are not");
+        r.line("artifacts of GTO — LRR shows the same qualitative picture.");
+        r
+    })
+}
 
 /// Validates the Fig. 8 designated-sampling hardware: per-window EB
 /// estimates from one core + one partition versus exact aggregation, and
 /// the effect on PBS-WS end results (§V-E's uniformity claim).
 pub fn sampling(ev: &Evaluator) -> Report {
-    let mut r = Report::new("sampling", "designated (Fig. 8) vs exact sampling");
-    let base_cfg = ev.config().gpu.clone();
-    let seed = ev.config().seed;
-    let run_cycles = ev.config().run_cycles;
-    let measure_from = ev.config().measure_from;
+    standalone(ev, plan_sampling)
+}
+
+fn plan_sampling(p: &mut Planner) -> Render {
+    // Warm-up and window length, and the window count, of each
+    // estimation-error run.
+    let (error_spec, error_windows) = (RunSpec::new(3_000, 2_000), 20);
+    let span = p.cfg.scheme_span();
+    let paper = PbsRunSpec::paper(EbObjective::Ws, p.cfg.pbs_hold_windows);
     let mixes = [
         ("BLK", "BFS"),
         ("BFS", "FFT"),
         ("JPEG", "LIB"),
         ("DS", "TRD"),
-    ];
-
-    // Part 1: per-window EB estimation error at the ++bestTLP combination.
-    r.line("--- per-window EB estimate: designated vs exact (mean |error|) ---");
-    r.header("workload", &["err app1 %", "err app2 %"]);
-    for (a, b) in mixes {
-        let w = pair(a, b);
-        let inputs = FixedRunInputs {
-            cfg: &base_cfg,
-            apps: w.apps(),
-            core_split: None,
-            seed,
-            ccws: false,
-        };
-        let errs = sampling_error_cached(
-            &inputs,
-            &ev.best_tlp_combo(&w),
-            SAMPLING_ERROR_SPEC,
-            SAMPLING_ERROR_WINDOWS,
-        );
-        r.row(&w.name(), &errs);
-    }
-    r.blank();
-
-    // Part 2: PBS-WS end results under each sampling mode.
-    r.line("--- PBS-WS WS (normalized to ++bestTLP) under each sampling mode ---");
-    r.header("workload", &["exact", "designated"]);
-    for (a, b) in mixes {
-        let w = pair(a, b);
-        let alone = ev.alone_ipcs(&w);
-        let best = ev.best_tlp_combo(&w);
-        let inputs = FixedRunInputs {
-            cfg: &base_cfg,
-            apps: w.apps(),
-            core_split: None,
-            seed,
-            ccws: false,
-        };
-        let base = ws_of(
-            &measure_fixed_cached(
-                &inputs,
-                &best,
-                RunSpec::new(measure_from, run_cycles - measure_from),
-            )
-            .iter()
-            .zip(&alone)
-            .map(|(x, al)| x.ipc() / al)
-            .collect::<Vec<_>>(),
-        );
-        let mut row = Vec::new();
-        for designated in [false, true] {
-            let mut cfg = base_cfg.clone();
-            cfg.sampling.designated = designated;
-            let run = run_pbs_cached(
-                &FixedRunInputs {
-                    cfg: &cfg,
-                    apps: w.apps(),
-                    core_split: None,
-                    seed,
-                    ccws: false,
-                },
-                &TlpCombo::uniform(cfg.max_tlp(), 2),
-                run_cycles,
-                measure_from,
-                &PbsRunSpec::paper(EbObjective::Ws, ev.config().pbs_hold_windows),
-            );
-            let ws = ws_of(
-                &run.overall
-                    .iter()
-                    .zip(&alone)
-                    .map(|(x, al)| x.ipc() / al)
-                    .collect::<Vec<_>>(),
-            );
-            row.push(ws / base);
+    ]
+    .map(|(a, b)| {
+        let w = Workload::pair(a, b);
+        let errs = p.sampling_error(&w, error_spec, error_windows);
+        let (alones, base) = (p.alones(&w), p.best_fixed(&w, span));
+        // designated = false is bit-identical to the base config, so that
+        // arm's PBS run is the ablation's paper-variant run of the mix.
+        let modes = [false, true].map(|designated| {
+            let mut g = p.cfg.gpu.clone();
+            g.sampling.designated = designated;
+            p.pbs_of(&g, &w, paper)
+        });
+        (w.name(), errs, alones, base, modes)
+    });
+    Box::new(move |ev, _| {
+        let mut r = Report::new("sampling", "designated (Fig. 8) vs exact sampling");
+        // Part 1: per-window EB estimation error at the ++bestTLP combination.
+        r.line("--- per-window EB estimate: designated vs exact (mean |error|) ---");
+        r.header("workload", &["err app1 %", "err app2 %"]);
+        for (name, errs, ..) in &mixes {
+            r.row(name, &errs.get(ev));
         }
-        r.row(&w.name(), &row);
-        crate::logging::progress_dot();
-    }
-    crate::logging::progress_end();
-    r.line("shape goals: single-digit mean EB estimation error, and designated");
-    r.line("sampling reproduces the exact-sampling PBS results — the §V-E");
-    r.line("argument for the cheap hardware.");
-    r
+        r.blank();
+
+        // Part 2: PBS-WS end results under each sampling mode.
+        r.line("--- PBS-WS WS (normalized to ++bestTLP) under each sampling mode ---");
+        r.header("workload", &["exact", "designated"]);
+        for (name, _, alones, base, modes) in &mixes {
+            let (alone, _) = alone_baseline(ev, alones);
+            let base = ws_of_run(&base.get(ev), &alone);
+            let row = modes
+                .each_ref()
+                .map(|run| ws_of_run(&run.get(ev).overall, &alone) / base);
+            r.row(name, &row);
+            crate::logging::progress_dot();
+        }
+        crate::logging::progress_end();
+        r.line("shape goals: single-digit mean EB estimation error, and designated");
+        r.line("sampling reproduces the exact-sampling PBS results — the §V-E");
+        r.line("argument for the cheap hardware.");
+        r
+    })
 }
 
 /// Online-vs-offline PBS on phase-changing workloads (§VI-A point 3: the
@@ -995,110 +1025,63 @@ pub fn sampling(ev: &Evaluator) -> Report {
 /// within the same workload execution", which a one-shot offline table
 /// cannot).
 pub fn phased(ev: &Evaluator) -> Report {
-    let mut r = Report::new(
-        "phased",
-        "online vs offline PBS on phase-changing workloads",
-    );
-    let cfg = ev.config().gpu.clone();
-    let seed = ev.config().seed;
-    let run_cycles = ev.config().run_cycles;
-    let measure_from = ev.config().measure_from;
-    let mixes: [Workload; 3] = [
-        Workload::from_profiles(vec![
-            &gpu_workloads::PH1,
-            gpu_workloads::by_name("TRD").unwrap(),
-        ]),
-        Workload::from_profiles(vec![
-            &gpu_workloads::PH1,
-            gpu_workloads::by_name("BLK").unwrap(),
-        ]),
-        Workload::from_profiles(vec![
-            &gpu_workloads::PH2,
-            gpu_workloads::by_name("SCP").unwrap(),
-        ]),
-    ];
-    r.header("workload", &["bestWS", "offline", "online", "on-off%"]);
-    for w in mixes {
-        let alone = ev.alone_ipcs(&w);
-        let ws_of_windows = |windows: &[gpu_types::AppWindow]| {
-            ws_of(
-                &windows
-                    .iter()
-                    .zip(&alone)
-                    .map(|(x, a)| x.ipc() / a)
-                    .collect::<Vec<_>>(),
-            )
-        };
-        // ++bestTLP baseline.
-        let best = ev.best_tlp_combo(&w);
-        let inputs = FixedRunInputs {
-            cfg: &cfg,
-            apps: w.apps(),
-            core_split: None,
-            seed,
-            ccws: false,
-        };
-        let base = ws_of_windows(&measure_fixed_cached(
-            &inputs,
-            &best,
-            RunSpec::new(measure_from, run_cycles - measure_from),
-        ));
+    standalone(ev, plan_phased)
+}
+
+fn plan_phased(p: &mut Planner) -> Render {
+    let (gpu, span) = (p.cfg.gpu.clone(), p.cfg.scheme_span());
+    let mixes = [(&PH1, "TRD"), (&PH1, "BLK"), (&PH2, "SCP")].map(|(phased, co)| {
+        let w = Workload::from_profiles(vec![phased, app(co)]);
+        // The ++bestTLP baseline.
+        let (alones, base) = (p.alones(&w), p.best_fixed(&w, span));
         // Offline PBS: one combination from the (phase-averaged) sweep.
-        let scaling = ScalingFactors::none(2);
-        let sweep = ev.sweep(&w).clone();
-        let (off_combo, _) = pbs_offline_search(&sweep, EbObjective::Ws, &scaling);
-        let offline = ws_of_windows(&measure_fixed_cached(
-            &inputs,
-            &off_combo,
-            RunSpec::new(measure_from, run_cycles - measure_from),
-        ));
+        let offline = p.offline_fixed(&w, span);
         // Online PBS with a short hold, so it re-searches within each phase.
-        let run = run_pbs_cached(
-            &inputs,
-            &TlpCombo::uniform(cfg.max_tlp(), 2),
-            run_cycles,
-            measure_from,
-            &PbsRunSpec::paper(EbObjective::Ws, 60),
+        let online = p.pbs_of(&gpu, &w, PbsRunSpec::paper(EbObjective::Ws, 60));
+        (w.name(), alones, base, offline, online)
+    });
+    Box::new(move |ev, _| {
+        let mut r = Report::new(
+            "phased",
+            "online vs offline PBS on phase-changing workloads",
         );
-        let online = ws_of_windows(&run.overall);
-        r.row(
-            &w.name(),
-            &[
-                base,
-                offline / base,
-                online / base,
-                100.0 * (online / offline.max(1e-9) - 1.0),
-            ],
-        );
-        crate::logging::progress_dot();
-    }
-    crate::logging::progress_end();
-    r.line("columns: raw ++bestTLP WS, then offline/online normalized to it.");
-    r.line("shape goal: online PBS holds its own against (or beats) the offline");
-    r.line("pick on phase-changing kernels, despite paying its search overhead —");
-    r.line("the offline table only sees the phase-average behaviour.");
-    r
+        r.header("workload", &["bestWS", "offline", "online", "on-off%"]);
+        for (name, alones, base, offline, online) in &mixes {
+            let (alone, _) = alone_baseline(ev, alones);
+            let base = ws_of_run(&base.get(ev), &alone);
+            let offline = ws_of_run(&offline.get(ev), &alone);
+            let online = ws_of_run(&online.get(ev).overall, &alone);
+            r.row(
+                name,
+                &[
+                    base,
+                    offline / base,
+                    online / base,
+                    100.0 * (online / offline.max(1e-9) - 1.0),
+                ],
+            );
+            crate::logging::progress_dot();
+        }
+        crate::logging::progress_end();
+        r.line("columns: raw ++bestTLP WS, then offline/online normalized to it.");
+        r.line("shape goal: online PBS holds its own against (or beats) the offline");
+        r.line("pick on phase-changing kernels, despite paying its search overhead —");
+        r.line("the offline table only sees the phase-average behaviour.");
+        r
+    })
 }
 
 /// Ablation study of the PBS design choices DESIGN.md calls out: the probe
 /// level (4 vs maxTLP), the settle window after each TLP change, and the
 /// final pick from the Fig. 8 sampling table versus trusting knee+tune.
 pub fn ablation(ev: &Evaluator) -> Report {
-    let mut r = Report::new("ablation", "PBS design-choice ablations (WS vs ++bestTLP)");
-    let cfg = ev.config().gpu.clone();
-    let seed = ev.config().seed;
-    let run_cycles = ev.config().run_cycles;
-    let measure_from = ev.config().measure_from;
-    let hold = ev.config().pbs_hold_windows;
-    let mixes = [
-        ("BLK", "BFS"),
-        ("BFS", "FFT"),
-        ("DS", "TRD"),
-        ("JPEG", "LIB"),
-    ];
+    standalone(ev, plan_ablation)
+}
 
-    let paper = PbsRunSpec::paper(EbObjective::Ws, hold);
-    let variants: [(&'static str, PbsRunSpec); 4] = [
+fn plan_ablation(p: &mut Planner) -> Render {
+    let (gpu, span) = (p.cfg.gpu.clone(), p.cfg.scheme_span());
+    let paper = PbsRunSpec::paper(EbObjective::Ws, p.cfg.pbs_hold_windows);
+    let variants = [
         ("PBS (paper)", paper),
         (
             "probe=maxTLP",
@@ -1122,65 +1105,37 @@ pub fn ablation(ev: &Evaluator) -> Report {
             },
         ),
     ];
-    let cols: Vec<&str> = variants.iter().map(|(n, _)| *n).collect();
-    r.header("workload", &cols);
-    for (a, b) in mixes {
-        let w = pair(a, b);
-        let alone = ev.alone_ipcs(&w);
-        let inputs = FixedRunInputs {
-            cfg: &cfg,
-            apps: w.apps(),
-            core_split: None,
-            seed,
-            ccws: false,
-        };
-        let base = {
-            let combo = ev.best_tlp_combo(&w);
-            let wins = measure_fixed_cached(
-                &inputs,
-                &combo,
-                RunSpec::new(measure_from, run_cycles - measure_from),
-            );
-            ws_of(
-                &wins
-                    .iter()
-                    .zip(&alone)
-                    .map(|(x, al)| x.ipc() / al)
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let mut row = Vec::new();
-        for (_, spec) in &variants {
-            let run = run_pbs_cached(
-                &inputs,
-                &TlpCombo::uniform(cfg.max_tlp(), 2),
-                run_cycles,
-                measure_from,
-                spec,
-            );
-            let ws = ws_of(
-                &run.overall
-                    .iter()
-                    .zip(&alone)
-                    .map(|(x, al)| x.ipc() / al)
-                    .collect::<Vec<_>>(),
-            );
-            row.push(ws / base);
+    let mixes = [
+        ("BLK", "BFS"),
+        ("BFS", "FFT"),
+        ("DS", "TRD"),
+        ("JPEG", "LIB"),
+    ]
+    .map(|(a, b)| {
+        let w = Workload::pair(a, b);
+        let (alones, base) = (p.alones(&w), p.best_fixed(&w, span));
+        let runs = variants.map(|(_, spec)| p.pbs_of(&gpu, &w, spec));
+        (w.name(), alones, base, runs)
+    });
+    Box::new(move |ev, _| {
+        let mut r = Report::new("ablation", "PBS design-choice ablations (WS vs ++bestTLP)");
+        r.header("workload", &variants.map(|(name, _)| name));
+        for (name, alones, base, runs) in &mixes {
+            let (alone, _) = alone_baseline(ev, alones);
+            let base = ws_of_run(&base.get(ev), &alone);
+            let row = runs
+                .each_ref()
+                .map(|run| ws_of_run(&run.get(ev).overall, &alone) / base);
+            r.row(name, &row);
+            crate::logging::progress_dot();
         }
-        r.row(&w.name(), &row);
-        crate::logging::progress_dot();
-    }
-    crate::logging::progress_end();
-    r.line("shape goals: the paper configuration dominates; probing at maxTLP");
-    r.line("overwhelms the machine during the sweep, skipping settle windows");
-    r.line("corrupts samples with transients, and dropping the table pick leaves");
-    r.line("PBS at the mercy of a noisy knee.");
-    r
-}
-
-/// Convenience used by the `hs` binary and tests: HS metric sanity.
-pub fn hs_identity_check() -> bool {
-    (hs_of(&[0.5, 0.5]) - 0.5).abs() < 1e-12
+        crate::logging::progress_end();
+        r.line("shape goals: the paper configuration dominates; probing at maxTLP");
+        r.line("overwhelms the machine during the sweep, skipping settle windows");
+        r.line("corrupts samples with transients, and dropping the table pick leaves");
+        r.line("PBS at the mercy of a noisy knee.");
+        r
+    })
 }
 
 #[cfg(test)]
@@ -1222,11 +1177,6 @@ mod tests {
     fn fig08_reports_budget() {
         let r = fig08().render();
         assert!(r.contains("total extra storage"));
-    }
-
-    #[test]
-    fn hs_identity() {
-        assert!(hs_identity_check());
     }
 
     #[test]

@@ -1,21 +1,23 @@
 //! Figure/table regeneration harness for the `gpu-ebm` reproduction.
 //!
-//! Every table and figure of the paper's evaluation has a generator in
-//! [`figures`], driven by a shared memoizing [`ebm_core::Evaluator`] so a
-//! full campaign profiles each application and sweeps each workload only
-//! once. The `experiments` binary runs everything and writes each report
-//! to `results/<id>.txt`; `--only <ids>` regenerates single artifacts
-//! (the ids are [`campaign::ARTIFACTS`]):
+//! Every table and figure of the paper's evaluation is declared once in
+//! [`figures`]: a function that demands what the artifact reads from the
+//! [`campaign`] planner and returns the render over those demands, all
+//! sharing one memoizing [`ebm_core::Evaluator`] so a full campaign
+//! profiles each application and sweeps each workload only once. The
+//! `experiments` binary runs everything and writes each report to
+//! `results/<id>.txt`; `--only <ids>` regenerates single artifacts (the ids
+//! are [`campaign::ARTIFACTS`]):
 //!
 //! ```text
 //! cargo run -p ebm-bench --release --bin experiments -- --only fig09
 //! ```
 //!
 //! By default the campaign runs through the [`campaign`] work-graph
-//! scheduler: the artifact list is compiled into a
-//! fingerprint-deduplicated DAG of measurement units executed across the
-//! worker pool, with figures rendered as consumer nodes. `--serial` walks
-//! the same plan figure by figure without executing units
+//! scheduler: the declarations compile into a fingerprint-deduplicated
+//! DAG of measurement units executed across the worker pool, with figures
+//! rendered as consumer nodes. `--serial` walks the same plan figure by
+//! figure without executing units, each read computing inline
 //! ([`campaign::run_serial`]) — the byte-exact reference the scheduler is
 //! held to.
 //!

@@ -33,6 +33,8 @@ pub struct Report {
     id: String,
     title: String,
     body: String,
+    /// `(file name, content)` of every data file exported with the report.
+    attachments: Vec<(String, String)>,
 }
 
 impl Report {
@@ -42,7 +44,19 @@ impl Report {
             id: id.to_owned(),
             title: title.to_owned(),
             body: String::new(),
+            attachments: Vec::new(),
         }
+    }
+
+    /// Attaches a data file (Fig. 11's per-window CSVs) to be saved as
+    /// `<out>/<name>` next to the report.
+    pub fn attach(&mut self, name: &str, text: String) {
+        self.attachments.push((name.to_owned(), text));
+    }
+
+    /// The attached data files, `(file name, content)` in attachment order.
+    pub fn attachments(&self) -> &[(String, String)] {
+        &self.attachments
     }
 
     /// Appends one line.
@@ -86,17 +100,23 @@ impl Report {
     }
 }
 
-/// Prints a report and saves it under `<out>/<id>.txt` — `results/` by
-/// default, the `--out` directory when given (best-effort: a read-only
-/// filesystem only loses the file copy).
+/// Saves `text` as `<out>/<file_name>` — `results/` by default, the `--out`
+/// directory when given. A write that fails is reported on stderr and
+/// otherwise survived: the run still printed what it could not save.
+pub(crate) fn save(file_name: &str, text: &str) {
+    let path = out_path(file_name);
+    let dir = path.parent().map_or(Ok(()), std::fs::create_dir_all);
+    if let Err(e) = dir.and_then(|()| std::fs::write(&path, text)) {
+        eprintln!("error: cannot write {}: {e}", path.display());
+    }
+}
+
+/// Prints a report and saves it as `<out>/<id>.txt`. (Its attachments are
+/// saved by the campaign that rendered it, see [`crate::campaign::run`].)
 pub fn run_and_save(report: &Report) {
     let text = report.render();
     println!("{text}");
-    let path = out_path(&format!("{}.txt", report.id()));
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    let _ = std::fs::write(path, &text);
+    save(&format!("{}.txt", report.id()), &text);
 }
 
 /// Command-line options of the `experiments` binary (hand-rolled: the

@@ -131,29 +131,36 @@ fn fig11_and_sampling_plan_their_simulations_as_units() {
 }
 
 /// One run of `fig11` + `sampling` on a fresh quick evaluator, artifacts
-/// under `out`: the rendered reports plus the CSVs `fig11` wrote there.
+/// under `out`: the rendered reports plus the CSVs the `fig11` report
+/// carries, which the campaign must also have saved there.
 fn fig11_and_sampling(
     out: &Path,
     serial: bool,
     sink: &mut dyn TraceSink,
 ) -> Vec<(String, Vec<u8>)> {
-    std::fs::create_dir_all(out).expect("temp dir is writable");
     ebm_bench::set_out_dir(Some(out.to_owned()));
     let ev = Evaluator::new(EvaluatorConfig::quick());
     let plan =
         campaign::plan_with_costs(&quick_args(&["fig11", "sampling"]), &ev, CostModel::empty());
     let mut files = Vec::new();
-    let emit = &mut |r: &Report| files.push((format!("{}.txt", r.id()), r.render().into_bytes()));
+    let emit = &mut |r: &Report| {
+        files.push((format!("{}.txt", r.id()), r.render().into_bytes()));
+        for (name, text) in r.attachments() {
+            let saved = std::fs::read(out.join(name)).expect("the campaign saves attachments");
+            assert_eq!(
+                saved,
+                text.as_bytes(),
+                "{name} on disk is not the attachment"
+            );
+            files.push((name.clone(), saved));
+        }
+    };
     if serial {
         campaign::run_serial(plan, &ev, sink, emit);
     } else {
         campaign::run(plan, &ev, sink, emit);
     }
     ebm_bench::set_out_dir(None);
-    for csv in ["fig11_WS.csv", "fig11_FI.csv"] {
-        let bytes = std::fs::read(out.join(csv)).expect("fig11 exports its series");
-        files.push((csv.to_owned(), bytes));
-    }
     files
 }
 

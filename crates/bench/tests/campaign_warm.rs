@@ -6,6 +6,7 @@
 //! is their own.
 
 use ebm_bench::campaign::{self, CampaignStats, CostModel};
+use ebm_bench::figures;
 use ebm_bench::profiler::{self, SpanRecord};
 use ebm_bench::util::BenchArgs;
 use ebm_core::eval::{Evaluator, EvaluatorConfig};
@@ -121,5 +122,66 @@ fn every_cycle_sits_in_one_unit_and_a_warm_campaign_simulates_nothing() {
         assert_eq!(warm.root.cache_misses, 0);
         assert_eq!(warm.root.cache_hits, warm.stats.cache_hits);
         assert_eq!(warm.reports, cold.reports);
+
+        // The standalone entry points are the same declarations: on a
+        // fresh evaluator each renders the campaign's bytes for its id out
+        // of the caches the campaign filled, and simulates nothing.
+        let before = gpu_sim::metrics::cycles_simulated();
+        let ev = Evaluator::new(EvaluatorConfig::quick());
+        let workloads = gpu_workloads::all_workloads();
+        let standalone = [
+            figures::tab04(&ev),
+            figures::fig01(&ev),
+            figures::fig02(&ev),
+            figures::fig03(&ev),
+            figures::fig04(&ev),
+            figures::fig05(&ev),
+            figures::fig06(&ev),
+            figures::fig07(&ev),
+            figures::fig08(),
+            figures::fig09(&ev, &workloads),
+            figures::fig10(&ev, &workloads),
+            figures::hs_results(&ev, &workloads),
+            figures::fig11(&ev),
+            figures::sens_part(&ev),
+            figures::ablation(&ev),
+            figures::phased(&ev),
+            figures::sampling(&ev),
+            figures::sched(&ev),
+            figures::ccws(&ev),
+            figures::dram_policy(&ev),
+            figures::threeapp(&ev),
+        ];
+        let standalone: Vec<_> = standalone
+            .iter()
+            .map(|r| (r.id().to_owned(), r.render()))
+            .collect();
+        assert_eq!(standalone, cold.reports);
+        assert_eq!(gpu_sim::metrics::cycles_simulated(), before);
     });
+}
+
+#[test]
+fn a_render_computes_inline_what_nothing_memoized() {
+    // The `--serial` contract, through a one-artifact plan: no unit runs,
+    // so a demand's read simulates on a miss, is served on a hit, and
+    // simulates the same again once the memory tier (the only tier here)
+    // is dropped.
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    cache::set_enabled(true);
+    cache::set_dir(None);
+    let render = || {
+        let before = gpu_sim::metrics::cycles_simulated();
+        let text = figures::fig02(&Evaluator::new(EvaluatorConfig::quick())).render();
+        (text, gpu_sim::metrics::cycles_simulated() - before)
+    };
+    cache::clear_memory();
+    let (cold, cold_cycles) = render();
+    let (warm, warm_cycles) = render();
+    cache::clear_memory();
+    let (again, again_cycles) = render();
+    assert!(cold_cycles > 0);
+    assert_eq!(warm_cycles, 0);
+    assert_eq!(again_cycles, cold_cycles);
+    assert_eq!((&warm, &again), (&cold, &cold));
 }

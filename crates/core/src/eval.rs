@@ -27,8 +27,8 @@ use gpu_sim::machine::Gpu;
 use gpu_sim::metrics::SystemMetrics;
 use gpu_sim::trace::{NullSink, TraceEvent, TraceSink};
 use gpu_types::canon::{Canon, CanonBuf, CanonReader, Fingerprint};
-use gpu_types::{AppWindow, FxHashMap, GpuConfig, TlpCombo, TlpLevel};
-use gpu_workloads::{all_apps, AppProfile, EbGroup, Workload};
+use gpu_types::{AppWindow, GpuConfig, TlpCombo, TlpLevel};
+use gpu_workloads::{AppProfile, Workload};
 use std::fmt;
 use std::sync::Arc;
 
@@ -160,6 +160,12 @@ impl EvaluatorConfig {
             measure_from: 500,
             pbs_hold_windows: 8,
         }
+    }
+
+    /// The measured span of a scheme run as a fixed-run specification:
+    /// warm up to `measure_from`, measure the rest of `run_cycles`.
+    pub fn scheme_span(&self) -> RunSpec {
+        RunSpec::new(self.measure_from, self.run_cycles - self.measure_from)
     }
 }
 
@@ -293,7 +299,7 @@ fn fixed_windows(
     ccws: bool,
     sink: &mut dyn TraceSink,
 ) -> Vec<AppWindow> {
-    let spec = RunSpec::new(cfg.measure_from, cfg.run_cycles - cfg.measure_from);
+    let spec = cfg.scheme_span();
     let windows = measure_fixed_cached(&machine_of(cfg, workload, ccws), combo, spec);
     emit_overall(sink, cfg.run_cycles, &windows);
     windows
@@ -647,69 +653,11 @@ impl Evaluator {
         )
     }
 
-    /// Table IV's group-average alone EBs, over all 26 applications
-    /// (the user-supplied scaling-factor source). Expensive on first call;
-    /// cached.
-    pub fn group_averages(&self) -> FxHashMap<EbGroup, f64> {
-        if let Some(cached) = self
-            .store
-            .group_avg
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-        {
-            return cached;
-        }
-        // Computed outside the lock: the profiles may simulate (or fan
-        // out), and concurrent computes agree bit for bit.
-        let n = self.config().gpu.n_cores / 2; // groups are defined on the 2-app partition size
-        let mut sums: FxHashMap<EbGroup, (f64, usize)> = FxHashMap::default();
-        for app in all_apps() {
-            let eb = self.alone(app, n).eb_at_best();
-            let e = sums.entry(app.group).or_insert((0.0, 0));
-            e.0 += eb;
-            e.1 += 1;
-        }
-        let table: FxHashMap<EbGroup, f64> = sums
-            .into_iter()
-            .map(|(g, (s, c))| (g, s / c as f64))
-            .collect();
-        self.store
-            .group_avg
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get_or_insert_with(|| table.clone())
-            .clone()
-    }
-
     /// Scaling factors approximating each application's alone EB from the
     /// sweep table: its EB with every co-runner throttled to TLP = 1
     /// (the "sampled" source of §IV, used by BF-FI/HS and offline PBS).
     pub fn sampled_factors(&self, workload: &Workload) -> ScalingFactors {
-        let sweep = self.sweep(workload);
-        let levels = sweep.levels();
-        let top = *levels.last().expect("non-empty ladder");
-        let n = sweep.n_apps();
-        let ebs = (0..n)
-            .map(|i| {
-                let combo = TlpCombo::uniform(TlpLevel::MIN, n).with_level(i, top);
-                sweep.ebs(&combo)[i].max(1e-6)
-            })
-            .collect();
-        ScalingFactors::from_alone_ebs(ebs)
-    }
-
-    /// Exact scaling factors: measured alone `EB@bestTLP` (Fig. 7's dashed
-    /// curve).
-    pub fn exact_factors(&self, workload: &Workload) -> ScalingFactors {
-        let n = self.cores_per_app(workload);
-        ScalingFactors::from_alone_ebs(
-            workload
-                .apps()
-                .iter()
-                .map(|a| self.alone(a, n).eb_at_best().max(1e-6))
-                .collect(),
-        )
+        ScalingFactors::sampled(&self.sweep(workload))
     }
 
     /// Warms every cache the given schemes read and assembles the immutable
@@ -1009,14 +957,6 @@ mod tests {
             let r = e.evaluate(&w, s);
             assert!(r.metrics.hs > 0.0, "{s}: HS {}", r.metrics.hs);
         }
-    }
-
-    #[test]
-    fn exact_factors_use_alone_ebs() {
-        let e = evaluator();
-        let f = e.exact_factors(&workload());
-        assert_eq!(f.len(), 2);
-        assert!(f.factors().iter().all(|&x| x > 0.0));
     }
 
     #[test]

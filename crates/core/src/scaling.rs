@@ -13,7 +13,8 @@
 //! * **exact** — the application's measured alone `EB@bestTLP` (used for
 //!   the dashed exact-scaling curve of Fig. 7(b)).
 
-use gpu_types::FxHashMap;
+use crate::sweep::ComboSweep;
+use gpu_types::{FxHashMap, TlpCombo, TlpLevel};
 use gpu_workloads::EbGroup;
 
 /// Per-application EB divisors. Scaled EB = `EB_i / factor_i`.
@@ -37,6 +38,21 @@ impl ScalingFactors {
             "scaling factors must be positive"
         );
         ScalingFactors(ebs)
+    }
+
+    /// Runtime-sampled factors, read off a sweep table: each application's
+    /// EB with every co-runner throttled to TLP = 1 (the "sampled" source
+    /// of §IV, used by BF-FI/HS and offline PBS).
+    pub fn sampled(sweep: &ComboSweep) -> Self {
+        let top = *sweep.levels().last().expect("non-empty ladder");
+        let n = sweep.n_apps();
+        let ebs = (0..n)
+            .map(|i| {
+                let combo = TlpCombo::uniform(TlpLevel::MIN, n).with_level(i, top);
+                sweep.ebs(&combo)[i].max(1e-6)
+            })
+            .collect();
+        Self::from_alone_ebs(ebs)
     }
 
     /// Group-average factors: each application uses the average alone-EB of

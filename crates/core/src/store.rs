@@ -2,9 +2,9 @@
 //!
 //! A campaign used to thread one `&mut Evaluator` through every figure,
 //! which serialized the whole evaluation. The caches an evaluation reads —
-//! alone profiles, combination sweeps, scheme results, Table IV group
-//! averages — are all append-only memo tables of deterministic values, so
-//! they are held here behind **sharded interior mutability**: any number of
+//! alone profiles, combination sweeps, scheme results — are all
+//! append-only memo tables of deterministic values, so they are held here
+//! behind **sharded interior mutability**: any number of
 //! threads (campaign-scheduler workers, figure renderers) share one
 //! [`ResultStore`] through cheap [`Evaluator`] views and fill it
 //! concurrently.
@@ -22,7 +22,6 @@ use crate::eval::{EvaluatorConfig, Scheme, SchemeResult};
 use crate::sweep::ComboSweep;
 use gpu_sim::alone::AloneProfile;
 use gpu_types::{FxHashMap, FxHasher};
-use gpu_workloads::EbGroup;
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
@@ -117,8 +116,6 @@ pub struct ResultStore {
     pub(crate) sweeps: ShardedMap<String, ComboSweep>,
     /// Scheme results, keyed by `(workload name, scheme)`.
     pub(crate) results: ShardedMap<(String, Scheme), SchemeResult>,
-    /// Table IV group-average alone EBs (one global table per campaign).
-    pub(crate) group_avg: Mutex<Option<FxHashMap<EbGroup, f64>>>,
 }
 
 impl ResultStore {
@@ -134,7 +131,6 @@ impl ResultStore {
             alone: ShardedMap::new(),
             sweeps: ShardedMap::new(),
             results: ShardedMap::new(),
-            group_avg: Mutex::new(None),
         }
     }
 

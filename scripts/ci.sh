@@ -59,9 +59,17 @@ for W in small-membound small-compute volta-busy campaign-quick; do
   echo "golden digests OK: $W"
 done
 
-echo "== docs gates (TRACE_SCHEMA pins the emitter's version; the retired intra-sim knob stays gone) =="
+echo "== docs gates (TRACE_SCHEMA pins the emitter's version; the retired intra-sim knob and the hand-kept artifact plan stay gone) =="
 if grep -rnE 'EBM_SIM_THREADS|sim_worker_count|run_windowed' crates docs README.md ARCHITECTURE.md DESIGN.md EXPERIMENTS.md; then
   echo "FAIL: the intra-simulation engine retired in PR 14 is back" >&2
+  exit 1
+fi
+# An artifact reads measurements through the planner's constructors only
+# (crates/bench/src/campaign.rs); a render that simulates or writes files by
+# itself is a read the plan cannot see.
+if grep -nE 'measure_fixed_cached|run_pbs_cached|run_pbs_traced|sampling_error_cached|profile_alone|ComboSweep::measure|FixedRunInputs|std::fs' crates/bench/src/figures.rs ||
+  grep -rn 'plan_artifact' crates; then
+  echo "FAIL: figures.rs bypasses its Demands, or the plan_artifact mirror retired in PR 20 is back" >&2
   exit 1
 fi
 TRACE_VER="$(sed -n 's/^pub const TRACE_SCHEMA_VERSION: u32 = \([0-9]*\);$/\1/p' crates/sim/src/trace.rs)"
