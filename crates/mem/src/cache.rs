@@ -187,20 +187,14 @@ impl Cache {
     /// Allocating wrapper over [`Cache::fill_into`], kept for tests and
     /// non-hot-path callers.
     pub fn fill(&mut self, line: Address) -> Vec<ReqId> {
-        self.fill_with_victim(line).0
-    }
-
-    /// Like [`Cache::fill`], but also reports the line that was evicted to
-    /// make room (used by the CCWS victim-tag mechanism).
-    pub fn fill_with_victim(&mut self, line: Address) -> (Vec<ReqId>, Option<Address>) {
         let mut waiters = Vec::new();
-        let victim = self.fill_into(line, &mut waiters);
-        (waiters, victim)
+        self.fill_into(line, &mut waiters);
+        waiters
     }
 
-    /// Hot-path form of [`Cache::fill_with_victim`]: appends the released
-    /// waiters to a caller-owned buffer instead of allocating, and returns
-    /// the evicted line, if any.
+    /// Hot-path form of [`Cache::fill`]: appends the released waiters to a
+    /// caller-owned buffer instead of allocating, and returns the evicted
+    /// line, if any (read by the CCWS victim-tag mechanism).
     pub fn fill_into(&mut self, line: Address, waiters: &mut Vec<ReqId>) -> Option<Address> {
         let line = line.line();
         self.mshr.fill_into(line, waiters);
@@ -410,11 +404,11 @@ mod tests {
         // Fill both ways of set 0 (lines 0 and 4), then evict with line 8.
         for l in [0u64, 4] {
             c.access_load(APP, line(l), ReqId(l));
-            let (_, victim) = c.fill_with_victim(line(l));
+            let victim = c.fill_into(line(l), &mut Vec::new());
             assert_eq!(victim, None, "filling an invalid way evicts nothing");
         }
         c.access_load(APP, line(8), ReqId(8));
-        let (_, victim) = c.fill_with_victim(line(8));
+        let victim = c.fill_into(line(8), &mut Vec::new());
         assert_eq!(victim, Some(line(0)), "LRU way of set 0 holds line 0");
     }
 

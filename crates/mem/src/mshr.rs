@@ -7,6 +7,7 @@
 
 use crate::req::ReqId;
 use gpu_types::{Address, FxHashMap};
+use std::collections::hash_map::Entry;
 
 /// Outcome of attempting to register a miss with the MSHR table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,20 +23,22 @@ pub enum MshrOutcome {
     Full,
 }
 
-#[derive(Debug, Default)]
-struct Entry {
-    targets: Vec<ReqId>,
-}
-
 /// MSHR table with bounded entries and bounded merge fan-in per entry.
+///
+/// Targets live inline in one slab of `max_entries × max_merge` request
+/// ids, entry `e` owning `targets[e * max_merge..][..n_targets[e]]`: a
+/// register/fill cycle touches no allocator and an entry's waiters sit
+/// side by side.
 #[derive(Debug)]
 pub struct MshrTable {
-    entries: FxHashMap<Address, Entry>,
+    /// In-flight line → the entry tracking it.
+    entries: FxHashMap<Address, usize>,
+    targets: Vec<ReqId>,
+    n_targets: Vec<usize>,
+    /// Entries no line occupies.
+    free: Vec<usize>,
     max_entries: usize,
     max_merge: usize,
-    /// Recycled entries whose target buffers keep their capacity, so a
-    /// steady-state register/fill cycle performs no heap allocation.
-    spare: Vec<Entry>,
 }
 
 impl MshrTable {
@@ -52,56 +55,44 @@ impl MshrTable {
         );
         MshrTable {
             entries: FxHashMap::default(),
+            targets: vec![ReqId(0); max_entries * max_merge],
+            n_targets: vec![0; max_entries],
+            free: (0..max_entries).rev().collect(),
             max_entries,
             max_merge,
-            spare: Vec::new(),
         }
     }
 
     /// Registers a missing `line` for `req`.
     pub fn register(&mut self, line: Address, req: ReqId) -> MshrOutcome {
         debug_assert_eq!(line, line.line(), "MSHR addresses must be line-aligned");
-        if let Some(entry) = self.entries.get_mut(&line) {
-            if entry.targets.len() >= self.max_merge {
+        let (entry, outcome) = match self.entries.entry(line) {
+            Entry::Occupied(e) if self.n_targets[*e.get()] >= self.max_merge => {
                 return MshrOutcome::Full;
             }
-            entry.targets.push(req);
-            return MshrOutcome::Merged;
-        }
-        if self.entries.len() >= self.max_entries {
-            return MshrOutcome::Full;
-        }
-        let mut entry = self.spare.pop().unwrap_or_default();
-        entry.targets.push(req);
-        self.entries.insert(line, entry);
-        MshrOutcome::Allocated
+            Entry::Occupied(e) => (*e.get(), MshrOutcome::Merged),
+            Entry::Vacant(v) => {
+                let Some(e) = self.free.pop() else {
+                    return MshrOutcome::Full;
+                };
+                (*v.insert(e), MshrOutcome::Allocated)
+            }
+        };
+        self.targets[entry * self.max_merge + self.n_targets[entry]] = req;
+        self.n_targets[entry] += 1;
+        outcome
     }
 
     /// Completes the miss for `line`, appending every waiting request (in
     /// arrival order) to `out`. No-op when the line had no entry (e.g. a
-    /// prefetch-style fill). Allocation-free in steady state: the entry's
-    /// target buffer is recycled for future misses.
+    /// prefetch-style fill).
     pub fn fill_into(&mut self, line: Address, out: &mut Vec<ReqId>) {
-        if let Some(mut e) = self.entries.remove(&line) {
-            out.extend_from_slice(&e.targets);
-            e.targets.clear();
-            self.spare.push(e);
+        if let Some(entry) = self.entries.remove(&line) {
+            let first = entry * self.max_merge;
+            out.extend_from_slice(&self.targets[first..first + self.n_targets[entry]]);
+            self.n_targets[entry] = 0;
+            self.free.push(entry);
         }
-    }
-
-    /// Completes the miss for `line`, releasing and returning every waiting
-    /// request (in arrival order). Returns an empty vector when the line had
-    /// no entry. Allocating wrapper over [`MshrTable::fill_into`], kept for
-    /// tests and non-hot-path callers.
-    pub fn fill(&mut self, line: Address) -> Vec<ReqId> {
-        let mut out = Vec::new();
-        self.fill_into(line, &mut out);
-        out
-    }
-
-    /// True when `line` has an outstanding miss.
-    pub fn contains(&self, line: Address) -> bool {
-        self.entries.contains_key(&line)
     }
 
     /// Number of occupied entries.
@@ -138,6 +129,18 @@ mod tests {
 
     fn line(i: u64) -> Address {
         Address::new(i * 128)
+    }
+
+    impl MshrTable {
+        fn fill(&mut self, line: Address) -> Vec<ReqId> {
+            let mut out = Vec::new();
+            self.fill_into(line, &mut out);
+            out
+        }
+
+        fn contains(&self, line: Address) -> bool {
+            self.entries.contains_key(&line)
+        }
     }
 
     #[test]
@@ -185,6 +188,45 @@ mod tests {
         assert_eq!(m.register(line(2), ReqId(2)), MshrOutcome::Full);
         m.fill(line(1));
         assert_eq!(m.register(line(2), ReqId(2)), MshrOutcome::Allocated);
+    }
+
+    #[test]
+    fn slab_agrees_with_a_vec_per_entry_model() {
+        // The model is the table this one replaced: one heap list of
+        // targets per in-flight line.
+        use gpu_types::SplitMix64;
+        use std::collections::HashMap;
+        let (max_entries, max_merge) = (6, 3);
+        let mut rng = SplitMix64::new(0x3511_AB01);
+        let mut m = MshrTable::new(max_entries, max_merge);
+        let mut model: HashMap<Address, Vec<ReqId>> = HashMap::new();
+        for i in 0..50_000u64 {
+            let l = line(rng.next_below(10));
+            if rng.chance(0.7) {
+                let room = model.len() < max_entries;
+                let expect = match model.get_mut(&l) {
+                    Some(t) if t.len() >= max_merge => MshrOutcome::Full,
+                    Some(t) => {
+                        t.push(ReqId(i));
+                        MshrOutcome::Merged
+                    }
+                    None if !room => MshrOutcome::Full,
+                    None => {
+                        model.insert(l, vec![ReqId(i)]);
+                        MshrOutcome::Allocated
+                    }
+                };
+                assert_eq!(m.register(l, ReqId(i)), expect, "step {i}");
+            } else {
+                // A recycled entry must not leak its previous tenant's
+                // targets, whatever slab row it lands in.
+                assert_eq!(m.fill(l), model.remove(&l).unwrap_or_default(), "step {i}");
+            }
+            assert_eq!(m.len(), model.len());
+            assert_eq!(m.free_entries(), max_entries - model.len());
+            assert_eq!(m.is_full(), model.len() == max_entries);
+            assert_eq!(m.contains(l), model.contains_key(&l));
+        }
     }
 
     #[test]

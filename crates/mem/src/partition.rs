@@ -15,9 +15,8 @@ use crate::cache::{Cache, Lookup};
 use crate::dram::DramChannel;
 use crate::mc::{McCounters, MemoryController};
 use crate::req::{AccessKind, MemRequest, ReqId};
-use gpu_types::{AppId, FxHashMap, GpuConfig, PartitionId};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use gpu_types::{AppId, GpuConfig, PartitionId};
+use std::collections::VecDeque;
 
 /// Per-application snapshot of a partition's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -30,21 +29,32 @@ pub struct PartitionCounters {
     pub mc: McCounters,
 }
 
-#[derive(Debug, PartialEq, Eq)]
-struct Timed<T> {
-    at: u64,
-    seq: u64,
-    item: T,
+/// Loads that missed L2, parked until their line fills. The L2 MSHR
+/// records a load under its index here rather than under its own id (ids
+/// of different cores share no sequence), so releasing a waiter is an
+/// array read.
+#[derive(Debug, Default)]
+struct Parked {
+    loads: Vec<MemRequest>,
+    free: Vec<usize>,
 }
 
-impl<T: Eq> PartialOrd for Timed<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+impl Parked {
+    /// The index the next [`Self::park`] will use.
+    fn next_index(&self) -> usize {
+        self.free.last().copied().unwrap_or(self.loads.len())
     }
-}
-impl<T: Eq> Ord for Timed<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+
+    fn park(&mut self, req: MemRequest) {
+        match self.free.pop() {
+            Some(i) => self.loads[i] = req,
+            None => self.loads.push(req),
+        }
+    }
+
+    fn release(&mut self, waiter: ReqId) -> MemRequest {
+        self.free.push(waiter.0 as usize);
+        self.loads[waiter.0 as usize]
     }
 }
 
@@ -59,11 +69,10 @@ pub struct MemoryPartition {
     ingress: VecDeque<MemRequest>,
     ingress_capacity: usize,
     hit_latency: u64,
-    /// L2 hits waiting out the hit latency.
-    hit_returns: BinaryHeap<Reverse<Timed<MemRequest>>>,
-    /// Loads that missed L2, keyed by the request id recorded in the MSHR.
-    missed: FxHashMap<ReqId, MemRequest>,
-    seq: u64,
+    /// L2 hits waiting out the hit latency, `(due, request)`. One latency
+    /// and an advancing `now`: pushes arrive in due order, a FIFO.
+    hit_returns: VecDeque<(u64, MemRequest)>,
+    missed: Parked,
     /// Reused buffer for the controller's completed loads (hot path scratch).
     mc_done: Vec<MemRequest>,
     /// Reused buffer for the waiters released by an L2 fill (hot path
@@ -83,9 +92,8 @@ impl MemoryPartition {
             ingress: VecDeque::new(),
             ingress_capacity: 32,
             hit_latency: cfg.l2.hit_latency as u64,
-            hit_returns: BinaryHeap::new(),
-            missed: FxHashMap::default(),
-            seq: 0,
+            hit_returns: VecDeque::new(),
+            missed: Parked::default(),
             mc_done: Vec::new(),
             waiter_scratch: Vec::new(),
         }
@@ -126,11 +134,7 @@ impl MemoryPartition {
             }
             let mut waiters = std::mem::take(&mut self.waiter_scratch);
             self.l2.fill_into(fill.addr, &mut waiters);
-            for &w in &waiters {
-                if let Some(orig) = self.missed.remove(&w) {
-                    responses.push_back(orig);
-                }
-            }
+            responses.extend(waiters.iter().map(|&w| self.missed.release(w)));
             waiters.clear();
             self.waiter_scratch = waiters;
         }
@@ -138,8 +142,8 @@ impl MemoryPartition {
         self.mc_done = mc_done;
 
         // 2. L2 hits whose latency elapsed.
-        while matches!(self.hit_returns.peek(), Some(Reverse(t)) if t.at <= now) {
-            responses.push_back(self.hit_returns.pop().expect("peeked").0.item);
+        while let Some((_, hit)) = self.hit_returns.pop_front_if(|(due, _)| *due <= now) {
+            responses.push_back(hit);
         }
 
         // 3. Service one ingress request per cycle (the L2 port).
@@ -157,15 +161,12 @@ impl MemoryPartition {
                 responses.push(fill);
                 continue;
             }
-            for waiter in self.l2.fill(fill.addr) {
-                if let Some(orig) = self.missed.remove(&waiter) {
-                    responses.push(orig);
-                }
-            }
+            let waiters = self.l2.fill(fill.addr);
+            responses.extend(waiters.into_iter().map(|w| self.missed.release(w)));
         }
 
-        while matches!(self.hit_returns.peek(), Some(Reverse(t)) if t.at <= now) {
-            responses.push(self.hit_returns.pop().expect("peeked").0.item);
+        while let Some((_, hit)) = self.hit_returns.pop_front_if(|(due, _)| *due <= now) {
+            responses.push(hit);
         }
 
         self.service_ingress(now);
@@ -195,12 +196,7 @@ impl MemoryPartition {
                     if self.mc.can_accept() {
                         self.ingress.pop_front();
                         if self.l2.access_load_no_alloc(req.app, req.addr) {
-                            self.seq += 1;
-                            self.hit_returns.push(Reverse(Timed {
-                                at: now + self.hit_latency,
-                                seq: self.seq,
-                                item: req,
-                            }));
+                            self.hit_returns.push_back((now + self.hit_latency, req));
                         } else {
                             self.mc
                                 .push_with(req, &self.dram, now)
@@ -213,24 +209,18 @@ impl MemoryPartition {
                     // otherwise the L2 port stalls this cycle.
                     if self.mc.can_accept() {
                         self.ingress.pop_front();
-                        match self.l2.access_load(req.app, req.addr, req.id) {
+                        let waiter = ReqId(self.missed.next_index() as u64);
+                        match self.l2.access_load(req.app, req.addr, waiter) {
                             Lookup::Hit => {
-                                self.seq += 1;
-                                self.hit_returns.push(Reverse(Timed {
-                                    at: now + self.hit_latency,
-                                    seq: self.seq,
-                                    item: req,
-                                }));
+                                self.hit_returns.push_back((now + self.hit_latency, req));
                             }
                             Lookup::MissToLower => {
-                                self.missed.insert(req.id, req);
+                                self.missed.park(req);
                                 self.mc
                                     .push_with(req, &self.dram, now)
                                     .expect("can_accept checked");
                             }
-                            Lookup::MissMerged => {
-                                self.missed.insert(req.id, req);
-                            }
+                            Lookup::MissMerged => self.missed.park(req),
                             Lookup::Stall => {
                                 // MSHRs exhausted: put it back and retry.
                                 self.ingress.push_front(req);
@@ -260,8 +250,8 @@ impl MemoryPartition {
         if let Some(t) = self.mc.next_completion() {
             next = next.min(t.max(from));
         }
-        if let Some(Reverse(t)) = self.hit_returns.peek() {
-            next = next.min(t.at.max(from));
+        if let Some(&(due, _)) = self.hit_returns.front() {
+            next = next.min(due.max(from));
         }
         if self.mc.queued() > 0 {
             next = next.min(self.mc.next_issue_at(&self.dram, from));
@@ -308,7 +298,7 @@ impl MemoryPartition {
     pub fn is_idle(&self) -> bool {
         self.ingress.is_empty()
             && self.hit_returns.is_empty()
-            && self.missed.is_empty()
+            && self.missed.free.len() == self.missed.loads.len()
             && self.mc.is_idle()
     }
 }

@@ -10,7 +10,7 @@ use gpu_simt::{CoreStats, SimtCore, WarpStalls};
 use gpu_types::{
     AppId, CoreId, GpuConfig, Histogram, MemCounters, PartitionId, TlpCombo, TlpLevel,
 };
-use gpu_workloads::AppProfile;
+use gpu_workloads::{AppProfile, AppStream};
 use std::collections::VecDeque;
 
 /// A GPU running one or more applications on exclusive core partitions
@@ -188,9 +188,7 @@ impl Gpu {
             let app = AppId::new(ai as u8);
             let mut mine = Vec::with_capacity(share);
             for rank in 0..share {
-                let streams = (0..cfg.warps_per_core)
-                    .map(|slot| profile.app_stream(app, rank, slot, cfg.warps_per_core, seed))
-                    .collect();
+                let streams = AppStream::core(profile, app, rank, cfg.warps_per_core, seed);
                 cores.push(SimtCore::new(
                     CoreId(next_core),
                     app,
@@ -773,12 +771,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "WIDE: coalesce_degree 17 exceeds the 16-entry core egress queue")]
     fn an_app_wider_than_the_egress_queue_is_rejected() {
-        // A valid profile (`assert_valid` admits 1..=32) whose every memory
-        // instruction would struct-stall its warp forever.
+        // The backstop behind `AppProfile::assert_valid`, for a profile
+        // nobody validated: every memory instruction of this one would
+        // struct-stall its warp forever.
         let mut wide = *by_name("GUPS").unwrap();
         wide.name = "WIDE";
         wide.coalesce_degree = EGRESS_CAPACITY + 1;
-        wide.assert_valid();
         let _ = Gpu::with_core_split(&GpuConfig::small(), &[&wide], &[2], 1);
     }
 
@@ -786,6 +784,7 @@ mod tests {
     fn an_app_as_wide_as_the_egress_queue_runs() {
         let mut wide = *by_name("GUPS").unwrap();
         wide.coalesce_degree = EGRESS_CAPACITY;
+        wide.assert_valid();
         let mut gpu = Gpu::with_core_split(&GpuConfig::small(), &[&wide], &[2], 1);
         gpu.run(3_000);
         let c = gpu.counters(AppId::new(0));

@@ -4,21 +4,21 @@
 //! its egress queue (`pop_request`) and `receive`.
 
 use crate::ccws::{CcwsParams, CcwsThrottle};
-use crate::inst::{coalesce, Inst, InstStream};
+use crate::inst::{InstStream, Op};
+use crate::pending::{PendingLoad, PendingTable};
 use crate::scheduler::{GtoScheduler, ScanOrder};
 use crate::warp::{Warp, WarpIssueState};
 use gpu_mem::cache::{Cache, CacheCounters, Lookup};
 use gpu_mem::req::{AccessKind, MemRequest, ReqId};
 use gpu_types::bits::BitWalk;
-use gpu_types::FxHashMap;
-use gpu_types::{Address, AppId, CoreId, GpuConfig, TlpLevel};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use gpu_types::{AppId, CoreId, FxHashMap, GpuConfig, TlpLevel};
+use std::collections::VecDeque;
 
 /// Entries in a core's egress queue toward the request network. One
 /// instruction's transactions enter it together, so an instruction with
 /// more coalesced lines than this could never issue:
-/// [`CoreParams::max_txn_per_inst`] may not exceed it.
+/// [`CoreParams::max_txn_per_inst`] may not exceed it, and a decoded
+/// instruction ([`crate::inst::LineBuf`]) carries no more.
 pub const EGRESS_CAPACITY: usize = 16;
 
 /// Per-application tuning of a core's warps.
@@ -95,7 +95,7 @@ pub struct WarpStalls {
     /// issuing (ALU latency, scheduler lost arbitration, or finished).
     pub exec: u64,
     /// Warp-cycles blocked at a barrier.  Reserved: the synthetic ISA
-    /// ([`Inst`]) has no barrier instruction, so this is always zero —
+    /// ([`crate::Op`]) has no barrier instruction, so this is always zero —
     /// kept so the trace schema does not change when barriers land.
     pub barrier: u64,
     /// Warp-cycles of slots deactivated by the SWL/TLP limit (the paper's
@@ -122,14 +122,6 @@ impl WarpStalls {
     pub fn total(&self) -> u64 {
         self.mem + self.exec + self.barrier + self.tlp_capped
     }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct PendingLoad {
-    warp_slot: usize,
-    /// False when the request bypassed the L1 (its response is routed
-    /// straight to the warp instead of through a cache fill).
-    cached: bool,
 }
 
 /// Why a sleeping core's cycles are charged: the stall classification is
@@ -168,12 +160,14 @@ pub struct SimtCore<S = Box<dyn InstStream>> {
     l1: Cache,
     l1_hit_latency: u64,
     bypass_l1: bool,
-    pending: FxHashMap<ReqId, PendingLoad>,
-    hit_returns: BinaryHeap<Reverse<(u64, u64, ReqId)>>,
+    pending: PendingTable,
+    /// L1 hits on their way back, `(due, id)`. The hit latency is one
+    /// constant per core and `now` only advances, so pushes arrive in due
+    /// order: a FIFO.
+    hit_returns: VecDeque<(u64, ReqId)>,
     egress: VecDeque<MemRequest>,
     params: CoreParams,
     next_req: u64,
-    seq: u64,
     /// CCWS-style cache-conscious throttling, when enabled: modulates an
     /// additional warp limit from lost-locality scores.
     ccws: Option<CcwsThrottle>,
@@ -255,12 +249,11 @@ impl<S: InstStream> SimtCore<S> {
             l1: Cache::new(&cfg.l1, app.index() + 1),
             l1_hit_latency: cfg.l1.hit_latency as u64,
             bypass_l1: false,
-            pending: FxHashMap::default(),
-            hit_returns: BinaryHeap::new(),
+            pending: PendingTable::new(),
+            hit_returns: VecDeque::new(),
             egress: VecDeque::new(),
             params,
             next_req: 0,
-            seq: 0,
             ccws: None,
             line_owner: FxHashMap::default(),
             swl_limit: cfg.warps_per_scheduler(),
@@ -369,14 +362,9 @@ impl<S: InstStream> SimtCore<S> {
         self.bypass_l1
     }
 
-    fn fresh_id(&mut self) -> ReqId {
-        self.next_req += 1;
-        ReqId(((self.id.index() as u64) << 40) | self.next_req)
-    }
-
     fn complete(&mut self, id: ReqId) {
-        if let Some(p) = self.pending.remove(&id) {
-            self.issue.load_returned(p.warp_slot);
+        if let Some(p) = self.pending.remove(id) {
+            self.issue.load_returned(p.warp_slot as usize);
         }
     }
 
@@ -385,12 +373,7 @@ impl<S: InstStream> SimtCore<S> {
         debug_assert_eq!(resp.core, self.id, "response misrouted");
         // A response can make a blocked warp schedulable again.
         self.sleep = None;
-        let cached = self
-            .pending
-            .get(&resp.id)
-            .map(|p| p.cached)
-            .unwrap_or(false);
-        if cached {
+        if self.pending.get(resp.id).is_some_and(|p| p.cached) {
             let mut waiters = std::mem::take(&mut self.waiter_scratch);
             let victim = self.l1.fill_into(resp.addr, &mut waiters);
             if self.ccws.is_some() {
@@ -435,10 +418,10 @@ impl<S: InstStream> SimtCore<S> {
         self.egress.front()
     }
 
-    /// Issues a load of the coalesced `lines` (the caller coalesces, so the
-    /// borrow of the warp's stashed address list ends before this one of
-    /// the whole core starts and no list is copied).
-    fn issue_load(&mut self, slot: usize, lines: &[Address], now: u64) -> bool {
+    /// Issues the load warp `slot` has decoded, straight from the warp's
+    /// line buffer; false on a structural hazard.
+    fn issue_load(&mut self, slot: usize, now: u64) -> bool {
+        let lines = self.warps[slot].lines();
         let lines = &lines[..lines.len().min(self.params.max_txn_per_inst)];
         // Structural hazards: egress space for the worst case (all miss or
         // bypass), and enough free L1 MSHR headroom when cached.
@@ -449,64 +432,51 @@ impl<S: InstStream> SimtCore<S> {
             return false;
         }
         for &line in lines {
-            let id = self.fresh_id();
-            self.pending.insert(
-                id,
-                PendingLoad {
-                    warp_slot: slot,
-                    cached: !self.bypass_l1,
-                },
-            );
+            let id = fresh_id(self.id, &mut self.next_req);
             let req = MemRequest::new(id, self.app, self.id, slot, line, AccessKind::Load);
+            let mut cached = !self.bypass_l1;
             if self.bypass_l1 {
                 self.egress.push_back(req.bypassing());
-                continue;
-            }
-            match self.l1.access_load(self.app, line, id) {
-                Lookup::Hit => {
-                    self.seq += 1;
-                    self.hit_returns
-                        .push(Reverse((now + self.l1_hit_latency, self.seq, id)));
-                }
-                Lookup::MissToLower => {
-                    if let Some(ccws) = &mut self.ccws {
-                        ccws.on_miss(slot, line);
+            } else {
+                match self.l1.access_load(self.app, line, id) {
+                    Lookup::Hit => self.hit_returns.push_back((now + self.l1_hit_latency, id)),
+                    Lookup::MissToLower => {
+                        if let Some(ccws) = &mut self.ccws {
+                            ccws.on_miss(slot, line);
+                        }
+                        self.egress.push_back(req);
                     }
-                    self.egress.push_back(req);
-                }
-                Lookup::MissMerged => {
-                    if let Some(ccws) = &mut self.ccws {
-                        ccws.on_miss(slot, line);
+                    Lookup::MissMerged => {
+                        if let Some(ccws) = &mut self.ccws {
+                            ccws.on_miss(slot, line);
+                        }
                     }
-                }
-                Lookup::Stall => {
-                    // Entry headroom was checked, so this is a full *merge*
-                    // list on an in-flight line. Fall back to an uncached
-                    // direct request (egress space was reserved for every
-                    // line of this instruction).
-                    self.pending.insert(
-                        id,
-                        PendingLoad {
-                            warp_slot: slot,
-                            cached: false,
-                        },
-                    );
-                    self.egress.push_back(req);
+                    Lookup::Stall => {
+                        // Entry headroom was checked, so this is a full
+                        // *merge* list on an in-flight line. Fall back to an
+                        // uncached direct request (egress space was reserved
+                        // for every line of this instruction).
+                        cached = false;
+                        self.egress.push_back(req);
+                    }
                 }
             }
+            let warp_slot = slot as u32;
+            self.pending.insert(id, PendingLoad { warp_slot, cached });
         }
         self.issue.issue_mem(slot, now, lines.len());
         true
     }
 
-    /// Issues a store of the coalesced `lines`.
-    fn issue_store(&mut self, slot: usize, lines: &[Address], now: u64) -> bool {
+    /// Issues the store warp `slot` has decoded.
+    fn issue_store(&mut self, slot: usize, now: u64) -> bool {
+        let lines = self.warps[slot].lines();
         let lines = &lines[..lines.len().min(self.params.max_txn_per_inst)];
         if self.egress.len() + lines.len() > EGRESS_CAPACITY {
             return false;
         }
         for &line in lines {
-            let id = self.fresh_id();
+            let id = fresh_id(self.id, &mut self.next_req);
             self.egress.push_back(MemRequest::new(
                 id,
                 self.app,
@@ -549,51 +519,29 @@ impl<S: InstStream> SimtCore<S> {
 
     /// Offers warp `slot` — neither retired nor blocked on memory — this
     /// cycle's issue slot; true when it issued. A warp whose stream ended
-    /// retires here; one that hits a structural hazard keeps its
-    /// instruction stashed (the next peek returns it again) and sets
-    /// `saw_struct_block`.
+    /// retires here; one that hits a structural hazard keeps its op decoded
+    /// (the next peek returns it again, and under congestion every
+    /// scheduler re-offers its blocked warps each cycle: the retry reads
+    /// two queue lengths and moves nothing) and sets `saw_struct_block`.
     #[inline]
     fn offer(&mut self, slot: usize, now: u64, saw_struct_block: &mut bool) -> bool {
         if self.issue.ready_at(slot) > now {
             return false;
         }
-        // O(1) structural gates, read before touching the instruction:
-        // under congestion every scheduler re-offers its blocked warps each
-        // cycle, and peeking by reference with these gates keeps that retry
-        // free of both the coalesce scan and any copy of the warp-width
-        // address list. The gated outcome is exactly what `issue_load` /
-        // `issue_store` would return (their line count is >= 1 for a
-        // non-empty address list).
-        let egress_full = self.egress.len() >= EGRESS_CAPACITY;
-        let mshr_exhausted = !self.bypass_l1 && self.l1.mshr_free() == 0;
-        let ok = match self.warps[slot].peek_inst() {
+        let ok = match self.warps[slot].peek() {
             None => {
                 self.issue.finish(slot);
                 return false;
             }
-            Some(Inst::Alu { cycles }) => {
-                self.issue.issue_alu(slot, now, *cycles);
+            Some(Op::Alu { cycles }) => {
+                self.issue.issue_alu(slot, now, cycles);
                 true
             }
-            Some(Inst::Load { addrs }) => {
-                if !addrs.is_empty() && (egress_full || mshr_exhausted) {
-                    false
-                } else {
-                    let lines = coalesce(addrs);
-                    self.issue_load(slot, &lines, now)
-                }
-            }
-            Some(Inst::Store { addrs }) => {
-                if !addrs.is_empty() && egress_full {
-                    false
-                } else {
-                    let lines = coalesce(addrs);
-                    self.issue_store(slot, &lines, now)
-                }
-            }
+            Some(Op::Load) => self.issue_load(slot, now),
+            Some(Op::Store) => self.issue_store(slot, now),
         };
         if ok {
-            self.warps[slot].consume_inst();
+            self.warps[slot].consume();
             self.stats.insts += 1;
         } else {
             *saw_struct_block = true;
@@ -628,6 +576,13 @@ impl<S: InstStream> SimtCore<S> {
         None
     }
 
+    /// L1 hits whose latency elapsed wake their warps.
+    fn complete_due_hits(&mut self, now: u64) {
+        while let Some((_, id)) = self.hit_returns.pop_front_if(|(due, _)| *due <= now) {
+            self.complete(id);
+        }
+    }
+
     fn step_full(&mut self, now: u64) {
         self.stats.cycles += 1;
         if let Some(ccws) = &mut self.ccws {
@@ -649,11 +604,8 @@ impl<S: InstStream> SimtCore<S> {
         self.issue.debug_check();
         self.stats.active_warp_cycles += self.active_slots_total;
 
-        // 1. L1 hits whose latency elapsed wake their warps.
-        while matches!(self.hit_returns.peek(), Some(Reverse((t, _, _))) if *t <= now) {
-            let Reverse((_, _, id)) = self.hit_returns.pop().expect("peeked");
-            self.complete(id);
-        }
+        // 1. L1 hits.
+        self.complete_due_hits(now);
 
         // 2. Issue: per scheduler, offer the policy's priority order (GTO:
         //    the greedy warp, then oldest first; LRR: rotate past the last
@@ -679,10 +631,7 @@ impl<S: InstStream> SimtCore<S> {
         //    (receive, knob change) clears the sleep first.
         if issued_total == 0 {
             let mut any_waiting = false;
-            let mut wake = match self.hit_returns.peek() {
-                Some(Reverse((t, _, _))) => *t,
-                None => u64::MAX,
-            };
+            let mut wake = self.hit_returns.front().map_or(u64::MAX, |&(t, _)| t);
             for s in &self.schedulers {
                 let active = s.active_slots();
                 any_waiting |= self.issue.any_waiting_mem(active.clone());
@@ -721,8 +670,10 @@ impl<S: InstStream> SimtCore<S> {
     /// algorithm with no sleep fast path, every warp of every scheduler's
     /// priority order tested slot by slot from the per-warp arrays (the
     /// `mem_blocked` summary is not consulted), and the active-slot sum
-    /// recomputed by scanning every cycle. Kept only for differential testing
-    /// (`engine_equivalence`); never used on the hot path.
+    /// recomputed by scanning every cycle. It differs in how warps are
+    /// *scanned*; what an offered warp does (`offer`) is shared.
+    /// Kept only for differential testing (`engine_equivalence`); never
+    /// used on the hot path.
     pub fn step_reference(&mut self, now: u64) {
         self.sleep = None;
         self.stats.cycles += 1;
@@ -740,10 +691,7 @@ impl<S: InstStream> SimtCore<S> {
             .map(|s| s.active_slots().len() as u64)
             .sum::<u64>();
 
-        while matches!(self.hit_returns.peek(), Some(Reverse((t, _, _))) if *t <= now) {
-            let Reverse((_, _, id)) = self.hit_returns.pop().expect("peeked");
-            self.complete(id);
-        }
+        self.complete_due_hits(now);
 
         let mut issued_total = 0;
         let mut saw_struct_block = false;
@@ -753,29 +701,11 @@ impl<S: InstStream> SimtCore<S> {
                 let Some(slot) = self.schedulers[si].candidate(k) else {
                     continue;
                 };
-                if !self.issue.ready(slot, now) {
-                    continue;
-                }
-                let Some(inst) = self.warps[slot].fetch() else {
-                    self.issue.finish(slot);
-                    continue;
-                };
-                let ok = match &inst {
-                    Inst::Alu { cycles } => {
-                        self.issue.issue_alu(slot, now, *cycles);
-                        true
-                    }
-                    Inst::Load { addrs } => self.issue_load(slot, &coalesce(addrs), now),
-                    Inst::Store { addrs } => self.issue_store(slot, &coalesce(addrs), now),
-                };
-                if ok {
-                    self.stats.insts += 1;
+                if self.issue.ready(slot, now) && self.offer(slot, now, &mut saw_struct_block) {
                     issued_total += 1;
                     self.schedulers[si].record_issue(slot);
                     break;
                 }
-                self.warps[slot].stash(inst);
-                saw_struct_block = true;
             }
         }
 
@@ -853,7 +783,7 @@ impl<S: InstStream> SimtCore<S> {
 
     /// True when every warp has retired and no memory is outstanding.
     pub fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.egress.is_empty() && self.issue.all_finished()
+        self.pending.len() == 0 && self.egress.is_empty() && self.issue.all_finished()
     }
 
     /// Loads in flight from this core.
@@ -862,11 +792,20 @@ impl<S: InstStream> SimtCore<S> {
     }
 }
 
+/// The next request id of core `core`: its index above bit 40, a sequence
+/// from 1 below.
+#[inline]
+fn fresh_id(core: CoreId, next_req: &mut u64) -> ReqId {
+    *next_req += 1;
+    ReqId(((core.index() as u64) << 40) | *next_req)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::AddrList;
+    use crate::inst::{AddrList, Inst};
     use crate::streams::{LoopOverSet, Scripted, Streaming};
+    use gpu_types::Address;
 
     fn small_cfg() -> GpuConfig {
         GpuConfig::small()
@@ -1089,6 +1028,29 @@ mod tests {
             core.step(now);
         }
         assert!(core.stats().struct_stall_cycles > 0);
+    }
+
+    #[test]
+    fn a_fully_divergent_load_issues_its_first_lines_only() {
+        // 32 threads on 32 lines: the coalescer keeps what one instruction
+        // may issue, `max_txn_per_inst` transactions, in thread order.
+        let addrs: AddrList = (0..32).map(|i| Address::new(i * 128 * 4096)).collect();
+        for max_txn_per_inst in [EGRESS_CAPACITY, 5] {
+            let mut core = core_with_one_stream(
+                Box::new(Scripted::new(vec![Inst::Load { addrs }])),
+                CoreParams {
+                    max_outstanding_loads: 2,
+                    max_txn_per_inst,
+                },
+            );
+            core.step(0);
+            assert_eq!(core.stats().insts, 1);
+            let issued: Vec<Address> = std::iter::from_fn(|| core.pop_request())
+                .map(|r| r.addr)
+                .collect();
+            assert_eq!(issued, addrs[..max_txn_per_inst]);
+            assert_eq!(core.outstanding_loads(), max_txn_per_inst);
+        }
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! Warp instructions and the stream abstraction applications implement.
+//!
+//! Two vocabularies. The issue path moves a decoded instruction as an
+//! 8-byte [`Op`] plus the coalesced lines a stream wrote into the warp's
+//! own [`LineBuf`] ([`InstStream::decode`]). [`Inst`] / [`AddrList`] —
+//! per-thread addresses, a full warp wide — are what scripted streams and
+//! tests are written in; they coalesce into the same buffer.
 
+use crate::core::EGRESS_CAPACITY;
 use gpu_types::Address;
 
 /// Maximum per-thread addresses one warp instruction can carry (the warp
 /// width of Table I).
 pub const WARP_WIDTH: usize = 32;
 
-/// A fixed-capacity, inline list of per-thread addresses.
-///
-/// Instruction streams produce one of these per memory instruction on the
-/// hot path of every simulated cycle, so it must not touch the heap: the
-/// addresses live inline (capacity [`WARP_WIDTH`]) and the list is `Copy`.
-/// It dereferences to `&[Address]`, so slice methods (`iter`, `len`,
-/// indexing) work directly.
+/// A fixed-capacity, inline, `Copy` list of addresses: nothing on the
+/// issue path touches the heap. It dereferences to `&[Address]`, so slice
+/// methods (`iter`, `len`, indexing) work directly.
 ///
 /// ```
 /// use gpu_simt::inst::AddrList;
@@ -22,121 +25,120 @@ pub const WARP_WIDTH: usize = 32;
 /// assert_eq!(l[2], Address::new(256));
 /// ```
 #[derive(Clone, Copy)]
-pub struct AddrList {
+pub struct Addrs<const N: usize> {
     len: u8,
-    buf: [Address; WARP_WIDTH],
+    buf: [Address; N],
 }
 
-impl AddrList {
+/// The per-thread addresses of one scripted memory instruction, a full
+/// warp wide.
+pub type AddrList = Addrs<WARP_WIDTH>;
+
+/// The coalesced transactions of one memory instruction: at most
+/// [`EGRESS_CAPACITY`] unique line addresses in first-appearance order.
+/// Every warp owns one; its stream decodes into it and the core issues
+/// from it by reference, so a memory instruction is never copied between
+/// the two.
+pub type LineBuf = Addrs<EGRESS_CAPACITY>;
+
+impl<const N: usize> Addrs<N> {
     /// Creates an empty list.
     pub const fn new() -> Self {
-        AddrList {
+        Addrs {
             len: 0,
-            buf: [Address::new(0); WARP_WIDTH],
+            buf: [Address::new(0); N],
         }
     }
 
     /// Creates a single-address list.
-    pub const fn one(addr: Address) -> Self {
-        let mut l = Self::new();
-        l.buf[0] = addr;
-        l.len = 1;
-        l
+    pub fn one(addr: Address) -> Self {
+        std::iter::once(addr).collect()
     }
 
-    /// Appends an address.
+    /// Empties the list.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Appends an address as it is. Into a [`LineBuf`] only a line not yet
+    /// held goes this way (the consecutive lines of a contiguous access);
+    /// anything else goes through [`Self::coalesce`].
     ///
     /// # Panics
     ///
-    /// Panics when the list already holds [`WARP_WIDTH`] addresses — a warp
-    /// cannot generate more per-thread accesses than it has threads.
+    /// Panics when the list is full — a warp cannot generate more
+    /// per-thread accesses than it has threads, nor an instruction more
+    /// transactions than the egress queue takes.
+    #[inline]
     pub fn push(&mut self, addr: Address) {
         assert!(
-            (self.len as usize) < WARP_WIDTH,
-            "more than {WARP_WIDTH} addresses in one warp instruction"
+            (self.len as usize) < N,
+            "more than {N} addresses in one warp instruction"
         );
         self.buf[self.len as usize] = addr;
         self.len += 1;
     }
 
-    /// Shortens the list to at most `n` addresses (no-op when already
-    /// shorter).
-    pub fn truncate(&mut self, n: usize) {
-        if n < self.len as usize {
-            self.len = n as u8;
+    /// The coalescer (Table I: "memory coalescing and inter-warp merging
+    /// enabled" — inter-warp merging happens in the MSHRs): appends the
+    /// line of one thread's `addr` unless it is already held. Lines past
+    /// the capacity are dropped; no core issues more per instruction
+    /// ([`crate::CoreParams::max_txn_per_inst`] is bounded by it).
+    #[inline]
+    pub fn coalesce(&mut self, addr: Address) {
+        let line = addr.line();
+        if (self.len as usize) < N && !self.contains(&line) {
+            self.push(line);
         }
     }
 }
 
-impl Default for AddrList {
+impl<const N: usize> Default for Addrs<N> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl std::ops::Deref for AddrList {
+impl<const N: usize> std::ops::Deref for Addrs<N> {
     type Target = [Address];
 
+    #[inline]
     fn deref(&self) -> &[Address] {
         &self.buf[..self.len as usize]
     }
 }
 
-impl FromIterator<Address> for AddrList {
+impl<const N: usize> FromIterator<Address> for Addrs<N> {
     fn from_iter<I: IntoIterator<Item = Address>>(iter: I) -> Self {
-        let mut l = AddrList::new();
-        for a in iter {
-            l.push(a);
-        }
+        let mut l = Self::new();
+        iter.into_iter().for_each(|a| l.push(a));
         l
     }
 }
 
-impl From<&[Address]> for AddrList {
-    fn from(addrs: &[Address]) -> Self {
-        addrs.iter().copied().collect()
-    }
-}
-
-impl<'a> IntoIterator for &'a AddrList {
-    type Item = &'a Address;
-    type IntoIter = std::slice::Iter<'a, Address>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-impl IntoIterator for AddrList {
-    type Item = Address;
-    type IntoIter = std::iter::Take<std::array::IntoIter<Address, WARP_WIDTH>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.buf.into_iter().take(self.len as usize)
-    }
-}
-
-impl PartialEq for AddrList {
+impl<const N: usize> PartialEq for Addrs<N> {
     fn eq(&self, other: &Self) -> bool {
         self[..] == other[..]
     }
 }
 
-impl Eq for AddrList {}
+impl<const N: usize> Eq for Addrs<N> {}
 
-impl std::fmt::Debug for AddrList {
+impl<const N: usize> std::fmt::Debug for Addrs<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
 }
 
-/// One warp-level instruction.
+/// What a decoded warp instruction does. A memory op's transactions are
+/// the lines its stream left in the warp's [`LineBuf`].
 ///
 /// The simulator is trace-driven at warp granularity: an application model
-/// emits a stream of these per warp, and the core's issue logic, coalescer,
-/// caches and the memory system below produce all timing behaviour.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Inst {
+/// emits a stream of these per warp, and the core's issue logic, caches and
+/// the memory system below produce all timing behaviour.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
     /// An arithmetic (or scratchpad-served) instruction occupying the warp
     /// for `cycles` cycles. Scratchpad traffic is folded in here because the
     /// paper's EB metric deliberately excludes scratchpad bandwidth (§III
@@ -146,17 +148,31 @@ pub enum Inst {
         /// Cycles before the warp may issue again.
         cycles: u32,
     },
-    /// A global load; `addrs` are the per-thread byte addresses, which the
-    /// coalescer merges into unique 128-byte transactions. The warp blocks
-    /// once its outstanding-load tolerance is exceeded.
+    /// A global load, one transaction per line. The warp blocks once its
+    /// outstanding-load tolerance is exceeded.
+    Load,
+    /// A global store: write-through, no-allocate, fire-and-forget.
+    Store,
+}
+
+/// One warp-level instruction written out in full, per-thread addresses
+/// and all: the vocabulary of scripted streams and tests, and what
+/// [`InstStream::next_inst`] hands to callers that want a value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Inst {
+    /// [`Op::Alu`].
+    Alu {
+        /// Cycles before the warp may issue again.
+        cycles: u32,
+    },
+    /// [`Op::Load`] of the lines `addrs` coalesce to.
     Load {
-        /// Per-thread addresses (any length `1..=32`), stored inline so
-        /// instruction generation never allocates.
+        /// Per-thread byte addresses (any length `0..=32`).
         addrs: AddrList,
     },
-    /// A global store: write-through, no-allocate, fire-and-forget.
+    /// [`Op::Store`] to the lines `addrs` coalesce to.
     Store {
-        /// Per-thread addresses.
+        /// Per-thread byte addresses.
         addrs: AddrList,
     },
 }
@@ -180,6 +196,21 @@ impl Inst {
             addrs: AddrList::one(Address::new(addr)),
         }
     }
+
+    /// Decodes this instruction the way [`InstStream::decode`] must: a
+    /// memory instruction's per-thread addresses coalesce into `lines`.
+    pub fn decode(&self, lines: &mut LineBuf) -> Op {
+        let (op, addrs) = match self {
+            Inst::Alu { cycles } => return Op::Alu { cycles: *cycles },
+            Inst::Load { addrs } => (Op::Load, addrs),
+            Inst::Store { addrs } => (Op::Store, addrs),
+        };
+        lines.clear();
+        for &addr in addrs.iter() {
+            lines.coalesce(addr);
+        }
+        op
+    }
 }
 
 /// A per-warp instruction source.
@@ -189,9 +220,26 @@ impl Inst {
 /// lets a machine move between threads (fan-out workers); streams are plain
 /// data plus a seeded RNG, so this costs implementors nothing.
 pub trait InstStream: Send {
-    /// Produces the warp's next instruction, or `None` when the warp has
+    /// Decodes the warp's next instruction, or `None` when the warp has
     /// retired (streams modeling steady-state kernels never return `None`).
-    fn next_inst(&mut self) -> Option<Inst>;
+    /// A load or store overwrites `lines` with its coalesced transactions —
+    /// unique line addresses in first-appearance order, the first
+    /// [`EGRESS_CAPACITY`] of them; an ALU instruction need not touch it.
+    fn decode(&mut self, lines: &mut LineBuf) -> Option<Op>;
+
+    /// The next instruction as a value: [`Self::decode`] into a scratch
+    /// buffer, for tests and probes. A memory instruction comes back
+    /// already coalesced, one address per line.
+    fn next_inst(&mut self) -> Option<Inst> {
+        let mut lines = LineBuf::new();
+        let op = self.decode(&mut lines)?;
+        let addrs = lines.iter().copied().collect();
+        Some(match op {
+            Op::Alu { cycles } => Inst::Alu { cycles },
+            Op::Load => Inst::Load { addrs },
+            Op::Store => Inst::Store { addrs },
+        })
+    }
 }
 
 /// A boxed stream is a stream, so a core can be generic over its stream
@@ -200,25 +248,9 @@ pub trait InstStream: Send {
 /// `Box<dyn InstStream>`.
 impl<T: InstStream + ?Sized> InstStream for Box<T> {
     #[inline]
-    fn next_inst(&mut self) -> Option<Inst> {
-        (**self).next_inst()
+    fn decode(&mut self, lines: &mut LineBuf) -> Option<Op> {
+        (**self).decode(lines)
     }
-}
-
-/// Coalesces per-thread addresses into unique line-aligned transaction
-/// addresses, preserving first-appearance order (Table I: "memory coalescing
-/// and inter-warp merging enabled" — inter-warp merging happens in the
-/// MSHRs). The result is stack-allocated: this runs once per memory
-/// instruction on the per-cycle hot path.
-pub fn coalesce(addrs: &[Address]) -> AddrList {
-    let mut lines = AddrList::new();
-    for a in addrs {
-        let line = a.line();
-        if !lines.contains(&line) {
-            lines.push(line);
-        }
-    }
-    lines
 }
 
 #[cfg(test)]
@@ -226,28 +258,67 @@ mod tests {
     use super::*;
     use gpu_types::LINE_SIZE;
 
+    fn coalesce(addrs: impl IntoIterator<Item = u64>) -> LineBuf {
+        let addrs = addrs.into_iter().map(Address::new).collect();
+        let mut lines = LineBuf::new();
+        assert_eq!(Inst::Load { addrs }.decode(&mut lines), Op::Load);
+        lines
+    }
+
     #[test]
     fn coalesce_merges_same_line() {
-        let addrs: Vec<Address> = (0..32).map(|i| Address::new(i * 4)).collect();
-        assert_eq!(&coalesce(&addrs)[..], &[Address::new(0)]);
+        assert_eq!(&coalesce((0..32).map(|i| i * 4))[..], &[Address::new(0)]);
     }
 
     #[test]
     fn coalesce_fully_divergent() {
-        let addrs: Vec<Address> = (0..4).map(|i| Address::new(i * LINE_SIZE * 7)).collect();
-        assert_eq!(coalesce(&addrs).len(), 4);
+        assert_eq!(coalesce((0..4).map(|i| i * LINE_SIZE * 7)).len(), 4);
     }
 
     #[test]
     fn coalesce_preserves_first_appearance_order() {
         // 300 falls in the line of 256; 10 falls in the line of 0.
-        let addrs = vec![
-            Address::new(256),
-            Address::new(0),
-            Address::new(300),
-            Address::new(10),
-        ];
-        assert_eq!(&coalesce(&addrs)[..], &[Address::new(256), Address::new(0)]);
+        assert_eq!(
+            &coalesce([256, 0, 300, 10])[..],
+            &[Address::new(256), Address::new(0)]
+        );
+    }
+
+    #[test]
+    fn coalesce_keeps_the_first_lines_of_a_wider_instruction() {
+        // Duplicates do not use up capacity; a new line met after the
+        // buffer filled is dropped.
+        let paired = (0..30).map(|i| (i / 2) * LINE_SIZE);
+        let lines = coalesce(paired.chain([99 * LINE_SIZE, 100 * LINE_SIZE]));
+        let mut expect: Vec<Address> = (0..15).map(|i| Address::new(i * LINE_SIZE)).collect();
+        expect.push(Address::new(99 * LINE_SIZE));
+        assert_eq!(&lines[..], &expect[..]);
+        let divergent = coalesce((0..32).map(|i| i * LINE_SIZE));
+        assert_eq!(divergent.len(), EGRESS_CAPACITY);
+        assert_eq!(divergent[15], Address::new(15 * LINE_SIZE));
+    }
+
+    #[test]
+    fn decode_overwrites_the_previous_instruction() {
+        let mut lines = coalesce([0, 128, 256]);
+        assert_eq!(Inst::store1(640).decode(&mut lines), Op::Store);
+        assert_eq!(&lines[..], &[Address::new(640)]);
+        assert_eq!(Inst::alu1().decode(&mut lines), Op::Alu { cycles: 1 });
+    }
+
+    #[test]
+    fn op_is_one_word() {
+        assert!(std::mem::size_of::<Op>() <= 8);
+        assert!(std::mem::size_of::<Option<Op>>() <= 8);
+    }
+
+    #[test]
+    #[should_panic]
+    fn pushing_past_the_capacity_panics() {
+        let mut lines = LineBuf::new();
+        for i in 0..=EGRESS_CAPACITY as u64 {
+            lines.push(Address::new(i * LINE_SIZE));
+        }
     }
 
     #[test]
@@ -260,18 +331,6 @@ mod tests {
             }
         );
         assert!(matches!(Inst::store1(7), Inst::Store { addrs } if addrs[0] == Address::new(7)));
-    }
-
-    #[test]
-    fn addr_list_pushes_and_truncates() {
-        let mut l: AddrList = (0..5).map(|i| Address::new(i * 128)).collect();
-        assert_eq!(l.len(), 5);
-        l.truncate(2);
-        assert_eq!(&l[..], &[Address::new(0), Address::new(128)]);
-        l.truncate(10);
-        assert_eq!(l.len(), 2, "truncate never grows");
-        l.push(Address::new(999));
-        assert_eq!(l.len(), 3);
     }
 
     #[test]

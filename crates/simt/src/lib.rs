@@ -22,12 +22,13 @@
 pub mod ccws;
 pub mod core;
 pub mod inst;
+mod pending;
 pub mod scheduler;
 pub mod streams;
 pub mod warp;
 
 pub use crate::ccws::{CcwsParams, CcwsThrottle};
 pub use crate::core::{CoreParams, CoreStats, SimtCore, WarpStalls};
-pub use inst::{Inst, InstStream};
+pub use inst::{Inst, InstStream, LineBuf, Op};
 pub use scheduler::GtoScheduler;
 pub use warp::{Warp, WarpIssueState};

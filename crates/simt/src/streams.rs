@@ -3,7 +3,7 @@
 //! The paper's 26 application models live in `gpu-workloads`; these streams
 //! exercise the core machinery with fully predictable behaviour.
 
-use crate::inst::{AddrList, Inst, InstStream};
+use crate::inst::{Inst, InstStream, LineBuf, Op};
 use gpu_types::Address;
 
 /// Replays a fixed instruction list once.
@@ -22,8 +22,8 @@ impl Scripted {
 }
 
 impl InstStream for Scripted {
-    fn next_inst(&mut self) -> Option<Inst> {
-        self.insts.pop_front()
+    fn decode(&mut self, lines: &mut LineBuf) -> Option<Op> {
+        Some(self.insts.pop_front()?.decode(lines))
     }
 }
 
@@ -51,17 +51,17 @@ impl Streaming {
 }
 
 impl InstStream for Streaming {
-    fn next_inst(&mut self) -> Option<Inst> {
+    fn decode(&mut self, lines: &mut LineBuf) -> Option<Op> {
         if self.phase < self.compute {
             self.phase += 1;
-            return Some(Inst::alu1());
+            return Some(Op::Alu { cycles: 1 });
         }
         self.phase = 0;
         let a = self.next_addr;
         self.next_addr = self.next_addr.wrapping_add(self.stride);
-        Some(Inst::Load {
-            addrs: AddrList::one(Address::new(a)),
-        })
+        lines.clear();
+        lines.coalesce(Address::new(a));
+        Some(Op::Load)
     }
 }
 
@@ -87,12 +87,12 @@ impl LoopOverSet {
 }
 
 impl InstStream for LoopOverSet {
-    fn next_inst(&mut self) -> Option<Inst> {
+    fn decode(&mut self, lines: &mut LineBuf) -> Option<Op> {
         let a = self.lines[self.idx];
         self.idx = (self.idx + 1) % self.lines.len();
-        Some(Inst::Load {
-            addrs: AddrList::one(Address::new(a)),
-        })
+        lines.clear();
+        lines.coalesce(Address::new(a));
+        Some(Op::Load)
     }
 }
 

@@ -1,14 +1,16 @@
 //! Per-warp execution state, split by how often the core looks at it.
 //!
-//! A [`Warp`] is the cold half: the instruction stream and the one
-//! instruction fetched from it but not yet issued, touched only when a
-//! scheduler offers the warp an issue slot. [`WarpIssueState`] is the hot
-//! half for all of a core's warps at once — struct-of-arrays, so the
-//! per-cycle "which warp can issue" question is a walk over two bitset
-//! words and the `ready_at` array instead of one cache line per warp.
+//! A [`Warp`] is the cold half: the instruction stream, the one op decoded
+//! from it but not yet issued and the line buffer that op's transactions
+//! sit in, touched only when a scheduler offers the warp an issue slot.
+//! [`WarpIssueState`] is the hot half for all of a core's warps at once —
+//! struct-of-arrays, so the per-cycle "which warp can issue" question is a
+//! walk over two bitset words and the `ready_at` array instead of one
+//! cache line per warp.
 
-use crate::inst::{Inst, InstStream};
+use crate::inst::{InstStream, LineBuf, Op};
 use gpu_types::bits::{BitSet, BitWalk};
+use gpu_types::Address;
 use std::ops::Range;
 
 /// A warp's instruction supply, generic over its stream so a core over
@@ -16,15 +18,19 @@ use std::ops::Range;
 /// virtual call.
 pub struct Warp<S = Box<dyn InstStream>> {
     stream: S,
-    /// An instruction fetched but not issued (structural hazard); retried
-    /// before the stream is consulted again.
-    stashed: Option<Inst>,
+    /// An op decoded but not issued (structural hazard); retried before
+    /// the stream is consulted again.
+    decoded: Option<Op>,
+    /// The transactions of `decoded` when it is a load or a store. The
+    /// stream writes them here and the core issues from here: a memory
+    /// instruction is never moved.
+    lines: LineBuf,
 }
 
 impl<S> std::fmt::Debug for Warp<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Warp")
-            .field("stashed", &self.stashed)
+            .field("decoded", &self.decoded)
             .finish()
     }
 }
@@ -34,44 +40,36 @@ impl<S: InstStream> Warp<S> {
     pub fn new(stream: S) -> Self {
         Warp {
             stream,
-            stashed: None,
+            decoded: None,
+            lines: LineBuf::new(),
         }
     }
 
-    /// Pulls the next instruction (a previously stashed one first); `None`
-    /// means the stream ended and the caller retires the warp
-    /// ([`WarpIssueState::finish`]). Only call for a ready warp.
-    pub fn fetch(&mut self) -> Option<Inst> {
-        self.stashed.take().or_else(|| self.stream.next_inst())
-    }
-
-    /// Puts back an instruction that could not issue due to a structural
-    /// hazard; the next [`Self::fetch`] returns it again.
-    pub fn stash(&mut self, inst: Inst) {
-        debug_assert!(self.stashed.is_none(), "double stash");
-        self.stashed = Some(inst);
-    }
-
-    /// The next instruction *without* consuming it, filling the one-entry
-    /// stash from the stream on first peek; `None` means the stream ended.
-    /// The hot issue path peeks by reference so a structural-hazard retry
-    /// moves no instruction bytes at all ([`Inst`] carries a full
-    /// warp-width address list), and calls [`Self::consume_inst`] only on
-    /// successful issue. Equivalent to [`Self::fetch`] + [`Self::stash`],
-    /// which the reference engine keeps.
+    /// The next op *without* consuming it, decoding from the stream on
+    /// first peek; `None` means the stream ended and the caller retires
+    /// the warp ([`WarpIssueState::finish`]). A structural-hazard retry
+    /// peeks the same op again and moves nothing; [`Self::consume`] follows
+    /// a successful issue. Only call for a ready warp.
     #[inline]
-    pub fn peek_inst(&mut self) -> Option<&Inst> {
-        if self.stashed.is_none() {
-            self.stashed = self.stream.next_inst();
+    pub fn peek(&mut self) -> Option<Op> {
+        if self.decoded.is_none() {
+            self.decoded = self.stream.decode(&mut self.lines);
         }
-        self.stashed.as_ref()
+        self.decoded
     }
 
-    /// Consumes the instruction returned by the last [`Self::peek_inst`].
+    /// The transactions of the load or store last returned by
+    /// [`Self::peek`].
     #[inline]
-    pub fn consume_inst(&mut self) {
-        debug_assert!(self.stashed.is_some(), "consume without a peeked inst");
-        self.stashed = None;
+    pub fn lines(&self) -> &[Address] {
+        &self.lines
+    }
+
+    /// Consumes the op returned by the last [`Self::peek`].
+    #[inline]
+    pub fn consume(&mut self) {
+        debug_assert!(self.decoded.is_some(), "consume without a peeked op");
+        self.decoded = None;
     }
 }
 
@@ -174,12 +172,14 @@ impl WarpIssueState {
     }
 
     /// Retires warp `slot`: its stream ended.
+    #[inline]
     pub fn finish(&mut self, slot: usize) {
         debug_assert!(!self.mem_blocked.get(slot), "a blocked warp was offered");
         self.finished.set(slot);
     }
 
     /// Records the issue of an ALU instruction taking `cycles`.
+    #[inline]
     pub fn issue_alu(&mut self, slot: usize, now: u64, cycles: u32) {
         self.ready_at[slot] = now + cycles.max(1) as u64;
     }
@@ -187,6 +187,7 @@ impl WarpIssueState {
     /// Records the issue of a memory instruction that produced
     /// `transactions` in-flight loads (zero for stores; L1 hits count, the
     /// core routes them through the in-flight path to model hit latency).
+    #[inline]
     pub fn issue_mem(&mut self, slot: usize, now: u64, transactions: usize) {
         self.ready_at[slot] = now + 1;
         let before = self.inflight[slot];
@@ -202,6 +203,7 @@ impl WarpIssueState {
     /// # Panics
     ///
     /// Panics if no loads were in flight (a routing bug in the caller).
+    #[inline]
     pub fn load_returned(&mut self, slot: usize) {
         assert!(
             self.inflight[slot] > 0,
@@ -234,6 +236,7 @@ impl WarpIssueState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inst::Inst;
     use crate::streams::Scripted;
 
     fn issuable(w: &WarpIssueState, slots: Range<usize>) -> Vec<usize> {
@@ -289,11 +292,12 @@ mod tests {
 
     #[test]
     fn finished_when_stream_ends() {
-        let mut warp = Warp::new(Box::new(Scripted::new(vec![Inst::alu1()])));
+        let mut warp = Warp::new(Scripted::new(vec![Inst::alu1()]));
         let mut w = WarpIssueState::new(1, 1);
-        assert!(warp.fetch().is_some());
+        assert!(warp.peek().is_some());
+        warp.consume();
         w.issue_alu(0, 0, 1);
-        assert!(warp.fetch().is_none());
+        assert!(warp.peek().is_none());
         w.finish(0);
         assert!(w.all_finished());
         assert!(!w.ready(0, 100));
@@ -311,21 +315,20 @@ mod tests {
     }
 
     #[test]
-    fn peek_is_fetch_plus_stash() {
-        let insts = vec![Inst::load1(0), Inst::alu1()];
-        let mut a = Warp::new(Box::new(Scripted::new(insts.clone())));
-        let mut b = Warp::new(Box::new(Scripted::new(insts)));
-        assert_eq!(a.peek_inst(), Some(&Inst::load1(0)));
-        assert_eq!(a.peek_inst(), Some(&Inst::load1(0)), "a retry re-offers it");
-        let held = b.fetch().unwrap();
-        b.stash(held);
-        a.consume_inst();
-        assert_eq!(b.fetch(), Some(Inst::load1(0)));
-        assert_eq!(a.peek_inst(), Some(&Inst::alu1()));
-        assert_eq!(b.fetch(), Some(Inst::alu1()));
-        a.consume_inst();
-        assert_eq!(a.peek_inst(), None);
-        assert_eq!(b.fetch(), None);
+    fn a_peeked_op_is_re_offered_until_consumed() {
+        let insts = vec![Inst::load1(0), Inst::alu1(), Inst::store1(300)];
+        let mut w = Warp::new(Scripted::new(insts));
+        for _ in 0..2 {
+            assert_eq!(w.peek(), Some(Op::Load), "a retry decodes nothing new");
+            assert_eq!(w.lines(), [Address::new(0)]);
+        }
+        w.consume();
+        assert_eq!(w.peek(), Some(Op::Alu { cycles: 1 }));
+        w.consume();
+        assert_eq!(w.peek(), Some(Op::Store));
+        assert_eq!(w.lines(), [Address::new(256)]);
+        w.consume();
+        assert_eq!(w.peek(), None);
     }
 
     #[test]

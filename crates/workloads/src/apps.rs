@@ -126,20 +126,8 @@ pub fn by_name(name: &str) -> Option<&'static AppProfile> {
 }
 
 impl AppProfile {
-    /// Builds the instruction stream for warp `slot` of this application's
-    /// `core_rank`-th core.
-    pub fn app_stream(
-        &self,
-        app: AppId,
-        core_rank: usize,
-        slot: usize,
-        warps_per_core: usize,
-        seed: u64,
-    ) -> AppStream {
-        AppStream::new(*self, app, core_rank, slot, warps_per_core, seed)
-    }
-
-    /// [`Self::app_stream`] behind a box, for cores that mix stream kinds.
+    /// The stream of warp `slot` of this application's `core_rank`-th core
+    /// behind a box, for cores that mix stream kinds.
     pub fn stream(
         &self,
         app: AppId,
@@ -148,7 +136,8 @@ impl AppProfile {
         warps_per_core: usize,
         seed: u64,
     ) -> Box<dyn InstStream> {
-        Box::new(self.app_stream(app, core_rank, slot, warps_per_core, seed))
+        let stream = AppStream::new(*self, app, core_rank, slot, warps_per_core, seed);
+        Box::new(stream)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Application profiles: the statistical description of one GPGPU kernel.
 
-use gpu_simt::CoreParams;
+use gpu_simt::core::{CoreParams, EGRESS_CAPACITY};
 use gpu_types::canon::{Canon, CanonBuf};
 use std::fmt;
 
@@ -150,7 +150,9 @@ pub struct AppProfile {
     /// Address-generation pattern.
     pub pattern: AccessPattern,
     /// Distinct lines one memory instruction touches after coalescing
-    /// (1 = perfectly coalesced, 32 = fully divergent).
+    /// (1 = perfectly coalesced), at most [`EGRESS_CAPACITY`]: a core
+    /// issues an instruction's transactions together, so a wider one could
+    /// never enter its egress queue.
     pub coalesce_degree: usize,
     /// Outstanding-load tolerance per warp (dependency distance).
     pub max_outstanding: usize,
@@ -185,9 +187,10 @@ impl AppProfile {
         );
         assert!(self.alu_cycles >= 1, "{}: alu_cycles", self.name);
         assert!(
-            (1..=32).contains(&self.coalesce_degree),
-            "{}: coalesce_degree",
-            self.name
+            (1..=EGRESS_CAPACITY).contains(&self.coalesce_degree),
+            "{}: coalesce_degree {} outside 1..={EGRESS_CAPACITY}",
+            self.name,
+            self.coalesce_degree
         );
         assert!(self.max_outstanding >= 1, "{}: max_outstanding", self.name);
         match self.pattern {
@@ -371,6 +374,22 @@ mod tests {
         let mut p = profile();
         p.mem_ratio = 0.8;
         p.store_ratio = 0.4;
+        p.assert_valid();
+    }
+
+    #[test]
+    fn an_instruction_as_wide_as_the_egress_queue_is_valid() {
+        let mut p = profile();
+        p.coalesce_degree = EGRESS_CAPACITY;
+        p.assert_valid();
+    }
+
+    #[test]
+    #[should_panic(expected = "TST: coalesce_degree 17 outside 1..=16")]
+    fn a_wider_instruction_is_not() {
+        // It used to pass here (up to 32) and abort `Gpu::new` instead.
+        let mut p = profile();
+        p.coalesce_degree = EGRESS_CAPACITY + 1;
         p.assert_valid();
     }
 

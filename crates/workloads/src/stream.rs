@@ -1,8 +1,10 @@
 //! The per-warp instruction stream generated from an [`AppProfile`].
 
 use crate::profile::{AccessPattern, AppProfile};
-use gpu_simt::inst::{AddrList, Inst, InstStream};
+use gpu_simt::inst::{InstStream, LineBuf, Op};
 use gpu_types::{Address, AppId, SplitMix64, LINE_SIZE};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Bytes reserved per application (1 TiB regions keep apps disjoint).
 const APP_REGION: u64 = 1 << 40;
@@ -14,6 +16,20 @@ const WARP_SEGMENT: u64 = 1 << 26;
 /// Lines a stream covers before wrapping (16 MiB: far beyond any cache, so
 /// wrapping never manufactures reuse).
 const STREAM_WRAP_LINES: u64 = (1 << 24) / LINE_SIZE;
+
+/// What every warp of one core reads of its application and of the
+/// core's place in the address space. A machine holds one stream per warp
+/// slot, so this is held once per core and shared.
+#[derive(Debug)]
+struct CoreStream {
+    profile: AppProfile,
+    warps_per_core: u64,
+    core_stream_base: u64,
+    shared_hot_base: u64,
+    /// Lines each grid-stride access advances (>= coalesce degree so
+    /// neighbouring warps do not overlap).
+    stream_unit: u64,
+}
 
 /// Deterministic instruction stream for one warp of one application.
 ///
@@ -31,24 +47,12 @@ const STREAM_WRAP_LINES: u64 = (1 << 24) / LINE_SIZE;
 /// * the [`AccessPattern::SharedHotStream`] hot region is per-core: shared
 ///   by its warps, disjoint across cores.
 pub struct AppStream {
-    // What decode reads of the application's profile; a machine holds one
-    // stream per warp, so the rest of the profile stays out.
-    mem_ratio: f64,
-    store_ratio: f64,
-    alu_cycles: u32,
-    pattern: AccessPattern,
-    coalesce_degree: u64,
+    core: Arc<CoreStream>,
     rng: SplitMix64,
     slot: u64,
-    warps_per_core: u64,
-    core_stream_base: u64,
     warp_base: u64,
-    shared_hot_base: u64,
     /// Iteration counter of the grid-stride stream.
     stream_iter: u64,
-    /// Lines each grid-stride access advances (>= coalesce degree so
-    /// neighbouring warps do not overlap).
-    stream_unit: u64,
     tile_index: u64,
     tile_sweep: u32,
     tile_pos: u64,
@@ -69,6 +73,10 @@ impl AppStream {
     /// Creates the stream for warp `slot` (of `warps_per_core`) on the
     /// application's core with rank `core_rank` (rank among the cores
     /// assigned to this app).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range.
     pub fn new(
         profile: AppProfile,
         app: AppId,
@@ -78,8 +86,33 @@ impl AppStream {
         seed: u64,
     ) -> Self {
         assert!(slot < warps_per_core, "slot {slot} out of {warps_per_core}");
-        let app_base = (1 + app.index() as u64) * APP_REGION;
-        let warp_global = core_rank as u64 * 512 + slot as u64;
+        let only = slot..slot + 1;
+        Self::slots(&profile, app, core_rank, only, warps_per_core, seed).remove(0)
+    }
+
+    /// The streams of all `warps_per_core` warp slots of one core, in slot
+    /// order, sharing what they have in common.
+    pub fn core(
+        profile: &AppProfile,
+        app: AppId,
+        core_rank: usize,
+        warps_per_core: usize,
+        seed: u64,
+    ) -> Vec<Self> {
+        let all = 0..warps_per_core;
+        Self::slots(profile, app, core_rank, all, warps_per_core, seed)
+    }
+
+    fn slots(
+        profile: &AppProfile,
+        app: AppId,
+        core_rank: usize,
+        slots: Range<usize>,
+        warps_per_core: usize,
+        seed: u64,
+    ) -> Vec<Self> {
+        let (app, core_rank) = (app.index() as u64, core_rank as u64);
+        let app_base = (1 + app) * APP_REGION;
         // Segment bases are power-of-two spaced; left unperturbed, every
         // warp's region would map onto the same cache sets (set index =
         // line index mod a power of two) and alias pathologically. Real
@@ -87,70 +120,62 @@ impl AppStream {
         // hashed, line-aligned offset within the first quarter of its
         // segment.
         let jitter = |tag: u64, span: u64| -> u64 {
-            let mut h = SplitMix64::new(seed ^ tag.wrapping_mul(0x9E37_79B9_97F4_A7C1));
+            let mut h =
+                SplitMix64::new(seed ^ (tag + (app << 20)).wrapping_mul(0x9E37_79B9_97F4_A7C1));
             h.next_below(span / 4 / LINE_SIZE) * LINE_SIZE
         };
-        let core_stream_base = app_base
-            + (1 + core_rank as u64) * CORE_SEGMENT
-            + jitter(
-                0x1000 + core_rank as u64 + ((app.index() as u64) << 20),
-                CORE_SEGMENT / 4,
-            );
-        let warp_base = app_base
-            + (APP_REGION / 4)
-            + (1 + warp_global) * WARP_SEGMENT
-            + jitter(
-                0x2000 + warp_global + ((app.index() as u64) << 20),
-                WARP_SEGMENT,
-            );
-        let shared_hot_base = app_base
-            + (APP_REGION / 2)
-            + core_rank as u64 * WARP_SEGMENT
-            + jitter(
-                0x3000 + core_rank as u64 + ((app.index() as u64) << 20),
-                WARP_SEGMENT,
-            );
-        let mut seeder = SplitMix64::new(seed ^ ((app.index() as u64) << 32));
-        for _ in 0..=warp_global % 64 {
-            seeder.next_u64();
-        }
-        let rng = SplitMix64::new(seeder.next_u64() ^ warp_global);
         let stride = match profile.pattern {
             AccessPattern::Stream { stride_lines } => stride_lines,
             _ => 1,
         };
-        AppStream {
-            mem_ratio: profile.mem_ratio,
-            store_ratio: profile.store_ratio,
-            alu_cycles: profile.alu_cycles,
-            pattern: profile.pattern,
-            coalesce_degree: profile.coalesce_degree as u64,
-            rng,
-            slot: slot as u64,
+        let core = Arc::new(CoreStream {
+            profile: *profile,
             warps_per_core: warps_per_core as u64,
-            core_stream_base,
-            warp_base,
-            shared_hot_base,
-            stream_iter: 0,
+            core_stream_base: app_base
+                + (1 + core_rank) * CORE_SEGMENT
+                + jitter(0x1000 + core_rank, CORE_SEGMENT / 4),
+            shared_hot_base: app_base
+                + (APP_REGION / 2)
+                + core_rank * WARP_SEGMENT
+                + jitter(0x3000 + core_rank, WARP_SEGMENT),
             stream_unit: stride.max(profile.coalesce_degree as u64),
-            tile_index: 0,
-            tile_sweep: 0,
-            tile_pos: 0,
-            insts: 0,
-        }
+        });
+        let warp = |slot: usize| {
+            let warp_global = core_rank * 512 + slot as u64;
+            let mut seeder = SplitMix64::new(seed ^ (app << 32));
+            for _ in 0..=warp_global % 64 {
+                seeder.next_u64();
+            }
+            AppStream {
+                core: Arc::clone(&core),
+                rng: SplitMix64::new(seeder.next_u64() ^ warp_global),
+                slot: slot as u64,
+                warp_base: app_base
+                    + (APP_REGION / 4)
+                    + (1 + warp_global) * WARP_SEGMENT
+                    + jitter(0x2000 + warp_global, WARP_SEGMENT),
+                stream_iter: 0,
+                tile_index: 0,
+                tile_sweep: 0,
+                tile_pos: 0,
+                insts: 0,
+            }
+        };
+        slots.map(warp).collect()
     }
 
     /// Next grid-stride line address within the shared core window
     /// (optionally offset to a disjoint half for cold traffic).
     fn stream_line(&mut self, offset: u64) -> u64 {
-        let pos = (self.stream_iter * self.warps_per_core + self.slot) * self.stream_unit;
+        let core = &*self.core;
+        let pos = (self.stream_iter * core.warps_per_core + self.slot) * core.stream_unit;
         self.stream_iter += 1;
-        self.core_stream_base + offset + (pos % STREAM_WRAP_LINES) * LINE_SIZE
+        core.core_stream_base + offset + (pos % STREAM_WRAP_LINES) * LINE_SIZE
     }
 
     /// One base address per the profile's pattern.
     fn gen_base(&mut self) -> u64 {
-        match self.pattern {
+        match self.core.profile.pattern {
             AccessPattern::Stream { .. } => self.stream_line(0),
             AccessPattern::HotStream {
                 hot_lines,
@@ -169,7 +194,7 @@ impl AppStream {
                 hot_frac,
             } => {
                 if self.rng.chance(hot_frac) {
-                    self.shared_hot_base + self.rng.next_below(hot_lines) * LINE_SIZE
+                    self.core.shared_hot_base + self.rng.next_below(hot_lines) * LINE_SIZE
                 } else {
                     self.stream_line(0)
                 }
@@ -184,7 +209,7 @@ impl AppStream {
                 if u < l1_frac {
                     self.warp_base + self.rng.next_below(l1_lines) * LINE_SIZE
                 } else if u < l1_frac + l2_frac {
-                    self.shared_hot_base + self.rng.next_below(l2_lines) * LINE_SIZE
+                    self.core.shared_hot_base + self.rng.next_below(l2_lines) * LINE_SIZE
                 } else {
                     self.stream_line(CORE_SEGMENT / 2)
                 }
@@ -223,41 +248,48 @@ impl AppStream {
         }
     }
 
-    /// Generates the (already line-granular) addresses of one memory
-    /// instruction: `coalesce_degree` distinct lines. Returns the inline
-    /// [`AddrList`] so the per-cycle hot path never allocates.
-    fn gen_addrs(&mut self) -> AddrList {
-        let d = self.coalesce_degree;
-        match self.pattern {
+    /// Writes the transactions of one memory instruction: every base is
+    /// line-granular already, so the lines go straight into the warp's
+    /// buffer, up to `coalesce_degree` distinct ones.
+    fn gen_lines(&mut self, lines: &mut LineBuf) {
+        lines.clear();
+        let d = self.core.profile.coalesce_degree as u64;
+        match self.core.profile.pattern {
             // Contiguous patterns touch `d` consecutive lines.
             AccessPattern::Stream { .. } | AccessPattern::Tiled { .. } => {
                 let base = self.gen_base();
-                (0..d).map(|k| Address::new(base + k * LINE_SIZE)).collect()
+                for k in 0..d {
+                    lines.push(Address::new(base + k * LINE_SIZE));
+                }
             }
-            // Irregular patterns draw `d` independent addresses.
-            _ => (0..d).map(|_| Address::new(self.gen_base())).collect(),
+            // Irregular patterns draw `d` independent addresses, which may
+            // fall on one line.
+            _ => {
+                for _ in 0..d {
+                    lines.coalesce(Address::new(self.gen_base()));
+                }
+            }
         }
     }
 }
 
 impl InstStream for AppStream {
     #[inline]
-    fn next_inst(&mut self) -> Option<Inst> {
+    fn decode(&mut self, lines: &mut LineBuf) -> Option<Op> {
         self.insts += 1;
         let u = self.rng.next_f64();
-        if u < self.mem_ratio {
-            Some(Inst::Load {
-                addrs: self.gen_addrs(),
-            })
-        } else if u < self.mem_ratio + self.store_ratio {
-            Some(Inst::Store {
-                addrs: self.gen_addrs(),
-            })
+        let (mem_ratio, store_ratio) = (self.core.profile.mem_ratio, self.core.profile.store_ratio);
+        Some(if u < mem_ratio {
+            self.gen_lines(lines);
+            Op::Load
+        } else if u < mem_ratio + store_ratio {
+            self.gen_lines(lines);
+            Op::Store
         } else {
-            Some(Inst::Alu {
-                cycles: self.alu_cycles,
-            })
-        }
+            Op::Alu {
+                cycles: self.core.profile.alu_cycles,
+            }
+        })
     }
 }
 
@@ -265,6 +297,7 @@ impl InstStream for AppStream {
 mod tests {
     use super::*;
     use crate::profile::{EbGroup, Suite};
+    use gpu_simt::inst::Inst;
     use std::collections::HashSet;
 
     fn profile(pattern: AccessPattern) -> AppProfile {
@@ -294,6 +327,13 @@ mod tests {
             }
         }
         lines
+    }
+
+    #[test]
+    fn a_warp_of_the_machine_stays_small() {
+        // 432 bytes when an instruction was a value and every warp held
+        // the profile: a Volta machine has 5 120 of these.
+        assert!(std::mem::size_of::<gpu_simt::Warp<AppStream>>() <= 224);
     }
 
     #[test]

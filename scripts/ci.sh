@@ -32,8 +32,8 @@ echo "== cargo test, dev profile (gpu-types, gpu-mem, gpu-simt, gpu-sim: debug_a
 # incrementally maintained state (running flit count, non-empty-input set,
 # active-slot sum, warp bitsets, per-bank FR-FCFS pick, due flags) is held
 # to a scan of the ground truth only by such assertions, so the three engine
-# crates — and gpu-types, where the bitsets they walk live — also run
-# unoptimised.
+# crates — and gpu-types, where the bitsets they walk live — also run in
+# the dev profile (opt-level 1, debug assertions and overflow checks on).
 cargo test -q -p gpu-types -p gpu-mem -p gpu-simt -p gpu-sim
 
 echo "== cargo test (workspace) =="
