@@ -13,12 +13,14 @@
 //!   ([`crate::figures`], in [`ARTIFACTS`] order) against one planner. A
 //!   declaration calls the planner's constructors for what its render is
 //!   going to read — an alone profile, a sweep, a fixed-combination run, a
-//!   memoized PBS run, a sampling-error run, a scheme evaluation — and each
-//!   call registers one **work unit**, keyed by the *same content-addressed
-//!   fingerprint* the persistent result cache uses ([`alone_fingerprint`],
-//!   [`sweep_fingerprint`], [`FixedRunInputs::fingerprint`],
-//!   [`pbsrun_fingerprint`], [`scheme_fingerprint`]), and hands back a
-//!   `Demand<T>`: a typed handle on the unit's closure. That one closure is
+//!   memoized controller run, a sampling-error run, a scheme evaluation —
+//!   and each call registers one **work unit**, keyed by the *same
+//!   content-addressed fingerprint* the persistent result cache uses
+//!   ([`alone_fingerprint`], [`sweep_fingerprint`],
+//!   [`FixedRunInputs::fingerprint`], [`controller_run_fingerprint`]) or,
+//!   for a unit that composes records, by a synthetic `campaign-*` node
+//!   name over what it reads, and hands back a `Demand<T>`: a typed handle
+//!   on the unit's closure. That one closure is
 //!   the unit's body (a worker calls it and drops the value, which stays
 //!   behind in the caches) *and* the render's read (`Demand::get`), and a
 //!   render has no other way to a measured value — so an artifact is
@@ -31,7 +33,7 @@
 //!   bit-identical to the base config) collapse into one node whose
 //!   closure every demand of that fingerprint shares — the plan's *dedup
 //!   ratio*. Units that name the same simulation at two levels (a
-//!   `scheme:` unit resolves to the `fixed` or `pbsrun` record a
+//!   `scheme:` unit is arithmetic over the `fixed` or `pbsrun` record a
 //!   `bestfixed:` or `pbs:` unit also writes) meet in the cache's
 //!   single-flight tier instead.
 //! * [`run`] executes the unit graph over a [`gpu_sim::exec::with_workers`]
@@ -54,21 +56,23 @@
 //! an untraced campaign's `unit` spans add up to its simulated cycles and
 //! a warm one simulates none (`tests/campaign_warm.rs`). A unit computed
 //! twice is collapsed by the cache's single-flight tier. Worker panics are
-//! caught, flagged, and re-raised on the caller after the pool drains —
-//! the "catch-and-flag" pattern [`gpu_sim::exec::with_workers`] documents.
+//! caught, flagged, and the first is re-raised on the caller after the pool
+//! drains, naming the unit's label and fingerprint — the "catch-and-flag"
+//! pattern [`gpu_sim::exec::with_workers`] documents.
 //!
 //! [`alone_fingerprint`]: gpu_sim::alone::alone_fingerprint
 //! [`sweep_fingerprint`]: ebm_core::sweep::sweep_fingerprint
 //! [`FixedRunInputs::fingerprint`]: gpu_sim::harness::FixedRunInputs::fingerprint
-//! [`pbsrun_fingerprint`]: ebm_core::pbsrun::pbsrun_fingerprint
-//! [`scheme_fingerprint`]: ebm_core::eval::scheme_fingerprint
+//! [`controller_run_fingerprint`]: ebm_core::pbsrun::controller_run_fingerprint
 
 use crate::figures;
 use crate::util::{BenchArgs, Report};
-use ebm_core::eval::{scheme_fingerprint, Evaluator, EvaluatorConfig, Scheme, SchemeResult};
+use ebm_core::eval::{Evaluator, EvaluatorConfig, Scheme, SchemeResult};
 use ebm_core::metrics::EbObjective;
 use ebm_core::pattern::pbs_offline_search;
-use ebm_core::pbsrun::{pbsrun_fingerprint, run_pbs_traced, PbsRun, PbsRunSpec};
+use ebm_core::pbsrun::{
+    controller_run_fingerprint, run_controller_traced, ControllerRun, ControllerSpec,
+};
 use ebm_core::scaling::ScalingFactors;
 use ebm_core::sweep::{sweep_fingerprint, ComboSweep};
 use gpu_sim::alone::{alone_fingerprint, profile_alone, AloneProfile};
@@ -102,8 +106,8 @@ pub const ARTIFACTS: [&str; 21] = {
 
 /// A measurement as a function of the evaluator whose caches it reads
 /// and fills. The sink is for the one kind of run that can stream events
-/// while it simulates (a PBS run under `--trace`); workers and plain reads
-/// pass a [`NullSink`].
+/// while it simulates (a controller run under `--trace`); workers and plain
+/// reads pass a [`NullSink`].
 type Read<T> = Arc<dyn Fn(&Evaluator, &mut dyn TraceSink) -> T + Send + Sync>;
 
 /// A typed handle on one planned measurement: what a [`Planner`]
@@ -126,7 +130,7 @@ impl<T> Demand<T> {
     }
 
     /// [`Demand::get`] with a sink for the events of a run that streams
-    /// them: an enabled sink makes a PBS run simulate inline.
+    /// them: an enabled sink makes a controller run simulate inline.
     pub(crate) fn get_traced(&self, ev: &Evaluator, sink: &mut dyn TraceSink) -> T {
         (self.read)(ev, sink)
     }
@@ -485,8 +489,11 @@ impl Planner {
 
     /// A full scheme evaluation. Depends on the workload's alone profiles
     /// (SD denominators, ++bestTLP combination), the sweep for offline
-    /// schemes and the ++bestTLP result for `opt*`'s baseline guard — so
-    /// the run's warm-up phase is all store hits.
+    /// schemes and the ++bestTLP result for `opt*`'s baseline guard, so
+    /// everything but the scheme's own run is read, not simulated. The
+    /// evaluation is arithmetic over records and writes none of its own:
+    /// its fingerprint is a synthetic `campaign-scheme` node name over
+    /// every [`EvaluatorConfig`] field, the applications and the scheme.
     pub(crate) fn scheme(&mut self, w: &Workload, s: Scheme) -> Demand<SchemeResult> {
         let mut deps = units_of(&self.alones(w));
         if matches!(
@@ -498,11 +505,26 @@ impl Planner {
         if matches!(s, Scheme::Opt(_)) {
             deps.push(self.scheme(w, Scheme::BestTlp).unit);
         }
-        let fp = scheme_fingerprint(&self.cfg, w, s);
+        let cfg = &self.cfg;
+        let mut key = cache::KeyBuilder::new("campaign-scheme");
+        key.push(&cfg.gpu)
+            .push_u64(cfg.seed)
+            .push(&cfg.alone_spec)
+            .push(&cfg.sweep_spec)
+            .push_u64(cfg.run_cycles)
+            .push_u64(cfg.measure_from)
+            .push_u64(cfg.pbs_hold_windows)
+            .push_usize(w.n_apps());
+        for app in w.apps() {
+            key.push(*app);
+        }
+        key.push(&s);
         let label = format!("scheme:{}/{}", w.name(), s);
         let est = self.cfg.run_cycles;
         let wl = w.clone();
-        self.unit(fp, label, est, deps, move |ev, _| ev.evaluate(&wl, s))
+        self.unit(key.finish(), label, est, deps, move |ev, _| {
+            ev.evaluate(&wl, s)
+        })
     }
 
     /// A fixed-combination measurement on an explicitly described machine.
@@ -530,8 +552,8 @@ impl Planner {
         })
     }
 
-    /// A memoized PBS controller run. The one demand whose sink matters:
-    /// read through [`Demand::get_traced`] with an enabled sink, the run
+    /// A memoized controller run. The one demand whose sink matters: read
+    /// through [`Demand::get_traced`] with an enabled sink, the run
     /// simulates inline and streams its events.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn pbs(
@@ -542,8 +564,8 @@ impl Planner {
         start: TlpCombo,
         run_cycles: u64,
         measure_from: u64,
-        spec: PbsRunSpec,
-    ) -> Demand<PbsRun> {
+        spec: ControllerSpec,
+    ) -> Demand<ControllerRun> {
         let m = Machine {
             gpu: g.clone(),
             w: w.clone(),
@@ -551,10 +573,10 @@ impl Planner {
             seed: self.cfg.seed,
             ccws: false,
         };
-        let fp = pbsrun_fingerprint(&m.inputs(), &start, run_cycles, measure_from, &spec);
-        let label = format!("pbs:{}#{}", w.name(), &fp.to_hex()[..8]);
+        let fp = controller_run_fingerprint(&m.inputs(), &start, run_cycles, measure_from, &spec);
+        let label = format!("{}:{}#{}", spec.label(), w.name(), &fp.to_hex()[..8]);
         self.unit(fp, label, run_cycles, Vec::new(), move |_, sink| {
-            run_pbs_traced(&m.inputs(), &start, run_cycles, measure_from, &spec, sink)
+            run_controller_traced(&m.inputs(), &start, run_cycles, measure_from, &spec, sink)
         })
     }
 
@@ -564,8 +586,8 @@ impl Planner {
         &mut self,
         g: &GpuConfig,
         w: &Workload,
-        spec: PbsRunSpec,
-    ) -> Demand<PbsRun> {
+        spec: ControllerSpec,
+    ) -> Demand<ControllerRun> {
         let start = TlpCombo::uniform(g.max_tlp(), w.n_apps());
         let (run_cycles, measure_from) = (self.cfg.run_cycles, self.cfg.measure_from);
         self.pbs(g, w, None, start, run_cycles, measure_from, spec)
@@ -799,7 +821,8 @@ struct SchedState {
     remaining: usize,
     executed: usize,
     peak_ready: usize,
-    panic: Option<Box<dyn std::any::Any + Send>>,
+    /// The first panicked unit and its payload.
+    panic: Option<(usize, Box<dyn Any + Send>)>,
 }
 
 fn lock<'a>(state: &'a Mutex<SchedState>) -> MutexGuard<'a, SchedState> {
@@ -811,7 +834,8 @@ fn lock<'a>(state: &'a Mutex<SchedState>) -> MutexGuard<'a, SchedState> {
 /// renders each figure in serial artifact order as soon as its units are
 /// done and hands the report to `emit` (the `experiments` binary passes
 /// [`crate::util::run_and_save`]; benchmarks pass a no-op to keep stdout
-/// clean). Worker panics re-raise on the caller after the pool drains.
+/// clean). The first worker panic re-raises on the caller after the pool
+/// drains, naming the unit's label and fingerprint.
 pub fn run(
     campaign: Campaign,
     ev: &Evaluator,
@@ -900,7 +924,8 @@ fn run_with(
         let cycles0 = gpu_sim::metrics::thread_cycles_simulated();
         // Catch the panic instead of dying: a dead worker would leave the
         // coordinator (and its siblings) blocked on the condvar forever.
-        // The payload is stored first-wins and re-raised by the caller.
+        // The unit and payload are stored first-wins and re-raised by the
+        // caller.
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let _span = crate::profiler::span("unit", &units[idx].label);
             units[idx].body.run(ev);
@@ -915,9 +940,7 @@ fn run_with(
         });
         let mut s = lock(state);
         if let Err(payload) = outcome {
-            if s.panic.is_none() {
-                s.panic = Some(payload);
-            }
+            s.panic.get_or_insert((idx, payload));
         }
         s.done[idx] = true;
         s.remaining -= 1;
@@ -961,8 +984,18 @@ fn run_with(
 
     exec::with_workers(workers, worker, coordinator);
 
-    if let Some(payload) = lock(state).panic.take() {
-        std::panic::resume_unwind(payload);
+    if let Some((idx, payload)) = lock(state).panic.take() {
+        let text = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("<non-string payload>");
+        let unit = &units[idx];
+        panic!(
+            "campaign unit {} ({}) panicked: {text}",
+            unit.label,
+            unit.fp.to_hex()
+        );
     }
 
     let (executed, peak_ready) = {
@@ -1258,26 +1291,33 @@ mod tests {
     #[test]
     fn panicking_unit_propagates_after_drain() {
         let ev = Evaluator::new(EvaluatorConfig::quick());
-        let boom: Read<()> = Arc::new(|_, _| panic!("unit exploded"));
-        let campaign = Campaign {
-            units: vec![Unit {
-                label: "boom".into(),
-                fp: Fingerprint(0),
-                cost: 1,
-                deps: Vec::new(),
-                body: Box::new(boom),
-            }],
-            figures: Vec::new(),
-            requested: 1,
-        };
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run(campaign, &ev, &mut gpu_sim::trace::NullSink, &mut |_| {});
-        }));
-        let payload = caught.expect_err("panic must propagate");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .unwrap_or("<non-str payload>");
-        assert!(msg.contains("unit exploded"), "payload: {msg}");
+        let fp = Fingerprint(0xfeed_f00d_dead_beef);
+        let str_payload: Read<()> = Arc::new(|_, _| panic!("unit exploded"));
+        let string_payload: Read<()> = Arc::new(|_, _| panic!("unit {} exploded", 7));
+        for (body, text) in [
+            (str_payload, "unit exploded"),
+            (string_payload, "unit 7 exploded"),
+        ] {
+            let campaign = Campaign {
+                units: vec![Unit {
+                    label: "boom".into(),
+                    fp,
+                    cost: 1,
+                    deps: Vec::new(),
+                    body: Box::new(body),
+                }],
+                figures: Vec::new(),
+                requested: 1,
+            };
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run(campaign, &ev, &mut gpu_sim::trace::NullSink, &mut |_| {});
+            }));
+            let payload = caught.expect_err("panic must propagate");
+            let msg = payload
+                .downcast_ref::<String>()
+                .map_or("<non-String payload>", String::as_str);
+            let want = format!("campaign unit boom ({}) panicked: {text}", fp.to_hex());
+            assert_eq!(msg, want);
+        }
     }
 }

@@ -25,7 +25,7 @@ use ebm_core::eval::{Evaluator, Scheme};
 use ebm_core::hw::OverheadReport;
 use ebm_core::metrics::{alone_ratio, EbObjective};
 use ebm_core::pattern::{pbs_offline_search, SweepCurve};
-use ebm_core::pbsrun::PbsRunSpec;
+use ebm_core::pbsrun::{ControllerSpec, PbsRunSpec};
 use ebm_core::scaling::ScalingFactors;
 use ebm_core::search::{best_combo_by_eb, best_combo_by_sd};
 use ebm_core::sweep::ComboSweep;
@@ -575,7 +575,11 @@ fn plan_fig11(p: &mut Planner) -> Render {
     let runs = [EbObjective::Ws, EbObjective::Fi].map(|objective| {
         (
             objective,
-            p.pbs_of(&gpu, &w, PbsRunSpec::scheme(objective, hold)),
+            p.pbs_of(
+                &gpu,
+                &w,
+                ControllerSpec::Pbs(PbsRunSpec::scheme(objective, hold)),
+            ),
         )
     });
     Box::new(move |ev, sink| {
@@ -754,7 +758,7 @@ fn plan_threeapp(p: &mut Planner) -> Render {
             .collect();
         let at_best = p.best_fixed_split(&w, per_app, alone_spec, run_spec);
         let at_max = p.fixed(&gpu, &w, split.clone(), false, max.clone(), run_spec);
-        let paper = PbsRunSpec::paper(EbObjective::Ws, 150);
+        let paper = ControllerSpec::Pbs(PbsRunSpec::paper(EbObjective::Ws, 150));
         let start = max.clone();
         let pbs = p.pbs(&gpu, &w, split, start, run_cycles, measure_from, paper);
         (w.name(), alones, at_best, at_max, pbs)
@@ -970,7 +974,7 @@ fn plan_sampling(p: &mut Planner) -> Render {
     // estimation-error run.
     let (error_spec, error_windows) = (RunSpec::new(3_000, 2_000), 20);
     let span = p.cfg.scheme_span();
-    let paper = PbsRunSpec::paper(EbObjective::Ws, p.cfg.pbs_hold_windows);
+    let paper = ControllerSpec::Pbs(PbsRunSpec::paper(EbObjective::Ws, p.cfg.pbs_hold_windows));
     let mixes = [
         ("BLK", "BFS"),
         ("BFS", "FFT"),
@@ -1037,7 +1041,11 @@ fn plan_phased(p: &mut Planner) -> Render {
         // Offline PBS: one combination from the (phase-averaged) sweep.
         let offline = p.offline_fixed(&w, span);
         // Online PBS with a short hold, so it re-searches within each phase.
-        let online = p.pbs_of(&gpu, &w, PbsRunSpec::paper(EbObjective::Ws, 60));
+        let online = p.pbs_of(
+            &gpu,
+            &w,
+            ControllerSpec::Pbs(PbsRunSpec::paper(EbObjective::Ws, 60)),
+        );
         (w.name(), alones, base, offline, online)
     });
     Box::new(move |ev, _| {
@@ -1114,7 +1122,7 @@ fn plan_ablation(p: &mut Planner) -> Render {
     .map(|(a, b)| {
         let w = Workload::pair(a, b);
         let (alones, base) = (p.alones(&w), p.best_fixed(&w, span));
-        let runs = variants.map(|(_, spec)| p.pbs_of(&gpu, &w, spec));
+        let runs = variants.map(|(_, spec)| p.pbs_of(&gpu, &w, ControllerSpec::Pbs(spec)));
         (w.name(), alones, base, runs)
     });
     Box::new(move |ev, _| {

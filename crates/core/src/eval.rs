@@ -1,32 +1,29 @@
-//! Memoizing evaluation driver: run any scheme on any workload, report
-//! SD-based system metrics.
+//! Evaluation driver: run any scheme on any workload, report SD-based
+//! system metrics.
 //!
-//! This is the engine behind Figs. 9 and 10 and the `hs`/`threeapp`
-//! harnesses: it caches alone-run profiles (the SD denominators and
-//! bestTLP values) and 64-combination sweeps (shared by opt, BF and the
-//! offline PBS variants), then executes each scheme end-to-end on a fresh
-//! machine. A scheme that comes down to one fixed-combination run (the
-//! static and offline schemes, `++CCWS`) or to one PBS run reads it through
-//! the run-level caches ([`measure_fixed_cached`], [`run_pbs_traced`]), so
-//! schemes picking the same combination, and campaign units naming the same
-//! run, share one simulation.
+//! This is the engine behind Figs. 9 and 10 and the `hs` table. A
+//! [`SchemeResult`] is arithmetic over run records: the alone profiles give
+//! the SD denominators and the ++bestTLP combination, the 64-combination
+//! sweep gives the offline schemes' combination, and exactly one run gives
+//! the measured windows — a fixed-combination run ([`measure_fixed_cached`]:
+//! the static and offline schemes, `++CCWS`) or a controlled run
+//! ([`run_controller_cached`]: PBS, ++DynCTA, Mod+Bypass). Alone profiles
+//! and sweeps are held in the shared [`ResultStore`], runs in
+//! [`gpu_sim::cache`], so schemes picking the same combination, and
+//! campaign units naming the same run, share one simulation, and a scheme
+//! evaluation keeps no record of its own.
 
 use crate::metrics::EbObjective;
 use crate::pattern::pbs_offline_search;
-use crate::pbsrun::{run_pbs_traced, PbsRunSpec};
-use crate::policy::{DynCta, ModBypass};
+use crate::pbsrun::{run_controller_cached, ControllerSpec, PbsRunSpec};
 use crate::scaling::ScalingFactors;
-use crate::search::{best_combo_by_eb, best_combo_by_sd};
+use crate::search::{best_combo_by_eb, best_combo_by_it, best_combo_by_sd};
 use crate::store::ResultStore;
 use crate::sweep::ComboSweep;
 use gpu_sim::alone::{profile_alone, AloneProfile};
-use gpu_sim::control::Controller;
-use gpu_sim::exec;
-use gpu_sim::harness::{measure_fixed_cached, run_controlled_traced, FixedRunInputs, RunSpec};
-use gpu_sim::machine::Gpu;
+use gpu_sim::harness::{measure_fixed_cached, FixedRunInputs, RunSpec};
 use gpu_sim::metrics::SystemMetrics;
-use gpu_sim::trace::{NullSink, TraceEvent, TraceSink};
-use gpu_types::canon::{Canon, CanonBuf, CanonReader, Fingerprint};
+use gpu_types::canon::{Canon, CanonBuf};
 use gpu_types::{AppWindow, GpuConfig, TlpCombo, TlpLevel};
 use gpu_workloads::{AppProfile, Workload};
 use std::fmt;
@@ -184,14 +181,14 @@ pub struct SchemeResult {
     pub windows: Vec<AppWindow>,
 }
 
-/// The memoizing evaluation driver: a thin, cheaply clonable **view** over
-/// a shared [`ResultStore`].
+/// The evaluation driver: a thin, cheaply clonable **view** over a shared
+/// [`ResultStore`].
 ///
-/// Every method takes `&self`; all memo state lives in the store behind
-/// sharded interior mutability, so any number of views — one per figure
-/// generator, one per campaign-scheduler worker — fill and read the same
-/// tables concurrently. Cloning an evaluator clones an `Arc`, nothing
-/// else.
+/// Every method takes `&self`; the alone profiles and sweeps live in the
+/// store behind sharded interior mutability, and runs in [`gpu_sim::cache`],
+/// so any number of views — one per figure generator, one per
+/// campaign-scheduler worker — fill and read the same tables concurrently.
+/// Cloning an evaluator clones an `Arc`, nothing else.
 ///
 /// # Examples
 ///
@@ -208,39 +205,6 @@ pub struct Evaluator {
     store: Arc<ResultStore>,
 }
 
-/// Everything a scheme run reads, warmed up front so the run itself is a
-/// pure function of `(ctx, workload, scheme)` — the property that lets
-/// [`Evaluator::evaluate_batch`] fan schemes out across threads while
-/// staying bit-for-bit identical to the serial path (which calls the very
-/// same [`run_scheme`]).
-struct SchemeCtx<'a> {
-    cfg: &'a EvaluatorConfig,
-    /// Sweep table, present iff some requested scheme is offline.
-    sweep: Option<ComboSweep>,
-    /// Per-application alone `IPC@bestTLP` (the SD denominators).
-    alone_ipcs: Vec<f64>,
-    /// The ++bestTLP combination.
-    best_combo: TlpCombo,
-    /// Sampled scaling factors, present iff some requested offline scheme
-    /// wants them.
-    sampled: Option<ScalingFactors>,
-    /// The ++bestTLP result, present iff an `opt*` scheme needs its
-    /// never-worse-than-baseline guard.
-    baseline: Option<SchemeResult>,
-}
-
-impl SchemeCtx<'_> {
-    fn scaling_for(&self, objective: EbObjective, n_apps: usize) -> ScalingFactors {
-        if objective.wants_scaling() {
-            self.sampled
-                .clone()
-                .expect("sampled factors warmed for scaling objectives")
-        } else {
-            ScalingFactors::none(n_apps)
-        }
-    }
-}
-
 fn metrics_for(alone_ipcs: &[f64], windows: &[AppWindow]) -> SystemMetrics {
     let sds = windows
         .iter()
@@ -250,26 +214,14 @@ fn metrics_for(alone_ipcs: &[f64], windows: &[AppWindow]) -> SystemMetrics {
     SystemMetrics::from_slowdowns(sds)
 }
 
-/// Emits one final [`TraceEvent::WindowSample`] per application covering a
-/// fixed-combination run's whole measured region (static schemes have no
-/// window-by-window dynamics worth streaming).
-fn emit_overall(sink: &mut dyn TraceSink, cycle: u64, windows: &[gpu_types::AppWindow]) {
-    if !sink.enabled() {
-        return;
+/// The scaling factors `objective` reads off `sweep`: sampled for the
+/// objectives defined on scaled EBs, none otherwise.
+fn scaling_for(sweep: &ComboSweep, objective: EbObjective) -> ScalingFactors {
+    if objective.wants_scaling() {
+        ScalingFactors::sampled(sweep)
+    } else {
+        ScalingFactors::none(sweep.n_apps())
     }
-    for (a, w) in windows.iter().enumerate() {
-        sink.emit(TraceEvent::WindowSample {
-            cycle,
-            app: a as u8,
-            eb: w.effective_bandwidth(),
-            bw: w.attained_bw(),
-            cmr: w.combined_miss_rate(),
-            l1mr: w.counters.l1_miss_rate(),
-            l2mr: w.counters.l2_miss_rate(),
-            ipc: w.ipc(),
-        });
-    }
-    sink.flush();
 }
 
 /// The machine every scheme of `workload` runs on, as the run-level caches
@@ -288,293 +240,6 @@ fn machine_of<'a>(
     }
 }
 
-/// One fixed-combination run of `workload` over the scheme-run span, read
-/// through the run-level cache ([`measure_fixed_cached`]): schemes that
-/// resolve to the same combination, and `fixed` / `bestfixed` campaign
-/// units naming it, share one simulation.
-fn fixed_windows(
-    cfg: &EvaluatorConfig,
-    workload: &Workload,
-    combo: &TlpCombo,
-    ccws: bool,
-    sink: &mut dyn TraceSink,
-) -> Vec<AppWindow> {
-    let spec = cfg.scheme_span();
-    let windows = measure_fixed_cached(&machine_of(cfg, workload, ccws), combo, spec);
-    emit_overall(sink, cfg.run_cycles, &windows);
-    windows
-}
-
-fn static_run(
-    ctx: &SchemeCtx<'_>,
-    workload: &Workload,
-    combo: TlpCombo,
-    scheme: Scheme,
-    sink: &mut dyn TraceSink,
-) -> SchemeResult {
-    let windows = fixed_windows(ctx.cfg, workload, &combo, false, sink);
-    let metrics = metrics_for(&ctx.alone_ipcs, &windows);
-    SchemeResult {
-        scheme,
-        metrics,
-        tlp_trace: vec![(0, combo.levels().to_vec())],
-        combo: Some(combo),
-        windows,
-    }
-}
-
-fn dynamic_run(
-    ctx: &SchemeCtx<'_>,
-    workload: &Workload,
-    controller: &mut dyn Controller,
-    start: TlpCombo,
-    scheme: Scheme,
-    sink: &mut dyn TraceSink,
-) -> SchemeResult {
-    let cfg = ctx.cfg;
-    let mut gpu = Gpu::new(&cfg.gpu, workload.apps(), cfg.seed);
-    gpu.set_combo(&start);
-    let run = run_controlled_traced(&mut gpu, controller, cfg.run_cycles, cfg.measure_from, sink);
-    let metrics = metrics_for(&ctx.alone_ipcs, &run.overall);
-    SchemeResult {
-        scheme,
-        metrics,
-        combo: None,
-        tlp_trace: run.tlp_trace,
-        windows: run.overall,
-    }
-}
-
-/// Runs one scheme end-to-end from a warmed context, streaming its events
-/// into `sink` (an enabled sink makes the controller runs simulate inline;
-/// fixed-combination runs only ever emit their overall windows). Shared
-/// verbatim by the serial and the parallel evaluation paths (the latter
-/// always passes a [`NullSink`]).
-fn run_scheme(
-    ctx: &SchemeCtx<'_>,
-    workload: &Workload,
-    scheme: Scheme,
-    sink: &mut dyn TraceSink,
-) -> SchemeResult {
-    let cfg = ctx.cfg;
-    let max = cfg.gpu.max_tlp();
-    let n = workload.n_apps();
-    match scheme {
-        Scheme::BestTlp => static_run(ctx, workload, ctx.best_combo.clone(), scheme, sink),
-        Scheme::MaxTlp => static_run(ctx, workload, TlpCombo::uniform(max, n), scheme, sink),
-        Scheme::DynCta => {
-            let mut c = DynCta::new(max);
-            dynamic_run(
-                ctx,
-                workload,
-                &mut c,
-                TlpCombo::uniform(max, n),
-                scheme,
-                sink,
-            )
-        }
-        Scheme::Ccws => {
-            // CCWS throttles inside the cores; no window controller.
-            let windows = fixed_windows(cfg, workload, &TlpCombo::uniform(max, n), true, sink);
-            let metrics = metrics_for(&ctx.alone_ipcs, &windows);
-            SchemeResult {
-                scheme,
-                metrics,
-                combo: None,
-                tlp_trace: Vec::new(),
-                windows,
-            }
-        }
-        Scheme::ModBypass => {
-            let mut c = ModBypass::new(max);
-            dynamic_run(
-                ctx,
-                workload,
-                &mut c,
-                TlpCombo::uniform(max, n),
-                scheme,
-                sink,
-            )
-        }
-        Scheme::Pbs(objective) => {
-            // The run-level record: the `pbs:` paper unit, Fig. 11 and this
-            // scheme name one simulation.
-            let run = run_pbs_traced(
-                &machine_of(cfg, workload, false),
-                &TlpCombo::uniform(max, n),
-                cfg.run_cycles,
-                cfg.measure_from,
-                &PbsRunSpec::scheme(objective, cfg.pbs_hold_windows),
-                sink,
-            );
-            SchemeResult {
-                scheme,
-                metrics: metrics_for(&ctx.alone_ipcs, &run.overall),
-                combo: None,
-                tlp_trace: run.tlp_trace,
-                windows: run.overall,
-            }
-        }
-        Scheme::PbsOffline(objective) => {
-            let sweep = ctx
-                .sweep
-                .as_ref()
-                .expect("sweep warmed for offline schemes");
-            let scaling = ctx.scaling_for(objective, n);
-            let (combo, _) = pbs_offline_search(sweep, objective, &scaling);
-            static_run(ctx, workload, combo, scheme, sink)
-        }
-        Scheme::BruteForce(objective) => {
-            let sweep = ctx
-                .sweep
-                .as_ref()
-                .expect("sweep warmed for offline schemes");
-            let scaling = ctx.scaling_for(objective, n);
-            let (combo, _) = best_combo_by_eb(sweep, objective, &scaling);
-            static_run(ctx, workload, combo, scheme, sink)
-        }
-        Scheme::Opt(objective) => {
-            let sweep = ctx
-                .sweep
-                .as_ref()
-                .expect("sweep warmed for offline schemes");
-            let (combo, _) = best_combo_by_sd(sweep, objective, &ctx.alone_ipcs);
-            let candidate = static_run(ctx, workload, combo, scheme, sink);
-            // The exhaustive search space contains the ++bestTLP
-            // combination, so the oracle can never do worse than the
-            // baseline; if the (shorter-window) sweep mis-ranked the
-            // two, take the baseline combination instead.
-            let baseline = ctx
-                .baseline
-                .as_ref()
-                .expect("baseline warmed for opt schemes");
-            let metric = |m: &SystemMetrics| match objective {
-                EbObjective::Ws => m.ws,
-                EbObjective::Fi => m.fi,
-                EbObjective::Hs => m.hs,
-            };
-            if metric(&candidate.metrics) >= metric(&baseline.metrics) {
-                candidate
-            } else {
-                SchemeResult {
-                    scheme,
-                    ..baseline.clone()
-                }
-            }
-        }
-        Scheme::OptIt => {
-            let sweep = ctx
-                .sweep
-                .as_ref()
-                .expect("sweep warmed for offline schemes");
-            let (combo, _) = crate::search::best_combo_by_it(sweep);
-            static_run(ctx, workload, combo, scheme, sink)
-        }
-    }
-}
-
-/// Persistent cache key of one scheme run: every [`EvaluatorConfig`] field,
-/// the full content of every co-scheduled application profile and the
-/// scheme's canonical tag. All of a run's other inputs (alone IPCs, the
-/// sweep table, scaling factors, the ++bestTLP baseline) are deterministic
-/// functions of these, so they stay out of the key.
-///
-/// Public so the campaign scheduler (`ebm_bench::campaign`) can identify a
-/// planned scheme evaluation by the same content address the cache uses.
-pub fn scheme_fingerprint(
-    cfg: &EvaluatorConfig,
-    workload: &Workload,
-    scheme: Scheme,
-) -> Fingerprint {
-    let mut key = gpu_sim::cache::KeyBuilder::new("scheme");
-    key.push(&cfg.gpu)
-        .push_u64(cfg.seed)
-        .push(&cfg.alone_spec)
-        .push(&cfg.sweep_spec)
-        .push_u64(cfg.run_cycles)
-        .push_u64(cfg.measure_from)
-        .push_u64(cfg.pbs_hold_windows)
-        .push_usize(workload.n_apps());
-    for app in workload.apps() {
-        key.push(*app);
-    }
-    key.push(&scheme);
-    key.finish()
-}
-
-/// Serializes a [`SchemeResult`] payload. The derived metrics (WS, FI, HS)
-/// are not stored: they are recomputed from the slowdowns on decode through
-/// the same [`SystemMetrics::from_slowdowns`] path, which is exact on the
-/// stored bit patterns.
-fn encode_result(r: &SchemeResult) -> Vec<u8> {
-    let mut buf = CanonBuf::new();
-    buf.push_usize(r.metrics.sds.len());
-    for &sd in &r.metrics.sds {
-        buf.push_f64(sd);
-    }
-    match &r.combo {
-        Some(c) => {
-            buf.push_bool(true);
-            c.canon(&mut buf);
-        }
-        None => buf.push_bool(false),
-    }
-    buf.push_usize(r.tlp_trace.len());
-    for (cycle, levels) in &r.tlp_trace {
-        buf.push_u64(*cycle);
-        buf.push_usize(levels.len());
-        for l in levels {
-            buf.push_u32(l.get());
-        }
-    }
-    buf.push_usize(r.windows.len());
-    for w in &r.windows {
-        gpu_sim::cache::push_window(&mut buf, w);
-    }
-    buf.into_bytes()
-}
-
-fn read_levels(r: &mut CanonReader<'_>) -> Option<Vec<TlpLevel>> {
-    let n = r.read_usize()?;
-    let mut levels = Vec::with_capacity(n);
-    for _ in 0..n {
-        levels.push(TlpLevel::new(r.read_u32()?)?);
-    }
-    Some(levels)
-}
-
-fn decode_result(bytes: &[u8], scheme: Scheme) -> Option<SchemeResult> {
-    let mut r = CanonReader::new(bytes);
-    let n_sds = r.read_usize()?;
-    let mut sds = Vec::with_capacity(n_sds);
-    for _ in 0..n_sds {
-        sds.push(r.read_f64()?);
-    }
-    let combo = if r.read_bool()? {
-        Some(TlpCombo::new(read_levels(&mut r)?))
-    } else {
-        None
-    };
-    let n_trace = r.read_usize()?;
-    let mut tlp_trace = Vec::with_capacity(n_trace);
-    for _ in 0..n_trace {
-        let cycle = r.read_u64()?;
-        tlp_trace.push((cycle, read_levels(&mut r)?));
-    }
-    let n_windows = r.read_usize()?;
-    let mut windows = Vec::with_capacity(n_windows);
-    for _ in 0..n_windows {
-        windows.push(gpu_sim::cache::read_window(&mut r)?);
-    }
-    (r.is_empty() && !sds.is_empty()).then(|| SchemeResult {
-        scheme,
-        metrics: SystemMetrics::from_slowdowns(sds),
-        combo,
-        tlp_trace,
-        windows,
-    })
-}
-
 impl fmt::Debug for Evaluator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Evaluator")
@@ -591,12 +256,6 @@ impl Evaluator {
         Evaluator {
             store: Arc::new(ResultStore::new(cfg)),
         }
-    }
-
-    /// A view over an existing shared store: evaluations through this view
-    /// read and fill the same memo tables as every other view of `store`.
-    pub fn from_store(store: Arc<ResultStore>) -> Self {
-        Evaluator { store }
     }
 
     /// The shared store behind this view.
@@ -660,169 +319,91 @@ impl Evaluator {
         ScalingFactors::sampled(&self.sweep(workload))
     }
 
-    /// Warms every cache the given schemes read and assembles the immutable
-    /// run context. All fills go through the shared store, so concurrent
-    /// warm-ups of one workload share (rather than repeat) the work.
-    fn warm_ctx(&self, workload: &Workload, schemes: &[Scheme]) -> SchemeCtx<'_> {
-        let needs_sweep = schemes.iter().any(|s| {
-            matches!(
-                s,
-                Scheme::PbsOffline(_) | Scheme::BruteForce(_) | Scheme::Opt(_) | Scheme::OptIt
-            )
-        });
-        let needs_sampled = schemes.iter().any(
-            |s| matches!(s, Scheme::PbsOffline(o) | Scheme::BruteForce(o) if o.wants_scaling()),
-        );
-        let needs_baseline = schemes.iter().any(|s| matches!(s, Scheme::Opt(_)));
-        let alone_ipcs = self.alone_ipcs(workload);
-        let best_combo = self.best_tlp_combo(workload);
-        let sweep = if needs_sweep {
-            Some(self.sweep(workload))
-        } else {
-            None
-        };
-        let sampled = if needs_sampled {
-            Some(self.sampled_factors(workload))
-        } else {
-            None
-        };
-        let baseline = if needs_baseline {
-            Some(self.evaluate(workload, Scheme::BestTlp))
-        } else {
-            None
-        };
-        SchemeCtx {
-            cfg: self.config(),
-            sweep,
-            alone_ipcs,
-            best_combo,
-            sampled,
-            baseline,
-        }
-    }
-
     /// Runs `scheme` on `workload` and reports its SD-based metrics.
-    /// Results are memoized (runs are deterministic).
+    ///
+    /// The result is arithmetic over records: the alone profiles (SD
+    /// denominators, the ++bestTLP combination), the sweep for the offline
+    /// schemes' pick, and exactly one run — a fixed-combination run
+    /// ([`measure_fixed_cached`]) or a controlled run
+    /// ([`run_controller_cached`]) over the scheme span. Each is memoized
+    /// where it is computed, so a scheme whose inputs are recorded simulates
+    /// nothing.
     pub fn evaluate(&self, workload: &Workload, scheme: Scheme) -> SchemeResult {
-        let key = (workload.name(), scheme);
-        if let Some(hit) = self.store.results.get(&key) {
-            return hit;
-        }
-        let result = self.evaluate_uncached(workload, scheme);
-        self.store.results.insert(key, result.clone());
-        result
-    }
-
-    /// The in-process memo missed: consult the persistent
-    /// [`gpu_sim::cache`] tier, simulating (and warming the run context)
-    /// only on a full miss. A persistent hit skips the warm-up phase too —
-    /// the alone profiles and sweep the run would have warmed are
-    /// themselves cached and will be decoded if some later call needs them.
-    fn evaluate_uncached(&self, workload: &Workload, scheme: Scheme) -> SchemeResult {
-        let fp = scheme_fingerprint(self.config(), workload, scheme);
-        gpu_sim::cache::memoize(
-            fp,
-            encode_result,
-            |bytes| decode_result(bytes, scheme),
-            || {
-                let ctx = self.warm_ctx(workload, &[scheme]);
-                run_scheme(&ctx, workload, scheme, &mut NullSink)
-            },
-        )
-    }
-
-    /// Runs `scheme` on `workload` like [`Evaluator::evaluate`], streaming
-    /// every [`TraceEvent`] the run produces into `sink`.
-    ///
-    /// Traced runs bypass the result memo-cache on *read* (a cache hit
-    /// would produce no events), but runs are deterministic, so the
-    /// returned metrics are identical to the cached ones; the fresh result
-    /// is (re-)inserted so later untraced calls still hit.
-    pub fn evaluate_traced(
-        &self,
-        workload: &Workload,
-        scheme: Scheme,
-        sink: &mut dyn TraceSink,
-    ) -> SchemeResult {
-        let ctx = self.warm_ctx(workload, &[scheme]);
-        let result = run_scheme(&ctx, workload, scheme, sink);
-        self.store
-            .results
-            .insert((workload.name(), scheme), result.clone());
-        result
-    }
-
-    /// Evaluates every scheme in `schemes` on `workload`, fanning the
-    /// uncached ones out across [`exec::worker_count`] threads.
-    ///
-    /// Shared artifacts (alone profiles, the sweep table, sampled scaling
-    /// factors, the ++bestTLP baseline) are warmed *before* the fan-out, so
-    /// every scheme run is a pure function of an immutable context and the
-    /// results — served in input order — are bit-for-bit identical to
-    /// calling [`Evaluator::evaluate`] in a loop. All results enter the
-    /// memo cache as usual.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ebm_core::eval::{Evaluator, EvaluatorConfig, Scheme};
-    /// use gpu_workloads::Workload;
-    ///
-    /// let ev = Evaluator::new(EvaluatorConfig::quick());
-    /// let wl = Workload::pair("BLK", "BFS");
-    /// let results = ev.evaluate_batch(&wl, &[Scheme::BestTlp, Scheme::MaxTlp]);
-    /// assert_eq!(results.len(), 2);
-    /// // Results come back in input order, identical to serial evaluation.
-    /// assert_eq!(results[0].scheme, Scheme::BestTlp);
-    /// ```
-    pub fn evaluate_batch(&self, workload: &Workload, schemes: &[Scheme]) -> Vec<SchemeResult> {
-        self.evaluate_batch_with_threads(workload, schemes, exec::worker_count())
-    }
-
-    /// [`Evaluator::evaluate_batch`] with an explicit thread count
-    /// (1 = fully sequential).
-    pub fn evaluate_batch_with_threads(
-        &self,
-        workload: &Workload,
-        schemes: &[Scheme],
-        threads: usize,
-    ) -> Vec<SchemeResult> {
-        let mut missing: Vec<Scheme> = Vec::new();
-        for &s in schemes {
-            if !self.store.results.contains(&(workload.name(), s)) && !missing.contains(&s) {
-                missing.push(s);
-            }
-        }
-        if !missing.is_empty() {
-            let ctx = self.warm_ctx(workload, &missing);
-            // Warming the ++bestTLP baseline may have filled some of the
-            // requested entries via the memo cache; drop those before the
-            // fan-out.
-            missing.retain(|s| !self.store.results.contains(&(workload.name(), *s)));
-            let cfg = self.config();
-            // Each fanned-out scheme still consults the persistent
-            // cache tier, exactly like the serial path.
-            let results = exec::par_map_with(threads, missing.clone(), |s| {
-                gpu_sim::cache::memoize(
-                    scheme_fingerprint(cfg, workload, s),
-                    encode_result,
-                    |bytes| decode_result(bytes, s),
-                    || run_scheme(&ctx, workload, s, &mut NullSink),
+        let cfg = self.config();
+        let max = TlpCombo::uniform(cfg.gpu.max_tlp(), workload.n_apps());
+        let alone_ipcs = self.alone_ipcs(workload);
+        let result = |combo: Option<TlpCombo>, tlp_trace, windows: Vec<AppWindow>| SchemeResult {
+            scheme,
+            metrics: metrics_for(&alone_ipcs, &windows),
+            combo,
+            tlp_trace,
+            windows,
+        };
+        let fixed = |combo: TlpCombo| {
+            let windows =
+                measure_fixed_cached(&machine_of(cfg, workload, false), &combo, cfg.scheme_span());
+            let tlp_trace = vec![(0, combo.levels().to_vec())];
+            result(Some(combo), tlp_trace, windows)
+        };
+        let controlled = |spec: ControllerSpec| {
+            let run = run_controller_cached(
+                &machine_of(cfg, workload, false),
+                &max,
+                cfg.run_cycles,
+                cfg.measure_from,
+                &spec,
+            );
+            result(None, run.tlp_trace, run.overall)
+        };
+        match scheme {
+            Scheme::BestTlp => fixed(self.best_tlp_combo(workload)),
+            Scheme::MaxTlp => fixed(max.clone()),
+            Scheme::DynCta => controlled(ControllerSpec::DynCta),
+            Scheme::ModBypass => controlled(ControllerSpec::ModBypass),
+            Scheme::Pbs(objective) => controlled(ControllerSpec::Pbs(PbsRunSpec::scheme(
+                objective,
+                cfg.pbs_hold_windows,
+            ))),
+            Scheme::Ccws => {
+                // CCWS throttles inside the cores; no window controller.
+                let inputs = machine_of(cfg, workload, true);
+                result(
+                    None,
+                    Vec::new(),
+                    measure_fixed_cached(&inputs, &max, cfg.scheme_span()),
                 )
-            });
-            for (s, r) in missing.iter().zip(results) {
-                self.store.results.insert((workload.name(), *s), r);
+            }
+            Scheme::PbsOffline(objective) => {
+                let sweep = self.sweep(workload);
+                let scaling = scaling_for(&sweep, objective);
+                fixed(pbs_offline_search(&sweep, objective, &scaling).0)
+            }
+            Scheme::BruteForce(objective) => {
+                let sweep = self.sweep(workload);
+                let scaling = scaling_for(&sweep, objective);
+                fixed(best_combo_by_eb(&sweep, objective, &scaling).0)
+            }
+            Scheme::OptIt => fixed(best_combo_by_it(&self.sweep(workload)).0),
+            Scheme::Opt(objective) => {
+                let sweep = self.sweep(workload);
+                let candidate = fixed(best_combo_by_sd(&sweep, objective, &alone_ipcs).0);
+                // The exhaustive search space contains the ++bestTLP
+                // combination, so the oracle can never do worse than the
+                // baseline; if the (shorter-window) sweep mis-ranked the
+                // two, take the baseline's run instead.
+                let baseline = self.evaluate(workload, Scheme::BestTlp);
+                let metric = |m: &SystemMetrics| match objective {
+                    EbObjective::Ws => m.ws,
+                    EbObjective::Fi => m.fi,
+                    EbObjective::Hs => m.hs,
+                };
+                if metric(&candidate.metrics) >= metric(&baseline.metrics) {
+                    candidate
+                } else {
+                    SchemeResult { scheme, ..baseline }
+                }
             }
         }
-        schemes
-            .iter()
-            .map(|s| {
-                self.store
-                    .results
-                    .get(&(workload.name(), *s))
-                    .expect("every requested scheme was just evaluated")
-            })
-            .collect()
     }
 }
 
@@ -886,9 +467,8 @@ mod tests {
     #[test]
     fn caches_are_reused() {
         let e = evaluator();
-        // Warm the evaluator-local memo caches explicitly: scheme runs may
-        // be served whole from the process-global result cache, in which
-        // case they (correctly) never touch these.
+        // Schemes read the store's alone profiles and sweep and add
+        // nothing to it.
         e.alone_ipcs(&workload());
         e.sweep(&workload());
         let n_alone = e.store().cached_alone();
@@ -900,19 +480,15 @@ mod tests {
             "alone profiles must be cached"
         );
         assert_eq!(e.store().cached_sweeps(), 1);
-        assert_eq!(e.store().cached_results(), 2);
-        // A repeat evaluation is served from cache (identical result).
+        // A repeat evaluation reads the same records (identical result).
         let a = e.evaluate(&workload(), Scheme::BestTlp);
         let b = e.evaluate(&workload(), Scheme::BestTlp);
-        assert_eq!(a.metrics.ws, b.metrics.ws);
-        assert_eq!(e.store().cached_results(), 2);
+        assert_eq!(a.metrics.sds, b.metrics.sds);
 
-        // Views share the store: a clone sees the same caches, and a view
-        // created from the store explicitly does too.
+        // Views share the store: a clone sees the same caches.
         let view = e.clone();
-        assert_eq!(view.store().cached_results(), 2);
-        let other = Evaluator::from_store(e.store().clone());
-        assert_eq!(other.store().cached_sweeps(), 1);
+        assert!(Arc::ptr_eq(view.store(), e.store()));
+        assert_eq!(view.store().cached_sweeps(), 1);
     }
 
     #[test]

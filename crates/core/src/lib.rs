@@ -16,13 +16,14 @@
 //!   pattern-based search rules of §V applied to an offline table;
 //! * [`policy`] — runtime controllers: **PBS-WS / PBS-FI / PBS-HS** (§V),
 //!   plus the DynCTA and Mod+Bypass prior-art baselines;
-//! * [`pbsrun`] — memoized end-to-end PBS runs (the ablation, phased,
+//! * [`pbsrun`] — memoized end-to-end controller runs (PBS with its knobs,
+//!   DynCTA, Mod+Bypass: the scheme runs, the ablation, phased,
 //!   sampling-mode and three-application experiments), fingerprinted for
 //!   the campaign scheduler;
 //! * [`search`] — the opt/BF offline searches;
-//! * [`eval`] — a memoizing evaluation driver that runs any [`eval::Scheme`]
-//!   on any workload and reports SD-based system metrics (the engine behind
-//!   Figs. 9 and 10);
+//! * [`eval`] — the evaluation driver that computes any [`eval::Scheme`]
+//!   on any workload from alone profiles, the sweep and one run record, and
+//!   reports SD-based system metrics (the engine behind Figs. 9 and 10);
 //! * [`hw`] — the Fig. 8 hardware-overhead accounting.
 
 #![deny(missing_docs)]
@@ -41,7 +42,7 @@ pub mod sweep;
 pub use eval::{Evaluator, EvaluatorConfig, Scheme, SchemeResult};
 pub use metrics::{alone_ratio, EbObjective};
 pub use pattern::{critical_app, knee_of, pbs_offline_search, probe_level, SweepCurve};
-pub use pbsrun::{run_pbs_cached, PbsRun, PbsRunSpec};
+pub use pbsrun::{run_controller_cached, ControllerRun, ControllerSpec, PbsRunSpec};
 pub use policy::{DynCta, ModBypass, Pbs};
 pub use scaling::ScalingFactors;
 pub use store::ResultStore;

@@ -1,24 +1,28 @@
-//! Memoized PBS controller runs.
+//! Memoized controller runs: one record per controlled simulation.
 //!
 //! Several figures end in the same shape of experiment: build a machine,
-//! install a [`Pbs`] controller with some knob settings, run it for a fixed
-//! span, and read the overall windows. [`run_pbs_cached`] memoizes that
-//! whole experiment through [`gpu_sim::cache`] under a `"pbsrun"`
-//! fingerprint of the machine inputs, the starting combination, the run
-//! span, and a declarative [`PbsRunSpec`] of the controller knobs — so the
-//! ablation grid, the phased online runs, the sampling-mode comparison, the
-//! three-application workloads, Fig. 11 and the evaluator's `Scheme::Pbs`
-//! each re-simulate once per cache lifetime, and the campaign planner can
-//! name every one of these units up front.
+//! install a window controller, run it for a fixed span, and read the
+//! overall windows. [`run_controller_cached`] memoizes that whole
+//! experiment through [`gpu_sim::cache`] under a `"pbsrun"` fingerprint of
+//! the machine inputs, the starting combination, the run span, and a
+//! declarative [`ControllerSpec`]: a [`Pbs`] controller with its knobs
+//! ([`PbsRunSpec`]), ++DynCTA or Mod+Bypass. So the ablation grid, the
+//! phased online runs, the sampling-mode comparison, the three-application
+//! workloads, Fig. 11 and the evaluator's `Scheme::{Pbs, DynCta,
+//! ModBypass}` each re-simulate once per cache lifetime, and the campaign
+//! planner can name every one of these units up front.
 //!
 //! A traced run is the same pure function of those inputs — the sink only
 //! observes — so the record is what Fig. 11 reads too. Only when a caller
-//! hands [`run_pbs_traced`] an *enabled* sink does the run simulate inline:
-//! the events are what was asked for, and a cache hit would emit none.
+//! hands [`run_controller_traced`] an *enabled* sink does the run simulate
+//! inline: the events are what was asked for, and a cache hit would emit
+//! none.
 
 use crate::metrics::EbObjective;
 use crate::policy::pbs::{Pbs, PbsScaling};
+use crate::policy::{DynCta, ModBypass};
 use gpu_sim::cache;
+use gpu_sim::control::Controller;
 use gpu_sim::harness::{run_controlled_traced, FixedRunInputs};
 use gpu_sim::trace::{NullSink, TraceSink};
 use gpu_types::canon::{Canon, CanonBuf, CanonReader};
@@ -107,11 +111,47 @@ impl Canon for PbsRunSpec {
     }
 }
 
-/// The cached record of one PBS controller run: a
-/// [`gpu_sim::harness::ControlledRun`] plus what the controller reports
+/// The window controller a controlled run installs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ControllerSpec {
+    /// A [`Pbs`] controller built from these knobs.
+    Pbs(PbsRunSpec),
+    /// `++DynCTA`: per-application [`DynCta`] modulation.
+    DynCta,
+    /// Mod+Bypass: [`ModBypass`] modulation plus L1 bypassing.
+    ModBypass,
+}
+
+impl ControllerSpec {
+    /// The campaign planner's label prefix for a run of this controller.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ControllerSpec::Pbs(_) => "pbs",
+            ControllerSpec::DynCta => "dyncta",
+            ControllerSpec::ModBypass => "modbypass",
+        }
+    }
+}
+
+impl Canon for ControllerSpec {
+    /// A PBS controller is its knobs' bytes alone, which open with the
+    /// objective's tag (0–2); DynCTA and Mod+Bypass are the tags past
+    /// those, so no two controllers share a key and a PBS key does not
+    /// depend on the others.
+    fn canon(&self, buf: &mut CanonBuf) {
+        match self {
+            ControllerSpec::Pbs(spec) => spec.canon(buf),
+            ControllerSpec::DynCta => buf.push_u8(3),
+            ControllerSpec::ModBypass => buf.push_u8(4),
+        }
+    }
+}
+
+/// The cached record of one controller run: a
+/// [`gpu_sim::harness::ControlledRun`] plus what a PBS controller reports
 /// about its search.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PbsRun {
+pub struct ControllerRun {
     /// One overall window per application over the measured region.
     pub overall: Vec<AppWindow>,
     /// Every TLP change the controller made, including the initial setting.
@@ -123,18 +163,19 @@ pub struct PbsRun {
     /// renders it). All windows are one sampling window long and
     /// normalized like `overall` (the payload relies on it).
     pub window_series: Vec<(u64, Vec<AppWindow>)>,
-    /// Combinations probed by the controller's last completed search.
+    /// Combinations probed by a PBS controller's last completed search (0
+    /// for the controllers that do not search).
     pub samples_last_search: usize,
 }
 
-/// Cache key of [`run_pbs_cached`] — public so a campaign planner can name
-/// the unit without running it.
-pub fn pbsrun_fingerprint(
+/// Cache key of [`run_controller_cached`] — public so a campaign planner
+/// can name the unit without running it.
+pub fn controller_run_fingerprint(
     inputs: &FixedRunInputs<'_>,
     start: &TlpCombo,
     run_cycles: u64,
     measure_from: u64,
-    spec: &PbsRunSpec,
+    spec: &ControllerSpec,
 ) -> Fingerprint {
     let mut key = cache::KeyBuilder::new("pbsrun");
     inputs.push_key(&mut key);
@@ -145,7 +186,7 @@ pub fn pbsrun_fingerprint(
     key.finish()
 }
 
-fn encode_run(run: &PbsRun) -> Vec<u8> {
+fn encode_run(run: &ControllerRun) -> Vec<u8> {
     let mut buf = CanonBuf::new();
     buf.push_usize(run.overall.len());
     for w in &run.overall {
@@ -206,7 +247,7 @@ fn read_varint(r: &mut CanonReader<'_>) -> Option<u64> {
     None
 }
 
-fn decode_run(bytes: &[u8]) -> Option<PbsRun> {
+fn decode_run(bytes: &[u8]) -> Option<ControllerRun> {
     let mut r = CanonReader::new(bytes);
     let n_apps = r.read_usize()?;
     let mut overall = Vec::with_capacity(n_apps);
@@ -248,7 +289,7 @@ fn decode_run(bytes: &[u8]) -> Option<PbsRun> {
         }
         window_series.push((cycle, windows));
     }
-    r.is_empty().then_some(PbsRun {
+    r.is_empty().then_some(ControllerRun {
         overall,
         tlp_trace,
         n_windows,
@@ -258,44 +299,55 @@ fn decode_run(bytes: &[u8]) -> Option<PbsRun> {
 }
 
 /// Builds the machine described by `inputs`, applies `start`, and runs the
-/// [`Pbs`] controller described by `spec` for `run_cycles` (measuring from
-/// `measure_from`). Memoized under [`pbsrun_fingerprint`]; bit-identical to
-/// the equivalent inline [`gpu_sim::harness::run_controlled`] call.
-pub fn run_pbs_cached(
+/// controller described by `spec` for `run_cycles` (measuring from
+/// `measure_from`). Memoized under [`controller_run_fingerprint`];
+/// bit-identical to the equivalent inline
+/// [`gpu_sim::harness::run_controlled`] call.
+pub fn run_controller_cached(
     inputs: &FixedRunInputs<'_>,
     start: &TlpCombo,
     run_cycles: u64,
     measure_from: u64,
-    spec: &PbsRunSpec,
-) -> PbsRun {
-    run_pbs_traced(inputs, start, run_cycles, measure_from, spec, &mut NullSink)
+    spec: &ControllerSpec,
+) -> ControllerRun {
+    run_controller_traced(inputs, start, run_cycles, measure_from, spec, &mut NullSink)
 }
 
-/// [`run_pbs_cached`] with a [`TraceSink`] for the run's events. A disabled
-/// sink reads the record; an enabled one bypasses the cache on read and
-/// simulates inline so the events exist — same bytes out, and the record is
-/// still published, so a traced cold run leaves a warm cache.
-pub fn run_pbs_traced(
+/// [`run_controller_cached`] with a [`TraceSink`] for the run's events. A
+/// disabled sink reads the record; an enabled one bypasses the cache on
+/// read and simulates inline so the events exist — same bytes out, and the
+/// record is still published, so a traced cold run leaves a warm cache.
+pub fn run_controller_traced(
     inputs: &FixedRunInputs<'_>,
     start: &TlpCombo,
     run_cycles: u64,
     measure_from: u64,
-    spec: &PbsRunSpec,
+    spec: &ControllerSpec,
     sink: &mut dyn TraceSink,
-) -> PbsRun {
-    let fp = pbsrun_fingerprint(inputs, start, run_cycles, measure_from, spec);
+) -> ControllerRun {
+    let fp = controller_run_fingerprint(inputs, start, run_cycles, measure_from, spec);
     let traced = sink.enabled();
     let mut simulate = || {
-        let mut pbs = spec.build(inputs.cfg.max_tlp());
+        let max = inputs.cfg.max_tlp();
         let mut gpu = inputs.build();
         gpu.set_combo(start);
-        let run = run_controlled_traced(&mut gpu, &mut pbs, run_cycles, measure_from, sink);
-        PbsRun {
+        let mut run = |controller: &mut dyn Controller| {
+            run_controlled_traced(&mut gpu, controller, run_cycles, measure_from, sink)
+        };
+        let (run, samples_last_search) = match spec {
+            ControllerSpec::Pbs(knobs) => {
+                let mut pbs = knobs.build(max);
+                (run(&mut pbs), pbs.samples_last_search())
+            }
+            ControllerSpec::DynCta => (run(&mut DynCta::new(max)), 0),
+            ControllerSpec::ModBypass => (run(&mut ModBypass::new(max)), 0),
+        };
+        ControllerRun {
             overall: run.overall,
             tlp_trace: run.tlp_trace,
             n_windows: run.n_windows,
             window_series: run.window_series,
-            samples_last_search: pbs.samples_last_search(),
+            samples_last_search,
         }
     };
     if traced {
@@ -310,7 +362,6 @@ pub fn run_pbs_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::control::Controller;
     use gpu_sim::harness::series_csv;
     use gpu_types::GpuConfig;
     use gpu_workloads::by_name;
@@ -345,7 +396,20 @@ mod tests {
         for v in &variants {
             let mut buf = CanonBuf::new();
             buf.push(v);
-            assert!(seen.insert(buf.into_bytes()), "canon collision for {v:?}");
+            let bytes = buf.into_bytes();
+            // A PBS controller's bytes are its knobs' bytes, unchanged.
+            let mut wrapped = CanonBuf::new();
+            wrapped.push(&ControllerSpec::Pbs(*v));
+            assert_eq!(wrapped.into_bytes(), bytes, "{v:?}");
+            assert!(seen.insert(bytes), "canon collision for {v:?}");
+        }
+        for other in [ControllerSpec::DynCta, ControllerSpec::ModBypass] {
+            let mut buf = CanonBuf::new();
+            buf.push(&other);
+            assert!(
+                seen.insert(buf.into_bytes()),
+                "canon collision for {other:?}"
+            );
         }
     }
 
@@ -361,49 +425,58 @@ mod tests {
             ccws: false,
         };
         let start = TlpCombo::uniform(cfg.max_tlp(), 2);
-        for objective in [EbObjective::Ws, EbObjective::Fi] {
-            let spec = PbsRunSpec::scheme(objective, 4);
-            let cached = run_pbs_cached(&inputs, &start, 20_000, 1_000, &spec);
+        let max = cfg.max_tlp();
+        let specs = [
+            ControllerSpec::Pbs(PbsRunSpec::scheme(EbObjective::Ws, 4)),
+            ControllerSpec::Pbs(PbsRunSpec::scheme(EbObjective::Fi, 4)),
+            ControllerSpec::DynCta,
+            ControllerSpec::ModBypass,
+        ];
+        for spec in specs {
+            let cached = run_controller_cached(&inputs, &start, 20_000, 1_000, &spec);
 
-            let mut pbs = spec.build(cfg.max_tlp());
             let mut gpu = inputs.build();
             gpu.set_combo(&start);
             let mut ring = gpu_sim::trace::RingSink::new(1 << 16);
-            let inline = run_controlled_traced(
-                &mut gpu,
-                &mut pbs as &mut dyn Controller,
-                20_000,
-                1_000,
-                &mut ring,
-            );
-            assert_eq!(cached.overall, inline.overall, "{objective}");
-            assert_eq!(cached.tlp_trace, inline.tlp_trace, "{objective}");
-            assert_eq!(cached.n_windows, inline.n_windows, "{objective}");
+            let mut go = |controller: &mut dyn Controller| {
+                run_controlled_traced(&mut gpu, controller, 20_000, 1_000, &mut ring)
+            };
+            let (inline, samples) = match spec {
+                ControllerSpec::Pbs(knobs) => {
+                    let mut pbs = knobs.build(max);
+                    (go(&mut pbs), pbs.samples_last_search())
+                }
+                ControllerSpec::DynCta => (go(&mut DynCta::new(max)), 0),
+                ControllerSpec::ModBypass => (go(&mut ModBypass::new(max)), 0),
+            };
+            assert_eq!(cached.overall, inline.overall, "{spec:?}");
+            assert_eq!(cached.tlp_trace, inline.tlp_trace, "{spec:?}");
+            assert_eq!(cached.n_windows, inline.n_windows, "{spec:?}");
             assert_eq!(
                 series_csv(&cached.window_series),
                 inline.series_csv(),
-                "{objective}"
+                "{spec:?}"
             );
             assert_eq!(
                 series_csv(&cached.window_series),
                 gpu_sim::trace::series_csv(ring.events()),
-                "{objective}: the record's series is the traced run's"
+                "{spec:?}: the record's series is the traced run's"
             );
-            assert_eq!(cached.samples_last_search, pbs.samples_last_search());
+            assert_eq!(cached.samples_last_search, samples, "{spec:?}");
 
             // The encode/decode pair is lossless, and no proper prefix of a
             // payload decodes.
             let bytes = encode_run(&cached);
-            assert_eq!(decode_run(&bytes).as_ref(), Some(&cached));
+            assert_eq!(decode_run(&bytes).as_ref(), Some(&cached), "{spec:?}");
             for cut in [0, 8, bytes.len() / 2, bytes.len() - 1] {
-                assert_eq!(decode_run(&bytes[..cut]), None, "cut at {cut}");
+                assert_eq!(decode_run(&bytes[..cut]), None, "{spec:?}: cut at {cut}");
             }
 
             // An enabled sink simulates inline and returns the same record.
             let mut ring2 = gpu_sim::trace::RingSink::new(1 << 16);
-            let traced = run_pbs_traced(&inputs, &start, 20_000, 1_000, &spec, &mut ring2);
-            assert_eq!(traced, cached);
-            assert_eq!(ring2.events(), ring.events());
+            let traced = run_controller_traced(&inputs, &start, 20_000, 1_000, &spec, &mut ring2);
+            assert_eq!(traced, cached, "{spec:?}");
+            assert_eq!(ring2.events(), ring.events(), "{spec:?}");
         }
     }
 }

@@ -1,13 +1,15 @@
-//! Concurrency-safe shared result store behind the [`Evaluator`] views.
+//! Concurrency-safe shared store behind the [`Evaluator`] views.
 //!
 //! A campaign used to thread one `&mut Evaluator` through every figure,
-//! which serialized the whole evaluation. The caches an evaluation reads —
-//! alone profiles, combination sweeps, scheme results — are all
-//! append-only memo tables of deterministic values, so they are held here
-//! behind **sharded interior mutability**: any number of
-//! threads (campaign-scheduler workers, figure renderers) share one
-//! [`ResultStore`] through cheap [`Evaluator`] views and fill it
-//! concurrently.
+//! which serialized the whole evaluation. The two tables every evaluation
+//! reads — alone profiles and combination sweeps — are append-only memo
+//! tables of deterministic values, so they are held here behind **sharded
+//! interior mutability**: any number of threads (campaign-scheduler
+//! workers, figure renderers) share one [`ResultStore`] through cheap
+//! [`Evaluator`] views and fill it concurrently. They are the only values
+//! an [`Evaluator`] memoizes in-process itself — runs live in
+//! [`gpu_sim::cache`], and a scheme result is computed from both — so they
+//! are also all that `--no-cache` keeps for the life of a process.
 //!
 //! Locks are held only for lookups and inserts, never across a simulation:
 //! the store's crate-private `ShardedMap::get_or_insert_with` computes
@@ -18,7 +20,7 @@
 //!
 //! [`Evaluator`]: crate::eval::Evaluator
 
-use crate::eval::{EvaluatorConfig, Scheme, SchemeResult};
+use crate::eval::EvaluatorConfig;
 use crate::sweep::ComboSweep;
 use gpu_sim::alone::AloneProfile;
 use gpu_types::{FxHashMap, FxHasher};
@@ -62,20 +64,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
             .cloned()
     }
 
-    pub(crate) fn contains(&self, key: &K) -> bool {
-        self.shard(key)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains_key(key)
-    }
-
-    pub(crate) fn insert(&self, key: K, value: V) {
-        self.shard(&key)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, value);
-    }
-
     /// Returns the cached value for `key`, computing and inserting it on a
     /// miss. `compute` runs with **no lock held** (it may simulate for
     /// seconds and recurse into the store); if another thread races the
@@ -114,8 +102,6 @@ pub struct ResultStore {
     pub(crate) alone: ShardedMap<(&'static str, usize), AloneProfile>,
     /// Combination sweeps, keyed by workload name.
     pub(crate) sweeps: ShardedMap<String, ComboSweep>,
-    /// Scheme results, keyed by `(workload name, scheme)`.
-    pub(crate) results: ShardedMap<(String, Scheme), SchemeResult>,
 }
 
 impl ResultStore {
@@ -130,7 +116,6 @@ impl ResultStore {
             cfg,
             alone: ShardedMap::new(),
             sweeps: ShardedMap::new(),
-            results: ShardedMap::new(),
         }
     }
 
@@ -148,11 +133,6 @@ impl ResultStore {
     pub fn cached_sweeps(&self) -> usize {
         self.sweeps.len()
     }
-
-    /// Number of cached scheme results.
-    pub fn cached_results(&self) -> usize {
-        self.results.len()
-    }
 }
 
 impl std::fmt::Debug for ResultStore {
@@ -160,7 +140,6 @@ impl std::fmt::Debug for ResultStore {
         f.debug_struct("ResultStore")
             .field("cached_alone", &self.cached_alone())
             .field("cached_sweeps", &self.cached_sweeps())
-            .field("cached_results", &self.cached_results())
             .finish()
     }
 }
@@ -173,15 +152,14 @@ mod tests {
     fn sharded_map_round_trips_and_counts() {
         let m: ShardedMap<u64, String> = ShardedMap::new();
         assert_eq!(m.get(&1), None);
-        assert!(!m.contains(&1));
         let v = m.get_or_insert_with(1, || "one".to_string());
         assert_eq!(v, "one");
-        assert!(m.contains(&1));
+        assert_eq!(m.get(&1).as_deref(), Some("one"));
         // A second compute for the same key is ignored: first insert wins.
         let v = m.get_or_insert_with(1, || "other".to_string());
         assert_eq!(v, "one");
         for k in 2..100 {
-            m.insert(k, format!("v{k}"));
+            m.get_or_insert_with(k, || format!("v{k}"));
         }
         assert_eq!(m.len(), 99);
         assert_eq!(m.get(&57).as_deref(), Some("v57"));

@@ -10,10 +10,11 @@
 
 use ebm_core::eval::{Evaluator, EvaluatorConfig, Scheme};
 use ebm_core::metrics::EbObjective;
-use ebm_core::pbsrun::{run_pbs_cached, PbsRunSpec};
+use ebm_core::pbsrun::{run_controller_cached, ControllerSpec, PbsRunSpec};
 use ebm_core::policy::pbs::PbsScaling;
 use ebm_core::sweep::ComboSweep;
-use ebm_core::Pbs;
+use ebm_core::{DynCta, ModBypass, Pbs};
+use gpu_sim::control::Controller;
 use gpu_sim::harness::{
     measure_fixed, measure_fixed_cached, run_controlled, sampling_error_cached, FixedRunInputs,
     RunSpec,
@@ -112,13 +113,13 @@ fn cached_scheme_results_are_bit_identical_to_fresh() {
     let fresh_ev = Evaluator::new(EvaluatorConfig::quick());
     let fresh: Vec<_> = schemes.iter().map(|s| fresh_ev.evaluate(&w, *s)).collect();
 
-    with_cache_dir("scheme", |_dir| {
+    with_cache_dir("schemes", |_dir| {
         let cold_ev = Evaluator::new(EvaluatorConfig::quick());
         let cold: Vec<_> = schemes.iter().map(|s| cold_ev.evaluate(&w, *s)).collect();
 
         // Disk-tier round trip in a brand-new evaluator: both the
-        // evaluator-local memo and the global memory tier are empty, so
-        // each result is decoded from its on-disk record.
+        // evaluator's store and the global memory tier are empty, so each
+        // result is computed from records decoded from disk.
         gpu_sim::cache::clear_memory();
         let disk_ev = Evaluator::new(EvaluatorConfig::quick());
         let disk: Vec<_> = schemes.iter().map(|s| disk_ev.evaluate(&w, *s)).collect();
@@ -196,24 +197,31 @@ fn schemes_resolve_to_the_run_records_campaign_units_write() {
         let ev = Evaluator::new(cfg.clone());
         let best_combo = ev.best_tlp_combo(&w);
 
-        // The runs as a scheme evaluation has always made them: a private
-        // machine, no run-level cache in sight.
+        // The runs as a scheme evaluation used to make them: a private
+        // machine, no run-level cache in sight. The controller runs are a
+        // frozen copy of the evaluator's retired private-machine path.
         let mut gpu = Gpu::new(&cfg.gpu, w.apps(), cfg.seed);
         let inline_best = measure_fixed(&mut gpu, &best_combo, span);
-        let mut gpu = Gpu::new(&cfg.gpu, w.apps(), cfg.seed);
-        gpu.set_combo(&TlpCombo::uniform(max, 2));
-        let mut pbs = Pbs::new(EbObjective::Ws, max, PbsScaling::None)
-            .with_hold_windows(cfg.pbs_hold_windows);
-        let inline_pbs = run_controlled(&mut gpu, &mut pbs, cfg.run_cycles, cfg.measure_from);
+        let private_run = |controller: &mut dyn Controller| {
+            let mut gpu = Gpu::new(&cfg.gpu, w.apps(), cfg.seed);
+            gpu.set_combo(&TlpCombo::uniform(max, 2));
+            run_controlled(&mut gpu, controller, cfg.run_cycles, cfg.measure_from)
+        };
+        let inline_pbs = private_run(
+            &mut Pbs::new(EbObjective::Ws, max, PbsScaling::None)
+                .with_hold_windows(cfg.pbs_hold_windows),
+        );
+        let inline_dyncta = private_run(&mut DynCta::new(max));
+        let inline_modbypass = private_run(&mut ModBypass::new(max));
 
         // What the `bestfixed:` and `pbs:` paper units of a campaign run.
         let unit_best = measure_fixed_cached(&inputs, &best_combo, span);
-        let unit_pbs = run_pbs_cached(
+        let unit_pbs = run_controller_cached(
             &inputs,
             &TlpCombo::uniform(max, 2),
             cfg.run_cycles,
             cfg.measure_from,
-            &PbsRunSpec::paper(EbObjective::Ws, cfg.pbs_hold_windows),
+            &ControllerSpec::Pbs(PbsRunSpec::paper(EbObjective::Ws, cfg.pbs_hold_windows)),
         );
 
         // The schemes name the same simulations: nothing left to step.
@@ -230,15 +238,68 @@ fn schemes_resolve_to_the_run_records_campaign_units_write() {
         assert_eq!(online.windows, unit_pbs.overall);
         assert_eq!(online.tlp_trace, inline_pbs.tlp_trace);
         assert_eq!(online.combo, None);
+
+        // Every scheme, each objective where it takes one: the first pass
+        // writes whatever run records are missing...
+        let mut schemes = vec![
+            Scheme::BestTlp,
+            Scheme::MaxTlp,
+            Scheme::DynCta,
+            Scheme::Ccws,
+            Scheme::ModBypass,
+            Scheme::OptIt,
+        ];
+        for o in EbObjective::all() {
+            schemes.extend([
+                Scheme::Pbs(o),
+                Scheme::PbsOffline(o),
+                Scheme::BruteForce(o),
+                Scheme::Opt(o),
+            ]);
+        }
+        let first: Vec<_> = schemes.iter().map(|&s| ev.evaluate(&w, s)).collect();
+
+        // ...and once the run, alone and sweep records exist, a fresh
+        // evaluator over an empty memory tier decodes them all from disk
+        // and simulates nothing.
+        gpu_sim::cache::clear_memory();
+        let ev = Evaluator::new(cfg.clone());
+        let before = cycles_simulated();
+        let again: Vec<_> = schemes.iter().map(|&s| ev.evaluate(&w, s)).collect();
+        assert_eq!(
+            cycles_simulated(),
+            before,
+            "evaluate simulated over records"
+        );
+
         let alone = ev.alone_ipcs(&w);
-        for r in [&best, &online] {
-            let sds: Vec<f64> = r
-                .windows
+        let sds = |windows: &[AppWindow]| -> Vec<f64> {
+            windows
                 .iter()
                 .zip(&alone)
                 .map(|(x, a)| x.ipc() / a)
-                .collect();
-            assert_eq!(r.metrics.sds, sds, "{}", r.scheme);
+                .collect()
+        };
+        for (r, a) in first.iter().zip(&again) {
+            assert_eq!(r.scheme, a.scheme);
+            assert_eq!(r.metrics.sds, a.metrics.sds, "{}", r.scheme);
+            assert_eq!(r.combo, a.combo, "{}", r.scheme);
+            assert_eq!(r.tlp_trace, a.tlp_trace, "{}", r.scheme);
+            assert_eq!(r.windows, a.windows, "{}", r.scheme);
+            assert_eq!(r.metrics.sds, sds(&r.windows), "{}", r.scheme);
+        }
+
+        // The controller schemes are, bit for bit, the runs the retired
+        // path made on a private machine.
+        for (scheme, inline) in [
+            (Scheme::DynCta, &inline_dyncta),
+            (Scheme::ModBypass, &inline_modbypass),
+        ] {
+            let r = ev.evaluate(&w, scheme);
+            assert_eq!(r.metrics.sds, sds(&inline.overall), "{scheme}: sds");
+            assert_eq!(r.windows, inline.overall, "{scheme}: windows");
+            assert_eq!(r.tlp_trace, inline.tlp_trace, "{scheme}: tlp trace");
+            assert_eq!(r.combo, None, "{scheme}");
         }
     });
 }

@@ -2,8 +2,8 @@
 //! results.
 //!
 //! Every fan-out in the codebase (sweep tables, alone profiles, scheme
-//! batches) runs independent same-seed simulations and collects results in
-//! input order, so parallel execution must be *bit-for-bit* identical to
+//! evaluations on a shared evaluator) runs independent same-seed
+//! simulations, so parallel execution must be *bit-for-bit* identical to
 //! sequential — not merely statistically close. These tests compare exact
 //! float equality on purpose.
 
@@ -14,6 +14,7 @@ use gpu_sim::harness::RunSpec;
 use gpu_sim::profile_alone_with_threads;
 use gpu_types::GpuConfig;
 use gpu_workloads::{by_name, Workload};
+use std::sync::Barrier;
 
 /// Disables the process-global result cache: a memoized second run would be
 /// a lookup, not a parallel simulation, and these tests exist to exercise
@@ -58,16 +59,17 @@ fn parallel_alone_profile_equals_sequential_exactly() {
 }
 
 #[test]
-fn batch_evaluation_equals_serial_exactly() {
+fn concurrent_evaluation_equals_serial_exactly() {
     no_cache();
     let schemes = [
         Scheme::BestTlp,
         Scheme::MaxTlp,
         Scheme::DynCta,
         Scheme::Ccws,
+        Scheme::ModBypass,
         Scheme::Pbs(EbObjective::Ws),
         Scheme::PbsOffline(EbObjective::Fi),
-        Scheme::BruteForce(EbObjective::Fi),
+        Scheme::BruteForce(EbObjective::Hs),
         Scheme::Opt(EbObjective::Ws),
         Scheme::OptIt,
     ];
@@ -76,12 +78,30 @@ fn batch_evaluation_equals_serial_exactly() {
     let serial_ev = Evaluator::new(EvaluatorConfig::quick());
     let serial: Vec<_> = schemes.iter().map(|s| serial_ev.evaluate(&w, *s)).collect();
 
-    let batch_ev = Evaluator::new(EvaluatorConfig::quick());
-    let batch = batch_ev.evaluate_batch_with_threads(&w, &schemes, 4);
+    // Four threads over one shared evaluator, as the campaign scheduler's
+    // workers use it: thread `t` takes every fourth scheme from `t`, all
+    // four start together, and the alone profiles and sweep they share are
+    // filled by whichever thread gets there first.
+    let shared = Evaluator::new(EvaluatorConfig::quick());
+    let start = Barrier::new(4);
+    let concurrent: Vec<Vec<_>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..4)
+            .map(|t| {
+                let (ev, w, start) = (&shared, &w, &start);
+                let mine: Vec<Scheme> = schemes.iter().copied().skip(t).step_by(4).collect();
+                scope.spawn(move || {
+                    start.wait();
+                    mine.iter().map(|&s| ev.evaluate(w, s)).collect()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
 
-    assert_eq!(batch.len(), serial.len());
-    for (a, b) in serial.iter().zip(&batch) {
-        assert_eq!(a.scheme, b.scheme);
+    let mut seen = 0;
+    for b in concurrent.iter().flatten() {
+        seen += 1;
+        let a = &serial[schemes.iter().position(|&s| s == b.scheme).unwrap()];
         assert_eq!(
             a.metrics.sds, b.metrics.sds,
             "{}: slowdowns diverged",
@@ -92,33 +112,9 @@ fn batch_evaluation_equals_serial_exactly() {
         assert_eq!(a.metrics.hs, b.metrics.hs, "{}: HS diverged", a.scheme);
         assert_eq!(a.combo, b.combo, "{}: chosen combo diverged", a.scheme);
         assert_eq!(a.tlp_trace, b.tlp_trace, "{}: TLP trace diverged", a.scheme);
+        assert_eq!(a.windows, b.windows, "{}: windows diverged", a.scheme);
     }
-}
-
-#[test]
-fn batch_results_enter_the_memo_cache() {
-    no_cache();
-    let w = Workload::pair("BLK", "BFS");
-    let ev = Evaluator::new(EvaluatorConfig::quick());
-    let batch =
-        ev.evaluate_batch_with_threads(&w, &[Scheme::BestTlp, Scheme::MaxTlp, Scheme::OptIt], 2);
-    // A follow-up serial evaluate must be a cache hit with identical data.
-    let again = ev.evaluate(&w, Scheme::MaxTlp);
-    assert_eq!(again.metrics.ws, batch[1].metrics.ws);
-    assert_eq!(again.metrics.sds, batch[1].metrics.sds);
-}
-
-#[test]
-fn batch_handles_duplicates_and_cached_entries() {
-    no_cache();
-    let w = Workload::pair("BLK", "BFS");
-    let ev = Evaluator::new(EvaluatorConfig::quick());
-    let first = ev.evaluate(&w, Scheme::BestTlp); // pre-populate the cache
-    let batch =
-        ev.evaluate_batch_with_threads(&w, &[Scheme::BestTlp, Scheme::BestTlp, Scheme::MaxTlp], 2);
-    assert_eq!(batch.len(), 3);
-    assert_eq!(batch[0].metrics.ws, first.metrics.ws);
-    assert_eq!(batch[1].metrics.ws, first.metrics.ws);
+    assert_eq!(seen, schemes.len());
 }
 
 #[test]

@@ -2,7 +2,6 @@
 //! a [`RingSink`] capture must be rich enough to reconstruct the Fig. 11
 //! artifacts, and tracing must stay strictly off the decision path.
 
-use ebm_core::eval::{Evaluator, EvaluatorConfig, Scheme};
 use ebm_core::metrics::EbObjective;
 use ebm_core::policy::pbs::PbsScaling;
 use ebm_core::Pbs;
@@ -132,33 +131,4 @@ fn tracing_is_off_the_decision_path() {
     assert_eq!(untraced.tlp_trace, traced.tlp_trace);
     assert_eq!(untraced.overall, traced.overall);
     assert_eq!(untraced.window_series, traced.window_series);
-}
-
-#[test]
-fn evaluate_traced_matches_cached_metrics() {
-    let w = Workload::pair("BLK", "BFS");
-    let ev = Evaluator::new(EvaluatorConfig::quick());
-    let plain = ev.evaluate(&w, Scheme::Pbs(EbObjective::Ws));
-    let mut ring = RingSink::new(1 << 16);
-    let traced = ev.evaluate_traced(&w, Scheme::Pbs(EbObjective::Ws), &mut ring);
-    assert!(!ring.events().is_empty(), "traced re-run must emit events");
-    assert_eq!(plain.metrics.sds, traced.metrics.sds);
-    assert_eq!(plain.tlp_trace, traced.tlp_trace);
-}
-
-#[test]
-fn static_schemes_emit_overall_windows() {
-    let w = Workload::pair("BLK", "BFS");
-    let ev = Evaluator::new(EvaluatorConfig::quick());
-    let mut ring = RingSink::new(1 << 16);
-    let r = ev.evaluate_traced(&w, Scheme::BestTlp, &mut ring);
-    let samples: Vec<_> = ring
-        .events()
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::WindowSample { .. }))
-        .collect();
-    assert_eq!(samples.len(), 2, "one overall sample per application");
-    if let TraceEvent::WindowSample { eb, .. } = samples[0] {
-        assert_eq!(*eb, r.windows[0].effective_bandwidth());
-    }
 }

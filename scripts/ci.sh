@@ -67,7 +67,7 @@ fi
 # An artifact reads measurements through the planner's constructors only
 # (crates/bench/src/campaign.rs); a render that simulates or writes files by
 # itself is a read the plan cannot see.
-if grep -nE 'measure_fixed_cached|run_pbs_cached|run_pbs_traced|sampling_error_cached|profile_alone|ComboSweep::measure|FixedRunInputs|std::fs' crates/bench/src/figures.rs ||
+if grep -nE 'measure_fixed_cached|run_controller_cached|run_controller_traced|sampling_error_cached|profile_alone|ComboSweep::measure|FixedRunInputs|std::fs' crates/bench/src/figures.rs ||
   grep -rn 'plan_artifact' crates; then
   echo "FAIL: figures.rs bypasses its Demands, or the plan_artifact mirror retired in PR 20 is back" >&2
   exit 1
@@ -121,6 +121,14 @@ for T in 1 2 4; do
   trace_tools report "$TMP/sched$T.jsonl" | diff "$TMP/report.txt" -
   echo "campaign scheduler OK at $T worker(s): ${DEDUP}% deduped, artifacts and run report byte-identical to serial"
 done
+
+echo "== memo-less gate (experiments --quick --no-cache vs serial, byte-compared) =="
+# With both cache tiers off every read re-simulates, scheme reads included:
+# the results must not depend on any record having been kept.
+mkdir "$TMP/nocache"
+experiments --no-cache --out "$TMP/nocache" 2> "$TMP/nocache/stderr.log"
+same_artifacts "$TMP/serial" "$TMP/nocache"
+echo "memo-less campaign OK: artifacts byte-identical to serial"
 
 echo "== run report smoke (--timings/--profile/--html variants render and the page is self-contained) =="
 trace_tools report "$TMP/sched4.jsonl" \
