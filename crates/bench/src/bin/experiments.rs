@@ -24,10 +24,13 @@
 //! `results/PROFILE.json` and, when tracing, appended to the trace as
 //! `profile_span` events. The next scheduled run reads that file back as
 //! its cost model, starting the longest-recorded units first. Progress
-//! output is gated by `EBM_LOG` (`off` | `info` | `debug`).
+//! output is gated by `EBM_LOG` (`off` | `info` | `debug`). A trace write
+//! that fails (a full disk) is reported after the artifacts are saved, and
+//! the run exits with status 1.
 
 use ebm_bench::{campaign, log, profiler, run_and_save, BenchArgs};
 use ebm_core::eval::Evaluator;
+use gpu_sim::trace::{NullSink, TraceSink};
 
 fn main() {
     ebm_bench::logging::pin_epoch();
@@ -35,20 +38,25 @@ fn main() {
     args.apply_settings();
     let t0 = std::time::Instant::now();
     let ev = Evaluator::new(args.evaluator_config());
-    let mut trace = args.open_trace();
+    let mut jsonl = args.open_trace();
+    let mut null = NullSink;
+    let trace: &mut dyn TraceSink = match jsonl.as_mut() {
+        Some(sink) => sink,
+        None => &mut null,
+    };
 
     let root = profiler::span("campaign", "experiments");
     let plan = campaign::plan(&args, &ev);
     if args.serial || args.no_cache {
-        campaign::run_serial(plan, &ev, &mut *trace, &mut run_and_save);
+        campaign::run_serial(plan, &ev, trace, &mut run_and_save);
     } else {
-        campaign::run(plan, &ev, &mut *trace, &mut run_and_save);
+        campaign::run(plan, &ev, trace, &mut run_and_save);
     }
     drop(root);
 
     let spans = profiler::take_spans();
-    profiler::emit_spans(&mut *trace, &spans);
-    gpu_sim::cache::emit_stats(&mut *trace);
+    profiler::emit_spans(trace, &spans);
+    gpu_sim::cache::emit_stats(trace);
     trace.flush();
 
     let profile_path = ebm_bench::out_path("PROFILE.json");
@@ -71,4 +79,12 @@ fn main() {
         stats.hit_rate()
     );
     log!(info, "campaign completed in {:?}", t0.elapsed());
+
+    // The artifacts are saved; a trace that lost lines still fails the run.
+    if let Some(sink) = &jsonl {
+        if let Some(e) = sink.error() {
+            eprintln!("error: cannot write trace {}: {e}", sink.path().display());
+            std::process::exit(1);
+        }
+    }
 }

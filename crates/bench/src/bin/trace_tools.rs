@@ -11,8 +11,9 @@
 //! ```
 //!
 //! `validate` exits non-zero on the first schema violation class (all
-//! offending lines are listed, capped); the analysis modes skip and count
-//! unparsable lines so a partially-damaged trace still renders.
+//! offending lines are listed, capped) and on a trace with no records;
+//! the analysis modes skip and count unparsable lines so a
+//! partially-damaged trace still renders.
 //!
 //! `report` merges one trace (and optionally its `PROFILE.json`) into a
 //! single self-contained run report. Its default output contains only
@@ -24,7 +25,8 @@
 //! `--html` additionally writes the report as a self-contained HTML page.
 
 use ebm_bench::json::{parse, Json};
-use ebm_bench::schema::{validate_trace, MAX_SCHEMA_VERSION};
+use ebm_bench::schema::validate_trace;
+use gpu_sim::trace::TRACE_SCHEMA_VERSION;
 use gpu_types::Histogram;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -48,7 +50,7 @@ fn usage() -> ExitCode {
         "usage: trace-tools <command> <trace.jsonl> [args]\n\
          \n\
          commands:\n\
-         \x20 validate <trace>      check every record against schema v1..={MAX_SCHEMA_VERSION}\n\
+         \x20 validate <trace>      check every record against schema v1..={TRACE_SCHEMA_VERSION}\n\
          \x20 timeline <trace>      per-app EB/BW/CMR/IPC timeline as CSV (stdout)\n\
          \x20 stalls <trace>        warp-stall breakdown and latency percentile tables\n\
          \x20 cache <trace>         result-cache counter summary\n\
@@ -105,6 +107,9 @@ fn validate_cmd(path: &str) -> ExitCode {
     if report.is_ok() {
         outln!("OK: every record matches docs/TRACE_SCHEMA.md");
         ExitCode::SUCCESS
+    } else if report.lines == 0 {
+        eprintln!("INVALID: {path} holds no records");
+        ExitCode::FAILURE
     } else {
         const CAP: usize = 20;
         for (line, msg) in report.errors.iter().take(CAP) {

@@ -51,6 +51,23 @@ pub struct SpanRecord {
     pub workers: u32,
 }
 
+impl SpanRecord {
+    /// The span as a `profile_span` trace event stamped `cycle`.
+    fn event(&self, cycle: u64) -> TraceEvent {
+        TraceEvent::ProfileSpan {
+            cycle,
+            level: self.level.clone(),
+            name: self.name.clone(),
+            depth: self.depth,
+            wall_s: self.wall_s,
+            cycles: self.cycles,
+            cache_hits: self.cache_hits,
+            cache_misses: self.cache_misses,
+            workers: self.workers,
+        }
+    }
+}
+
 struct OpenSpan {
     start: Instant,
     cycles0: u64,
@@ -180,53 +197,21 @@ pub fn take_spans() -> Vec<SpanRecord> {
     })
 }
 
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v:.6}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Renders spans as the `PROFILE.json` document (stable field order,
-/// six-decimal floats, non-finite values as `null` — the same numeric
-/// conventions as the trace schema).
+/// Renders spans as the `PROFILE.json` document: each span is the
+/// `profile_span` trace record's fields without the envelope, written by
+/// the trace's own field writer.
 pub fn render_profile(spans: &[SpanRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("{\"schema\":1,\"workers\":");
-    out.push_str(&gpu_sim::exec::worker_count().to_string());
-    out.push_str(",\"spans\":[");
+    let mut out = format!(
+        "{{\"schema\":1,\"workers\":{},\"spans\":[",
+        gpu_sim::exec::worker_count()
+    );
     for (i, s) in spans.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str("{\"level\":");
-        push_json_str(&mut out, &s.level);
-        out.push_str(",\"name\":");
-        push_json_str(&mut out, &s.name);
-        out.push_str(&format!(",\"depth\":{}", s.depth));
-        out.push_str(",\"wall_s\":");
-        push_json_f64(&mut out, s.wall_s);
-        out.push_str(&format!(
-            ",\"cycles\":{},\"cache_hits\":{},\"cache_misses\":{},\"workers\":{}}}",
-            s.cycles, s.cache_hits, s.cache_misses, s.workers
-        ));
+        out.push('{');
+        s.event(0).write_fields(&mut out);
+        out.push('}');
     }
     out.push_str("]}\n");
     out
@@ -248,17 +233,7 @@ pub fn emit_spans<S: TraceSink + ?Sized>(sink: &mut S, spans: &[SpanRecord]) {
     }
     let cycle = gpu_sim::metrics::cycles_simulated();
     for s in spans {
-        sink.emit(TraceEvent::ProfileSpan {
-            cycle,
-            level: s.level.clone(),
-            name: s.name.clone(),
-            depth: s.depth,
-            wall_s: s.wall_s,
-            cycles: s.cycles,
-            cache_hits: s.cache_hits,
-            cache_misses: s.cache_misses,
-            workers: s.workers,
-        });
+        sink.emit(s.event(cycle));
     }
 }
 

@@ -2,7 +2,7 @@
 //! options of the campaign binaries.
 
 use ebm_core::eval::EvaluatorConfig;
-use gpu_sim::trace::{JsonlSink, NullSink, TraceSink};
+use gpu_sim::trace::JsonlSink;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -270,18 +270,16 @@ impl BenchArgs {
         }
     }
 
-    /// Opens the `--trace` sink: a [`JsonlSink`] when a path was given
-    /// (exiting on I/O errors), a [`NullSink`] otherwise.
-    pub fn open_trace(&self) -> Box<dyn TraceSink> {
-        match &self.trace {
-            Some(path) => match JsonlSink::create(path) {
-                Ok(sink) => Box::new(sink),
-                Err(e) => {
-                    eprintln!("error: cannot open trace file {}: {e}", path.display());
-                    std::process::exit(2);
-                }
-            },
-            None => Box::new(NullSink),
+    /// Opens the `--trace` sink when a path was given, exiting when the
+    /// file cannot be created.
+    pub fn open_trace(&self) -> Option<JsonlSink> {
+        let path = self.trace.as_ref()?;
+        match JsonlSink::create(path) {
+            Ok(sink) => Some(sink),
+            Err(e) => {
+                eprintln!("error: cannot open trace file {}: {e}", path.display());
+                std::process::exit(2);
+            }
         }
     }
 }

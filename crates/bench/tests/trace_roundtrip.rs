@@ -133,7 +133,11 @@ fn every_event_kind_round_trips_through_the_validator() {
     kinds.sort_unstable();
     kinds.dedup();
     assert_eq!(kinds.len(), events.len(), "duplicate kind in fixture list");
-    assert_eq!(kinds.len(), 10, "new event kind? extend one_of_each_kind()");
+    assert_eq!(
+        kinds.len(),
+        gpu_sim::trace::SCHEMA.len(),
+        "new event kind? extend one_of_each_kind()"
+    );
     for e in &events {
         let line = e.to_json();
         assert_eq!(validate_line(&line), Ok(e.kind()), "{line}");

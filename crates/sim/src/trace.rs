@@ -13,14 +13,19 @@
 //! * [`RingSink`] — a bounded in-memory capture, for tests and programmatic
 //!   replay ([`eb_series`], [`series_csv`]).
 //! * [`JsonlSink`] — newline-delimited JSON written to a file (the
-//!   `--trace <path>` flag of the `experiments`/`fig11` binaries).
+//!   `--trace <path>` flag of the `experiments` binary).
 //!
-//! Events are **versioned**: every serialized record carries
-//! [`TRACE_SCHEMA_VERSION`], and `docs/TRACE_SCHEMA.md` is the contract for
-//! each event kind's fields. Tracing is strictly off the decision path —
-//! sinks only *read* simulator state, so a run traced into a [`RingSink`] or
-//! [`JsonlSink`] is bit-for-bit identical to the same run with a
-//! [`NullSink`] (pinned by `crates/core/tests/parallel_determinism.rs`).
+//! The trace contract is declared once, in this module's event table: each
+//! kind's tag, its fields' names, Rust types, versions and meanings. The
+//! table generates [`TraceEvent`], its serialization ([`TraceEvent::to_json`],
+//! through one JSON writer per field type) and [`SCHEMA`], which
+//! `ebm_bench::schema` validates traces against and a test holds
+//! `docs/TRACE_SCHEMA.md`'s field tables to. Every serialized record
+//! carries [`TRACE_SCHEMA_VERSION`]. Tracing is strictly off the decision
+//! path — sinks only *read* simulator state, so a run traced into a
+//! [`RingSink`] or [`JsonlSink`] is bit-for-bit identical to the same run
+//! with a [`NullSink`] (pinned by
+//! `crates/core/tests/trace_replay.rs::tracing_is_off_the_decision_path`).
 //!
 //! # Examples
 //!
@@ -52,9 +57,9 @@ use std::path::{Path, PathBuf};
 
 /// Version stamped into every serialized trace record (`"v"` field).
 ///
-/// Bump it whenever an event's fields change shape or meaning, and update
-/// `docs/TRACE_SCHEMA.md` — the schema document is the contract consumers
-/// parse against.
+/// Bump it whenever an event's fields change shape or meaning, and mark
+/// new fields `#[since(N)]` in the event table; the schema-doc test then
+/// prints the field tables `docs/TRACE_SCHEMA.md` must carry.
 ///
 /// History: v2 added the `cache_stats` event (result-cache counters);
 /// v3 added the `metrics_window` (metrics-registry snapshots) and
@@ -78,31 +83,320 @@ pub struct StallBreakdown {
     pub idle: f64,
 }
 
-/// A typed observability event.
-///
-/// Every variant carries the cycle at which it was recorded; the remaining
-/// fields are documented in `docs/TRACE_SCHEMA.md` (the serialization
-/// contract).
-// `MetricsWindow` carries three fixed-size histograms (~300 B each), which
-// dwarfs the other variants. Events are transient — constructed only when a
-// sink is enabled, serialized or ring-buffered in the thousands — so the
-// per-event footprint is irrelevant and boxing would only add indirection
-// to every emit site.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
+/// The JSON shape of a trace field: what the emitter writes for its Rust
+/// type and what a validator accepts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonType {
+    /// A non-negative integer.
+    Int,
+    /// A non-negative integer, or `null` for `None`.
+    IntOrNull,
+    /// A number, or `null` for a non-finite value (JSON has neither NaN
+    /// nor infinities). Six decimal places.
+    Num,
+    /// A number, or `null` for `None` or a non-finite value.
+    NumOrNull,
+    /// A string.
+    Str,
+    /// An array of [`JsonType::Num`] values.
+    NumArray,
+    /// A [`Histogram`]: an object with the keys [`HISTOGRAM_KEYS`], trailing
+    /// zero buckets trimmed.
+    Histogram,
+    /// An object with exactly these keys, in this order, each holding a
+    /// value of the given type.
+    Object(&'static [&'static str], &'static JsonType),
+}
+
+/// The keys of a serialized [`Histogram`], in order: three integers, then
+/// the bucket counts as an array.
+pub const HISTOGRAM_KEYS: [&str; 5] = ["count", "sum", "min", "max", "buckets"];
+
+/// A Rust type a trace field can have: how a value serializes and the
+/// JSON shape that serialization has, in one place.
+pub(crate) trait TraceField {
+    /// The JSON shape [`TraceField::write_json`] writes.
+    const TYPE: JsonType;
+    /// Appends the value as JSON.
+    fn write_json(&self, out: &mut String);
+}
+
+macro_rules! int_fields {
+    ($($t:ty)*) => {$(
+        impl TraceField for $t {
+            const TYPE: JsonType = JsonType::Int;
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+int_fields!(u8 u32 u64 usize);
+
+impl TraceField for f64 {
+    const TYPE: JsonType = JsonType::Num;
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self:.6}");
+        } else {
+            out.push_str("null");
+        }
+    }
+}
+
+impl TraceField for Option<u8> {
+    const TYPE: JsonType = JsonType::IntOrNull;
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl TraceField for Option<f64> {
+    const TYPE: JsonType = JsonType::NumOrNull;
+    fn write_json(&self, out: &mut String) {
+        self.unwrap_or(f64::NAN).write_json(out);
+    }
+}
+
+impl TraceField for &str {
+    const TYPE: JsonType = JsonType::Str;
+    /// Escapes `"`, `\` and control characters, so any string stays
+    /// valid JSON.
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        for c in self.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+}
+
+impl TraceField for String {
+    const TYPE: JsonType = JsonType::Str;
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
+}
+
+impl TraceField for Vec<f64> {
+    const TYPE: JsonType = JsonType::NumArray;
+    fn write_json(&self, out: &mut String) {
+        write_array(out, self);
+    }
+}
+
+impl TraceField for Histogram {
+    const TYPE: JsonType = JsonType::Histogram;
+    fn write_json(&self, out: &mut String) {
+        out.push('{');
+        let scalars = [self.count(), self.sum(), self.min(), self.max()];
+        for (key, v) in HISTOGRAM_KEYS.iter().zip(scalars) {
+            push_key(out, key);
+            v.write_json(out);
+        }
+        let buckets = self.buckets();
+        let last = buckets.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+        push_key(out, HISTOGRAM_KEYS[4]);
+        write_array(out, &buckets[..last]);
+        out.push('}');
+    }
+}
+
+impl TraceField for WarpStalls {
+    const TYPE: JsonType = JsonType::Object(&["mem", "exec", "barrier", "tlp_capped"], &u64::TYPE);
+    fn write_json(&self, out: &mut String) {
+        write_object(
+            out,
+            Self::TYPE,
+            &[self.mem, self.exec, self.barrier, self.tlp_capped],
+        );
+    }
+}
+
+impl TraceField for StallBreakdown {
+    const TYPE: JsonType = JsonType::Object(&["mem", "struct", "idle"], &f64::TYPE);
+    fn write_json(&self, out: &mut String) {
+        write_object(out, Self::TYPE, &[self.mem, self.structural, self.idle]);
+    }
+}
+
+/// Appends `"key":`, after a comma unless it is the first key of its object.
+fn push_key(out: &mut String, key: &str) {
+    if !out.ends_with('{') {
+        out.push(',');
+    }
+    out.push('"');
+    out.push_str(key);
+    out.push_str("\":");
+}
+
+fn write_array<T: TraceField>(out: &mut String, values: &[T]) {
+    out.push('[');
+    for (i, v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        v.write_json(out);
+    }
+    out.push(']');
+}
+
+/// Writes `values` under the keys of the object type `ty`.
+fn write_object<T: TraceField>(out: &mut String, ty: JsonType, values: &[T]) {
+    let JsonType::Object(keys, elem) = ty else {
+        unreachable!("{ty:?} is not an object type")
+    };
+    debug_assert!(keys.len() == values.len() && *elem == T::TYPE);
+    out.push('{');
+    for (key, v) in keys.iter().zip(values) {
+        push_key(out, key);
+        v.write_json(out);
+    }
+    out.push('}');
+}
+
+/// One field of an event kind, after the `v`/`kind`/`cycle` envelope.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FieldSchema {
+    /// The JSON key (the Rust field name).
+    pub name: &'static str,
+    /// The JSON shape of the value.
+    pub ty: JsonType,
+    /// The schema version that introduced the field; records claiming an
+    /// older version do not carry it.
+    pub since: u32,
+    /// What the field means.
+    pub doc: &'static str,
+}
+
+/// One event kind of the trace contract.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KindSchema {
+    /// The `kind` tag.
+    pub kind: &'static str,
+    /// The schema version that introduced the kind.
+    pub since: u32,
+    /// What the envelope's `cycle` means for this kind.
+    pub cycle: &'static str,
+    /// The fields after the envelope, in serialization order.
+    pub fields: &'static [FieldSchema],
+}
+
+/// A field's `#[since(N)]` when it has one, else its kind's version.
+macro_rules! first {
+    ($v:literal $($rest:literal)*) => {
+        $v
+    };
+}
+
+/// The event table. Each entry declares one kind —
+/// `Variant = "tag", since N { cycle: u64, field: Type, … }`, a doc comment
+/// on the kind, on `cycle` and on every field, and `#[since(N)]` on fields
+/// added after their kind — and generates the [`TraceEvent`] variant, its
+/// share of `kind`/`cycle`/`write_fields` and its [`SCHEMA`] row.
+macro_rules! trace_events {
+    ($(
+        $(#[doc = $kdoc:literal])*
+        $variant:ident = $tag:literal, since $ksince:literal {
+            $(#[doc = $cdoc:literal])*
+            cycle: u64,
+            $(
+                $(#[doc = $fdoc:literal])*
+                $(#[since($fsince:literal)])?
+                $field:ident: $ty:ty
+            ),* $(,)?
+        }
+    )*) => {
+        /// A typed observability event: one variant per kind of the trace
+        /// contract, each carrying the cycle it was recorded at.
+        // `MetricsWindow` carries three fixed-size histograms (~300 B each),
+        // which dwarfs the other variants. Events are transient —
+        // constructed only when a sink is enabled, serialized or
+        // ring-buffered in the thousands — so the per-event footprint is
+        // irrelevant and boxing would only add indirection to every emit
+        // site.
+        #[allow(clippy::large_enum_variant)]
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum TraceEvent {$(
+            $(#[doc = $kdoc])*
+            $variant {
+                $(#[doc = $cdoc])*
+                cycle: u64,
+                $($(#[doc = $fdoc])* $field: $ty,)*
+            },
+        )*}
+
+        /// The trace contract: every kind [`TraceEvent`] serializes as, in
+        /// declaration order, with its fields in serialization order.
+        pub const SCHEMA: &[KindSchema] = &[$(
+            KindSchema {
+                kind: $tag,
+                since: $ksince,
+                cycle: concat!($($cdoc),*),
+                fields: &[$(FieldSchema {
+                    name: stringify!($field),
+                    ty: <$ty as TraceField>::TYPE,
+                    since: first!($($fsince)? $ksince),
+                    doc: concat!($($fdoc),*),
+                },)*],
+            },
+        )*];
+
+        impl TraceEvent {
+            /// The event's kind tag as serialized (`"kind"` field).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => $tag,)*
+                }
+            }
+
+            /// The cycle the event was recorded at.
+            pub fn cycle(&self) -> u64 {
+                match self {
+                    $(TraceEvent::$variant { cycle, .. })|* => *cycle,
+                }
+            }
+
+            /// Appends the fields after the envelope as `"key":value`
+            /// pairs, comma-separated (and preceded by a comma unless `out`
+            /// ends an object's opening brace).
+            pub fn write_fields(&self, out: &mut String) {
+                match self {
+                    $(TraceEvent::$variant { $($field,)* .. } => {
+                        $(
+                            push_key(out, stringify!($field));
+                            TraceField::write_json($field, out);
+                        )*
+                    })*
+                }
+            }
+        }
+    };
+}
+
+trace_events! {
     /// One application's sampling-window observation — the quantities the
     /// Fig. 8 hardware relays to the cores (EB inputs) plus IPC.
-    WindowSample {
+    WindowSample = "window_sample", since 1 {
         /// Window-end cycle.
         cycle: u64,
         /// Application index.
         app: u8,
-        /// Effective bandwidth (`BW / CMR`).
+        /// Effective bandwidth, `BW / CMR` (§III).
         eb: f64,
         /// Attained DRAM bandwidth, normalized to the machine peak.
         bw: f64,
-        /// Combined miss rate (`L1MR × L2MR`).
+        /// Combined miss rate, `L1MR × L2MR`.
         cmr: f64,
         /// L1 miss rate over the window.
         l1mr: f64,
@@ -110,47 +404,53 @@ pub enum TraceEvent {
         l2mr: f64,
         /// Warp-instruction IPC over the window.
         ipc: f64,
-    },
+    }
+
     /// A controller changed one application's TLP level.
-    TlpDecision {
+    TlpDecision = "tlp_decision", since 1 {
         /// Cycle at which the new level took effect.
         cycle: u64,
         /// Application index.
         app: u8,
         /// Previous TLP level.
         old: u32,
-        /// New TLP level (post-clamping; what the machine actually runs).
+        /// New TLP level, post-clamping: what the machine actually runs.
         new: u32,
-        /// The controller's stated reason (e.g. `"search-sweep"`,
-        /// `"hold-install"`, `"latency-tolerance"`).
+        /// The controller's stated reason, e.g. `"sweep"`, `"hold-install"`,
+        /// `"latency-tolerance"`.
         reason: &'static str,
-    },
+    }
+
     /// A controller's internal phase transition (PBS's Fig. 11 search
     /// organization: boot → scale-sample → sweep → tune → hold).
-    SearchPhase {
+    SearchPhase = "search_phase", since 1 {
         /// Cycle of the transition (the window at which it was observed).
         cycle: u64,
-        /// Controller name (e.g. `"PBS-WS"`).
+        /// Controller name, e.g. `"PBS-WS"`.
         scheme: String,
         /// New phase label.
         phase: String,
-    },
+    }
+
     /// One memory partition's sampling-window telemetry.
-    PartitionWindow {
+    PartitionWindow = "partition_window", since 1 {
         /// Window-end cycle.
         cycle: u64,
         /// Partition index.
         partition: u32,
         /// Per-application attained DRAM bandwidth through this partition
-        /// over the window, normalized to the whole-machine peak.
+        /// over the window, normalized to the whole-machine peak (summed
+        /// over partitions it gives each application's `bw`).
         per_app_bw: Vec<f64>,
         /// DRAM row-buffer hit rate over the window (0 when no accesses).
         rowbuf_hit_rate: f64,
-        /// Queued requests (ingress + controller queue) at the window end.
+        /// Requests queued in the partition (ingress + memory-controller
+        /// queue) at the window end.
         queue_depth: usize,
-    },
+    }
+
     /// One SIMT core's sampling-window telemetry.
-    CoreWindow {
+    CoreWindow = "core_window", since 1 {
         /// Window-end cycle.
         cycle: u64,
         /// Core index.
@@ -159,18 +459,20 @@ pub enum TraceEvent {
         app: u8,
         /// Warp-instruction IPC over the window.
         ipc: f64,
-        /// Average SWL-active warp slots over the window.
+        /// Average SWL-active (schedulable) warp slots over the window.
         active_warps: f64,
-        /// Stall-cycle fractions over the window.
+        /// Stall-cycle fractions of the window — memory, structural
+        /// hazards, idle; the remainder is issue cycles.
         stall: StallBreakdown,
-    },
+    }
+
     /// Result-cache counters ([`crate::cache`]) at the moment of emission —
     /// campaigns emit one at the end of a run so traces record how much
     /// simulation was memoized away.
-    CacheStats {
+    CacheStats = "cache_stats", since 2 {
         /// Always 0: the cache lives outside simulated time.
         cycle: u64,
-        /// Lookups served from a cache tier.
+        /// Lookups served from a cache tier (memory or disk).
         hits: u64,
         /// Hits served by the on-disk store (subset of `hits`).
         disk_hits: u64,
@@ -180,46 +482,49 @@ pub enum TraceEvent {
         bypasses: u64,
         /// Records written to the on-disk store.
         stores: u64,
-        /// Hits re-simulated and checked bit-identical by verify mode.
+        /// Hits re-simulated and checked bit-identical by `--cache-verify`.
         verified: u64,
-        /// Hits served by waiting on another thread's in-flight compute of
-        /// the same fingerprint (single-flight joins; subset of `hits`).
+        /// Hits served by waiting on another thread's in-flight simulation
+        /// of the same fingerprint (single-flight joins; subset of `hits`).
+        #[since(5)]
         inflight_joined: u64,
-    },
+    }
+
     /// One campaign work-graph unit, emitted when a scheduled or serial
     /// campaign finishes. The identity fields (`unit` … `est`) come from
     /// the deterministic plan; the runtime fields (`worker` … `cycles`)
     /// describe the actual execution and are zero when the campaign ran
     /// serially (plan-only emission).
-    SchedUnit {
+    SchedUnit = "sched_unit", since 5 {
         /// Always 0: scheduling lives outside simulated time.
         cycle: u64,
         /// Unit index in plan order.
         unit: u64,
-        /// The unit's label (e.g. `"alone:BLK@8"`, `"scheme:BLK_BFS/pbs"`).
+        /// The unit's label, e.g. `"alone:BLK@8"`, `"scheme:BLK_BFS/PBS-WS"`.
         label: String,
         /// The unit's 128-bit cache fingerprint, as 32 hex digits.
         fp: String,
         /// Number of dependencies the unit waited on.
         deps: u64,
-        /// Cost-model estimate the scheduler ordered the unit by
-        /// (simulated cycles, or the registration fallback).
+        /// Cost-model estimate the scheduler ordered the unit by (simulated
+        /// cycles, or the registration fallback).
         est: u64,
         /// Pool worker that executed the unit (0-based; 0 on serial runs).
         worker: u64,
-        /// Milliseconds from campaign start to unit start (wall clock;
-        /// nondeterministic, 0 on serial runs).
+        /// Milliseconds from campaign start to unit start (wall clock,
+        /// nondeterministic; 0 on serial runs).
         start_ms: f64,
-        /// Wall-clock milliseconds the unit ran for (nondeterministic,
-        /// 0 on serial runs).
+        /// Wall-clock milliseconds the unit ran for (nondeterministic; 0 on
+        /// serial runs).
         wall_ms: f64,
-        /// Simulated cycles the executing worker attributed to the unit
-        /// (0 on serial runs and on cache hits).
+        /// Simulated cycles the executing worker attributed to the unit (0
+        /// on serial runs and on cache hits).
         cycles: u64,
-    },
+    }
+
     /// One result-cache tier's hit funnel at the moment of emission
     /// (companion to `cache_stats`, split per tier).
-    CacheTier {
+    CacheTier = "cache_tier", since 5 {
         /// Always 0: the cache lives outside simulated time.
         cycle: u64,
         /// Tier name: `"memory"` or `"disk"`.
@@ -230,150 +535,77 @@ pub enum TraceEvent {
         misses: u64,
         /// Entries written into this tier.
         stores: u64,
-    },
+    }
+
     /// One sampling window's metrics-registry snapshot (`gpu_sim::metrics`):
     /// per-warp stall breakdown, DRAM request-latency histogram, and — on
     /// the machine-wide aggregate record only — the MSHR-occupancy and
-    /// queue-depth gauges sampled at rollover.
-    MetricsWindow {
+    /// queue-depth gauges sampled at rollover. The two engine fractions
+    /// are diagnostics, not simulation state: the per-cycle reference
+    /// engine reports 0 where the event engine reports > 0.
+    MetricsWindow = "metrics_window", since 3 {
         /// Window-end cycle.
         cycle: u64,
-        /// Application index, or `None` for the machine-wide aggregate
-        /// record (serialized as JSON `null`).
+        /// Application index, or `null` (`None`) on the machine-wide
+        /// aggregate record.
         app: Option<u8>,
-        /// Per-warp stall-reason breakdown over the window (warp-cycles).
+        /// Per-warp stall-reason breakdown over the window, in warp-cycles.
         stalls: WarpStalls,
-        /// DRAM queue-to-data request latency over the window (cycles).
+        /// DRAM request latency over the window, memory-controller queue
+        /// entry to data return, in cycles.
         dram_lat: Histogram,
-        /// L2-MSHR occupancy samples (one per partition per window; empty
-        /// on per-app records — occupancy is not app-attributable).
+        /// L2-MSHR occupancy samples (entries in use), one per partition
+        /// per window; empty on per-app records.
         mshr_occ: Histogram,
-        /// Queue-depth samples (partition queues and crossbar peaks; empty
-        /// on per-app records).
+        /// Queue-depth samples — partition queues and the crossbars'
+        /// per-window peak in-flight counts; empty on per-app records.
         queue_depth: Histogram,
         /// Fraction of the window's cycles the engine advanced by
-        /// whole-machine fast-forward jumps (no component work at all).
-        /// `None` (JSON `null`) on per-app records — this is an engine
-        /// diagnostic, not simulation state, so the per-cycle reference
-        /// engine reports 0 where the event engine reports > 0.
+        /// whole-machine jumps over event-free stretches; `null` on per-app
+        /// records.
+        #[since(4)]
         machine_fast_forward_fraction: Option<f64>,
-        /// Fraction of individual component steps the engine skipped over
-        /// the window, relative to stepping every component every cycle.
-        /// `None` on per-app records; an engine diagnostic like
-        /// `machine_fast_forward_fraction`.
+        /// Fraction of individual component steps (cores, partitions,
+        /// crossbars) the engine skipped over the window, relative to
+        /// stepping every component every cycle; `null` on per-app records.
+        #[since(4)]
         component_idle_skip_fraction: Option<f64>,
-    },
-    /// One bench self-profiler span (campaign → figure → sweep → run),
-    /// emitted when a traced campaign finishes so the trace records where
-    /// wall time and simulated cycles went.
-    ProfileSpan {
-        /// Always 0: profiling spans live outside simulated time.
+    }
+
+    /// One bench self-profiler span (campaign → figure → sweep → run, and
+    /// a scheduled campaign's units), emitted when a traced campaign
+    /// finishes so the trace records where wall time and simulated cycles
+    /// went.
+    ProfileSpan = "profile_span", since 3 {
+        /// The process-wide simulated-cycle counter at emit time: spans
+        /// are wall-clock phenomena, so a campaign's spans share one stamp.
         cycle: u64,
-        /// Span level: `"campaign"`, `"figure"`, `"sweep"` or `"run"`.
+        /// Span level: `"campaign"`, `"figure"`, `"sweep"`, `"run"` or
+        /// `"unit"`.
         level: String,
-        /// Human-readable span name (e.g. `"fig09"`).
+        /// Human-readable span name, e.g. `"fig09"`.
         name: String,
-        /// Nesting depth (campaign = 0).
+        /// Nesting depth at creation, counted on the creating thread
+        /// (campaign = 0).
         depth: u32,
         /// Wall-clock seconds spent in the span.
         wall_s: f64,
-        /// Simulated cycles attributed to the span (process-wide counter
-        /// delta, so parallel sweeps attribute work from every thread).
+        /// Simulated cycles attributed to the span (a pool worker's own
+        /// count, else the process-wide delta, so parallel sweeps count
+        /// every worker thread).
         cycles: u64,
-        /// Result-cache hits during the span.
+        /// Result-cache hits (memory + disk) during the span.
         cache_hits: u64,
         /// Result-cache misses (simulations executed) during the span.
         cache_misses: u64,
-        /// Worker threads available to the span (`gpu_sim::exec`).
+        /// Worker-pool width available to the span (`gpu_sim::exec`).
         workers: u32,
-    },
-}
-
-/// Formats a float as a JSON number (`null` for non-finite values, which
-/// JSON cannot represent).
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v:.6}");
-    } else {
-        out.push_str("null");
     }
-}
-
-/// Serializes a [`Histogram`] as the schema's histogram object:
-/// `{"count":..,"sum":..,"min":..,"max":..,"buckets":[..]}` with trailing
-/// zero buckets trimmed (an empty histogram has `"buckets":[]`).
-fn push_hist(out: &mut String, h: &Histogram) {
-    let _ = write!(
-        out,
-        "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
-        h.count(),
-        h.sum(),
-        h.min(),
-        h.max()
-    );
-    let buckets = h.buckets();
-    let last = buckets.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
-    for (i, b) in buckets[..last].iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{b}");
-    }
-    out.push_str("]}");
-}
-
-/// Minimal JSON string escaping (controller names are ASCII, but the schema
-/// must never emit invalid JSON).
-fn push_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl TraceEvent {
-    /// The event's kind tag as serialized (`"kind"` field).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::WindowSample { .. } => "window_sample",
-            TraceEvent::TlpDecision { .. } => "tlp_decision",
-            TraceEvent::SearchPhase { .. } => "search_phase",
-            TraceEvent::PartitionWindow { .. } => "partition_window",
-            TraceEvent::CoreWindow { .. } => "core_window",
-            TraceEvent::CacheStats { .. } => "cache_stats",
-            TraceEvent::MetricsWindow { .. } => "metrics_window",
-            TraceEvent::ProfileSpan { .. } => "profile_span",
-            TraceEvent::SchedUnit { .. } => "sched_unit",
-            TraceEvent::CacheTier { .. } => "cache_tier",
-        }
-    }
-
-    /// The cycle the event was recorded at.
-    pub fn cycle(&self) -> u64 {
-        match self {
-            TraceEvent::WindowSample { cycle, .. }
-            | TraceEvent::TlpDecision { cycle, .. }
-            | TraceEvent::SearchPhase { cycle, .. }
-            | TraceEvent::PartitionWindow { cycle, .. }
-            | TraceEvent::CoreWindow { cycle, .. }
-            | TraceEvent::CacheStats { cycle, .. }
-            | TraceEvent::MetricsWindow { cycle, .. }
-            | TraceEvent::ProfileSpan { cycle, .. }
-            | TraceEvent::SchedUnit { cycle, .. }
-            | TraceEvent::CacheTier { cycle, .. } => *cycle,
-        }
-    }
-
-    /// Serializes the event as one JSON object (no trailing newline),
-    /// following `docs/TRACE_SCHEMA.md`.
+    /// Serializes the event as one JSON object (no trailing newline): the
+    /// `v`/`kind`/`cycle` envelope, then [`TraceEvent::write_fields`].
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(128);
         let _ = write!(
@@ -382,205 +614,7 @@ impl TraceEvent {
             self.kind(),
             self.cycle()
         );
-        match self {
-            TraceEvent::WindowSample {
-                app,
-                eb,
-                bw,
-                cmr,
-                l1mr,
-                l2mr,
-                ipc,
-                ..
-            } => {
-                let _ = write!(s, ",\"app\":{app}");
-                for (name, v) in [
-                    ("eb", eb),
-                    ("bw", bw),
-                    ("cmr", cmr),
-                    ("l1mr", l1mr),
-                    ("l2mr", l2mr),
-                    ("ipc", ipc),
-                ] {
-                    let _ = write!(s, ",\"{name}\":");
-                    push_f64(&mut s, *v);
-                }
-            }
-            TraceEvent::TlpDecision {
-                app,
-                old,
-                new,
-                reason,
-                ..
-            } => {
-                let _ = write!(s, ",\"app\":{app},\"old\":{old},\"new\":{new},\"reason\":");
-                push_str(&mut s, reason);
-            }
-            TraceEvent::SearchPhase { scheme, phase, .. } => {
-                s.push_str(",\"scheme\":");
-                push_str(&mut s, scheme);
-                s.push_str(",\"phase\":");
-                push_str(&mut s, phase);
-            }
-            TraceEvent::PartitionWindow {
-                partition,
-                per_app_bw,
-                rowbuf_hit_rate,
-                queue_depth,
-                ..
-            } => {
-                let _ = write!(s, ",\"partition\":{partition},\"per_app_bw\":[");
-                for (i, bw) in per_app_bw.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    push_f64(&mut s, *bw);
-                }
-                s.push_str("],\"rowbuf_hit_rate\":");
-                push_f64(&mut s, *rowbuf_hit_rate);
-                let _ = write!(s, ",\"queue_depth\":{queue_depth}");
-            }
-            TraceEvent::CoreWindow {
-                core,
-                app,
-                ipc,
-                active_warps,
-                stall,
-                ..
-            } => {
-                let _ = write!(s, ",\"core\":{core},\"app\":{app},\"ipc\":");
-                push_f64(&mut s, *ipc);
-                s.push_str(",\"active_warps\":");
-                push_f64(&mut s, *active_warps);
-                s.push_str(",\"stall\":{\"mem\":");
-                push_f64(&mut s, stall.mem);
-                s.push_str(",\"struct\":");
-                push_f64(&mut s, stall.structural);
-                s.push_str(",\"idle\":");
-                push_f64(&mut s, stall.idle);
-                s.push('}');
-            }
-            TraceEvent::CacheStats {
-                hits,
-                disk_hits,
-                misses,
-                bypasses,
-                stores,
-                verified,
-                inflight_joined,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"hits\":{hits},\"disk_hits\":{disk_hits},\"misses\":{misses},\
-                     \"bypasses\":{bypasses},\"stores\":{stores},\"verified\":{verified},\
-                     \"inflight_joined\":{inflight_joined}"
-                );
-            }
-            TraceEvent::MetricsWindow {
-                app,
-                stalls,
-                dram_lat,
-                mshr_occ,
-                queue_depth,
-                machine_fast_forward_fraction,
-                component_idle_skip_fraction,
-                ..
-            } => {
-                match app {
-                    Some(a) => {
-                        let _ = write!(s, ",\"app\":{a}");
-                    }
-                    None => s.push_str(",\"app\":null"),
-                }
-                let _ = write!(
-                    s,
-                    ",\"stalls\":{{\"mem\":{},\"exec\":{},\"barrier\":{},\"tlp_capped\":{}}}",
-                    stalls.mem, stalls.exec, stalls.barrier, stalls.tlp_capped
-                );
-                for (name, h) in [
-                    ("dram_lat", dram_lat),
-                    ("mshr_occ", mshr_occ),
-                    ("queue_depth", queue_depth),
-                ] {
-                    let _ = write!(s, ",\"{name}\":");
-                    push_hist(&mut s, h);
-                }
-                for (name, frac) in [
-                    (
-                        "machine_fast_forward_fraction",
-                        machine_fast_forward_fraction,
-                    ),
-                    ("component_idle_skip_fraction", component_idle_skip_fraction),
-                ] {
-                    let _ = write!(s, ",\"{name}\":");
-                    match frac {
-                        Some(f) => push_f64(&mut s, *f),
-                        None => s.push_str("null"),
-                    }
-                }
-            }
-            TraceEvent::ProfileSpan {
-                level,
-                name,
-                depth,
-                wall_s,
-                cycles,
-                cache_hits,
-                cache_misses,
-                workers,
-                ..
-            } => {
-                s.push_str(",\"level\":");
-                push_str(&mut s, level);
-                s.push_str(",\"name\":");
-                push_str(&mut s, name);
-                let _ = write!(s, ",\"depth\":{depth},\"wall_s\":");
-                push_f64(&mut s, *wall_s);
-                let _ = write!(
-                    s,
-                    ",\"cycles\":{cycles},\"cache_hits\":{cache_hits},\
-                     \"cache_misses\":{cache_misses},\"workers\":{workers}"
-                );
-            }
-            TraceEvent::SchedUnit {
-                unit,
-                label,
-                fp,
-                deps,
-                est,
-                worker,
-                start_ms,
-                wall_ms,
-                cycles,
-                ..
-            } => {
-                let _ = write!(s, ",\"unit\":{unit},\"label\":");
-                push_str(&mut s, label);
-                s.push_str(",\"fp\":");
-                push_str(&mut s, fp);
-                let _ = write!(s, ",\"deps\":{deps},\"est\":{est},\"worker\":{worker}");
-                s.push_str(",\"start_ms\":");
-                push_f64(&mut s, *start_ms);
-                s.push_str(",\"wall_ms\":");
-                push_f64(&mut s, *wall_ms);
-                let _ = write!(s, ",\"cycles\":{cycles}");
-            }
-            TraceEvent::CacheTier {
-                tier,
-                hits,
-                misses,
-                stores,
-                ..
-            } => {
-                s.push_str(",\"tier\":");
-                push_str(&mut s, tier);
-                let _ = write!(
-                    s,
-                    ",\"hits\":{hits},\"misses\":{misses},\"stores\":{stores}"
-                );
-            }
-        }
+        self.write_fields(&mut s);
         s.push('}');
         s
     }
@@ -684,11 +718,16 @@ impl TraceSink for RingSink {
 
 /// Newline-delimited-JSON file sink (one [`TraceEvent::to_json`] object per
 /// line). Buffered; flushed explicitly and on drop.
+///
+/// A full disk loses trace lines, never the simulation: the first I/O
+/// error of a write or flush is kept ([`JsonlSink::error`]) and every
+/// event after it is dropped uncounted.
 #[derive(Debug)]
 pub struct JsonlSink {
     out: std::io::BufWriter<std::fs::File>,
     path: PathBuf,
     written: u64,
+    error: Option<std::io::Error>,
 }
 
 impl JsonlSink {
@@ -704,6 +743,7 @@ impl JsonlSink {
             out: std::io::BufWriter::new(file),
             path,
             written: 0,
+            error: None,
         })
     }
 
@@ -712,22 +752,34 @@ impl JsonlSink {
         &self.path
     }
 
-    /// Number of events written so far.
+    /// Number of events written before the first I/O error, if any.
     pub fn written(&self) -> u64 {
         self.written
+    }
+
+    /// The first I/O error a write or flush hit: the trace is incomplete.
+    pub fn error(&self) -> Option<&std::io::Error> {
+        self.error.as_ref()
     }
 }
 
 impl TraceSink for JsonlSink {
     fn emit(&mut self, event: TraceEvent) {
-        // Best-effort: a full disk loses trace lines, never the simulation.
-        let _ = self.out.write_all(event.to_json().as_bytes());
-        let _ = self.out.write_all(b"\n");
-        self.written += 1;
+        if self.error.is_some() {
+            return;
+        }
+        let mut line = event.to_json();
+        line.push('\n');
+        match self.out.write_all(line.as_bytes()) {
+            Ok(()) => self.written += 1,
+            Err(e) => self.error = Some(e),
+        }
     }
 
     fn flush(&mut self) {
-        let _ = self.out.flush();
+        if self.error.is_none() {
+            self.error = self.out.flush().err();
+        }
     }
 }
 
@@ -1103,5 +1155,22 @@ mod tests {
             assert!(line.starts_with('{') && line.ends_with('}'));
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A write failure is kept, not swallowed: `/dev/full` accepts the
+    /// open and fails the first flush, and nothing after it is counted.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn jsonl_sink_keeps_the_first_write_error() {
+        let mut sink = JsonlSink::create("/dev/full").expect("/dev/full opens");
+        sink.emit(sample(1, 0, 1.0));
+        assert!(sink.error().is_none(), "the line is still buffered");
+        sink.flush();
+        let err = sink.error().expect("flushing into /dev/full fails");
+        assert_eq!(err.raw_os_error(), Some(28), "ENOSPC: {err}");
+        let written = sink.written();
+        sink.emit(sample(2, 0, 1.0));
+        sink.flush();
+        assert_eq!(sink.written(), written);
     }
 }
