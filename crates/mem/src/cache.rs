@@ -100,9 +100,22 @@ impl Cache {
         line.line_index() >> self.set_shift
     }
 
-    fn bump(&mut self) -> u64 {
+    /// The hit path of a load lookup: when `line` is resident, stamps its
+    /// way, counts the access for `app` and returns true. The LRU clock
+    /// advances only here and on a fill — the events that stamp a way — so
+    /// a lookup that misses or stalls leaves no trace in it.
+    fn touch(&mut self, app: AppId, line: Address) -> bool {
+        let set = self.set_of(line);
+        let tag = self.tag_of(line);
+        let base = set * self.assoc;
+        let ways = &mut self.ways[base..base + self.assoc];
+        let Some(way) = ways.iter_mut().find(|w| w.valid && w.tag == tag) else {
+            return false;
+        };
         self.tick += 1;
-        self.tick
+        way.last_use = self.tick;
+        self.counters[app.index()].accesses += 1;
+        true
     }
 
     fn counters_mut(&mut self, app: AppId) -> &mut CacheCounters {
@@ -117,16 +130,8 @@ impl Cache {
     /// stalls on MSHR capacity.
     pub fn access_load(&mut self, app: AppId, line: Address, req: ReqId) -> Lookup {
         let line = line.line();
-        let set = self.set_of(line);
-        let tag = self.tag_of(line);
-        let base = set * self.assoc;
-        let now = self.bump();
-        for way in &mut self.ways[base..base + self.assoc] {
-            if way.valid && way.tag == tag {
-                way.last_use = now;
-                self.counters_mut(app).accesses += 1;
-                return Lookup::Hit;
-            }
+        if self.touch(app, line) {
+            return Lookup::Hit;
         }
         match self.mshr.register(line, req) {
             MshrOutcome::Allocated => {
@@ -151,16 +156,8 @@ impl Cache {
     /// already resident.
     pub fn access_load_no_alloc(&mut self, app: AppId, line: Address) -> bool {
         let line = line.line();
-        let set = self.set_of(line);
-        let tag = self.tag_of(line);
-        let base = set * self.assoc;
-        let now = self.bump();
-        for way in &mut self.ways[base..base + self.assoc] {
-            if way.valid && way.tag == tag {
-                way.last_use = now;
-                self.counters_mut(app).accesses += 1;
-                return true;
-            }
+        if self.touch(app, line) {
+            return true;
         }
         let c = self.counters_mut(app);
         c.accesses += 1;
@@ -201,7 +198,8 @@ impl Cache {
         let set = self.set_of(line);
         let tag = self.tag_of(line);
         let base = set * self.assoc;
-        let now = self.bump();
+        self.tick += 1;
+        let now = self.tick;
         // Already present (e.g. refill racing a prior fill): refresh LRU only.
         if let Some(way) = self.ways[base..base + self.assoc]
             .iter_mut()

@@ -13,6 +13,8 @@
 //! banks cost one probe, whatever is queued behind them — and arrival
 //! stamps decide between banks, so the choice is the one a front-to-back
 //! scan of a single arrival-ordered queue makes (debug builds check that).
+//! Before the earliest cycle a pending bank frees, kept as the controller's
+//! issue horizon, no pick is tried at all.
 //!
 //! The controller also owns the per-application accounting the paper's
 //! designated-partition sampling reads: useful bytes transferred (attained
@@ -22,8 +24,7 @@ use crate::dram::DramChannel;
 use crate::req::{AccessKind, MemRequest};
 use gpu_types::bits::{BitSet, BitWalk};
 use gpu_types::{AppId, Histogram, LINE_SIZE};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// Per-application DRAM-side counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -34,30 +35,6 @@ pub struct McCounters {
     pub row_hits: u64,
     /// Column accesses that required activating a row.
     pub row_misses: u64,
-}
-
-#[derive(Debug)]
-struct InFlight {
-    done_at: u64,
-    seq: u64,
-    req: MemRequest,
-}
-
-impl PartialEq for InFlight {
-    fn eq(&self, other: &Self) -> bool {
-        (self.done_at, self.seq) == (other.done_at, other.seq)
-    }
-}
-impl Eq for InFlight {}
-impl PartialOrd for InFlight {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for InFlight {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.done_at, self.seq).cmp(&(other.done_at, other.seq))
-    }
 }
 
 /// "No slot": the end of a bank's FIFO or of the free list.
@@ -107,8 +84,15 @@ pub struct MemoryController {
     queued: usize,
     arrivals: u64,
     capacity: usize,
-    in_flight: BinaryHeap<Reverse<InFlight>>,
-    seq: u64,
+    /// The earliest `busy_until` over the pending banks (`u64::MAX` while
+    /// none is): nothing issues before it. Bank state changes only in this
+    /// controller's issue, so `push_with` lowers it when a bank becomes
+    /// pending and each issue rescans it.
+    horizon: u64,
+    /// Issued loads as `(done_at, request)`, in issue order — which is
+    /// completion order: the channel books its one data bus in order, so
+    /// `done_at` strictly increases along the queue.
+    in_flight: VecDeque<(u64, MemRequest)>,
     counters: Vec<McCounters>,
     /// When true, per-app request-latency histograms are recorded at issue
     /// time; off by default so the hot path stays within noise.
@@ -139,8 +123,8 @@ impl MemoryController {
             queued: 0,
             arrivals: 0,
             capacity,
-            in_flight: BinaryHeap::new(),
-            seq: 0,
+            horizon: u64::MAX,
+            in_flight: VecDeque::new(),
             counters: Vec::new(),
             metrics: false,
             latency: Vec::new(),
@@ -197,6 +181,7 @@ impl MemoryController {
         if fifo.head == NIL {
             fifo.head = slot;
             self.pending.set(bank);
+            self.horizon = self.horizon.min(dram.bank_busy_until(bank));
         } else {
             self.slab[fifo.tail as usize].next = slot;
         }
@@ -294,40 +279,60 @@ impl MemoryController {
         &mut self.counters[app.index()]
     }
 
+    /// The earliest `busy_until` over the pending banks, by walking them —
+    /// what `horizon` keeps.
+    fn scan_horizon(&self, dram: &DramChannel) -> u64 {
+        let mut banks = BitWalk::over(0..self.banks.len());
+        std::iter::from_fn(|| self.pending.next(&mut banks))
+            .map(|bank| dram.bank_busy_until(bank))
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
     /// FR-FCFS issue: forwards at most one queued request to `dram`.
     fn issue_one(&mut self, now: u64, dram: &mut DramChannel) {
-        let pick = self.pick(now, dram);
+        debug_assert_eq!(
+            self.horizon,
+            self.scan_horizon(dram),
+            "kept issue horizon diverged from the pending banks"
+        );
+        let pick = if now < self.horizon {
+            None
+        } else {
+            self.pick(now, dram)
+        };
         debug_assert_eq!(
             pick.map(|p| p.slot),
             self.pick_by_scan(now, dram),
             "per-bank pick diverged from the arrival-order scan"
         );
-        if let Some(pick) = pick {
-            let q = self.take(pick);
-            let req = q.req;
-            let svc = dram.service_at(q.bank, q.row, now);
-            if self.metrics {
-                let app = req.app.index();
-                if self.latency.len() <= app {
-                    self.latency.resize(app + 1, Histogram::new());
-                }
-                self.latency[app].record(svc.done_at.saturating_sub(q.at));
+        let Some(pick) = pick else {
+            return;
+        };
+        let q = self.take(pick);
+        let req = q.req;
+        let svc = dram.service_at(q.bank, q.row, now);
+        self.horizon = self.scan_horizon(dram);
+        if self.metrics {
+            let app = req.app.index();
+            if self.latency.len() <= app {
+                self.latency.resize(app + 1, Histogram::new());
             }
-            let c = self.counters_mut(req.app);
-            c.dram_bytes += LINE_SIZE;
-            if svc.row_hit {
-                c.row_hits += 1;
-            } else {
-                c.row_misses += 1;
-            }
-            if req.kind == AccessKind::Load {
-                self.seq += 1;
-                self.in_flight.push(Reverse(InFlight {
-                    done_at: svc.done_at,
-                    seq: self.seq,
-                    req,
-                }));
-            }
+            self.latency[app].record(svc.done_at.saturating_sub(q.at));
+        }
+        let c = self.counters_mut(req.app);
+        c.dram_bytes += LINE_SIZE;
+        if svc.row_hit {
+            c.row_hits += 1;
+        } else {
+            c.row_misses += 1;
+        }
+        if req.kind == AccessKind::Load {
+            debug_assert!(
+                self.in_flight.back().is_none_or(|&(t, _)| t < svc.done_at),
+                "DRAM completions left issue order"
+            );
+            self.in_flight.push_back((svc.done_at, req));
         }
     }
 
@@ -337,8 +342,8 @@ impl MemoryController {
     /// and reuses the buffer.
     pub fn step_into(&mut self, now: u64, dram: &mut DramChannel, done: &mut Vec<MemRequest>) {
         self.issue_one(now, dram);
-        while matches!(self.in_flight.peek(), Some(Reverse(f)) if f.done_at <= now) {
-            done.push(self.in_flight.pop().expect("peeked").0.req);
+        while let Some((_, req)) = self.in_flight.pop_front_if(|(t, _)| *t <= now) {
+            done.push(req);
         }
     }
 
@@ -354,7 +359,7 @@ impl MemoryController {
     /// Earliest cycle at which an issued load's data completes, if any —
     /// the partition's quiescence check reads this to find the next event.
     pub fn next_completion(&self) -> Option<u64> {
-        self.in_flight.peek().map(|Reverse(f)| f.done_at)
+        self.in_flight.front().map(|&(done_at, _)| done_at)
     }
 
     /// The earliest cycle `>= from` at which a queued request could issue:
@@ -362,18 +367,15 @@ impl MemoryController {
     /// clamped to `from` (`u64::MAX` when the queue is empty). Banks only
     /// change state when this controller issues to them, so the horizon is
     /// exact between steps — this is the controller's "next event at"
-    /// contract for the event engine.
+    /// contract for the event engine. Kept, not walked: `dram` is read
+    /// only by the debug check against the pending banks.
     pub fn next_issue_at(&self, dram: &DramChannel, from: u64) -> u64 {
-        let mut next = u64::MAX;
-        let mut banks = BitWalk::over(0..self.banks.len());
-        while let Some(bank) = self.pending.next(&mut banks) {
-            let t = dram.bank_busy_until(bank);
-            if t <= from {
-                return from;
-            }
-            next = next.min(t);
-        }
-        next
+        debug_assert_eq!(
+            self.horizon,
+            self.scan_horizon(dram),
+            "kept issue horizon diverged from the pending banks"
+        );
+        self.horizon.max(from)
     }
 
     /// Per-application counters (zero for apps never seen).

@@ -68,6 +68,11 @@ pub struct MemoryPartition {
     dram: DramChannel,
     ingress: VecDeque<MemRequest>,
     ingress_capacity: usize,
+    /// The ingress head's L2 lookup stalled on exhausted MSHRs (entries or
+    /// merge slots). Only a fill frees either or makes the line resident,
+    /// so until one lands the port's retry is a no-op: set on the stall,
+    /// cleared by every L2 fill.
+    port_blocked: bool,
     hit_latency: u64,
     /// L2 hits waiting out the hit latency, `(due, request)`. One latency
     /// and an advancing `now`: pushes arrive in due order, a FIFO.
@@ -91,6 +96,7 @@ impl MemoryPartition {
             dram: DramChannel::new(cfg.dram.clone(), cfg.n_partitions),
             ingress: VecDeque::new(),
             ingress_capacity: 32,
+            port_blocked: false,
             hit_latency: cfg.l2.hit_latency as u64,
             hit_returns: VecDeque::new(),
             missed: Parked::default(),
@@ -134,6 +140,7 @@ impl MemoryPartition {
             }
             let mut waiters = std::mem::take(&mut self.waiter_scratch);
             self.l2.fill_into(fill.addr, &mut waiters);
+            self.port_blocked = false;
             responses.extend(waiters.iter().map(|&w| self.missed.release(w)));
             waiters.clear();
             self.waiter_scratch = waiters;
@@ -162,6 +169,7 @@ impl MemoryPartition {
                 continue;
             }
             let waiters = self.l2.fill(fill.addr);
+            self.port_blocked = false;
             responses.extend(waiters.into_iter().map(|w| self.missed.release(w)));
         }
 
@@ -222,8 +230,10 @@ impl MemoryPartition {
                             }
                             Lookup::MissMerged => self.missed.park(req),
                             Lookup::Stall => {
-                                // MSHRs exhausted: put it back and retry.
+                                // MSHRs exhausted: put it back and retry
+                                // after a fill.
                                 self.ingress.push_front(req);
+                                self.port_blocked = true;
                             }
                         }
                     }
@@ -236,14 +246,15 @@ impl MemoryPartition {
     /// have any observable effect — its "next event at" contract for the
     /// event engine. Until then, [`MemoryPartition::step_into`] is provably
     /// a strict no-op: no DRAM completion is due, no L2 hit return is due,
-    /// the L2 port cannot service ingress (empty, or the controller is
-    /// full), and the controller cannot issue (empty, or every targeted
+    /// the L2 port cannot service ingress (empty, the controller is full,
+    /// or the head's lookup stalled on L2 MSHRs and no fill has landed
+    /// since), and the controller cannot issue (empty, or every targeted
     /// bank is busy — bank state only changes when *this* partition
     /// issues, so the horizon stays exact between steps). `u64::MAX`
     /// signals a fully drained partition that only an ingress push can
     /// reawaken.
     pub fn next_event(&self, from: u64) -> u64 {
-        if !self.ingress.is_empty() && self.mc.can_accept() {
+        if !self.ingress.is_empty() && self.mc.can_accept() && !self.port_blocked {
             return from; // the L2 port can service a request now
         }
         let mut next = u64::MAX;

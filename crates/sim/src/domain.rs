@@ -293,10 +293,16 @@ impl<'a> Domain<'a> {
     }
 
     /// Partition `lp`'s wake time seen from cycle `from`: its own next
-    /// event, or `from` while either backlog holds something (staging and
-    /// ingress retries happen every cycle).
+    /// event, or `from` while responses are staged (staging retries happen
+    /// every cycle). Backlogged requests do not keep it awake: every cycle
+    /// drains the ingress backlog until the ingress is full, and a full
+    /// ingress takes nothing until the partition's own step pops it.
     fn partition_wake(&self, lp: usize, from: u64) -> u64 {
-        if self.resp_backlog[lp].is_empty() && self.ingress_backlog[lp].is_empty() {
+        debug_assert!(
+            self.ingress_backlog[lp].is_empty() || !self.partitions[lp].can_accept(),
+            "partition {lp} left requests backlogged in front of a free ingress"
+        );
+        if self.resp_backlog[lp].is_empty() {
             self.partitions[lp].next_event(from)
         } else {
             from
@@ -406,7 +412,8 @@ impl<'a> Domain<'a> {
 
         // 4. Core egress into the request network — every core with queued
         //    requests, due or not: a struct-stalled core sleeps while its
-        //    queue drains at the machine's pace, and the pop wakes it.
+        //    queue drains at the machine's pace, and the pop that makes
+        //    room for a blocked instruction wakes it.
         //    Skipped cycles are credited before the pop can clear the
         //    sleep, keeping the lazy-credit bookkeeping exact.
         if st.egress_count > 0 {
@@ -430,9 +437,10 @@ impl<'a> Domain<'a> {
                         st.egress[lc] = false;
                         st.egress_count -= 1;
                     }
-                    // A pop may have woken a struct-stalled sleeper: have
-                    // the epilogue rebook it like the cores that stepped.
-                    st.due[lc] = true;
+                    // A pop that made room for a struct-stalled sleeper woke
+                    // it: have the epilogue rebook it like the cores that
+                    // stepped. A sleeper it left asleep keeps its booking.
+                    st.due[lc] |= self.cores[lc].next_event(t + 1) <= t + 1;
                 }
             }
         }

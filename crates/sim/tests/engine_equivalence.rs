@@ -299,6 +299,40 @@ fn memory_bound_corun_agrees_cycle_for_cycle() {
     }
 }
 
+/// Structural stalls on both resources a blocked warp can wait for: GUPS
+/// issues 8-line loads and TRD 4-line ones against 10 L1 MSHRs, so cores
+/// sleep with warps that fit neither the egress room nor the MSHRs, and
+/// only some egress pops may wake them. Ragged spans and an L1-bypass
+/// toggle (which lifts the MSHR limit) keep the wakes coming from both.
+#[test]
+fn struct_stalled_wide_loads_agree_cycle_for_cycle() {
+    let mut rng = SplitMix64::new(0xE961_7E64);
+    let mut cfg = GpuConfig::small();
+    cfg.l1.mshr_entries = 10;
+    let w = Workload::pair("GUPS", "TRD");
+    let build = || Gpu::new(&cfg, w.apps(), 42);
+    let (mut opt, mut reference) = (build(), build());
+    reference.set_reference_engine(true);
+    for leg in 0..8 {
+        if leg == 4 {
+            for gpu in [&mut opt, &mut reference] {
+                gpu.set_bypass_l1(AppId::new(1), true);
+            }
+        }
+        let span = 1 + rng.next_below(1_500);
+        opt.run(span);
+        reference.run(span);
+        assert_machines_equal(&opt, &reference, &format!("struct-stall leg {leg}"));
+    }
+    for app in 0..2 {
+        let stats = opt.core_stats(AppId::new(app));
+        assert!(
+            stats.struct_stall_cycles > 0,
+            "app {app} never struct-stalled: {stats:?}"
+        );
+    }
+}
+
 /// Knob changes landing exactly at event boundaries: legs are short and
 /// ragged (often shorter than sleep horizons), so spans routinely end with
 /// cores mid-sleep and the next leg begins with a knob change that

@@ -7,7 +7,7 @@ use crate::ccws::{CcwsParams, CcwsThrottle};
 use crate::inst::{InstStream, Op};
 use crate::pending::{PendingLoad, PendingTable};
 use crate::scheduler::{GtoScheduler, ScanOrder};
-use crate::warp::{Warp, WarpIssueState};
+use crate::warp::{StructNeed, Warp, WarpIssueState};
 use gpu_mem::cache::{Cache, CacheCounters, Lookup};
 use gpu_mem::req::{AccessKind, MemRequest, ReqId};
 use gpu_types::bits::BitWalk;
@@ -136,10 +136,13 @@ enum SleepKind {
     /// warps finished).
     Idle,
     /// A ready warp exists but every one is structurally blocked (egress
-    /// queue or L1 MSHRs full). Cleared by [`SimtCore::pop_request`] — the
-    /// only way egress space frees — as well as the usual response/knob
-    /// wakes (MSHRs free only via [`SimtCore::receive`]).
-    Struct,
+    /// queue or L1 MSHRs full). `room` is the least free egress space at
+    /// which one of them fits, counting only warps whose L1 MSHR test
+    /// passes (`usize::MAX` when none does): [`SimtCore::pop_request`] — the
+    /// only way egress space frees — clears the sleep once the queue has
+    /// that much room, and the usual response/knob wakes clear it as well
+    /// (MSHRs free only via [`SimtCore::receive`]).
+    Struct { room: usize },
 }
 
 /// One SIMT core running a single application's warps, generic over
@@ -403,12 +406,16 @@ impl<S: InstStream> SimtCore<S> {
     /// Next outbound memory request, if the interconnect can take one.
     ///
     /// Popping frees egress space, which is one of the two conditions a
-    /// struct-stalled sleep waits on — so it wakes that sleep (Mem/Idle
-    /// sleeps don't care about egress space and stay put).
+    /// struct-stalled sleep waits on — so it wakes that sleep once the room
+    /// reaches what its smallest blocked instruction needs (a pop that
+    /// leaves less would only re-step a core that still cannot issue).
+    /// Mem/Idle sleeps don't care about egress space and stay put.
     pub fn pop_request(&mut self) -> Option<MemRequest> {
         let r = self.egress.pop_front();
-        if r.is_some() && matches!(self.sleep, Some((_, SleepKind::Struct))) {
-            self.sleep = None;
+        if let Some((_, SleepKind::Struct { room })) = self.sleep {
+            if EGRESS_CAPACITY - self.egress.len() >= room {
+                self.sleep = None;
+            }
         }
         r
     }
@@ -418,19 +425,56 @@ impl<S: InstStream> SimtCore<S> {
         self.egress.front()
     }
 
+    /// Free egress entries and free L1 MSHR entries (`usize::MAX` while the
+    /// L1 is bypassed): the room a [`StructNeed`] must fit.
+    #[inline]
+    fn headroom(&self) -> (usize, usize) {
+        let mshrs = if self.bypass_l1 {
+            usize::MAX
+        } else {
+            self.l1.mshr_free()
+        };
+        (EGRESS_CAPACITY - self.egress.len(), mshrs)
+    }
+
+    /// True when an instruction of need `need` would pass the structural
+    /// hazard test now.
+    #[inline]
+    fn fits_now(&self, need: StructNeed) -> bool {
+        let (room, mshrs) = self.headroom();
+        need.fits(room, mshrs)
+    }
+
+    /// The need of the memory op warp `slot` has decoded, a load when
+    /// `load`: its lines up to `max_txn_per_inst`.
+    #[inline]
+    fn need_of(&self, slot: usize, load: bool) -> StructNeed {
+        let lines = self.warps[slot].lines().len();
+        StructNeed::new(lines.min(self.params.max_txn_per_inst), load)
+    }
+
+    /// The structural hazards of warp `slot`'s decoded memory op: egress
+    /// space for the worst case (all miss or bypass), and L1 MSHR headroom
+    /// for a cached load. On a hazard the op's need is recorded for the
+    /// retries and the result is false.
+    #[inline]
+    fn fits_or_block(&mut self, slot: usize, load: bool) -> bool {
+        let need = self.need_of(slot, load);
+        if self.fits_now(need) {
+            return true;
+        }
+        self.issue.block_struct(slot, need);
+        false
+    }
+
     /// Issues the load warp `slot` has decoded, straight from the warp's
     /// line buffer; false on a structural hazard.
     fn issue_load(&mut self, slot: usize, now: u64) -> bool {
+        if !self.fits_or_block(slot, true) {
+            return false;
+        }
         let lines = self.warps[slot].lines();
         let lines = &lines[..lines.len().min(self.params.max_txn_per_inst)];
-        // Structural hazards: egress space for the worst case (all miss or
-        // bypass), and enough free L1 MSHR headroom when cached.
-        if self.egress.len() + lines.len() > EGRESS_CAPACITY {
-            return false;
-        }
-        if !self.bypass_l1 && self.l1.mshr_free() < lines.len() {
-            return false;
-        }
         for &line in lines {
             let id = fresh_id(self.id, &mut self.next_req);
             let req = MemRequest::new(id, self.app, self.id, slot, line, AccessKind::Load);
@@ -470,11 +514,11 @@ impl<S: InstStream> SimtCore<S> {
 
     /// Issues the store warp `slot` has decoded.
     fn issue_store(&mut self, slot: usize, now: u64) -> bool {
-        let lines = self.warps[slot].lines();
-        let lines = &lines[..lines.len().min(self.params.max_txn_per_inst)];
-        if self.egress.len() + lines.len() > EGRESS_CAPACITY {
+        if !self.fits_or_block(slot, false) {
             return false;
         }
+        let lines = self.warps[slot].lines();
+        let lines = &lines[..lines.len().min(self.params.max_txn_per_inst)];
         for &line in lines {
             let id = fresh_id(self.id, &mut self.next_req);
             self.egress.push_back(MemRequest::new(
@@ -507,7 +551,7 @@ impl<S: InstStream> SimtCore<S> {
                 match kind {
                     SleepKind::Mem => self.stats.mem_stall_cycles += 1,
                     SleepKind::Idle => self.stats.idle_cycles += 1,
-                    SleepKind::Struct => self.stats.struct_stall_cycles += 1,
+                    SleepKind::Struct { .. } => self.stats.struct_stall_cycles += 1,
                 }
                 self.record_warp_stalls(0, 1);
                 return;
@@ -520,9 +564,8 @@ impl<S: InstStream> SimtCore<S> {
     /// Offers warp `slot` — neither retired nor blocked on memory — this
     /// cycle's issue slot; true when it issued. A warp whose stream ended
     /// retires here; one that hits a structural hazard keeps its op decoded
-    /// (the next peek returns it again, and under congestion every
-    /// scheduler re-offers its blocked warps each cycle: the retry reads
-    /// two queue lengths and moves nothing) and sets `saw_struct_block`.
+    /// (the next peek returns it again), records the op's [`StructNeed`]
+    /// for [`Self::offer_in_order`]'s gate and sets `saw_struct_block`.
     #[inline]
     fn offer(&mut self, slot: usize, now: u64, saw_struct_block: &mut bool) -> bool {
         if self.issue.ready_at(slot) > now {
@@ -552,6 +595,12 @@ impl<S: InstStream> SimtCore<S> {
     /// [`Self::offer`]s the warps of `order` in turn — the first slot tested
     /// directly, then the issuable warps along the walks, passing over it —
     /// until one issues; that slot, if any.
+    ///
+    /// Under congestion most offers are retries of a structurally blocked
+    /// warp, so each goes through one byte compare first: a warp whose
+    /// recorded [`StructNeed`] does not fit the current headroom is passed
+    /// over (setting `saw_struct_block`, as its failing offer would) without
+    /// touching its `Warp`.
     #[inline]
     fn offer_in_order(
         &mut self,
@@ -560,15 +609,30 @@ impl<S: InstStream> SimtCore<S> {
         saw_struct_block: &mut bool,
     ) -> Option<usize> {
         let ScanOrder { first, walks } = order;
+        let mut offer = |core: &mut Self, slot: usize| {
+            let need = core.issue.struct_need(slot);
+            if need == StructNeed::NONE || core.fits_now(need) {
+                return core.offer(slot, now, saw_struct_block);
+            }
+            debug_assert!(
+                core.issue.ready_at(slot) <= now
+                    && matches!(core.warps[slot].decoded(),
+                        Some(op @ (Op::Load | Op::Store))
+                            if !core.fits_now(core.need_of(slot, op == Op::Load))),
+                "warp {slot} was passed over, but its offer would issue"
+            );
+            *saw_struct_block = true;
+            false
+        };
         if let Some(g) = first {
-            if self.issue.issuable(g) && self.offer(g, now, saw_struct_block) {
+            if self.issue.issuable(g) && offer(self, g) {
                 return first;
             }
         }
         for span in walks {
             let mut walk = BitWalk::over(span);
             while let Some(slot) = self.issue.next_issuable(&mut walk) {
-                if Some(slot) != first && self.offer(slot, now, saw_struct_block) {
+                if Some(slot) != first && offer(self, slot) {
                     return Some(slot);
                 }
             }
@@ -628,28 +692,36 @@ impl<S: InstStream> SimtCore<S> {
         //    pop_request / receive, which clear the sleep, so nothing can
         //    happen before the earliest of {pending hit return, an
         //    ALU-latency warp becoming ready} — unless an external event
-        //    (receive, knob change) clears the sleep first.
+        //    (receive, knob change, a pop that makes a blocked warp fit)
+        //    clears the sleep first.
         if issued_total == 0 {
             let mut any_waiting = false;
             let mut wake = self.hit_returns.front().map_or(u64::MAX, |&(t, _)| t);
+            let (_, mshrs) = self.headroom();
+            let mut wake_room = usize::MAX;
             for s in &self.schedulers {
                 let active = s.active_slots();
                 any_waiting |= self.issue.any_waiting_mem(active.clone());
                 let mut slots = BitWalk::over(active);
                 while let Some(slot) = self.issue.next_issuable(&mut slots) {
                     let ready_at = self.issue.ready_at(slot);
-                    debug_assert!(
-                        saw_struct_block || ready_at > now,
-                        "a ready warp should have issued this cycle"
-                    );
                     if ready_at > now {
                         wake = wake.min(ready_at);
+                        continue;
+                    }
+                    let need = self.issue.struct_need(slot);
+                    debug_assert!(
+                        !self.fits_now(need),
+                        "a ready warp should have issued this cycle"
+                    );
+                    if need.fits(usize::MAX, mshrs) {
+                        wake_room = wake_room.min(need.lines());
                     }
                 }
             }
             let kind = if saw_struct_block {
                 self.stats.struct_stall_cycles += 1;
-                SleepKind::Struct
+                SleepKind::Struct { room: wake_room }
             } else if any_waiting {
                 self.stats.mem_stall_cycles += 1;
                 SleepKind::Mem
@@ -761,7 +833,7 @@ impl<S: InstStream> SimtCore<S> {
         match kind {
             SleepKind::Mem => self.stats.mem_stall_cycles += k,
             SleepKind::Idle => self.stats.idle_cycles += k,
-            SleepKind::Struct => self.stats.struct_stall_cycles += k,
+            SleepKind::Struct { .. } => self.stats.struct_stall_cycles += k,
         }
         self.record_warp_stalls(0, k);
     }
@@ -1028,6 +1100,74 @@ mod tests {
             core.step(now);
         }
         assert!(core.stats().struct_stall_cycles > 0);
+    }
+
+    /// An instruction of `n` distinct lines starting at line `first`.
+    fn wide(load: bool, first: u64, n: u64) -> Inst {
+        let addrs: AddrList = (first..first + n)
+            .map(|l| Address::new(l * 128 * 4096))
+            .collect();
+        if load {
+            Inst::Load { addrs }
+        } else {
+            Inst::Store { addrs }
+        }
+    }
+
+    /// A core whose one warp issued two 8-line instructions of kind `load`
+    /// into a full egress queue and then went to sleep behind a third.
+    fn struct_sleeper(load: bool) -> SimtCore {
+        let insts = (0..3).map(|i| wide(load, 8 * i, 8)).collect();
+        let mut core = core_with_one_stream(
+            Box::new(Scripted::new(insts)),
+            CoreParams {
+                max_outstanding_loads: 64,
+                max_txn_per_inst: EGRESS_CAPACITY,
+            },
+        );
+        for now in 0..3 {
+            core.step(now);
+        }
+        assert_eq!(core.stats().insts, 2);
+        assert_eq!(core.stats().struct_stall_cycles, 1);
+        assert!(core.next_event(3) > 3, "a struct-stalled core sleeps");
+        core
+    }
+
+    #[test]
+    fn a_pop_wakes_a_struct_sleep_only_once_the_blocked_need_fits() {
+        let mut core = struct_sleeper(false);
+        // The third store needs 8 egress entries: seven pops leave 7.
+        for _ in 0..7 {
+            assert!(core.pop_request().is_some());
+            assert!(core.next_event(3) > 3, "a pop short of the need woke it");
+        }
+        assert!(core.pop_request().is_some());
+        assert_eq!(
+            core.next_event(3),
+            3,
+            "the pop reaching the need must wake it"
+        );
+        core.step(3);
+        assert_eq!(core.stats().insts, 3);
+    }
+
+    #[test]
+    fn a_struct_sleep_blocked_on_l1_mshrs_ignores_pops() {
+        // Two 8-line loads hold all 16 L1 MSHRs of the small machine, so the
+        // third waits for a fill however much egress room pops make.
+        let mut core = struct_sleeper(true);
+        let mut sent = Vec::new();
+        while let Some(req) = core.pop_request() {
+            sent.push(req);
+            assert!(
+                core.next_event(3) > 3,
+                "an egress pop woke an MSHR-bound core"
+            );
+        }
+        assert_eq!(sent.len(), 16);
+        core.receive(sent[0]);
+        assert_eq!(core.next_event(3), 3, "a fill frees an MSHR and wakes it");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! [`WarpIssueState`] is the hot half for all of a core's warps at once —
 //! struct-of-arrays, so the per-cycle "which warp can issue" question is a
 //! walk over two bitset words and the `ready_at` array instead of one
-//! cache line per warp.
+//! cache line per warp. A warp whose memory op waits on a structural hazard
+//! leaves its [`StructNeed`] there too, so its retries stay in the hot half.
 
 use crate::inst::{InstStream, LineBuf, Op};
 use gpu_types::bits::{BitSet, BitWalk};
@@ -65,11 +66,55 @@ impl<S: InstStream> Warp<S> {
         &self.lines
     }
 
+    /// The op [`Self::peek`] would return, without decoding one.
+    #[inline]
+    pub fn decoded(&self) -> Option<Op> {
+        self.decoded
+    }
+
     /// Consumes the op returned by the last [`Self::peek`].
     #[inline]
     pub fn consume(&mut self) {
         debug_assert!(self.decoded.is_some(), "consume without a peeked op");
         self.decoded = None;
+    }
+}
+
+/// What a memory instruction needs to issue, in one byte: its transaction
+/// count, with the high bit set for a load, which also takes an L1 MSHR per
+/// line unless the L1 is bypassed. [`StructNeed::NONE`] (no lines) fits
+/// anywhere.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StructNeed(u8);
+
+impl StructNeed {
+    /// No recorded need.
+    pub const NONE: StructNeed = StructNeed(0);
+    const LOAD: u8 = 0x80;
+
+    /// The need of `lines` transactions (at most 127), a load when `load`.
+    #[inline]
+    pub fn new(lines: usize, load: bool) -> Self {
+        debug_assert!(
+            lines < Self::LOAD as usize,
+            "{lines} lines overflow the need byte"
+        );
+        StructNeed(lines as u8 | if load { Self::LOAD } else { 0 })
+    }
+
+    /// Transactions the instruction enters the egress queue with.
+    #[inline]
+    pub fn lines(self) -> usize {
+        (self.0 & !Self::LOAD) as usize
+    }
+
+    /// True when the instruction issues with `room` free egress entries and
+    /// `mshrs` free L1 MSHR entries (`usize::MAX` while bypassing) — the
+    /// structural-hazard test itself.
+    #[inline]
+    pub fn fits(self, room: usize, mshrs: usize) -> bool {
+        let lines = self.lines();
+        lines <= room && (self.0 & Self::LOAD == 0 || lines <= mshrs)
     }
 }
 
@@ -95,6 +140,10 @@ pub struct WarpIssueState {
     finished: BitSet,
     mem_blocked: BitSet,
     n_mem_blocked: usize,
+    /// Per warp, the need of its decoded memory op while a structural
+    /// hazard holds it back ([`StructNeed::NONE`] otherwise): a retry reads
+    /// this byte, not the warp.
+    struct_need: Vec<StructNeed>,
 }
 
 impl WarpIssueState {
@@ -116,6 +165,7 @@ impl WarpIssueState {
             finished: BitSet::new(n_warps),
             mem_blocked: BitSet::new(n_warps),
             n_mem_blocked: 0,
+            struct_need: vec![StructNeed::NONE; n_warps],
         }
     }
 
@@ -156,6 +206,20 @@ impl WarpIssueState {
         slots.next(|w| !(self.finished.word(w) | self.mem_blocked.word(w)))
     }
 
+    /// What warp `slot`'s decoded memory op needs, if its last issue
+    /// attempt hit a structural hazard ([`StructNeed::NONE`] otherwise).
+    #[inline]
+    pub fn struct_need(&self, slot: usize) -> StructNeed {
+        self.struct_need[slot]
+    }
+
+    /// Records that warp `slot`'s decoded memory op, of need `need`, hit a
+    /// structural hazard; it stands until the op issues.
+    #[inline]
+    pub fn block_struct(&mut self, slot: usize, need: StructNeed) {
+        self.struct_need[slot] = need;
+    }
+
     /// True when a warp in `slots` is blocked on outstanding loads.
     pub fn any_waiting_mem(&self, slots: Range<usize>) -> bool {
         self.mem_blocked.any_in(slots)
@@ -186,10 +250,12 @@ impl WarpIssueState {
 
     /// Records the issue of a memory instruction that produced
     /// `transactions` in-flight loads (zero for stores; L1 hits count, the
-    /// core routes them through the in-flight path to model hit latency).
+    /// core routes them through the in-flight path to model hit latency);
+    /// a structural need recorded for it is cleared.
     #[inline]
     pub fn issue_mem(&mut self, slot: usize, now: u64, transactions: usize) {
         self.ready_at[slot] = now + 1;
+        self.struct_need[slot] = StructNeed::NONE;
         let before = self.inflight[slot];
         self.inflight[slot] = before + transactions;
         if before < self.max_outstanding && before + transactions >= self.max_outstanding {

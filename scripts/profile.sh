@@ -11,6 +11,12 @@
 # `nm -C` and `readelf -lW` (a PIE's load delta). Prints the top N symbols
 # (default 30) and, with --hot, the hottest instruction offsets inside the
 # first symbol whose name contains SUBSTR (read them against `objdump -d`).
+# When that symbol's binary carries line tables and `addr2line` is installed,
+# each offset is followed by its source line and the chain of functions
+# inlined there (`addr2line -i -f -C`), which is how samples a release build
+# charges to one big function are told apart. Build the profiled binary with
+# CARGO_PROFILE_RELEASE_DEBUG=line-tables-only for that; it does not change
+# the generated code.
 #
 # ITIMER_PROF ticks at 250 Hz on this host whatever interval is asked for,
 # so a useful profile needs >= 10 s of CPU in the command (2 500 samples).
@@ -159,7 +165,10 @@ $1 == "S" {
             # of the file names (a stripped libc: memcpy / memmove variants).
             if (k && v < sym_hi[file_id[p], k]) {
                 name = sym_name[file_id[p], k]
-                if (hot != "" && index(name, hot)) { if (hot_sym == "") hot_sym = name; if (name == hot_sym) hot_at[v - sym_lo[file_id[p], k]]++ }
+                if (hot != "" && index(name, hot)) {
+                    if (hot_sym == "") { hot_sym = name; hot_path = p; hot_base = sym_lo[file_id[p], k] }
+                    if (name == hot_sym) hot_at[v - sym_lo[file_id[p], k]]++
+                }
             }
         }
         break
@@ -172,10 +181,24 @@ END {
     for (name in count) printf "%d %6.2f%%  %s\n", count[name], 100 * count[name] / total, name | cmd
     close(cmd)
     if (hot_sym != "") {
-        printf "\nhottest offsets in %s:\n", hot_sym
-        cmd = "sort -k1,1nr | head -n 20"
-        for (o in hot_at) printf "%d  +0x%x\n", hot_at[o], o | cmd
-        close(cmd)
+        printf "%s\n%s\n%d\n", hot_sym, hot_path, hot_base > (tmp "/hot_sym")
+        for (o in hot_at) printf "%d %d\n", hot_at[o], o > (tmp "/hot")
     }
 }' "$TMP/deltas" "$TMP/maps" "$TMP/samples"
+
+if [[ -s $TMP/hot_sym ]]; then
+    { read -r hot_sym; read -r hot_path; read -r hot_base; } < "$TMP/hot_sym"
+    lines=0
+    if command -v addr2line > /dev/null && readelf -SW "$hot_path" 2> /dev/null | grep -F .debug_line > /dev/null; then
+        lines=1
+    fi
+    printf '\nhottest offsets in %s:\n' "$hot_sym"
+    sort -k1,1nr "$TMP/hot" > "$TMP/hot_sorted"
+    head -n 20 "$TMP/hot_sorted" | while read -r count offset; do
+        printf '%d  +0x%x\n' "$count" "$offset"
+        if ((lines)); then
+            addr2line -i -f -C -e "$hot_path" "$(printf '0x%x' $((hot_base + offset)))" | sed 's/^/        /'
+        fi
+    done
+fi
 exit "$status"
