@@ -50,9 +50,9 @@
 //!   `Demand::get` computing inline through the same closure.
 //!
 //! Determinism is inherited, not re-proved: every unit is a pure function
-//! of its fingerprint inputs, results land in the shared
-//! [`ebm_core::ResultStore`] / [`gpu_sim::cache`] tiers, and a scheduled
-//! render reads only what its units left there — no render simulates, so
+//! of its fingerprint inputs, results land in the [`gpu_sim::cache`]
+//! tiers, and a scheduled render reads only what its units left there — no
+//! render simulates, so
 //! an untraced campaign's `unit` spans add up to its simulated cycles and
 //! a warm one simulates none (`tests/campaign_warm.rs`). A unit computed
 //! twice is collapsed by the cache's single-flight tier. Worker panics are
@@ -104,19 +104,19 @@ pub const ARTIFACTS: [&str; 21] = {
     ids
 };
 
-/// A measurement as a function of the evaluator whose caches it reads
-/// and fills. The sink is for the one kind of run that can stream events
-/// while it simulates (a controller run under `--trace`); workers and plain
-/// reads pass a [`NullSink`].
+/// A measurement as a function of the evaluator (the view schemes and
+/// ++bestTLP runs read their records through). The sink is for the one
+/// kind of run that can stream events while it simulates (a controller run
+/// under `--trace`); workers and plain reads pass a [`NullSink`].
 type Read<T> = Arc<dyn Fn(&Evaluator, &mut dyn TraceSink) -> T + Send + Sync>;
 
 /// A typed handle on one planned measurement: what a [`Planner`]
 /// constructor returns and the only way a render obtains a measured value.
 /// The closure behind it is the work unit's body — a worker calls it and
-/// drops the value, which stays behind in the [`ebm_core::ResultStore`] /
-/// [`gpu_sim::cache`] tiers — so [`Demand::get`] after the unit ran is a
-/// warm read of exactly that computation, and without one (`--serial`, a
-/// standalone figure) computes it inline.
+/// drops the value, which stays behind in the [`gpu_sim::cache`] tiers —
+/// so [`Demand::get`] after the unit ran is a warm read of exactly that
+/// computation, and without one (`--serial`, a standalone figure) computes
+/// it inline.
 pub(crate) struct Demand<T> {
     /// Index of the unit in the plan (a dependency edge's target).
     unit: usize,
@@ -417,32 +417,19 @@ impl Planner {
         ComboSweep::combos(g, 1).len() as u64
     }
 
-    /// An alone profile through the evaluator's store (base config only).
+    /// The label suffix of a unit on machine `g` at `spec`: none on the
+    /// campaign's own machine at its `base` spec, the fingerprint's first
+    /// eight hex digits anywhere else, so each label names one fingerprint.
+    fn variant(&self, g: &GpuConfig, spec: RunSpec, base: RunSpec, fp: Fingerprint) -> String {
+        if *g == self.cfg.gpu && spec == base {
+            String::new()
+        } else {
+            format!("#{}", &fp.to_hex()[..8])
+        }
+    }
+
+    /// The alone profile of `app` on `n_cores` cores of machine `g`.
     pub(crate) fn alone(
-        &mut self,
-        app: &'static AppProfile,
-        n_cores: usize,
-    ) -> Demand<AloneProfile> {
-        let cfg = &self.cfg;
-        let fp = alone_fingerprint(&cfg.gpu, app, n_cores, cfg.seed, cfg.alone_spec);
-        let label = format!("alone:{}@{}", app.name, n_cores);
-        let est = Self::ladder_len(&cfg.gpu) * (cfg.alone_spec.warmup + cfg.alone_spec.window);
-        self.unit(fp, label, est, Vec::new(), move |ev, _| {
-            ev.alone(app, n_cores)
-        })
-    }
-
-    /// The alone profiles of `w`'s applications, each on its equal share of
-    /// the base machine's cores: the SD denominators and the ++bestTLP
-    /// combination of every run of `w` there.
-    pub(crate) fn alones(&mut self, w: &Workload) -> Vec<Demand<AloneProfile>> {
-        let n = self.cfg.gpu.n_cores / w.n_apps();
-        w.apps().iter().map(|a| self.alone(a, n)).collect()
-    }
-
-    /// An alone profile under a modified machine config (sensitivity arms),
-    /// memoized by [`gpu_sim::cache`] rather than the evaluator store.
-    pub(crate) fn alone_at(
         &mut self,
         g: &GpuConfig,
         app: &'static AppProfile,
@@ -451,7 +438,8 @@ impl Planner {
     ) -> Demand<AloneProfile> {
         let seed = self.cfg.seed;
         let fp = alone_fingerprint(g, app, n_cores, seed, spec);
-        let label = format!("alone:{}@{}#{}", app.name, n_cores, &fp.to_hex()[..8]);
+        let variant = self.variant(g, spec, self.cfg.alone_spec, fp);
+        let label = format!("alone:{}@{n_cores}{variant}", app.name);
         let est = Self::ladder_len(g) * (spec.warmup + spec.window);
         let g = g.clone();
         self.unit(fp, label, est, Vec::new(), move |_, _| {
@@ -459,19 +447,20 @@ impl Planner {
         })
     }
 
-    /// A 64-combination sweep through the evaluator's store.
-    pub(crate) fn sweep(&mut self, w: &Workload) -> Demand<ComboSweep> {
-        let cfg = &self.cfg;
-        let fp = sweep_fingerprint(&cfg.gpu, w, cfg.seed, cfg.sweep_spec);
-        let label = format!("sweep:{}", w.name());
-        let est = ComboSweep::combos(&cfg.gpu, w.n_apps()).len() as u64
-            * (cfg.sweep_spec.warmup + cfg.sweep_spec.window);
-        let wl = w.clone();
-        self.unit(fp, label, est, Vec::new(), move |ev, _| ev.sweep(&wl))
+    /// The alone profiles of `w`'s applications, each on its equal share of
+    /// the base machine's cores: the SD denominators and the ++bestTLP
+    /// combination of every run of `w` there.
+    pub(crate) fn alones(&mut self, w: &Workload) -> Vec<Demand<AloneProfile>> {
+        let (g, spec) = (self.cfg.gpu.clone(), self.cfg.alone_spec);
+        let n = g.n_cores / w.n_apps();
+        w.apps()
+            .iter()
+            .map(|a| self.alone(&g, a, n, spec))
+            .collect()
     }
 
-    /// A sweep under a modified machine config.
-    pub(crate) fn sweep_at(
+    /// The 64-combination sweep of `w` on machine `g`.
+    pub(crate) fn sweep(
         &mut self,
         g: &GpuConfig,
         w: &Workload,
@@ -479,7 +468,8 @@ impl Planner {
     ) -> Demand<ComboSweep> {
         let seed = self.cfg.seed;
         let fp = sweep_fingerprint(g, w, seed, spec);
-        let label = format!("sweep:{}#{}", w.name(), &fp.to_hex()[..8]);
+        let variant = self.variant(g, spec, self.cfg.sweep_spec, fp);
+        let label = format!("sweep:{}{variant}", w.name());
         let est = ComboSweep::combos(g, w.n_apps()).len() as u64 * (spec.warmup + spec.window);
         let (g, wl) = (g.clone(), w.clone());
         self.unit(fp, label, est, Vec::new(), move |_, _| {
@@ -500,7 +490,8 @@ impl Planner {
             s,
             Scheme::PbsOffline(_) | Scheme::BruteForce(_) | Scheme::Opt(_) | Scheme::OptIt
         ) {
-            deps.push(self.sweep(w).unit);
+            let (g, spec) = (self.cfg.gpu.clone(), self.cfg.sweep_spec);
+            deps.push(self.sweep(&g, w, spec).unit);
         }
         if matches!(s, Scheme::Opt(_)) {
             deps.push(self.scheme(w, Scheme::BestTlp).unit);
@@ -667,7 +658,8 @@ impl Planner {
     /// The offline-PBS fixed run of a workload: the combination comes from
     /// the sweep (its dependency) via [`pbs_offline_search`] on raw EBs.
     pub(crate) fn offline_fixed(&mut self, w: &Workload, spec: RunSpec) -> Demand<Vec<AppWindow>> {
-        let sweep = self.sweep(w);
+        let (g, sweep_spec) = (self.cfg.gpu.clone(), self.cfg.sweep_spec);
+        let sweep = self.sweep(&g, w, sweep_spec);
         let mut key = cache::KeyBuilder::new("campaign-offlinefixed");
         key.push(&self.cfg.gpu)
             .push_u64(self.cfg.seed)
@@ -703,7 +695,7 @@ impl Planner {
         let alones: Vec<_> = w
             .apps()
             .iter()
-            .map(|a| self.alone_at(&m.gpu, a, per_app, alone_spec))
+            .map(|a| self.alone(&m.gpu, a, per_app, alone_spec))
             .collect();
         let mut key = cache::KeyBuilder::new("campaign-bestfixed-split");
         key.push(&m.gpu)
@@ -1208,15 +1200,15 @@ mod tests {
         let (gpu, bfs) = (ev.config().gpu.clone(), &all_apps()[0]);
         let spec = RunSpec::new(300, 1_000);
         // Two artifacts demanding one fingerprint: one unit, one closure.
-        let first = p.alone_at(&gpu, bfs, 2, spec);
+        let first = p.alone(&gpu, bfs, 2, spec);
         let deps = std::mem::take(&mut p.demanded);
-        let second = p.alone_at(&gpu, bfs, 2, spec);
+        let second = p.alone(&gpu, bfs, 2, spec);
         assert_eq!((p.units.len(), p.requested), (1, 2));
         assert_eq!((deps, &p.demanded), (vec![0], &vec![0]));
         assert!(Arc::ptr_eq(&first.read, &second.read));
         assert_eq!(first.get(&ev), second.get(&ev));
         // A different computation is a different unit.
-        let other = p.alone_at(&gpu, bfs, 1, spec);
+        let other = p.alone(&gpu, bfs, 1, spec);
         assert_eq!((other.unit, p.units.len()), (1, 2));
     }
 

@@ -119,8 +119,8 @@ fn ws_gain(
     spec: RunSpec,
 ) -> impl Fn(&Evaluator) -> [f64; 3] {
     let n = g.n_cores / w.n_apps();
-    let alones: Vec<_> = w.apps().iter().map(|a| p.alone_at(g, a, n, spec)).collect();
-    let sweep = p.sweep_at(g, w, spec);
+    let alones: Vec<_> = w.apps().iter().map(|a| p.alone(g, a, n, spec)).collect();
+    let sweep = p.sweep(g, w, spec);
     move |ev| {
         let (alone, best) = alone_baseline(ev, &alones);
         let sweep = sweep.get(ev);
@@ -174,7 +174,8 @@ pub fn fig02(ev: &Evaluator) -> Report {
 }
 
 fn plan_fig02(p: &mut Planner) -> Render {
-    let bfs = p.alone(app("BFS"), p.cfg.gpu.n_cores / 2);
+    let (g, spec) = (p.cfg.gpu.clone(), p.cfg.alone_spec);
+    let bfs = p.alone(&g, app("BFS"), g.n_cores / 2, spec);
     Box::new(move |ev, _| {
         let mut r = Report::new("fig02", "TLP sweep for BFS alone (normalized to bestTLP)");
         let profile = bfs.get(ev);
@@ -206,8 +207,8 @@ pub fn fig03(ev: &Evaluator) -> Report {
 }
 
 fn plan_fig03(p: &mut Planner) -> Render {
-    let n = p.cfg.gpu.n_cores / 2;
-    let apps = ["BFS", "BLK"].map(|name| (name, p.alone(app(name), n)));
+    let (g, spec) = (p.cfg.gpu.clone(), p.cfg.alone_spec);
+    let apps = ["BFS", "BLK"].map(|name| (name, p.alone(&g, app(name), g.n_cores / 2, spec)));
     Box::new(move |ev, _| {
         let mut r = Report::new("fig03", "EB at hierarchy levels A (DRAM), B (L2), C (core)");
         r.header("app", &["A=BW", "B", "C=EB", "L1MR", "L2MR"]);
@@ -228,9 +229,10 @@ pub fn fig04(ev: &Evaluator) -> Report {
 }
 
 fn plan_fig04(p: &mut Planner) -> Render {
+    let (g, spec) = (p.cfg.gpu.clone(), p.cfg.sweep_spec);
     let rows: Vec<_> = representative_workloads()
         .iter()
-        .map(|w| (w.name(), p.alones(w), p.sweep(w)))
+        .map(|w| (w.name(), p.alones(w), p.sweep(&g, w, spec)))
         .collect();
     Box::new(move |ev, _| {
         let mut r = Report::new(
@@ -272,8 +274,11 @@ pub fn fig05(ev: &Evaluator) -> Report {
 }
 
 fn plan_fig05(p: &mut Planner) -> Render {
-    let n = p.cfg.gpu.n_cores / 2;
-    let alones: Vec<_> = all_apps().iter().map(|a| p.alone(a, n)).collect();
+    let (g, spec) = (p.cfg.gpu.clone(), p.cfg.alone_spec);
+    let alones: Vec<_> = all_apps()
+        .iter()
+        .map(|a| p.alone(&g, a, g.n_cores / 2, spec))
+        .collect();
     Box::new(move |ev, _| {
         let mut r = Report::new(
             "fig05",
@@ -348,7 +353,8 @@ pub fn fig06(ev: &Evaluator) -> Report {
 }
 
 fn plan_fig06(p: &mut Planner) -> Render {
-    let sweep = p.sweep(&Workload::pair("BLK", "TRD"));
+    let (g, spec) = (p.cfg.gpu.clone(), p.cfg.sweep_spec);
+    let sweep = p.sweep(&g, &Workload::pair("BLK", "TRD"), spec);
     Box::new(move |ev, _| {
         let mut r = Report::new("fig06", "EB-WS patterns for BLK_TRD");
         let sweep = sweep.get(ev);
@@ -392,7 +398,8 @@ pub fn fig07(ev: &Evaluator) -> Report {
 
 fn plan_fig07(p: &mut Planner) -> Render {
     let w = Workload::pair("BLK", "TRD");
-    let (alones, sweep) = (p.alones(&w), p.sweep(&w));
+    let (g, spec) = (p.cfg.gpu.clone(), p.cfg.sweep_spec);
+    let (alones, sweep) = (p.alones(&w), p.sweep(&g, &w, spec));
     Box::new(move |ev, _| {
         let mut r = Report::new("fig07", "PBS-FI and PBS-HS views of BLK_TRD");
         let profiles: Vec<AloneProfile> = alones.iter().map(|d| d.get(ev)).collect();
@@ -621,8 +628,11 @@ pub fn tab04(ev: &Evaluator) -> Report {
 }
 
 fn plan_tab04(p: &mut Planner) -> Render {
-    let n = p.cfg.gpu.n_cores / 2;
-    let apps: Vec<_> = all_apps().iter().map(|a| (a, p.alone(a, n))).collect();
+    let (g, spec) = (p.cfg.gpu.clone(), p.cfg.alone_spec);
+    let apps: Vec<_> = all_apps()
+        .iter()
+        .map(|a| (a, p.alone(&g, a, g.n_cores / 2, spec)))
+        .collect();
     Box::new(move |ev, _| {
         let mut r = Report::new("tab04", "Table IV: IPC@bestTLP, EB@bestTLP, groups");
         r.header("app", &["IPC", "EB", "BW", "CMR", "bestTLP"]);
@@ -677,7 +687,7 @@ fn plan_sens_part(p: &mut Planner) -> Render {
             .apps()
             .iter()
             .zip([c0, c1])
-            .map(|(a, n)| p.alone_at(&gpu, a, n, spec))
+            .map(|(a, n)| p.alone(&gpu, a, n, spec))
             .collect();
         // Exhaustive sweep on this split.
         let runs: Vec<_> = ComboSweep::combos(&gpu, 2)
@@ -754,7 +764,7 @@ fn plan_threeapp(p: &mut Planner) -> Render {
         let alones: Vec<_> = w
             .apps()
             .iter()
-            .map(|a| p.alone_at(&gpu, a, per_app, alone_spec))
+            .map(|a| p.alone(&gpu, a, per_app, alone_spec))
             .collect();
         let at_best = p.best_fixed_split(&w, per_app, alone_spec, run_spec);
         let at_max = p.fixed(&gpu, &w, split.clone(), false, max.clone(), run_spec);
@@ -861,11 +871,11 @@ pub fn ccws(ev: &Evaluator) -> Report {
 }
 
 fn plan_ccws(p: &mut Planner) -> Render {
-    let gpu = p.cfg.gpu.clone();
+    let (gpu, alone_spec) = (p.cfg.gpu.clone(), p.cfg.alone_spec);
     let n = gpu.n_cores / 2;
     let alone = ["BFS", "FFT", "HS", "BLK"].map(|name| {
         let w = Workload::from_names(&[name]);
-        let profile = p.alone(w.apps()[0], n);
+        let profile = p.alone(&gpu, w.apps()[0], n, alone_spec);
         // CCWS walks the limit one step per decision interval, so give it
         // time to converge before measuring.
         let spec = RunSpec::new(80_000, 40_000);
@@ -929,7 +939,7 @@ fn plan_sched(p: &mut Planner) -> Render {
         (policy, g)
     });
     let bfs = machines.each_ref().map(|(policy, g)| {
-        let profile = p.alone_at(g, app("BFS"), g.n_cores / 2, spec);
+        let profile = p.alone(g, app("BFS"), g.n_cores / 2, spec);
         (format!("{policy:?}"), profile)
     });
     let mut gains = Vec::new();

@@ -209,7 +209,12 @@ impl BenchArgs {
                     out.out = Some(PathBuf::from(path));
                 }
                 "--cache-dir" => {
-                    let path = args.next().ok_or("--cache-dir needs a directory path")?;
+                    // An empty path would put the records in the working
+                    // directory, not in a cache directory.
+                    let path = args
+                        .next()
+                        .filter(|p| !p.is_empty())
+                        .ok_or("--cache-dir needs a directory path")?;
                     out.cache_dir = Some(PathBuf::from(path));
                 }
                 "--cache-verify" => {
@@ -353,8 +358,19 @@ mod tests {
     }
 
     #[test]
+    fn bench_args_reject_an_empty_cache_dir() {
+        let words = ["--cache-dir".to_string(), String::new()];
+        let err = BenchArgs::try_parse(words.into_iter()).unwrap_err();
+        assert!(err.contains("--cache-dir needs a directory path"), "{err}");
+    }
+
+    #[test]
     fn bench_args_reject_bad_verify_fraction() {
-        for bad in ["--cache-verify 2.0", "--cache-verify nope"] {
+        for bad in [
+            "--cache-verify 2.0",
+            "--cache-verify nope",
+            "--cache-verify NaN",
+        ] {
             let words: Vec<String> = bad.split(' ').map(|s| s.to_string()).collect();
             assert!(BenchArgs::try_parse(words.into_iter()).is_err(), "{bad}");
         }

@@ -74,23 +74,34 @@ fn with_cache_dir(tag: &str, body: impl FnOnce()) {
 #[test]
 fn disk_warm_rerun_counts_each_hit_once() {
     with_cache_dir("hits", || {
+        // tab04 and fig05 demand the same 26 alone profiles: one unit each,
+        // and every render's read of one is a repeat read.
         let only = ["tab04", "fig05"];
+        let before = cache::stats();
         let cold = run(Some(&only));
-        assert_eq!(cold.stats.cache_hits, 0, "nothing to hit in an empty cache");
+        let after = cache::stats();
+        let (planned, requested) = (cold.stats.planned as u64, cold.stats.requested as u64);
+        assert_eq!(after.misses - before.misses, planned, "one miss per record");
+        assert_eq!(after.disk_hits - before.disk_hits, 0);
+        assert_eq!(cold.stats.cache_hits, requested, "the renders read memory");
 
-        // Only the disk tier survives: every warm lookup is a disk hit, which
-        // the cache counts under `hits` and, as a subset, under `disk_hits`.
+        // Only the disk tier survives: each record is loaded from disk at
+        // most once — by its unit — and every repeat read is a memory hit.
+        // The cache counts both under `hits`, the loads also under
+        // `disk_hits`.
         cache::clear_memory();
         let before = cache::stats();
         let warm = run(Some(&only));
         let after = cache::stats();
 
-        assert!(
-            warm.stats.cache_hits > 0,
-            "the warm run must be served by the cache"
-        );
+        assert_eq!(after.misses - before.misses, 0);
         assert_eq!(warm.stats.cache_hits, after.hits - before.hits);
-        assert_eq!(warm.stats.cache_hits, after.disk_hits - before.disk_hits);
+        let disk_hits = after.disk_hits - before.disk_hits;
+        assert_eq!(
+            (disk_hits, warm.stats.cache_hits - disk_hits),
+            (planned, requested),
+            "(disk loads, memory hits)"
+        );
         // The profiler's spans tell the same story as the `sched:` line.
         assert_eq!(warm.root.cache_hits, warm.stats.cache_hits);
     });

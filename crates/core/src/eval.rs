@@ -7,18 +7,18 @@
 //! sweep gives the offline schemes' combination, and exactly one run gives
 //! the measured windows — a fixed-combination run ([`measure_fixed_cached`]:
 //! the static and offline schemes, `++CCWS`) or a controlled run
-//! ([`run_controller_cached`]: PBS, ++DynCTA, Mod+Bypass). Alone profiles
-//! and sweeps are held in the shared [`ResultStore`], runs in
-//! [`gpu_sim::cache`], so schemes picking the same combination, and
-//! campaign units naming the same run, share one simulation, and a scheme
-//! evaluation keeps no record of its own.
+//! ([`run_controller_cached`]: PBS, ++DynCTA, Mod+Bypass). Every one of
+//! them — alone profiles and sweeps included — is a record of
+//! [`gpu_sim::cache`], keyed by the fingerprint of its inputs, so schemes
+//! picking the same combination, and campaign units naming the same run,
+//! share one simulation, and a scheme evaluation keeps no record of its
+//! own.
 
 use crate::metrics::EbObjective;
 use crate::pattern::pbs_offline_search;
 use crate::pbsrun::{run_controller_cached, ControllerSpec, PbsRunSpec};
 use crate::scaling::ScalingFactors;
 use crate::search::{best_combo_by_eb, best_combo_by_it, best_combo_by_sd};
-use crate::store::ResultStore;
 use crate::sweep::ComboSweep;
 use gpu_sim::alone::{profile_alone, AloneProfile};
 use gpu_sim::harness::{measure_fixed_cached, FixedRunInputs, RunSpec};
@@ -181,14 +181,13 @@ pub struct SchemeResult {
     pub windows: Vec<AppWindow>,
 }
 
-/// The evaluation driver: a thin, cheaply clonable **view** over a shared
-/// [`ResultStore`].
+/// The evaluation driver: a cheaply clonable **view** over a campaign
+/// configuration.
 ///
-/// Every method takes `&self`; the alone profiles and sweeps live in the
-/// store behind sharded interior mutability, and runs in [`gpu_sim::cache`],
-/// so any number of views — one per figure generator, one per
-/// campaign-scheduler worker — fill and read the same tables concurrently.
-/// Cloning an evaluator clones an `Arc`, nothing else.
+/// Every method takes `&self` and reads through [`gpu_sim::cache`], so any
+/// number of views — one per figure generator, one per campaign-scheduler
+/// worker — fill and read the same records concurrently. Cloning an
+/// evaluator clones an `Arc`, nothing else.
 ///
 /// # Examples
 ///
@@ -200,9 +199,9 @@ pub struct SchemeResult {
 /// let result = ev.evaluate(&Workload::pair("BLK", "BFS"), Scheme::BestTlp);
 /// assert!(result.metrics.ws > 0.0);
 /// ```
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct Evaluator {
-    store: Arc<ResultStore>,
+    cfg: Arc<EvaluatorConfig>,
 }
 
 fn metrics_for(alone_ipcs: &[f64], windows: &[AppWindow]) -> SystemMetrics {
@@ -240,54 +239,36 @@ fn machine_of<'a>(
     }
 }
 
-impl fmt::Debug for Evaluator {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Evaluator")
-            .field("cached_alone", &self.store.cached_alone())
-            .field("cached_sweeps", &self.store.cached_sweeps())
-            .finish()
-    }
-}
-
 impl Evaluator {
-    /// Creates a driver (and a fresh shared [`ResultStore`]) for the given
-    /// campaign.
+    /// Creates a driver for the given campaign.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine configuration is invalid.
     pub fn new(cfg: EvaluatorConfig) -> Self {
-        Evaluator {
-            store: Arc::new(ResultStore::new(cfg)),
-        }
-    }
-
-    /// The shared store behind this view.
-    pub fn store(&self) -> &Arc<ResultStore> {
-        &self.store
+        cfg.gpu.validate().expect("invalid machine configuration");
+        Evaluator { cfg: Arc::new(cfg) }
     }
 
     /// The campaign configuration.
     pub fn config(&self) -> &EvaluatorConfig {
-        &self.store.cfg
+        &self.cfg
     }
 
     fn cores_per_app(&self, workload: &Workload) -> usize {
-        self.config().gpu.n_cores / workload.n_apps()
+        self.cfg.gpu.n_cores / workload.n_apps()
     }
 
     /// The (cached) alone profile of `app` on `n_cores` cores.
-    pub fn alone(&self, app: &'static AppProfile, n_cores: usize) -> AloneProfile {
-        let cfg = self.config();
-        self.store
-            .alone
-            .get_or_insert_with((app.name, n_cores), || {
-                profile_alone(&cfg.gpu, app, n_cores, cfg.seed, cfg.alone_spec)
-            })
+    pub fn alone(&self, app: &AppProfile, n_cores: usize) -> AloneProfile {
+        let cfg = &self.cfg;
+        profile_alone(&cfg.gpu, app, n_cores, cfg.seed, cfg.alone_spec)
     }
 
     /// The (cached) 64-combination sweep of `workload`.
     pub fn sweep(&self, workload: &Workload) -> ComboSweep {
-        let cfg = self.config();
-        self.store.sweeps.get_or_insert_with(workload.name(), || {
-            ComboSweep::measure(&cfg.gpu, workload, cfg.seed, cfg.sweep_spec)
-        })
+        let cfg = &self.cfg;
+        ComboSweep::measure(&cfg.gpu, workload, cfg.seed, cfg.sweep_spec)
     }
 
     /// Per-application alone `IPC@bestTLP` (the SD denominators).
@@ -310,13 +291,6 @@ impl Evaluator {
                 .map(|a| self.alone(a, n).best_tlp())
                 .collect(),
         )
-    }
-
-    /// Scaling factors approximating each application's alone EB from the
-    /// sweep table: its EB with every co-runner throttled to TLP = 1
-    /// (the "sampled" source of §IV, used by BF-FI/HS and offline PBS).
-    pub fn sampled_factors(&self, workload: &Workload) -> ScalingFactors {
-        ScalingFactors::sampled(&self.sweep(workload))
     }
 
     /// Runs `scheme` on `workload` and reports its SD-based metrics.
@@ -467,28 +441,32 @@ mod tests {
     #[test]
     fn caches_are_reused() {
         let e = evaluator();
-        // Schemes read the store's alone profiles and sweep and add
-        // nothing to it.
-        e.alone_ipcs(&workload());
-        e.sweep(&workload());
-        let n_alone = e.store().cached_alone();
-        e.evaluate(&workload(), Scheme::BestTlp);
-        e.evaluate(&workload(), Scheme::Opt(EbObjective::Fi));
-        assert_eq!(
-            e.store().cached_alone(),
-            n_alone,
-            "alone profiles must be cached"
-        );
-        assert_eq!(e.store().cached_sweeps(), 1);
-        // A repeat evaluation reads the same records (identical result).
-        let a = e.evaluate(&workload(), Scheme::BestTlp);
-        let b = e.evaluate(&workload(), Scheme::BestTlp);
-        assert_eq!(a.metrics.sds, b.metrics.sds);
-
-        // Views share the store: a clone sees the same caches.
+        let schemes = [Scheme::BestTlp, Scheme::Opt(EbObjective::Fi)];
+        let first: Vec<_> = schemes
+            .iter()
+            .map(|&s| e.evaluate(&workload(), s))
+            .collect();
+        // A repeat evaluation — through a clone of the view, too — reads
+        // the alone profiles, the sweep and the runs the first one left in
+        // the cache, and simulates nothing. It runs on a fan-out worker,
+        // where nothing fans out further, so that thread's cycle count is
+        // the whole evaluation's, whatever the tests alongside simulate.
         let view = e.clone();
-        assert!(Arc::ptr_eq(view.store(), e.store()));
-        assert_eq!(view.store().cached_sweeps(), 1);
+        let repeats = gpu_sim::exec::par_map_with(2, vec![(); 2], |()| {
+            let before = gpu_sim::metrics::thread_cycles_simulated();
+            let again: Vec<_> = schemes
+                .iter()
+                .map(|&s| view.evaluate(&workload(), s))
+                .collect();
+            (again, gpu_sim::metrics::thread_cycles_simulated() - before)
+        });
+        for (again, cycles) in repeats {
+            assert_eq!(cycles, 0, "a repeat evaluation simulated");
+            for (a, b) in first.iter().zip(&again) {
+                assert_eq!(a.metrics.sds, b.metrics.sds, "{}", a.scheme);
+                assert_eq!(a.windows, b.windows, "{}", a.scheme);
+            }
+        }
     }
 
     #[test]
@@ -546,7 +524,7 @@ mod tests {
     #[test]
     fn sampled_factors_are_positive() {
         let e = evaluator();
-        let f = e.sampled_factors(&workload());
+        let f = ScalingFactors::sampled(&e.sweep(&workload()));
         assert_eq!(f.len(), 2);
         assert!(f.factors().iter().all(|&x| x > 0.0));
     }

@@ -22,7 +22,8 @@
 //!   the campaign scheduler;
 //! * [`search`] — the opt/BF offline searches;
 //! * [`eval`] — the evaluation driver that computes any [`eval::Scheme`]
-//!   on any workload from alone profiles, the sweep and one run record, and
+//!   on any workload from alone profiles, the sweep and one run record —
+//!   each a record of [`gpu_sim::cache`], the crate's only memo — and
 //!   reports SD-based system metrics (the engine behind Figs. 9 and 10);
 //! * [`hw`] — the Fig. 8 hardware-overhead accounting.
 
@@ -36,7 +37,6 @@ pub mod pbsrun;
 pub mod policy;
 pub mod scaling;
 pub mod search;
-pub mod store;
 pub mod sweep;
 
 pub use eval::{Evaluator, EvaluatorConfig, Scheme, SchemeResult};
@@ -45,5 +45,4 @@ pub use pattern::{critical_app, knee_of, pbs_offline_search, probe_level, SweepC
 pub use pbsrun::{run_controller_cached, ControllerRun, ControllerSpec, PbsRunSpec};
 pub use policy::{DynCta, ModBypass, Pbs};
 pub use scaling::ScalingFactors;
-pub use store::ResultStore;
 pub use sweep::{ComboSample, ComboSweep};

@@ -352,7 +352,7 @@ pub fn run_controller_traced(
     };
     if traced {
         let run = simulate();
-        cache::get_or_compute(fp, || encode_run(&run));
+        cache::memoize(fp, encode_run, decode_run, || run.clone());
         run
     } else {
         cache::memoize(fp, encode_run, decode_run, simulate)

@@ -90,7 +90,8 @@ impl ComboSweep {
     ///
     /// The whole sweep is memoized through [`gpu_sim::cache`] under a
     /// fingerprint of `(cfg, apps, seed, spec)`; a hit skips every
-    /// combination run and rebuilds the table from the stored samples.
+    /// combination run, and only a disk hit rebuilds the table from the
+    /// stored samples.
     pub fn measure_with_threads(
         cfg: &GpuConfig,
         workload: &Workload,
@@ -99,13 +100,13 @@ impl ComboSweep {
         threads: usize,
     ) -> Self {
         let fp = sweep_fingerprint(cfg, workload, seed, spec);
-        let combos = Self::combos(cfg, workload.n_apps());
+        let combos = || Self::combos(cfg, workload.n_apps());
         gpu_sim::cache::memoize(
             fp,
-            |sweep: &ComboSweep| encode_sweep(sweep, &combos),
-            |bytes| decode_sweep(bytes, &combos, workload),
+            |sweep: &ComboSweep| encode_sweep(sweep, &combos()),
+            |bytes| decode_sweep(bytes, &combos(), workload),
             || {
-                let measured = exec::par_map_with(threads, combos.clone(), |combo| {
+                let measured = exec::par_map_with(threads, combos(), |combo| {
                     let mut gpu = Gpu::new(cfg, workload.apps(), seed);
                     let windows = measure_fixed(&mut gpu, &combo, spec);
                     let samples: Vec<ComboSample> = windows

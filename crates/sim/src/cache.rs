@@ -6,17 +6,23 @@
 //! `engine_equivalence` and `parallel_determinism` suites pin. That makes
 //! results cacheable by *content*: this module keys each one by a stable
 //! 128-bit [`Fingerprint`] of a canonical byte-serialization of those inputs
-//! (see [`gpu_types::canon`]) and memoizes the result bytes in two tiers:
+//! (see [`gpu_types::canon`]) and memoizes the result in two tiers:
 //!
-//! * an **in-process registry**, on by default, so one campaign process
-//!   (e.g. `experiments` generating every figure) measures each distinct
-//!   input once;
-//! * a **persistent on-disk store** under a cache directory (`--cache-dir`
-//!   or `EBM_CACHE_DIR`), so repeated invocations skip simulation entirely.
+//! * an **in-process registry** of decoded values, on by default, so one
+//!   campaign process (e.g. `experiments` generating every figure) measures
+//!   each distinct input once, and a repeat read clones the value instead
+//!   of decoding it;
+//! * a **persistent on-disk store** of encoded records under a cache
+//!   directory (`--cache-dir` or `EBM_CACHE_DIR`), so repeated invocations
+//!   skip simulation entirely.
+//!
+//! This is the only memo of a result: alone profiles, sweeps and runs all
+//! read through it, so with the cache disabled (`--no-cache`, `EBM_CACHE=0`)
+//! nothing is kept and every read simulates.
 //!
 //! The memory tier is **single-flight**: concurrent lookups of the same
 //! fingerprint elect one leader to simulate while the others block and
-//! share its bytes (see [`get_or_compute`]). Campaign-level parallelism can
+//! share its value (see [`memoize`]). Campaign-level parallelism can
 //! therefore never duplicate a simulation, no matter how requests race.
 //!
 //! # Invalidation
@@ -48,21 +54,24 @@
 //! # Verification
 //!
 //! With a verify fraction set (`--cache-verify`), a deterministic per-key
-//! sample of hits is re-simulated and the stored bytes asserted
-//! bit-identical — a cheap standing audit that the determinism invariant
-//! (and therefore the whole cache) still holds.
+//! sample of hits — memory and disk alike — is re-simulated and its
+//! encoding asserted bit-identical to the hit's — a standing audit that the
+//! determinism invariant (and therefore the whole cache) still holds.
 //!
-//! The cache stores opaque byte payloads; the typed encode/decode lives
-//! next to each memoized entry point ([`crate::alone::profile_alone`],
-//! `ComboSweep::measure`, the evaluator in `ebm-core`). All hits and misses
-//! are counted ([`stats`]) and surfaced through the trace subsystem as a
-//! [`TraceEvent::CacheStats`] event.
+//! Bytes exist only at the disk boundary and for verification: the
+//! encode/decode of each payload lives next to its memoized entry point
+//! ([`crate::alone::profile_alone`], [`crate::harness::measure_fixed_cached`],
+//! `ComboSweep::measure` and the controller runs in `ebm-core`). All hits
+//! and misses are counted ([`stats`]) and surfaced through the trace
+//! subsystem as a [`TraceEvent::CacheStats`] event.
 //!
 //! [`Canon`]: gpu_types::canon::Canon
 //! [`TraceEvent::CacheStats`]: crate::trace::TraceEvent::CacheStats
 
 use gpu_types::canon::{fingerprint, CanonBuf, Fingerprint};
 use gpu_types::{FxHashMap, SplitMix64};
+use std::any::Any;
+use std::ffi::OsString;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -100,7 +109,9 @@ pub struct KeyBuilder {
 impl KeyBuilder {
     /// Starts a key for entries of `kind` (e.g. `"sweep"`, `"alone"`).
     pub fn new(kind: &str) -> Self {
-        let mut buf = CanonBuf::new();
+        // Room for a machine config, an application and a run spec, so a
+        // key is built without growing its buffer.
+        let mut buf = CanonBuf::with_capacity(512);
         buf.push_str(kind);
         buf.push_u32(ENGINE_VERSION);
         KeyBuilder { buf }
@@ -195,43 +206,106 @@ fn bump(cell: Cell) {
 }
 
 /// Runtime configuration of the process-wide cache.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Config {
     enabled: bool,
     dir: Option<PathBuf>,
     verify_fraction: f64,
 }
 
+/// The configuration the `EBM_CACHE*` variables ask for, each read through
+/// `var`, plus one message per value that was rejected, naming it, why, and
+/// what is used instead. A rejected variable keeps its default: the cache
+/// on, no directory, no verification.
+fn config_from_env(var: impl Fn(&str) -> Option<OsString>) -> (Config, Vec<String>) {
+    let mut config = Config {
+        enabled: true,
+        dir: None,
+        verify_fraction: 0.0,
+    };
+    let mut rejected = Vec::new();
+    let mut reject = |name: &str, value: &OsString, why: &str, used: &str| {
+        rejected.push(format!("ignoring {name}={value:?} ({why}); using {used}"));
+    };
+    if let Some(value) = var("EBM_CACHE") {
+        match value.to_string_lossy().trim().to_ascii_lowercase().as_str() {
+            "1" | "true" | "on" | "yes" => {}
+            "0" | "false" | "off" | "no" => config.enabled = false,
+            _ => reject(
+                "EBM_CACHE",
+                &value,
+                "expected 0/1, false/true, off/on or no/yes",
+                "the cache on",
+            ),
+        }
+    }
+    if let Some(value) = var("EBM_CACHE_DIR") {
+        if value.is_empty() {
+            reject(
+                "EBM_CACHE_DIR",
+                &value,
+                "an empty path",
+                "no cache directory",
+            );
+        } else {
+            config.dir = Some(PathBuf::from(value));
+        }
+    }
+    if let Some(value) = var("EBM_CACHE_VERIFY") {
+        match value.to_string_lossy().trim().parse::<f64>() {
+            Ok(f) if (0.0..=1.0).contains(&f) => config.verify_fraction = f,
+            _ => reject(
+                "EBM_CACHE_VERIFY",
+                &value,
+                "not a fraction in [0, 1]",
+                "0, no verification",
+            ),
+        }
+    }
+    (config, rejected)
+}
+
 fn config() -> &'static Mutex<Config> {
     static CONFIG: OnceLock<Mutex<Config>> = OnceLock::new();
     CONFIG.get_or_init(|| {
-        let enabled = std::env::var("EBM_CACHE").map_or(true, |v| v != "0");
-        let dir = std::env::var_os("EBM_CACHE_DIR")
-            .filter(|v| !v.is_empty())
-            .map(PathBuf::from);
-        let verify_fraction = std::env::var("EBM_CACHE_VERIFY")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .map_or(0.0, |f| f.clamp(0.0, 1.0));
-        Mutex::new(Config {
-            enabled,
-            dir,
-            verify_fraction,
-        })
+        let (config, rejected) = config_from_env(|name| std::env::var_os(name));
+        for message in rejected {
+            eprintln!("warning: {message}");
+        }
+        Mutex::new(config)
     })
 }
 
-fn memory() -> &'static Mutex<FxHashMap<Fingerprint, Arc<[u8]>>> {
-    static MEM: OnceLock<Mutex<FxHashMap<Fingerprint, Arc<[u8]>>>> = OnceLock::new();
+/// A memoized value, type-erased: what the memory tier holds and what a
+/// finished flight hands its joiners.
+type Value = Arc<dyn Any + Send + Sync>;
+
+fn memory() -> &'static Mutex<FxHashMap<Fingerprint, Value>> {
+    static MEM: OnceLock<Mutex<FxHashMap<Fingerprint, Value>>> = OnceLock::new();
     MEM.get_or_init(|| Mutex::new(FxHashMap::default()))
+}
+
+/// The `T` behind a memory-tier or flight value.
+///
+/// # Panics
+///
+/// Panics, naming `fp`, when the value is of another type: two entry
+/// points keyed different computations under one fingerprint.
+fn downcast<T: Clone + 'static>(fp: Fingerprint, value: &Value) -> T {
+    value.downcast_ref::<T>().cloned().unwrap_or_else(|| {
+        panic!(
+            "cache entry {fp} is not a {}: two computations share one fingerprint",
+            std::any::type_name::<T>()
+        )
+    })
 }
 
 /// State of one in-flight computation (single-flight batching).
 enum FlightState {
     /// The leader is still computing; joiners wait on the condvar.
     Pending,
-    /// The leader finished; joiners take the shared bytes.
-    Done(Arc<[u8]>),
+    /// The leader finished; joiners take the shared value.
+    Done(Value),
     /// The leader panicked; joiners retry the whole lookup (one of them
     /// becomes the next leader).
     Failed,
@@ -275,14 +349,16 @@ struct FlightGuard {
 }
 
 impl FlightGuard {
-    /// Publishes `bytes` to every joiner and retires the flight.
-    fn finish(mut self, bytes: Arc<[u8]>) {
+    /// Stores `value` in the memory tier, publishes it to every joiner and
+    /// retires the flight.
+    fn finish(mut self, value: Value) {
         self.completed = true;
+        memory().lock().unwrap().insert(self.fp, value.clone());
         inflight()
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .remove(&self.fp);
-        self.flight.complete(FlightState::Done(bytes));
+        self.flight.complete(FlightState::Done(value));
     }
 }
 
@@ -310,10 +386,18 @@ pub fn set_dir(dir: Option<PathBuf>) {
     config().lock().unwrap().dir = dir;
 }
 
-/// Sets the fraction of hits that verify mode re-simulates (clamped to
-/// `[0, 1]`; 0 disables verification).
+/// Sets the fraction of hits that verify mode re-simulates (0 disables
+/// verification).
+///
+/// # Panics
+///
+/// Panics if `fraction` is not in `[0, 1]` (NaN included).
 pub fn set_verify_fraction(fraction: f64) {
-    config().lock().unwrap().verify_fraction = fraction.clamp(0.0, 1.0);
+    assert!(
+        (0.0..=1.0).contains(&fraction),
+        "cache verify fraction {fraction} is not in [0, 1]"
+    );
+    config().lock().unwrap().verify_fraction = fraction;
 }
 
 /// Drops every in-memory entry (the disk tier is untouched). Benchmarks use
@@ -395,12 +479,12 @@ fn should_verify(fp: Fingerprint, fraction: f64) -> bool {
     SplitMix64::new(seed).next_f64() < fraction
 }
 
-fn verify_hit(fp: Fingerprint, cached: &[u8], compute: impl FnOnce() -> Vec<u8>) {
-    let fresh = compute();
+/// Asserts that a re-simulation encodes to the bytes of the hit it audits.
+fn verify_hit(fp: Fingerprint, cached: &[u8], fresh: &[u8]) {
     assert!(
         fresh == cached,
-        "cache verification failed for {fp}: stored {} bytes, re-simulation \
-         produced {} bytes{} — either the determinism invariant broke or \
+        "cache verification failed for {fp}: the hit encodes to {} bytes, its \
+         re-simulation to {} bytes{} — either the determinism invariant broke or \
          ENGINE_VERSION was not bumped after an engine change",
         cached.len(),
         fresh.len(),
@@ -413,44 +497,59 @@ fn verify_hit(fp: Fingerprint, cached: &[u8], compute: impl FnOnce() -> Vec<u8>)
     bump(Cell::Verified);
 }
 
-/// Looks `fp` up in the memory tier, then the disk tier; on miss runs
-/// `compute`, stores the bytes in both tiers and returns them.
+/// Memoizes `compute`'s result under `fp`: looks it up in the memory tier,
+/// then the disk tier, and on a miss runs `compute`, keeps the value in
+/// memory and its `encode`d bytes on disk.
+///
+/// A memory hit clones the kept value; only a disk hit calls `decode`, and
+/// only a disk store or a verification calls `encode`. A payload that fails
+/// to decode panics, because checksummed bytes under the current
+/// [`ENGINE_VERSION`] can only be undecodable if an encoding changed
+/// without the mandatory version bump.
 ///
 /// The compute closure runs with no cache lock held, so it may fan out
 /// across threads (and those threads may themselves call into the cache).
 /// Concurrent lookups of the same fingerprint are **single-flight**: the
 /// first thread to miss becomes the leader and computes; every other thread
 /// arriving before the result is published blocks and shares the leader's
-/// bytes (counted as a hit and as `inflight_joined`). Exactly one
+/// value (counted as a hit and as `inflight_joined`). Exactly one
 /// simulation runs per distinct in-flight key — the request-batching
-/// primitive the campaign scheduler and ROADMAP item 5's daemon rely on.
-/// If the leader panics, waiters wake, retry the lookup, and one of them
-/// recomputes (deterministic inputs mean they re-raise the same panic
-/// rather than deadlock).
+/// primitive the campaign scheduler relies on. If the leader panics,
+/// waiters wake, retry the lookup, and one of them recomputes
+/// (deterministic inputs mean they re-raise the same panic rather than
+/// deadlock).
 ///
 /// # Panics
 ///
-/// Panics when verify mode re-simulates a hit and the result is not
-/// bit-identical to the stored bytes.
-pub fn get_or_compute(fp: Fingerprint, compute: impl FnOnce() -> Vec<u8>) -> Arc<[u8]> {
-    let (enabled, dir, verify_fraction) = {
+/// Panics on an undecodable disk payload; when verify mode re-simulates a
+/// hit and its encoding is not bit-identical to the hit's; and, naming
+/// `fp`, when the memory tier holds a value of another type under `fp`.
+pub fn memoize<T: Clone + Send + Sync + 'static>(
+    fp: Fingerprint,
+    encode: impl Fn(&T) -> Vec<u8>,
+    decode: impl FnOnce(&[u8]) -> Option<T>,
+    compute: impl FnOnce() -> T,
+) -> T {
+    let (enabled, verify) = {
         let c = config().lock().unwrap();
-        (c.enabled, c.dir.clone(), c.verify_fraction)
+        (c.enabled, should_verify(fp, c.verify_fraction))
     };
     if !enabled {
         bump(Cell::Bypasses);
-        return compute().into();
+        return compute();
     }
 
     // Re-checked after every failed join: by then the memory tier may have
     // been filled, or the failed leader's registry entry removed.
     let guard = loop {
-        if let Some(hit) = memory().lock().unwrap().get(&fp).cloned() {
+        let hit = memory().lock().unwrap().get(&fp).cloned();
+        if let Some(hit) = hit {
             bump(Cell::Hits);
-            if should_verify(fp, verify_fraction) {
-                verify_hit(fp, &hit, compute);
+            let value = downcast::<T>(fp, &hit);
+            if verify {
+                verify_hit(fp, &encode(&value), &encode(&compute()));
             }
-            return hit;
+            return value;
         }
 
         // `Err(flight)` means this thread registered the flight and leads;
@@ -482,10 +581,10 @@ pub fn get_or_compute(fp: Fingerprint, compute: impl FnOnce() -> Vec<u8>) -> Arc
                     state = flight.cv.wait(state).unwrap_or_else(|e| e.into_inner());
                 }
                 match &*state {
-                    FlightState::Done(bytes) => {
+                    FlightState::Done(value) => {
                         bump(Cell::Hits);
                         bump(Cell::InflightJoined);
-                        return bytes.clone();
+                        return downcast::<T>(fp, value);
                     }
                     // Leader panicked: retry from the top.
                     FlightState::Failed | FlightState::Pending => continue,
@@ -494,76 +593,53 @@ pub fn get_or_compute(fp: Fingerprint, compute: impl FnOnce() -> Vec<u8>) -> Arc
         }
     };
 
+    let dir = config().lock().unwrap().dir.clone();
     if let Some(dir) = dir.as_deref() {
         if let Some(bytes) = DiskStore::new(dir).load(fp) {
             bump(Cell::Hits);
             bump(Cell::DiskHits);
-            if should_verify(fp, verify_fraction) {
-                verify_hit(fp, &bytes, compute);
+            let value = decode(&bytes).unwrap_or_else(|| {
+                panic!(
+                    "cache payload for {fp} does not decode ({} bytes): a payload \
+                     encoding changed without bumping ENGINE_VERSION",
+                    bytes.len()
+                )
+            });
+            if verify {
+                verify_hit(fp, &bytes, &encode(&compute()));
             }
-            let arc: Arc<[u8]> = bytes.into();
-            memory().lock().unwrap().insert(fp, arc.clone());
-            guard.finish(arc.clone());
-            return arc;
+            guard.finish(Arc::new(value.clone()));
+            return value;
         }
     }
 
     bump(Cell::Misses);
-    let bytes = compute();
+    let value = compute();
     if let Some(dir) = dir.as_deref() {
-        if DiskStore::new(dir).store(fp, &bytes) {
+        if DiskStore::new(dir).store(fp, &encode(&value)) {
             bump(Cell::Stores);
         }
     }
-    let arc: Arc<[u8]> = bytes.into();
-    memory().lock().unwrap().insert(fp, arc.clone());
-    guard.finish(arc.clone());
-    arc
+    guard.finish(Arc::new(value.clone()));
+    value
 }
 
-/// Typed front-end to [`get_or_compute`]: memoizes `compute`'s result under
-/// `fp` using `encode`/`decode` for the byte payload.
-///
-/// On a miss the freshly computed value is returned directly (the encode is
-/// only for storage), so the cold path pays one serialization and zero
-/// deserializations. On a hit the stored bytes are decoded; a payload that
-/// fails to decode panics, because checksummed bytes under the current
-/// [`ENGINE_VERSION`] can only be undecodable if an encoding changed
-/// without the mandatory version bump.
-///
-/// # Panics
-///
-/// Panics on an undecodable hit payload, and propagates verify-mode
-/// mismatch panics from [`get_or_compute`].
-pub fn memoize<T>(
-    fp: Fingerprint,
-    encode: impl FnOnce(&T) -> Vec<u8>,
-    decode: impl FnOnce(&[u8]) -> Option<T>,
-    compute: impl FnOnce() -> T,
-) -> T {
-    let mut fresh: Option<T> = None;
-    let bytes = get_or_compute(fp, || {
-        let v = compute();
-        let b = encode(&v);
-        fresh = Some(v);
-        b
-    });
-    match fresh {
-        Some(v) => v,
-        None => decode(&bytes).unwrap_or_else(|| {
-            panic!(
-                "cache payload for {fp} does not decode ({} bytes): a payload \
-                 encoding changed without bumping ENGINE_VERSION",
-                bytes.len()
-            )
-        }),
-    }
+/// [`memoize`] for a computation that is its own byte payload: the memory
+/// tier keeps the bytes as they are, and the disk tier stores them
+/// verbatim.
+pub fn get_or_compute(fp: Fingerprint, compute: impl FnOnce() -> Vec<u8>) -> Arc<[u8]> {
+    memoize(
+        fp,
+        |bytes: &Arc<[u8]>| bytes.to_vec(),
+        |bytes| Some(bytes.into()),
+        || compute().into(),
+    )
 }
 
 /// The persistent tier: one framed, checksummed record file per
 /// fingerprint in a flat directory. See the module docs for the format and
-/// atomicity guarantees. [`get_or_compute`] drives this internally; it is
-/// public so tests (and external tooling) can exercise the format directly.
+/// atomicity guarantees. [`memoize`] drives this internally; it is public
+/// so tests (and external tooling) can exercise the format directly.
 #[derive(Debug, Clone)]
 pub struct DiskStore {
     dir: PathBuf,
@@ -782,5 +858,78 @@ mod tests {
         );
         let n = picked.iter().filter(|&&p| p).count();
         assert!(n > 0 && n < 64, "sampled {n}/64 at fraction {f}");
+    }
+
+    /// [`config_from_env`] over the given variables (all others unset).
+    fn env(vars: &[(&str, &str)]) -> (Config, Vec<String>) {
+        config_from_env(|name| {
+            vars.iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, v)| OsString::from(v))
+        })
+    }
+
+    #[test]
+    fn unset_environment_is_the_default_config() {
+        let (config, rejected) = env(&[]);
+        assert_eq!(
+            config,
+            Config {
+                enabled: true,
+                dir: None,
+                verify_fraction: 0.0
+            }
+        );
+        assert!(rejected.is_empty());
+    }
+
+    #[test]
+    fn cache_switch_takes_the_usual_spellings_and_rejects_the_rest() {
+        for off in ["0", "false", "off", "no", " OFF "] {
+            let (config, rejected) = env(&[("EBM_CACHE", off)]);
+            assert!(!config.enabled && rejected.is_empty(), "{off:?}");
+        }
+        for on in ["1", "true", "on", "yes"] {
+            let (config, rejected) = env(&[("EBM_CACHE", on)]);
+            assert!(config.enabled && rejected.is_empty(), "{on:?}");
+        }
+        let (config, rejected) = env(&[("EBM_CACHE", "maybe")]);
+        assert!(config.enabled);
+        assert_eq!(rejected.len(), 1);
+        assert!(
+            rejected[0].contains("EBM_CACHE=\"maybe\"")
+                && rejected[0].contains("using the cache on"),
+            "{}",
+            rejected[0]
+        );
+    }
+
+    #[test]
+    fn empty_cache_dir_is_rejected() {
+        let (config, rejected) = env(&[("EBM_CACHE_DIR", "")]);
+        assert_eq!(config.dir, None);
+        assert!(rejected[0].contains("EBM_CACHE_DIR=\"\" (an empty path)"));
+        let (config, rejected) = env(&[("EBM_CACHE_DIR", "some/dir")]);
+        assert_eq!(config.dir.as_deref(), Some(Path::new("some/dir")));
+        assert!(rejected.is_empty());
+    }
+
+    #[test]
+    fn verify_fraction_must_be_a_number_in_the_unit_interval() {
+        let (config, rejected) = env(&[("EBM_CACHE_VERIFY", "0.25")]);
+        assert_eq!((config.verify_fraction, rejected.len()), (0.25, 0));
+        // NaN would survive a clamp and then never verify; garbage used to
+        // mean 0 silently; out-of-range fractions are what the CLI refuses.
+        for bad in ["nan", "NaN", "often", "", "1.5", "-0.1", "inf"] {
+            let (config, rejected) = env(&[("EBM_CACHE_VERIFY", bad)]);
+            assert_eq!(config.verify_fraction, 0.0, "{bad:?}");
+            assert_eq!(rejected.len(), 1, "{bad:?}");
+            assert!(
+                rejected[0].contains(&format!("EBM_CACHE_VERIFY={bad:?}"))
+                    && rejected[0].contains("using 0, no verification"),
+                "{}",
+                rejected[0]
+            );
+        }
     }
 }

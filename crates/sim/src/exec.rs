@@ -32,7 +32,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, Once};
+use std::sync::{Mutex, Once, OnceLock};
 
 thread_local! {
     /// True on threads spawned by [`par_map_with`] — see [`in_sweep_fanout`].
@@ -68,15 +68,22 @@ fn parse_threads(value: &str) -> Result<usize, String> {
 /// [`with_workers`] pool threads): a worker that fans out again would
 /// oversubscribe the host with `N × N` threads, so nested [`par_map`]
 /// calls run inline instead.
+///
+/// The host's parallelism is read once per process (on Linux each read
+/// parses cgroup files, and every memoized read asks); `EBM_THREADS` is
+/// read on every call.
 pub fn worker_count() -> usize {
     static WARNED: Once = Once::new();
+    static HOST: OnceLock<usize> = OnceLock::new();
     if in_sweep_fanout() {
         return 1;
     }
     let host = || {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        *HOST.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
     };
     let Ok(value) = std::env::var("EBM_THREADS") else {
         return host();

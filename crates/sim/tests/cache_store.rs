@@ -1,19 +1,38 @@
 //! Cache-layer regression tests: golden-fingerprint stability, on-disk
-//! store corruption recovery, concurrent writers, and single-flight
-//! semantics of the in-memory tier.
+//! store corruption recovery, concurrent writers, and the typed,
+//! single-flight in-memory tier.
 //!
-//! These tests drive [`gpu_sim::cache::DiskStore`] and the fingerprint
-//! primitives directly; none of them mutate the process-global cache
-//! configuration (the single-flight tests use the global memory tier, but
-//! only under fingerprints private to this file), so they can share a
-//! binary with anything.
+//! These tests drive [`gpu_sim::cache::DiskStore`], the fingerprint
+//! primitives and the memory tier directly, the latter only under
+//! fingerprints private to this file. One test switches verify mode on;
+//! every memory-tier test takes [`MEMORY`] so none of them sees it.
 
-use gpu_sim::cache::{get_or_compute, DiskStore, KeyBuilder, ENGINE_VERSION};
+use gpu_sim::cache::{get_or_compute, memoize, DiskStore, KeyBuilder, ENGINE_VERSION};
 use gpu_sim::harness::RunSpec;
 use gpu_types::canon::{fingerprint, Fingerprint};
 use gpu_types::GpuConfig;
 use gpu_workloads::by_name;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+/// Serializes the tests that read or write the global memory tier, since
+/// one of them changes the process-wide verify fraction.
+static MEMORY: Mutex<()> = Mutex::new(());
+
+fn memory_turn() -> std::sync::MutexGuard<'static, ()> {
+    MEMORY.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A `u64` payload's bytes.
+fn encode_u64(v: &u64) -> Vec<u8> {
+    v.to_le_bytes().to_vec()
+}
+
+/// Reads back [`encode_u64`]'s bytes.
+fn decode_u64(bytes: &[u8]) -> Option<u64> {
+    Some(u64::from_le_bytes(bytes.try_into().ok()?))
+}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -155,12 +174,11 @@ fn concurrent_writers_never_produce_torn_reads() {
 }
 
 /// Single-flight: N threads requesting the same fingerprint while the
-/// leader is mid-compute must all block, share the leader's bytes, and run
-/// the compute closure exactly once.
+/// leader is mid-compute must all block, receive the leader's value (their
+/// own computation would differ), and run the compute closure exactly once.
 #[test]
 fn concurrent_requesters_share_one_execution() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
+    let _turn = memory_turn();
     // Private to this test; no other get_or_compute caller in the workspace
     // uses a literal fingerprint in this range.
     let fp = Fingerprint(0x5F5F_0000_0000_0001);
@@ -194,7 +212,7 @@ fn concurrent_requesters_share_one_execution() {
                     arrived.fetch_add(1, Ordering::SeqCst);
                     get_or_compute(fp, || {
                         executions.fetch_add(1, Ordering::SeqCst);
-                        b"single-flight payload".to_vec()
+                        b"a joiner's own payload".to_vec()
                     })
                     .to_vec()
                 })
@@ -218,7 +236,7 @@ fn concurrent_requesters_share_one_execution() {
         assert_eq!(
             r.as_slice(),
             b"single-flight payload",
-            "result must be shared"
+            "every requester must receive the leader's value"
         );
     }
     let joined = gpu_sim::cache::stats().inflight_joined;
@@ -232,8 +250,7 @@ fn concurrent_requesters_share_one_execution() {
 /// one of them recomputes the entry.
 #[test]
 fn failed_leader_lets_joiners_retry() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
+    let _turn = memory_turn();
     let fp = Fingerprint(0x5F5F_0000_0000_0002);
     let attempts = AtomicUsize::new(0);
     let joiner_waiting = AtomicUsize::new(0);
@@ -269,5 +286,117 @@ fn failed_leader_lets_joiners_retry() {
         attempts.load(Ordering::SeqCst),
         2,
         "the joiner must have recomputed after the leader failed"
+    );
+}
+
+/// The memory tier holds values: a hit clones the kept value, so neither
+/// `decode` nor `compute` runs again.
+#[test]
+fn a_memory_hit_never_decodes() {
+    let _turn = memory_turn();
+    let fp = Fingerprint(0x5F5F_0000_0000_0003);
+    let (computes, decodes) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let read = || {
+        memoize(
+            fp,
+            encode_u64,
+            |bytes| {
+                decodes.fetch_add(1, Ordering::SeqCst);
+                decode_u64(bytes)
+            },
+            || {
+                computes.fetch_add(1, Ordering::SeqCst);
+                42u64
+            },
+        )
+    };
+    let before = gpu_sim::cache::stats();
+    assert_eq!([read(), read(), read()], [42; 3]);
+    let after = gpu_sim::cache::stats();
+    assert_eq!(computes.load(Ordering::SeqCst), 1, "one miss computes");
+    assert_eq!(decodes.load(Ordering::SeqCst), 0, "a memory hit decoded");
+    assert_eq!(
+        (after.misses - before.misses, after.hits - before.hits),
+        (1, 2)
+    );
+}
+
+/// Sets the process-wide verify fraction to 1 until dropped, so a failing
+/// assertion cannot leave verify mode on for the next test.
+struct VerifyEveryHit;
+
+impl VerifyEveryHit {
+    fn on() -> Self {
+        gpu_sim::cache::set_verify_fraction(1.0);
+        VerifyEveryHit
+    }
+}
+
+impl Drop for VerifyEveryHit {
+    fn drop(&mut self) {
+        gpu_sim::cache::set_verify_fraction(0.0);
+    }
+}
+
+/// The text of a caught panic.
+fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+/// Verify mode re-computes a memory hit, compares the two encodings, and
+/// panics — naming the fingerprint — when the re-computation differs.
+#[test]
+fn verify_mode_recomputes_memory_hits_and_panics_on_a_mismatch() {
+    let _turn = memory_turn();
+    let fp = Fingerprint(0x5F5F_0000_0000_0004);
+    let computes = AtomicUsize::new(0);
+    let compute = |v: u64| {
+        computes.fetch_add(1, Ordering::SeqCst);
+        v
+    };
+    assert_eq!(memoize(fp, encode_u64, decode_u64, || compute(7)), 7);
+
+    let _verify = VerifyEveryHit::on();
+    let before = gpu_sim::cache::stats().verified;
+    let no_decode = |_: &[u8]| -> Option<u64> { panic!("a memory hit decoded") };
+    assert_eq!(memoize(fp, encode_u64, no_decode, || compute(7)), 7);
+    assert_eq!(
+        computes.load(Ordering::SeqCst),
+        2,
+        "the hit was re-computed"
+    );
+    assert_eq!(gpu_sim::cache::stats().verified - before, 1);
+
+    let caught = std::panic::catch_unwind(|| memoize(fp, encode_u64, decode_u64, || 8u64));
+    let text = panic_text(caught.expect_err("a mismatched re-computation must panic"));
+    assert!(
+        text.contains("cache verification failed") && text.contains(&fp.to_hex()),
+        "{text}"
+    );
+}
+
+/// One fingerprint read as two types is two computations sharing a key:
+/// the second read panics and names the fingerprint.
+#[test]
+fn reading_a_fingerprint_as_another_type_panics_and_names_it() {
+    let _turn = memory_turn();
+    let fp = Fingerprint(0x5F5F_0000_0000_0006);
+    assert_eq!(memoize(fp, encode_u64, decode_u64, || 5u64), 5);
+    let caught = std::panic::catch_unwind(|| {
+        memoize(
+            fp,
+            |s: &String| s.clone().into_bytes(),
+            |b| String::from_utf8(b.to_vec()).ok(),
+            || "five".to_string(),
+        )
+    });
+    let text = panic_text(caught.expect_err("a second type must panic"));
+    assert!(
+        text.contains(&fp.to_hex()) && text.contains("String"),
+        "{text}"
     );
 }

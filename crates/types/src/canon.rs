@@ -44,6 +44,13 @@ impl CanonBuf {
         CanonBuf::default()
     }
 
+    /// Creates an empty buffer with room for `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        CanonBuf {
+            bytes: Vec::with_capacity(bytes),
+        }
+    }
+
     /// The bytes written so far.
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes

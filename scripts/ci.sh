@@ -125,12 +125,30 @@ for T in 1 2 4; do
 done
 
 echo "== memo-less gate (experiments --quick --no-cache vs serial, byte-compared) =="
-# With both cache tiers off every read re-simulates, scheme reads included:
-# the results must not depend on any record having been kept.
+# With both cache tiers off the process keeps nothing: every read
+# re-simulates, alone profiles, sweeps and scheme reads included. The
+# results must not depend on any record having been kept.
 mkdir "$TMP/nocache"
 experiments --no-cache --out "$TMP/nocache" 2> "$TMP/nocache/stderr.log"
 same_artifacts "$TMP/serial" "$TMP/nocache"
 echo "memo-less campaign OK: artifacts byte-identical to serial"
+
+echo "== verify gate (experiments --quick --cache-verify 1.0 on alone profiles, sweeps, schemes and PBS runs vs serial) =="
+# Every hit — the memory tier's values and the disk tier's records alike —
+# is re-simulated and its encoding compared to the hit's; a mismatch
+# panics. fig07 reads alone profiles and a sweep, fig01 four schemes over
+# them, fig11 and the ablation PBS runs (about a second on two workers).
+mkdir "$TMP/verify"
+experiments --cache-verify 1.0 --only fig01,fig07,fig11,ablation --out "$TMP/verify" 2> "$TMP/verify/stderr.log"
+if ! grep -q '\] cache: .* [1-9][0-9]* verified' "$TMP/verify/stderr.log"; then
+  echo "FAIL: --cache-verify 1.0 verified no hit ($(grep '\] cache: ' "$TMP/verify/stderr.log"))" >&2
+  exit 1
+fi
+for f in "$TMP/verify"/*; do
+  case "$(basename "$f")" in PROFILE.json | stderr.log) continue ;; esac
+  cmp "$f" "$TMP/serial/$(basename "$f")"
+done
+echo "verify gate OK: every hit re-simulated bit-identically, artifacts byte-identical to serial"
 
 echo "== run report smoke (--timings/--profile/--html variants render and the page is self-contained) =="
 trace_tools report "$TMP/sched4.jsonl" \
