@@ -236,7 +236,37 @@ struct StallAccum {
     barrier: u64,
     tlp_capped: u64,
     dram_lat: Histogram,
+    mshr_occ: Histogram,
+    queue_depth: Histogram,
     windows: u64,
+}
+
+/// Sums the `metrics_window` records per app; key `None` is the
+/// machine-wide aggregate, the only one whose occupancy gauges are read.
+fn fold_stalls(records: &[Json]) -> BTreeMap<Option<u64>, StallAccum> {
+    let mut acc: BTreeMap<Option<u64>, StallAccum> = BTreeMap::new();
+    for rec in records.iter().filter(|r| kind_of(r) == "metrics_window") {
+        let a = acc
+            .entry(rec.get("app").and_then(Json::as_u64))
+            .or_default();
+        if let Some(stalls) = rec.get("stalls") {
+            a.mem += int(stalls, "mem");
+            a.exec += int(stalls, "exec");
+            a.barrier += int(stalls, "barrier");
+            a.tlp_capped += int(stalls, "tlp_capped");
+        }
+        for (key, h) in [
+            ("dram_lat", &mut a.dram_lat),
+            ("mshr_occ", &mut a.mshr_occ),
+            ("queue_depth", &mut a.queue_depth),
+        ] {
+            if let Some(rec_h) = hist_of(rec, key) {
+                h.merge(&rec_h);
+            }
+        }
+        a.windows += 1;
+    }
+    acc
 }
 
 fn stalls_cmd(path: &str) -> ExitCode {
@@ -245,32 +275,7 @@ fn stalls_cmd(path: &str) -> ExitCode {
         Err(code) => return code,
     };
     let (records, skipped) = parse_records(&text);
-    // Key: Some(app) per-app rows, None = machine-wide aggregate.
-    let mut acc: BTreeMap<Option<u64>, StallAccum> = BTreeMap::new();
-    let mut mshr_occ = Histogram::new();
-    let mut queue_depth = Histogram::new();
-    for rec in records.iter().filter(|r| kind_of(r) == "metrics_window") {
-        let app = rec.get("app").and_then(Json::as_u64);
-        let a = acc.entry(app).or_default();
-        if let Some(stalls) = rec.get("stalls") {
-            a.mem += int(stalls, "mem");
-            a.exec += int(stalls, "exec");
-            a.barrier += int(stalls, "barrier");
-            a.tlp_capped += int(stalls, "tlp_capped");
-        }
-        if let Some(h) = hist_of(rec, "dram_lat") {
-            a.dram_lat.merge(&h);
-        }
-        a.windows += 1;
-        if app.is_none() {
-            if let Some(h) = hist_of(rec, "mshr_occ") {
-                mshr_occ.merge(&h);
-            }
-            if let Some(h) = hist_of(rec, "queue_depth") {
-                queue_depth.merge(&h);
-            }
-        }
-    }
+    let acc = fold_stalls(&records);
     warn_skipped(skipped);
     if acc.is_empty() {
         eprintln!("warning: no metrics_window records in {path} (trace predates schema v3?)");
@@ -337,7 +342,12 @@ fn stalls_cmd(path: &str) -> ExitCode {
         "p99",
         "max"
     );
-    for (name, h) in [("l2_mshr", &mshr_occ), ("queue_depth", &queue_depth)] {
+    let no_records = StallAccum::default();
+    let machine = acc.get(&None).unwrap_or(&no_records);
+    for (name, h) in [
+        ("l2_mshr", &machine.mshr_occ),
+        ("queue_depth", &machine.queue_depth),
+    ] {
         outln!(
             "{name:<12} {:>10} {:>10.1} {:>8} {:>8} {:>8} {:>8} {:>8}",
             h.count(),
@@ -386,6 +396,18 @@ fn cache_cmd(path: &str) -> ExitCode {
 // profile
 // ---------------------------------------------------------------------------
 
+/// The spans of a `PROFILE.json` document, longest wall time first;
+/// `None` when it has no `spans` array.
+fn spans_by_wall(doc: &Json) -> Option<Vec<&Json>> {
+    let mut rows: Vec<&Json> = doc.get("spans")?.as_arr()?.iter().collect();
+    rows.sort_by(|a, b| {
+        num(b, "wall_s")
+            .partial_cmp(&num(a, "wall_s"))
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    Some(rows)
+}
+
 /// Renders the top-`top_n` spans of a `results/PROFILE.json` by wall
 /// time: where a campaign actually spent its time, at what simulation
 /// rate, and how often the result cache served it. In a scheduled
@@ -403,17 +425,11 @@ fn profile_cmd(path: &str, top_n: usize) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let Some(spans) = doc.get("spans").and_then(Json::as_arr) else {
+    let Some(rows) = spans_by_wall(&doc) else {
         eprintln!("error: {path} has no `spans` array (not a PROFILE.json?)");
         return ExitCode::FAILURE;
     };
-    let mut rows: Vec<&Json> = spans.iter().collect();
-    rows.sort_by(|a, b| {
-        num(b, "wall_s")
-            .partial_cmp(&num(a, "wall_s"))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let total_wall: f64 = spans
+    let total_wall: f64 = rows
         .iter()
         .filter(|s| s.get("level").and_then(Json::as_str) == Some("campaign"))
         .map(|s| num(s, "wall_s"))
@@ -759,22 +775,7 @@ fn collect_report_data(records: &[Json], lanes: usize) -> ReportData {
         .collect();
     units.sort_by_key(|u| u.unit);
     let (lane_segs, makespan) = virtual_schedule(&units, lanes);
-    let mut stalls: BTreeMap<Option<u64>, StallAccum> = BTreeMap::new();
-    for rec in records.iter().filter(|r| kind_of(r) == "metrics_window") {
-        let a = stalls
-            .entry(rec.get("app").and_then(Json::as_u64))
-            .or_default();
-        if let Some(s) = rec.get("stalls") {
-            a.mem += int(s, "mem");
-            a.exec += int(s, "exec");
-            a.barrier += int(s, "barrier");
-            a.tlp_capped += int(s, "tlp_capped");
-        }
-        if let Some(h) = hist_of(rec, "dram_lat") {
-            a.dram_lat.merge(&h);
-        }
-        a.windows += 1;
-    }
+    let stalls = fold_stalls(records);
     // Tier counters are cumulative at emission, so the last snapshot per
     // tier wins (mirrors `cache_cmd`).
     let mut tiers: BTreeMap<String, [u64; 3]> = BTreeMap::new();
@@ -1012,16 +1013,10 @@ fn render_profile_text(doc: &Json) -> String {
     let w = &mut out;
     let _ = writeln!(w);
     let _ = writeln!(w, "== profile spans (nondeterministic) ==");
-    let Some(spans) = doc.get("spans").and_then(Json::as_arr) else {
+    let Some(rows) = spans_by_wall(doc) else {
         let _ = writeln!(w, "no `spans` array (not a PROFILE.json?)");
         return out;
     };
-    let mut rows: Vec<&Json> = spans.iter().collect();
-    rows.sort_by(|a, b| {
-        num(b, "wall_s")
-            .partial_cmp(&num(a, "wall_s"))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
     const TOP: usize = 10;
     let _ = writeln!(
         w,

@@ -1157,6 +1157,8 @@ mod tests {
     fn cost_model_tolerates_garbage() {
         assert_eq!(CostModel::from_profile_json("not json").cost("x", 9), 9);
         assert_eq!(CostModel::from_profile_json("{}").cost("x", 9), 9);
+        let deep = r#"{"spans":"#.to_string() + &"[".repeat(200_000);
+        assert_eq!(CostModel::from_profile_json(&deep).cost("x", 9), 9);
     }
 
     #[test]

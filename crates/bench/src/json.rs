@@ -7,9 +7,15 @@
 //! Numbers are parsed as `f64` (every integer the trace emits — cycles,
 //! counts — fits exactly in the 53-bit mantissa at realistic magnitudes);
 //! object key order is preserved, which the validator relies on to pin
-//! the emitter's stable field order.
+//! the emitter's stable field order. Nesting is bounded at [`MAX_DEPTH`],
+//! so a corrupt document fails with an error instead of exhausting the
+//! stack.
 
 use std::fmt;
+
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// deepest document this workspace writes has 3 levels.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,6 +118,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -125,6 +132,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -169,12 +178,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(&format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
@@ -349,6 +371,18 @@ mod tests {
         assert!(parse("nul").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains(&MAX_DEPTH.to_string()), "{err}");
+        // A truncated document this deep must fail, not exhaust the stack.
+        let err = parse(&"[{\"a\":".repeat(100_000)).unwrap_err();
+        assert!(err.message.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

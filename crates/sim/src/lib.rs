@@ -20,8 +20,8 @@
 //!   in-process registry plus a persistent on-disk store
 //!   (`EBM_CACHE_DIR`), with versioned invalidation ([`cache::ENGINE_VERSION`])
 //!   and a verify mode that re-simulates sampled hits;
-//! * [`timeq`] — the hierarchical timing wheel the event-driven engine
-//!   schedules per-component wake times into ([`timeq::TimeQ`]);
+//! * [`timeq`] — the table of per-component wake times the event-driven
+//!   engine jumps between ([`timeq::TimeQ`]);
 //! * [`trace`] — the structured, zero-cost-when-disabled observability
 //!   layer: typed events ([`trace::TraceEvent`]) emitted at every sampling
 //!   window, received by pluggable [`trace::TraceSink`]s (in-memory ring,

@@ -337,7 +337,7 @@ fn struct_stalled_wide_loads_agree_cycle_for_cycle() {
 /// ragged (often shorter than sleep horizons), so spans routinely end with
 /// cores mid-sleep and the next leg begins with a knob change that
 /// invalidates the scheduled wake. Manual single `step()` calls are mixed
-/// in — they bypass the timing wheel entirely and must leave the lazy
+/// in — they bypass the wake-time table entirely and must leave the lazy
 /// credit bookkeeping exact (a `step(); run()` sequence once double-credited
 /// skipped cycles).
 #[test]

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Offline CI gate: format check, lints, release build, the engine crates'
-# tests in the dev profile, full release test suite (the engine-vs-oracle
-# differential suite included in both), the benchmark's binaries
-# and golden digests, and the byte-compare gates over `experiments --quick`.
+# Offline CI gate: format check, lints, release build, the whole test
+# suite in the dev profile (the engine-vs-oracle differential suite and the
+# doctests included), the benchmark's binaries and golden digests, and the
+# byte-compare gates over `experiments --quick`.
 # Speed is not gated here: that is `bash benchmark/run.sh`
 # (benchmark/README.md). No network access required.
 set -euo pipefail
@@ -27,20 +27,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release (workspace) =="
 cargo build --workspace --release
 
-echo "== cargo test, dev profile (gpu-types, gpu-mem, gpu-simt, gpu-sim: debug_assert cross-checks on) =="
-# The release suite below compiles every debug_assert! out. The engine's
-# incrementally maintained state (running flit count, non-empty-input set,
-# active-slot sum, warp bitsets, per-bank FR-FCFS pick, due flags) is held
-# to a scan of the ground truth only by such assertions, so the three engine
-# crates — and gpu-types, where the bitsets they walk live — also run in
-# the dev profile (opt-level 1, debug assertions and overflow checks on).
-cargo test -q -p gpu-types -p gpu-mem -p gpu-simt -p gpu-sim
-
-echo "== cargo test (workspace) =="
-cargo test --workspace --release -q
-
-echo "== cargo test --doc (workspace doctests) =="
-cargo test --workspace --release -q --doc
+echo "== cargo test (workspace, dev profile: debug_assert cross-checks on) =="
+cargo test -q
 
 echo "== cargo doc (rustdoc warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
