@@ -81,15 +81,19 @@ impl CoreStats {
 }
 
 /// Per-warp stall-reason breakdown, in warp-cycles: each cycle, every warp
-/// slot of the core is charged to exactly one bucket.  Recorded only while
-/// metrics are enabled ([`SimtCore::set_metrics_enabled`]) and snapshotted
-/// per sampling window by the `gpu_sim::metrics` registry.
+/// slot of the core that did not issue is charged to exactly one bucket —
+/// outside the SWL window `tlp_capped`, else blocked on memory `mem`, else
+/// `exec`. A warp that issues a load and blocks on it counts as issued that
+/// cycle. Recorded only while metrics are enabled
+/// ([`SimtCore::set_metrics_enabled`]) and snapshotted per sampling window
+/// by the `gpu_sim::metrics` registry.
 ///
 /// Invariant: `mem + exec + barrier + tlp_capped + <issued insts>` equals
-/// `warps × cycles` over any recorded stretch.
+/// `warps × cycles` over any recorded stretch, exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarpStalls {
-    /// Warp-cycles of SWL-active warps blocked on outstanding memory.
+    /// Warp-cycles of SWL-active warps blocked on outstanding memory
+    /// (counted once returned L1 hits have unblocked theirs).
     pub mem: u64,
     /// Warp-cycles of SWL-active warps not blocked on memory and not
     /// issuing (ALU latency, scheduler lost arbitration, or finished).
@@ -276,23 +280,35 @@ impl<S: InstStream> SimtCore<S> {
         self.metrics = on;
     }
 
-    /// Charges `k` cycles' worth of warp slots to stall buckets, given
-    /// that `issued` warps issued an instruction this cycle.  Called from
-    /// all four step paths (full, reference, sleep fast path, batch idle
-    /// credit) with identical arithmetic, so the engine-equivalence
-    /// invariant (optimized == reference, bit for bit) extends to these
-    /// counters.
+    /// SWL-active warps blocked on memory, as [`WarpStalls::mem`] charges
+    /// them; zero while metrics are off, when nothing reads it.
     #[inline]
-    fn record_warp_stalls(&mut self, issued: u64, k: u64) {
+    fn mem_stalled_warps(&self) -> u64 {
+        if self.metrics {
+            self.issue.n_waiting_mem_in_window() as u64
+        } else {
+            0
+        }
+    }
+
+    /// Charges `k` cycles' worth of warp slots to stall buckets, given
+    /// that `waiting` SWL-active warps were blocked on memory before the
+    /// issue stage ([`Self::mem_stalled_warps`]) and `issued` warps issued
+    /// an instruction this cycle — disjoint sets, as a blocked warp cannot
+    /// issue. Called from all four step paths (full, reference, sleep fast
+    /// path, batch idle credit) with identical arithmetic, so the
+    /// engine-equivalence invariant (optimized == reference, bit for bit)
+    /// extends to these counters.
+    #[inline]
+    fn record_warp_stalls(&mut self, waiting: u64, issued: u64, k: u64) {
         if !self.metrics {
             return;
         }
         let total = self.warps.len() as u64;
         let active = self.active_slots_total;
-        let waiting = self.issue.n_waiting_mem() as u64;
         self.warp_stalls.mem += waiting * k;
-        self.warp_stalls.tlp_capped += total.saturating_sub(active) * k;
-        self.warp_stalls.exec += active.saturating_sub(waiting + issued) * k;
+        self.warp_stalls.tlp_capped += (total - active) * k;
+        self.warp_stalls.exec += (active - waiting - issued) * k;
     }
 
     /// The stall breakdown accumulated since the last take (all zero
@@ -325,6 +341,8 @@ impl<S: InstStream> SimtCore<S> {
         // Schedulers clamp the limit to their slot count, so re-sum the
         // actual limits rather than assuming `eff` stuck.
         self.active_slots_total = self.schedulers.iter().map(|s| s.limit() as u64).sum();
+        self.issue
+            .set_window(self.schedulers.iter().map(GtoScheduler::active_slots));
         self.sleep = None;
     }
 
@@ -553,7 +571,7 @@ impl<S: InstStream> SimtCore<S> {
                     SleepKind::Idle => self.stats.idle_cycles += 1,
                     SleepKind::Struct { .. } => self.stats.struct_stall_cycles += 1,
                 }
-                self.record_warp_stalls(0, 1);
+                self.record_warp_stalls(self.mem_stalled_warps(), 0, 1);
                 return;
             }
             self.sleep = None;
@@ -561,16 +579,18 @@ impl<S: InstStream> SimtCore<S> {
         self.step_full(now);
     }
 
-    /// Offers warp `slot` — neither retired nor blocked on memory — this
-    /// cycle's issue slot; true when it issued. A warp whose stream ended
-    /// retires here; one that hits a structural hazard keeps its op decoded
-    /// (the next peek returns it again), records the op's [`StructNeed`]
-    /// for [`Self::offer_in_order`]'s gate and sets `saw_struct_block`.
+    /// Offers warp `slot` — ready: neither retired nor blocked on memory,
+    /// its `ready_at` passed — this cycle's issue slot; true when it
+    /// issued. A warp whose stream ended retires here; one that hits a
+    /// structural hazard keeps its op decoded (the next peek returns it
+    /// again), records the op's [`StructNeed`] for
+    /// [`Self::offer_in_order`]'s gate and sets `saw_struct_block`.
     #[inline]
     fn offer(&mut self, slot: usize, now: u64, saw_struct_block: &mut bool) -> bool {
-        if self.issue.ready_at(slot) > now {
-            return false;
-        }
+        debug_assert!(
+            self.issue.ready(slot, now),
+            "warp {slot} was offered before it was ready"
+        );
         let ok = match self.warps[slot].peek() {
             None => {
                 self.issue.finish(slot);
@@ -593,7 +613,7 @@ impl<S: InstStream> SimtCore<S> {
     }
 
     /// [`Self::offer`]s the warps of `order` in turn — the first slot tested
-    /// directly, then the issuable warps along the walks, passing over it —
+    /// directly, then the ready set along the walks, passing over it —
     /// until one issues; that slot, if any.
     ///
     /// Under congestion most offers are retries of a structurally blocked
@@ -625,13 +645,13 @@ impl<S: InstStream> SimtCore<S> {
             false
         };
         if let Some(g) = first {
-            if self.issue.issuable(g) && offer(self, g) {
+            if self.issue.is_ready(g) && offer(self, g) {
                 return first;
             }
         }
         for span in walks {
             let mut walk = BitWalk::over(span);
-            while let Some(slot) = self.issue.next_issuable(&mut walk) {
+            while let Some(slot) = self.issue.next_ready_warp(&mut walk) {
                 if Some(slot) != first && offer(self, slot) {
                     return Some(slot);
                 }
@@ -647,8 +667,16 @@ impl<S: InstStream> SimtCore<S> {
         }
     }
 
+    /// The due cycle of the next L1 hit return, `u64::MAX` when none is
+    /// on its way.
+    #[inline]
+    fn next_hit_return(&self) -> u64 {
+        self.hit_returns.front().map_or(u64::MAX, |&(due, _)| due)
+    }
+
     fn step_full(&mut self, now: u64) {
         self.stats.cycles += 1;
+        self.issue.sync(now);
         if let Some(ccws) = &mut self.ccws {
             let before = ccws.limit();
             ccws.tick(now);
@@ -665,16 +693,18 @@ impl<S: InstStream> SimtCore<S> {
                 .sum::<u64>(),
             "incremental active-slot count diverged from the scan"
         );
-        self.issue.debug_check();
+        self.issue
+            .debug_check(self.schedulers.iter().map(GtoScheduler::active_slots));
         self.stats.active_warp_cycles += self.active_slots_total;
 
         // 1. L1 hits.
         self.complete_due_hits(now);
+        let waiting = self.mem_stalled_warps();
 
         // 2. Issue: per scheduler, offer the policy's priority order (GTO:
         //    the greedy warp, then oldest first; LRR: rotate past the last
-        //    issued warp) to the warps that are neither retired nor blocked
-        //    on memory — skipped 64 at a time — until one issues.
+        //    issued warp) to the ready set — skipped 64 at a time — until
+        //    one issues.
         let mut issued_total = 0;
         let mut saw_struct_block = false;
         for si in 0..self.schedulers.len() {
@@ -686,43 +716,39 @@ impl<S: InstStream> SimtCore<S> {
         }
 
         // 3. Stall classification for DynCTA-style heuristics, fused with
-        //    the sleep-horizon computation. In a no-issue cycle every active
-        //    warp whose latency had elapsed was offered and either retired
-        //    or hit a structural hazard. Egress and MSHR space free only via
-        //    pop_request / receive, which clear the sleep, so nothing can
-        //    happen before the earliest of {pending hit return, an
-        //    ALU-latency warp becoming ready} — unless an external event
-        //    (receive, knob change, a pop that makes a blocked warp fit)
-        //    clears the sleep first.
+        //    the sleep horizon. In a no-issue cycle every ready warp was
+        //    offered and either retired or hit a structural hazard, so what
+        //    is left of the ready set is the struct-blocked warps. Egress
+        //    and MSHR space free only via pop_request / receive, which
+        //    clear the sleep, so nothing can happen before the earliest of
+        //    {pending hit return, a booked warp becoming ready} — unless an
+        //    external event (receive, knob change, a pop that makes a
+        //    blocked warp fit) clears the sleep first.
         if issued_total == 0 {
-            let mut any_waiting = false;
-            let mut wake = self.hit_returns.front().map_or(u64::MAX, |&(t, _)| t);
             let (_, mshrs) = self.headroom();
-            let mut wake_room = usize::MAX;
-            for s in &self.schedulers {
-                let active = s.active_slots();
-                any_waiting |= self.issue.any_waiting_mem(active.clone());
-                let mut slots = BitWalk::over(active);
-                while let Some(slot) = self.issue.next_issuable(&mut slots) {
-                    let ready_at = self.issue.ready_at(slot);
-                    if ready_at > now {
-                        wake = wake.min(ready_at);
-                        continue;
-                    }
-                    let need = self.issue.struct_need(slot);
-                    debug_assert!(
-                        !self.fits_now(need),
-                        "a ready warp should have issued this cycle"
-                    );
-                    if need.fits(usize::MAX, mshrs) {
-                        wake_room = wake_room.min(need.lines());
-                    }
+            let (mut wake_room, mut n_blocked) = (usize::MAX, 0);
+            let mut blocked = BitWalk::over(0..self.warps.len());
+            while let Some(slot) = self.issue.next_ready_warp(&mut blocked) {
+                n_blocked += 1;
+                let need = self.issue.struct_need(slot);
+                debug_assert!(
+                    !self.fits_now(need),
+                    "a ready warp should have issued this cycle"
+                );
+                if need.fits(usize::MAX, mshrs) {
+                    wake_room = wake_room.min(need.lines());
                 }
             }
+            let wake = self.issue.next_ready().min(self.next_hit_return());
+            debug_assert_eq!(
+                (wake, wake_room, n_blocked),
+                self.horizon_by_scan(now),
+                "the no-issue sleep diverged from the horizon walk at {now}"
+            );
             let kind = if saw_struct_block {
                 self.stats.struct_stall_cycles += 1;
                 SleepKind::Struct { room: wake_room }
-            } else if any_waiting {
+            } else if self.issue.any_waiting_mem_in_window() {
                 self.stats.mem_stall_cycles += 1;
                 SleepKind::Mem
             } else {
@@ -734,8 +760,60 @@ impl<S: InstStream> SimtCore<S> {
                 debug_assert!(wake > now, "pending wakes must lie in the future");
                 self.sleep = Some((wake, kind));
             }
+        } else if self.ccws.is_none() && !self.issue.any_ready() {
+            // 4. An issuing step sleeps through `now + 1` when that step
+            //    would issue nothing: no active warp is ready now, none
+            //    becomes ready and no L1 hit returns by then. The skipped
+            //    step would find no warp to offer, so it could only have
+            //    classified the cycle as below and gone to sleep until the
+            //    same wake; any event that could change that clears the
+            //    sleep, as it would that step's.
+            let wake = self.issue.next_ready().min(self.next_hit_return());
+            if wake > now + 1 {
+                debug_assert_eq!(
+                    (wake, usize::MAX, 0),
+                    self.horizon_by_scan(now + 1),
+                    "the post-issue sleep diverged from the horizon walk at {now}"
+                );
+                let kind = if self.issue.any_waiting_mem_in_window() {
+                    SleepKind::Mem
+                } else {
+                    SleepKind::Idle
+                };
+                self.sleep = Some((wake, kind));
+            }
         }
-        self.record_warp_stalls(issued_total, 1);
+        self.record_warp_stalls(waiting, issued_total, 1);
+    }
+
+    /// The sleep horizon by the walk the ready calendar replaced: every
+    /// active warp neither retired nor blocked on memory tested by its
+    /// `ready_at`. Returns the earliest of the next L1 hit return and the
+    /// next `ready_at` after `now`; the least egress room at which a warp
+    /// ready at `now` fits, counting only those whose L1 MSHR test passes
+    /// (`usize::MAX` when none does); and the number of warps ready at
+    /// `now`. The debug oracle of both sleep decisions in
+    /// [`Self::step_full`].
+    fn horizon_by_scan(&self, now: u64) -> (u64, usize, usize) {
+        let mut wake = self.next_hit_return();
+        let (_, mshrs) = self.headroom();
+        let (mut wake_room, mut n_ready) = (usize::MAX, 0);
+        for s in &self.schedulers {
+            let mut slots = BitWalk::over(s.active_slots());
+            while let Some(slot) = self.issue.next_issuable(&mut slots) {
+                let ready_at = self.issue.ready_at(slot);
+                if ready_at > now {
+                    wake = wake.min(ready_at);
+                    continue;
+                }
+                n_ready += 1;
+                let need = self.issue.struct_need(slot);
+                if need.fits(usize::MAX, mshrs) {
+                    wake_room = wake_room.min(need.lines());
+                }
+            }
+        }
+        (wake, wake_room, n_ready)
     }
 
     /// Reference implementation of [`Self::step`]: the original per-cycle
@@ -749,6 +827,8 @@ impl<S: InstStream> SimtCore<S> {
     pub fn step_reference(&mut self, now: u64) {
         self.sleep = None;
         self.stats.cycles += 1;
+        // The calendar is not read here, but kept: `step` may follow.
+        self.issue.sync(now);
         if let Some(ccws) = &mut self.ccws {
             let before = ccws.limit();
             ccws.tick(now);
@@ -764,6 +844,12 @@ impl<S: InstStream> SimtCore<S> {
             .sum::<u64>();
 
         self.complete_due_hits(now);
+        let waiting = if self.metrics {
+            let active = self.schedulers.iter().flat_map(|s| s.active_slots());
+            active.filter(|&slot| self.issue.waiting_mem(slot)).count() as u64
+        } else {
+            0
+        };
 
         let mut issued_total = 0;
         let mut saw_struct_block = false;
@@ -797,7 +883,7 @@ impl<S: InstStream> SimtCore<S> {
                 }
             }
         }
-        self.record_warp_stalls(issued_total, 1);
+        self.record_warp_stalls(waiting, issued_total, 1);
     }
 
     /// The earliest cycle `>= from` at which this core must be stepped —
@@ -835,7 +921,7 @@ impl<S: InstStream> SimtCore<S> {
             SleepKind::Idle => self.stats.idle_cycles += k,
             SleepKind::Struct { .. } => self.stats.struct_stall_cycles += k,
         }
-        self.record_warp_stalls(0, k);
+        self.record_warp_stalls(self.mem_stalled_warps(), 0, k);
     }
 
     /// True when outbound memory requests are queued for the interconnect.
@@ -875,7 +961,7 @@ fn fresh_id(core: CoreId, next_req: &mut u64) -> ReqId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::{AddrList, Inst};
+    use crate::inst::{AddrList, Inst, MAX_ALU_CYCLES};
     use crate::streams::{LoopOverSet, Scripted, Streaming};
     use gpu_types::Address;
 
@@ -1492,6 +1578,88 @@ mod tests {
         }
         assert_eq!(batched.stats(), stepped.stats());
         assert_eq!(batched.warp_stalls(), stepped.warp_stalls());
+    }
+
+    /// A core of one warp per scheduler: warp 0 runs `warp0`, warp 1
+    /// `warp1`, each with outstanding-load tolerance `tol`.
+    fn two_warp_core(warp0: Vec<Inst>, warp1: Vec<Inst>, tol: usize) -> SimtCore {
+        let mut cfg = small_cfg();
+        cfg.warps_per_core = 2;
+        let streams = [warp0, warp1]
+            .into_iter()
+            .map(|insts| Box::new(Scripted::new(insts)) as Box<dyn InstStream>)
+            .collect();
+        let params = CoreParams {
+            max_outstanding_loads: tol,
+            max_txn_per_inst: EGRESS_CAPACITY,
+        };
+        SimtCore::new(CoreId(0), AppId::new(0), &cfg, params, streams)
+    }
+
+    #[test]
+    fn an_issuing_core_sleeps_through_its_only_warps_alu_latency() {
+        // Warp 1 retires at cycle 0 while warp 0 issues an op of latency
+        // L: nothing can happen before cycle L, and the sleep is exact.
+        for l in 2..=MAX_ALU_CYCLES {
+            let insts = vec![Inst::Alu { cycles: l }, Inst::alu1()];
+            let mut fast = two_warp_core(insts.clone(), vec![], 1);
+            let mut slow = two_warp_core(insts, vec![], 1);
+            fast.set_metrics_enabled(true);
+            slow.set_metrics_enabled(true);
+            fast.step(0);
+            assert_eq!(fast.next_event(1), l as u64, "latency {l}");
+            for now in 0..l as u64 + 3 {
+                if now > 0 {
+                    fast.step(now);
+                }
+                slow.step_reference(now);
+            }
+            assert_eq!(fast.stats().insts, 2);
+            assert_eq!(fast.stats(), slow.stats(), "latency {l}");
+            assert_eq!(fast.warp_stalls(), slow.warp_stalls(), "latency {l}");
+        }
+    }
+
+    #[test]
+    fn an_issuing_core_stays_awake_for_a_second_ready_warp() {
+        let long = vec![Inst::Alu { cycles: 9 }, Inst::alu1()];
+        let mut core = two_warp_core(long, vec![Inst::alu1(); 2], 1);
+        core.step(0);
+        assert_eq!(core.stats().insts, 2);
+        assert_eq!(core.next_event(1), 1, "warp 1 is ready at cycle 1");
+    }
+
+    #[test]
+    fn an_issuing_core_stays_awake_for_an_l1_hit_due_next_cycle() {
+        // The second load of line 0 hits the L1 and blocks warp 0 (tolerance
+        // one) until the hit returns, one cycle later.
+        let mut core = two_warp_core(vec![Inst::load1(0); 2], vec![], 1);
+        core.step(0);
+        let miss = core.pop_request().expect("the cold load misses");
+        core.receive(miss);
+        core.step(1);
+        assert_eq!(core.stats().insts, 2);
+        assert_eq!(core.l1_counters(AppId::new(0)).misses, 1, "a hit");
+        assert_eq!(core.next_event(2), 2, "the hit returns at cycle 2");
+    }
+
+    #[test]
+    fn an_issuing_core_stays_awake_beside_a_struct_blocked_warp() {
+        // Warp 1's third 8-line store finds the egress queue full from cycle
+        // 2 on, and is still ready when warp 0 issues its long op at 3.
+        let stores = (0..3).map(|i| wide(false, 8 * i, 8)).collect();
+        let alus = vec![
+            Inst::alu1(),
+            Inst::alu1(),
+            Inst::alu1(),
+            Inst::Alu { cycles: 9 },
+        ];
+        let mut core = two_warp_core(alus, stores, 1);
+        for now in 0..4 {
+            core.step(now);
+        }
+        assert_eq!(core.stats().insts, 6);
+        assert_eq!(core.next_event(4), 4, "warp 1 retries every cycle");
     }
 
     #[test]

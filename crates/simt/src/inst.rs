@@ -13,6 +13,13 @@ use gpu_types::Address;
 /// width of Table I).
 pub const WARP_WIDTH: usize = 32;
 
+/// Longest latency an [`Op::Alu`] may take, in cycles. A core books each
+/// warp that issues into a ring of this many per-cycle buckets (the ready
+/// calendar of [`crate::warp::WarpIssueState`]), so a longer op could not
+/// be told from a shorter one; application profiles are validated
+/// against it. The 26 application models use 1, 2 and 4.
+pub const MAX_ALU_CYCLES: u32 = 32;
+
 /// A fixed-capacity, inline, `Copy` list of addresses: nothing on the
 /// issue path touches the heap. It dereferences to `&[Address]`, so slice
 /// methods (`iter`, `len`, indexing) work directly.
@@ -145,7 +152,8 @@ pub enum Op {
     /// footnote: the scratchpad "is not susceptible to contention due to
     /// high TLP").
     Alu {
-        /// Cycles before the warp may issue again.
+        /// Cycles before the warp may issue again, `1..=`[`MAX_ALU_CYCLES`]
+        /// (zero counts as one).
         cycles: u32,
     },
     /// A global load, one transaction per line. The warp blocks once its

@@ -29,6 +29,6 @@ pub mod warp;
 
 pub use crate::ccws::{CcwsParams, CcwsThrottle};
 pub use crate::core::{CoreParams, CoreStats, SimtCore, WarpStalls};
-pub use inst::{Inst, InstStream, LineBuf, Op};
+pub use inst::{Inst, InstStream, LineBuf, Op, MAX_ALU_CYCLES};
 pub use scheduler::GtoScheduler;
 pub use warp::{Warp, WarpIssueState};

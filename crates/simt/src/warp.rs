@@ -4,12 +4,14 @@
 //! from it but not yet issued and the line buffer that op's transactions
 //! sit in, touched only when a scheduler offers the warp an issue slot.
 //! [`WarpIssueState`] is the hot half for all of a core's warps at once —
-//! struct-of-arrays, so the per-cycle "which warp can issue" question is a
-//! walk over two bitset words and the `ready_at` array instead of one
-//! cache line per warp. A warp whose memory op waits on a structural hazard
-//! leaves its [`StructNeed`] there too, so its retries stay in the hot half.
+//! struct-of-arrays plus a ready calendar, so the per-cycle "which warp can
+//! issue" question is a walk over the ready set's bitset words, and "when
+//! is the next one ready" one rotate of the calendar's occupancy word,
+//! instead of one cache line per warp. A warp whose memory op waits on a
+//! structural hazard leaves its [`StructNeed`] there too, so its retries
+//! stay in the hot half.
 
-use crate::inst::{InstStream, LineBuf, Op};
+use crate::inst::{InstStream, LineBuf, Op, MAX_ALU_CYCLES};
 use gpu_types::bits::{BitSet, BitWalk};
 use gpu_types::Address;
 use std::ops::Range;
@@ -118,6 +120,14 @@ impl StructNeed {
     }
 }
 
+/// Buckets in the ready calendar's ring: one per cycle of the longest
+/// delay a warp can be booked behind the last sync.
+const RING: usize = MAX_ALU_CYCLES as usize;
+
+/// The ring's occupancy word, one bit per bucket.
+type Occupancy = u32;
+const _: () = assert!(RING == Occupancy::BITS as usize);
+
 /// The issue/stall state of every warp slot of one core.
 ///
 /// Two bitsets summarise the arrays: `finished` (the stream ended) and
@@ -125,7 +135,20 @@ impl StructNeed {
 /// only in [`Self::finish`], [`Self::issue_mem`] and [`Self::load_returned`],
 /// and a slot is never in both — a warp retires only when offered an issue
 /// slot, which a blocked warp is not, and a retired warp issues no more
-/// loads. So a slot in neither set can issue as soon as `ready_at` passes.
+/// loads. So a slot in neither set — an *issuable* one — can issue as soon
+/// as `ready_at` passes.
+///
+/// The **ready calendar** keeps that readiness as a set instead of
+/// re-deriving it from `ready_at` on every offer. It holds the issuable
+/// warps of the SWL window only (set by [`Self::set_window`]), relative to
+/// `synced`, the cycle of the last [`Self::sync`]: `ready` has those whose
+/// `ready_at` had passed by then, and a ring of per-cycle buckets the
+/// others, each in the bucket of its `ready_at`. Every `ready_at` lies at
+/// most [`MAX_ALU_CYCLES`] cycles past `synced` (it is set while a core
+/// steps at `synced`, to at most that far ahead), so the ring never wraps
+/// onto a booked cycle. A warp is booked when it issues or unblocks, and
+/// leaves on retiring or blocking; `sync(now)` moves the buckets of
+/// `(synced, now]` into `ready`.
 #[derive(Debug)]
 pub struct WarpIssueState {
     /// Earliest cycle each warp may issue again (ALU / issue latency).
@@ -144,11 +167,25 @@ pub struct WarpIssueState {
     /// hazard holds it back ([`StructNeed::NONE`] otherwise): a retry reads
     /// this byte, not the warp.
     struct_need: Vec<StructNeed>,
+    /// Slots inside the SWL window: the only ones the calendar holds.
+    window: BitSet,
+    /// Issuable window warps whose `ready_at` had passed at `synced`.
+    ready: BitSet,
+    /// Issuable window warps that become ready after `synced`: bucket
+    /// `ready_at % RING` holds each, as `words` bitset words, all buckets
+    /// in one allocation.
+    ring: Vec<u64>,
+    /// Bit `b` set when bucket `b` holds a warp.
+    occupied: Occupancy,
+    /// Words per bucket (and per bitset).
+    words: usize,
+    /// The cycle of the last [`Self::sync`].
+    synced: u64,
 }
 
 impl WarpIssueState {
     /// State for `n_warps` fresh warps with the given outstanding-load
-    /// tolerance.
+    /// tolerance, all in the window and all ready.
     ///
     /// # Panics
     ///
@@ -158,7 +195,8 @@ impl WarpIssueState {
             max_outstanding > 0,
             "a warp must tolerate at least one outstanding load"
         );
-        WarpIssueState {
+        let words = n_warps.div_ceil(64);
+        let mut state = WarpIssueState {
             ready_at: vec![0; n_warps],
             inflight: vec![0; n_warps],
             max_outstanding,
@@ -166,7 +204,15 @@ impl WarpIssueState {
             mem_blocked: BitSet::new(n_warps),
             n_mem_blocked: 0,
             struct_need: vec![StructNeed::NONE; n_warps],
-        }
+            window: BitSet::new(n_warps),
+            ready: BitSet::new(n_warps),
+            ring: vec![0; RING * words],
+            occupied: 0,
+            words,
+            synced: 0,
+        };
+        state.set_window(std::iter::once(0..n_warps));
+        state
     }
 
     /// True when warp `slot` could issue an instruction at `now` (ignoring
@@ -190,20 +236,115 @@ impl WarpIssueState {
         self.ready_at[slot]
     }
 
-    /// True when `slot` is neither retired nor blocked on memory — the
-    /// one-slot form of [`Self::next_issuable`].
+    /// True when `slot` is neither retired nor blocked on memory.
     #[inline]
-    pub fn issuable(&self, slot: usize) -> bool {
+    fn issuable(&self, slot: usize) -> bool {
         !(self.finished.get(slot) | self.mem_blocked.get(slot))
     }
 
     /// The next slot along `slots` that is neither retired nor blocked on
-    /// memory: it issues once its [`Self::ready_at`] has passed. Between
-    /// calls the walked slot may retire or issue; no other slot changes
-    /// while a core offers issue slots.
+    /// memory, ready or not: the scan the ready calendar replaced, kept for
+    /// the core's debug oracle.
     #[inline]
     pub fn next_issuable(&self, slots: &mut BitWalk) -> Option<usize> {
         slots.next(|w| !(self.finished.word(w) | self.mem_blocked.word(w)))
+    }
+
+    /// True when `slot` is in the ready set: an issuable window warp whose
+    /// `ready_at` had passed at the last [`Self::sync`].
+    #[inline]
+    pub fn is_ready(&self, slot: usize) -> bool {
+        self.ready.get(slot)
+    }
+
+    /// The next slot along `slots` in the ready set. Between calls the
+    /// walked slot may retire or issue; no other slot changes while a core
+    /// offers issue slots.
+    #[inline]
+    pub fn next_ready_warp(&self, slots: &mut BitWalk) -> Option<usize> {
+        self.ready.next(slots)
+    }
+
+    /// True when the ready set has a member.
+    #[inline]
+    pub fn any_ready(&self) -> bool {
+        !self.ready.is_empty()
+    }
+
+    /// The earliest cycle after the last [`Self::sync`] at which a booked
+    /// warp becomes ready, `u64::MAX` when none is booked.
+    #[inline]
+    pub fn next_ready(&self) -> u64 {
+        if self.occupied == 0 {
+            return u64::MAX;
+        }
+        let from = self.synced + 1;
+        let ahead = self.occupied.rotate_right((from % RING as u64) as u32);
+        from + ahead.trailing_zeros() as u64
+    }
+
+    /// Brings the calendar to `now`: the warps booked for `(synced, now]`
+    /// join the ready set.
+    #[inline]
+    pub fn sync(&mut self, now: u64) {
+        debug_assert!(now >= self.synced, "the calendar moves forward only");
+        let span = now - self.synced;
+        let mut due = if span >= RING as u64 {
+            self.occupied
+        } else {
+            let first = ((self.synced + 1) % RING as u64) as u32;
+            let run: Occupancy = (1 << span) - 1;
+            self.occupied & run.rotate_left(first)
+        };
+        self.synced = now;
+        self.occupied &= !due;
+        while due != 0 {
+            let bucket = due.trailing_zeros() as usize * self.words;
+            due &= due - 1;
+            for w in 0..self.words {
+                self.ready
+                    .or_word(w, std::mem::take(&mut self.ring[bucket + w]));
+            }
+        }
+    }
+
+    /// Books issuable warp `slot` at its `ready_at`, if it is in the
+    /// window: into the ready set once that has passed, else into its
+    /// bucket.
+    #[inline]
+    fn book(&mut self, slot: usize) {
+        if !self.window.get(slot) {
+            return;
+        }
+        let at = self.ready_at[slot];
+        if at <= self.synced {
+            self.ready.set(slot);
+            return;
+        }
+        debug_assert!(
+            at - self.synced <= RING as u64,
+            "warp {slot} booked {} cycles past the calendar",
+            at - self.synced
+        );
+        let bucket = (at % RING as u64) as usize;
+        self.ring[bucket * self.words + (slot >> 6)] |= 1 << (slot & 63);
+        self.occupied |= 1 << bucket;
+    }
+
+    /// Sets the SWL window to the union of `windows` and re-books the
+    /// calendar from the arrays: warps leaving the window leave it, warps
+    /// entering are booked.
+    pub fn set_window(&mut self, windows: impl Iterator<Item = Range<usize>>) {
+        self.window.zero_words(0..self.words);
+        self.ready.zero_words(0..self.words);
+        self.ring.fill(0);
+        self.occupied = 0;
+        for slot in windows.flatten() {
+            self.window.set(slot);
+            if self.issuable(slot) {
+                self.book(slot);
+            }
+        }
     }
 
     /// What warp `slot`'s decoded memory op needs, if its last issue
@@ -220,12 +361,20 @@ impl WarpIssueState {
         self.struct_need[slot] = need;
     }
 
-    /// True when a warp in `slots` is blocked on outstanding loads.
-    pub fn any_waiting_mem(&self, slots: Range<usize>) -> bool {
-        self.mem_blocked.any_in(slots)
+    /// True when a warp in the window is blocked on outstanding loads.
+    #[inline]
+    pub fn any_waiting_mem_in_window(&self) -> bool {
+        (0..self.words).any(|w| self.mem_blocked.word(w) & self.window.word(w) != 0)
     }
 
-    /// Warps currently blocked on outstanding loads.
+    /// Warps in the window blocked on outstanding loads.
+    pub fn n_waiting_mem_in_window(&self) -> usize {
+        (0..self.words)
+            .map(|w| (self.mem_blocked.word(w) & self.window.word(w)).count_ones() as usize)
+            .sum()
+    }
+
+    /// Warps currently blocked on outstanding loads, in the window or not.
     pub fn n_waiting_mem(&self) -> usize {
         self.n_mem_blocked
     }
@@ -238,14 +387,27 @@ impl WarpIssueState {
     /// Retires warp `slot`: its stream ended.
     #[inline]
     pub fn finish(&mut self, slot: usize) {
-        debug_assert!(!self.mem_blocked.get(slot), "a blocked warp was offered");
+        debug_assert!(self.ready.get(slot), "warp {slot} retired unready");
         self.finished.set(slot);
+        self.ready.clear(slot);
     }
 
     /// Records the issue of an ALU instruction taking `cycles`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycles` exceeds [`MAX_ALU_CYCLES`].
     #[inline]
     pub fn issue_alu(&mut self, slot: usize, now: u64, cycles: u32) {
+        assert!(
+            cycles <= MAX_ALU_CYCLES,
+            "warp slot {slot}: an ALU op of {cycles} cycles exceeds \
+             MAX_ALU_CYCLES ({MAX_ALU_CYCLES})"
+        );
+        debug_assert!(self.ready.get(slot), "warp {slot} issued unready");
         self.ready_at[slot] = now + cycles.max(1) as u64;
+        self.ready.clear(slot);
+        self.book(slot);
     }
 
     /// Records the issue of a memory instruction that produced
@@ -254,13 +416,17 @@ impl WarpIssueState {
     /// a structural need recorded for it is cleared.
     #[inline]
     pub fn issue_mem(&mut self, slot: usize, now: u64, transactions: usize) {
+        debug_assert!(self.ready.get(slot), "warp {slot} issued unready");
         self.ready_at[slot] = now + 1;
         self.struct_need[slot] = StructNeed::NONE;
+        self.ready.clear(slot);
         let before = self.inflight[slot];
         self.inflight[slot] = before + transactions;
         if before < self.max_outstanding && before + transactions >= self.max_outstanding {
             self.mem_blocked.set(slot);
             self.n_mem_blocked += 1;
+        } else {
+            self.book(slot);
         }
     }
 
@@ -281,21 +447,73 @@ impl WarpIssueState {
         if self.inflight[slot] + 1 == self.max_outstanding {
             self.mem_blocked.clear(slot);
             self.n_mem_blocked -= 1;
+            self.book(slot);
         }
     }
 
-    /// Debug builds hold the bitsets and the blocked count to a scan of the
-    /// arrays.
-    pub fn debug_check(&self) {
-        debug_assert!(
-            (0..self.ready_at.len()).all(|s| self.mem_blocked.get(s) == self.waiting_mem(s)),
+    /// Debug builds hold the bitsets, the blocked count and the ready
+    /// calendar to a scan of the arrays, and the calendar's window to
+    /// `windows`, the schedulers' SWL windows.
+    pub fn debug_check(&self, windows: impl Iterator<Item = Range<usize>>) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let n = self.ready_at.len();
+        assert!(
+            (0..n).all(|s| self.mem_blocked.get(s) == self.waiting_mem(s)),
             "mem_blocked set diverged from the scan"
         );
-        debug_assert_eq!(
+        assert_eq!(
             self.n_mem_blocked,
             self.mem_blocked.count(),
             "blocked-warp count diverged from the set"
         );
+        let mut window = BitSet::new(n);
+        windows.flatten().for_each(|s| window.set(s));
+        let (mut booked, mut next) = (0, u64::MAX);
+        for s in 0..n {
+            assert_eq!(
+                self.window.get(s),
+                window.get(s),
+                "calendar window diverged from the schedulers' at slot {s}"
+            );
+            let live = window.get(s) && self.issuable(s);
+            let at = self.ready_at[s];
+            assert_eq!(
+                self.ready.get(s),
+                live && at <= self.synced,
+                "ready set diverged from the scan at slot {s} (synced {})",
+                self.synced
+            );
+            if live && at > self.synced {
+                let bucket = (at % RING as u64) as usize * self.words;
+                assert!(
+                    (self.ring[bucket + (s >> 6)] & 1 << (s & 63)) != 0,
+                    "warp {s}, ready at {at}, is missing from its bucket"
+                );
+                booked += 1;
+                next = next.min(at);
+            }
+        }
+        let ring: Vec<u32> = (0..RING)
+            .map(|b| {
+                let words = &self.ring[b * self.words..(b + 1) * self.words];
+                words.iter().map(|w| w.count_ones()).sum()
+            })
+            .collect();
+        assert_eq!(
+            ring.iter().sum::<u32>(),
+            booked,
+            "the ring holds warps the scan does not book"
+        );
+        for (b, &in_bucket) in ring.iter().enumerate() {
+            assert_eq!(
+                (self.occupied >> b & 1) != 0,
+                in_bucket != 0,
+                "occupancy of bucket {b} diverged from the ring"
+            );
+        }
+        assert_eq!(self.next_ready(), next, "next_ready diverged from the scan");
     }
 }
 
@@ -304,10 +522,21 @@ mod tests {
     use super::*;
     use crate::inst::Inst;
     use crate::streams::Scripted;
+    use gpu_types::SplitMix64;
 
     fn issuable(w: &WarpIssueState, slots: Range<usize>) -> Vec<usize> {
         let mut walk = BitWalk::over(slots);
         std::iter::from_fn(|| w.next_issuable(&mut walk)).collect()
+    }
+
+    fn ready_set(w: &WarpIssueState) -> Vec<usize> {
+        let mut walk = BitWalk::over(0..w.ready_at.len());
+        std::iter::from_fn(|| w.next_ready_warp(&mut walk)).collect()
+    }
+
+    /// The debug check with every slot in the window.
+    fn check(w: &WarpIssueState) {
+        w.debug_check(std::iter::once(0..w.ready_at.len()));
     }
 
     #[test]
@@ -325,18 +554,23 @@ mod tests {
         let mut w = WarpIssueState::new(3, 2);
         w.issue_mem(1, 0, 1);
         assert!(w.ready(1, 1), "one outstanding load below tolerance 2");
+        w.sync(1);
         w.issue_mem(1, 1, 1);
         assert!(!w.ready(1, 2));
         assert!(w.waiting_mem(1));
         assert_eq!(w.n_waiting_mem(), 1);
-        assert!(w.any_waiting_mem(0..3) && !w.any_waiting_mem(2..3));
+        assert!(w.any_waiting_mem_in_window());
         assert_eq!(issuable(&w, 0..3), [0, 2], "blocked warps are skipped");
-        w.debug_check();
+        check(&w);
+        w.set_window(std::iter::once(2..3));
+        assert!(!w.any_waiting_mem_in_window());
+        assert_eq!(w.n_waiting_mem_in_window(), 0);
+        w.set_window(std::iter::once(0..3));
         w.load_returned(1);
         assert!(w.ready(1, 2));
         assert_eq!(w.n_waiting_mem(), 0);
         assert_eq!(issuable(&w, 1..3), [1, 2]);
-        w.debug_check();
+        check(&w);
     }
 
     #[test]
@@ -348,12 +582,72 @@ mod tests {
         for _ in 0..2 {
             w.load_returned(0);
             assert!(w.waiting_mem(0));
-            w.debug_check();
+            check(&w);
         }
         w.load_returned(0);
         assert!(!w.waiting_mem(0));
         assert_eq!(w.n_waiting_mem(), 0);
-        w.debug_check();
+        check(&w);
+    }
+
+    #[test]
+    fn the_calendar_matches_the_scan_under_random_events() {
+        // Two bitset words, delays over the whole admitted range (so the
+        // ring wraps), syncs that skip more than a ring, window changes and
+        // returns between syncs: after every event the calendar is the
+        // scan's.
+        let mut rng = SplitMix64::new(0xCA1E);
+        for n in [5usize, 64, 70] {
+            let mut w = WarpIssueState::new(n, 2);
+            let mut window: Vec<Range<usize>> = std::iter::once(0..n).collect();
+            let mut now = 0;
+            for _ in 0..3_000 {
+                match rng.next_below(8) {
+                    0 => {
+                        now += rng.next_below(2 * RING as u64);
+                        w.sync(now);
+                    }
+                    1 => {
+                        let a = rng.next_below(n as u64) as usize;
+                        let b = rng.next_below(n as u64) as usize;
+                        window = vec![0..a.min(b), a.max(b)..n];
+                        w.set_window(window.iter().cloned());
+                    }
+                    2 => {
+                        let s = rng.next_below(n as u64) as usize;
+                        if w.inflight[s] > 0 {
+                            w.load_returned(s);
+                        }
+                    }
+                    op => {
+                        w.sync(now);
+                        let ready = ready_set(&w);
+                        if ready.is_empty() {
+                            now += 1;
+                            continue;
+                        }
+                        let s = ready[rng.next_below(ready.len() as u64) as usize];
+                        assert!(w.ready(s, now), "slot {s} in the ready set at {now}");
+                        match op {
+                            3 | 4 => {
+                                let cycles = rng.next_below(MAX_ALU_CYCLES as u64 + 1);
+                                w.issue_alu(s, now, cycles as u32);
+                            }
+                            5 | 6 => w.issue_mem(s, now, rng.next_below(3) as usize),
+                            _ if rng.next_below(8) == 0 => w.finish(s),
+                            _ => {}
+                        }
+                    }
+                }
+                w.debug_check(window.iter().cloned());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "warp slot 1: an ALU op of 33 cycles exceeds MAX_ALU_CYCLES (32)")]
+    fn an_alu_op_longer_than_the_calendar_is_refused() {
+        WarpIssueState::new(2, 1).issue_alu(1, 0, MAX_ALU_CYCLES + 1);
     }
 
     #[test]
@@ -364,6 +658,7 @@ mod tests {
         warp.consume();
         w.issue_alu(0, 0, 1);
         assert!(warp.peek().is_none());
+        w.sync(1);
         w.finish(0);
         assert!(w.all_finished());
         assert!(!w.ready(0, 100));
@@ -374,10 +669,11 @@ mod tests {
     fn straggling_returns_to_a_finished_warp_unblock_nothing() {
         let mut w = WarpIssueState::new(1, 2);
         w.issue_mem(0, 0, 1);
+        w.sync(1);
         w.finish(0);
         w.load_returned(0);
         assert_eq!(w.n_waiting_mem(), 0);
-        w.debug_check();
+        check(&w);
     }
 
     #[test]

@@ -125,6 +125,19 @@ impl BitSet {
         }
     }
 
+    /// Adds the members of `bits` to the word holding indices
+    /// `64 * w .. 64 * w + 64`.
+    #[inline]
+    pub fn or_word(&mut self, w: usize, bits: u64) {
+        *self.word_mut(w) |= bits;
+    }
+
+    /// True when the set has no member.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.inline.iter().chain(&self.spill).all(|&w| w == 0)
+    }
+
     /// Empties the words `words` (indices `64 * start .. 64 * end`).
     #[inline]
     pub fn zero_words(&mut self, words: Range<usize>) {
@@ -143,12 +156,6 @@ impl BitSet {
     #[inline]
     pub fn next(&self, walk: &mut BitWalk) -> Option<usize> {
         walk.next(|w| self.word(w))
-    }
-
-    /// True when the set has a member in `range`.
-    #[inline]
-    pub fn any_in(&self, range: Range<usize>) -> bool {
-        self.next(&mut BitWalk::over(range)).is_some()
     }
 }
 
@@ -176,13 +183,13 @@ mod tests {
                 model[i] = member;
             }
             assert_eq!(s.count(), model.iter().filter(|&&b| b).count());
+            assert_eq!(s.is_empty(), !model.contains(&true));
             for from in 0..=len {
                 for to in from..=len {
                     let mut walk = BitWalk::over(from..to);
                     let walked: Vec<usize> = std::iter::from_fn(|| s.next(&mut walk)).collect();
                     let scanned: Vec<usize> = (from..to).filter(|&i| model[i]).collect();
                     assert_eq!(walked, scanned, "len {len} range {from}..{to}");
-                    assert_eq!(s.any_in(from..to), !scanned.is_empty());
                 }
             }
             for (i, &m) in model.iter().enumerate() {
@@ -240,9 +247,14 @@ mod tests {
             s.set(i);
         }
         s.zero_words(1..2);
+        s.or_word(2, 0b110);
         let mut walk = BitWalk::over(0..192);
         assert_eq!(s.next(&mut walk), Some(3));
         assert_eq!(s.next(&mut walk), Some(128));
+        assert_eq!(s.next(&mut walk), Some(129));
+        assert_eq!(s.next(&mut walk), Some(130));
         assert_eq!(s.next(&mut walk), None);
+        s.zero_words(0..3);
+        assert!(s.is_empty());
     }
 }

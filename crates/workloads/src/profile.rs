@@ -1,6 +1,7 @@
 //! Application profiles: the statistical description of one GPGPU kernel.
 
 use gpu_simt::core::{CoreParams, EGRESS_CAPACITY};
+use gpu_simt::MAX_ALU_CYCLES;
 use gpu_types::canon::{Canon, CanonBuf};
 use std::fmt;
 
@@ -145,7 +146,8 @@ pub struct AppProfile {
     /// Fraction of instructions that are global stores.
     pub store_ratio: f64,
     /// Latency of one ALU instruction in cycles (models arithmetic
-    /// intensity per issue slot).
+    /// intensity per issue slot), at most [`MAX_ALU_CYCLES`]: a core's
+    /// ready calendar books a warp no further ahead.
     pub alu_cycles: u32,
     /// Address-generation pattern.
     pub pattern: AccessPattern,
@@ -185,7 +187,12 @@ impl AppProfile {
             "{}: memory ratios exceed 1",
             self.name
         );
-        assert!(self.alu_cycles >= 1, "{}: alu_cycles", self.name);
+        assert!(
+            (1..=MAX_ALU_CYCLES).contains(&self.alu_cycles),
+            "{}: alu_cycles {} outside 1..={MAX_ALU_CYCLES}",
+            self.name,
+            self.alu_cycles
+        );
         assert!(
             (1..=EGRESS_CAPACITY).contains(&self.coalesce_degree),
             "{}: coalesce_degree {} outside 1..={EGRESS_CAPACITY}",
@@ -390,6 +397,14 @@ mod tests {
         // It used to pass here (up to 32) and abort `Gpu::new` instead.
         let mut p = profile();
         p.coalesce_degree = EGRESS_CAPACITY + 1;
+        p.assert_valid();
+    }
+
+    #[test]
+    #[should_panic(expected = "TST: alu_cycles 33 outside 1..=32")]
+    fn an_alu_latency_past_the_ready_calendar_is_not() {
+        let mut p = profile();
+        p.alu_cycles = MAX_ALU_CYCLES + 1;
         p.assert_valid();
     }
 

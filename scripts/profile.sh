@@ -14,7 +14,9 @@
 # When that symbol's binary carries line tables and `addr2line` is installed,
 # each offset is followed by its source line and the chain of functions
 # inlined there (`addr2line -i -f -C`), which is how samples a release build
-# charges to one big function are told apart. Build the profiled binary with
+# charges to one big function are told apart; then every sampled offset of
+# the symbol is summed by the innermost `file:line` of its chain that is not
+# in the toolchain's std sources, and the top N of those lines are printed. Build the profiled binary with
 # CARGO_PROFILE_RELEASE_DEBUG=line-tables-only for that; it does not change
 # the generated code.
 #
@@ -200,5 +202,28 @@ if [[ -s $TMP/hot_sym ]]; then
             addr2line -i -f -C -e "$hot_path" "$(printf '0x%x' $((hot_base + offset)))" | sed 's/^/        /'
         fi
     done
+    if ((lines)); then
+        # Every offset, summed by the innermost line of its inline chain that
+        # lies in the workspace (not in the toolchain's std sources).
+        printf '\nhottest source lines in %s (all offsets, by innermost workspace line):\n' "$hot_sym"
+        awk -v base="$hot_base" '{ printf "0x%x\n", base + $2 }' "$TMP/hot_sorted" |
+            addr2line -a -i -f -C -e "$hot_path" > "$TMP/hot_chains"
+        awk -v top="$top" -v root="$PWD/" '
+        function flush() { if (b) { if (at == "") at = "[no workspace line]"; by[at] += n[b] } }
+        NR == FNR { n[FNR] = $1; total += $1; next }
+        /^0x[0-9a-f]+$/ { flush(); b++; at = ""; fn = 0; next }
+        {
+            fn = !fn
+            if (fn || at != "" || $0 ~ /^(\/rustc\/|\?\?)/) next
+            at = $0; sub(/ \(discriminator [0-9]+\)$/, "", at)
+            if (index(at, root) == 1) at = substr(at, length(root) + 1)
+        }
+        END {
+            flush()
+            cmd = "sort -k1,1nr | head -n " top
+            for (at in by) printf "%d %6.2f%%  %s\n", by[at], 100 * by[at] / total, at | cmd
+            close(cmd)
+        }' "$TMP/hot_sorted" "$TMP/hot_chains"
+    fi
 fi
 exit "$status"

@@ -94,3 +94,57 @@ fn attained_bandwidth_is_bounded_by_peak() {
         );
     }
 }
+
+/// Every warp-cycle is charged to exactly one stall bucket or to an issue:
+/// per app and per window, `mem + exec + barrier + tlp_capped` plus the
+/// instructions issued equals warps × cycles, with metrics on, over random
+/// TLP schedules. The first case is the one that caught a blocked warp
+/// outside the SWL window being charged as both `mem` and `tlp_capped`
+/// (BLK+TRD at seed 42 dropped from max TLP to 1 after 5 000 cycles).
+#[test]
+fn warp_stalls_cover_every_warp_cycle_under_tlp_changes() {
+    let mut rng = SplitMix64::new(0x6A9_0004);
+    let cfg = GpuConfig::small();
+    for case in 0..6 {
+        let (apps, seed) = if case == 0 {
+            ([&all_apps()[14], &all_apps()[15]], 42) // BLK, TRD
+        } else {
+            let pick = |rng: &mut SplitMix64| &all_apps()[rng.next_below(26) as usize];
+            ([pick(&mut rng), pick(&mut rng)], 1 + rng.next_below(999))
+        };
+        let mut gpu = Gpu::new(&cfg, &apps, seed);
+        gpu.set_metrics_enabled(true);
+        // Window lengths, each after an optional (app, TLP) change.
+        let schedule: Vec<(u64, Option<(u8, u32)>)> = if case == 0 {
+            vec![(5_000, None), (50, Some((0, 1)))]
+        } else {
+            (0..10)
+                .map(|_| {
+                    let change = rng.next_below(3) != 0;
+                    let change =
+                        change.then(|| (rng.next_below(2) as u8, 1 + rng.next_below(8) as u32));
+                    (1 + rng.next_below(1_500), change)
+                })
+                .collect()
+        };
+        for (window, &(cycles, change)) in schedule.iter().enumerate() {
+            if let Some((app, tlp)) = change {
+                gpu.set_tlp(AppId::new(app), TlpLevel::new(tlp).unwrap());
+            }
+            let before: Vec<_> = (0..2).map(|a| gpu.core_stats(AppId::new(a))).collect();
+            gpu.run(cycles);
+            for (a, before) in before.iter().enumerate() {
+                let app = AppId::new(a as u8);
+                let stalls = gpu.take_warp_stalls(app);
+                let now = gpu.core_stats(app);
+                let warp_cycles = (now.cycles - before.cycles) * cfg.warps_per_core as u64;
+                assert_eq!(
+                    stalls.total() + now.insts - before.insts,
+                    warp_cycles,
+                    "case {case} window {window} App-{}: {stalls:?}",
+                    a + 1
+                );
+            }
+        }
+    }
+}
