@@ -9,7 +9,7 @@
 //! by `--no-cache`: the scheduler hands results to the renders through
 //! the result-cache tiers); the two are byte-identical.
 //!
-//! Expect roughly half an hour on one core for the full paper campaign;
+//! The full paper campaign's cost is recorded in `EXPERIMENTS.md`;
 //! `--quick` runs the scaled-down test machine in seconds, `--only
 //! fig09,fig11` restricts the run to the listed artifacts (the plan holds
 //! only the sub-graph those artifacts reach; this is how a single figure

@@ -1,28 +1,23 @@
-//! Offline analysis CLI for JSONL traces (`docs/TRACE_SCHEMA.md`).
-//!
-//! ```text
-//! trace-tools validate <trace>         strict schema check (CI gate)
-//! trace-tools timeline <trace>         per-app EB/BW/CMR/IPC CSV
-//! trace-tools stalls   <trace>         stall breakdown + latency percentiles
-//! trace-tools cache    <trace>         result-cache counter summary
-//! trace-tools diff     <a> <b>         compare two traces
-//! trace-tools profile  <PROFILE.json>  top spans by wall time
-//! trace-tools report   <trace> [--profile P] [--timings] [--html PATH] [--lanes N]
-//! ```
+//! Offline analysis CLI for JSONL traces (`docs/TRACE_SCHEMA.md`). The
+//! commands are declared once, in [`COMMANDS`], which also generates the
+//! usage text; `docs/OBSERVABILITY.md` holds the synopsis.
 //!
 //! `validate` exits non-zero on the first schema violation class (all
 //! offending lines are listed, capped) and on a trace with no records;
-//! the analysis modes skip and count unparsable lines so a
-//! partially-damaged trace still renders.
+//! the analysis commands load their input through [`load`], which skips
+//! and counts unparsable lines so a partially-damaged trace still renders.
 //!
-//! `report` merges one trace (and optionally its `PROFILE.json`) into a
-//! single self-contained run report. Its default output contains only
-//! deterministic data — plan-order scheduler units, a virtual LPT
-//! schedule over estimated costs and stall summaries — so
-//! serial and scheduled traces of the same campaign render byte-identical
-//! reports (a CI gate). `--timings` adds the nondeterministic wall-clock
-//! sections (per-worker schedule, cost-model calibration, cache funnel);
-//! `--html` additionally writes the report as a self-contained HTML page.
+//! `report` renders one trace as a self-contained run report, and it is
+//! the only renderer of each of its tables. Its default output contains
+//! only deterministic data — plan-order scheduler units, a virtual LPT
+//! schedule over estimated costs, the warp-stall breakdown, DRAM latency
+//! percentiles and the occupancy gauges — so serial and scheduled traces
+//! of the same campaign render byte-identical reports (a CI gate).
+//! `--timings` adds the nondeterministic sections (per-worker schedule,
+//! cost-model calibration, result-cache counters and tier funnel, profiler
+//! spans); `--html` additionally writes the report as a self-contained
+//! HTML page. `profile` prints the same span table from a `PROFILE.json`,
+//! for runs that wrote no trace.
 
 use ebm_bench::json::{parse, Json};
 use ebm_bench::schema::validate_trace;
@@ -31,125 +26,126 @@ use gpu_types::Histogram;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-/// `println!` that treats a closed stdout (e.g. `trace-tools timeline t |
-/// head`) as a normal end of output instead of a broken-pipe panic.
-macro_rules! outln {
-    ($($t:tt)*) => {{
-        use std::io::Write;
-        if let Err(e) = writeln!(std::io::stdout(), $($t)*) {
-            if e.kind() == std::io::ErrorKind::BrokenPipe {
-                std::process::exit(0);
-            }
-            panic!("stdout write failed: {e}");
-        }
+/// `writeln!` into a `String`, which cannot fail.
+macro_rules! put {
+    ($out:expr $(, $($t:tt)*)?) => {{
+        use std::fmt::Write;
+        let _ = writeln!($out $(, $($t)*)?);
     }};
 }
 
+/// How a command ends: `Err` carries a failure or usage exit code (the
+/// command has already said why on stderr).
+type Exit = Result<(), ExitCode>;
+
+/// One command of the CLI.
+struct Command {
+    name: &'static str,
+    /// Argument synopsis, as the usage text prints it.
+    args: &'static str,
+    help: &'static str,
+    run: fn(&[String]) -> Exit,
+}
+
+/// Every command, in usage order; `main` dispatches on this table.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "validate",
+        args: "<trace>",
+        help: "check every record against the trace schema",
+        run: validate_cmd,
+    },
+    Command {
+        name: "timeline",
+        args: "<trace>",
+        help: "per-app EB/BW/CMR/IPC timeline as CSV (stdout)",
+        run: timeline_cmd,
+    },
+    Command {
+        name: "diff",
+        args: "<a> <b>",
+        help: "compare two traces (kinds, windows, per-app means)",
+        run: diff_cmd,
+    },
+    Command {
+        name: "profile",
+        args: "<PROFILE.json> [N]",
+        help: "top N spans of an untraced run by wall time (default 20)",
+        run: profile_cmd,
+    },
+    Command {
+        name: "report",
+        args: "<trace> [--timings] [--html PATH]",
+        help: "run report (deterministic unless --timings)",
+        run: report_cmd,
+    },
+];
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: trace-tools <command> <trace.jsonl> [args]\n\
-         \n\
-         commands:\n\
-         \x20 validate <trace>      check every record against schema v1..={TRACE_SCHEMA_VERSION}\n\
-         \x20 timeline <trace>      per-app EB/BW/CMR/IPC timeline as CSV (stdout)\n\
-         \x20 stalls <trace>        warp-stall breakdown and latency percentile tables\n\
-         \x20 cache <trace>         result-cache counter summary\n\
-         \x20 diff <a> <b>          compare two traces (kinds, windows, per-app means)\n\
-         \x20 profile <PROFILE.json> [N]  top N spans by wall time (default 20)\n\
-         \x20 report <trace> [--profile PROFILE.json] [--timings] [--html PATH] [--lanes N]\n\
-         \x20                       self-contained run report (deterministic by default)"
-    );
+    let mut text = String::from("usage: trace-tools <command> [args]\n\ncommands:\n");
+    for c in COMMANDS {
+        put!(text, "  {:<9} {:<34} {}", c.name, c.args, c.help);
+    }
+    eprint!("{text}\ntraces of schema v1..={TRACE_SCHEMA_VERSION} are accepted\n");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("validate") if args.len() == 2 => validate_cmd(&args[1]),
-        Some("timeline") if args.len() == 2 => timeline_cmd(&args[1]),
-        Some("stalls") if args.len() == 2 => stalls_cmd(&args[1]),
-        Some("cache") if args.len() == 2 => cache_cmd(&args[1]),
-        Some("diff") if args.len() == 3 => diff_cmd(&args[1], &args[2]),
-        Some("profile") if args.len() == 2 => profile_cmd(&args[1], 20),
-        Some("profile") if args.len() == 3 => match args[2].parse() {
-            Ok(n) => profile_cmd(&args[1], n),
-            Err(_) => usage(),
-        },
-        Some("report") if args.len() >= 2 => match ReportOpts::parse(&args[1..]) {
-            Some(opts) => report_cmd(&opts),
-            None => usage(),
-        },
-        _ => usage(),
+    let cmd = args
+        .first()
+        .and_then(|a| COMMANDS.iter().find(|c| c.name == a));
+    match cmd.map(|c| (c.run)(&args[1..])) {
+        Some(Ok(())) => ExitCode::SUCCESS,
+        Some(Err(code)) => code,
+        None => usage(),
     }
 }
 
-fn read_trace(path: &str) -> Result<String, ExitCode> {
+/// Writes `text` to stdout, treating a closed stdout (e.g. `trace-tools
+/// timeline t | head`) as a normal end of output instead of a broken-pipe
+/// panic.
+fn emit(text: &str) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_all(text.as_bytes()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("stdout write failed: {e}");
+    }
+}
+
+fn read(path: &str) -> Result<String, ExitCode> {
     std::fs::read_to_string(path).map_err(|e| {
         eprintln!("error: cannot read {path}: {e}");
         ExitCode::FAILURE
     })
 }
 
-// ---------------------------------------------------------------------------
-// validate
-// ---------------------------------------------------------------------------
-
-fn validate_cmd(path: &str) -> ExitCode {
-    let text = match read_trace(path) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-    let report = validate_trace(&text);
-    outln!("{path}: {} records", report.lines);
-    for (kind, n) in &report.by_kind {
-        outln!("  {kind:<18} {n}");
-    }
-    if report.is_ok() {
-        outln!("OK: every record matches docs/TRACE_SCHEMA.md");
-        ExitCode::SUCCESS
-    } else if report.lines == 0 {
-        eprintln!("INVALID: {path} holds no records");
-        ExitCode::FAILURE
-    } else {
-        const CAP: usize = 20;
-        for (line, msg) in report.errors.iter().take(CAP) {
-            eprintln!("{path}:{line}: {msg}");
-        }
-        if report.errors.len() > CAP {
-            eprintln!("... and {} more errors", report.errors.len() - CAP);
-        }
-        eprintln!(
-            "INVALID: {} of {} records failed",
-            report.errors.len(),
-            report.lines
-        );
-        ExitCode::FAILURE
-    }
-}
-
-// ---------------------------------------------------------------------------
-// shared parsing helpers for the analysis modes
-// ---------------------------------------------------------------------------
-
-/// Parses every well-formed JSON object line; returns the records and the
-/// number of skipped (unparsable) lines.
-fn parse_records(text: &str) -> (Vec<Json>, u64) {
-    let mut records = Vec::new();
+/// Reads `path` and parses every well-formed JSON object line, warning
+/// about the unparsable lines it skips.
+fn load(path: &str) -> Result<Vec<Json>, ExitCode> {
+    let text = read(path)?;
     let mut skipped = 0;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
+    let mut records = Vec::new();
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
         match parse(line) {
             Ok(v @ Json::Obj(_)) => records.push(v),
             _ => skipped += 1,
         }
     }
-    (records, skipped)
+    if skipped > 0 {
+        eprintln!("warning: {path}: skipped {skipped} unparsable line(s)");
+    }
+    Ok(records)
 }
 
 fn kind_of(rec: &Json) -> &str {
     rec.get("kind").and_then(Json::as_str).unwrap_or("")
+}
+
+fn of_kind<'a>(records: &'a [Json], kind: &'a str) -> impl Iterator<Item = &'a Json> {
+    records.iter().filter(move |r| kind_of(r) == kind)
 }
 
 fn num(rec: &Json, key: &str) -> f64 {
@@ -160,6 +156,10 @@ fn int(rec: &Json, key: &str) -> u64 {
     rec.get(key).and_then(Json::as_u64).unwrap_or(0)
 }
 
+fn text<'a>(rec: &'a Json, key: &str) -> &'a str {
+    rec.get(key).and_then(Json::as_str).unwrap_or("?")
+}
+
 fn fmt_num(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.6}")
@@ -168,9 +168,12 @@ fn fmt_num(v: f64) -> String {
     }
 }
 
-fn warn_skipped(skipped: u64) {
-    if skipped > 0 {
-        eprintln!("warning: skipped {skipped} unparsable line(s)");
+/// `part / whole` as a percentage with one decimal, `-` when `whole` is 0.
+fn pct(part: f64, whole: f64) -> String {
+    if whole > 0.0 {
+        format!("{:.1}", 100.0 * part / whole)
+    } else {
+        "-".to_string()
     }
 }
 
@@ -195,19 +198,59 @@ fn hist_of(rec: &Json, key: &str) -> Option<Histogram> {
 }
 
 // ---------------------------------------------------------------------------
+// validate
+// ---------------------------------------------------------------------------
+
+fn validate_cmd(args: &[String]) -> Exit {
+    let [path] = args else {
+        return Err(usage());
+    };
+    let report = validate_trace(&read(path)?);
+    let mut out = String::new();
+    put!(out, "{path}: {} records", report.lines);
+    for (kind, n) in &report.by_kind {
+        put!(out, "  {kind:<18} {n}");
+    }
+    if report.is_ok() {
+        put!(out, "OK: every record matches docs/TRACE_SCHEMA.md");
+    }
+    emit(&out);
+    if report.is_ok() {
+        return Ok(());
+    }
+    if report.lines == 0 {
+        eprintln!("INVALID: {path} holds no records");
+    } else {
+        const CAP: usize = 20;
+        for (line, msg) in report.errors.iter().take(CAP) {
+            eprintln!("{path}:{line}: {msg}");
+        }
+        if report.errors.len() > CAP {
+            eprintln!("... and {} more errors", report.errors.len() - CAP);
+        }
+        eprintln!(
+            "INVALID: {} of {} records failed",
+            report.errors.len(),
+            report.lines
+        );
+    }
+    Err(ExitCode::FAILURE)
+}
+
+// ---------------------------------------------------------------------------
 // timeline
 // ---------------------------------------------------------------------------
 
-fn timeline_cmd(path: &str) -> ExitCode {
-    let text = match read_trace(path) {
-        Ok(t) => t,
-        Err(code) => return code,
+fn timeline_cmd(args: &[String]) -> Exit {
+    let [path] = args else {
+        return Err(usage());
     };
-    let (records, skipped) = parse_records(&text);
-    outln!("cycle,app,eb,bw,cmr,ipc");
+    let records = load(path)?;
+    let mut out = String::from("cycle,app,eb,bw,cmr,ipc\n");
     let mut rows = 0u64;
-    for rec in records.iter().filter(|r| kind_of(r) == "window_sample") {
-        outln!(
+    for rec in of_kind(&records, "window_sample") {
+        put!(
+            out,
             "{},{},{},{},{},{}",
             int(rec, "cycle"),
             int(rec, "app"),
@@ -218,282 +261,83 @@ fn timeline_cmd(path: &str) -> ExitCode {
         );
         rows += 1;
     }
-    warn_skipped(skipped);
+    emit(&out);
     if rows == 0 {
         eprintln!("warning: no window_sample records in {path}");
     }
-    ExitCode::SUCCESS
-}
-
-// ---------------------------------------------------------------------------
-// stalls
-// ---------------------------------------------------------------------------
-
-#[derive(Default)]
-struct StallAccum {
-    mem: u64,
-    exec: u64,
-    barrier: u64,
-    tlp_capped: u64,
-    dram_lat: Histogram,
-    mshr_occ: Histogram,
-    queue_depth: Histogram,
-    windows: u64,
-}
-
-/// Sums the `metrics_window` records per app; key `None` is the
-/// machine-wide aggregate, the only one whose occupancy gauges are read.
-fn fold_stalls(records: &[Json]) -> BTreeMap<Option<u64>, StallAccum> {
-    let mut acc: BTreeMap<Option<u64>, StallAccum> = BTreeMap::new();
-    for rec in records.iter().filter(|r| kind_of(r) == "metrics_window") {
-        let a = acc
-            .entry(rec.get("app").and_then(Json::as_u64))
-            .or_default();
-        if let Some(stalls) = rec.get("stalls") {
-            a.mem += int(stalls, "mem");
-            a.exec += int(stalls, "exec");
-            a.barrier += int(stalls, "barrier");
-            a.tlp_capped += int(stalls, "tlp_capped");
-        }
-        for (key, h) in [
-            ("dram_lat", &mut a.dram_lat),
-            ("mshr_occ", &mut a.mshr_occ),
-            ("queue_depth", &mut a.queue_depth),
-        ] {
-            if let Some(rec_h) = hist_of(rec, key) {
-                h.merge(&rec_h);
-            }
-        }
-        a.windows += 1;
-    }
-    acc
-}
-
-fn stalls_cmd(path: &str) -> ExitCode {
-    let text = match read_trace(path) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-    let (records, skipped) = parse_records(&text);
-    let acc = fold_stalls(&records);
-    warn_skipped(skipped);
-    if acc.is_empty() {
-        eprintln!("warning: no metrics_window records in {path} (trace predates schema v3?)");
-        return ExitCode::SUCCESS;
-    }
-    outln!("warp-stall breakdown (warp-cycles, summed over windows)");
-    outln!(
-        "{:<6} {:>8} {:>14} {:>14} {:>14} {:>14}",
-        "app",
-        "windows",
-        "mem",
-        "exec",
-        "barrier",
-        "tlp_capped"
-    );
-    for (app, a) in &acc {
-        let label = app.map_or("all".to_string(), |x| x.to_string());
-        outln!(
-            "{label:<6} {:>8} {:>14} {:>14} {:>14} {:>14}",
-            a.windows,
-            a.mem,
-            a.exec,
-            a.barrier,
-            a.tlp_capped
-        );
-    }
-    outln!();
-    outln!("DRAM request latency (cycles, queue to data)");
-    outln!(
-        "{:<6} {:>10} {:>10} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "app",
-        "requests",
-        "mean",
-        "min",
-        "p50",
-        "p95",
-        "p99",
-        "max"
-    );
-    for (app, a) in &acc {
-        let label = app.map_or("all".to_string(), |x| x.to_string());
-        let h = &a.dram_lat;
-        outln!(
-            "{label:<6} {:>10} {:>10.1} {:>8} {:>8} {:>8} {:>8} {:>8}",
-            h.count(),
-            h.mean(),
-            h.min(),
-            h.percentile(0.50),
-            h.percentile(0.95),
-            h.percentile(0.99),
-            h.max()
-        );
-    }
-    outln!();
-    outln!("machine-wide occupancy gauges (sampled once per window)");
-    outln!(
-        "{:<12} {:>10} {:>10} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "gauge",
-        "samples",
-        "mean",
-        "min",
-        "p50",
-        "p95",
-        "p99",
-        "max"
-    );
-    let no_records = StallAccum::default();
-    let machine = acc.get(&None).unwrap_or(&no_records);
-    for (name, h) in [
-        ("l2_mshr", &machine.mshr_occ),
-        ("queue_depth", &machine.queue_depth),
-    ] {
-        outln!(
-            "{name:<12} {:>10} {:>10.1} {:>8} {:>8} {:>8} {:>8} {:>8}",
-            h.count(),
-            h.mean(),
-            h.min(),
-            h.percentile(0.50),
-            h.percentile(0.95),
-            h.percentile(0.99),
-            h.max()
-        );
-    }
-    ExitCode::SUCCESS
-}
-
-// ---------------------------------------------------------------------------
-// cache
-// ---------------------------------------------------------------------------
-
-fn cache_cmd(path: &str) -> ExitCode {
-    let text = match read_trace(path) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-    let (records, skipped) = parse_records(&text);
-    warn_skipped(skipped);
-    // Counters are cumulative at emission time, so the last record wins.
-    let Some(rec) = records.iter().rev().find(|r| kind_of(r) == "cache_stats") else {
-        eprintln!("warning: no cache_stats records in {path}");
-        return ExitCode::SUCCESS;
-    };
-    let (hits, disk_hits, misses) = (int(rec, "hits"), int(rec, "disk_hits"), int(rec, "misses"));
-    let lookups = hits + misses;
-    outln!("result-cache counters (final snapshot)");
-    outln!("  hits       {hits} ({disk_hits} from disk)");
-    outln!("  misses     {misses}");
-    outln!("  bypasses   {}", int(rec, "bypasses"));
-    outln!("  stores     {}", int(rec, "stores"));
-    outln!("  verified   {}", int(rec, "verified"));
-    if lookups > 0 {
-        outln!("  hit rate   {:.1}%", 100.0 * hits as f64 / lookups as f64);
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // profile
 // ---------------------------------------------------------------------------
 
-/// The spans of a `PROFILE.json` document, longest wall time first;
-/// `None` when it has no `spans` array.
-fn spans_by_wall(doc: &Json) -> Option<Vec<&Json>> {
-    let mut rows: Vec<&Json> = doc.get("spans")?.as_arr()?.iter().collect();
-    rows.sort_by(|a, b| {
-        num(b, "wall_s")
-            .partial_cmp(&num(a, "wall_s"))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    Some(rows)
-}
+/// How many spans `profile` prints by default and `report --timings` prints.
+const TOP_SPANS: usize = 20;
 
-/// Renders the top-`top_n` spans of a `results/PROFILE.json` by wall
-/// time: where a campaign actually spent its time, at what simulation
-/// rate, and how often the result cache served it. In a scheduled
-/// campaign this file holds one `unit` span per work unit — the same
-/// labels the scheduler's cost model reads back.
-fn profile_cmd(path: &str, top_n: usize) -> ExitCode {
-    let text = match read_trace(path) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-    let doc = match parse(&text) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("error: {path} is not valid JSON: {e:?}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(rows) = spans_by_wall(&doc) else {
-        eprintln!("error: {path} has no `spans` array (not a PROFILE.json?)");
-        return ExitCode::FAILURE;
-    };
+/// Renders the top-`top_n` profiler spans by wall time: where a campaign
+/// actually spent its time, at what simulation rate, and how often the
+/// result cache served it. In a scheduled campaign there is one `unit`
+/// span per work unit — the same labels the scheduler's cost model reads
+/// back. `spans` are `PROFILE.json` span objects or `profile_span` trace
+/// records: the same fields.
+fn render_spans(out: &mut String, spans: &[&Json], top_n: usize) {
+    let mut rows = spans.to_vec();
+    rows.sort_by(|a, b| num(b, "wall_s").total_cmp(&num(a, "wall_s")));
     let total_wall: f64 = rows
         .iter()
-        .filter(|s| s.get("level").and_then(Json::as_str) == Some("campaign"))
+        .filter(|s| text(s, "level") == "campaign")
         .map(|s| num(s, "wall_s"))
         .sum();
-    outln!(
-        "top {} of {} spans by wall time{}",
+    let workers = rows.iter().map(|s| int(s, "workers")).max().unwrap_or(0);
+    put!(
+        out,
+        "top {} of {} spans by wall time ({workers} workers)",
         top_n.min(rows.len()),
-        rows.len(),
-        doc.get("workers")
-            .and_then(Json::as_u64)
-            .map_or(String::new(), |w| format!(" ({w} workers)"))
+        rows.len()
     );
-    outln!(
-        "{:<10} {:<40} {:>9} {:>6} {:>13} {:>11} {:>8}",
-        "level",
-        "name",
-        "wall_s",
-        "%",
-        "cycles",
-        "cycles/s",
-        "hit%"
+    put!(
+        out,
+        "level         wall_s      %        cycles    cycles/s     hit%  name"
     );
     for rec in rows.iter().take(top_n) {
         let wall = num(rec, "wall_s");
         let cycles = int(rec, "cycles");
         let hits = int(rec, "cache_hits");
-        let misses = int(rec, "cache_misses");
-        let lookups = hits + misses;
-        let pct = if total_wall > 0.0 {
-            format!("{:.1}", 100.0 * wall / total_wall)
-        } else {
-            "-".to_string()
-        };
+        let lookups = hits + int(rec, "cache_misses");
         let rate = if wall > 0.0 && cycles > 0 {
             format!("{:.0}", cycles as f64 / wall)
         } else {
             "-".to_string()
         };
-        let hit_rate = if lookups > 0 {
-            format!("{:.1}", 100.0 * hits as f64 / lookups as f64)
-        } else {
-            "-".to_string()
-        };
-        let mut name = rec
-            .get("name")
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_string();
-        if name.len() > 40 {
-            name.truncate(37);
-            name.push_str("...");
-        }
-        outln!(
-            "{:<10} {:<40} {:>9.3} {:>6} {:>13} {:>11} {:>8}",
-            rec.get("level").and_then(Json::as_str).unwrap_or("?"),
-            name,
-            wall,
-            pct,
-            cycles,
-            rate,
-            hit_rate
+        put!(
+            out,
+            "{:<10} {wall:>9.3} {:>6} {cycles:>13} {rate:>11} {:>8}  {}",
+            text(rec, "level"),
+            pct(wall, total_wall),
+            pct(hits as f64, lookups as f64),
+            text(rec, "name")
         );
     }
-    ExitCode::SUCCESS
+}
+
+/// `profile <PROFILE.json> [N]`: the span table of a run that wrote no
+/// trace (a traced run's report carries the same table).
+fn profile_cmd(args: &[String]) -> Exit {
+    let (path, top_n) = match args {
+        [path] => (path, TOP_SPANS),
+        [path, n] => (path, n.parse().map_err(|_| usage())?),
+        _ => return Err(usage()),
+    };
+    let records = load(path)?;
+    let Some(spans) = records.iter().find_map(|r| r.get("spans")?.as_arr()) else {
+        eprintln!("error: {path} has no `spans` array (not a PROFILE.json?)");
+        return Err(ExitCode::FAILURE);
+    };
+    let mut out = String::new();
+    render_spans(&mut out, &spans.iter().collect::<Vec<_>>(), top_n);
+    emit(&out);
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -537,23 +381,33 @@ fn summarize(records: &[Json]) -> TraceSummary {
     s
 }
 
-fn diff_cmd(path_a: &str, path_b: &str) -> ExitCode {
-    let (text_a, text_b) = match (read_trace(path_a), read_trace(path_b)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(code), _) | (_, Err(code)) => return code,
+fn diff_cmd(args: &[String]) -> Exit {
+    let [path_a, path_b] = args else {
+        return Err(usage());
     };
-    let (recs_a, skip_a) = parse_records(&text_a);
-    let (recs_b, skip_b) = parse_records(&text_b);
-    warn_skipped(skip_a + skip_b);
+    let (recs_a, recs_b) = (load(path_a)?, load(path_b)?);
     let (a, b) = (summarize(&recs_a), summarize(&recs_b));
-
-    outln!("{:<24} {:>14} {:>14} {:>14}", "metric", "A", "B", "delta");
-    outln!(
+    let mut out = String::new();
+    let row = |out: &mut String, name: &str, na: u64, nb: u64| {
+        put!(
+            out,
+            "{name:<24} {na:>14} {nb:>14} {:>14}",
+            nb as i64 - na as i64
+        );
+    };
+    put!(
+        out,
         "{:<24} {:>14} {:>14} {:>14}",
+        "metric",
+        "A",
+        "B",
+        "delta"
+    );
+    row(
+        &mut out,
         "records",
-        recs_a.len(),
-        recs_b.len(),
-        recs_b.len() as i64 - recs_a.len() as i64
+        recs_a.len() as u64,
+        recs_b.len() as u64,
     );
     let mut all_kinds: Vec<&String> = a.kinds.keys().chain(b.kinds.keys()).collect();
     all_kinds.sort();
@@ -564,116 +418,45 @@ fn diff_cmd(path_a: &str, path_b: &str) -> ExitCode {
             a.kinds.get(kind).copied().unwrap_or(0),
             b.kinds.get(kind).copied().unwrap_or(0),
         );
-        if na != nb {
-            identical = false;
-        }
-        outln!(
-            "{:<24} {na:>14} {nb:>14} {:>14}",
-            format!("  {kind}"),
-            nb as i64 - na as i64
-        );
+        identical &= na == nb;
+        row(&mut out, &format!("  {kind}"), na, nb);
     }
-    outln!(
-        "{:<24} {:>14} {:>14} {:>14}",
-        "last cycle",
-        a.last_cycle,
-        b.last_cycle,
-        b.last_cycle as i64 - a.last_cycle as i64
-    );
-    outln!(
-        "{:<24} {:>14} {:>14} {:>14}",
-        "tlp decisions",
-        a.tlp_decisions,
-        b.tlp_decisions,
-        b.tlp_decisions as i64 - a.tlp_decisions as i64
-    );
+    row(&mut out, "last cycle", a.last_cycle, b.last_cycle);
+    row(&mut out, "tlp decisions", a.tlp_decisions, b.tlp_decisions);
     let mut apps: Vec<&u64> = a.apps.keys().chain(b.apps.keys()).collect();
     apps.sort();
     apps.dedup();
     for app in apps {
         let ma = a.apps.get(app).copied().unwrap_or((0, 0.0, 0.0));
         let mb = b.apps.get(app).copied().unwrap_or((0, 0.0, 0.0));
-        let mean = |(n, sum, _): (u64, f64, f64)| if n > 0 { sum / n as f64 } else { f64::NAN };
-        let mean_ipc = |(n, _, sum): (u64, f64, f64)| if n > 0 { sum / n as f64 } else { f64::NAN };
-        let (ea, eb) = (mean(ma), mean(mb));
-        let (ia, ib) = (mean_ipc(ma), mean_ipc(mb));
-        if (ea - eb).abs() > 1e-12 || (ia - ib).abs() > 1e-12 {
-            identical = false;
+        let mean = |n: u64, sum: f64| if n > 0 { sum / n as f64 } else { f64::NAN };
+        for (metric, va, vb) in [
+            ("EB", mean(ma.0, ma.1), mean(mb.0, mb.1)),
+            ("IPC", mean(ma.0, ma.2), mean(mb.0, mb.2)),
+        ] {
+            if (va - vb).abs() > 1e-12 {
+                identical = false;
+            }
+            let name = format!("app {app} mean {metric}");
+            put!(out, "{name:<24} {va:>14.4} {vb:>14.4} {:>+14.4}", vb - va);
         }
-        outln!(
-            "{:<24} {:>14.4} {:>14.4} {:>+14.4}",
-            format!("app {app} mean EB"),
-            ea,
-            eb,
-            eb - ea
-        );
-        outln!(
-            "{:<24} {:>14.4} {:>14.4} {:>+14.4}",
-            format!("app {app} mean IPC"),
-            ia,
-            ib,
-            ib - ia
-        );
     }
-    outln!();
+    put!(out);
     if identical {
-        outln!("traces are equivalent under this summary");
+        put!(out, "traces are equivalent under this summary");
     } else {
-        outln!("traces differ");
+        put!(out, "traces differ");
     }
-    ExitCode::SUCCESS
+    emit(&out);
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // report
 // ---------------------------------------------------------------------------
 
-/// Parsed `report` command line.
-struct ReportOpts {
-    trace: String,
-    profile: Option<String>,
-    timings: bool,
-    html: Option<String>,
-    lanes: usize,
-}
-
-impl ReportOpts {
-    fn parse(args: &[String]) -> Option<ReportOpts> {
-        let mut trace = None;
-        let mut profile = None;
-        let mut timings = false;
-        let mut html = None;
-        let mut lanes = 4usize;
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--timings" => timings = true,
-                "--profile" => {
-                    profile = Some(args.get(i + 1)?.clone());
-                    i += 1;
-                }
-                "--html" => {
-                    html = Some(args.get(i + 1)?.clone());
-                    i += 1;
-                }
-                "--lanes" => {
-                    lanes = args.get(i + 1)?.parse().ok().filter(|&n| n >= 1)?;
-                    i += 1;
-                }
-                a if !a.starts_with("--") && trace.is_none() => trace = Some(a.to_string()),
-                _ => return None,
-            }
-            i += 1;
-        }
-        Some(ReportOpts {
-            trace: trace?,
-            profile,
-            timings,
-            html,
-            lanes,
-        })
-    }
-}
+/// Lanes of the report's virtual schedule.
+const LANES: usize = 4;
 
 /// One `sched_unit` record, decoded.
 struct UnitRec {
@@ -688,39 +471,54 @@ struct UnitRec {
     cycles: u64,
 }
 
-/// One bar of the virtual (or per-worker) schedule.
+/// One bar of the virtual schedule.
 struct Seg {
     unit: usize,
     start: u64,
     finish: u64,
 }
 
+/// One app's (or, keyed `None`, the machine's) `metrics_window` records,
+/// summed.
+#[derive(Default)]
+struct StallAccum {
+    mem: u64,
+    exec: u64,
+    barrier: u64,
+    tlp_capped: u64,
+    dram_lat: Histogram,
+    mshr_occ: Histogram,
+    queue_depth: Histogram,
+    windows: u64,
+}
+
 /// Everything a report renders, derived once from the parsed records so
 /// the text and HTML outputs cannot drift apart.
-struct ReportData {
-    /// Record counts of the deterministic event kinds only (the
-    /// nondeterministic `profile_span` / `cache_stats` / `cache_tier`
-    /// counts are excluded so serial and scheduled reports stay
-    /// byte-identical).
+struct ReportData<'a> {
+    /// Record counts of the deterministic event kinds only.
     kind_counts: BTreeMap<String, u64>,
     units: Vec<UnitRec>,
     lanes: Vec<Vec<Seg>>,
     makespan: u64,
     stalls: BTreeMap<Option<u64>, StallAccum>,
+    /// The last `cache_stats` record: counters are cumulative at emission.
+    cache: Option<&'a Json>,
     /// Per-tier `[hits, misses, stores]`, last snapshot per tier.
     tiers: BTreeMap<String, [u64; 3]>,
+    spans: Vec<&'a Json>,
 }
 
 /// Event kinds whose count (or content) varies run to run; excluded from
-/// the deterministic report header.
+/// the deterministic report header so serial and scheduled reports stay
+/// byte-identical.
 const NONDETERMINISTIC_KINDS: [&str; 3] = ["profile_span", "cache_stats", "cache_tier"];
 
-/// Deterministic LPT list schedule of the plan over `lanes` virtual
+/// Deterministic LPT list schedule of the plan over [`LANES`] virtual
 /// lanes: units in estimated-cost order (ties toward the lower unit
 /// index, mirroring the real scheduler's ready queue), each placed on the
 /// earliest-free lane. Pure function of the plan — serial and scheduled
 /// traces of the same campaign produce the identical schedule.
-fn virtual_schedule(units: &[UnitRec], lanes: usize) -> (Vec<Vec<Seg>>, u64) {
+fn virtual_schedule(units: &[UnitRec]) -> (Vec<Vec<Seg>>, u64) {
     let mut order: Vec<usize> = (0..units.len()).collect();
     order.sort_by(|&a, &b| {
         units[b]
@@ -728,42 +526,62 @@ fn virtual_schedule(units: &[UnitRec], lanes: usize) -> (Vec<Vec<Seg>>, u64) {
             .cmp(&units[a].est)
             .then(units[a].unit.cmp(&units[b].unit))
     });
-    let mut lane_segs: Vec<Vec<Seg>> = (0..lanes).map(|_| Vec::new()).collect();
-    let mut free = vec![0u64; lanes];
+    let mut lane_segs: Vec<Vec<Seg>> = (0..LANES).map(|_| Vec::new()).collect();
+    let mut free = [0u64; LANES];
     for i in order {
-        let lane = (0..lanes)
+        let lane = (0..LANES)
             .min_by_key(|&l| (free[l], l))
-            .expect("lanes >= 1");
+            .expect("LANES >= 1");
         let start = free[lane];
-        let finish = start + units[i].est;
-        free[lane] = finish;
+        free[lane] = start + units[i].est;
         lane_segs[lane].push(Seg {
             unit: i,
             start,
-            finish,
+            finish: free[lane],
         });
     }
     (lane_segs, free.into_iter().max().unwrap_or(0))
 }
 
-fn collect_report_data(records: &[Json], lanes: usize) -> ReportData {
+/// Sums the `metrics_window` records per app; key `None` is the
+/// machine-wide aggregate, the only one whose occupancy gauges are read.
+fn fold_stalls(records: &[Json]) -> BTreeMap<Option<u64>, StallAccum> {
+    let mut acc: BTreeMap<Option<u64>, StallAccum> = BTreeMap::new();
+    for rec in of_kind(records, "metrics_window") {
+        let a = acc
+            .entry(rec.get("app").and_then(Json::as_u64))
+            .or_default();
+        if let Some(stalls) = rec.get("stalls") {
+            a.mem += int(stalls, "mem");
+            a.exec += int(stalls, "exec");
+            a.barrier += int(stalls, "barrier");
+            a.tlp_capped += int(stalls, "tlp_capped");
+        }
+        for (key, h) in [
+            ("dram_lat", &mut a.dram_lat),
+            ("mshr_occ", &mut a.mshr_occ),
+            ("queue_depth", &mut a.queue_depth),
+        ] {
+            if let Some(rec_h) = hist_of(rec, key) {
+                h.merge(&rec_h);
+            }
+        }
+        a.windows += 1;
+    }
+    acc
+}
+
+fn collect_report_data(records: &[Json]) -> ReportData<'_> {
     let mut kind_counts: BTreeMap<String, u64> = BTreeMap::new();
-    for rec in records {
-        let kind = kind_of(rec);
+    for kind in records.iter().map(kind_of) {
         if !kind.is_empty() && !NONDETERMINISTIC_KINDS.contains(&kind) {
             *kind_counts.entry(kind.to_string()).or_insert(0) += 1;
         }
     }
-    let mut units: Vec<UnitRec> = records
-        .iter()
-        .filter(|r| kind_of(r) == "sched_unit")
+    let mut units: Vec<UnitRec> = of_kind(records, "sched_unit")
         .map(|r| UnitRec {
             unit: int(r, "unit"),
-            label: r
-                .get("label")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string(),
+            label: text(r, "label").to_string(),
             fp: r.get("fp").and_then(Json::as_str).unwrap_or("").to_string(),
             deps: int(r, "deps"),
             est: int(r, "est"),
@@ -774,139 +592,170 @@ fn collect_report_data(records: &[Json], lanes: usize) -> ReportData {
         })
         .collect();
     units.sort_by_key(|u| u.unit);
-    let (lane_segs, makespan) = virtual_schedule(&units, lanes);
-    let stalls = fold_stalls(records);
-    // Tier counters are cumulative at emission, so the last snapshot per
-    // tier wins (mirrors `cache_cmd`).
+    let (lanes, makespan) = virtual_schedule(&units);
     let mut tiers: BTreeMap<String, [u64; 3]> = BTreeMap::new();
-    for rec in records.iter().filter(|r| kind_of(r) == "cache_tier") {
-        if let Some(tier) = rec.get("tier").and_then(Json::as_str) {
-            tiers.insert(
-                tier.to_string(),
-                [int(rec, "hits"), int(rec, "misses"), int(rec, "stores")],
-            );
-        }
+    for rec in of_kind(records, "cache_tier") {
+        let counts = [int(rec, "hits"), int(rec, "misses"), int(rec, "stores")];
+        tiers.insert(text(rec, "tier").to_string(), counts);
     }
     ReportData {
         kind_counts,
         units,
-        lanes: lane_segs,
+        lanes,
         makespan,
-        stalls,
+        stalls: fold_stalls(records),
+        cache: of_kind(records, "cache_stats").last(),
         tiers,
+        spans: of_kind(records, "profile_span").collect(),
     }
+}
+
+/// The requests/samples, mean, min, p50, p95, p99 and max cells of a
+/// histogram row.
+fn hist_cells(h: &Histogram) -> String {
+    format!(
+        "{:>10} {:>10.1} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        h.count(),
+        h.mean(),
+        h.min(),
+        h.percentile(0.50),
+        h.percentile(0.95),
+        h.percentile(0.99),
+        h.max()
+    )
 }
 
 /// Renders the deterministic body of the report (every default section).
 /// Contains no file paths, timestamps or wall-clock numbers.
 fn render_report_text(d: &ReportData) -> String {
-    use std::fmt::Write;
     let mut out = String::new();
     let w = &mut out;
-    let _ = writeln!(w, "== run report ==");
-    let _ = writeln!(w, "records by kind (deterministic kinds only):");
+    put!(w, "== run report ==");
+    put!(w, "records by kind (deterministic kinds only):");
     if d.kind_counts.is_empty() {
-        let _ = writeln!(w, "  none");
+        put!(w, "  none");
     }
     for (kind, n) in &d.kind_counts {
-        let _ = writeln!(w, "  {kind:<18} {n}");
+        put!(w, "  {kind:<18} {n}");
     }
 
-    let _ = writeln!(w);
-    let _ = writeln!(w, "== campaign plan ==");
+    put!(w, "\n== campaign plan ==");
+    let total_est: u64 = d.units.iter().map(|u| u.est).sum();
     if d.units.is_empty() {
-        let _ = writeln!(w, "no sched_unit records (untraced or pre-v5 run)");
+        put!(w, "no sched_unit records (untraced or pre-v5 run)");
     } else {
-        let total_est: u64 = d.units.iter().map(|u| u.est).sum();
         let with_deps = d.units.iter().filter(|u| u.deps > 0).count();
-        let _ = writeln!(
+        put!(
             w,
-            "{} units, {} with dependencies, total estimated cost {} cycles",
-            d.units.len(),
-            with_deps,
-            total_est
+            "{} units, {with_deps} with dependencies, total estimated cost {total_est} cycles",
+            d.units.len()
         );
         const TOP: usize = 40;
         let mut by_est: Vec<&UnitRec> = d.units.iter().collect();
         by_est.sort_by(|a, b| b.est.cmp(&a.est).then(a.unit.cmp(&b.unit)));
-        let _ = writeln!(
+        put!(
             w,
             "top {} of {} units by estimated cost:",
             TOP.min(by_est.len()),
             by_est.len()
         );
-        let _ = writeln!(
+        put!(
             w,
             "  {:>5} {:>12} {:>5}  {:<10} label",
-            "unit", "est", "deps", "fp"
+            "unit",
+            "est",
+            "deps",
+            "fp"
         );
         for u in by_est.iter().take(TOP) {
             let fp8 = u.fp.get(..8).unwrap_or(&u.fp);
-            let _ = writeln!(
+            put!(
                 w,
-                "  {:>5} {:>12} {:>5}  {:<10} {}",
-                u.unit, u.est, u.deps, fp8, u.label
+                "  {:>5} {:>12} {:>5}  {fp8:<10} {}",
+                u.unit,
+                u.est,
+                u.deps,
+                u.label
             );
         }
     }
 
-    let _ = writeln!(w);
-    let _ = writeln!(
+    put!(
         w,
-        "== virtual schedule ({} lanes, LPT by estimated cost) ==",
-        d.lanes.len()
+        "\n== virtual schedule ({LANES} lanes, LPT by estimated cost) =="
     );
     if d.units.is_empty() {
-        let _ = writeln!(w, "nothing to schedule");
+        put!(w, "nothing to schedule");
     } else {
-        let total_est: u64 = d.units.iter().map(|u| u.est).sum();
         let parallelism = total_est as f64 / d.makespan.max(1) as f64;
-        let _ = writeln!(
+        put!(
             w,
-            "makespan {} virtual cycles, parallelism {:.2} (sum of estimates / makespan)",
-            d.makespan, parallelism
+            "makespan {} virtual cycles, parallelism {parallelism:.2} (sum of estimates / makespan)",
+            d.makespan
         );
         for (lane, segs) in d.lanes.iter().enumerate() {
             let busy: u64 = segs.iter().map(|s| s.finish - s.start).sum();
             let pct = 100.0 * busy as f64 / d.makespan.max(1) as f64;
-            let _ = write!(w, "lane {lane}: {} units, busy {pct:.1}% |", segs.len());
+            let mut line = format!("lane {lane}: {} units, busy {pct:.1}% |", segs.len());
             const SEGS: usize = 6;
             for s in segs.iter().take(SEGS) {
-                let _ = write!(w, " {}@{}", d.units[s.unit].unit, s.start);
+                line += &format!(" {}@{}", d.units[s.unit].unit, s.start);
             }
             if segs.len() > SEGS {
-                let _ = write!(w, " (+{} more)", segs.len() - SEGS);
+                line += &format!(" (+{} more)", segs.len() - SEGS);
             }
-            let _ = writeln!(w);
+            put!(w, "{line}");
         }
     }
 
-    let _ = writeln!(w);
-    let _ = writeln!(w, "== per-app stalls and DRAM latency ==");
+    put!(
+        w,
+        "\n== warp-stall breakdown (warp-cycles, summed over windows) =="
+    );
     if d.stalls.is_empty() {
-        let _ = writeln!(w, "no metrics_window records");
-    } else {
-        let _ = writeln!(
+        put!(w, "no metrics_window records (trace predates schema v3?)");
+        return out;
+    }
+    let label = |app: &Option<u64>| app.map_or("all".to_string(), |x| x.to_string());
+    put!(
+        w,
+        "app     windows            mem           exec        barrier     tlp_capped"
+    );
+    for (app, a) in &d.stalls {
+        put!(
             w,
-            "{:<6} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>9} {:>8}",
-            "app", "windows", "mem", "exec", "barrier", "tlp_capped", "dram_reqs", "mean", "p95"
+            "{:<6} {:>8} {:>14} {:>14} {:>14} {:>14}",
+            label(app),
+            a.windows,
+            a.mem,
+            a.exec,
+            a.barrier,
+            a.tlp_capped
         );
-        for (app, a) in &d.stalls {
-            let label = app.map_or("all".to_string(), |x| x.to_string());
-            let h = &a.dram_lat;
-            let _ = writeln!(
-                w,
-                "{label:<6} {:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>9.1} {:>8}",
-                a.windows,
-                a.mem,
-                a.exec,
-                a.barrier,
-                a.tlp_capped,
-                h.count(),
-                h.mean(),
-                h.percentile(0.95)
-            );
-        }
+    }
+    put!(w, "\n== DRAM request latency (cycles, queue to data) ==");
+    put!(
+        w,
+        "app      requests       mean      min      p50      p95      p99      max"
+    );
+    for (app, a) in &d.stalls {
+        put!(w, "{:<6} {}", label(app), hist_cells(&a.dram_lat));
+    }
+    put!(
+        w,
+        "\n== machine-wide occupancy gauges (sampled once per window) =="
+    );
+    put!(
+        w,
+        "gauge           samples       mean      min      p50      p95      p99      max"
+    );
+    let no_records = StallAccum::default();
+    let machine = d.stalls.get(&None).unwrap_or(&no_records);
+    for (name, h) in [
+        ("l2_mshr", &machine.mshr_occ),
+        ("queue_depth", &machine.queue_depth),
+    ] {
+        put!(w, "{name:<12} {}", hist_cells(h));
     }
     out
 }
@@ -914,14 +763,12 @@ fn render_report_text(d: &ReportData) -> String {
 /// Renders the `--timings` sections: real execution data that varies run
 /// to run (never part of the byte-compare gate).
 fn render_timings_text(d: &ReportData) -> String {
-    use std::fmt::Write;
     let mut out = String::new();
     let w = &mut out;
-    let _ = writeln!(w);
-    let _ = writeln!(w, "== scheduler timings (nondeterministic) ==");
+    put!(w, "\n== scheduler timings (nondeterministic) ==");
     let executed: Vec<&UnitRec> = d.units.iter().filter(|u| u.wall_ms > 0.0).collect();
     if executed.is_empty() {
-        let _ = writeln!(
+        put!(
             w,
             "no recorded unit timings (serial plan-only emission, or cache-warm run)"
         );
@@ -932,112 +779,113 @@ fn render_timings_text(d: &ReportData) -> String {
             e.0 += 1;
             e.1 += u.wall_ms;
         }
-        let _ = writeln!(w, "{:<8} {:>6} {:>12}", "worker", "units", "busy_ms");
+        put!(w, "{:<8} {:>6} {:>12}", "worker", "units", "busy_ms");
         for (worker, (n, busy)) in &workers {
-            let _ = writeln!(w, "{worker:<8} {n:>6} {busy:>12.2}");
+            put!(w, "{worker:<8} {n:>6} {busy:>12.2}");
         }
         const TOP: usize = 20;
-        let mut by_wall: Vec<&&UnitRec> = executed.iter().collect();
-        by_wall.sort_by(|a, b| {
-            b.wall_ms
-                .partial_cmp(&a.wall_ms)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.unit.cmp(&b.unit))
-        });
-        let _ = writeln!(
+        let mut by_wall = executed.clone();
+        by_wall.sort_by(|a, b| b.wall_ms.total_cmp(&a.wall_ms).then(a.unit.cmp(&b.unit)));
+        put!(
             w,
             "top {} of {} executed units by wall time:",
             TOP.min(by_wall.len()),
             by_wall.len()
         );
-        let _ = writeln!(
+        put!(
             w,
             "  {:>5} {:>6} {:>11} {:>10} {:>13} label",
-            "unit", "worker", "start_ms", "wall_ms", "cycles"
+            "unit",
+            "worker",
+            "start_ms",
+            "wall_ms",
+            "cycles"
         );
         for u in by_wall.iter().take(TOP) {
-            let _ = writeln!(
+            put!(
                 w,
                 "  {:>5} {:>6} {:>11.2} {:>10.2} {:>13} {}",
-                u.unit, u.worker, u.start_ms, u.wall_ms, u.cycles, u.label
+                u.unit,
+                u.worker,
+                u.start_ms,
+                u.wall_ms,
+                u.cycles,
+                u.label
             );
         }
 
-        let _ = writeln!(w);
-        let _ = writeln!(w, "== cost-model calibration ==");
-        let mut simulated: Vec<&&UnitRec> = executed.iter().filter(|u| u.cycles > 0).collect();
+        put!(w, "\n== cost-model calibration ==");
+        let mut simulated: Vec<&UnitRec> = executed.into_iter().filter(|u| u.cycles > 0).collect();
         if simulated.is_empty() {
-            let _ = writeln!(w, "no units simulated cycles (fully cache-served run)");
+            put!(w, "no units simulated cycles (fully cache-served run)");
         } else {
             simulated.sort_by(|a, b| b.cycles.cmp(&a.cycles).then(a.unit.cmp(&b.unit)));
-            let _ = writeln!(
+            put!(
                 w,
                 "top {} of {} simulated units, estimate vs actual:",
                 TOP.min(simulated.len()),
                 simulated.len()
             );
-            let _ = writeln!(w, "  {:>12} {:>13} {:>7}  label", "est", "actual", "ratio");
+            put!(w, "  {:>12} {:>13} {:>7}  label", "est", "actual", "ratio");
             for u in simulated.iter().take(TOP) {
                 let ratio = u.cycles as f64 / u.est.max(1) as f64;
-                let _ = writeln!(
+                put!(
                     w,
-                    "  {:>12} {:>13} {:>7.2}  {}",
-                    u.est, u.cycles, ratio, u.label
+                    "  {:>12} {:>13} {ratio:>7.2}  {}",
+                    u.est,
+                    u.cycles,
+                    u.label
                 );
             }
         }
     }
 
-    let _ = writeln!(w);
-    let _ = writeln!(w, "== result-cache hit funnel ==");
-    if d.tiers.is_empty() {
-        let _ = writeln!(w, "no cache_tier records (untraced or pre-v5 run)");
-    } else {
-        let _ = writeln!(
-            w,
-            "{:<8} {:>10} {:>10} {:>10}",
-            "tier", "hits", "misses", "stores"
-        );
-        for (tier, v) in &d.tiers {
-            let _ = writeln!(w, "{tier:<8} {:>10} {:>10} {:>10}", v[0], v[1], v[2]);
+    put!(w, "\n== result cache (final snapshot) ==");
+    match d.cache {
+        None => put!(w, "no cache_stats records"),
+        Some(rec) => {
+            let (hits, misses) = (int(rec, "hits"), int(rec, "misses"));
+            put!(
+                w,
+                "  hits       {hits} ({} from disk)",
+                int(rec, "disk_hits")
+            );
+            for key in ["misses", "bypasses", "stores", "verified"] {
+                put!(w, "  {key:<10} {}", int(rec, key));
+            }
+            if hits + misses > 0 {
+                put!(
+                    w,
+                    "  hit rate   {}%",
+                    pct(hits as f64, (hits + misses) as f64)
+                );
+            }
         }
     }
-    out
-}
-
-/// Renders the `--profile` section from a `PROFILE.json` document: top
-/// spans by wall time (nondeterministic; opt-in via the flag).
-fn render_profile_text(doc: &Json) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let w = &mut out;
-    let _ = writeln!(w);
-    let _ = writeln!(w, "== profile spans (nondeterministic) ==");
-    let Some(rows) = spans_by_wall(doc) else {
-        let _ = writeln!(w, "no `spans` array (not a PROFILE.json?)");
-        return out;
-    };
-    const TOP: usize = 10;
-    let _ = writeln!(
-        w,
-        "top {} of {} spans by wall time:",
-        TOP.min(rows.len()),
-        rows.len()
-    );
-    let _ = writeln!(
-        w,
-        "  {:<10} {:>9} {:>13}  name",
-        "level", "wall_s", "cycles"
-    );
-    for rec in rows.iter().take(TOP) {
-        let _ = writeln!(
+    if d.tiers.is_empty() {
+        put!(w, "no cache_tier records (untraced or pre-v5 run)");
+    } else {
+        put!(
             w,
-            "  {:<10} {:>9.3} {:>13}  {}",
-            rec.get("level").and_then(Json::as_str).unwrap_or("?"),
-            num(rec, "wall_s"),
-            int(rec, "cycles"),
-            rec.get("name").and_then(Json::as_str).unwrap_or("?")
+            "{:<8} {:>10} {:>10} {:>10}",
+            "tier",
+            "hits",
+            "misses",
+            "stores"
         );
+        for (tier, v) in &d.tiers {
+            put!(w, "{tier:<8} {:>10} {:>10} {:>10}", v[0], v[1], v[2]);
+        }
+    }
+
+    put!(w, "\n== profile spans (nondeterministic) ==");
+    if d.spans.is_empty() {
+        put!(
+            w,
+            "no profile_span records (the run wrote no PROFILE.json spans)"
+        );
+    } else {
+        render_spans(w, &d.spans, TOP_SPANS);
     }
     out
 }
@@ -1052,15 +900,14 @@ fn html_escape(s: &str) -> String {
 /// scripts, no external references): the same data as the text report,
 /// with the virtual schedule drawn as proportional div bars.
 fn render_report_html(d: &ReportData, text_sections: &str) -> String {
-    use std::fmt::Write;
     let mut out = String::new();
     let w = &mut out;
-    let _ = writeln!(w, "<!DOCTYPE html>");
-    let _ = writeln!(
+    put!(w, "<!DOCTYPE html>");
+    put!(
         w,
         "<html><head><meta charset=\"utf-8\"><title>run report</title>"
     );
-    let _ = writeln!(
+    put!(
         w,
         "<style>body{{font-family:monospace;margin:1em}}\
          .lane{{position:relative;height:22px;background:#eee;margin:2px 0}}\
@@ -1068,20 +915,19 @@ fn render_report_html(d: &ReportData, text_sections: &str) -> String {
          color:#fff;overflow:hidden;font-size:11px;border-right:1px solid #fff}}\
          pre{{background:#f7f7f7;padding:8px}}</style></head><body>"
     );
-    let _ = writeln!(w, "<h1>run report</h1>");
-    let _ = writeln!(
+    put!(w, "<h1>run report</h1>");
+    put!(
         w,
-        "<h2>virtual schedule ({} lanes, LPT by estimated cost)</h2>",
-        d.lanes.len()
+        "<h2>virtual schedule ({LANES} lanes, LPT by estimated cost)</h2>"
     );
     if d.makespan > 0 {
         for segs in &d.lanes {
-            let _ = writeln!(w, "<div class=\"lane\">");
+            put!(w, "<div class=\"lane\">");
             for s in segs {
                 let left = 100.0 * s.start as f64 / d.makespan as f64;
                 let width = 100.0 * (s.finish - s.start) as f64 / d.makespan as f64;
                 let u = &d.units[s.unit];
-                let _ = writeln!(
+                put!(
                     w,
                     "<div class=\"seg\" style=\"left:{left:.4}%;width:{width:.4}%\" \
                      title=\"{}\">{}</div>",
@@ -1089,49 +935,41 @@ fn render_report_html(d: &ReportData, text_sections: &str) -> String {
                     u.unit
                 );
             }
-            let _ = writeln!(w, "</div>");
+            put!(w, "</div>");
         }
     } else {
-        let _ = writeln!(w, "<p>nothing to schedule</p>");
+        put!(w, "<p>nothing to schedule</p>");
     }
-    let _ = writeln!(w, "<h2>full report</h2>");
-    let _ = writeln!(w, "<pre>{}</pre>", html_escape(text_sections));
-    let _ = writeln!(w, "</body></html>");
+    put!(w, "<h2>full report</h2>");
+    put!(w, "<pre>{}</pre>", html_escape(text_sections));
+    put!(w, "</body></html>");
     out
 }
 
-fn report_cmd(opts: &ReportOpts) -> ExitCode {
-    let text = match read_trace(&opts.trace) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-    let (records, skipped) = parse_records(&text);
-    warn_skipped(skipped);
-    let d = collect_report_data(&records, opts.lanes);
-    let mut report = render_report_text(&d);
-    if opts.timings {
-        report.push_str(&render_timings_text(&d));
-    }
-    if let Some(profile_path) = &opts.profile {
-        match read_trace(profile_path) {
-            Ok(ptext) => match parse(&ptext) {
-                Ok(doc) => report.push_str(&render_profile_text(&doc)),
-                Err(e) => {
-                    eprintln!("error: {profile_path} is not valid JSON: {e:?}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(code) => return code,
+fn report_cmd(args: &[String]) -> Exit {
+    let (mut trace, mut timings, mut html) = (None, false, None);
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--timings" => timings = true,
+            "--html" => html = Some(args.next().ok_or_else(usage)?),
+            a if !a.starts_with("--") && trace.is_none() => trace = Some(a),
+            _ => return Err(usage()),
         }
     }
-    outln!("{report}");
-    if let Some(html_path) = &opts.html {
-        let html = render_report_html(&d, &report);
-        if let Err(e) = std::fs::write(html_path, html) {
+    let records = load(trace.ok_or_else(usage)?)?;
+    let d = collect_report_data(&records);
+    let mut report = render_report_text(&d);
+    if timings {
+        report.push_str(&render_timings_text(&d));
+    }
+    emit(&report);
+    if let Some(html_path) = html {
+        if let Err(e) = std::fs::write(html_path, render_report_html(&d, &report)) {
             eprintln!("error: cannot write {html_path}: {e}");
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
         eprintln!("report: wrote {html_path}");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

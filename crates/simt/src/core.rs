@@ -295,10 +295,10 @@ impl<S: InstStream> SimtCore<S> {
     /// that `waiting` SWL-active warps were blocked on memory before the
     /// issue stage ([`Self::mem_stalled_warps`]) and `issued` warps issued
     /// an instruction this cycle — disjoint sets, as a blocked warp cannot
-    /// issue. Called from all four step paths (full, reference, sleep fast
-    /// path, batch idle credit) with identical arithmetic, so the
-    /// engine-equivalence invariant (optimized == reference, bit for bit)
-    /// extends to these counters.
+    /// issue. Called from the three step paths (full, reference, idle
+    /// credit — which a sleeping [`Self::step`] also takes) with identical
+    /// arithmetic, so the engine-equivalence invariant (optimized ==
+    /// reference, bit for bit) extends to these counters.
     #[inline]
     fn record_warp_stalls(&mut self, waiting: u64, issued: u64, k: u64) {
         if !self.metrics {
@@ -556,22 +556,16 @@ impl<S: InstStream> SimtCore<S> {
     /// each scheduler issue at most one warp instruction.
     ///
     /// When the core proved itself quiescent on a previous cycle (see
-    /// [`Self::next_event`]) this takes a counters-only fast path that
-    /// records exactly what the full step would have recorded; the
-    /// engine-equivalence suite checks this bit-for-bit against
-    /// [`Self::step_reference`].
+    /// [`Self::next_event`]) this charges the cycle as
+    /// [`Self::credit_idle_cycles`]`(1)`, exactly what the full step would
+    /// have recorded; the engine-equivalence suite checks this bit-for-bit
+    /// against [`Self::step_reference`]. The machine never takes this
+    /// branch (it steps a core only when its next event has come and
+    /// credits skipped cycles in batch); callers that step every cycle do.
     pub fn step(&mut self, now: u64) {
-        if let Some((until, kind)) = self.sleep {
+        if let Some((until, _)) = self.sleep {
             if now < until {
-                self.stats.cycles += 1;
-                self.stats.warp_mem_wait_cycles += self.issue.n_waiting_mem() as u64;
-                self.stats.active_warp_cycles += self.active_slots_total;
-                match kind {
-                    SleepKind::Mem => self.stats.mem_stall_cycles += 1,
-                    SleepKind::Idle => self.stats.idle_cycles += 1,
-                    SleepKind::Struct { .. } => self.stats.struct_stall_cycles += 1,
-                }
-                self.record_warp_stalls(self.mem_stalled_warps(), 0, 1);
+                self.credit_idle_cycles(1);
                 return;
             }
             self.sleep = None;

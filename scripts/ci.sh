@@ -138,9 +138,14 @@ for f in "$TMP/verify"/*; do
 done
 echo "verify gate OK: every hit re-simulated bit-identically, artifacts byte-identical to serial"
 
-echo "== run report smoke (--timings/--profile/--html variants render and the page is self-contained) =="
-trace_tools report "$TMP/sched4.jsonl" \
-  --timings --profile "$TMP/sched4/PROFILE.json" --html "$TMP/report.html" > /dev/null
+echo "== run report smoke (--timings/--html render, spans come from the trace, the page is self-contained) =="
+trace_tools report "$TMP/sched4.jsonl" --timings --html "$TMP/report.html" > "$TMP/timings.txt"
+# The profile-span section reads the trace's profile_span records: the
+# campaign root span must be among its rows.
+grep -q '^== profile spans (nondeterministic) ==$' "$TMP/timings.txt"
+grep -qE '^campaign +.* experiments$' "$TMP/timings.txt"
+# `profile` is the CLI's only reader of PROFILE.json (runs without a trace).
+trace_tools profile "$TMP/sched4/PROFILE.json" > /dev/null
 grep -q '<html>' "$TMP/report.html"
 if grep -qE 'src=|href=' "$TMP/report.html"; then
   echo "FAIL: HTML report references external resources" >&2
