@@ -282,16 +282,6 @@ impl CostModel {
     pub fn cost(&self, label: &str, fallback: u64) -> u64 {
         self.history.get(label).copied().unwrap_or(fallback).max(1)
     }
-
-    /// Records an observed cost for `label` (zero observations are
-    /// ignored — a cache-served unit teaches the model nothing). This is
-    /// how `sched_unit` trace events round-trip into the next run's model:
-    /// feed each event's `label` and actual `cycles` back in.
-    pub fn observe(&mut self, label: &str, cycles: u64) {
-        if cycles > 0 {
-            self.history.insert(label.to_owned(), cycles);
-        }
-    }
 }
 
 fn num_field(obj: &crate::json::Json, key: &str) -> f64 {
@@ -994,9 +984,7 @@ fn run_with(
         let s = lock(state);
         (s.executed, s.peak_ready)
     };
-    // One sched_unit event per unit, in plan order. The identity fields
-    // are deterministic; the runtime fields describe this execution and
-    // feed the next run's cost model (`CostModel::observe`).
+    // One sched_unit event per unit, in plan order.
     if sink.enabled() {
         for (i, u) in units.iter().enumerate() {
             let rt = runtimes[i]
@@ -1004,18 +992,7 @@ fn run_with(
                 .unwrap_or_else(|e| e.into_inner())
                 .take()
                 .unwrap_or_default();
-            sink.emit(TraceEvent::SchedUnit {
-                cycle: 0,
-                unit: i as u64,
-                label: u.label.clone(),
-                fp: u.fp.to_hex(),
-                deps: u.deps.len() as u64,
-                est: u.cost,
-                worker: rt.worker,
-                start_ms: rt.start_ms,
-                wall_ms: rt.wall_ms,
-                cycles: rt.cycles,
-            });
+            sink.emit(sched_unit(i, u, rt));
         }
     }
     let stats1 = cache::stats();
@@ -1097,18 +1074,25 @@ pub fn emit_plan(campaign: &Campaign, sink: &mut dyn TraceSink) {
         return;
     }
     for (i, u) in campaign.units.iter().enumerate() {
-        sink.emit(TraceEvent::SchedUnit {
-            cycle: 0,
-            unit: i as u64,
-            label: u.label.clone(),
-            fp: u.fp.to_hex(),
-            deps: u.deps.len() as u64,
-            est: u.cost,
-            worker: 0,
-            start_ms: 0.0,
-            wall_ms: 0.0,
-            cycles: 0,
-        });
+        sink.emit(sched_unit(i, u, UnitRuntime::default()));
+    }
+}
+
+/// The `sched_unit` event of unit `i`: its plan record (`unit`, `label`,
+/// `fp`, `deps`, `est`), which is deterministic, plus how this execution
+/// ran it (`rt`).
+fn sched_unit(i: usize, u: &Unit, rt: UnitRuntime) -> TraceEvent {
+    TraceEvent::SchedUnit {
+        cycle: 0,
+        unit: i as u64,
+        label: u.label.clone(),
+        fp: u.fp.to_hex(),
+        deps: u.deps.len() as u64,
+        est: u.cost,
+        worker: rt.worker,
+        start_ms: rt.start_ms,
+        wall_ms: rt.wall_ms,
+        cycles: rt.cycles,
     }
 }
 

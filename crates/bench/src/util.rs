@@ -123,18 +123,17 @@ pub fn run_and_save(report: &Report) {
 /// workspace is dependency-free).
 ///
 /// * `--quick` — run the scaled-down test campaign instead of the
-///   paper-machine one (seconds instead of ~half an hour);
+///   paper-machine one (what each costs: `EXPERIMENTS.md`);
 /// * `--only <ids>` — comma-separated artifact ids (e.g.
 ///   `--only fig09,fig11`, see [`crate::campaign::ARTIFACTS`]); everything
 ///   else is skipped, and ids naming no artifact get one warning;
 /// * `--trace <path>` — stream the trace-enabled artifacts' events to
 ///   `<path>` as newline-delimited JSON (see `docs/TRACE_SCHEMA.md`);
-/// * `--cache-dir <path>` — persist simulation results under `<path>`
-///   (equivalent to `EBM_CACHE_DIR`); reruns with a warm directory skip
-///   simulation;
+/// * `--cache-dir <path>` — persist simulation results under `<path>`;
+///   reruns with a warm directory skip simulation;
 /// * `--cache-verify <fraction>` — re-simulate that fraction of cache hits
-///   and assert bit-identical results (`EBM_CACHE_VERIFY`);
-/// * `--no-cache` — disable result memoization entirely (`EBM_CACHE=0`);
+///   and assert bit-identical results;
+/// * `--no-cache` — disable result memoization entirely;
 ///   this also forces `--serial` in `experiments`, since the campaign
 ///   scheduler hands results to the renders through the cache tiers;
 /// * `--serial` — run the `experiments` campaign artifact-by-artifact
@@ -235,8 +234,8 @@ impl BenchArgs {
         Ok(out)
     }
 
-    /// Applies the process-wide flags: the cache switches (which override
-    /// the `EBM_CACHE*` environment) and the `--out` artifact directory.
+    /// Applies the process-wide flags: the cache switches and the `--out`
+    /// artifact directory.
     /// Call once at startup.
     pub fn apply_settings(&self) {
         if self.no_cache {

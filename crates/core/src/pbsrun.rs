@@ -25,8 +25,8 @@ use gpu_sim::cache;
 use gpu_sim::control::Controller;
 use gpu_sim::harness::{run_controlled_traced, FixedRunInputs};
 use gpu_sim::trace::{NullSink, TraceSink};
-use gpu_types::canon::{Canon, CanonBuf, CanonReader};
-use gpu_types::{AppWindow, Fingerprint, TlpCombo, TlpLevel};
+use gpu_types::canon::{Canon, CanonBuf, CanonReader, Record};
+use gpu_types::{AppWindow, Fingerprint, MemCounters, TlpCombo, TlpLevel};
 
 /// Declarative description of a [`Pbs`] controller build: everything the
 /// builder chain can set, as data, so it can feed a cache fingerprint.
@@ -186,44 +186,67 @@ pub fn controller_run_fingerprint(
     key.finish()
 }
 
-fn encode_run(run: &ControllerRun) -> Vec<u8> {
-    let mut buf = CanonBuf::new();
-    buf.push_usize(run.overall.len());
-    for w in &run.overall {
-        cache::push_window(&mut buf, w);
-    }
-    buf.push_usize(run.tlp_trace.len());
-    for (cycle, levels) in &run.tlp_trace {
-        buf.push_u64(*cycle);
-        buf.push_usize(levels.len());
-        for l in levels {
-            buf.push_u32(l.get());
-        }
-    }
-    buf.push_u64(run.n_windows);
-    buf.push_usize(run.samples_last_search);
-    // The series: every sampling window has the same length and shares the
-    // overall windows' peak-bandwidth normalizer, so an entry is its end
-    // cycle plus eight counters per application, as varints (~20 bytes per
-    // window where `cache::push_window` takes 80).
-    let window_cycles = run
-        .window_series
-        .first()
-        .and_then(|(_, ws)| ws.first())
-        .map_or(0, |w| w.cycles);
-    buf.push_usize(run.window_series.len());
-    buf.push_u64(window_cycles);
-    for (cycle, windows) in &run.window_series {
-        push_varint(&mut buf, *cycle);
-        debug_assert_eq!(windows.len(), run.overall.len());
-        for w in windows {
-            debug_assert_eq!(w.cycles, window_cycles);
-            for v in cache::counters_to_array(&w.counters) {
-                push_varint(&mut buf, v);
+/// `overall`, `tlp_trace`, `n_windows` and `samples_last_search` as their
+/// generic records, then the series. Every sampling window has the same
+/// length and shares the overall windows' peak-bandwidth normalizer, so
+/// the series is its length, that window length, and per entry its end
+/// cycle plus each application's counters, all as LEB128 varints (~20
+/// bytes per window where an [`AppWindow`] record takes 80).
+impl Record for ControllerRun {
+    fn put(&self, buf: &mut CanonBuf) {
+        self.overall.put(buf);
+        self.tlp_trace.put(buf);
+        buf.push_u64(self.n_windows);
+        buf.push_usize(self.samples_last_search);
+        let first = self.window_series.first().and_then(|(_, ws)| ws.first());
+        let window_cycles = first.map_or(0, |w| w.cycles);
+        buf.push_usize(self.window_series.len());
+        buf.push_u64(window_cycles);
+        for (cycle, windows) in &self.window_series {
+            push_varint(buf, *cycle);
+            debug_assert_eq!(windows.len(), self.overall.len());
+            for w in windows {
+                debug_assert_eq!(w.cycles, window_cycles);
+                // The counters' own record, one varint per 8-byte word.
+                for word in w.counters.to_bytes().chunks_exact(8) {
+                    push_varint(buf, u64::from_le_bytes(word.try_into().unwrap()));
+                }
             }
         }
     }
-    buf.into_bytes()
+
+    fn get(r: &mut CanonReader<'_>) -> Option<Self> {
+        let overall = Vec::<AppWindow>::get(r)?;
+        let tlp_trace = Vec::get(r)?;
+        let n_windows = r.read_u64()?;
+        let samples_last_search = r.read_usize()?;
+        let (n, window_cycles) = (r.read_usize()?, r.read_u64()?);
+        if n > 0 && !overall.is_empty() && window_cycles == 0 {
+            return None;
+        }
+        let mut window_series = Vec::with_capacity(n);
+        for _ in 0..n {
+            let cycle = read_varint(r)?;
+            let mut windows = Vec::with_capacity(overall.len());
+            for app in &overall {
+                let mut words = [0u8; 64];
+                for word in words.chunks_exact_mut(8) {
+                    word.copy_from_slice(&read_varint(r)?.to_le_bytes());
+                }
+                let counters = MemCounters::from_bytes(&words)?;
+                let w = AppWindow::new(counters, window_cycles, app.peak_bw_bytes_per_cycle);
+                windows.push(w);
+            }
+            window_series.push((cycle, windows));
+        }
+        Some(ControllerRun {
+            overall,
+            tlp_trace,
+            n_windows,
+            window_series,
+            samples_last_search,
+        })
+    }
 }
 
 /// LEB128: seven value bits per byte, low group first.
@@ -245,57 +268,6 @@ fn read_varint(r: &mut CanonReader<'_>) -> Option<u64> {
         }
     }
     None
-}
-
-fn decode_run(bytes: &[u8]) -> Option<ControllerRun> {
-    let mut r = CanonReader::new(bytes);
-    let n_apps = r.read_usize()?;
-    let mut overall = Vec::with_capacity(n_apps);
-    for _ in 0..n_apps {
-        overall.push(cache::read_window(&mut r)?);
-    }
-    let n = r.read_usize()?;
-    let mut tlp_trace = Vec::with_capacity(n);
-    for _ in 0..n {
-        let cycle = r.read_u64()?;
-        let k = r.read_usize()?;
-        let mut levels = Vec::with_capacity(k);
-        for _ in 0..k {
-            levels.push(TlpLevel::new(r.read_u32()?)?);
-        }
-        tlp_trace.push((cycle, levels));
-    }
-    let n_windows = r.read_u64()?;
-    let samples_last_search = r.read_usize()?;
-    let n = r.read_usize()?;
-    let window_cycles = r.read_u64()?;
-    if n > 0 && n_apps > 0 && window_cycles == 0 {
-        return None;
-    }
-    let mut window_series = Vec::with_capacity(n);
-    for _ in 0..n {
-        let cycle = read_varint(&mut r)?;
-        let mut windows = Vec::with_capacity(n_apps);
-        for app in &overall {
-            let mut counters = [0u64; 8];
-            for v in &mut counters {
-                *v = read_varint(&mut r)?;
-            }
-            windows.push(AppWindow::new(
-                cache::counters_from_array(counters),
-                window_cycles,
-                app.peak_bw_bytes_per_cycle,
-            ));
-        }
-        window_series.push((cycle, windows));
-    }
-    r.is_empty().then_some(ControllerRun {
-        overall,
-        tlp_trace,
-        n_windows,
-        window_series,
-        samples_last_search,
-    })
 }
 
 /// Builds the machine described by `inputs`, applies `start`, and runs the
@@ -352,10 +324,10 @@ pub fn run_controller_traced(
     };
     if traced {
         let run = simulate();
-        cache::memoize(fp, encode_run, decode_run, || run.clone());
+        cache::memoize(fp, || run.clone());
         run
     } else {
-        cache::memoize(fp, encode_run, decode_run, simulate)
+        cache::memoize(fp, simulate)
     }
 }
 
@@ -464,12 +436,16 @@ mod tests {
             );
             assert_eq!(cached.samples_last_search, samples, "{spec:?}");
 
-            // The encode/decode pair is lossless, and no proper prefix of a
-            // payload decodes.
-            let bytes = encode_run(&cached);
-            assert_eq!(decode_run(&bytes).as_ref(), Some(&cached), "{spec:?}");
-            for cut in [0, 8, bytes.len() / 2, bytes.len() - 1] {
-                assert_eq!(decode_run(&bytes[..cut]), None, "{spec:?}: cut at {cut}");
+            // The record is lossless, and no proper prefix of it decodes.
+            let bytes = cached.to_bytes();
+            assert_eq!(
+                ControllerRun::from_bytes(&bytes).as_ref(),
+                Some(&cached),
+                "{spec:?}"
+            );
+            for cut in 0..bytes.len() {
+                let prefix = ControllerRun::from_bytes(&bytes[..cut]);
+                assert_eq!(prefix, None, "{spec:?}: cut at {cut}");
             }
 
             // An enabled sink simulates inline and returns the same record.

@@ -8,8 +8,8 @@
 use gpu_sim::exec;
 use gpu_sim::harness::{measure_fixed, RunSpec};
 use gpu_sim::machine::Gpu;
-use gpu_types::canon::{CanonBuf, CanonReader};
-use gpu_types::{Canon, FxHashMap, FxHashSet, GpuConfig, TlpCombo, TlpLevel};
+use gpu_types::canon::{CanonBuf, CanonReader, Record};
+use gpu_types::{FxHashMap, FxHashSet, GpuConfig, TlpCombo, TlpLevel};
 use gpu_workloads::Workload;
 use std::collections::BTreeSet;
 
@@ -41,6 +41,18 @@ pub struct ComboSample {
     pub cmr: f64,
     /// Effective bandwidth.
     pub eb: f64,
+}
+
+/// The four rates in declaration order.
+impl Record for ComboSample {
+    fn put(&self, buf: &mut CanonBuf) {
+        ((self.ipc, self.bw), (self.cmr, self.eb)).put(buf);
+    }
+
+    fn get(r: &mut CanonReader<'_>) -> Option<Self> {
+        let ((ipc, bw), (cmr, eb)) = Record::get(r)?;
+        Some(ComboSample { ipc, bw, cmr, eb })
+    }
 }
 
 /// Exhaustive measurements over the clamped TLP ladder of a workload.
@@ -100,43 +112,44 @@ impl ComboSweep {
         threads: usize,
     ) -> Self {
         let fp = sweep_fingerprint(cfg, workload, seed, spec);
-        let combos = || Self::combos(cfg, workload.n_apps());
-        gpu_sim::cache::memoize(
-            fp,
-            |sweep: &ComboSweep| encode_sweep(sweep, &combos()),
-            |bytes| decode_sweep(bytes, &combos(), workload),
-            || {
-                let measured = exec::par_map_with(threads, combos(), |combo| {
-                    let mut gpu = Gpu::new(cfg, workload.apps(), seed);
-                    let windows = measure_fixed(&mut gpu, &combo, spec);
-                    let samples: Vec<ComboSample> = windows
-                        .iter()
-                        .map(|w| ComboSample {
-                            ipc: w.ipc(),
-                            bw: w.attained_bw(),
-                            cmr: w.combined_miss_rate(),
-                            eb: w.effective_bandwidth(),
-                        })
-                        .collect();
-                    (combo, samples)
-                });
-                let entries = measured.into_iter().collect();
-                ComboSweep {
-                    workload: workload.name(),
-                    entries,
-                    n_apps: workload.n_apps(),
-                }
-            },
-        )
+        let n_apps = workload.n_apps();
+        let mut sweep = gpu_sim::cache::memoize(fp, || {
+            let measured = exec::par_map_with(threads, Self::combos(cfg, n_apps), |combo| {
+                let mut gpu = Gpu::new(cfg, workload.apps(), seed);
+                let windows = measure_fixed(&mut gpu, &combo, spec);
+                let samples: Vec<ComboSample> = windows
+                    .iter()
+                    .map(|w| ComboSample {
+                        ipc: w.ipc(),
+                        bw: w.attained_bw(),
+                        cmr: w.combined_miss_rate(),
+                        eb: w.effective_bandwidth(),
+                    })
+                    .collect();
+                (combo, samples)
+            });
+            ComboSweep {
+                workload: String::new(),
+                entries: measured.into_iter().collect(),
+                n_apps,
+            }
+        });
+        sweep.workload = workload.name();
+        sweep
     }
 
     /// The distinct clamped ladder combinations for `n_apps` applications on
     /// this machine, in first-seen ladder order.
     pub fn combos(cfg: &GpuConfig, n_apps: usize) -> Vec<TlpCombo> {
+        Self::combos_up_to(cfg.max_tlp(), n_apps)
+    }
+
+    /// [`ComboSweep::combos`] on a machine whose realizable maximum is `max`.
+    fn combos_up_to(max: TlpLevel, n_apps: usize) -> Vec<TlpCombo> {
         let mut seen = FxHashSet::default();
         TlpCombo::all(n_apps)
             .into_iter()
-            .map(|combo| TlpCombo::new(combo.levels().iter().map(|&l| cfg.clamp_tlp(l)).collect()))
+            .map(|combo| TlpCombo::new(combo.levels().iter().map(|&l| l.min(max)).collect()))
             .filter(|clamped| seen.insert(clamped.clone()))
             .collect()
     }
@@ -209,57 +222,56 @@ impl ComboSweep {
     }
 }
 
-/// Serializes a sweep's samples in canonical [`ComboSweep::combos`] order,
-/// so the payload is independent of hash-map iteration order.
-fn encode_sweep(sweep: &ComboSweep, combos: &[TlpCombo]) -> Vec<u8> {
-    let mut buf = CanonBuf::new();
-    buf.push_usize(sweep.n_apps);
-    buf.push_usize(combos.len());
-    for combo in combos {
-        combo.canon(&mut buf);
-        let samples = sweep.get(combo).expect("sweep covers every combination");
-        for s in samples {
-            for v in [s.ipc, s.bw, s.cmr, s.eb] {
-                buf.push_f64(v);
+/// `n_apps`, then the combinations in [`ComboSweep::combos`] order, each
+/// followed by its `n_apps` samples. The machine's top level is the top
+/// level measured, so the record states that order without the config, and
+/// a record whose combinations are not exactly it is corrupt. The workload
+/// name is not part of the record: [`ComboSweep::measure`] sets it.
+impl Record for ComboSweep {
+    fn put(&self, buf: &mut CanonBuf) {
+        let combos = Self::combos_up_to(*self.levels().last().expect("a sweep"), self.n_apps);
+        buf.push_usize(self.n_apps);
+        buf.push_usize(combos.len());
+        for combo in &combos {
+            combo.put(buf);
+            for s in &self.entries[combo] {
+                s.put(buf);
             }
         }
     }
-    buf.into_bytes()
-}
 
-fn decode_sweep(bytes: &[u8], combos: &[TlpCombo], workload: &Workload) -> Option<ComboSweep> {
-    let mut r = CanonReader::new(bytes);
-    let n_apps = r.read_usize()?;
-    let n_combos = r.read_usize()?;
-    if n_apps != workload.n_apps() || n_combos != combos.len() {
-        return None;
+    fn get(r: &mut CanonReader<'_>) -> Option<Self> {
+        let n_apps = r.read_usize()?;
+        let n_combos = r.read_usize()?;
+        let mut combos = Vec::new();
+        let mut entries = FxHashMap::default();
+        for _ in 0..n_combos {
+            let combo = TlpCombo::get(r)?;
+            let samples = (0..n_apps)
+                .map(|_| ComboSample::get(r))
+                .collect::<Option<_>>()?;
+            entries.insert(combo.clone(), samples);
+            combos.push(combo);
+        }
+        let sweep = ComboSweep {
+            workload: String::new(),
+            entries,
+            n_apps,
+        };
+        // `combos` lists every combination of the ladder clamped at the top
+        // level, in ascending order. Checked without listing it, so a bad
+        // `n_apps` cannot ask for 8^n_apps combinations.
+        let levels = sweep.levels();
+        let max = *levels.last()?;
+        let mut ladder: Vec<_> = TlpLevel::ladder().map(|l| l.min(max)).collect();
+        ladder.dedup();
+        let every = u32::try_from(n_apps).map(|n| levels.len().checked_pow(n));
+        let canonical = levels == ladder
+            && every == Ok(Some(combos.len()))
+            && combos.iter().all(|c| c.len() == n_apps)
+            && combos.windows(2).all(|w| w[0].levels() < w[1].levels());
+        canonical.then_some(sweep)
     }
-    let mut entries = FxHashMap::default();
-    for expected in combos {
-        let n_levels = r.read_usize()?;
-        let mut levels = Vec::with_capacity(n_levels);
-        for _ in 0..n_levels {
-            levels.push(TlpLevel::new(r.read_u32()?)?);
-        }
-        if TlpCombo::new(levels) != *expected {
-            return None;
-        }
-        let mut samples = Vec::with_capacity(n_apps);
-        for _ in 0..n_apps {
-            samples.push(ComboSample {
-                ipc: r.read_f64()?,
-                bw: r.read_f64()?,
-                cmr: r.read_f64()?,
-                eb: r.read_f64()?,
-            });
-        }
-        entries.insert(expected.clone(), samples);
-    }
-    r.is_empty().then(|| ComboSweep {
-        workload: workload.name(),
-        entries,
-        n_apps,
-    })
 }
 
 #[cfg(test)]
@@ -309,6 +321,50 @@ mod tests {
         let s = small_sweep();
         let ls: Vec<u32> = s.levels().iter().map(|l| l.get()).collect();
         assert_eq!(ls, vec![1, 2, 4, 6, 8]);
+    }
+
+    /// A sweep record of `combos`, every sample alike.
+    fn record(n_apps: usize, combos: &[TlpCombo]) -> Vec<u8> {
+        let mut buf = CanonBuf::new();
+        buf.push_usize(n_apps);
+        buf.push_usize(combos.len());
+        for combo in combos {
+            combo.put(&mut buf);
+            for _ in 0..n_apps {
+                let (ipc, bw, cmr, eb) = (1.5, 0.25, 0.5, 0.5);
+                ComboSample { ipc, bw, cmr, eb }.put(&mut buf);
+            }
+        }
+        buf.into_bytes()
+    }
+
+    #[test]
+    fn a_record_holds_exactly_the_clamped_ladder_in_order() {
+        let tops = TlpLevel::ladder().chain([3, 10].map(|l| TlpLevel::new(l).unwrap()));
+        for max in tops {
+            for n_apps in 1..=3 {
+                let mut combos = ComboSweep::combos_up_to(max, n_apps);
+                let what = format!("top level {max}, {n_apps} apps");
+                // The record check reads `combos` as ascending.
+                assert!(
+                    combos.windows(2).all(|w| w[0].levels() < w[1].levels()),
+                    "{what}"
+                );
+                let bytes = record(n_apps, &combos);
+                let sweep = ComboSweep::from_bytes(&bytes).expect(&what);
+                assert_eq!(sweep.len(), combos.len(), "{what}");
+                assert_eq!(sweep.to_bytes(), bytes, "{what}");
+                assert!(ComboSweep::from_bytes(&record(n_apps + 1, &combos)).is_none());
+                if combos.len() > 1 {
+                    let missing = record(n_apps, &combos[1..]);
+                    assert!(ComboSweep::from_bytes(&missing).is_none(), "{what}");
+                    let last = combos.len() - 1;
+                    combos.swap(0, last);
+                    let swapped = record(n_apps, &combos);
+                    assert!(ComboSweep::from_bytes(&swapped).is_none(), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

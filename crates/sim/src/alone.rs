@@ -7,7 +7,7 @@
 
 use crate::harness::{measure_fixed, RunSpec};
 use crate::machine::Gpu;
-use gpu_types::canon::{CanonBuf, CanonReader};
+use gpu_types::canon::{CanonBuf, CanonReader, Record};
 use gpu_types::{AppWindow, GpuConfig, TlpCombo, TlpLevel};
 use gpu_workloads::AppProfile;
 
@@ -41,6 +41,35 @@ impl AloneSample {
             l1_miss_rate: w.counters.l1_miss_rate(),
             l2_miss_rate: w.counters.l2_miss_rate(),
         }
+    }
+}
+
+/// The level, then the six rates in declaration order.
+impl Record for AloneSample {
+    fn put(&self, buf: &mut CanonBuf) {
+        self.tlp.put(buf);
+        for v in [
+            self.ipc,
+            self.bw,
+            self.cmr,
+            self.eb,
+            self.l1_miss_rate,
+            self.l2_miss_rate,
+        ] {
+            buf.push_f64(v);
+        }
+    }
+
+    fn get(r: &mut CanonReader<'_>) -> Option<Self> {
+        Some(AloneSample {
+            tlp: <TlpLevel as Record>::get(r)?,
+            ipc: r.read_f64()?,
+            bw: r.read_f64()?,
+            cmr: r.read_f64()?,
+            eb: r.read_f64()?,
+            l1_miss_rate: r.read_f64()?,
+            l2_miss_rate: r.read_f64()?,
+        })
     }
 }
 
@@ -144,22 +173,17 @@ pub fn profile_alone_with_threads(
     threads: usize,
 ) -> AloneProfile {
     let fp = alone_fingerprint(cfg, app, n_cores, seed, spec);
-    crate::cache::memoize(
-        fp,
-        encode_profile,
-        |bytes| decode_profile(bytes, app.name),
-        || {
-            let samples = crate::exec::par_map_with(threads, ladder_levels(cfg), |clamped| {
-                let mut gpu = Gpu::with_core_split(cfg, &[app], &[n_cores], seed);
-                let w = measure_fixed(&mut gpu, &TlpCombo::new(vec![clamped]), spec);
-                AloneSample::from_window(clamped, &w[0])
-            });
-            AloneProfile {
-                app: app.name,
-                samples,
-            }
-        },
-    )
+    let samples = crate::cache::memoize(fp, || {
+        crate::exec::par_map_with(threads, ladder_levels(cfg), |clamped| {
+            let mut gpu = Gpu::with_core_split(cfg, &[app], &[n_cores], seed);
+            let w = measure_fixed(&mut gpu, &TlpCombo::new(vec![clamped]), spec);
+            AloneSample::from_window(clamped, &w[0])
+        })
+    });
+    AloneProfile {
+        app: app.name,
+        samples,
+    }
 }
 
 /// The TLP ladder clamped to `cfg`, deduplicated in first-seen order (small
@@ -170,37 +194,6 @@ fn ladder_levels(cfg: &GpuConfig) -> Vec<TlpLevel> {
         .map(|level| cfg.clamp_tlp(level))
         .filter(|clamped| seen.insert(*clamped))
         .collect()
-}
-
-fn encode_profile(p: &AloneProfile) -> Vec<u8> {
-    let mut buf = CanonBuf::new();
-    buf.push_usize(p.samples.len());
-    for s in &p.samples {
-        buf.push_u32(s.tlp.get());
-        for v in [s.ipc, s.bw, s.cmr, s.eb, s.l1_miss_rate, s.l2_miss_rate] {
-            buf.push_f64(v);
-        }
-    }
-    buf.into_bytes()
-}
-
-fn decode_profile(bytes: &[u8], app: &'static str) -> Option<AloneProfile> {
-    let mut r = CanonReader::new(bytes);
-    let n = r.read_usize()?;
-    let mut samples = Vec::with_capacity(n);
-    for _ in 0..n {
-        let tlp = TlpLevel::new(r.read_u32()?)?;
-        samples.push(AloneSample {
-            tlp,
-            ipc: r.read_f64()?,
-            bw: r.read_f64()?,
-            cmr: r.read_f64()?,
-            eb: r.read_f64()?,
-            l1_miss_rate: r.read_f64()?,
-            l2_miss_rate: r.read_f64()?,
-        });
-    }
-    r.is_empty().then_some(AloneProfile { app, samples })
 }
 
 #[cfg(test)]

@@ -13,12 +13,14 @@
 //!   each distinct input once, and a repeat read clones the value instead
 //!   of decoding it;
 //! * a **persistent on-disk store** of encoded records under a cache
-//!   directory (`--cache-dir` or `EBM_CACHE_DIR`), so repeated invocations
-//!   skip simulation entirely.
+//!   directory (`--cache-dir`), so repeated invocations skip simulation
+//!   entirely.
 //!
 //! This is the only memo of a result: alone profiles, sweeps and runs all
-//! read through it, so with the cache disabled (`--no-cache`, `EBM_CACHE=0`)
-//! nothing is kept and every read simulates.
+//! read through it, so with the cache disabled (`--no-cache`) nothing is
+//! kept and every read simulates. The process starts with the cache on, no
+//! directory and no verification; the `experiments` flags are the only
+//! settings ([`set_enabled`], [`set_dir`], [`set_verify_fraction`]).
 //!
 //! The memory tier is **single-flight**: concurrent lookups of the same
 //! fingerprint elect one leader to simulate while the others block and
@@ -58,21 +60,20 @@
 //! encoding asserted bit-identical to the hit's — a standing audit that the
 //! determinism invariant (and therefore the whole cache) still holds.
 //!
-//! Bytes exist only at the disk boundary and for verification: the
-//! encode/decode of each payload lives next to its memoized entry point
-//! ([`crate::alone::profile_alone`], [`crate::harness::measure_fixed_cached`],
-//! `ComboSweep::measure` and the controller runs in `ebm-core`). All hits
-//! and misses are counted ([`stats`]) and surfaced through the trace
-//! subsystem as a [`TraceEvent::CacheStats`] event.
+//! Bytes exist only at the disk boundary and for verification: a memoized
+//! value is a [`Record`], whose one layout is stated next to its type
+//! (windows and counters in `gpu-types`, [`crate::alone::AloneSample`],
+//! `ComboSweep` and `ControllerRun` in `ebm-core`). All hits and misses
+//! are counted ([`stats`]) and surfaced through the trace subsystem as a
+//! [`TraceEvent::CacheStats`] event.
 //!
 //! [`Canon`]: gpu_types::canon::Canon
 //! [`TraceEvent::CacheStats`]: crate::trace::TraceEvent::CacheStats
 
-use gpu_types::canon::{fingerprint, CanonBuf, Fingerprint};
+use gpu_types::canon::{fingerprint, CanonBuf, CanonReader, Fingerprint, Record};
 use gpu_types::{FxHashMap, SplitMix64};
 use std::any::Any;
-use std::ffi::OsString;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
@@ -141,12 +142,6 @@ impl KeyBuilder {
         self
     }
 
-    /// Appends a string input (app names, scheme tags).
-    pub fn push_str(&mut self, v: &str) -> &mut Self {
-        self.buf.push_str(v);
-        self
-    }
-
     /// Hashes the accumulated bytes into the cache key.
     pub fn finish(&self) -> Fingerprint {
         fingerprint(self.buf.as_bytes())
@@ -206,75 +201,18 @@ fn bump(cell: Cell) {
 }
 
 /// Runtime configuration of the process-wide cache.
-#[derive(Debug, Clone, PartialEq)]
 struct Config {
     enabled: bool,
     dir: Option<PathBuf>,
     verify_fraction: f64,
 }
 
-/// The configuration the `EBM_CACHE*` variables ask for, each read through
-/// `var`, plus one message per value that was rejected, naming it, why, and
-/// what is used instead. A rejected variable keeps its default: the cache
-/// on, no directory, no verification.
-fn config_from_env(var: impl Fn(&str) -> Option<OsString>) -> (Config, Vec<String>) {
-    let mut config = Config {
-        enabled: true,
-        dir: None,
-        verify_fraction: 0.0,
-    };
-    let mut rejected = Vec::new();
-    let mut reject = |name: &str, value: &OsString, why: &str, used: &str| {
-        rejected.push(format!("ignoring {name}={value:?} ({why}); using {used}"));
-    };
-    if let Some(value) = var("EBM_CACHE") {
-        match value.to_string_lossy().trim().to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" | "yes" => {}
-            "0" | "false" | "off" | "no" => config.enabled = false,
-            _ => reject(
-                "EBM_CACHE",
-                &value,
-                "expected 0/1, false/true, off/on or no/yes",
-                "the cache on",
-            ),
-        }
-    }
-    if let Some(value) = var("EBM_CACHE_DIR") {
-        if value.is_empty() {
-            reject(
-                "EBM_CACHE_DIR",
-                &value,
-                "an empty path",
-                "no cache directory",
-            );
-        } else {
-            config.dir = Some(PathBuf::from(value));
-        }
-    }
-    if let Some(value) = var("EBM_CACHE_VERIFY") {
-        match value.to_string_lossy().trim().parse::<f64>() {
-            Ok(f) if (0.0..=1.0).contains(&f) => config.verify_fraction = f,
-            _ => reject(
-                "EBM_CACHE_VERIFY",
-                &value,
-                "not a fraction in [0, 1]",
-                "0, no verification",
-            ),
-        }
-    }
-    (config, rejected)
-}
-
-fn config() -> &'static Mutex<Config> {
-    static CONFIG: OnceLock<Mutex<Config>> = OnceLock::new();
-    CONFIG.get_or_init(|| {
-        let (config, rejected) = config_from_env(|name| std::env::var_os(name));
-        for message in rejected {
-            eprintln!("warning: {message}");
-        }
-        Mutex::new(config)
-    })
-}
+/// The cache on, no directory, no verification.
+static CONFIG: Mutex<Config> = Mutex::new(Config {
+    enabled: true,
+    dir: None,
+    verify_fraction: 0.0,
+});
 
 /// A memoized value, type-erased: what the memory tier holds and what a
 /// finished flight hands its joiners.
@@ -377,13 +315,13 @@ impl Drop for FlightGuard {
 /// Enables or disables the whole cache (both tiers). Disabled lookups call
 /// straight through to the compute closure and count as bypasses.
 pub fn set_enabled(enabled: bool) {
-    config().lock().unwrap().enabled = enabled;
+    CONFIG.lock().unwrap().enabled = enabled;
 }
 
 /// Points the persistent tier at `dir` (`None` keeps only the in-memory
 /// registry). The directory is created on first write.
 pub fn set_dir(dir: Option<PathBuf>) {
-    config().lock().unwrap().dir = dir;
+    CONFIG.lock().unwrap().dir = dir;
 }
 
 /// Sets the fraction of hits that verify mode re-simulates (0 disables
@@ -397,7 +335,7 @@ pub fn set_verify_fraction(fraction: f64) {
         (0.0..=1.0).contains(&fraction),
         "cache verify fraction {fraction} is not in [0, 1]"
     );
-    config().lock().unwrap().verify_fraction = fraction;
+    CONFIG.lock().unwrap().verify_fraction = fraction;
 }
 
 /// Drops every in-memory entry (the disk tier is untouched). Benchmarks use
@@ -499,13 +437,13 @@ fn verify_hit(fp: Fingerprint, cached: &[u8], fresh: &[u8]) {
 
 /// Memoizes `compute`'s result under `fp`: looks it up in the memory tier,
 /// then the disk tier, and on a miss runs `compute`, keeps the value in
-/// memory and its `encode`d bytes on disk.
+/// memory and its [`Record`] bytes on disk.
 ///
-/// A memory hit clones the kept value; only a disk hit calls `decode`, and
-/// only a disk store or a verification calls `encode`. A payload that fails
-/// to decode panics, because checksummed bytes under the current
-/// [`ENGINE_VERSION`] can only be undecodable if an encoding changed
-/// without the mandatory version bump.
+/// A memory hit clones the kept value; only a disk hit decodes
+/// ([`Record::from_bytes`]: every byte must be consumed), and only a disk
+/// store or a verification encodes. A payload that fails to decode panics,
+/// because checksummed bytes under the current [`ENGINE_VERSION`] can only
+/// be undecodable if a layout changed without the mandatory version bump.
 ///
 /// The compute closure runs with no cache lock held, so it may fan out
 /// across threads (and those threads may themselves call into the cache).
@@ -524,14 +462,12 @@ fn verify_hit(fp: Fingerprint, cached: &[u8], fresh: &[u8]) {
 /// Panics on an undecodable disk payload; when verify mode re-simulates a
 /// hit and its encoding is not bit-identical to the hit's; and, naming
 /// `fp`, when the memory tier holds a value of another type under `fp`.
-pub fn memoize<T: Clone + Send + Sync + 'static>(
+pub fn memoize<T: Record + Clone + Send + Sync + 'static>(
     fp: Fingerprint,
-    encode: impl Fn(&T) -> Vec<u8>,
-    decode: impl FnOnce(&[u8]) -> Option<T>,
     compute: impl FnOnce() -> T,
 ) -> T {
     let (enabled, verify) = {
-        let c = config().lock().unwrap();
+        let c = CONFIG.lock().unwrap();
         (c.enabled, should_verify(fp, c.verify_fraction))
     };
     if !enabled {
@@ -547,7 +483,7 @@ pub fn memoize<T: Clone + Send + Sync + 'static>(
             bump(Cell::Hits);
             let value = downcast::<T>(fp, &hit);
             if verify {
-                verify_hit(fp, &encode(&value), &encode(&compute()));
+                verify_hit(fp, &value.to_bytes(), &compute().to_bytes());
             }
             return value;
         }
@@ -593,12 +529,12 @@ pub fn memoize<T: Clone + Send + Sync + 'static>(
         }
     };
 
-    let dir = config().lock().unwrap().dir.clone();
+    let dir = CONFIG.lock().unwrap().dir.clone();
     if let Some(dir) = dir.as_deref() {
         if let Some(bytes) = DiskStore::new(dir).load(fp) {
             bump(Cell::Hits);
             bump(Cell::DiskHits);
-            let value = decode(&bytes).unwrap_or_else(|| {
+            let value = T::from_bytes(&bytes).unwrap_or_else(|| {
                 panic!(
                     "cache payload for {fp} does not decode ({} bytes): a payload \
                      encoding changed without bumping ENGINE_VERSION",
@@ -606,7 +542,7 @@ pub fn memoize<T: Clone + Send + Sync + 'static>(
                 )
             });
             if verify {
-                verify_hit(fp, &bytes, &encode(&compute()));
+                verify_hit(fp, &bytes, &compute().to_bytes());
             }
             guard.finish(Arc::new(value.clone()));
             return value;
@@ -616,7 +552,7 @@ pub fn memoize<T: Clone + Send + Sync + 'static>(
     bump(Cell::Misses);
     let value = compute();
     if let Some(dir) = dir.as_deref() {
-        if DiskStore::new(dir).store(fp, &encode(&value)) {
+        if DiskStore::new(dir).store(fp, &value.to_bytes()) {
             bump(Cell::Stores);
         }
     }
@@ -628,12 +564,21 @@ pub fn memoize<T: Clone + Send + Sync + 'static>(
 /// tier keeps the bytes as they are, and the disk tier stores them
 /// verbatim.
 pub fn get_or_compute(fp: Fingerprint, compute: impl FnOnce() -> Vec<u8>) -> Arc<[u8]> {
-    memoize(
-        fp,
-        |bytes: &Arc<[u8]>| bytes.to_vec(),
-        |bytes| Some(bytes.into()),
-        || compute().into(),
-    )
+    memoize(fp, || Raw(compute().into())).0
+}
+
+/// [`get_or_compute`]'s record: bytes that are their own layout.
+#[derive(Clone)]
+struct Raw(Arc<[u8]>);
+
+impl Record for Raw {
+    fn put(&self, buf: &mut CanonBuf) {
+        self.0.iter().for_each(|&b| buf.push_u8(b));
+    }
+
+    fn get(r: &mut CanonReader<'_>) -> Option<Self> {
+        Some(Raw(std::iter::from_fn(|| r.read_u8()).collect()))
+    }
 }
 
 /// The persistent tier: one framed, checksummed record file per
@@ -722,76 +667,6 @@ impl DiskStore {
         }
         ok
     }
-
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-}
-
-/// A window's eight raw counters in payload order — the one place that
-/// order is written down ([`counters_from_array`] is its inverse).
-pub fn counters_to_array(c: &gpu_types::MemCounters) -> [u64; 8] {
-    [
-        c.l1_accesses,
-        c.l1_misses,
-        c.l2_accesses,
-        c.l2_misses,
-        c.dram_bytes,
-        c.row_hits,
-        c.row_misses,
-        c.warp_insts,
-    ]
-}
-
-/// Rebuilds the counters [`counters_to_array`] flattened.
-pub fn counters_from_array(v: [u64; 8]) -> gpu_types::MemCounters {
-    let [l1_accesses, l1_misses, l2_accesses, l2_misses, dram_bytes, row_hits, row_misses, warp_insts] =
-        v;
-    gpu_types::MemCounters {
-        l1_accesses,
-        l1_misses,
-        l2_accesses,
-        l2_misses,
-        dram_bytes,
-        row_hits,
-        row_misses,
-        warp_insts,
-    }
-}
-
-/// Appends one [`AppWindow`](gpu_types::AppWindow) to a payload: the eight
-/// raw counters, the window length and the peak-bandwidth normalizer, all
-/// exact (floats as bit patterns). Payload helpers live here so every
-/// memoized entry point (alone profiles, sweeps, evaluator results) encodes
-/// windows identically.
-pub fn push_window(buf: &mut CanonBuf, w: &gpu_types::AppWindow) {
-    for v in counters_to_array(&w.counters) {
-        buf.push_u64(v);
-    }
-    buf.push_u64(w.cycles);
-    buf.push_f64(w.peak_bw_bytes_per_cycle);
-}
-
-/// Reads one window written by [`push_window`]; `None` on truncation or an
-/// invalid (empty) window.
-pub fn read_window(r: &mut gpu_types::CanonReader<'_>) -> Option<gpu_types::AppWindow> {
-    let mut counters = [0u64; 8];
-    for v in &mut counters {
-        *v = r.read_u64()?;
-    }
-    let cycles = r.read_u64()?;
-    let peak = r.read_f64()?;
-    // `AppWindow::new` requires positive cycles and peak bandwidth; a NaN
-    // peak (not greater than zero) is rejected here too.
-    if cycles == 0 || peak.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-        return None;
-    }
-    Some(gpu_types::AppWindow::new(
-        counters_from_array(counters),
-        cycles,
-        peak,
-    ))
 }
 
 #[cfg(test)]
@@ -858,78 +733,5 @@ mod tests {
         );
         let n = picked.iter().filter(|&&p| p).count();
         assert!(n > 0 && n < 64, "sampled {n}/64 at fraction {f}");
-    }
-
-    /// [`config_from_env`] over the given variables (all others unset).
-    fn env(vars: &[(&str, &str)]) -> (Config, Vec<String>) {
-        config_from_env(|name| {
-            vars.iter()
-                .find(|(n, _)| *n == name)
-                .map(|(_, v)| OsString::from(v))
-        })
-    }
-
-    #[test]
-    fn unset_environment_is_the_default_config() {
-        let (config, rejected) = env(&[]);
-        assert_eq!(
-            config,
-            Config {
-                enabled: true,
-                dir: None,
-                verify_fraction: 0.0
-            }
-        );
-        assert!(rejected.is_empty());
-    }
-
-    #[test]
-    fn cache_switch_takes_the_usual_spellings_and_rejects_the_rest() {
-        for off in ["0", "false", "off", "no", " OFF "] {
-            let (config, rejected) = env(&[("EBM_CACHE", off)]);
-            assert!(!config.enabled && rejected.is_empty(), "{off:?}");
-        }
-        for on in ["1", "true", "on", "yes"] {
-            let (config, rejected) = env(&[("EBM_CACHE", on)]);
-            assert!(config.enabled && rejected.is_empty(), "{on:?}");
-        }
-        let (config, rejected) = env(&[("EBM_CACHE", "maybe")]);
-        assert!(config.enabled);
-        assert_eq!(rejected.len(), 1);
-        assert!(
-            rejected[0].contains("EBM_CACHE=\"maybe\"")
-                && rejected[0].contains("using the cache on"),
-            "{}",
-            rejected[0]
-        );
-    }
-
-    #[test]
-    fn empty_cache_dir_is_rejected() {
-        let (config, rejected) = env(&[("EBM_CACHE_DIR", "")]);
-        assert_eq!(config.dir, None);
-        assert!(rejected[0].contains("EBM_CACHE_DIR=\"\" (an empty path)"));
-        let (config, rejected) = env(&[("EBM_CACHE_DIR", "some/dir")]);
-        assert_eq!(config.dir.as_deref(), Some(Path::new("some/dir")));
-        assert!(rejected.is_empty());
-    }
-
-    #[test]
-    fn verify_fraction_must_be_a_number_in_the_unit_interval() {
-        let (config, rejected) = env(&[("EBM_CACHE_VERIFY", "0.25")]);
-        assert_eq!((config.verify_fraction, rejected.len()), (0.25, 0));
-        // NaN would survive a clamp and then never verify; garbage used to
-        // mean 0 silently; out-of-range fractions are what the CLI refuses.
-        for bad in ["nan", "NaN", "often", "", "1.5", "-0.1", "inf"] {
-            let (config, rejected) = env(&[("EBM_CACHE_VERIFY", bad)]);
-            assert_eq!(config.verify_fraction, 0.0, "{bad:?}");
-            assert_eq!(rejected.len(), 1, "{bad:?}");
-            assert!(
-                rejected[0].contains(&format!("EBM_CACHE_VERIFY={bad:?}"))
-                    && rejected[0].contains("using 0, no verification"),
-                "{}",
-                rejected[0]
-            );
-        }
     }
 }

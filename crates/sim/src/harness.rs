@@ -5,7 +5,7 @@ use crate::machine::{Gpu, PartitionTelemetry};
 use crate::metrics::MetricsRegistry;
 use crate::trace::{NullSink, StallBreakdown, TraceEvent, TraceSink};
 use gpu_simt::CoreStats;
-use gpu_types::canon::{Canon, CanonBuf, CanonReader};
+use gpu_types::canon::{Canon, CanonBuf};
 use gpu_types::{AppId, AppWindow, GpuConfig, MemCounters, TlpCombo, TlpLevel};
 use gpu_workloads::AppProfile;
 
@@ -158,8 +158,7 @@ impl FixedRunInputs<'_> {
     pub fn fingerprint(&self, combo: &TlpCombo, spec: RunSpec) -> gpu_types::Fingerprint {
         let mut key = crate::cache::KeyBuilder::new("fixed");
         self.push_key(&mut key);
-        key.push(combo);
-        key.push(&spec);
+        key.push(combo).push(&spec);
         key.finish()
     }
 }
@@ -175,27 +174,7 @@ pub fn measure_fixed_cached(
     spec: RunSpec,
 ) -> Vec<AppWindow> {
     let fp = inputs.fingerprint(combo, spec);
-    crate::cache::memoize(
-        fp,
-        |windows: &Vec<AppWindow>| {
-            let mut buf = CanonBuf::new();
-            buf.push_usize(windows.len());
-            for w in windows {
-                crate::cache::push_window(&mut buf, w);
-            }
-            buf.into_bytes()
-        },
-        |bytes| {
-            let mut r = CanonReader::new(bytes);
-            let n = r.read_usize()?;
-            let mut windows = Vec::with_capacity(n);
-            for _ in 0..n {
-                windows.push(crate::cache::read_window(&mut r)?);
-            }
-            r.is_empty().then_some(windows)
-        },
-        || measure_fixed(&mut inputs.build(), combo, spec),
-    )
+    crate::cache::memoize(fp, || measure_fixed(&mut inputs.build(), combo, spec))
 }
 
 /// The Fig. 8 designated-sampling estimate held against exact aggregation:
@@ -244,30 +223,10 @@ pub fn sampling_error_cached(
 ) -> Vec<f64> {
     let mut key = crate::cache::KeyBuilder::new("sampling");
     inputs.push_key(&mut key);
-    key.push(combo);
-    key.push(&spec);
-    key.push_u64(n_windows);
-    crate::cache::memoize(
-        key.finish(),
-        |errs: &Vec<f64>| {
-            let mut buf = CanonBuf::new();
-            buf.push_usize(errs.len());
-            for &e in errs {
-                buf.push_f64(e);
-            }
-            buf.into_bytes()
-        },
-        |bytes| {
-            let mut r = CanonReader::new(bytes);
-            let n = r.read_usize()?;
-            let mut errs = Vec::with_capacity(n);
-            for _ in 0..n {
-                errs.push(r.read_f64()?);
-            }
-            r.is_empty().then_some(errs)
-        },
-        || sampling_error(&mut inputs.build(), combo, spec, n_windows),
-    )
+    key.push(combo).push(&spec).push_u64(n_windows);
+    crate::cache::memoize(key.finish(), || {
+        sampling_error(&mut inputs.build(), combo, spec, n_windows)
+    })
 }
 
 /// Result of a controlled (policy-driven) run.

@@ -17,9 +17,10 @@
 //!   parallelism axis: one simulation steps on one thread;
 //! * [`cache`] — content-addressed memoization of deterministic results:
 //!   a stable 128-bit fingerprint of each simulation's inputs keys an
-//!   in-process registry plus a persistent on-disk store
-//!   (`EBM_CACHE_DIR`), with versioned invalidation ([`cache::ENGINE_VERSION`])
-//!   and a verify mode that re-simulates sampled hits;
+//!   in-process registry of values plus a persistent on-disk store of
+//!   their [`gpu_types::Record`] bytes, with versioned invalidation
+//!   ([`cache::ENGINE_VERSION`]) and a verify mode that re-simulates sampled
+//!   hits;
 //! * [`timeq`] — the table of per-component wake times the event-driven
 //!   engine jumps between ([`timeq::TimeQ`]);
 //! * [`trace`] — the structured, zero-cost-when-disabled observability

@@ -9,7 +9,7 @@
 
 use gpu_sim::cache::{get_or_compute, memoize, DiskStore, KeyBuilder, ENGINE_VERSION};
 use gpu_sim::harness::RunSpec;
-use gpu_types::canon::{fingerprint, Fingerprint};
+use gpu_types::canon::{fingerprint, CanonBuf, CanonReader, Fingerprint, Record};
 use gpu_types::GpuConfig;
 use gpu_workloads::by_name;
 use std::path::PathBuf;
@@ -24,14 +24,22 @@ fn memory_turn() -> std::sync::MutexGuard<'static, ()> {
     MEMORY.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A `u64` payload's bytes.
-fn encode_u64(v: &u64) -> Vec<u8> {
-    v.to_le_bytes().to_vec()
-}
+/// Times a [`Counted`] record has been decoded.
+static DECODES: AtomicUsize = AtomicUsize::new(0);
 
-/// Reads back [`encode_u64`]'s bytes.
-fn decode_u64(bytes: &[u8]) -> Option<u64> {
-    Some(u64::from_le_bytes(bytes.try_into().ok()?))
+/// A `u64` record that counts its decodes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Counted(u64);
+
+impl Record for Counted {
+    fn put(&self, buf: &mut CanonBuf) {
+        self.0.put(buf);
+    }
+
+    fn get(r: &mut CanonReader<'_>) -> Option<Self> {
+        DECODES.fetch_add(1, Ordering::SeqCst);
+        u64::get(r).map(Counted)
+    }
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -290,31 +298,28 @@ fn failed_leader_lets_joiners_retry() {
 }
 
 /// The memory tier holds values: a hit clones the kept value, so neither
-/// `decode` nor `compute` runs again.
+/// `Record::get` nor `compute` runs again.
 #[test]
 fn a_memory_hit_never_decodes() {
     let _turn = memory_turn();
     let fp = Fingerprint(0x5F5F_0000_0000_0003);
-    let (computes, decodes) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let computes = AtomicUsize::new(0);
     let read = || {
-        memoize(
-            fp,
-            encode_u64,
-            |bytes| {
-                decodes.fetch_add(1, Ordering::SeqCst);
-                decode_u64(bytes)
-            },
-            || {
-                computes.fetch_add(1, Ordering::SeqCst);
-                42u64
-            },
-        )
+        memoize(fp, || {
+            computes.fetch_add(1, Ordering::SeqCst);
+            Counted(42)
+        })
     };
     let before = gpu_sim::cache::stats();
-    assert_eq!([read(), read(), read()], [42; 3]);
+    let decodes = DECODES.load(Ordering::SeqCst);
+    assert_eq!([read(), read(), read()], [Counted(42); 3]);
     let after = gpu_sim::cache::stats();
     assert_eq!(computes.load(Ordering::SeqCst), 1, "one miss computes");
-    assert_eq!(decodes.load(Ordering::SeqCst), 0, "a memory hit decoded");
+    assert_eq!(
+        DECODES.load(Ordering::SeqCst),
+        decodes,
+        "a memory hit decoded"
+    );
     assert_eq!(
         (after.misses - before.misses, after.hits - before.hits),
         (1, 2)
@@ -356,14 +361,19 @@ fn verify_mode_recomputes_memory_hits_and_panics_on_a_mismatch() {
     let computes = AtomicUsize::new(0);
     let compute = |v: u64| {
         computes.fetch_add(1, Ordering::SeqCst);
-        v
+        Counted(v)
     };
-    assert_eq!(memoize(fp, encode_u64, decode_u64, || compute(7)), 7);
+    assert_eq!(memoize(fp, || compute(7)), Counted(7));
 
     let _verify = VerifyEveryHit::on();
     let before = gpu_sim::cache::stats().verified;
-    let no_decode = |_: &[u8]| -> Option<u64> { panic!("a memory hit decoded") };
-    assert_eq!(memoize(fp, encode_u64, no_decode, || compute(7)), 7);
+    let decodes = DECODES.load(Ordering::SeqCst);
+    assert_eq!(memoize(fp, || compute(7)), Counted(7));
+    assert_eq!(
+        DECODES.load(Ordering::SeqCst),
+        decodes,
+        "a memory hit decoded"
+    );
     assert_eq!(
         computes.load(Ordering::SeqCst),
         2,
@@ -371,7 +381,7 @@ fn verify_mode_recomputes_memory_hits_and_panics_on_a_mismatch() {
     );
     assert_eq!(gpu_sim::cache::stats().verified - before, 1);
 
-    let caught = std::panic::catch_unwind(|| memoize(fp, encode_u64, decode_u64, || 8u64));
+    let caught = std::panic::catch_unwind(|| memoize(fp, || Counted(8)));
     let text = panic_text(caught.expect_err("a mismatched re-computation must panic"));
     assert!(
         text.contains("cache verification failed") && text.contains(&fp.to_hex()),
@@ -385,18 +395,47 @@ fn verify_mode_recomputes_memory_hits_and_panics_on_a_mismatch() {
 fn reading_a_fingerprint_as_another_type_panics_and_names_it() {
     let _turn = memory_turn();
     let fp = Fingerprint(0x5F5F_0000_0000_0006);
-    assert_eq!(memoize(fp, encode_u64, decode_u64, || 5u64), 5);
-    let caught = std::panic::catch_unwind(|| {
-        memoize(
-            fp,
-            |s: &String| s.clone().into_bytes(),
-            |b| String::from_utf8(b.to_vec()).ok(),
-            || "five".to_string(),
-        )
-    });
+    assert_eq!(memoize(fp, || 5u64), 5);
+    let caught = std::panic::catch_unwind(|| memoize(fp, || vec![5.0f64]));
     let text = panic_text(caught.expect_err("a second type must panic"));
     assert!(
-        text.contains(&fp.to_hex()) && text.contains("String"),
+        text.contains(&fp.to_hex()) && text.contains("Vec<f64>"),
+        "{text}"
+    );
+}
+
+/// A disk hit decodes the stored record with `Record::get`, which must
+/// consume every byte: a payload with a byte to spare panics, naming the
+/// fingerprint.
+#[test]
+fn a_disk_hit_decodes_the_whole_record() {
+    let _turn = memory_turn();
+    let dir = temp_dir("disk_hit");
+    let fp = Fingerprint(0x5F5F_0000_0000_0007);
+    gpu_sim::cache::set_dir(Some(dir.clone()));
+    assert_eq!(memoize(fp, || Counted(3)), Counted(3));
+    assert_eq!(
+        DiskStore::new(&dir).load(fp),
+        Some(3u64.to_le_bytes().to_vec()),
+        "a miss stores the record's bytes"
+    );
+
+    gpu_sim::cache::clear_memory();
+    let (before, decodes) = (gpu_sim::cache::stats(), DECODES.load(Ordering::SeqCst));
+    assert_eq!(memoize(fp, || Counted(4)), Counted(3), "served from disk");
+    assert_eq!(DECODES.load(Ordering::SeqCst), decodes + 1);
+    assert_eq!(gpu_sim::cache::stats().disk_hits - before.disk_hits, 1);
+
+    gpu_sim::cache::clear_memory();
+    let mut longer = 3u64.to_le_bytes().to_vec();
+    longer.push(0);
+    assert!(DiskStore::new(&dir).store(fp, &longer));
+    let caught = std::panic::catch_unwind(|| memoize(fp, || Counted(3)));
+    gpu_sim::cache::set_dir(None);
+    let _ = std::fs::remove_dir_all(&dir);
+    let text = panic_text(caught.expect_err("a record with a byte to spare must panic"));
+    assert!(
+        text.contains("does not decode") && text.contains(&fp.to_hex()),
         "{text}"
     );
 }

@@ -18,6 +18,11 @@
 //! [`CanonReader`] is the inverse of [`CanonBuf`] and is deliberately
 //! forgiving: every read returns `Option` so that a truncated or corrupt
 //! cache payload decodes to `None` instead of panicking.
+//!
+//! A cached *value* states its layout once, as a [`Record`]: `put` writes
+//! it to a [`CanonBuf`] and `get` reads it back. The generic impls below
+//! (numbers, TLP levels and combinations, vectors, pairs) compose into
+//! every payload the cache stores.
 
 use crate::config::{
     CacheConfig, DramConfig, GpuConfig, PagePolicy, SamplingConfig, WarpSchedPolicy,
@@ -178,6 +183,103 @@ impl<'a> CanonReader<'a> {
     }
 }
 
+/// A value with one byte layout: how a memoized result is stored.
+///
+/// `get` is the inverse of `put` and fails soft — `None` on truncation or
+/// on a value the type cannot hold — so a corrupt payload never panics.
+pub trait Record: Sized {
+    /// Appends this value's bytes to `buf`.
+    fn put(&self, buf: &mut CanonBuf);
+
+    /// Reads one value written by [`Record::put`].
+    fn get(r: &mut CanonReader<'_>) -> Option<Self>;
+
+    /// This value's bytes.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = CanonBuf::new();
+        self.put(&mut buf);
+        buf.into_bytes()
+    }
+
+    /// The value `bytes` hold, which must be all of them: trailing bytes
+    /// are as corrupt as missing ones.
+    fn from_bytes(bytes: &[u8]) -> Option<Self> {
+        let mut r = CanonReader::new(bytes);
+        let v = Self::get(&mut r)?;
+        r.is_empty().then_some(v)
+    }
+}
+
+/// A number is its [`CanonBuf`] primitive.
+macro_rules! primitive_record {
+    ($($t:ty: $push:ident, $read:ident;)*) => {$(
+        impl Record for $t {
+            fn put(&self, buf: &mut CanonBuf) {
+                buf.$push(*self);
+            }
+
+            fn get(r: &mut CanonReader<'_>) -> Option<Self> {
+                r.$read()
+            }
+        }
+    )*};
+}
+
+primitive_record! {
+    u64: push_u64, read_u64;
+    usize: push_usize, read_usize;
+    f64: push_f64, read_f64;
+}
+
+/// Its [`Canon`] bytes; a level outside `1..=24` is corrupt.
+impl Record for TlpLevel {
+    fn put(&self, buf: &mut CanonBuf) {
+        self.canon(buf);
+    }
+
+    fn get(r: &mut CanonReader<'_>) -> Option<Self> {
+        TlpLevel::new(r.read_u32()?)
+    }
+}
+
+/// Its [`Canon`] bytes, which are its levels' `Vec` record; an empty
+/// combination is corrupt.
+impl Record for TlpCombo {
+    fn put(&self, buf: &mut CanonBuf) {
+        self.canon(buf);
+    }
+
+    fn get(r: &mut CanonReader<'_>) -> Option<Self> {
+        let levels = Vec::<TlpLevel>::get(r).filter(|levels| !levels.is_empty());
+        levels.map(TlpCombo::new)
+    }
+}
+
+/// A `usize` length, then the items.
+impl<T: Record> Record for Vec<T> {
+    fn put(&self, buf: &mut CanonBuf) {
+        buf.push_usize(self.len());
+        for v in self {
+            v.put(buf);
+        }
+    }
+
+    fn get(r: &mut CanonReader<'_>) -> Option<Self> {
+        (0..r.read_usize()?).map(|_| T::get(r)).collect()
+    }
+}
+
+impl<A: Record, B: Record> Record for (A, B) {
+    fn put(&self, buf: &mut CanonBuf) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+
+    fn get(r: &mut CanonReader<'_>) -> Option<Self> {
+        Some((A::get(r)?, B::get(r)?))
+    }
+}
+
 /// A 128-bit content fingerprint; the cache key of a memoized simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fingerprint(pub u128);
@@ -326,6 +428,87 @@ impl Canon for GpuConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::{AppWindow, MemCounters};
+
+    /// `v` reads back from its own bytes, and neither a proper prefix of
+    /// them nor a longer run of bytes decodes.
+    fn assert_record<T: Record + PartialEq + fmt::Debug>(v: &T) -> Vec<u8> {
+        let bytes = v.to_bytes();
+        assert_eq!(T::from_bytes(&bytes).as_ref(), Some(v));
+        for cut in 0..bytes.len() {
+            assert_eq!(T::from_bytes(&bytes[..cut]), None, "{v:?} cut at {cut}");
+        }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert_eq!(T::from_bytes(&longer), None, "{v:?} with a trailing byte");
+        bytes
+    }
+
+    fn level(l: u32) -> TlpLevel {
+        TlpLevel::new(l).unwrap()
+    }
+
+    #[test]
+    fn generic_records_round_trip_in_their_canon_layouts() {
+        assert_eq!(assert_record(&7u64), 7u64.to_le_bytes());
+        assert_eq!(assert_record(&9usize), 9u64.to_le_bytes());
+        assert_eq!(assert_record(&-0.0f64), (-0.0f64).to_bits().to_le_bytes());
+        let canon = |v: &dyn Canon| {
+            let mut buf = CanonBuf::new();
+            v.canon(&mut buf);
+            buf.into_bytes()
+        };
+        assert_eq!(assert_record(&level(6)), canon(&level(6)));
+        let combo = TlpCombo::pair(level(2), level(24));
+        assert_eq!(assert_record(&combo), canon(&combo));
+        // A vector is its length, then its items; a pair is its halves.
+        let trace = vec![(3u64, vec![level(1), level(8)]), (5, vec![])];
+        let bytes = assert_record(&trace);
+        assert_eq!(bytes.len(), 8 + (8 + 8 + 2 * 4) + (8 + 8));
+        assert_eq!(bytes[..8], 2u64.to_le_bytes());
+        assert_eq!(assert_record(&Vec::<f64>::new()), 0u64.to_le_bytes());
+    }
+
+    #[test]
+    fn window_records_hold_counters_cycles_then_peak() {
+        let counters = MemCounters {
+            l1_accesses: 1,
+            l1_misses: 2,
+            l2_accesses: 3,
+            l2_misses: 4,
+            dram_bytes: 5,
+            row_hits: 6,
+            row_misses: 7,
+            warp_insts: 8,
+        };
+        let words: Vec<u8> = (1..=8u64).flat_map(u64::to_le_bytes).collect();
+        assert_eq!(assert_record(&counters), words);
+        let w = AppWindow::new(counters, 1_000, 12.5);
+        let bytes = assert_record(&w);
+        assert_eq!(bytes[..64], words[..]);
+        assert_eq!(bytes[64..72], 1_000u64.to_le_bytes());
+        assert_eq!(bytes[72..], 12.5f64.to_bits().to_le_bytes());
+        assert_record(&vec![w, w]);
+    }
+
+    #[test]
+    fn records_refuse_values_their_types_cannot_hold() {
+        let window = |cycles: u64, peak: f64| {
+            let mut buf = CanonBuf::new();
+            MemCounters::default().put(&mut buf);
+            buf.push_u64(cycles);
+            buf.push_f64(peak);
+            AppWindow::from_bytes(buf.as_bytes())
+        };
+        assert!(window(10, 1.0).is_some());
+        for (cycles, peak) in [(0, 1.0), (10, 0.0), (10, -1.0), (10, f64::NAN)] {
+            assert_eq!(window(cycles, peak), None, "{cycles} cycles, peak {peak}");
+        }
+        for l in [0u32, 25] {
+            assert_eq!(TlpLevel::from_bytes(&l.to_le_bytes()), None, "level {l}");
+        }
+        assert_eq!(TlpCombo::from_bytes(&0u64.to_le_bytes()), None, "no levels");
+    }
 
     #[test]
     fn primitives_round_trip() {

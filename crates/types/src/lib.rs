@@ -34,7 +34,7 @@ pub mod tlp;
 
 pub use addr::{Address, LINE_SIZE};
 pub use bits::BitSet;
-pub use canon::{fingerprint, Canon, CanonBuf, CanonReader, Fingerprint};
+pub use canon::{fingerprint, Canon, CanonBuf, CanonReader, Fingerprint, Record};
 pub use config::{
     CacheConfig, ConfigError, DramConfig, GpuConfig, PagePolicy, SamplingConfig, WarpSchedPolicy,
 };

@@ -8,6 +8,7 @@
 //! combined miss rate CMR, attained bandwidth BW and effective bandwidth
 //! EB = BW / CMR.
 
+use crate::canon::{CanonBuf, CanonReader, Record};
 use std::ops::{Add, AddAssign, Sub};
 
 /// Raw event counts attributed to one application.
@@ -64,6 +65,37 @@ impl MemCounters {
         } else {
             self.row_hits as f64 / total as f64
         }
+    }
+}
+
+/// The eight counters in declaration order.
+impl Record for MemCounters {
+    fn put(&self, buf: &mut CanonBuf) {
+        for v in [
+            self.l1_accesses,
+            self.l1_misses,
+            self.l2_accesses,
+            self.l2_misses,
+            self.dram_bytes,
+            self.row_hits,
+            self.row_misses,
+            self.warp_insts,
+        ] {
+            buf.push_u64(v);
+        }
+    }
+
+    fn get(r: &mut CanonReader<'_>) -> Option<Self> {
+        Some(MemCounters {
+            l1_accesses: r.read_u64()?,
+            l1_misses: r.read_u64()?,
+            l2_accesses: r.read_u64()?,
+            l2_misses: r.read_u64()?,
+            dram_bytes: r.read_u64()?,
+            row_hits: r.read_u64()?,
+            row_misses: r.read_u64()?,
+            warp_insts: r.read_u64()?,
+        })
     }
 }
 
@@ -192,6 +224,21 @@ impl AppWindow {
         let l2mr = self.counters.l2_miss_rate();
         let floor = 1.0 / (1 + self.counters.l2_accesses) as f64;
         self.attained_bw() / l2mr.max(floor)
+    }
+}
+
+/// The counters, the window length, then the peak-bandwidth normalizer
+/// (exact: a float is its bit pattern). What [`AppWindow::new`] refuses —
+/// an empty window, a peak that is not positive (NaN included) — is
+/// corrupt.
+impl Record for AppWindow {
+    fn put(&self, buf: &mut CanonBuf) {
+        (self.counters, (self.cycles, self.peak_bw_bytes_per_cycle)).put(buf);
+    }
+
+    fn get(r: &mut CanonReader<'_>) -> Option<Self> {
+        let (counters, (cycles, peak)) = <(MemCounters, (u64, f64))>::get(r)?;
+        (cycles > 0 && peak > 0.0).then(|| AppWindow::new(counters, cycles, peak))
     }
 }
 

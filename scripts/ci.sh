@@ -66,8 +66,8 @@ echo "docs gates OK"
 
 echo "== result cache round trip (experiments --quick twice, one cache dir) =="
 mkdir "$TMP/cold" "$TMP/warm"
-EBM_CACHE_DIR="$TMP/cache" experiments --trace "$TMP/cold.jsonl" --out "$TMP/cold" 2> "$TMP/cold/stderr.log"
-EBM_CACHE_DIR="$TMP/cache" experiments --out "$TMP/warm" 2> "$TMP/warm/stderr.log"
+experiments --cache-dir "$TMP/cache" --trace "$TMP/cold.jsonl" --out "$TMP/cold" 2> "$TMP/cold/stderr.log"
+experiments --cache-dir "$TMP/cache" --out "$TMP/warm" 2> "$TMP/warm/stderr.log"
 grep '\] cache: ' "$TMP/warm/stderr.log"
 # The warm run must be served by the cache...
 if grep -q '\] cache: .*hit rate 0\.000' "$TMP/warm/stderr.log"; then
@@ -89,7 +89,7 @@ echo "cache round trip OK: warm run simulated nothing and reproduced every repor
 trace_tools validate "$TMP/cold.jsonl"
 
 echo "== campaign scheduler gate (experiments --quick serial vs scheduled, byte-compared at 1/2/4 workers) =="
-# No EBM_CACHE_DIR: each process starts cold, so the scheduled runs
+# No --cache-dir: each process starts cold, so the scheduled runs
 # genuinely execute the work graph. The serial walk of the plan is the
 # reference the scheduler is held to, byte for byte, at every pool width;
 # so is its run report, whose default sections are deterministic.
@@ -99,7 +99,7 @@ trace_tools validate "$TMP/serial.jsonl"
 trace_tools report "$TMP/serial.jsonl" > "$TMP/report.txt"
 for T in 1 2 4; do
   mkdir "$TMP/sched$T"
-  EBM_THREADS=$T EBM_LOG=info experiments --trace "$TMP/sched$T.jsonl" --out "$TMP/sched$T" 2> "$TMP/sched$T/stderr.log"
+  EBM_THREADS=$T experiments --trace "$TMP/sched$T.jsonl" --out "$TMP/sched$T" 2> "$TMP/sched$T/stderr.log"
   grep '\] sched: ' "$TMP/sched$T/stderr.log"
   trace_tools validate "$TMP/sched$T.jsonl"
   DEDUP="$(sed -n 's/.*\] sched:.*[( ]\([0-9][0-9]*\)% deduped.*/\1/p' "$TMP/sched$T/stderr.log")"
@@ -121,15 +121,17 @@ experiments --no-cache --out "$TMP/nocache" 2> "$TMP/nocache/stderr.log"
 same_artifacts "$TMP/serial" "$TMP/nocache"
 echo "memo-less campaign OK: artifacts byte-identical to serial"
 
-echo "== verify gate (experiments --quick --cache-verify 1.0 on alone profiles, sweeps, schemes and PBS runs vs serial) =="
+echo "== verify gate (experiments --quick --cache-verify 1.0 over the warm cache dir: alone profiles, sweeps, schemes and PBS runs vs serial) =="
 # Every hit — the memory tier's values and the disk tier's records alike —
 # is re-simulated and its encoding compared to the hit's; a mismatch
-# panics. fig07 reads alone profiles and a sweep, fig01 four schemes over
-# them, fig11 and the ablation PBS runs (about a second on two workers).
+# panics. Over the round trip's warm directory each first read is a disk
+# hit, so every record these artifacts read is decoded, re-simulated and
+# byte-compared. fig07 reads alone profiles and a sweep, fig01 four
+# schemes over them, fig11 and the ablation PBS runs.
 mkdir "$TMP/verify"
-experiments --cache-verify 1.0 --only fig01,fig07,fig11,ablation --out "$TMP/verify" 2> "$TMP/verify/stderr.log"
-if ! grep -q '\] cache: .* [1-9][0-9]* verified' "$TMP/verify/stderr.log"; then
-  echo "FAIL: --cache-verify 1.0 verified no hit ($(grep '\] cache: ' "$TMP/verify/stderr.log"))" >&2
+experiments --cache-dir "$TMP/cache" --cache-verify 1.0 --only fig01,fig07,fig11,ablation --out "$TMP/verify" 2> "$TMP/verify/stderr.log"
+if ! grep -q '\] cache: [0-9]* hits ([1-9][0-9]* disk), 0 misses, .* [1-9][0-9]* verified' "$TMP/verify/stderr.log"; then
+  echo "FAIL: --cache-verify 1.0 verified no disk record ($(grep '\] cache: ' "$TMP/verify/stderr.log"))" >&2
   exit 1
 fi
 for f in "$TMP/verify"/*; do
