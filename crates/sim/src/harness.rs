@@ -1,12 +1,11 @@
 //! Measurement harness: fixed-combination runs and controlled runs.
 
 use crate::control::{AppObservation, Controller, Decision, Observation};
-use crate::machine::{Gpu, PartitionTelemetry};
-use crate::metrics::MetricsRegistry;
+use crate::machine::{EngineStats, Gpu, PartitionTelemetry};
 use crate::trace::{NullSink, StallBreakdown, TraceEvent, TraceSink};
-use gpu_simt::CoreStats;
+use gpu_simt::{CoreStats, WarpStalls};
 use gpu_types::canon::{Canon, CanonBuf};
-use gpu_types::{AppId, AppWindow, GpuConfig, MemCounters, TlpCombo, TlpLevel};
+use gpu_types::{AppId, AppWindow, GpuConfig, Histogram, MemCounters, TlpCombo, TlpLevel};
 use gpu_workloads::AppProfile;
 
 /// Warmup/measurement lengths for a fixed-combination measurement.
@@ -296,12 +295,18 @@ pub fn run_controlled(
     run_controlled_traced(gpu, controller, total_cycles, measure_from, &mut NullSink)
 }
 
-/// Telemetry snapshots the trace layer differences window-over-window.
-/// Only maintained when the sink is enabled; the simulation never reads it.
+/// What a traced run keeps between windows: the telemetry snapshots and
+/// engine accounting the trace layer differences window-over-window. The
+/// machine's components record the rest (stall breakdowns, DRAM latency
+/// histograms) while tracing turns metrics recording on. Only maintained
+/// when the sink is enabled; the simulation never reads it.
 struct TraceState {
     prev_cycle: u64,
     prev_parts: Vec<PartitionTelemetry>,
     prev_cores: Vec<(AppId, CoreStats)>,
+    /// Engine accounting at the previous window (at tracing start for the
+    /// first), so every window's skip fractions are window-local.
+    prev_engine: EngineStats,
     last_phase: Option<&'static str>,
 }
 
@@ -313,6 +318,7 @@ impl TraceState {
                 .map(|p| gpu.partition_telemetry(p))
                 .collect(),
             prev_cores: (0..gpu.n_cores()).map(|c| gpu.core_telemetry(c)).collect(),
+            prev_engine: gpu.engine_stats(),
             last_phase: None,
         }
     }
@@ -368,6 +374,67 @@ impl TraceState {
         }
         self.prev_cycle = now;
     }
+
+    /// Rolls up the window's machine-wide metrics: takes every app's stall
+    /// breakdown and DRAM latency histogram, samples the occupancy gauges,
+    /// and emits one [`TraceEvent::MetricsWindow`] per application plus
+    /// one machine-wide aggregate (`app: None`) carrying the window's
+    /// engine skip fractions.
+    fn rollover<S: TraceSink + ?Sized>(&mut self, gpu: &mut Gpu, sink: &mut S) {
+        let cycle = gpu.now();
+        let (mut mshr_occ, mut queue_depth) = (Histogram::new(), Histogram::new());
+        gpu.sample_occupancy(&mut mshr_occ, &mut queue_depth);
+        let mut all_stalls = WarpStalls::default();
+        let mut all_lat = Histogram::new();
+        for a in 0..gpu.n_apps() {
+            let app = AppId::new(a as u8);
+            let stalls = gpu.take_warp_stalls(app);
+            let dram_lat = gpu.take_dram_latency(app);
+            all_stalls.merge(&stalls);
+            all_lat.merge(&dram_lat);
+            sink.emit(TraceEvent::MetricsWindow {
+                cycle,
+                app: Some(a as u8),
+                stalls,
+                dram_lat,
+                mshr_occ: Histogram::new(),
+                queue_depth: Histogram::new(),
+                machine_fast_forward_fraction: None,
+                component_idle_skip_fraction: None,
+            });
+        }
+        let (machine_ff, comp_skip) = self.engine_fractions(gpu.engine_stats());
+        sink.emit(TraceEvent::MetricsWindow {
+            cycle,
+            app: None,
+            stalls: all_stalls,
+            dram_lat: all_lat,
+            mshr_occ,
+            queue_depth,
+            machine_fast_forward_fraction: Some(machine_ff),
+            component_idle_skip_fraction: Some(comp_skip),
+        });
+    }
+
+    /// Window-local engine skip fractions: diffs the cumulative
+    /// [`EngineStats`] against the previous window's and reduces the delta
+    /// to the two distinct quantities of the engine's skip accounting —
+    /// whole-machine fast-forwarded cycles over total cycles, and skipped
+    /// component steps over total component steps.
+    fn engine_fractions(&mut self, eng: EngineStats) -> (f64, f64) {
+        let prev = std::mem::replace(&mut self.prev_engine, eng);
+        let cycles = (eng.stepped + eng.fast_forwarded) - (prev.stepped + prev.fast_forwarded);
+        let ff = eng.fast_forwarded - prev.fast_forwarded;
+        let steps = (eng.core_steps + eng.partition_steps + eng.xbar_steps)
+            - (prev.core_steps + prev.partition_steps + prev.xbar_steps);
+        let skipped = (eng.core_steps_skipped
+            + eng.partition_steps_skipped
+            + eng.xbar_steps_skipped)
+            - (prev.core_steps_skipped + prev.partition_steps_skipped + prev.xbar_steps_skipped);
+        let machine_ff = ff as f64 / cycles.max(1) as f64;
+        let comp_skip = skipped as f64 / (steps + skipped).max(1) as f64;
+        (machine_ff, comp_skip)
+    }
 }
 
 /// [`run_controlled`] with a [`TraceSink`] receiving the run's structured
@@ -410,17 +477,12 @@ pub fn run_controlled_traced<S: TraceSink + ?Sized>(
     let mut n_windows = 0;
     let mut window_series = Vec::new();
     // Telemetry baselines exist only when tracing is on; with a `NullSink`
-    // the whole tracing path is dead code.  The metrics registry rides the
-    // same gate: an enabled sink turns on machine-wide metrics recording
-    // (stall breakdowns, latency histograms) for the duration of the run.
+    // the whole tracing path is dead code.  An enabled sink also turns on
+    // machine-wide metrics recording (stall breakdowns, latency histograms)
+    // for the duration of the run.
     let metrics_before = gpu.metrics_enabled();
-    let mut registry = if sink.enabled() {
-        gpu.set_metrics_enabled(true);
-        Some(MetricsRegistry::new())
-    } else {
-        None
-    };
     let mut trace_state = if sink.enabled() {
+        gpu.set_metrics_enabled(true);
         Some(TraceState::capture(gpu))
     } else {
         None
@@ -460,9 +522,7 @@ pub fn run_controlled_traced<S: TraceSink + ?Sized>(
                     });
                 }
                 ts.emit_window(gpu, sink);
-            }
-            if let Some(reg) = registry.as_mut() {
-                reg.rollover(gpu, sink);
+                ts.rollover(gpu, sink);
             }
             let obs_core: Vec<CoreStats> = win_core
                 .iter()
@@ -498,7 +558,7 @@ pub fn run_controlled_traced<S: TraceSink + ?Sized>(
                     let new = gpu.config().clamp_tlp(level);
                     if old != new {
                         changed = true;
-                        if let Some(_ts) = trace_state.as_ref() {
+                        if trace_state.is_some() {
                             sink.emit(TraceEvent::TlpDecision {
                                 cycle: gpu.now(),
                                 app: a as u8,
@@ -659,6 +719,47 @@ mod tests {
         let csv = run.series_csv();
         assert!(csv.starts_with("cycle,app,"));
         assert!(csv.lines().count() as u64 >= run.n_windows * 2);
+    }
+
+    /// The skip fractions of a traced run's first window cover that window
+    /// alone, even on a machine that ran before tracing started.
+    #[test]
+    fn first_traced_window_reports_window_local_engine_fractions() {
+        let (mut traced, mut twin) = (gpu(), gpu());
+        let window = traced.config().sampling.window_cycles;
+        for g in [&mut traced, &mut twin] {
+            g.set_tlp(AppId::new(0), TlpLevel::MIN);
+            g.run(3 * window);
+            g.set_tlp(AppId::new(0), TlpLevel::new(8).unwrap());
+        }
+        let mut sink = crate::trace::RingSink::new(1 << 12);
+        run_controlled_traced(&mut traced, &mut StaticController, window, 0, &mut sink);
+        let first = sink.events().iter().find_map(|e| match e {
+            TraceEvent::MetricsWindow {
+                app: None,
+                machine_fast_forward_fraction: Some(ff),
+                component_idle_skip_fraction: Some(skip),
+                ..
+            } => Some((*ff, *skip)),
+            _ => None,
+        });
+
+        let before = twin.engine_stats();
+        twin.run(window);
+        let after = twin.engine_stats();
+        let steps = |e: EngineStats| e.core_steps + e.partition_steps + e.xbar_steps;
+        let skipped = |e: EngineStats| {
+            e.core_steps_skipped + e.partition_steps_skipped + e.xbar_steps_skipped
+        };
+        let (ran, missed) = (
+            steps(after) - steps(before),
+            skipped(after) - skipped(before),
+        );
+        let want = (
+            (after.fast_forwarded - before.fast_forwarded) as f64 / window as f64,
+            missed as f64 / (ran + missed) as f64,
+        );
+        assert_eq!(first, Some(want));
     }
 
     #[test]

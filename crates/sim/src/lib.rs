@@ -5,7 +5,8 @@
 //! ([`machine::Gpu`]), all cores share the crossbar, the L2 slices and the
 //! GDDR5 channels. On top of the machine this crate provides:
 //!
-//! * [`metrics`] — the SD-based system metrics of Table III (WS, FI, HS);
+//! * [`metrics`] — the SD-based system metrics of Table III (WS, FI, HS)
+//!   and the simulated-cycle counters;
 //! * [`alone`] — alone-run profiling across the TLP ladder, producing each
 //!   application's `bestTLP`, `IPC@bestTLP` and `EB@bestTLP` (Table IV);
 //! * [`control`] — the controller interface TLP-management policies
@@ -29,16 +30,16 @@
 //!   JSONL file). `docs/TRACE_SCHEMA.md` documents the serialized contract.
 //!
 //! Statistics are read where they are kept — [`machine::Gpu::engine_stats`],
-//! [`cache::stats`], the [`metrics`] registry (docs/OBSERVABILITY.md) —
-//! and host speed is measured from outside by `benchmark/`
-//! (`benchmark/README.md`).
+//! [`cache::stats`], the machine-wide metrics the components record and
+//! a traced run's `metrics_window` events roll up, the simulated-cycle
+//! counters of [`metrics`] (docs/OBSERVABILITY.md) — and host speed is
+//! measured from outside by `benchmark/` (`benchmark/README.md`).
 
 #![deny(missing_docs)]
 
 pub mod alone;
 pub mod cache;
 pub mod control;
-pub(crate) mod domain;
 pub mod exec;
 pub mod harness;
 pub mod machine;
@@ -55,5 +56,5 @@ pub use harness::{
     FixedRunInputs, RunSpec,
 };
 pub use machine::Gpu;
-pub use metrics::{fi_of, hs_of, ws_of, MetricsRegistry, SystemMetrics};
+pub use metrics::{fi_of, hs_of, ws_of, SystemMetrics};
 pub use trace::{JsonlSink, NullSink, RingSink, TraceEvent, TraceSink};

@@ -1,8 +1,9 @@
 //! The multi-application GPU machine.
 
+mod engine;
 mod oracle;
 
-use crate::domain::{Core, DirectFabric, Domain, DomainState};
+use engine::WakeState;
 use gpu_mem::req::MemRequest;
 use gpu_mem::{Crossbar, MemoryPartition};
 use gpu_simt::core::EGRESS_CAPACITY;
@@ -12,6 +13,10 @@ use gpu_types::{
 };
 use gpu_workloads::{AppProfile, AppStream};
 use std::collections::VecDeque;
+
+/// The machine's cores: statically dispatched over the one stream type
+/// applications are built from.
+type Core = SimtCore<AppStream>;
 
 /// A GPU running one or more applications on exclusive core partitions
 /// sharing L2 and DRAM (§II-A).
@@ -43,22 +48,21 @@ pub struct Gpu {
     ingress_backlog: Vec<VecDeque<MemRequest>>,
     now: u64,
     /// Whether run spans go to the reference oracle (`machine/oracle.rs`)
-    /// instead of the production engine. Read only by [`Gpu::run`].
+    /// instead of the production engine (`machine/engine.rs`). Read only by
+    /// [`Gpu::run`].
     reference_mode: bool,
-    /// Cycles advanced by stepping at least one component.
-    stepped_cycles: u64,
-    /// Cycles advanced by jumping over event-free stretches.
-    skipped_cycles: u64,
     /// Whether metrics recording is enabled machine-wide (mirrors the
     /// per-component flags; see [`Gpu::set_metrics_enabled`]).
     metrics: bool,
-    /// The engine state kept between run spans (wake times, credit
-    /// watermarks, egress-pending set).
-    domain: DomainState,
-    /// False when the domain's derived state may be stale; the next
-    /// production span re-derives it. Cleared only by
-    /// [`Gpu::invalidate_wake_state`].
+    /// The production engine's state kept between run spans (wake times,
+    /// credit watermarks, egress-pending set, crossbar due cycles).
+    wake: WakeState,
+    /// False when `wake` may be stale; the next production span re-derives
+    /// it. Cleared only by [`Gpu::invalidate_wake_state`].
     wake_valid: bool,
+    /// Cycles advanced by stepping at least one component; the rest of
+    /// `now` was jumped over.
+    stepped_cycles: u64,
     /// Individual core step calls (fast path or full).
     core_steps: u64,
     /// Individual partition step calls.
@@ -228,11 +232,10 @@ impl Gpu {
             cfg: cfg.clone(),
             now: 0,
             reference_mode: false,
-            stepped_cycles: 0,
-            skipped_cycles: 0,
             metrics: false,
-            domain: DomainState::new(total, cfg.n_partitions),
+            wake: WakeState::new(total, cfg.n_partitions),
             wake_valid: false,
+            stepped_cycles: 0,
             core_steps: 0,
             partition_steps: 0,
             xbar_steps: 0,
@@ -310,12 +313,12 @@ impl Gpu {
         self.set_core_knob(app, |core| core.set_ccws(enabled));
     }
 
-    /// Marks the domain's derived engine state — wake times, credit
-    /// watermarks, egress-pending set — stale. The one rule: it is stale
-    /// after anything other than the production engine changed what it was
-    /// derived from, i.e. a knob change (TLP/bypass/CCWS clear core sleep
-    /// states) or a reference-engine stretch. The next production span
-    /// re-derives it.
+    /// Marks the production engine's derived state — wake times, credit
+    /// watermarks, egress-pending set, crossbar due cycles — stale. The one
+    /// rule: it is stale after anything other than the production engine
+    /// changed what it was derived from, i.e. a knob change (TLP/bypass/CCWS
+    /// clear core sleep states) or a reference-engine stretch. The next
+    /// production span re-derives it.
     fn invalidate_wake_state(&mut self) {
         self.wake_valid = false;
     }
@@ -342,35 +345,6 @@ impl Gpu {
         } else {
             self.run_direct(cycles);
         }
-    }
-
-    /// A span of the production engine: the cycle kernel over the direct
-    /// fabric, on the calling thread.
-    fn run_direct(&mut self, cycles: u64) {
-        let (from, end) = (self.now, self.now + cycles);
-        let mut dom = Domain::new(
-            &mut self.domain,
-            &mut self.cores,
-            &mut self.partitions,
-            &mut self.resp_backlog,
-            &mut self.ingress_backlog,
-            &self.cfg,
-        );
-        if !self.wake_valid {
-            dom.derive_wake_state(from);
-            self.wake_valid = true;
-        }
-        let latency = self.cfg.xbar_latency as u64;
-        let mut fabric = DirectFabric::new(&mut self.req_net, &mut self.resp_net, latency, from);
-        dom.advance(from, end, &mut fabric);
-        dom.flush_credits(end);
-        let (core_steps, partition_steps) = dom.state.take_steps();
-        self.core_steps += core_steps;
-        self.partition_steps += partition_steps;
-        self.xbar_steps += fabric.xbar_steps;
-        self.stepped_cycles += fabric.stepped_cycles;
-        self.skipped_cycles += cycles - fabric.stepped_cycles;
-        self.now = end;
     }
 
     // No-op: called only by the frozen benchmark's `domain.*` probe.
@@ -422,9 +396,9 @@ impl Gpu {
     /// Samples machine-wide occupancy gauges into the given histograms:
     /// one L2-MSHR occupancy sample per partition, one queue-depth sample
     /// per partition (L2 ingress + controller queue), and the since-last-
-    /// sample peak in-flight depth of each crossbar.  Called by the
-    /// metrics registry at window rollover; the crossbar peaks are
-    /// re-armed as a side effect (invisible to the simulation).
+    /// sample peak in-flight depth of each crossbar.  Called by a traced
+    /// run at window rollover; the crossbar peaks are re-armed as a side
+    /// effect (invisible to the simulation).
     pub fn sample_occupancy(&mut self, mshr_occ: &mut Histogram, queue_depth: &mut Histogram) {
         for p in &self.partitions {
             let (used, _cap) = p.l2_mshr_occupancy();
@@ -440,10 +414,10 @@ impl Gpu {
     /// component every cycle (`class size × total cycles`); the reference
     /// engine therefore always reports zero skips.
     pub fn engine_stats(&self) -> EngineStats {
-        let total = self.stepped_cycles + self.skipped_cycles;
+        let total = self.now;
         EngineStats {
             stepped: self.stepped_cycles,
-            fast_forwarded: self.skipped_cycles,
+            fast_forwarded: self.now - self.stepped_cycles,
             core_steps: self.core_steps,
             core_steps_skipped: total * self.cores.len() as u64 - self.core_steps,
             partition_steps: self.partition_steps,

@@ -1,12 +1,12 @@
 //! The reference oracle: the seed's naive cycle-by-cycle engine.
 //!
 //! Steps every component every cycle through the original `Vec`-returning
-//! component APIs — no wake times, no idle skipping, no lazy crediting, no
-//! domains. It exists so tests can hold the production engine
-//! (`crate::domain`) to it bit for bit, and it is reached only from
-//! `crates/sim/tests/` (`engine_equivalence.rs`, `span_equivalence.rs`):
-//! no binary, benchmark or library path selects it. [`Gpu::run`]
-//! dispatches here at the top of a span and nowhere else.
+//! component APIs — no wake times, no idle skipping, no lazy crediting. It
+//! exists so tests can hold the production engine (`machine/engine.rs`) to
+//! it bit for bit, and it is reached only from `crates/sim/tests/`
+//! (`engine_equivalence.rs`, `span_equivalence.rs`): no binary, benchmark
+//! or library path selects it. [`Gpu::run`] dispatches here at the top of
+//! a span and nowhere else.
 
 use super::Gpu;
 

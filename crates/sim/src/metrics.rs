@@ -11,6 +11,9 @@
 //! The same combinators applied to EB values yield the paper's EB-WS /
 //! EB-FI / EB-HS runtime metrics, so [`ws_of`], [`fi_of`] and [`hs_of`] are
 //! exposed generically.
+//!
+//! Beside them sit the simulated-cycle counters ([`cycles_simulated`],
+//! [`thread_cycles_simulated`]) the campaign's self-profiler reads.
 
 /// Sum of values (WS when fed slowdowns, EB-WS when fed EBs).
 ///
@@ -130,20 +133,15 @@ pub fn gmean(values: &[f64]) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Machine-wide metrics registry (observability layer)
+// Simulated-cycle counters (observability layer)
 // ---------------------------------------------------------------------------
 
-pub use gpu_simt::WarpStalls;
-pub use gpu_types::{Histogram, HIST_BUCKETS};
-
-use crate::machine::{EngineStats, Gpu};
-use crate::trace::{TraceEvent, TraceSink};
-use gpu_types::AppId;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Process-wide count of simulated cycles, across every [`Gpu`] instance
-/// and worker thread.  The bench self-profiler diffs this around each
-/// span to attribute simulation work to campaign phases.
+/// Process-wide count of simulated cycles, across every
+/// [`Gpu`](crate::Gpu) instance and worker thread.  The bench self-profiler
+/// diffs this around each span to attribute simulation work to campaign
+/// phases.
 static CYCLES_SIMULATED: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
@@ -156,7 +154,8 @@ thread_local! {
 }
 
 /// Adds `n` to the process-wide simulated-cycle counter (called by
-/// [`Gpu::run`], which every `Gpu::step` is a one-cycle span of).
+/// [`Gpu::run`](crate::Gpu::run), which every `Gpu::step` is a one-cycle
+/// span of).
 pub fn add_cycles_simulated(n: u64) {
     CYCLES_SIMULATED.fetch_add(n, Ordering::Relaxed);
     THREAD_CYCLES.with(|c| c.set(c.get() + n));
@@ -171,92 +170,6 @@ pub fn cycles_simulated() -> u64 {
 /// [`cycles_simulated`]).
 pub fn thread_cycles_simulated() -> u64 {
     THREAD_CYCLES.with(|c| c.get())
-}
-
-/// Collects the machine-wide metrics recorded by an instrumented [`Gpu`]
-/// (per-warp stall breakdowns, DRAM request-latency histograms, MSHR /
-/// queue-depth occupancy gauges) and snapshots them into
-/// [`TraceEvent::MetricsWindow`] events at every sampling-window rollover.
-///
-/// Created by `run_controlled_traced` only when the sink is enabled, so a
-/// disabled trace pays nothing.  Counters use take-and-reset semantics:
-/// every window's events carry only that window's samples.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    mshr_occ: Histogram,
-    queue_depth: Histogram,
-    /// Engine accounting at the previous rollover, so each window's
-    /// aggregate record carries window-local skip fractions rather than
-    /// run-cumulative ones. The first window measures from [`Gpu`]
-    /// creation (the counters start at zero with the registry).
-    last_engine: EngineStats,
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Snapshots one sampling window: takes every app's stall breakdown
-    /// and DRAM latency histogram, samples the machine-wide occupancy
-    /// gauges, and emits one per-app [`TraceEvent::MetricsWindow`] per
-    /// application plus one machine-wide aggregate event (`app: None`).
-    pub fn rollover<S: TraceSink + ?Sized>(&mut self, gpu: &mut Gpu, sink: &mut S) {
-        let cycle = gpu.now();
-        gpu.sample_occupancy(&mut self.mshr_occ, &mut self.queue_depth);
-        let mut all_stalls = WarpStalls::default();
-        let mut all_lat = Histogram::new();
-        for a in 0..gpu.n_apps() {
-            let app = AppId::new(a as u8);
-            let stalls = gpu.take_warp_stalls(app);
-            let dram_lat = gpu.take_dram_latency(app);
-            all_stalls.merge(&stalls);
-            all_lat.merge(&dram_lat);
-            sink.emit(TraceEvent::MetricsWindow {
-                cycle,
-                app: Some(a as u8),
-                stalls,
-                dram_lat,
-                mshr_occ: Histogram::new(),
-                queue_depth: Histogram::new(),
-                machine_fast_forward_fraction: None,
-                component_idle_skip_fraction: None,
-            });
-        }
-        let (machine_ff, comp_skip) = self.engine_fractions(gpu.engine_stats());
-        sink.emit(TraceEvent::MetricsWindow {
-            cycle,
-            app: None,
-            stalls: all_stalls,
-            dram_lat: all_lat,
-            mshr_occ: self.mshr_occ.take(),
-            queue_depth: self.queue_depth.take(),
-            machine_fast_forward_fraction: Some(machine_ff),
-            component_idle_skip_fraction: Some(comp_skip),
-        });
-    }
-
-    /// Window-local engine skip fractions: diffs the cumulative
-    /// [`EngineStats`] against the previous rollover's snapshot and
-    /// reduces the delta to the two distinct quantities of the engine's
-    /// skip accounting — whole-machine fast-forwarded cycles over total
-    /// cycles, and skipped component steps over total component steps.
-    fn engine_fractions(&mut self, eng: EngineStats) -> (f64, f64) {
-        let prev = self.last_engine;
-        self.last_engine = eng;
-        let cycles = (eng.stepped + eng.fast_forwarded) - (prev.stepped + prev.fast_forwarded);
-        let ff = eng.fast_forwarded - prev.fast_forwarded;
-        let steps = (eng.core_steps + eng.partition_steps + eng.xbar_steps)
-            - (prev.core_steps + prev.partition_steps + prev.xbar_steps);
-        let skipped = (eng.core_steps_skipped
-            + eng.partition_steps_skipped
-            + eng.xbar_steps_skipped)
-            - (prev.core_steps_skipped + prev.partition_steps_skipped + prev.xbar_steps_skipped);
-        let machine_ff = ff as f64 / cycles.max(1) as f64;
-        let comp_skip = skipped as f64 / (steps + skipped).max(1) as f64;
-        (machine_ff, comp_skip)
-    }
 }
 
 #[cfg(test)]

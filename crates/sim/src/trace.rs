@@ -537,10 +537,11 @@ trace_events! {
         stores: u64,
     }
 
-    /// One sampling window's metrics-registry snapshot (`gpu_sim::metrics`):
-    /// per-warp stall breakdown, DRAM request-latency histogram, and — on
-    /// the machine-wide aggregate record only — the MSHR-occupancy and
-    /// queue-depth gauges sampled at rollover. The two engine fractions
+    /// One sampling window's machine-wide metrics, rolled up by the
+    /// harness's trace state: per-warp stall breakdown, DRAM
+    /// request-latency histogram, and — on the machine-wide aggregate
+    /// record only — the MSHR-occupancy and queue-depth gauges sampled at
+    /// rollover. The two engine fractions
     /// are diagnostics, not simulation state: the per-cycle reference
     /// engine reports 0 where the event engine reports > 0.
     MetricsWindow = "metrics_window", since 3 {

@@ -48,7 +48,7 @@ for W in small-membound small-compute volta-busy campaign-quick; do
 done
 
 echo "== docs gates (the retired intra-sim knob and the hand-kept artifact plan stay gone) =="
-if grep -rnE 'EBM_SIM_THREADS|sim_worker_count|run_windowed' crates docs README.md ARCHITECTURE.md DESIGN.md EXPERIMENTS.md; then
+if grep -rnE 'EBM_SIM_THREADS|sim_worker_count|run_windowed|DirectFabric|DomainState|mod domain' crates docs README.md ARCHITECTURE.md DESIGN.md EXPERIMENTS.md; then
   echo "FAIL: the intra-simulation engine retired in PR 14 is back" >&2
   exit 1
 fi
