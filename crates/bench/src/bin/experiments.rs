@@ -2,8 +2,9 @@
 //! memoizing evaluator, writing each report to `results/<id>.txt`.
 //!
 //! The campaign is compiled into a fingerprint-deduplicated work graph
-//! ([`ebm_bench::campaign::plan`]). By default the scheduler executes it
-//! over the `EBM_THREADS`-wide worker pool, rendering each artifact — in
+//! ([`ebm_bench::campaign::plan`], a function of the flags alone). By
+//! default the scheduler executes it over the `EBM_THREADS`-wide worker
+//! pool, longest static estimate first, rendering each artifact — in
 //! artifact order — as soon as its measurements finish. `--serial` walks
 //! the same plan figure by figure instead, executing no unit (also forced
 //! by `--no-cache`: the scheduler hands results to the renders through
@@ -18,15 +19,13 @@
 //! `docs/TRACE_SCHEMA.md`).
 //!
 //! The campaign profiles itself: every artifact runs inside a
-//! [`ebm_bench::profiler`] span (scheduled runs add one `unit` span per
-//! work unit), and the finished span tree — wall time, simulated cycles,
-//! result-cache hits/misses, worker width per phase — is written to
-//! `results/PROFILE.json` and, when tracing, appended to the trace as
-//! `profile_span` events. The next scheduled run reads that file back as
-//! its cost model, starting the longest-recorded units first. Progress
-//! output is gated by `EBM_LOG` (`off` | `info` | `debug`). A trace write
-//! that fails (a full disk) is reported after the artifacts are saved, and
-//! the run exits with status 1.
+//! [`ebm_bench::profiler`] span, and the finished span tree — wall time,
+//! simulated cycles, result-cache hits/misses, worker width per phase — is
+//! written to `results/PROFILE.json` and, when tracing, appended to the
+//! trace as `profile_span` events; a traced scheduled run records each
+//! work unit once, as a `sched_unit` event. Nothing reads `PROFILE.json`
+//! back. A trace write that fails (a full disk) is reported after the
+//! artifacts are saved, and the run exits with status 1.
 
 use ebm_bench::{campaign, log, profiler, run_and_save, BenchArgs};
 use ebm_core::eval::Evaluator;
@@ -61,13 +60,12 @@ fn main() {
 
     let profile_path = ebm_bench::out_path("PROFILE.json");
     match profiler::write_profile(&profile_path, &spans) {
-        Ok(()) => log!(info, "profile: wrote {}", profile_path.display()),
+        Ok(()) => log!("profile: wrote {}", profile_path.display()),
         Err(e) => eprintln!("error: cannot write {}: {e}", profile_path.display()),
     }
 
     let stats = gpu_sim::cache::stats();
     log!(
-        info,
         "cache: {} hits ({} disk), {} misses, {} bypasses, {} stores, \
          {} verified, hit rate {:.3}",
         stats.hits,
@@ -78,7 +76,7 @@ fn main() {
         stats.verified,
         stats.hit_rate()
     );
-    log!(info, "campaign completed in {:?}", t0.elapsed());
+    log!("campaign completed in {:?}", t0.elapsed());
 
     // The artifacts are saved; a trace that lost lines still fails the run.
     if let Some(sink) = &jsonl {

@@ -277,9 +277,10 @@ const TOP_SPANS: usize = 20;
 
 /// Renders the top-`top_n` profiler spans by wall time: where a campaign
 /// actually spent its time, at what simulation rate, and how often the
-/// result cache served it. In a scheduled campaign there is one `unit`
-/// span per work unit — the same labels the scheduler's cost model reads
-/// back. `spans` are `PROFILE.json` span objects or `profile_span` trace
+/// result cache served it: the campaign → figure → sweep → run tree (a
+/// work unit's timing is its `sched_unit` record; traces and profiles
+/// written before that also hold `unit` spans, shown like any other).
+/// `spans` are `PROFILE.json` span objects or `profile_span` trace
 /// records: the same fields.
 fn render_spans(out: &mut String, spans: &[&Json], top_n: usize) {
     let mut rows = spans.to_vec();

@@ -37,10 +37,12 @@
 //!   `bestfixed:` or `pbs:` unit also writes) meet in the cache's
 //!   single-flight tier instead.
 //! * [`run`] executes the unit graph over a [`gpu_sim::exec::with_workers`]
-//!   pool. The frontier is a max-heap ordered by a per-unit **cost model**
-//!   ([`CostModel`]) seeded from the previous run's `PROFILE.json` span
-//!   history and falling back to static cycle estimates — so the longest
-//!   measurements start first (LPT scheduling) and the tail stays short.
+//!   pool. The frontier is a max-heap ordered by each unit's static
+//!   **cost estimate** — the simulated cycles its run specification names,
+//!   fixed at planning — so the longest measurements start first (LPT
+//!   scheduling) and the tail stays short. Each executed unit is recorded
+//!   once, as its `sched_unit` trace event (worker, start, wall time and
+//!   the cycles its worker thread stepped).
 //!   Figures are dependent consumer nodes: the coordinator renders each
 //!   one — in the exact serial order — as soon as its units finish, so
 //!   artifacts are **byte-identical** to the serial campaign while the
@@ -52,9 +54,10 @@
 //! Determinism is inherited, not re-proved: every unit is a pure function
 //! of its fingerprint inputs, results land in the [`gpu_sim::cache`]
 //! tiers, and a scheduled render reads only what its units left there — no
-//! render simulates, so
-//! an untraced campaign's `unit` spans add up to its simulated cycles and
-//! a warm one simulates none (`tests/campaign_warm.rs`). A unit computed
+//! render simulates (bar `fig11` under an enabled sink, which re-runs its
+//! two controller runs inline to stream their events), so a cold
+//! campaign's `sched_unit` cycles add up to its simulated cycles and a
+//! warm one simulates none (`tests/campaign_warm.rs`). A unit computed
 //! twice is collapsed by the cache's single-flight tier. Worker panics are
 //! caught, flagged, and the first is re-raised on the caller after the pool
 //! drains, naming the unit's label and fingerprint — the "catch-and-flag"
@@ -84,7 +87,6 @@ use gpu_workloads::{AppProfile, Workload};
 use std::any::Any;
 use std::collections::BinaryHeap;
 use std::panic::AssertUnwindSafe;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
@@ -155,7 +157,7 @@ pub(crate) type Render = Box<dyn FnOnce(&Evaluator, &mut dyn TraceSink) -> Repor
 
 /// One content-addressed measurement node of the work graph.
 struct Unit {
-    /// Stable human-readable label (also the cost-model history key).
+    /// Stable human-readable label.
     label: String,
     /// Content-address of the computation (the dedup key), kept for the
     /// `sched_unit` trace event.
@@ -210,84 +212,16 @@ impl Campaign {
     }
 }
 
-/// Per-unit cost estimates, in simulated cycles.
-///
-/// Seeded from a previous run's `PROFILE.json`: each `unit`-level span's
-/// recorded cycle count (or, for cache-served spans that simulated
-/// nothing, its wall time converted through the campaign-level
-/// cycles-per-second rate) becomes the history entry for that unit's
-/// label. Units without history fall back to a static estimate derived
-/// from their run specification. Costs only order the ready queue —
-/// a wrong estimate costs wall-clock, never correctness.
-pub struct CostModel {
-    history: FxHashMap<String, u64>,
-}
+/// What `plan_with_costs` takes: nothing, since a unit's cost is its
+/// static cycle estimate. Public for the benchmark's adapter only.
+#[doc(hidden)]
+pub struct CostModel;
 
 impl CostModel {
-    /// An empty model: every unit uses its static fallback estimate.
+    /// The one cost model.
     pub fn empty() -> Self {
-        CostModel {
-            history: FxHashMap::default(),
-        }
+        CostModel
     }
-
-    /// Loads span history from a `PROFILE.json` written by a previous
-    /// campaign run; missing or malformed files yield [`CostModel::empty`].
-    pub fn load(path: &Path) -> Self {
-        let Ok(text) = std::fs::read_to_string(path) else {
-            return Self::empty();
-        };
-        Self::from_profile_json(&text)
-    }
-
-    /// Parses the `PROFILE.json` document text (see [`CostModel::load`]).
-    pub fn from_profile_json(text: &str) -> Self {
-        let mut model = Self::empty();
-        let Ok(doc) = crate::json::parse(text) else {
-            return model;
-        };
-        let Some(spans) = doc.get("spans").and_then(crate::json::Json::as_arr) else {
-            return model;
-        };
-        // Cycles-per-second from the campaign root span converts wall time
-        // of cache-served (zero-cycle) spans into comparable cost units.
-        let mut cps = 0.0f64;
-        for s in spans {
-            if s.get("level").and_then(crate::json::Json::as_str) == Some("campaign") {
-                let cycles = num_field(s, "cycles");
-                let wall = num_field(s, "wall_s");
-                if wall > 0.0 && cycles > 0.0 {
-                    cps = cycles / wall;
-                }
-            }
-        }
-        for s in spans {
-            if s.get("level").and_then(crate::json::Json::as_str) != Some("unit") {
-                continue;
-            }
-            let Some(name) = s.get("name").and_then(crate::json::Json::as_str) else {
-                continue;
-            };
-            let est = num_field(s, "cycles").max(num_field(s, "wall_s") * cps);
-            if est > 0.0 {
-                model.history.insert(name.to_owned(), est as u64);
-            }
-        }
-        model
-    }
-
-    /// The cost of the unit labelled `label`: its history entry if one
-    /// exists, otherwise `fallback` (never 0, so every unit outranks a
-    /// hypothetical free one).
-    pub fn cost(&self, label: &str, fallback: u64) -> u64 {
-        self.history.get(label).copied().unwrap_or(fallback).max(1)
-    }
-}
-
-fn num_field(obj: &crate::json::Json, key: &str) -> f64 {
-    obj.get(key)
-        .and_then(crate::json::Json::as_num)
-        .unwrap_or(0.0)
 }
 
 /// Ready-queue entry: max-heap by cost (longest-processing-time first),
@@ -345,7 +279,6 @@ pub(crate) struct Planner {
     /// The campaign configuration: the base machine, seed and run lengths
     /// every unit that names no other is keyed on.
     pub(crate) cfg: EvaluatorConfig,
-    costs: CostModel,
     units: Vec<Unit>,
     by_fp: FxHashMap<Fingerprint, usize>,
     requested: usize,
@@ -355,10 +288,9 @@ pub(crate) struct Planner {
 }
 
 impl Planner {
-    pub(crate) fn new(cfg: EvaluatorConfig, costs: CostModel) -> Self {
+    pub(crate) fn new(cfg: EvaluatorConfig) -> Self {
         Planner {
             cfg,
-            costs,
             units: Vec::new(),
             by_fp: FxHashMap::default(),
             requested: 0,
@@ -366,27 +298,28 @@ impl Planner {
         }
     }
 
-    /// Registers (or dedups) the unit with content address `fp`. The first
-    /// registration wins: a later demand with the same fingerprint names
-    /// the same computation, so it shares the first one's closure, and the
-    /// unit's label, cost and dependencies are already correct.
+    /// Registers (or dedups) the unit with content address `fp` and
+    /// estimated cost `est` simulated cycles. The first registration wins:
+    /// a later demand with the same fingerprint names the same
+    /// computation, so it shares the first one's closure, and the unit's
+    /// label, cost and dependencies are already correct.
     fn unit<T: 'static>(
         &mut self,
         fp: Fingerprint,
         label: String,
-        fallback_cost: u64,
+        est: u64,
         deps: Vec<usize>,
         read: impl Fn(&Evaluator, &mut dyn TraceSink) -> T + Send + Sync + 'static,
     ) -> Demand<T> {
         self.requested += 1;
         let unit = *self.by_fp.entry(fp).or_insert(self.units.len());
         if unit == self.units.len() {
-            let cost = self.costs.cost(&label, fallback_cost);
             let read: Read<T> = Arc::new(read);
             self.units.push(Unit {
                 label,
                 fp,
-                cost,
+                // Never 0, so every unit outranks a hypothetical free one.
+                cost: est.max(1),
                 deps,
                 body: Box::new(read),
             });
@@ -707,18 +640,12 @@ impl Planner {
 }
 
 /// Compiles the campaign selected by `args` into a [`Campaign`] work
-/// graph. Pure: no simulation happens until [`run`]. The cost model is
-/// seeded from the output directory's `PROFILE.json` when one exists.
-pub fn plan(args: &BenchArgs, ev: &Evaluator) -> Campaign {
-    let costs = CostModel::load(&crate::util::out_path("PROFILE.json"));
-    plan_with_costs(args, ev, costs)
-}
-
-/// [`plan`] with an explicit cost model (tests, benchmarks). Each selected
+/// graph: a pure function of `args` and `ev`'s configuration, which reads
+/// no file, and no simulation happens until [`run`]. Each selected
 /// artifact's declaration runs against one planner; the units it demanded
 /// on the way are its figure node's dependencies.
-pub fn plan_with_costs(args: &BenchArgs, ev: &Evaluator, costs: CostModel) -> Campaign {
-    let mut p = Planner::new(ev.config().clone(), costs);
+pub fn plan(args: &BenchArgs, ev: &Evaluator) -> Campaign {
+    let mut p = Planner::new(ev.config().clone());
     let mut nodes = Vec::new();
     for (id, declare) in figures::TABLE {
         if args.wants(id) {
@@ -734,6 +661,12 @@ pub fn plan_with_costs(args: &BenchArgs, ev: &Evaluator, costs: CostModel) -> Ca
         figures: nodes,
         requested: p.requested,
     }
+}
+
+/// [`plan`]. Public for the benchmark's adapter only.
+#[doc(hidden)]
+pub fn plan_with_costs(args: &BenchArgs, ev: &Evaluator, _costs: CostModel) -> Campaign {
+    plan(args, ev)
 }
 
 /// Execution statistics of one scheduled campaign run (the `sched:` log
@@ -908,10 +841,7 @@ fn run_with(
         // coordinator (and its siblings) blocked on the condvar forever.
         // The unit and payload are stored first-wins and re-raised by the
         // caller.
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let _span = crate::profiler::span("unit", &units[idx].label);
-            units[idx].body.run(ev);
-        }));
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| units[idx].body.run(ev)));
         let wall = started.elapsed();
         busy_ns.fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
         *runtimes[idx].lock().unwrap_or_else(|e| e.into_inner()) = Some(UnitRuntime {
@@ -1011,7 +941,6 @@ fn run_with(
             .saturating_sub(stats0.inflight_joined),
     };
     crate::log!(
-        info,
         "sched: {} units scheduled ({} requested, {:.0}% deduped), {} cache hits, \
          {} in-flight joins, peak ready {}, {} workers, utilization {:.2}",
         stats.planned,
@@ -1037,7 +966,6 @@ fn render_figure(
     sink: &mut dyn TraceSink,
     emit: &mut dyn FnMut(&Report),
 ) {
-    crate::log!(debug, "starting {}", fig.id);
     let _span = crate::profiler::span("figure", fig.id);
     let report = (fig.render)(ev, sink);
     for (name, text) in report.attachments() {
@@ -1114,42 +1042,10 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_reads_unit_spans_and_cps() {
-        let profile = r#"{"schema":1,"workers":4,"spans":[
-            {"level":"campaign","name":"experiments","depth":0,"wall_s":2.0,
-             "cycles":2000000,"cache_hits":0,"cache_misses":0,"workers":4},
-            {"level":"unit","name":"sweep:BLK_BFS","depth":0,"wall_s":0.4,
-             "cycles":450000,"cache_hits":0,"cache_misses":1,"workers":4},
-            {"level":"unit","name":"alone:BFS@8","depth":0,"wall_s":0.1,
-             "cycles":0,"cache_hits":1,"cache_misses":0,"workers":4},
-            {"level":"figure","name":"fig09","depth":0,"wall_s":1.0,
-             "cycles":1,"cache_hits":0,"cache_misses":0,"workers":4}
-        ]}"#;
-        let m = CostModel::from_profile_json(profile);
-        // Simulated spans report their own cycles (which exceed the
-        // wall-time estimate of 0.4 s x 1M cycles/s here).
-        assert_eq!(m.cost("sweep:BLK_BFS", 7), 450_000);
-        // Cache-served spans convert wall time at 1M cycles/s.
-        assert_eq!(m.cost("alone:BFS@8", 7), 100_000);
-        // Figure spans are not unit history; unknown labels use the
-        // fallback.
-        assert_eq!(m.cost("fig09", 7), 7);
-        assert_eq!(m.cost("unseen", 123), 123);
-    }
-
-    #[test]
-    fn cost_model_tolerates_garbage() {
-        assert_eq!(CostModel::from_profile_json("not json").cost("x", 9), 9);
-        assert_eq!(CostModel::from_profile_json("{}").cost("x", 9), 9);
-        let deep = r#"{"spans":"#.to_string() + &"[".repeat(200_000);
-        assert_eq!(CostModel::from_profile_json(&deep).cost("x", 9), 9);
-    }
-
-    #[test]
     fn full_plan_dedups_shared_units() {
         let ev = Evaluator::new(EvaluatorConfig::quick());
         let args = BenchArgs::default();
-        let plan = plan_with_costs(&args, &ev, CostModel::empty());
+        let plan = plan(&args, &ev);
         assert_eq!(plan.n_figures(), ARTIFACTS.len());
         // Fig. 9/10/hs share baselines, tab04/fig05 share every alone
         // profile, the sensitivity arms fold into the base config: the
@@ -1168,9 +1064,9 @@ mod tests {
             assert!(u.cost >= 1);
         }
         // The shape of the full `--quick` graph, as the header of
-        // `trace-tools report` prints it. The schedule, the cache traffic
-        // and `PROFILE.json`'s unit spans all follow from it, so an edit
-        // that moves one of these is a change to review, not a detail.
+        // `trace-tools report` prints it. The schedule and the cache
+        // traffic follow from it, so an edit that moves one of these is a
+        // change to review, not a detail.
         let with_deps = plan.units.iter().filter(|u| !u.deps.is_empty()).count();
         let estimate: u64 = plan.units.iter().map(|u| u.cost).sum();
         assert_eq!(
@@ -1182,7 +1078,7 @@ mod tests {
     #[test]
     fn a_deduped_demand_is_the_first_registrations_computation() {
         let ev = Evaluator::new(EvaluatorConfig::quick());
-        let mut p = Planner::new(ev.config().clone(), CostModel::empty());
+        let mut p = Planner::new(ev.config().clone());
         let (gpu, bfs) = (ev.config().gpu.clone(), &all_apps()[0]);
         let spec = RunSpec::new(300, 1_000);
         // Two artifacts demanding one fingerprint: one unit, one closure.
@@ -1201,12 +1097,12 @@ mod tests {
     #[test]
     fn only_subset_plans_sub_dag() {
         let ev = Evaluator::new(EvaluatorConfig::quick());
-        let full = plan_with_costs(&BenchArgs::default(), &ev, CostModel::empty());
+        let full = plan(&BenchArgs::default(), &ev);
         let args = BenchArgs {
             only: Some(vec!["fig02".into(), "fig06".into()]),
             ..BenchArgs::default()
         };
-        let sub = plan_with_costs(&args, &ev, CostModel::empty());
+        let sub = plan(&args, &ev);
         assert_eq!(sub.n_figures(), 2);
         assert!(sub.planned() < full.planned());
         // fig02 needs one alone profile, fig06 one sweep.
@@ -1221,7 +1117,7 @@ mod tests {
             only: Some(vec!["tab04".into(), "fig05".into()]),
             ..BenchArgs::default()
         };
-        let plan = plan_with_costs(&args, &ev, CostModel::empty());
+        let plan = plan(&args, &ev);
         assert_eq!(plan.planned(), all_apps().len());
         assert_eq!(plan.requested(), 2 * all_apps().len());
         assert!(plan.dedup_ratio() > 0.49);
@@ -1239,7 +1135,7 @@ mod tests {
             only: Some(only.iter().map(|s| s.to_string()).collect()),
             ..BenchArgs::default()
         };
-        let plan = plan_with_costs(&args, &ev, CostModel::empty());
+        let plan = plan(&args, &ev);
         let mut out = Vec::new();
         go(plan, &ev, &mut |r| {
             out.push((r.id().to_owned(), r.render()))

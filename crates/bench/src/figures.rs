@@ -19,7 +19,7 @@
 //! the benchmark's render probe. The campaign itself goes through
 //! [`crate::campaign::plan`].
 
-use crate::campaign::{CostModel, Demand, Planner, Render};
+use crate::campaign::{Demand, Planner, Render};
 use crate::util::Report;
 use ebm_core::eval::{Evaluator, Scheme};
 use ebm_core::hw::OverheadReport;
@@ -75,7 +75,7 @@ pub(crate) const TABLE: [(&str, Declare); 21] = [
 /// computes inline through `ev`'s caches — `campaign::run_serial` of a
 /// one-artifact plan.
 fn standalone(ev: &Evaluator, declare: impl FnOnce(&mut Planner) -> Render) -> Report {
-    let mut p = Planner::new(ev.config().clone(), CostModel::empty());
+    let mut p = Planner::new(ev.config().clone());
     declare(&mut p)(ev, &mut NullSink)
 }
 

@@ -23,8 +23,7 @@
 //!
 //! The crate also carries the campaign observability layer:
 //!
-//! * [`logging`] — the level-gated [`log!`](crate::log) macro behind the
-//!   `EBM_LOG` environment variable (`off` | `info` | `debug`);
+//! * [`logging`] — the timestamped stderr [`log!`](crate::log) macro;
 //! * [`profiler`] — hierarchical self-profiling spans (campaign → figure →
 //!   sweep → run) written to `PROFILE.json` and, in traced runs, emitted as
 //!   `profile_span` trace events;

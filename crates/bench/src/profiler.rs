@@ -2,29 +2,26 @@
 //!
 //! A campaign is a tree of phases — campaign → figure → sweep → run — and
 //! each phase is wrapped in a [`span`]: the returned guard records, on
-//! drop, the phase's wall time, the simulated-cycle delta (the process-wide
-//! [`gpu_sim::metrics::cycles_simulated`], or the thread's own count for a
-//! span opened on a pool thread), the result-cache hit/miss deltas (via
-//! [`gpu_sim::cache::stats`]) and the worker-pool width.  The finished
-//! spans are written to `PROFILE.json`
-//! by [`write_profile`] and can be appended to a trace as
+//! drop, the phase's wall time, the deltas of the process-wide
+//! simulated-cycle counter ([`gpu_sim::metrics::cycles_simulated`]) and
+//! result-cache hit/miss counts ([`gpu_sim::cache::stats`]) — every
+//! thread's, so a span counts what the pool simulated while it was open
+//! — and the worker-pool width.  The finished spans are written to
+//! `PROFILE.json` by [`write_profile`] and can be appended to a trace as
 //! [`gpu_sim::TraceEvent::ProfileSpan`] events by [`emit_spans`] — so the
 //! same `trace-tools` pipeline that analyzes simulator metrics can also
 //! answer "where did the campaign's time go?".
 //!
-//! Spans nest **per thread**: the depth recorded at creation counts only
-//! the open spans of the creating thread, so campaign-scheduler workers
-//! (which open `unit` spans concurrently with the coordinator's open
-//! `campaign`/`figure` spans) attribute correctly instead of inheriting
-//! whatever happened to be open elsewhere.  The record list itself stays
-//! process-wide and ordered by span *start*.  Guards should be dropped in
-//! per-thread LIFO order; the drop handler tolerates out-of-order drops by
-//! removing its own entry wherever it sits.
+//! Spans are opened by the campaign's coordinating thread, never on a
+//! pool thread (a scheduled unit's one record is its `sched_unit` trace
+//! event), so they nest on one stack: the depth recorded at creation is
+//! the number of spans open.  The record list is ordered by span *start*.
+//! Guards should be dropped in LIFO order; the drop handler tolerates
+//! out-of-order drops by removing its own entry wherever it sits.
 
 use gpu_sim::trace::{TraceEvent, TraceSink};
 use std::path::Path;
 use std::sync::Mutex;
-use std::thread::ThreadId;
 use std::time::Instant;
 
 /// One finished (or in-flight) profiling span.
@@ -38,10 +35,8 @@ pub struct SpanRecord {
     pub depth: u32,
     /// Wall-clock duration in seconds.
     pub wall_s: f64,
-    /// Simulated cycles attributed to this span: what the opening thread
-    /// stepped itself if it is a pool worker (a `unit` span), otherwise the
-    /// process-wide delta, including cycles simulated by worker threads the
-    /// span fanned out to.
+    /// Simulated cycles attributed to this span: the process-wide delta,
+    /// including cycles simulated by worker threads the span fanned out to.
     pub cycles: u64,
     /// Result-cache hits (memory + disk) during this span.
     pub cache_hits: u64,
@@ -78,10 +73,9 @@ struct OpenSpan {
 struct ProfilerState {
     /// Finished spans, in order of span *start*.
     spans: Vec<SpanRecord>,
-    /// Currently open spans: `(index into spans, creating thread, deltas)`.
-    /// Depth is computed per creating thread, so concurrent spans on
-    /// different threads do not nest under each other.
-    open: Vec<(usize, ThreadId, OpenSpan)>,
+    /// Currently open spans: `(index into spans, deltas)`, outermost
+    /// first.
+    open: Vec<(usize, OpenSpan)>,
 }
 
 static STATE: Mutex<Option<ProfilerState>> = Mutex::new(None);
@@ -95,29 +89,20 @@ fn with_state<R>(f: impl FnOnce(&mut ProfilerState) -> R) -> R {
     f(state)
 }
 
-/// The simulated-cycle counter this thread's spans difference. A fan-out
-/// worker steps everything it runs itself (nested fan-outs collapse to
-/// serial), so its own count is exact where the process-wide one would
-/// also charge it the neighbours' cycles; any other thread may fan out and
-/// reads the process-wide count.
-fn cycles_now() -> u64 {
-    if gpu_sim::exec::in_sweep_fanout() {
-        gpu_sim::metrics::thread_cycles_simulated()
-    } else {
-        gpu_sim::metrics::cycles_simulated()
-    }
-}
-
 /// Opens a profiling span; the returned guard closes it on drop.
 ///
 /// `level` should be one of `campaign`, `figure`, `sweep`, `run` —
 /// the hierarchy documented in `docs/EXPERIMENTS.md` — but any label is
-/// accepted (the profiler imposes no vocabulary).
+/// accepted (the profiler imposes no vocabulary). Call it from the
+/// coordinating thread, not from a pool worker.
 pub fn span(level: &str, name: &str) -> SpanGuard {
+    debug_assert!(
+        !gpu_sim::exec::in_sweep_fanout(),
+        "profiler span {level}:{name} opened on a pool thread"
+    );
     let stats = gpu_sim::cache::stats();
-    let thread = std::thread::current().id();
     let idx = with_state(|s| {
-        let depth = s.open.iter().filter(|(_, t, _)| *t == thread).count() as u32;
+        let depth = s.open.len() as u32;
         let idx = s.spans.len();
         s.spans.push(SpanRecord {
             level: level.to_string(),
@@ -131,10 +116,9 @@ pub fn span(level: &str, name: &str) -> SpanGuard {
         });
         s.open.push((
             idx,
-            thread,
             OpenSpan {
                 start: Instant::now(),
-                cycles0: cycles_now(),
+                cycles0: gpu_sim::metrics::cycles_simulated(),
                 // `disk_hits` is a subset of `hits`, not a second tally.
                 hits0: stats.hits,
                 misses0: stats.misses,
@@ -154,12 +138,12 @@ pub struct SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let stats = gpu_sim::cache::stats();
-        let cycles = cycles_now();
+        let cycles = gpu_sim::metrics::cycles_simulated();
         with_state(|s| {
-            let Some(pos) = s.open.iter().position(|(i, _, _)| *i == self.idx) else {
+            let Some(pos) = s.open.iter().position(|(i, _)| *i == self.idx) else {
                 return; // already closed (double drop cannot happen, but stay safe)
             };
-            let (_, _, open) = s.open.remove(pos);
+            let (_, open) = s.open.remove(pos);
             let rec = &mut s.spans[self.idx];
             rec.wall_s = open.start.elapsed().as_secs_f64();
             rec.cycles = cycles.saturating_sub(open.cycles0);
@@ -177,7 +161,7 @@ pub fn take_spans() -> Vec<SpanRecord> {
         }
         // Keep open spans in place: extract only the closed ones, then
         // remap the open indices onto the compacted vector.
-        let open_idx: Vec<usize> = s.open.iter().map(|(i, _, _)| *i).collect();
+        let open_idx: Vec<usize> = s.open.iter().map(|(i, _)| *i).collect();
         let mut closed = Vec::new();
         let mut kept = Vec::new();
         let mut remap = vec![usize::MAX; s.spans.len()];
@@ -190,7 +174,7 @@ pub fn take_spans() -> Vec<SpanRecord> {
             }
         }
         s.spans = kept;
-        for (i, _, _) in s.open.iter_mut() {
+        for (i, _) in s.open.iter_mut() {
             *i = remap[*i];
         }
         closed
@@ -280,45 +264,6 @@ mod tests {
         drop(outer);
         let rest = take_spans();
         assert!(rest.iter().any(|s| s.name == "k-open"));
-    }
-
-    #[test]
-    fn spans_attribute_depth_per_thread() {
-        let _serial = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _flush = take_spans();
-        // A coordinator span stays open while two worker threads open and
-        // close their own spans concurrently. Worker spans must sit at
-        // their *own* thread's depth (0, and 1 when nested), not under the
-        // coordinator's open span or each other's.
-        let outer = span("campaign", "m-root");
-        let barrier = std::sync::Barrier::new(2);
-        std::thread::scope(|scope| {
-            for w in 0..2 {
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    barrier.wait(); // both workers hold spans open at once
-                    let _u = span("unit", &format!("m-unit-{w}"));
-                    let _n = span("run", &format!("m-nested-{w}"));
-                    barrier.wait(); // ...until both have opened their pair
-                });
-            }
-        });
-        drop(outer);
-        let spans = take_spans();
-        for w in 0..2 {
-            let unit = spans
-                .iter()
-                .find(|s| s.name == format!("m-unit-{w}"))
-                .expect("worker span recorded");
-            assert_eq!(unit.depth, 0, "worker root span is its thread's root");
-            let nested = spans
-                .iter()
-                .find(|s| s.name == format!("m-nested-{w}"))
-                .expect("nested worker span recorded");
-            assert_eq!(nested.depth, 1, "nesting counts only the own thread");
-        }
-        let root = spans.iter().find(|s| s.name == "m-root").unwrap();
-        assert_eq!(root.depth, 0);
     }
 
     #[test]

@@ -4,12 +4,17 @@
 //! walk of the same plan (`campaign::run_serial`, what `experiments
 //! --serial` runs).
 
-use ebm_bench::campaign::{self, CostModel};
+use ebm_bench::campaign;
+use ebm_bench::profiler::{self, SpanRecord};
 use ebm_bench::util::{BenchArgs, Report};
 use ebm_core::eval::{Evaluator, EvaluatorConfig};
 use gpu_sim::cache;
 use gpu_sim::trace::{NullSink, RingSink, TraceEvent, TraceSink};
 use std::path::Path;
+use std::sync::Mutex;
+
+/// The output directory is process-global: tests that set it take turns.
+static OUT_DIR: Mutex<()> = Mutex::new(());
 
 fn quick_args(only: &[&str]) -> BenchArgs {
     let mut args = BenchArgs {
@@ -29,7 +34,7 @@ fn run_campaign(
 ) -> (Vec<(String, String)>, Option<campaign::CampaignStats>) {
     cache::clear_memory();
     let ev = Evaluator::new(EvaluatorConfig::quick());
-    let plan = campaign::plan_with_costs(&quick_args(only), &ev, CostModel::empty());
+    let plan = campaign::plan(&quick_args(only), &ev);
     let mut rendered = Vec::new();
     let emit = &mut |r: &Report| rendered.push((r.id().to_owned(), r.render()));
     let stats = if serial {
@@ -87,22 +92,68 @@ fn shared_units_dedup_and_warm_the_renders() {
     assert!(stats.wall_s > 0.0);
 }
 
-/// Labels of the units `only` plans, in plan order.
-fn planned_labels(only: &[&str]) -> Vec<String> {
+/// The `sched_unit` records of the plan of `only`, in plan order.
+fn plan_records(only: &[&str]) -> Vec<TraceEvent> {
     let ev = Evaluator::new(EvaluatorConfig::quick());
-    let plan = campaign::plan_with_costs(&quick_args(only), &ev, CostModel::empty());
+    let plan = campaign::plan(&quick_args(only), &ev);
     let mut ring = RingSink::new(1 << 12);
     campaign::emit_plan(&plan, &mut ring);
-    let labels: Vec<String> = ring
-        .events()
+    let records: Vec<TraceEvent> = ring.events().iter().cloned().collect();
+    assert!(records
         .iter()
+        .all(|e| matches!(e, TraceEvent::SchedUnit { .. })));
+    assert_eq!(records.len(), plan.planned());
+    records
+}
+
+/// Labels of the units `only` plans, in plan order.
+fn planned_labels(only: &[&str]) -> Vec<String> {
+    plan_records(only)
+        .into_iter()
         .filter_map(|e| match e {
-            TraceEvent::SchedUnit { label, .. } => Some(label.clone()),
+            TraceEvent::SchedUnit { label, .. } => Some(label),
             _ => None,
         })
+        .collect()
+}
+
+#[test]
+fn a_plan_reads_no_earlier_profile() {
+    // A PROFILE.json in the output directory whose per-unit spans name
+    // the very units the plan registers, with costs far from the static
+    // estimates: the plan is a function of the configuration alone.
+    let _turn = OUT_DIR.lock().unwrap_or_else(|e| e.into_inner());
+    let only = ["fig01", "fig07", "tab04", "fig11"];
+    let dir = std::env::temp_dir().join(format!("ebm_plan_pure_{}", std::process::id()));
+    let (fresh, stale) = (dir.join("fresh"), dir.join("stale"));
+    std::fs::create_dir_all(&fresh).unwrap();
+    std::fs::create_dir_all(&stale).unwrap();
+    let spans: Vec<SpanRecord> = planned_labels(&only)
+        .into_iter()
+        .enumerate()
+        .map(|(i, name)| SpanRecord {
+            level: "unit".into(),
+            name,
+            depth: 0,
+            wall_s: 1.0 + i as f64,
+            cycles: 7_000_003 * (i as u64 + 1),
+            cache_hits: 0,
+            cache_misses: 1,
+            workers: 2,
+        })
         .collect();
-    assert_eq!(labels.len(), plan.planned());
-    labels
+    profiler::write_profile(&stale.join("PROFILE.json"), &spans).unwrap();
+
+    ebm_bench::set_out_dir(Some(fresh));
+    let from_fresh = plan_records(&only);
+    ebm_bench::set_out_dir(Some(stale));
+    let from_stale = plan_records(&only);
+    ebm_bench::set_out_dir(None);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        from_stale, from_fresh,
+        "an earlier run's profile moved the plan"
+    );
 }
 
 #[test]
@@ -140,8 +191,7 @@ fn fig11_and_sampling(
 ) -> Vec<(String, Vec<u8>)> {
     ebm_bench::set_out_dir(Some(out.to_owned()));
     let ev = Evaluator::new(EvaluatorConfig::quick());
-    let plan =
-        campaign::plan_with_costs(&quick_args(&["fig11", "sampling"]), &ev, CostModel::empty());
+    let plan = campaign::plan(&quick_args(&["fig11", "sampling"]), &ev);
     let mut files = Vec::new();
     let emit = &mut |r: &Report| {
         files.push((format!("{}.txt", r.id()), r.render().into_bytes()));
@@ -166,6 +216,7 @@ fn fig11_and_sampling(
 
 #[test]
 fn fig11_and_sampling_bytes_do_not_depend_on_who_simulated() {
+    let _turn = OUT_DIR.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!("ebm_campaign_sched_{}", std::process::id()));
 
     // Traced: the serial walk with an enabled sink simulates inline and

@@ -1,16 +1,17 @@
 //! Disk-warm reruns of a scheduled campaign: every lookup a hit counted
 //! once, nothing simulated, the same reports — and, cold, every simulated
-//! cycle inside exactly one `unit` span. A test binary of its own: the
-//! result cache's counters, the profiler and the cycle counter are
-//! process-global, so the tests here take turns and every lookup they see
-//! is their own.
+//! cycle inside exactly one unit's `sched_unit` record. A test binary of
+//! its own: the result cache's counters, the profiler and the cycle
+//! counter are process-global, so the tests here take turns and every
+//! lookup they see is their own.
 
-use ebm_bench::campaign::{self, CampaignStats, CostModel};
+use ebm_bench::campaign::{self, CampaignStats};
 use ebm_bench::figures;
 use ebm_bench::profiler::{self, SpanRecord};
 use ebm_bench::util::BenchArgs;
 use ebm_core::eval::{Evaluator, EvaluatorConfig};
-use gpu_sim::{cache, trace::NullSink};
+use gpu_sim::cache;
+use gpu_sim::trace::{NullSink, RingSink, TraceEvent, TraceSink};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -21,34 +22,35 @@ struct Run {
     stats: CampaignStats,
     /// The campaign-level span around the run.
     root: SpanRecord,
-    /// Every `unit` span the pool recorded.
-    units: Vec<SpanRecord>,
     /// `(artifact id, rendered report)` in emission order.
     reports: Vec<(String, String)>,
 }
 
 /// Plans and runs `only` (`None` = all 21 artifacts) on a fresh quick
-/// evaluator, inside a `campaign` span of its own.
+/// evaluator, untraced, inside a `campaign` span of its own.
 fn run(only: Option<&[&str]>) -> Run {
+    run_traced(only, &mut NullSink)
+}
+
+/// [`run`] with the campaign's trace going to `sink`.
+fn run_traced(only: Option<&[&str]>, sink: &mut dyn TraceSink) -> Run {
     let args = BenchArgs {
         quick: true,
         only: only.map(|ids| ids.iter().map(|s| s.to_string()).collect()),
         ..BenchArgs::default()
     };
     let ev = Evaluator::new(EvaluatorConfig::quick());
-    let plan = campaign::plan_with_costs(&args, &ev, CostModel::empty());
+    let plan = campaign::plan(&args, &ev);
     let _ = profiler::take_spans();
     let mut reports = Vec::new();
     let root = profiler::span("campaign", "test");
-    let stats = campaign::run(plan, &ev, &mut NullSink, &mut |r| {
+    let stats = campaign::run(plan, &ev, sink, &mut |r| {
         reports.push((r.id().to_owned(), r.render()))
     });
     drop(root);
-    let spans = profiler::take_spans();
     Run {
         stats,
-        root: spans[0].clone(),
-        units: spans.into_iter().filter(|s| s.level == "unit").collect(),
+        root: profiler::take_spans()[0].clone(),
         reports,
     }
 }
@@ -110,18 +112,39 @@ fn disk_warm_rerun_counts_each_hit_once() {
 #[test]
 fn every_cycle_sits_in_one_unit_and_a_warm_campaign_simulates_nothing() {
     with_cache_dir("all", || {
-        // Cold, untraced, two workers: no render simulates, and a unit span
-        // counts what its own thread stepped — so the units add up to the
-        // campaign exactly.
-        let cold = run(None);
+        // Cold, traced, two workers: no render simulates (fig11 is left
+        // out: with an enabled sink its render re-runs its two controller
+        // runs inline to stream their events), and a unit's `sched_unit`
+        // record counts what its own worker stepped — so the units add up
+        // to the campaign exactly.
+        let all_but_fig11: Vec<&str> = campaign::ARTIFACTS
+            .into_iter()
+            .filter(|&id| id != "fig11")
+            .collect();
+        let mut ring = RingSink::new(1 << 12);
+        let mut cold = run_traced(Some(&all_but_fig11), &mut ring);
         assert_eq!(cold.stats.workers, 2);
-        assert_eq!(cold.reports.len(), campaign::ARTIFACTS.len());
         assert!(cold.root.cycles > 0);
+        let units: Vec<u64> = ring
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::SchedUnit { cycles, .. } => Some(*cycles),
+                _ => None,
+            })
+            .collect();
+        assert_eq!((ring.dropped(), units.len()), (0, cold.stats.planned));
         assert_eq!(
-            cold.units.iter().map(|u| u.cycles).sum::<u64>(),
+            units.iter().sum::<u64>(),
             cold.root.cycles,
-            "simulated cycles outside a unit span, or charged to two"
+            "simulated cycles outside a unit, or charged to two"
         );
+        // The rest of the campaign, cold and untraced: every artifact's
+        // records are now on disk.
+        cold.reports.extend(run(Some(&["fig11"])).reports);
+        cold.reports
+            .sort_by_key(|(id, _)| campaign::ARTIFACTS.iter().position(|a| a == id));
+        assert_eq!(cold.reports.len(), campaign::ARTIFACTS.len());
 
         // Warm from disk: plan, decode, render.
         cache::clear_memory();

@@ -506,8 +506,8 @@ trace_events! {
         fp: String,
         /// Number of dependencies the unit waited on.
         deps: u64,
-        /// Cost-model estimate the scheduler ordered the unit by (simulated
-        /// cycles, or the registration fallback).
+        /// Static cost estimate the scheduler ordered the unit by, in
+        /// simulated cycles (from the unit's run specification).
         est: u64,
         /// Pool worker that executed the unit (0-based; 0 on serial runs).
         worker: u64,
@@ -573,27 +573,24 @@ trace_events! {
         component_idle_skip_fraction: Option<f64>,
     }
 
-    /// One bench self-profiler span (campaign → figure → sweep → run, and
-    /// a scheduled campaign's units), emitted when a traced campaign
-    /// finishes so the trace records where wall time and simulated cycles
-    /// went.
+    /// One bench self-profiler span (campaign → figure → sweep → run),
+    /// emitted when a traced campaign finishes so the trace records where
+    /// wall time and simulated cycles went.
     ProfileSpan = "profile_span", since 3 {
         /// The process-wide simulated-cycle counter at emit time: spans
         /// are wall-clock phenomena, so a campaign's spans share one stamp.
         cycle: u64,
-        /// Span level: `"campaign"`, `"figure"`, `"sweep"`, `"run"` or
-        /// `"unit"`.
+        /// Span level: `"campaign"`, `"figure"`, `"sweep"` or `"run"`
+        /// (older traces also carry `"unit"`).
         level: String,
         /// Human-readable span name, e.g. `"fig09"`.
         name: String,
-        /// Nesting depth at creation, counted on the creating thread
-        /// (campaign = 0).
+        /// Nesting depth at creation (campaign = 0).
         depth: u32,
         /// Wall-clock seconds spent in the span.
         wall_s: f64,
-        /// Simulated cycles attributed to the span (a pool worker's own
-        /// count, else the process-wide delta, so parallel sweeps count
-        /// every worker thread).
+        /// Simulated cycles attributed to the span: the process-wide delta,
+        /// so parallel sweeps count every worker thread.
         cycles: u64,
         /// Result-cache hits (memory + disk) during the span.
         cache_hits: u64,

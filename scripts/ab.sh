@@ -1,0 +1,137 @@
+#!/usr/bin/env bash
+# Paired A/B runs of the benchmark: two revisions, run alternately, one
+# table of end-to-end metrics.
+#
+#   scripts/ab.sh --parent <rev> [--change <rev>] [--pairs N] -- <run.sh args>
+#
+# e.g. scripts/ab.sh --parent HEAD~1 --pairs 5 -- --workload volta-busy --seconds 5 --trace 0
+#
+# Checks <rev> out with `git worktree add --detach` into a temporary
+# directory that is removed on exit; --change does the same for a second
+# revision and defaults to the working tree. Each side builds into its own
+# CARGO_TARGET_DIR (the first pair also compiles). Each of the N pairs
+# (default 5) runs `benchmark/run.sh <run.sh args>` once per side, and
+# which side goes first alternates from pair to pair. For every end-to-end
+# metric of BENCHMARK.json, the value is read from `metrics.<m>.value` of
+# the last line of stdout. The table gives both medians, the ratio
+# change/parent, the pairs the change won, and both quartile ranges. A
+# metric whose ranges overlap is `unresolved`, one equal in every pair
+# `identical`. nproc and the load average
+# are printed at start and end. Needs git, jq and awk; writes nothing
+# under benchmark/.
+set -euo pipefail
+
+usage() {
+    echo "usage: scripts/ab.sh --parent <rev> [--change <rev>] [--pairs N] -- <run.sh args>" >&2
+    exit 2
+}
+
+parent="" change="" pairs=5
+while (($#)); do
+    case "$1" in
+    --parent) parent=${2:?--parent needs a revision}; shift 2 ;;
+    --change) change=${2:?--change needs a revision}; shift 2 ;;
+    --pairs) pairs=${2:?--pairs needs a number}; shift 2 ;;
+    --) shift; break ;;
+    *) usage ;;
+    esac
+done
+[[ -n $parent && $pairs =~ ^[1-9][0-9]*$ && $# -gt 0 ]] || usage
+
+ROOT="$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)"
+TMP="$(mktemp -d)"
+worktrees=()
+cleanup() {
+    for wt in ${worktrees[@]+"${worktrees[@]}"}; do
+        git -C "$ROOT" worktree remove --force "$wt" > /dev/null 2>&1 || true
+    done
+    rm -rf "$TMP"
+    git -C "$ROOT" worktree prune
+}
+trap cleanup EXIT
+
+# checkout <side> <rev>: a detached worktree of <rev> under $TMP.
+checkout() {
+    local rev
+    rev="$(git -C "$ROOT" rev-parse --verify --quiet "$2^{commit}")" ||
+        { echo "ab.sh: $2 names no commit" >&2; exit 2; }
+    git -C "$ROOT" worktree add --quiet --detach "$TMP/$1" "$rev"
+    worktrees+=("$TMP/$1")
+}
+checkout parent "$parent"
+if [[ -n $change ]]; then
+    checkout change "$change"
+    declare -A tree=([parent]="$TMP/parent" [change]="$TMP/change")
+else
+    change="working tree"
+    declare -A tree=([parent]="$TMP/parent" [change]="$ROOT")
+fi
+
+# name and better-direction of every end-to-end metric
+mapfile -t metrics < <(jq -r '.end_to_end[] | "\(.name) \(.better)"' "$ROOT/BENCHMARK.json")
+
+load() { cut -d' ' -f1-3 /proc/loadavg 2>/dev/null || echo unknown; }
+echo "ab: parent $parent, change $change, $pairs pairs of: benchmark/run.sh $*"
+echo "ab: nproc $(nproc), load average $(load) at start"
+
+mkdir "$TMP/values"
+# run <side> <pair> <run.sh args>: one benchmark run; appends each
+# metric's value (or `-` when the run reports none) to
+# $TMP/values/<side>.<metric>.
+run() {
+    local side=$1 pair=$2 m
+    shift 2
+    local out="$TMP/$side.$pair.out" err="$TMP/$side.$pair.err"
+    if ! CARGO_TARGET_DIR="$TMP/target-$side" bash "${tree[$side]}/benchmark/run.sh" "$@" > "$out" 2> "$err"; then
+        echo "ab.sh: the $side run of pair $pair failed; its stderr ends:" >&2
+        tail -n 20 "$err" >&2
+        exit 1
+    fi
+    for line in "${metrics[@]}"; do
+        m=${line%% *}
+        tail -n 1 "$out" | jq -r --arg m "$m" '.metrics[$m].value // "-"' >> "$TMP/values/$side.$m"
+    done
+}
+for ((i = 1; i <= pairs; i++)); do
+    if ((i % 2)); then order=(parent change); else order=(change parent); fi
+    for side in "${order[@]}"; do
+        run "$side" "$i" "$@"
+    done
+    echo "ab: pair $i done (${order[0]} first)"
+done
+echo "ab: nproc $(nproc), load average $(load) at end"
+
+printf '%-14s %7s %12s %12s %7s %5s  %-25s %-25s %s\n' metric better \
+    parent_med change_med ratio wins parent_q1..q3 change_q1..q3 verdict
+for line in "${metrics[@]}"; do
+    m=${line%% *} better=${line##* }
+    paste "$TMP/values/parent.$m" "$TMP/values/change.$m" |
+        awk -v m="$m" -v better="$better" '
+        function quantile(v, n, q,   h, lo) {  # linear interpolation, v sorted
+            h = (n - 1) * q; lo = int(h)
+            return lo + 1 < n ? v[lo + 1] + (h - lo) * (v[lo + 2] - v[lo + 1]) : v[n]
+        }
+        function sort(v, n,   i, j, t) {
+            for (i = 2; i <= n; i++)
+                for (j = i; j > 1 && v[j - 1] > v[j]; j--) { t = v[j]; v[j] = v[j - 1]; v[j - 1] = t }
+        }
+        $1 != "-" && $2 != "-" {
+            n++; a[n] = $1; b[n] = $2
+            if ((better == "higher" && $2 > $1) || (better == "lower" && $2 < $1)) wins++
+            if ($1 == $2) ties++
+        }
+        END {
+            if (!n) { printf "%-14s %7s %12s\n", m, better, "unmeasured"; exit }
+            sort(a, n); sort(b, n)
+            am = quantile(a, n, 0.5); bm = quantile(b, n, 0.5)
+            a1 = quantile(a, n, 0.25); a3 = quantile(a, n, 0.75)
+            b1 = quantile(b, n, 0.25); b3 = quantile(b, n, 0.75)
+            if (ties == n) verdict = "identical"
+            else if ((a1 > b1 ? a1 : b1) <= (a3 < b3 ? a3 : b3)) verdict = "unresolved"
+            else if ((better == "higher") == (bm > am)) verdict = "change better"
+            else verdict = "change worse"
+            printf "%-14s %7s %12.6g %12.6g %7.3f %2d/%-2d  %-25s %-25s %s\n", m, better, am, bm,
+                am ? bm / am : 0, wins, n, sprintf("%.6g..%.6g", a1, a3),
+                sprintf("%.6g..%.6g", b1, b3), verdict
+        }'
+done

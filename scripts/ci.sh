@@ -111,6 +111,16 @@ for T in 1 2 4; do
   trace_tools report "$TMP/sched$T.jsonl" | diff "$TMP/report.txt" -
   echo "campaign scheduler OK at $T worker(s): ${DEDUP}% deduped, artifacts and run report byte-identical to serial"
 done
+# The plan is a function of the configuration alone: a second run into the
+# same --out (which now holds the first run's PROFILE.json) plans, and so
+# reports, the same graph.
+mkdir "$TMP/again"
+for N in 1 2; do
+  experiments --only fig07,tab04 --trace "$TMP/again$N.jsonl" --out "$TMP/again" 2> "$TMP/again$N.log"
+  trace_tools report "$TMP/again$N.jsonl" > "$TMP/again$N.txt"
+done
+diff "$TMP/again1.txt" "$TMP/again2.txt"
+echo "campaign plan OK: a rerun into the same output directory reports the same plan"
 
 echo "== memo-less gate (experiments --quick --no-cache vs serial, byte-compared) =="
 # With both cache tiers off the process keeps nothing: every read
