@@ -9,6 +9,10 @@
 //! accompanied by an `ENGINE_VERSION` bump fails here. A second test holds
 //! every record kind to its own bytes: each round-trips, and no proper
 //! prefix of it decodes.
+//!
+//! The cache directory is process-global, so the two tests take turns on
+//! [`SERIAL`]: the round trip runs with the disk tier off and leaves
+//! nothing in the pinned test's directory after that test removed it.
 
 use ebm_core::metrics::EbObjective;
 use ebm_core::pbsrun::{
@@ -20,6 +24,15 @@ use gpu_sim::cache::{DiskStore, KeyBuilder};
 use gpu_sim::harness::{measure_fixed_cached, sampling_error_cached, FixedRunInputs, RunSpec};
 use gpu_types::{fingerprint, Fingerprint, GpuConfig, Record, TlpCombo, TlpLevel};
 use gpu_workloads::{by_name, Workload};
+use std::sync::{Mutex, MutexGuard};
+
+/// Held by each test for its whole run.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the other still runs.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// The content fingerprint of the payload stored under `key`.
 fn payload_hex(store: &DiskStore, key: Fingerprint, what: &str) -> String {
@@ -31,6 +44,7 @@ fn payload_hex(store: &DiskStore, key: Fingerprint, what: &str) -> String {
 
 #[test]
 fn every_record_kind_keeps_its_bytes() {
+    let _serial = serial();
     let dir = std::env::temp_dir().join(format!("ebm_record_layouts_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     gpu_sim::cache::set_enabled(true);
@@ -125,6 +139,8 @@ fn assert_record<T: Record>(v: &T, what: &str) {
 
 #[test]
 fn every_record_kind_round_trips_and_no_prefix_decodes() {
+    let _serial = serial();
+    gpu_sim::cache::set_dir(None);
     // Another seed than the pinned test's, so neither reads the other's
     // values from the memory tier.
     let cfg = GpuConfig::small();

@@ -24,12 +24,30 @@ pub enum Lookup {
     Stall,
 }
 
+/// One way of a set: the tag of the line it holds, [`Way::EMPTY`]'s when
+/// it holds none, and the LRU clock at its last hit or fill.
 #[derive(Debug, Clone, Copy)]
 struct Way {
     tag: u64,
     last_use: u64,
-    valid: bool,
 }
+
+impl Way {
+    /// A way holding no line. A tag is `line_index >> set_shift` and a line
+    /// index is an address over the line size, so no line has this tag; and
+    /// a line's way is stamped at a tick of at least 1, so an empty way is
+    /// the least recently used of its set.
+    const EMPTY: Way = Way {
+        tag: u64::MAX,
+        last_use: 0,
+    };
+
+    fn holds(self) -> bool {
+        self.tag != Way::EMPTY.tag
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<Way>() == 16);
 
 /// Per-application access/miss counts maintained by a cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -75,14 +93,7 @@ impl Cache {
         assert!(n_sets > 0, "cache must have at least one set");
         assert!(n_sets.is_power_of_two(), "set count must be a power of two");
         Cache {
-            ways: vec![
-                Way {
-                    tag: 0,
-                    last_use: 0,
-                    valid: false
-                };
-                n_sets * cfg.associativity
-            ],
+            ways: vec![Way::EMPTY; n_sets * cfg.associativity],
             set_mask: n_sets as u64 - 1,
             set_shift: n_sets.trailing_zeros(),
             assoc: cfg.associativity,
@@ -109,7 +120,7 @@ impl Cache {
         let tag = self.tag_of(line);
         let base = set * self.assoc;
         let ways = &mut self.ways[base..base + self.assoc];
-        let Some(way) = ways.iter_mut().find(|w| w.valid && w.tag == tag) else {
+        let Some(way) = ways.iter_mut().find(|w| w.tag == tag) else {
             return false;
         };
         self.tick += 1;
@@ -174,7 +185,7 @@ impl Cache {
         let base = set * self.assoc;
         self.ways[base..base + self.assoc]
             .iter()
-            .any(|w| w.valid && w.tag == tag)
+            .any(|w| w.tag == tag)
     }
 
     /// Installs `line` (completing its outstanding miss, if any) and returns
@@ -203,7 +214,7 @@ impl Cache {
         // Already present (e.g. refill racing a prior fill): refresh LRU only.
         if let Some(way) = self.ways[base..base + self.assoc]
             .iter_mut()
-            .find(|w| w.valid && w.tag == tag)
+            .find(|w| w.tag == tag)
         {
             way.last_use = now;
             return None;
@@ -211,16 +222,12 @@ impl Cache {
         let set_shift = self.set_shift;
         let victim = self.ways[base..base + self.assoc]
             .iter_mut()
-            .min_by_key(|w| if w.valid { w.last_use } else { 0 })
+            .min_by_key(|w| w.last_use)
             .expect("associativity >= 1");
         let evicted = victim
-            .valid
+            .holds()
             .then(|| Address::new(((victim.tag << set_shift) | set as u64) * crate::LINE_SIZE_U64));
-        *victim = Way {
-            tag,
-            last_use: now,
-            valid: true,
-        };
+        *victim = Way { tag, last_use: now };
         evicted
     }
 
@@ -260,9 +267,7 @@ impl Cache {
             self.mshr.is_empty(),
             "cannot reset a cache with outstanding misses"
         );
-        for w in &mut self.ways {
-            w.valid = false;
-        }
+        self.ways.fill(Way::EMPTY);
         self.counters.fill(CacheCounters::default());
         self.tick = 0;
     }

@@ -23,20 +23,30 @@ pub enum MshrOutcome {
     Full,
 }
 
+/// Ends the free list of [`MshrTable`].
+const NONE: usize = usize::MAX;
+
 /// MSHR table with bounded entries and bounded merge fan-in per entry.
 ///
-/// Targets live inline in one slab of `max_entries × max_merge` request
-/// ids, entry `e` owning `targets[e * max_merge..][..n_targets[e]]`: a
-/// register/fill cycle touches no allocator and an entry's waiters sit
-/// side by side.
+/// Targets live inline in one slab of `max_merge` request ids per entry,
+/// entry `e` owning `targets[e * max_merge..][..n_targets[e]]`: an entry's
+/// waiters sit side by side. The slab holds only the entries ever occupied
+/// at once — an allocation takes the most recently freed entry, else the
+/// next fresh one — so it grows to the table's high-water mark, not to
+/// `max_entries`, and once there a register/fill cycle touches no
+/// allocator.
 #[derive(Debug)]
 pub struct MshrTable {
     /// In-flight line → the entry tracking it.
     entries: FxHashMap<Address, usize>,
     targets: Vec<ReqId>,
+    /// Targets held per occupied entry; a free entry holds the entry
+    /// freed before it instead ([`NONE`] ends that list). Its length is
+    /// the entries made so far.
     n_targets: Vec<usize>,
-    /// Entries no line occupies.
-    free: Vec<usize>,
+    /// The most recently freed entry, [`NONE`] when every made entry is
+    /// occupied.
+    free: usize,
     max_entries: usize,
     max_merge: usize,
 }
@@ -55,9 +65,9 @@ impl MshrTable {
         );
         MshrTable {
             entries: FxHashMap::default(),
-            targets: vec![ReqId(0); max_entries * max_merge],
-            n_targets: vec![0; max_entries],
-            free: (0..max_entries).rev().collect(),
+            targets: Vec::new(),
+            n_targets: Vec::new(),
+            free: NONE,
             max_entries,
             max_merge,
         }
@@ -72,7 +82,16 @@ impl MshrTable {
             }
             Entry::Occupied(e) => (*e.get(), MshrOutcome::Merged),
             Entry::Vacant(v) => {
-                let Some(e) = self.free.pop() else {
+                let e = if self.free != NONE {
+                    let e = self.free;
+                    self.free = std::mem::replace(&mut self.n_targets[e], 0);
+                    e
+                } else if self.n_targets.len() < self.max_entries {
+                    self.n_targets.push(0);
+                    self.targets
+                        .resize(self.targets.len() + self.max_merge, ReqId(0));
+                    self.n_targets.len() - 1
+                } else {
                     return MshrOutcome::Full;
                 };
                 (*v.insert(e), MshrOutcome::Allocated)
@@ -90,8 +109,8 @@ impl MshrTable {
         if let Some(entry) = self.entries.remove(&line) {
             let first = entry * self.max_merge;
             out.extend_from_slice(&self.targets[first..first + self.n_targets[entry]]);
-            self.n_targets[entry] = 0;
-            self.free.push(entry);
+            self.n_targets[entry] = self.free;
+            self.free = entry;
         }
     }
 
@@ -126,6 +145,7 @@ impl MshrTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn line(i: u64) -> Address {
         Address::new(i * 128)
@@ -195,7 +215,6 @@ mod tests {
         // The model is the table this one replaced: one heap list of
         // targets per in-flight line.
         use gpu_types::SplitMix64;
-        use std::collections::HashMap;
         let (max_entries, max_merge) = (6, 3);
         let mut rng = SplitMix64::new(0x3511_AB01);
         let mut m = MshrTable::new(max_entries, max_merge);
@@ -226,6 +245,79 @@ mod tests {
             assert_eq!(m.free_entries(), max_entries - model.len());
             assert_eq!(m.is_full(), model.len() == max_entries);
             assert_eq!(m.contains(l), model.contains_key(&l));
+        }
+    }
+
+    /// The allocator the table had while it made every entry up front:
+    /// the free entries on a stack filled with `(0..max_entries).rev()`.
+    /// Returns each register's outcome and the entry the line then has.
+    struct PrefilledStack {
+        entries: HashMap<Address, (usize, usize)>,
+        free: Vec<usize>,
+        max_merge: usize,
+        high_water: usize,
+    }
+
+    impl PrefilledStack {
+        fn new(max_entries: usize, max_merge: usize) -> Self {
+            PrefilledStack {
+                entries: HashMap::new(),
+                free: (0..max_entries).rev().collect(),
+                max_merge,
+                high_water: 0,
+            }
+        }
+
+        fn register(&mut self, line: Address) -> (MshrOutcome, Option<usize>) {
+            let outcome = match self.entries.get_mut(&line) {
+                Some((_, n)) if *n >= self.max_merge => MshrOutcome::Full,
+                Some((_, n)) => {
+                    *n += 1;
+                    MshrOutcome::Merged
+                }
+                None => match self.free.pop() {
+                    Some(e) => {
+                        self.entries.insert(line, (e, 1));
+                        self.high_water = self.high_water.max(self.entries.len());
+                        MshrOutcome::Allocated
+                    }
+                    None => MshrOutcome::Full,
+                },
+            };
+            (outcome, self.entries.get(&line).map(|&(e, _)| e))
+        }
+
+        fn fill(&mut self, line: Address) {
+            if let Some((e, _)) = self.entries.remove(&line) {
+                self.free.push(e);
+            }
+        }
+    }
+
+    #[test]
+    fn entries_grow_on_demand_in_the_prefilled_stacks_order() {
+        use gpu_types::SplitMix64;
+        let mut rng = SplitMix64::new(0x5EED_3511);
+        for (max_entries, max_merge) in [(1, 1), (4, 2), (16, 3), (128, 8)] {
+            let mut m = MshrTable::new(max_entries, max_merge);
+            let mut old = PrefilledStack::new(max_entries, max_merge);
+            let span = 2 * max_entries as u64 + 2;
+            for i in 0..40_000u64 {
+                // Bursts of misses then bursts of fills, so occupancy
+                // sweeps between empty and full.
+                let l = line(rng.next_below(span));
+                if (i / 500) % 2 == 0 || rng.chance(0.2) {
+                    let (outcome, entry) = old.register(l);
+                    assert_eq!(m.register(l, ReqId(i)), outcome, "step {i}");
+                    assert_eq!(m.entries.get(&l).copied(), entry, "step {i}");
+                } else {
+                    old.fill(l);
+                    m.fill(l);
+                }
+                assert!(m.n_targets.len() <= max_entries, "step {i}");
+            }
+            assert_eq!(m.n_targets.len(), old.high_water, "made entries");
+            assert_eq!(m.targets.len(), old.high_water * max_merge);
         }
     }
 

@@ -7,7 +7,7 @@ use crate::ccws::{CcwsParams, CcwsThrottle};
 use crate::inst::{InstStream, Op};
 use crate::pending::{PendingLoad, PendingTable};
 use crate::scheduler::{GtoScheduler, ScanOrder};
-use crate::warp::{StructNeed, Warp, WarpIssueState};
+use crate::warp::{LineSlab, StructNeed, Warp, WarpIssueState};
 use gpu_mem::cache::{Cache, CacheCounters, Lookup};
 use gpu_mem::req::{AccessKind, MemRequest, ReqId};
 use gpu_types::bits::BitWalk;
@@ -17,8 +17,7 @@ use std::collections::VecDeque;
 /// Entries in a core's egress queue toward the request network. One
 /// instruction's transactions enter it together, so an instruction with
 /// more coalesced lines than this could never issue:
-/// [`CoreParams::max_txn_per_inst`] may not exceed it, and a decoded
-/// instruction ([`crate::inst::LineBuf`]) carries no more.
+/// [`CoreParams::max_txn_per_inst`] may not exceed it.
 pub const EGRESS_CAPACITY: usize = 16;
 
 /// Per-application tuning of a core's warps.
@@ -29,6 +28,9 @@ pub struct CoreParams {
     pub max_outstanding_loads: usize,
     /// Upper bound on transactions one instruction may generate after
     /// coalescing; lines past it are dropped. At most [`EGRESS_CAPACITY`].
+    /// It is the width of each warp's row of the core's line slab
+    /// ([`crate::warp::LineSlab`]): a stream decodes only the lines that
+    /// issue.
     pub max_txn_per_inst: usize,
 }
 
@@ -160,6 +162,8 @@ pub struct SimtCore<S = Box<dyn InstStream>> {
     pub app: AppId,
     /// Instruction supply per warp slot — cold, touched only at issue.
     warps: Vec<Warp<S>>,
+    /// The lines of each warp's decoded memory op.
+    lines: LineSlab,
     /// Issue/stall state of all warp slots — the arrays and bitsets every
     /// step reads.
     issue: WarpIssueState,
@@ -173,7 +177,6 @@ pub struct SimtCore<S = Box<dyn InstStream>> {
     /// order: a FIFO.
     hit_returns: VecDeque<(u64, ReqId)>,
     egress: VecDeque<MemRequest>,
-    params: CoreParams,
     next_req: u64,
     /// CCWS-style cache-conscious throttling, when enabled: modulates an
     /// additional warp limit from lost-locality scores.
@@ -249,6 +252,7 @@ impl<S: InstStream> SimtCore<S> {
             id,
             app,
             issue: WarpIssueState::new(streams.len(), params.max_outstanding_loads),
+            lines: LineSlab::new(streams.len(), params.max_txn_per_inst),
             warps: streams.into_iter().map(Warp::new).collect(),
             schedulers,
             // The L1 is private to this core's application, but counters are
@@ -259,7 +263,6 @@ impl<S: InstStream> SimtCore<S> {
             pending: PendingTable::new(),
             hit_returns: VecDeque::new(),
             egress: VecDeque::new(),
-            params,
             next_req: 0,
             ccws: None,
             line_owner: FxHashMap::default(),
@@ -464,11 +467,10 @@ impl<S: InstStream> SimtCore<S> {
     }
 
     /// The need of the memory op warp `slot` has decoded, a load when
-    /// `load`: its lines up to `max_txn_per_inst`.
+    /// `load`: its lines.
     #[inline]
     fn need_of(&self, slot: usize, load: bool) -> StructNeed {
-        let lines = self.warps[slot].lines().len();
-        StructNeed::new(lines.min(self.params.max_txn_per_inst), load)
+        StructNeed::new(self.lines.lines(slot).len(), load)
     }
 
     /// The structural hazards of warp `slot`'s decoded memory op: egress
@@ -485,14 +487,13 @@ impl<S: InstStream> SimtCore<S> {
         false
     }
 
-    /// Issues the load warp `slot` has decoded, straight from the warp's
-    /// line buffer; false on a structural hazard.
+    /// Issues the load warp `slot` has decoded, straight from its row of
+    /// the line slab; false on a structural hazard.
     fn issue_load(&mut self, slot: usize, now: u64) -> bool {
         if !self.fits_or_block(slot, true) {
             return false;
         }
-        let lines = self.warps[slot].lines();
-        let lines = &lines[..lines.len().min(self.params.max_txn_per_inst)];
+        let lines = self.lines.lines(slot);
         for &line in lines {
             let id = fresh_id(self.id, &mut self.next_req);
             let req = MemRequest::new(id, self.app, self.id, slot, line, AccessKind::Load);
@@ -535,9 +536,7 @@ impl<S: InstStream> SimtCore<S> {
         if !self.fits_or_block(slot, false) {
             return false;
         }
-        let lines = self.warps[slot].lines();
-        let lines = &lines[..lines.len().min(self.params.max_txn_per_inst)];
-        for &line in lines {
+        for &line in self.lines.lines(slot) {
             let id = fresh_id(self.id, &mut self.next_req);
             self.egress.push_back(MemRequest::new(
                 id,
@@ -585,7 +584,7 @@ impl<S: InstStream> SimtCore<S> {
             self.issue.ready(slot, now),
             "warp {slot} was offered before it was ready"
         );
-        let ok = match self.warps[slot].peek() {
+        let ok = match self.warps[slot].peek(self.lines.row(slot)) {
             None => {
                 self.issue.finish(slot);
                 return false;

@@ -1,10 +1,11 @@
 //! Warp instructions and the stream abstraction applications implement.
 //!
 //! Two vocabularies. The issue path moves a decoded instruction as an
-//! 8-byte [`Op`] plus the coalesced lines a stream wrote into the warp's
-//! own [`LineBuf`] ([`InstStream::decode`]). [`Inst`] / [`AddrList`] —
-//! per-thread addresses, a full warp wide — are what scripted streams and
-//! tests are written in; they coalesce into the same buffer.
+//! 8-byte [`Op`] plus the coalesced lines a stream wrote into the
+//! [`LineBuf`] its core lends the warp ([`InstStream::decode`]). [`Inst`] /
+//! [`AddrList`] — per-thread addresses, a full warp wide — are what
+//! scripted streams and tests are written in; they coalesce into the same
+//! buffer.
 
 use crate::core::EGRESS_CAPACITY;
 use gpu_types::Address;
@@ -20,9 +21,8 @@ pub const WARP_WIDTH: usize = 32;
 /// against it. The 26 application models use 1, 2 and 4.
 pub const MAX_ALU_CYCLES: u32 = 32;
 
-/// A fixed-capacity, inline, `Copy` list of addresses: nothing on the
-/// issue path touches the heap. It dereferences to `&[Address]`, so slice
-/// methods (`iter`, `len`, indexing) work directly.
+/// A fixed-capacity, inline, `Copy` list of addresses. It dereferences to
+/// `&[Address]`, so slice methods (`iter`, `len`, indexing) work directly.
 ///
 /// ```
 /// use gpu_simt::inst::AddrList;
@@ -41,12 +41,10 @@ pub struct Addrs<const N: usize> {
 /// warp wide.
 pub type AddrList = Addrs<WARP_WIDTH>;
 
-/// The coalesced transactions of one memory instruction: at most
-/// [`EGRESS_CAPACITY`] unique line addresses in first-appearance order.
-/// Every warp owns one; its stream decodes into it and the core issues
-/// from it by reference, so a memory instruction is never copied between
-/// the two.
-pub type LineBuf = Addrs<EGRESS_CAPACITY>;
+/// Storage for one [`LineBuf`] of [`EGRESS_CAPACITY`] lines, for decoding
+/// outside a core ([`InstStream::next_inst`], tests, probes):
+/// [`Addrs::line_buf`] lends it.
+pub type LineArray = Addrs<EGRESS_CAPACITY>;
 
 impl<const N: usize> Addrs<N> {
     /// Creates an empty list.
@@ -62,21 +60,12 @@ impl<const N: usize> Addrs<N> {
         std::iter::once(addr).collect()
     }
 
-    /// Empties the list.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
-
-    /// Appends an address as it is. Into a [`LineBuf`] only a line not yet
-    /// held goes this way (the consecutive lines of a contiguous access);
-    /// anything else goes through [`Self::coalesce`].
+    /// Appends an address.
     ///
     /// # Panics
     ///
     /// Panics when the list is full — a warp cannot generate more
-    /// per-thread accesses than it has threads, nor an instruction more
-    /// transactions than the egress queue takes.
+    /// per-thread accesses than it has threads.
     #[inline]
     pub fn push(&mut self, addr: Address) {
         assert!(
@@ -87,17 +76,90 @@ impl<const N: usize> Addrs<N> {
         self.len += 1;
     }
 
+    /// Lends the list's storage as a [`LineBuf`] of capacity `N`; what is
+    /// written through it is this list's content afterwards.
+    pub fn line_buf(&mut self) -> LineBuf<'_> {
+        LineBuf::new(&mut self.buf, &mut self.len)
+    }
+}
+
+/// The coalesced transactions of one memory instruction, written into
+/// storage its decoder's caller owns: at most [`Self::capacity`] unique
+/// line addresses in first-appearance order. A core lends each warp one
+/// row of its line slab ([`crate::warp::LineSlab`]),
+/// [`crate::CoreParams::max_txn_per_inst`] lines wide, and issues from the
+/// same row: a decoded instruction holds exactly the lines the core issues
+/// and is never copied. It dereferences to `&[Address]`.
+pub struct LineBuf<'a> {
+    buf: &'a mut [Address],
+    len: &'a mut u8,
+}
+
+impl<'a> LineBuf<'a> {
+    /// A buffer over `buf` (at most 255 lines) whose length lives in
+    /// `len`; it holds what `buf[..len]` held.
+    #[inline]
+    pub(crate) fn new(buf: &'a mut [Address], len: &'a mut u8) -> Self {
+        debug_assert!(buf.len() <= u8::MAX as usize && *len as usize <= buf.len());
+        LineBuf { buf, len }
+    }
+
+    /// Lines the buffer can hold.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Empties the buffer.
+    #[inline]
+    pub fn clear(&mut self) {
+        *self.len = 0;
+    }
+
+    /// Appends a line not yet held (the consecutive lines of a contiguous
+    /// access); anything else goes through [`Self::coalesce`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the buffer is full: the writer was to stop at
+    /// [`Self::capacity`].
+    #[inline]
+    pub fn push(&mut self, line: Address) {
+        let n = *self.len as usize;
+        assert!(
+            n < self.buf.len(),
+            "more than {} lines in one instruction",
+            self.buf.len()
+        );
+        self.buf[n] = line;
+        *self.len += 1;
+    }
+
     /// The coalescer (Table I: "memory coalescing and inter-warp merging
     /// enabled" — inter-warp merging happens in the MSHRs): appends the
     /// line of one thread's `addr` unless it is already held. Lines past
-    /// the capacity are dropped; no core issues more per instruction
-    /// ([`crate::CoreParams::max_txn_per_inst`] is bounded by it).
+    /// the capacity are dropped; the core would not issue them.
     #[inline]
     pub fn coalesce(&mut self, addr: Address) {
         let line = addr.line();
-        if (self.len as usize) < N && !self.contains(&line) {
+        if (*self.len as usize) < self.buf.len() && !self.contains(&line) {
             self.push(line);
         }
+    }
+}
+
+impl std::ops::Deref for LineBuf<'_> {
+    type Target = [Address];
+
+    #[inline]
+    fn deref(&self) -> &[Address] {
+        &self.buf[..*self.len as usize]
+    }
+}
+
+impl std::fmt::Debug for LineBuf<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -139,7 +201,7 @@ impl<const N: usize> std::fmt::Debug for Addrs<N> {
 }
 
 /// What a decoded warp instruction does. A memory op's transactions are
-/// the lines its stream left in the warp's [`LineBuf`].
+/// the lines its stream left in the [`LineBuf`] it decoded into.
 ///
 /// The simulator is trace-driven at warp granularity: an application model
 /// emits a stream of these per warp, and the core's issue logic, caches and
@@ -207,7 +269,7 @@ impl Inst {
 
     /// Decodes this instruction the way [`InstStream::decode`] must: a
     /// memory instruction's per-thread addresses coalesce into `lines`.
-    pub fn decode(&self, lines: &mut LineBuf) -> Op {
+    pub fn decode(&self, lines: &mut LineBuf<'_>) -> Op {
         let (op, addrs) = match self {
             Inst::Alu { cycles } => return Op::Alu { cycles: *cycles },
             Inst::Load { addrs } => (Op::Load, addrs),
@@ -232,15 +294,16 @@ pub trait InstStream: Send {
     /// retired (streams modeling steady-state kernels never return `None`).
     /// A load or store overwrites `lines` with its coalesced transactions —
     /// unique line addresses in first-appearance order, the first
-    /// [`EGRESS_CAPACITY`] of them; an ALU instruction need not touch it.
-    fn decode(&mut self, lines: &mut LineBuf) -> Option<Op>;
+    /// [`LineBuf::capacity`] of them — and makes the same draws whatever
+    /// that capacity; an ALU instruction need not touch it.
+    fn decode(&mut self, lines: &mut LineBuf<'_>) -> Option<Op>;
 
     /// The next instruction as a value: [`Self::decode`] into a scratch
-    /// buffer, for tests and probes. A memory instruction comes back
-    /// already coalesced, one address per line.
+    /// buffer of [`EGRESS_CAPACITY`] lines, for tests and probes. A memory
+    /// instruction comes back already coalesced, one address per line.
     fn next_inst(&mut self) -> Option<Inst> {
-        let mut lines = LineBuf::new();
-        let op = self.decode(&mut lines)?;
+        let mut lines = LineArray::new();
+        let op = self.decode(&mut lines.line_buf())?;
         let addrs = lines.iter().copied().collect();
         Some(match op {
             Op::Alu { cycles } => Inst::Alu { cycles },
@@ -256,7 +319,7 @@ pub trait InstStream: Send {
 /// `Box<dyn InstStream>`.
 impl<T: InstStream + ?Sized> InstStream for Box<T> {
     #[inline]
-    fn decode(&mut self, lines: &mut LineBuf) -> Option<Op> {
+    fn decode(&mut self, lines: &mut LineBuf<'_>) -> Option<Op> {
         (**self).decode(lines)
     }
 }
@@ -266,10 +329,10 @@ mod tests {
     use super::*;
     use gpu_types::LINE_SIZE;
 
-    fn coalesce(addrs: impl IntoIterator<Item = u64>) -> LineBuf {
+    fn coalesce(addrs: impl IntoIterator<Item = u64>) -> LineArray {
         let addrs = addrs.into_iter().map(Address::new).collect();
-        let mut lines = LineBuf::new();
-        assert_eq!(Inst::Load { addrs }.decode(&mut lines), Op::Load);
+        let mut lines = LineArray::new();
+        assert_eq!(Inst::Load { addrs }.decode(&mut lines.line_buf()), Op::Load);
         lines
     }
 
@@ -309,9 +372,12 @@ mod tests {
     #[test]
     fn decode_overwrites_the_previous_instruction() {
         let mut lines = coalesce([0, 128, 256]);
-        assert_eq!(Inst::store1(640).decode(&mut lines), Op::Store);
+        assert_eq!(Inst::store1(640).decode(&mut lines.line_buf()), Op::Store);
         assert_eq!(&lines[..], &[Address::new(640)]);
-        assert_eq!(Inst::alu1().decode(&mut lines), Op::Alu { cycles: 1 });
+        assert_eq!(
+            Inst::alu1().decode(&mut lines.line_buf()),
+            Op::Alu { cycles: 1 }
+        );
     }
 
     #[test]
@@ -323,10 +389,28 @@ mod tests {
     #[test]
     #[should_panic]
     fn pushing_past_the_capacity_panics() {
-        let mut lines = LineBuf::new();
-        for i in 0..=EGRESS_CAPACITY as u64 {
+        let mut buf = [Address::new(0); 3];
+        let mut len = 0;
+        let mut lines = LineBuf::new(&mut buf, &mut len);
+        for i in 0..=3 {
             lines.push(Address::new(i * LINE_SIZE));
         }
+    }
+
+    #[test]
+    fn a_narrow_buffer_keeps_the_first_unique_lines() {
+        // What a core with `max_txn_per_inst` 3 is lent: the first three
+        // unique lines of the full coalesce, in order.
+        let addrs: AddrList = [5, 1, 5, 9, 1, 2, 7]
+            .map(|l| Address::new(l * LINE_SIZE))
+            .into_iter()
+            .collect();
+        let wide = coalesce(addrs.iter().map(|a| a.raw()));
+        let (mut buf, mut len) = ([Address::new(0); 3], 0);
+        let mut narrow = LineBuf::new(&mut buf, &mut len);
+        assert_eq!(Inst::Load { addrs }.decode(&mut narrow), Op::Load);
+        assert_eq!(&narrow[..], &wide[..3]);
+        assert_eq!(narrow.capacity(), 3);
     }
 
     #[test]

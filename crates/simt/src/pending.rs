@@ -4,12 +4,13 @@
 //! direct-mapped by the id's low sequence bits: insert, lookup and removal
 //! are one index and one compare. Two live ids that share a slot make the
 //! table double until they no longer do — it sizes itself to the longest
-//! stretch of ids a load stays in flight for, once, and stays there.
+//! stretch of ids a load stays in flight for, once, and stays there. A
+//! slot is one word: the id and the load packed together.
 
 use gpu_mem::req::ReqId;
 
 /// What the core remembers of a load until its data returns.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PendingLoad {
     pub warp_slot: u32,
     /// False when the request bypassed the L1 (its response is routed
@@ -20,20 +21,54 @@ pub(crate) struct PendingLoad {
 /// Raw id 0 marks a free slot; a core's sequence starts at 1.
 const FREE: u64 = 0;
 
+/// Bits below the id in a slot: the warp slot, then the cached flag.
+const ID_SHIFT: u32 = 16;
+
+/// `id << 16 | warp_slot << 1 | cached`. Ids stay below 2^48 (a core's
+/// ids carry its index in bits 40 and up) and warp slots below 2^15, and
+/// an id is never 0, so a packed live slot is never [`FREE`].
+#[inline]
+fn pack(id: u64, load: PendingLoad) -> u64 {
+    debug_assert!(
+        id < 1 << (64 - ID_SHIFT),
+        "request id {id:#x} exceeds 48 bits"
+    );
+    debug_assert!(
+        load.warp_slot < 1 << (ID_SHIFT - 1),
+        "warp slot {} exceeds 15 bits",
+        load.warp_slot
+    );
+    id << ID_SHIFT | (load.warp_slot as u64) << 1 | load.cached as u64
+}
+
+#[inline]
+fn unpack(slot: u64) -> PendingLoad {
+    PendingLoad {
+        warp_slot: (slot as u32 & 0xFFFF) >> 1,
+        cached: slot & 1 != 0,
+    }
+}
+
 #[derive(Debug)]
 pub(crate) struct PendingTable {
-    /// `(raw id, load)`, power-of-two many; a live id sits at
-    /// `id & (len - 1)`.
-    slots: Vec<(u64, PendingLoad)>,
+    /// Packed `(id, load)` words ([`pack`]), power-of-two many; a live id
+    /// sits at `id & (len - 1)`.
+    slots: Vec<u64>,
     live: usize,
 }
 
 impl PendingTable {
     pub fn new() -> Self {
         PendingTable {
-            slots: vec![(FREE, PendingLoad::default()); 64],
+            slots: vec![FREE; 64],
             live: 0,
         }
+    }
+
+    /// The id held by slot word `slot` ([`FREE`] for a free slot).
+    #[inline]
+    fn id_of(slot: u64) -> u64 {
+        slot >> ID_SHIFT
     }
 
     #[inline]
@@ -46,12 +81,12 @@ impl PendingTable {
     pub fn insert(&mut self, id: ReqId, load: PendingLoad) {
         debug_assert_ne!(id.0, FREE, "request ids start at 1");
         let mut i = self.index(id.0);
-        while self.slots[i].0 != FREE && self.slots[i].0 != id.0 {
+        while self.slots[i] != FREE && Self::id_of(self.slots[i]) != id.0 {
             self.grow();
             i = self.index(id.0);
         }
-        self.live += (self.slots[i].0 == FREE) as usize;
-        self.slots[i] = (id.0, load);
+        self.live += (self.slots[i] == FREE) as usize;
+        self.slots[i] = pack(id.0, load);
     }
 
     /// Doubles the table. Ids that were distinct modulo the old size stay
@@ -59,17 +94,17 @@ impl PendingTable {
     #[cold]
     fn grow(&mut self) {
         let old = std::mem::take(&mut self.slots);
-        self.slots = vec![(FREE, PendingLoad::default()); old.len() * 2];
-        for slot in old.into_iter().filter(|s| s.0 != FREE) {
-            let i = self.index(slot.0);
+        self.slots = vec![FREE; old.len() * 2];
+        for slot in old.into_iter().filter(|&s| s != FREE) {
+            let i = self.index(Self::id_of(slot));
             self.slots[i] = slot;
         }
     }
 
     #[inline]
     pub fn get(&self, id: ReqId) -> Option<PendingLoad> {
-        let (held, load) = self.slots[self.index(id.0)];
-        (held == id.0 && held != FREE).then_some(load)
+        let slot = self.slots[self.index(id.0)];
+        (Self::id_of(slot) == id.0 && slot != FREE).then(|| unpack(slot))
     }
 
     /// Forgets `id`; `None` when it is not in flight (a straggling
@@ -78,7 +113,7 @@ impl PendingTable {
     pub fn remove(&mut self, id: ReqId) -> Option<PendingLoad> {
         let load = self.get(id)?;
         let i = self.index(id.0);
-        self.slots[i].0 = FREE;
+        self.slots[i] = FREE;
         self.live -= 1;
         Some(load)
     }
@@ -151,6 +186,34 @@ mod tests {
         assert_eq!(t.get(ReqId(10)), None);
         assert_eq!(t.remove(ReqId(10)), None);
         assert_eq!(t.get(ReqId(0)), None, "0 is the free marker, not an id");
+        assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn the_packing_bounds_round_trip() {
+        // The last warp slot of the largest stock machine and ids of a core
+        // index past its last, at both ends of the 40-bit sequence.
+        let cfg = gpu_types::GpuConfig::volta();
+        let top_slot = cfg.warps_per_core as u32 - 1;
+        let core = (cfg.n_cores as u64) << 40;
+        for id in [core | 1, core | ((1 << 40) - 1), (1 << 48) - 1] {
+            for l in [
+                load(top_slot, true),
+                load((1 << 15) - 1, false),
+                load(0, false),
+            ] {
+                assert_eq!(unpack(pack(id, l)), l);
+                assert_eq!(PendingTable::id_of(pack(id, l)), id);
+            }
+        }
+        let mut t = PendingTable::new();
+        t.insert(ReqId(core | 1), load(top_slot, true));
+        t.insert(ReqId(core | ((1 << 40) - 1)), load(top_slot, false));
+        assert_eq!(t.get(ReqId(core | 1)), Some(load(top_slot, true)));
+        assert_eq!(
+            t.remove(ReqId(core | ((1 << 40) - 1))),
+            Some(load(top_slot, false))
+        );
         assert_eq!(t.len(), 1);
     }
 

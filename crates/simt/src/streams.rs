@@ -22,7 +22,7 @@ impl Scripted {
 }
 
 impl InstStream for Scripted {
-    fn decode(&mut self, lines: &mut LineBuf) -> Option<Op> {
+    fn decode(&mut self, lines: &mut LineBuf<'_>) -> Option<Op> {
         Some(self.insts.pop_front()?.decode(lines))
     }
 }
@@ -51,7 +51,7 @@ impl Streaming {
 }
 
 impl InstStream for Streaming {
-    fn decode(&mut self, lines: &mut LineBuf) -> Option<Op> {
+    fn decode(&mut self, lines: &mut LineBuf<'_>) -> Option<Op> {
         if self.phase < self.compute {
             self.phase += 1;
             return Some(Op::Alu { cycles: 1 });
@@ -87,7 +87,7 @@ impl LoopOverSet {
 }
 
 impl InstStream for LoopOverSet {
-    fn decode(&mut self, lines: &mut LineBuf) -> Option<Op> {
+    fn decode(&mut self, lines: &mut LineBuf<'_>) -> Option<Op> {
         let a = self.lines[self.idx];
         self.idx = (self.idx + 1) % self.lines.len();
         lines.clear();

@@ -1,8 +1,9 @@
 //! Per-warp execution state, split by how often the core looks at it.
 //!
-//! A [`Warp`] is the cold half: the instruction stream, the one op decoded
-//! from it but not yet issued and the line buffer that op's transactions
-//! sit in, touched only when a scheduler offers the warp an issue slot.
+//! A [`Warp`] is the cold half: the instruction stream and the one op
+//! decoded from it but not yet issued, touched only when a scheduler offers
+//! the warp an issue slot. The lines of that op sit in the core's
+//! [`LineSlab`], one row per warp.
 //! [`WarpIssueState`] is the hot half for all of a core's warps at once —
 //! struct-of-arrays plus a ready calendar, so the per-cycle "which warp can
 //! issue" question is a walk over the ready set's bitset words, and "when
@@ -24,10 +25,6 @@ pub struct Warp<S = Box<dyn InstStream>> {
     /// An op decoded but not issued (structural hazard); retried before
     /// the stream is consulted again.
     decoded: Option<Op>,
-    /// The transactions of `decoded` when it is a load or a store. The
-    /// stream writes them here and the core issues from here: a memory
-    /// instruction is never moved.
-    lines: LineBuf,
 }
 
 impl<S> std::fmt::Debug for Warp<S> {
@@ -44,28 +41,21 @@ impl<S: InstStream> Warp<S> {
         Warp {
             stream,
             decoded: None,
-            lines: LineBuf::new(),
         }
     }
 
-    /// The next op *without* consuming it, decoding from the stream on
-    /// first peek; `None` means the stream ended and the caller retires
-    /// the warp ([`WarpIssueState::finish`]). A structural-hazard retry
-    /// peeks the same op again and moves nothing; [`Self::consume`] follows
-    /// a successful issue. Only call for a ready warp.
+    /// The next op *without* consuming it, decoding from the stream into
+    /// `lines` (the warp's row of its core's [`LineSlab`]) on first peek;
+    /// `None` means the stream ended and the caller retires the warp
+    /// ([`WarpIssueState::finish`]). A structural-hazard retry peeks the
+    /// same op again and writes nothing; [`Self::consume`] follows a
+    /// successful issue. Only call for a ready warp.
     #[inline]
-    pub fn peek(&mut self) -> Option<Op> {
+    pub fn peek(&mut self, mut lines: LineBuf<'_>) -> Option<Op> {
         if self.decoded.is_none() {
-            self.decoded = self.stream.decode(&mut self.lines);
+            self.decoded = self.stream.decode(&mut lines);
         }
         self.decoded
-    }
-
-    /// The transactions of the load or store last returned by
-    /// [`Self::peek`].
-    #[inline]
-    pub fn lines(&self) -> &[Address] {
-        &self.lines
     }
 
     /// The op [`Self::peek`] would return, without decoding one.
@@ -79,6 +69,50 @@ impl<S: InstStream> Warp<S> {
     pub fn consume(&mut self) {
         debug_assert!(self.decoded.is_some(), "consume without a peeked op");
         self.decoded = None;
+    }
+}
+
+/// The line buffers of a core's warps: one row of `width` lines per warp
+/// slot and a length byte each, in two allocations. `width` is the core's
+/// [`crate::CoreParams::max_txn_per_inst`], so a row holds exactly the
+/// transactions the core issues — one line for most applications, where a
+/// buffer inside every warp held [`crate::core::EGRESS_CAPACITY`].
+#[derive(Debug)]
+pub struct LineSlab {
+    lines: Vec<Address>,
+    len: Vec<u8>,
+    width: usize,
+}
+
+impl LineSlab {
+    /// Empty rows of `width` lines for `n_warps` warp slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` exceeds [`crate::core::EGRESS_CAPACITY`].
+    pub fn new(n_warps: usize, width: usize) -> Self {
+        assert!(
+            width <= crate::core::EGRESS_CAPACITY,
+            "a row of {width} lines is wider than any instruction issues"
+        );
+        LineSlab {
+            lines: vec![Address::new(0); n_warps * width],
+            len: vec![0; n_warps],
+            width,
+        }
+    }
+
+    /// Warp `slot`'s row, lent to its stream to decode into.
+    #[inline]
+    pub fn row(&mut self, slot: usize) -> LineBuf<'_> {
+        let row = &mut self.lines[slot * self.width..][..self.width];
+        LineBuf::new(row, &mut self.len[slot])
+    }
+
+    /// The lines warp `slot`'s stream last wrote.
+    #[inline]
+    pub fn lines(&self, slot: usize) -> &[Address] {
+        &self.lines[slot * self.width..][..self.len[slot] as usize]
     }
 }
 
@@ -653,11 +687,12 @@ mod tests {
     #[test]
     fn finished_when_stream_ends() {
         let mut warp = Warp::new(Scripted::new(vec![Inst::alu1()]));
+        let mut slab = LineSlab::new(1, 1);
         let mut w = WarpIssueState::new(1, 1);
-        assert!(warp.peek().is_some());
+        assert!(warp.peek(slab.row(0)).is_some());
         warp.consume();
         w.issue_alu(0, 0, 1);
-        assert!(warp.peek().is_none());
+        assert!(warp.peek(slab.row(0)).is_none());
         w.sync(1);
         w.finish(0);
         assert!(w.all_finished());
@@ -680,17 +715,24 @@ mod tests {
     fn a_peeked_op_is_re_offered_until_consumed() {
         let insts = vec![Inst::load1(0), Inst::alu1(), Inst::store1(300)];
         let mut w = Warp::new(Scripted::new(insts));
+        // Slot 1 of a two-warp slab: rows do not overlap.
+        let mut slab = LineSlab::new(2, 2);
         for _ in 0..2 {
-            assert_eq!(w.peek(), Some(Op::Load), "a retry decodes nothing new");
-            assert_eq!(w.lines(), [Address::new(0)]);
+            assert_eq!(
+                w.peek(slab.row(1)),
+                Some(Op::Load),
+                "a retry decodes nothing new"
+            );
+            assert_eq!(slab.lines(1), [Address::new(0)]);
         }
         w.consume();
-        assert_eq!(w.peek(), Some(Op::Alu { cycles: 1 }));
+        assert_eq!(w.peek(slab.row(1)), Some(Op::Alu { cycles: 1 }));
         w.consume();
-        assert_eq!(w.peek(), Some(Op::Store));
-        assert_eq!(w.lines(), [Address::new(256)]);
+        assert_eq!(w.peek(slab.row(1)), Some(Op::Store));
+        assert_eq!(slab.lines(1), [Address::new(256)]);
+        assert_eq!(slab.lines(0), []);
         w.consume();
-        assert_eq!(w.peek(), None);
+        assert_eq!(w.peek(slab.row(1)), None);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! seeds, so failures reproduce exactly) — the build must work fully
 //! offline.
 
-use gpu_simt::inst::{Inst, InstStream, LineBuf, Op};
+use gpu_simt::inst::{Inst, InstStream, LineArray, Op};
 use gpu_types::{AppId, SplitMix64};
 use gpu_workloads::{all_apps, AppProfile, AppStream, PH1};
 use std::collections::HashSet;
@@ -244,7 +244,7 @@ fn decode_yields_the_lines_the_reference_stream_coalesces_to() {
                 let mut old = reference::Stream::new(profile, app, rank, slot, WARPS, seed);
                 let mut lone = AppStream::new(*profile, app, rank, slot, WARPS, seed);
                 let mut shared = AppStream::core(profile, app, rank, WARPS, seed).swap_remove(slot);
-                let (mut lines, mut shared_lines) = (LineBuf::new(), LineBuf::new());
+                let (mut lines, mut shared_lines) = (LineArray::new(), LineArray::new());
                 for i in 0..20_000 {
                     let at = || {
                         format!(
@@ -252,8 +252,11 @@ fn decode_yields_the_lines_the_reference_stream_coalesces_to() {
                             profile.name
                         )
                     };
-                    let op = lone.decode(&mut lines).expect("app streams are endless");
-                    assert_eq!(shared.decode(&mut shared_lines), Some(op), "{}", at());
+                    let op = lone
+                        .decode(&mut lines.line_buf())
+                        .expect("app streams are endless");
+                    let shared_op = shared.decode(&mut shared_lines.line_buf());
+                    assert_eq!(shared_op, Some(op), "{}", at());
                     let expect = match old.next_inst() {
                         reference::Inst::Alu { cycles } => {
                             assert_eq!(op, Op::Alu { cycles }, "{}", at());

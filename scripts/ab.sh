@@ -1,37 +1,45 @@
 #!/usr/bin/env bash
-# Paired A/B runs of the benchmark: two revisions, run alternately, one
-# table of end-to-end metrics.
+# Paired A/B runs: two revisions, run alternately, one table of medians.
 #
 #   scripts/ab.sh --parent <rev> [--change <rev>] [--pairs N] -- <run.sh args>
+#   scripts/ab.sh --parent <rev> [--change <rev>] [--pairs N] --wall -- <command>
 #
 # e.g. scripts/ab.sh --parent HEAD~1 --pairs 5 -- --workload volta-busy --seconds 5 --trace 0
+#      scripts/ab.sh --parent HEAD~1 --wall -- \
+#          'cargo run -q --release -p ebm-bench --bin experiments -- --quick --out "$AB_OUT"'
 #
-# Checks <rev> out with `git worktree add --detach` into a temporary
-# directory that is removed on exit; --change does the same for a second
-# revision and defaults to the working tree. Each side builds into its own
-# CARGO_TARGET_DIR (the first pair also compiles). Each of the N pairs
-# (default 5) runs `benchmark/run.sh <run.sh args>` once per side, and
-# which side goes first alternates from pair to pair. For every end-to-end
-# metric of BENCHMARK.json, the value is read from `metrics.<m>.value` of
-# the last line of stdout. The table gives both medians, the ratio
-# change/parent, the pairs the change won, and both quartile ranges. A
-# metric whose ranges overlap is `unresolved`, one equal in every pair
-# `identical`. nproc and the load average
-# are printed at start and end. Needs git, jq and awk; writes nothing
-# under benchmark/.
+# Exports <rev> with `git archive` into a temporary directory that is
+# removed on exit; --change does the same for a second revision and
+# defaults to the working tree. Each side builds into its own
+# CARGO_TARGET_DIR. Each of the N pairs (default 5) runs once per side, and
+# which side goes first alternates from pair to pair.
+#
+# By default a run is `benchmark/run.sh <run.sh args>` (the first pair also
+# compiles), and for every end-to-end metric of BENCHMARK.json the value is
+# read from `metrics.<m>.value` of the last line of stdout. With --wall a
+# run is `bash -c <command>` in the side's tree, with AB_OUT naming a fresh
+# empty directory, and its wall time is the one metric (`wall_s`); each
+# side runs the command once untimed first, which compiles what it builds.
+#
+# The table gives both medians, the ratio change/parent, the pairs the
+# change won, and both quartile ranges. A metric whose ranges overlap is
+# `unresolved`, one equal in every pair `identical`. nproc and the load
+# average are printed at start and end. Needs git, tar, jq and awk; writes
+# nothing under benchmark/.
 set -euo pipefail
 
 usage() {
-    echo "usage: scripts/ab.sh --parent <rev> [--change <rev>] [--pairs N] -- <run.sh args>" >&2
+    echo "usage: scripts/ab.sh --parent <rev> [--change <rev>] [--pairs N] [--wall] -- <run.sh args | command>" >&2
     exit 2
 }
 
-parent="" change="" pairs=5
+parent="" change="" pairs=5 wall=0
 while (($#)); do
     case "$1" in
     --parent) parent=${2:?--parent needs a revision}; shift 2 ;;
     --change) change=${2:?--change needs a revision}; shift 2 ;;
     --pairs) pairs=${2:?--pairs needs a number}; shift 2 ;;
+    --wall) wall=1; shift ;;
     --) shift; break ;;
     *) usage ;;
     esac
@@ -40,23 +48,15 @@ done
 
 ROOT="$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)"
 TMP="$(mktemp -d)"
-worktrees=()
-cleanup() {
-    for wt in ${worktrees[@]+"${worktrees[@]}"}; do
-        git -C "$ROOT" worktree remove --force "$wt" > /dev/null 2>&1 || true
-    done
-    rm -rf "$TMP"
-    git -C "$ROOT" worktree prune
-}
-trap cleanup EXIT
+trap 'rm -rf "$TMP"' EXIT
 
-# checkout <side> <rev>: a detached worktree of <rev> under $TMP.
+# checkout <side> <rev>: the files of <rev> under $TMP/<side>.
 checkout() {
     local rev
     rev="$(git -C "$ROOT" rev-parse --verify --quiet "$2^{commit}")" ||
         { echo "ab.sh: $2 names no commit" >&2; exit 2; }
-    git -C "$ROOT" worktree add --quiet --detach "$TMP/$1" "$rev"
-    worktrees+=("$TMP/$1")
+    mkdir "$TMP/$1"
+    git -C "$ROOT" archive "$rev" | tar -x -C "$TMP/$1"
 }
 checkout parent "$parent"
 if [[ -n $change ]]; then
@@ -67,31 +67,64 @@ else
     declare -A tree=([parent]="$TMP/parent" [change]="$ROOT")
 fi
 
-# name and better-direction of every end-to-end metric
-mapfile -t metrics < <(jq -r '.end_to_end[] | "\(.name) \(.better)"' "$ROOT/BENCHMARK.json")
+# name and better-direction of every metric
+if ((wall)); then
+    metrics=("wall_s lower")
+    what="bash -c '$*'"
+else
+    mapfile -t metrics < <(jq -r '.end_to_end[] | "\(.name) \(.better)"' "$ROOT/BENCHMARK.json")
+    what="benchmark/run.sh $*"
+fi
 
 load() { cut -d' ' -f1-3 /proc/loadavg 2>/dev/null || echo unknown; }
-echo "ab: parent $parent, change $change, $pairs pairs of: benchmark/run.sh $*"
+echo "ab: parent $parent, change $change, $pairs pairs of: $what"
 echo "ab: nproc $(nproc), load average $(load) at start"
 
 mkdir "$TMP/values"
-# run <side> <pair> <run.sh args>: one benchmark run; appends each
-# metric's value (or `-` when the run reports none) to
-# $TMP/values/<side>.<metric>.
+# invoke <side> <args>: one run of the side's tree, its stdout and stderr
+# where the caller sends them.
+invoke() {
+    local side=$1
+    shift
+    if ((wall)); then
+        local out
+        out="$(mktemp -d "$TMP/out.XXXX")"
+        (cd "${tree[$side]}" && CARGO_TARGET_DIR="$TMP/target-$side" AB_OUT="$out" bash -c "$*")
+    else
+        CARGO_TARGET_DIR="$TMP/target-$side" bash "${tree[$side]}/benchmark/run.sh" "$@"
+    fi
+}
+# run <side> <pair> <args>: one measured run; appends each metric's value
+# (or `-` when the run reports none) to $TMP/values/<side>.<metric>.
 run() {
-    local side=$1 pair=$2 m
+    local side=$1 pair=$2 m t0
     shift 2
     local out="$TMP/$side.$pair.out" err="$TMP/$side.$pair.err"
-    if ! CARGO_TARGET_DIR="$TMP/target-$side" bash "${tree[$side]}/benchmark/run.sh" "$@" > "$out" 2> "$err"; then
+    t0=$(date +%s%N)
+    if ! invoke "$side" "$@" > "$out" 2> "$err"; then
         echo "ab.sh: the $side run of pair $pair failed; its stderr ends:" >&2
         tail -n 20 "$err" >&2
         exit 1
+    fi
+    if ((wall)); then
+        echo "$(($(date +%s%N) - t0))" | awk '{ printf "%.6f\n", $1 / 1e9 }' >> "$TMP/values/$side.wall_s"
+        return
     fi
     for line in "${metrics[@]}"; do
         m=${line%% *}
         tail -n 1 "$out" | jq -r --arg m "$m" '.metrics[$m].value // "-"' >> "$TMP/values/$side.$m"
     done
 }
+if ((wall)); then
+    for side in parent change; do
+        if ! invoke "$side" "$@" > "$TMP/$side.warmup.out" 2> "$TMP/$side.warmup.err"; then
+            echo "ab.sh: the untimed $side run failed; its stderr ends:" >&2
+            tail -n 20 "$TMP/$side.warmup.err" >&2
+            exit 1
+        fi
+    done
+    echo "ab: untimed first runs done"
+fi
 for ((i = 1; i <= pairs; i++)); do
     if ((i % 2)); then order=(parent change); else order=(change parent); fi
     for side in "${order[@]}"; do
