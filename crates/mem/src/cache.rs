@@ -24,30 +24,53 @@ pub enum Lookup {
     Stall,
 }
 
-/// One way of a set: the tag of the line it holds, [`Way::EMPTY`]'s when
-/// it holds none, and the LRU clock at its last hit or fill.
+/// Bits of a [`Way`] that hold its LRU stamp; the rest hold its tag.
+const STAMP_BITS: u32 = 20;
+
+/// The largest LRU stamp a [`Way`] holds.
+const STAMP_MAX: u64 = (1 << STAMP_BITS) - 1;
+
+/// Tags below this fit a [`Way`]: 2^44, so every line below 2^51 bytes at
+/// any set count, which covers the region the stream layout gives every
+/// application (`(1 + app) · 2^40`).
+const TAG_LIMIT: u64 = 1 << (64 - STAMP_BITS);
+
+/// One way of a set, one word: the tag of the line it holds above the LRU
+/// stamp of its last hit or fill. A held way's stamp is at least 1, so
+/// [`Way::EMPTY`] (stamp 0) is the least recently used of its set and no
+/// tag, 0 included, matches it.
 #[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    last_use: u64,
-}
+struct Way(u64);
 
 impl Way {
-    /// A way holding no line. A tag is `line_index >> set_shift` and a line
-    /// index is an address over the line size, so no line has this tag; and
-    /// a line's way is stamped at a tick of at least 1, so an empty way is
-    /// the least recently used of its set.
-    const EMPTY: Way = Way {
-        tag: u64::MAX,
-        last_use: 0,
-    };
+    /// A way holding no line.
+    const EMPTY: Way = Way(0);
+
+    fn new(tag: u64, stamp: u64) -> Way {
+        debug_assert!(tag < TAG_LIMIT && (1..=STAMP_MAX).contains(&stamp));
+        Way(tag << STAMP_BITS | stamp)
+    }
+
+    fn tag(self) -> u64 {
+        self.0 >> STAMP_BITS
+    }
+
+    fn stamp(self) -> u64 {
+        self.0 & STAMP_MAX
+    }
 
     fn holds(self) -> bool {
-        self.tag != Way::EMPTY.tag
+        self.stamp() != 0
+    }
+
+    /// True when the way holds the line tagged `tag`: the tag bits agree
+    /// and the stamp is not 0, in one compare.
+    fn holds_tag(self, tag: u64) -> bool {
+        (self.0 ^ tag << STAMP_BITS).wrapping_sub(1) < STAMP_MAX
     }
 }
 
-const _: () = assert!(std::mem::size_of::<Way>() == 16);
+const _: () = assert!(std::mem::size_of::<Way>() == 8);
 
 /// Per-application access/miss counts maintained by a cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -75,6 +98,7 @@ pub struct Cache {
     assoc: usize,
     mshr: MshrTable,
     counters: Vec<CacheCounters>,
+    /// The LRU clock: the stamp of the latest hit or fill.
     tick: u64,
 }
 
@@ -92,6 +116,10 @@ impl Cache {
         let n_sets = cfg.n_sets();
         assert!(n_sets > 0, "cache must have at least one set");
         assert!(n_sets.is_power_of_two(), "set count must be a power of two");
+        assert!(
+            (cfg.associativity as u64) < STAMP_MAX,
+            "associativity must be below {STAMP_MAX}"
+        );
         Cache {
             ways: vec![Way::EMPTY; n_sets * cfg.associativity],
             set_mask: n_sets as u64 - 1,
@@ -107,8 +135,42 @@ impl Cache {
         (line.line_index() & self.set_mask) as usize
     }
 
+    /// The tag of `line` in its set.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the line, if the tag does not fit a [`Way`].
     fn tag_of(&self, line: Address) -> u64 {
-        line.line_index() >> self.set_shift
+        let tag = line.line_index() >> self.set_shift;
+        assert!(
+            tag < TAG_LIMIT,
+            "line {line:#x} has a tag beyond the 44 bits a cache way holds"
+        );
+        tag
+    }
+
+    /// The stamp of a hit or fill happening now: the next tick of the LRU
+    /// clock. When the clock is at its ceiling, every set's held ways are
+    /// first renumbered by rank, 1..=assoc, and the clock restarts at
+    /// `assoc`. The victim rule compares stamps only within a set, and
+    /// renumbering keeps each set's order, so it changes no victim.
+    fn next_stamp(&mut self) -> u64 {
+        if self.tick == STAMP_MAX {
+            let mut stamps = Vec::with_capacity(self.assoc);
+            for set in self.ways.chunks_exact_mut(self.assoc) {
+                stamps.clear();
+                stamps.extend(set.iter().map(|w| w.stamp()));
+                for (way, &stamp) in set.iter_mut().zip(&stamps) {
+                    if stamp != 0 {
+                        let rank = stamps.iter().filter(|&&s| s != 0 && s <= stamp).count();
+                        *way = Way::new(way.tag(), rank as u64);
+                    }
+                }
+            }
+            self.tick = self.assoc as u64;
+        }
+        self.tick += 1;
+        self.tick
     }
 
     /// The hit path of a load lookup: when `line` is resident, stamps its
@@ -119,12 +181,14 @@ impl Cache {
         let set = self.set_of(line);
         let tag = self.tag_of(line);
         let base = set * self.assoc;
-        let ways = &mut self.ways[base..base + self.assoc];
-        let Some(way) = ways.iter_mut().find(|w| w.tag == tag) else {
+        let Some(i) = self.ways[base..base + self.assoc]
+            .iter()
+            .position(|w| w.holds_tag(tag))
+        else {
             return false;
         };
-        self.tick += 1;
-        way.last_use = self.tick;
+        let stamp = self.next_stamp();
+        self.ways[base + i] = Way::new(tag, stamp);
         self.counters[app.index()].accesses += 1;
         true
     }
@@ -185,7 +249,7 @@ impl Cache {
         let base = set * self.assoc;
         self.ways[base..base + self.assoc]
             .iter()
-            .any(|w| w.tag == tag)
+            .any(|w| w.holds_tag(tag))
     }
 
     /// Installs `line` (completing its outstanding miss, if any) and returns
@@ -209,25 +273,21 @@ impl Cache {
         let set = self.set_of(line);
         let tag = self.tag_of(line);
         let base = set * self.assoc;
-        self.tick += 1;
-        let now = self.tick;
+        let stamp = self.next_stamp();
+        let ways = &mut self.ways[base..base + self.assoc];
         // Already present (e.g. refill racing a prior fill): refresh LRU only.
-        if let Some(way) = self.ways[base..base + self.assoc]
-            .iter_mut()
-            .find(|w| w.tag == tag)
-        {
-            way.last_use = now;
+        if let Some(way) = ways.iter_mut().find(|w| w.holds_tag(tag)) {
+            *way = Way::new(tag, stamp);
             return None;
         }
-        let set_shift = self.set_shift;
-        let victim = self.ways[base..base + self.assoc]
+        let victim = ways
             .iter_mut()
-            .min_by_key(|w| w.last_use)
+            .min_by_key(|w| w.stamp())
             .expect("associativity >= 1");
-        let evicted = victim
-            .holds()
-            .then(|| Address::new(((victim.tag << set_shift) | set as u64) * crate::LINE_SIZE_U64));
-        *victim = Way { tag, last_use: now };
+        let evicted = victim.holds().then(|| {
+            Address::new(((victim.tag() << self.set_shift) | set as u64) * crate::LINE_SIZE_U64)
+        });
+        *victim = Way::new(tag, stamp);
         evicted
     }
 
@@ -413,6 +473,117 @@ mod tests {
         c.access_load(APP, line(8), ReqId(8));
         let victim = c.fill_into(line(8), &mut Vec::new());
         assert_eq!(victim, Some(line(0)), "LRU way of set 0 holds line 0");
+    }
+
+    /// The ways as they were at 16 bytes: a full tag and a 64-bit LRU
+    /// clock each, `None` for an empty way.
+    struct WideWays {
+        ways: Vec<Option<(u64, u64)>>,
+        n_sets: u64,
+        assoc: usize,
+        tick: u64,
+    }
+
+    impl WideWays {
+        fn new(cfg: &CacheConfig) -> Self {
+            WideWays {
+                ways: vec![None; cfg.n_lines()],
+                n_sets: cfg.n_sets() as u64,
+                assoc: cfg.associativity,
+                tick: 0,
+            }
+        }
+
+        fn set(&mut self, l: Address) -> (&mut [Option<(u64, u64)>], u64) {
+            let (set, tag) = (l.line_index() % self.n_sets, l.line_index() / self.n_sets);
+            let base = set as usize * self.assoc;
+            (&mut self.ways[base..base + self.assoc], tag)
+        }
+
+        fn touch(&mut self, l: Address) -> bool {
+            self.tick += 1;
+            let now = self.tick;
+            let (ways, tag) = self.set(l);
+            match ways.iter_mut().flatten().find(|(t, _)| *t == tag) {
+                Some(way) => {
+                    way.1 = now;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn fill(&mut self, l: Address) -> Option<Address> {
+            self.tick += 1;
+            let (now, n_sets) = (self.tick, self.n_sets);
+            let set = l.line_index() % n_sets;
+            let (ways, tag) = self.set(l);
+            if let Some(way) = ways.iter_mut().flatten().find(|(t, _)| *t == tag) {
+                way.1 = now;
+                return None;
+            }
+            let victim = ways
+                .iter_mut()
+                .min_by_key(|w| w.map_or(0, |(_, at)| at))
+                .unwrap();
+            let evicted = victim.map(|(t, _)| line(t * n_sets + set));
+            *victim = Some((tag, now));
+            evicted
+        }
+    }
+
+    #[test]
+    fn packed_ways_agree_with_wide_ways_across_renumberings() {
+        use gpu_types::SplitMix64;
+        let mut rng = SplitMix64::new(0xCAC4_E008);
+        for (capacity_bytes, associativity) in [(1024, 1), (1024, 2), (4096, 4), (8192, 16)] {
+            let cfg = CacheConfig {
+                capacity_bytes,
+                associativity,
+                mshr_entries: 64,
+                mshr_merge: 4,
+                hit_latency: 1,
+            };
+            let mut c = Cache::new(&cfg, 1);
+            let mut wide = WideWays::new(&cfg);
+            let n_lines = cfg.n_lines() as u64;
+            // Lines near the top of the taggable space share sets with
+            // the low ones.
+            let top = (TAG_LIMIT << c.set_shift) - 4 * n_lines;
+            for i in 0..40_000u64 {
+                // Moving the clock forward keeps every set's order; three
+                // ticks below its ceiling, it renumbers every few accesses.
+                c.tick = c.tick.max(STAMP_MAX - 3);
+                let k = rng.next_below(3 * n_lines);
+                let l = line(if rng.chance(0.5) { k } else { top + k });
+                if rng.chance(0.6) {
+                    let hit = wide.touch(l);
+                    match c.access_load(APP, l, ReqId(i)) {
+                        Lookup::Hit => assert!(hit, "step {i}"),
+                        _ => {
+                            assert!(!hit, "step {i}");
+                            assert_eq!(c.fill_into(l, &mut Vec::new()), wide.fill(l), "step {i}");
+                        }
+                    }
+                } else {
+                    assert_eq!(c.fill_into(l, &mut Vec::new()), wide.fill(l), "step {i}");
+                }
+                let probe = line(rng.next_below(2 * n_lines));
+                let (ways, tag) = wide.set(probe);
+                let held = ways.iter().flatten().any(|(t, _)| *t == tag);
+                assert_eq!(c.probe(probe), held, "step {i}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "line 0x20000000000000")]
+    fn a_line_beyond_the_taggable_space_panics() {
+        // Four sets: a tag is the line index over 4, so the taggable space
+        // ends at 2^53 bytes.
+        let mut c = Cache::new(&cfg(), 1);
+        assert!(!c.probe(Address::new((1 << 53) - 128)));
+        c.access_load(APP, Address::new(1 << 53), ReqId(1));
     }
 
     #[test]

@@ -40,10 +40,12 @@ pub struct McCounters {
 /// "No slot": the end of a bank's FIFO or of the free list.
 const NIL: u32 = u32::MAX;
 
+/// A queued request with what a pick reads of it: 56 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Queued {
     req: MemRequest,
-    bank: usize,
+    /// The request's bank (`n_banks` fits 32 bits: [`MemoryController::new`]).
+    bank: u32,
     row: u64,
     /// Arrival cycle, recorded so the metrics layer can attribute the full
     /// queue-to-data latency (`done_at - at`) when the request is issued.
@@ -55,6 +57,8 @@ struct Queued {
     /// this one is vacant.
     next: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Queued>() == 56);
 
 /// One bank's queued requests, oldest first, as slab indices.
 #[derive(Debug, Clone, Copy)]
@@ -109,6 +113,10 @@ impl MemoryController {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize, n_banks: usize) -> Self {
         assert!(capacity > 0, "controller queue capacity must be non-zero");
+        assert!(
+            u32::try_from(n_banks).is_ok(),
+            "bank count must fit 32 bits"
+        );
         MemoryController {
             slab: Vec::new(),
             free: NIL,
@@ -161,7 +169,7 @@ impl MemoryController {
         let bank = dram.bank_of(req.addr);
         let queued = Queued {
             req,
-            bank,
+            bank: bank as u32,
             row: dram.row_of(req.addr),
             at: now,
             stamp: self.arrivals,
@@ -193,7 +201,7 @@ impl MemoryController {
     /// Unlinks `pick` from its bank's FIFO and returns it.
     fn take(&mut self, pick: Pick) -> Queued {
         let q = self.slab[pick.slot as usize];
-        let fifo = &mut self.banks[q.bank];
+        let fifo = &mut self.banks[q.bank as usize];
         if pick.prev == NIL {
             fifo.head = q.next;
         } else {
@@ -203,7 +211,7 @@ impl MemoryController {
             fifo.tail = pick.prev;
         }
         if fifo.head == NIL {
-            self.pending.clear(q.bank);
+            self.pending.clear(q.bank as usize);
         }
         self.slab[pick.slot as usize].next = self.free;
         self.free = pick.slot;
@@ -266,9 +274,9 @@ impl MemoryController {
         }
         live.sort_by_key(|&slot| self.slab[slot as usize].stamp);
         let queued = live.iter().map(|&slot| (slot, &self.slab[slot as usize]));
-        let mut on_free_banks = queued.filter(|(_, q)| dram.bank_free_idx(q.bank, now));
+        let mut on_free_banks = queued.filter(|(_, q)| dram.bank_free_idx(q.bank as usize, now));
         let first_free = on_free_banks.clone().next();
-        let first_hit = on_free_banks.find(|(_, q)| dram.open_row(q.bank) == Some(q.row));
+        let first_hit = on_free_banks.find(|(_, q)| dram.open_row(q.bank as usize) == Some(q.row));
         first_hit.or(first_free).map(|(slot, _)| slot)
     }
 
@@ -311,7 +319,7 @@ impl MemoryController {
         };
         let q = self.take(pick);
         let req = q.req;
-        let svc = dram.service_at(q.bank, q.row, now);
+        let svc = dram.service_at(q.bank as usize, q.row, now);
         self.horizon = self.scan_horizon(dram);
         if self.metrics {
             let app = req.app.index();

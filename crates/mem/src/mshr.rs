@@ -6,8 +6,7 @@
 //! request to the next level — the inter-warp merging of Table I.
 
 use crate::req::ReqId;
-use gpu_types::{Address, FxHashMap};
-use std::collections::hash_map::Entry;
+use gpu_types::Address;
 
 /// Outcome of attempting to register a miss with the MSHR table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,30 +22,62 @@ pub enum MshrOutcome {
     Full,
 }
 
-/// Ends the free list of [`MshrTable`].
-const NONE: usize = usize::MAX;
+/// Ends a chain: a bucket's entries, the free entries, an entry's extra
+/// targets or the free targets.
+const NIL: u32 = u32::MAX;
+
+/// One in-flight line and its first waiter.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    line: Address,
+    first: ReqId,
+    /// The next entry of the same bucket; while free, the entry freed
+    /// before this one.
+    next: u32,
+    /// Waiters held, the first included.
+    n_targets: u32,
+    /// The oldest and the youngest waiter after the first, as pool
+    /// indices ([`NIL`] when there is none).
+    more: u32,
+    last: u32,
+}
+
+/// A waiter merged after an entry's first: the request and the next
+/// younger waiter of its entry (the next free target while free).
+#[derive(Debug, Clone, Copy)]
+struct Target {
+    req: ReqId,
+    next: u32,
+}
 
 /// MSHR table with bounded entries and bounded merge fan-in per entry.
 ///
-/// Targets live inline in one slab of `max_merge` request ids per entry,
-/// entry `e` owning `targets[e * max_merge..][..n_targets[e]]`: an entry's
-/// waiters sit side by side. The slab holds only the entries ever occupied
-/// at once — an allocation takes the most recently freed entry, else the
-/// next fresh one — so it grows to the table's high-water mark, not to
-/// `max_entries`, and once there a register/fill cycle touches no
-/// allocator.
+/// Entries live in one slab, each holding its line and its first waiter,
+/// chained from `next_power_of_two(max_entries)` bucket heads by a
+/// multiplicative hash of the line index. A miss merged into an entry
+/// takes a slot of one target pool shared by the table and is linked at
+/// the tail of its entry's list, so a fill releases waiters in arrival
+/// order. An allocation takes the most recently freed entry, else the
+/// next fresh one, and a merge the most recently freed target, else a
+/// fresh one: the slab grows to the high-water mark of live entries and
+/// the pool to that of live merged targets, not to `max_entries` and
+/// `max_entries × max_merge`, and once there a register/fill cycle
+/// touches no allocator.
 #[derive(Debug)]
 pub struct MshrTable {
-    /// In-flight line → the entry tracking it.
-    entries: FxHashMap<Address, usize>,
-    targets: Vec<ReqId>,
-    /// Targets held per occupied entry; a free entry holds the entry
-    /// freed before it instead ([`NONE`] ends that list). Its length is
-    /// the entries made so far.
-    n_targets: Vec<usize>,
-    /// The most recently freed entry, [`NONE`] when every made entry is
-    /// occupied.
-    free: usize,
+    /// Per bucket, its most recently allocated entry.
+    heads: Vec<u32>,
+    /// `64 - log2(heads.len())`: the hash's top bits pick the bucket.
+    bucket_shift: u32,
+    entries: Vec<Entry>,
+    /// The most recently freed entry ([`NIL`] when every made entry is
+    /// occupied).
+    free: u32,
+    /// Occupied entries.
+    len: usize,
+    pool: Vec<Target>,
+    /// The most recently freed target.
+    free_targets: u32,
     max_entries: usize,
     max_merge: usize,
 }
@@ -57,88 +88,164 @@ impl MshrTable {
     ///
     /// # Panics
     ///
-    /// Panics if either bound is zero.
+    /// Panics if either bound is zero or `max_entries × max_merge` does not
+    /// fit 32 bits.
     pub fn new(max_entries: usize, max_merge: usize) -> Self {
         assert!(
             max_entries > 0 && max_merge > 0,
             "MSHR bounds must be non-zero"
         );
+        assert!(
+            max_entries.saturating_mul(max_merge) < NIL as usize,
+            "MSHR entries and targets must be indexable in 32 bits"
+        );
+        let n_buckets = max_entries.next_power_of_two().max(2);
         MshrTable {
-            entries: FxHashMap::default(),
-            targets: Vec::new(),
-            n_targets: Vec::new(),
-            free: NONE,
+            heads: vec![NIL; n_buckets],
+            bucket_shift: 64 - n_buckets.trailing_zeros(),
+            entries: Vec::new(),
+            free: NIL,
+            len: 0,
+            pool: Vec::new(),
+            free_targets: NIL,
             max_entries,
             max_merge,
         }
     }
 
+    /// The bucket of `line`. Lines of one memory partition share their
+    /// interleaving bits, so the index is mixed before its top bits are
+    /// taken.
+    #[inline]
+    fn bucket(&self, line: Address) -> usize {
+        (line.line_index().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.bucket_shift) as usize
+    }
+
+    /// The entry tracking `line` and the entry chained before it in
+    /// `bucket` ([`NIL`] for either when there is none).
+    #[inline]
+    fn find(&self, bucket: usize, line: Address) -> (u32, u32) {
+        let (mut prev, mut e) = (NIL, self.heads[bucket]);
+        while e != NIL && self.entries[e as usize].line != line {
+            prev = e;
+            e = self.entries[e as usize].next;
+        }
+        (prev, e)
+    }
+
     /// Registers a missing `line` for `req`.
     pub fn register(&mut self, line: Address, req: ReqId) -> MshrOutcome {
         debug_assert_eq!(line, line.line(), "MSHR addresses must be line-aligned");
-        let (entry, outcome) = match self.entries.entry(line) {
-            Entry::Occupied(e) if self.n_targets[*e.get()] >= self.max_merge => {
-                return MshrOutcome::Full;
-            }
-            Entry::Occupied(e) => (*e.get(), MshrOutcome::Merged),
-            Entry::Vacant(v) => {
-                let e = if self.free != NONE {
-                    let e = self.free;
-                    self.free = std::mem::replace(&mut self.n_targets[e], 0);
-                    e
-                } else if self.n_targets.len() < self.max_entries {
-                    self.n_targets.push(0);
-                    self.targets
-                        .resize(self.targets.len() + self.max_merge, ReqId(0));
-                    self.n_targets.len() - 1
-                } else {
-                    return MshrOutcome::Full;
-                };
-                (*v.insert(e), MshrOutcome::Allocated)
-            }
+        let bucket = self.bucket(line);
+        let (_, e) = self.find(bucket, line);
+        if e != NIL {
+            return self.merge(e as usize, req);
+        }
+        if self.len == self.max_entries {
+            return MshrOutcome::Full;
+        }
+        let fresh = Entry {
+            line,
+            first: req,
+            next: self.heads[bucket],
+            n_targets: 1,
+            more: NIL,
+            last: NIL,
         };
-        self.targets[entry * self.max_merge + self.n_targets[entry]] = req;
-        self.n_targets[entry] += 1;
-        outcome
+        let e = if self.free != NIL {
+            let e = self.free;
+            self.free = std::mem::replace(&mut self.entries[e as usize], fresh).next;
+            e
+        } else {
+            self.entries.push(fresh);
+            (self.entries.len() - 1) as u32
+        };
+        self.heads[bucket] = e;
+        self.len += 1;
+        MshrOutcome::Allocated
+    }
+
+    /// Appends `req` to entry `e`'s waiters, if it has room.
+    fn merge(&mut self, e: usize, req: ReqId) -> MshrOutcome {
+        if self.entries[e].n_targets as usize >= self.max_merge {
+            return MshrOutcome::Full;
+        }
+        let target = Target { req, next: NIL };
+        let t = if self.free_targets != NIL {
+            let t = self.free_targets;
+            self.free_targets = std::mem::replace(&mut self.pool[t as usize], target).next;
+            t
+        } else {
+            self.pool.push(target);
+            (self.pool.len() - 1) as u32
+        };
+        let entry = &mut self.entries[e];
+        entry.n_targets += 1;
+        if entry.last == NIL {
+            entry.more = t;
+        } else {
+            self.pool[entry.last as usize].next = t;
+        }
+        entry.last = t;
+        MshrOutcome::Merged
     }
 
     /// Completes the miss for `line`, appending every waiting request (in
     /// arrival order) to `out`. No-op when the line had no entry (e.g. a
     /// prefetch-style fill).
     pub fn fill_into(&mut self, line: Address, out: &mut Vec<ReqId>) {
-        if let Some(entry) = self.entries.remove(&line) {
-            let first = entry * self.max_merge;
-            out.extend_from_slice(&self.targets[first..first + self.n_targets[entry]]);
-            self.n_targets[entry] = self.free;
-            self.free = entry;
+        let bucket = self.bucket(line);
+        let (prev, e) = self.find(bucket, line);
+        if e == NIL {
+            return;
         }
+        let entry = self.entries[e as usize];
+        if prev == NIL {
+            self.heads[bucket] = entry.next;
+        } else {
+            self.entries[prev as usize].next = entry.next;
+        }
+        out.push(entry.first);
+        if entry.more != NIL {
+            let mut t = entry.more;
+            while t != NIL {
+                let target = self.pool[t as usize];
+                out.push(target.req);
+                t = target.next;
+            }
+            self.pool[entry.last as usize].next = self.free_targets;
+            self.free_targets = entry.more;
+        }
+        self.entries[e as usize].next = self.free;
+        self.free = e;
+        self.len -= 1;
     }
 
     /// Number of occupied entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True when no misses are outstanding.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// True when a *new* line could not currently be allocated.
     pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.max_entries
+        self.len >= self.max_entries
     }
 
     /// Entries still available for new lines.
     pub fn free_entries(&self) -> usize {
-        self.max_entries - self.entries.len()
+        self.max_entries - self.len
     }
 
     /// Occupied entries out of total capacity, as a `(used, capacity)`
     /// pair — what the observability layer samples into its MSHR-occupancy
     /// histogram at window rollover.
     pub fn occupancy(&self) -> (usize, usize) {
-        (self.entries.len(), self.max_entries)
+        (self.len, self.max_entries)
     }
 }
 
@@ -158,8 +265,13 @@ mod tests {
             out
         }
 
+        fn entry_of(&self, line: Address) -> Option<usize> {
+            let (_, e) = self.find(self.bucket(line), line);
+            (e != NIL).then_some(e as usize)
+        }
+
         fn contains(&self, line: Address) -> bool {
-            self.entries.contains_key(&line)
+            self.entry_of(line).is_some()
         }
     }
 
@@ -256,6 +368,8 @@ mod tests {
         free: Vec<usize>,
         max_merge: usize,
         high_water: usize,
+        /// High-water mark of live waiters after their entry's first.
+        extra_high_water: usize,
     }
 
     impl PrefilledStack {
@@ -265,6 +379,7 @@ mod tests {
                 free: (0..max_entries).rev().collect(),
                 max_merge,
                 high_water: 0,
+                extra_high_water: 0,
             }
         }
 
@@ -273,6 +388,8 @@ mod tests {
                 Some((_, n)) if *n >= self.max_merge => MshrOutcome::Full,
                 Some((_, n)) => {
                     *n += 1;
+                    let extra = self.entries.values().map(|&(_, n)| n - 1).sum();
+                    self.extra_high_water = self.extra_high_water.max(extra);
                     MshrOutcome::Merged
                 }
                 None => match self.free.pop() {
@@ -309,15 +426,108 @@ mod tests {
                 if (i / 500) % 2 == 0 || rng.chance(0.2) {
                     let (outcome, entry) = old.register(l);
                     assert_eq!(m.register(l, ReqId(i)), outcome, "step {i}");
-                    assert_eq!(m.entries.get(&l).copied(), entry, "step {i}");
+                    assert_eq!(m.entry_of(l), entry, "step {i}");
                 } else {
                     old.fill(l);
                     m.fill(l);
                 }
-                assert!(m.n_targets.len() <= max_entries, "step {i}");
+                assert!(m.entries.len() <= max_entries, "step {i}");
             }
-            assert_eq!(m.n_targets.len(), old.high_water, "made entries");
-            assert_eq!(m.targets.len(), old.high_water * max_merge);
+            assert_eq!(m.entries.len(), old.high_water, "made entries");
+            assert_eq!(m.pool.len(), old.extra_high_water, "made targets");
+        }
+    }
+
+    /// The table this one replaced: an `FxHashMap` from line to entry and
+    /// a row of `max_merge` target slots per entry.
+    struct RowTable {
+        entries: gpu_types::FxHashMap<Address, usize>,
+        targets: Vec<ReqId>,
+        n_targets: Vec<usize>,
+        free: Vec<usize>,
+        max_entries: usize,
+        max_merge: usize,
+    }
+
+    impl RowTable {
+        fn new(max_entries: usize, max_merge: usize) -> Self {
+            RowTable {
+                entries: Default::default(),
+                targets: Vec::new(),
+                n_targets: Vec::new(),
+                free: Vec::new(),
+                max_entries,
+                max_merge,
+            }
+        }
+
+        fn register(&mut self, line: Address, req: ReqId) -> MshrOutcome {
+            let (e, outcome) = match self.entries.get(&line) {
+                Some(&e) if self.n_targets[e] >= self.max_merge => return MshrOutcome::Full,
+                Some(&e) => (e, MshrOutcome::Merged),
+                None => {
+                    let e = match self.free.pop() {
+                        Some(e) => e,
+                        None if self.n_targets.len() < self.max_entries => {
+                            self.n_targets.push(0);
+                            self.targets
+                                .resize(self.targets.len() + self.max_merge, ReqId(0));
+                            self.n_targets.len() - 1
+                        }
+                        None => return MshrOutcome::Full,
+                    };
+                    self.entries.insert(line, e);
+                    (e, MshrOutcome::Allocated)
+                }
+            };
+            self.targets[e * self.max_merge + self.n_targets[e]] = req;
+            self.n_targets[e] += 1;
+            outcome
+        }
+
+        fn fill(&mut self, line: Address) -> Vec<ReqId> {
+            let Some(e) = self.entries.remove(&line) else {
+                return Vec::new();
+            };
+            let first = e * self.max_merge;
+            let out = self.targets[first..first + self.n_targets[e]].to_vec();
+            self.n_targets[e] = 0;
+            self.free.push(e);
+            out
+        }
+    }
+
+    #[test]
+    fn chained_table_agrees_with_the_row_table() {
+        use gpu_types::SplitMix64;
+        let mut rng = SplitMix64::new(0x0A5E_3511);
+        for (max_entries, max_merge) in [(1, 1), (1, 4), (3, 8), (8, 2), (64, 8), (128, 8)] {
+            let mut m = MshrTable::new(max_entries, max_merge);
+            let mut rows = RowTable::new(max_entries, max_merge);
+            // Lines one memory partition of 16 sees (a fixed interleaving
+            // field) and plain consecutive ones.
+            let stride = if max_entries % 2 == 0 { 32 } else { 1 };
+            let span = 2 * max_entries as u64 + 3;
+            for i in 0..30_000u64 {
+                let l = line(rng.next_below(span) * stride);
+                // Phases of mostly misses then mostly fills, so both
+                // limits are reached and the table drains.
+                let misses = if (i / 700) % 2 == 0 { 0.85 } else { 0.3 };
+                if rng.chance(misses) {
+                    assert_eq!(
+                        m.register(l, ReqId(i)),
+                        rows.register(l, ReqId(i)),
+                        "step {i}"
+                    );
+                } else {
+                    assert_eq!(m.fill(l), rows.fill(l), "step {i}");
+                }
+                assert_eq!(m.len(), rows.entries.len(), "step {i}");
+                assert_eq!(m.is_empty(), rows.entries.is_empty());
+                assert_eq!(m.is_full(), rows.entries.len() == max_entries);
+                assert_eq!(m.free_entries(), max_entries - rows.entries.len());
+                assert_eq!(m.occupancy(), (rows.entries.len(), max_entries));
+            }
         }
     }
 

@@ -29,19 +29,25 @@ pub enum AccessKind {
     Store,
 }
 
-/// A line-granular memory transaction.
+/// A line-granular memory transaction, 24 bytes: every queue between a
+/// core and DRAM holds these by value. The issuing core and warp slot are
+/// kept in 16 bits each ([`GpuConfig::validate`] rejects machines whose
+/// indices do not fit) and read through [`Self::core`] and
+/// [`Self::warp_slot`].
+///
+/// [`GpuConfig::validate`]: gpu_types::GpuConfig::validate
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
     /// Routing/merging tag.
     pub id: ReqId,
+    /// Line-aligned address.
+    pub addr: Address,
     /// Application the request belongs to (drives per-app accounting).
     pub app: AppId,
     /// Issuing core (return route for the response).
-    pub core: CoreId,
+    core: u16,
     /// Warp slot on the issuing core (which warp to wake).
-    pub warp_slot: usize,
-    /// Line-aligned address.
-    pub addr: Address,
+    warp_slot: u16,
     /// Load or store.
     pub kind: AccessKind,
     /// True when the issuing core's application bypasses the caches
@@ -51,8 +57,14 @@ pub struct MemRequest {
     pub bypass_caches: bool,
 }
 
+const _: () = assert!(std::mem::size_of::<MemRequest>() == 24);
+
 impl MemRequest {
     /// Creates a request, aligning `addr` down to its cache line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core`'s index or `warp_slot` does not fit 16 bits.
     pub fn new(
         id: ReqId,
         app: AppId,
@@ -61,15 +73,30 @@ impl MemRequest {
         addr: Address,
         kind: AccessKind,
     ) -> Self {
+        let narrow = |what: &str, i: usize| {
+            u16::try_from(i).unwrap_or_else(|_| panic!("{what} {i} does not fit 16 bits"))
+        };
         MemRequest {
             id,
-            app,
-            core,
-            warp_slot,
             addr: addr.line(),
+            app,
+            core: narrow("core", core.index()),
+            warp_slot: narrow("warp slot", warp_slot),
             kind,
             bypass_caches: false,
         }
+    }
+
+    /// Issuing core (return route for the response).
+    #[inline]
+    pub fn core(&self) -> CoreId {
+        CoreId(self.core as usize)
+    }
+
+    /// Warp slot on the issuing core (which warp to wake).
+    #[inline]
+    pub fn warp_slot(&self) -> usize {
+        self.warp_slot as usize
     }
 
     /// Marks the request as cache-bypassing (see `bypass_caches`).
@@ -102,6 +129,32 @@ mod tests {
     #[test]
     fn constructor_line_aligns() {
         assert_eq!(req(AccessKind::Load).addr, Address::new(0x1234).line());
+    }
+
+    #[test]
+    fn core_and_warp_slot_round_trip_through_16_bits() {
+        let r = MemRequest::new(
+            ReqId(1),
+            AppId::new(0),
+            CoreId(65_535),
+            65_535,
+            Address::new(0),
+            AccessKind::Load,
+        );
+        assert_eq!((r.core(), r.warp_slot()), (CoreId(65_535), 65_535));
+    }
+
+    #[test]
+    #[should_panic(expected = "core 65536 does not fit 16 bits")]
+    fn a_core_beyond_16_bits_panics() {
+        let _ = MemRequest::new(
+            ReqId(1),
+            AppId::new(0),
+            CoreId(65_536),
+            0,
+            Address::new(0),
+            AccessKind::Load,
+        );
     }
 
     #[test]

@@ -266,7 +266,7 @@ impl Gpu {
                 let Some(resp) = staged[p].pop_front() else {
                     break;
                 };
-                let route = (p, resp.core.index());
+                let route = (p, resp.core().index());
                 push_flit(&mut self.resp_net, &mut w.resp_due, latency, route, resp, t);
             }
         }
@@ -348,11 +348,13 @@ impl Gpu {
         w.n_awake = 0;
         for p in 0..partitions.len() {
             let fresh = !backlog[p].is_empty();
-            while let Some(req) = backlog[p].front().copied() {
-                if partitions[p].push(req).is_err() {
+            // `push` fails exactly when `can_accept` is false, so a full
+            // ingress is passed over without copying the backlog's head.
+            while partitions[p].can_accept() {
+                let Some(req) = backlog[p].pop_front() else {
                     break;
-                }
-                backlog[p].pop_front();
+                };
+                partitions[p].push(req).expect("can_accept checked");
             }
             // Only a step or fresh ingress (or a retry) moves a partition's
             // wake; ingress behind a full controller leaves it where it was.

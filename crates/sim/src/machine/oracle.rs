@@ -43,7 +43,7 @@ impl Gpu {
                 if !self.resp_net.can_accept(p) {
                     break;
                 }
-                let dest = resp.core.index();
+                let dest = resp.core().index();
                 let resp = self.resp_backlog[p].pop_front().expect("front checked");
                 self.resp_net
                     .push(p, dest, resp, now)

@@ -168,8 +168,8 @@ fn volta_shaped_machines_agree_under_knob_changes() {
     }
 }
 
-/// CCWS cores never sleep; a machine running CCWS from cycle zero must
-/// still match the reference exactly.
+/// A machine running CCWS from cycle zero must match the reference
+/// exactly.
 #[test]
 fn ccws_machines_agree() {
     let mut rng = SplitMix64::new(0xE961_7E59);
@@ -182,6 +182,40 @@ fn ccws_machines_agree() {
     opt.run(3_000);
     reference.run(3_000);
     assert_machines_equal(&opt, &reference, "ccws");
+}
+
+/// CCWS cores sleep like the others, waking for the throttle's next
+/// decision: on the memory-bound `small` co-run they skip most of their
+/// cycles and step within 10 % as often as without CCWS, and the machine
+/// still matches the reference (which steps every core every cycle).
+#[test]
+fn ccws_cores_sleep_between_decisions() {
+    let cfg = GpuConfig::small();
+    let cycles = 20_000;
+    let build = |ccws: bool| {
+        let mut gpu = Gpu::new(&cfg, Workload::pair("BLK", "TRD").apps(), 42);
+        gpu.set_combo(&TlpCombo::uniform(cfg.max_tlp(), 2));
+        for app in [AppId::new(0), AppId::new(1)] {
+            gpu.set_ccws(app, ccws);
+        }
+        gpu
+    };
+    let (mut on, mut off, mut reference) = (build(true), build(false), build(true));
+    reference.set_reference_engine(true);
+    for gpu in [&mut on, &mut off, &mut reference] {
+        gpu.run(cycles);
+    }
+    assert_machines_equal(&on, &reference, "ccws");
+    let (on, off) = (on.engine_stats(), off.engine_stats());
+    // A core stepped every cycle would take all 80 000.
+    assert!(
+        on.core_steps_skipped * 2 > cycles * cfg.n_cores as u64,
+        "{on:?}"
+    );
+    assert!(
+        on.core_steps * 10 < off.core_steps * 11,
+        "{on:?} against {off:?}"
+    );
 }
 
 struct FlipFlop(bool);

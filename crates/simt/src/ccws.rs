@@ -124,6 +124,13 @@ impl CcwsThrottle {
         }
     }
 
+    /// The cycle of the next throttle decision: [`Self::tick`] is a no-op
+    /// before it, so a core that sleeps through the cycles up to it skips
+    /// only no-op ticks.
+    pub fn next_decision(&self) -> u64 {
+        self.next_decision
+    }
+
     /// The warp limit CCWS currently justifies (per scheduler).
     pub fn limit(&self) -> usize {
         self.limit

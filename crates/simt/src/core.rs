@@ -394,7 +394,7 @@ impl<S: InstStream> SimtCore<S> {
 
     /// Delivers a load response from the interconnect.
     pub fn receive(&mut self, resp: MemRequest) {
-        debug_assert_eq!(resp.core, self.id, "response misrouted");
+        debug_assert_eq!(resp.core(), self.id, "response misrouted");
         // A response can make a blocked warp schedulable again.
         self.sleep = None;
         if self.pending.get(resp.id).is_some_and(|p| p.cached) {
@@ -402,7 +402,7 @@ impl<S: InstStream> SimtCore<S> {
             let victim = self.l1.fill_into(resp.addr, &mut waiters);
             if self.ccws.is_some() {
                 self.line_owner
-                    .insert(resp.addr.line_index(), resp.warp_slot);
+                    .insert(resp.addr.line_index(), resp.warp_slot());
                 if let Some(v) = victim {
                     if let Some(owner) = self.line_owner.remove(&v.line_index()) {
                         if let Some(ccws) = &mut self.ccws {
@@ -714,9 +714,15 @@ impl<S: InstStream> SimtCore<S> {
         //    is left of the ready set is the struct-blocked warps. Egress
         //    and MSHR space free only via pop_request / receive, which
         //    clear the sleep, so nothing can happen before the earliest of
-        //    {pending hit return, a booked warp becoming ready} — unless an
-        //    external event (receive, knob change, a pop that makes a
-        //    blocked warp fit) clears the sleep first.
+        //    {pending hit return, a booked warp becoming ready, the next
+        //    CCWS decision} — unless an external event (receive, knob
+        //    change, a pop that makes a blocked warp fit) clears the sleep
+        //    first. CCWS's miss and evict events happen only on issue or
+        //    receive, so its tick is the one wake source it adds.
+        let decision = self
+            .ccws
+            .as_ref()
+            .map_or(u64::MAX, CcwsThrottle::next_decision);
         if issued_total == 0 {
             let (_, mshrs) = self.headroom();
             let (mut wake_room, mut n_blocked) = (usize::MAX, 0);
@@ -738,6 +744,7 @@ impl<S: InstStream> SimtCore<S> {
                 self.horizon_by_scan(now),
                 "the no-issue sleep diverged from the horizon walk at {now}"
             );
+            let wake = wake.min(decision);
             let kind = if saw_struct_block {
                 self.stats.struct_stall_cycles += 1;
                 SleepKind::Struct { room: wake_room }
@@ -748,26 +755,25 @@ impl<S: InstStream> SimtCore<S> {
                 self.stats.idle_cycles += 1;
                 SleepKind::Idle
             };
-            // CCWS must tick every cycle, so throttled cores never sleep.
-            if self.ccws.is_none() {
-                debug_assert!(wake > now, "pending wakes must lie in the future");
-                self.sleep = Some((wake, kind));
-            }
-        } else if self.ccws.is_none() && !self.issue.any_ready() {
+            debug_assert!(wake > now, "pending wakes must lie in the future");
+            self.sleep = Some((wake, kind));
+        } else if !self.issue.any_ready() {
             // 4. An issuing step sleeps through `now + 1` when that step
             //    would issue nothing: no active warp is ready now, none
-            //    becomes ready and no L1 hit returns by then. The skipped
-            //    step would find no warp to offer, so it could only have
-            //    classified the cycle as below and gone to sleep until the
-            //    same wake; any event that could change that clears the
-            //    sleep, as it would that step's.
+            //    becomes ready, no L1 hit returns and no CCWS decision
+            //    falls by then. The skipped step would find no warp to
+            //    offer, so it could only have classified the cycle as below
+            //    and gone to sleep until the same wake; any event that
+            //    could change that clears the sleep, as it would that
+            //    step's.
             let wake = self.issue.next_ready().min(self.next_hit_return());
-            if wake > now + 1 {
+            if wake.min(decision) > now + 1 {
                 debug_assert_eq!(
                     (wake, usize::MAX, 0),
                     self.horizon_by_scan(now + 1),
                     "the post-issue sleep diverged from the horizon walk at {now}"
                 );
+                let wake = wake.min(decision);
                 let kind = if self.issue.any_waiting_mem_in_window() {
                     SleepKind::Mem
                 } else {

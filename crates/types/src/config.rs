@@ -403,12 +403,22 @@ impl GpuConfig {
             return Err(ConfigError::new("n_partitions must be non-zero".to_owned()));
         }
         // Zero is a multiple of everything, so it needs its own test: a
-        // scheduler owns at least one warp slot. There is no upper bound —
-        // the cores' per-warp bitsets are `u64` word vectors of any length.
+        // scheduler owns at least one warp slot.
         if self.warps_per_core == 0 {
             return Err(ConfigError::new(
                 "warps_per_core must be non-zero".to_owned(),
             ));
+        }
+        // A memory request names its core and warp slot in 16 bits each.
+        for (field, n) in [
+            ("n_cores", self.n_cores),
+            ("warps_per_core", self.warps_per_core),
+        ] {
+            if n > INDEX_LIMIT {
+                return Err(ConfigError::new(format!(
+                    "{field} {n} exceeds {INDEX_LIMIT}, the most a memory request can index"
+                )));
+            }
         }
         if self.schedulers_per_core == 0
             || !self.warps_per_core.is_multiple_of(self.schedulers_per_core)
@@ -439,6 +449,10 @@ impl GpuConfig {
         Ok(())
     }
 }
+
+/// The most cores, and the most warps per core, a machine may have: a
+/// memory request carries both indices in 16 bits.
+const INDEX_LIMIT: usize = 1 << 16;
 
 impl Default for GpuConfig {
     fn default() -> Self {
@@ -548,6 +562,20 @@ mod tests {
         let mut cfg = GpuConfig::paper();
         cfg.dram.n_banks = 10; // not a multiple of 4 groups
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_indices_beyond_16_bits() {
+        let mut cfg = GpuConfig::paper();
+        cfg.n_cores = 1 << 16;
+        assert!(cfg.validate().is_ok());
+        cfg.n_cores = (1 << 16) + 1;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.to_string().contains("n_cores 65537"), "{err}");
+        let mut cfg = GpuConfig::paper();
+        cfg.warps_per_core = 1 << 17;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.to_string().contains("warps_per_core 131072"), "{err}");
     }
 
     #[test]

@@ -49,16 +49,22 @@ struct CoreStream {
 pub struct AppStream {
     core: Arc<CoreStream>,
     rng: SplitMix64,
-    slot: u64,
     warp_base: u64,
     /// Iteration counter of the grid-stride stream.
     stream_iter: u64,
-    tile_index: u64,
-    tile_sweep: u32,
-    tile_pos: u64,
     /// Instructions emitted so far (drives phase switching).
     insts: u64,
+    /// Below `warps_per_core`.
+    slot: u32,
+    /// Below `STREAM_WRAP_LINES`, 2^17.
+    tile_index: u32,
+    tile_sweep: u32,
+    /// Below `tile_lines`, which `Self::slots` holds to 32 bits.
+    tile_pos: u32,
 }
+
+// A machine holds one per warp slot, 5 120 on `GpuConfig::volta`.
+const _: () = assert!(std::mem::size_of::<AppStream>() == 56);
 
 impl std::fmt::Debug for AppStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -126,6 +132,14 @@ impl AppStream {
         };
         let stride = match profile.pattern {
             AccessPattern::Stream { stride_lines } => stride_lines,
+            AccessPattern::Tiled { tile_lines, .. } => {
+                assert!(
+                    tile_lines <= u32::MAX as u64,
+                    "{}: a tile of {tile_lines} lines exceeds 2^32",
+                    profile.name
+                );
+                1
+            }
             _ => 1,
         };
         let core = Arc::new(CoreStream {
@@ -149,7 +163,7 @@ impl AppStream {
             AppStream {
                 core: Arc::clone(&core),
                 rng: SplitMix64::new(seeder.next_u64() ^ warp_global),
-                slot: slot as u64,
+                slot: u32::try_from(slot).expect("a warp slot fits 32 bits"),
                 warp_base: app_base
                     + (APP_REGION / 4)
                     + (1 + warp_global) * WARP_SEGMENT
@@ -168,7 +182,7 @@ impl AppStream {
     /// (optionally offset to a disjoint half for cold traffic).
     fn stream_line(&mut self, offset: u64) -> u64 {
         let core = &*self.core;
-        let pos = (self.stream_iter * core.warps_per_core + self.slot) * core.stream_unit;
+        let pos = (self.stream_iter * core.warps_per_core + self.slot as u64) * core.stream_unit;
         self.stream_iter += 1;
         core.core_stream_base + offset + (pos % STREAM_WRAP_LINES) * LINE_SIZE
     }
@@ -230,17 +244,17 @@ impl AppStream {
                 }
             }
             AccessPattern::Tiled { tile_lines, reuse } => {
-                let addr =
-                    self.warp_base + (self.tile_index * tile_lines + self.tile_pos) * LINE_SIZE;
+                let tile_line = self.tile_index as u64 * tile_lines + self.tile_pos as u64;
+                let addr = self.warp_base + tile_line * LINE_SIZE;
                 self.tile_pos += 1;
-                if self.tile_pos == tile_lines {
+                if self.tile_pos as u64 == tile_lines {
                     self.tile_pos = 0;
                     self.tile_sweep += 1;
                     if self.tile_sweep == reuse {
                         self.tile_sweep = 0;
                         // Wrap tiles within the streaming window.
-                        self.tile_index =
-                            (self.tile_index + 1) % (STREAM_WRAP_LINES / tile_lines).max(1);
+                        let n_tiles = (STREAM_WRAP_LINES / tile_lines).max(1);
+                        self.tile_index = ((self.tile_index as u64 + 1) % n_tiles) as u32;
                     }
                 }
                 addr
