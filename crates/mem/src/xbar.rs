@@ -148,17 +148,26 @@ impl<T> Crossbar<T> {
     /// candidates circularly from its round-robin pointer. Nothing is
     /// allocated. Grants, their order and the pointer movement are those of
     /// [`Crossbar::step`], which scans every input at every output.
-    pub fn step_with(&mut self, now: u64, mut deliver: impl FnMut(usize, T)) {
+    ///
+    /// Returns the next delivery, found in the same pass: `None` once
+    /// empty, `Some(now)` while a ready head went ungranted, else the
+    /// earliest `ready_at` of the heads kept or uncovered, which clamped to
+    /// `now + 1` is [`Crossbar::earliest_head_ready`]'s.
+    pub fn step_with(&mut self, now: u64, mut deliver: impl FnMut(usize, T)) -> Option<u64> {
         if self.buffered == 0 {
-            return;
+            return None;
         }
         let n_inputs = self.inputs.len();
+        let (mut ungranted, mut next) = (0usize, u64::MAX);
         let mut buffered = BitWalk::over(0..n_inputs);
         while let Some(i) = self.non_empty.next(&mut buffered) {
             let head = self.inputs[i].front().expect("non-empty input");
             if head.ready_at <= now {
+                ungranted += 1;
                 self.candidates.set(head.dest * self.row_bits + i);
                 self.contended.set(head.dest);
+            } else {
+                next = next.min(head.ready_at);
             }
         }
         let mut outputs = BitWalk::over(0..self.n_outputs);
@@ -176,7 +185,9 @@ impl<T> Crossbar<T> {
                     };
                     let i = i - row;
                     deliver(out, self.pop(i));
+                    next = next.min(self.inputs[i].front().map_or(u64::MAX, |f| f.ready_at));
                     grants += 1;
+                    ungranted -= 1;
                     // Advance the pointer past the last granted input so a
                     // persistent sender cannot starve others.
                     self.rr[out] = if i + 1 == n_inputs { 0 } else { i + 1 };
@@ -186,6 +197,7 @@ impl<T> Crossbar<T> {
                 .zero_words(row / 64..(row + self.row_bits) / 64);
         }
         self.debug_check();
+        (self.buffered > 0).then_some(if ungranted > 0 { now } else { next })
     }
 
     /// Debug builds hold the running count and the non-empty set to a scan
@@ -438,5 +450,30 @@ mod tests {
         x.step_with(15, |out, p| got.push((out, p)));
         assert_eq!(got, [(1, 9)], "deliverable at the reported cycle");
         assert_eq!(x.earliest_head_ready(), None);
+    }
+
+    #[test]
+    fn step_with_reports_a_ready_head_left_ungranted() {
+        // Two ready heads contend for one output that grants once a cycle.
+        let mut x: Crossbar<u32> = Crossbar::new(2, 1, 2, 1, 4);
+        x.push(0, 0, 1, 0).unwrap();
+        x.push(1, 0, 2, 0).unwrap();
+        assert_eq!(x.step_with(2, |_, _| {}), Some(2), "the loser is ready now");
+        assert_eq!(x.step_with(3, |_, _| {}), None, "the last grant empties it");
+        assert_eq!(x.step_with(4, |_, _| {}), None, "an empty step");
+    }
+
+    #[test]
+    fn step_with_reports_the_head_a_grant_uncovers() {
+        let mut x: Crossbar<u32> = Crossbar::new(1, 1, 2, 1, 4);
+        x.push(0, 0, 1, 0).unwrap();
+        x.push(0, 0, 2, 3).unwrap();
+        assert_eq!(x.step_with(1, |_, _| {}), Some(2), "nothing ready yet");
+        assert_eq!(
+            x.step_with(2, |_, _| {}),
+            Some(5),
+            "the next head's ready_at"
+        );
+        assert_eq!(x.step_with(5, |_, _| {}), None);
     }
 }

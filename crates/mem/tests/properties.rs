@@ -184,8 +184,10 @@ fn crossbar_conserves_payloads() {
 /// random traffic — sparse, saturated and hot-spotted, at geometries either
 /// side of the bitsets' 64-bit word boundaries — both forms deliver the same
 /// `(output, payload)` sequence every cycle. Along the way each input's
-/// FIFO order is preserved, pushed = delivered + buffered, and
-/// `earliest_head_ready` equals a scan of the modelled heads.
+/// FIFO order is preserved, pushed = delivered + buffered,
+/// `earliest_head_ready` equals a scan of the modelled heads, and the next
+/// delivery `step_with` returns is that scan's after the step: `None`
+/// exactly when empty, otherwise the same cycle once clamped to `now + 1`.
 #[test]
 fn crossbar_step_with_matches_step() {
     use std::collections::VecDeque;
@@ -225,8 +227,14 @@ fn crossbar_step_with_matches_step() {
                     let heads = model.iter().filter_map(|q| q.front().map(|f| f.0)).min();
                     assert_eq!(fast.earliest_head_ready(), heads, "{case} cycle {now}");
                     let mut got = Vec::new();
-                    fast.step_with(now, |out, p| got.push((out, p)));
+                    let next = fast.step_with(now, |out, p| got.push((out, p)));
                     assert_eq!(got, oracle.step(now), "{case} cycle {now}");
+                    let clamp = |t: Option<u64>| t.map(|t| t.max(now + 1));
+                    assert_eq!(
+                        clamp(next),
+                        clamp(fast.earliest_head_ready()),
+                        "{case} cycle {now}"
+                    );
                     for &(_, (input, seq)) in &got {
                         let (ready_at, head) = model[input].pop_front().expect("delivered");
                         assert_eq!(seq, head, "{case}: input {input} reordered");

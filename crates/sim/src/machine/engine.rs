@@ -1,18 +1,20 @@
-//! The production engine: one five-phase machine cycle over the machine's
+//! The production engine: one four-phase machine cycle over the machine's
 //! SIMT cores, memory partitions and crossbars, and the jump-or-step loop
 //! around it.
 //!
 //! [`Gpu::step_cycle`] is the only production copy of the machine cycle
-//! (partitions → response delivery → cores → egress → ejection/ingress);
-//! [`Gpu::advance`] is the only jump-or-step loop around it. Between run
-//! spans the machine keeps the engine's [`WakeState`]: per-component due
-//! flags for the components awake at the next cycle, a table of the
-//! sleepers' wake times that fires into the same flags, lazy idle-credit
-//! watermarks, the egress-pending set and each crossbar's next delivery.
-//! Both crossbars push, arbitrate and deliver in-cycle, at any crossbar
-//! latency including zero. Everything runs on the calling thread;
-//! parallelism lives one level up, across independent simulations
-//! ([`crate::exec`]).
+//! (partitions → response delivery → cores with their egress →
+//! ejection/ingress), and it visits each component at most once: a core is
+//! stepped, drained and booked for its next cycle in one go, and a crossbar
+//! step reports its own next delivery. [`Gpu::advance`] is the only
+//! jump-or-step loop around it. Between run spans the machine keeps the
+//! engine's [`WakeState`]: per-component due flags for the components
+//! awake at the next cycle, a table of the sleepers' wake times that fires
+//! into the same flags, lazy idle-credit watermarks, the egress-pending set
+//! and each crossbar's next delivery. Both crossbars push, arbitrate and
+//! deliver in-cycle, at any crossbar latency including zero. Everything
+//! runs on the calling thread; parallelism lives one level up, across
+//! independent simulations ([`crate::exec`]).
 
 use super::{Core, Gpu};
 use crate::timeq::{TimeQ, NEVER};
@@ -27,24 +29,25 @@ pub(super) struct WakeState {
     /// One wake time per sleeping component: cores at `0..n`, partitions
     /// after them. A component awake at the next cycle is not in the table.
     timeq: TimeQ,
-    /// Per component, indexed like the table: whether it steps at the next
-    /// cycle the engine opens. Between cycles the set flags are the awake
-    /// components (`n_awake` of them) and opening a cycle fires the table's
-    /// due sleepers into the same flags. The awake components bypass the
-    /// table: booking them there too, to fire on the next cycle, measured
-    /// 2–4 % slower on the benchmark workloads (2-vCPU x86-64 host).
-    due: Vec<bool>,
+    /// Per component, indexed like the table, two flags in one byte, so
+    /// the core phase tests both with one load:
+    /// - [`DUE`]: it steps at the next cycle the engine opens. Between
+    ///   cycles the due flags are the awake components (`n_awake` of them)
+    ///   and opening a cycle fires the table's due sleepers into the same
+    ///   flags. The awake components bypass the table: booking them there
+    ///   too, to fire on the next cycle, measured 2–4 % slower on the
+    ///   benchmark workloads (2-vCPU x86-64 host).
+    /// - [`EGRESS`], cores only: its egress queue is non-empty
+    ///   (`egress_count` of them). A sleeping core's egress still drains at
+    ///   the machine's pace, so phase 3 visits these cores as well as the
+    ///   due ones and the machine cannot jump while one is flagged.
+    flags: Vec<u8>,
     n_awake: usize,
+    egress_count: usize,
     /// Per core: the cycle up to which its per-cycle counters have been
     /// charged. A sleeping, skipped core is credited in one batch when it
     /// is next touched or when the span ends.
     credited: Vec<u64>,
-    /// Per core: whether its egress queue is non-empty. A sleeping core's
-    /// egress still drains at the machine's pace, so phase 4 walks this
-    /// set (not the due set) and the machine cannot jump while it is
-    /// non-empty.
-    egress: Vec<bool>,
-    egress_count: usize,
     /// The request and the response network's [`net_due`] as of their last
     /// step: a net is stepped at cycle `t` iff its due cycle is `<= t`.
     /// [`NEVER`] exactly while the net is empty.
@@ -56,11 +59,10 @@ impl WakeState {
     pub(super) fn new(n_cores: usize, n_parts: usize) -> Self {
         WakeState {
             timeq: TimeQ::new(n_cores + n_parts),
-            due: vec![false; n_cores + n_parts],
+            flags: vec![0; n_cores + n_parts],
             n_awake: 0,
-            credited: vec![0; n_cores],
-            egress: vec![false; n_cores],
             egress_count: 0,
+            credited: vec![0; n_cores],
             req_due: NEVER,
             resp_due: NEVER,
         }
@@ -70,10 +72,10 @@ impl WakeState {
     /// the next cycle the engine can open: awake then, it is flagged due
     /// and leaves the table; otherwise the table holds it.
     fn book(&mut self, comp: usize, wake: u64, next: u64) {
-        debug_assert!(wake >= next && !self.due[comp]);
+        debug_assert!(wake >= next && self.flags[comp] & DUE == 0);
         if wake == next {
             self.timeq.cancel(comp);
-            self.due[comp] = true;
+            self.flags[comp] |= DUE;
             self.n_awake += 1;
         } else {
             self.timeq.schedule(comp, wake);
@@ -81,13 +83,18 @@ impl WakeState {
     }
 }
 
-/// The cycle from which `net` can next deliver, seen from cycle `from`:
-/// its earliest head-of-line ready time clamped to `from`, [`NEVER`] when
-/// it is empty. Pushes never lower it (a new flit is ready no earlier than
-/// every flit already buffered), so it only needs recomputing after the
-/// net was stepped.
-fn net_due(net: &Crossbar<MemRequest>, from: u64) -> u64 {
-    net.earliest_head_ready().map_or(NEVER, |t| t.max(from))
+/// [`WakeState::flags`]: the component steps at the next cycle.
+const DUE: u8 = 1;
+/// [`WakeState::flags`]: the core's egress queue is non-empty.
+const EGRESS: u8 = 2;
+
+/// The cycle from which a net can next deliver, seen from cycle `from`,
+/// given its `next` delivery (`Crossbar::earliest_head_ready`, or what its
+/// last step returned): clamped to `from`, [`NEVER`] when it is empty.
+/// Pushes never lower it (a new flit is ready no earlier than every flit
+/// already buffered), so only a step changes it.
+fn net_due(next: Option<u64>, from: u64) -> u64 {
+    next.map_or(NEVER, |t| t.max(from))
 }
 
 /// Pushes `flit` from input `port` toward output `dest` of `net` at cycle
@@ -120,8 +127,7 @@ fn step_net(
     if *due > now {
         return 0;
     }
-    net.step_with(now, deliver);
-    *due = net_due(net, now + 1);
+    *due = net_due(net.step_with(now, deliver), now + 1);
     1
 }
 
@@ -179,15 +185,15 @@ impl Gpu {
     fn derive_wake_state(&mut self, now: u64) {
         let w = &mut self.wake;
         w.timeq.reset(now);
-        w.due.fill(false);
+        w.flags.fill(0);
         w.n_awake = 0;
         w.egress_count = 0;
-        w.req_due = net_due(&self.req_net, now);
-        w.resp_due = net_due(&self.resp_net, now);
+        w.req_due = net_due(self.req_net.earliest_head_ready(), now);
+        w.resp_due = net_due(self.resp_net.earliest_head_ready(), now);
         for (c, core) in self.cores.iter().enumerate() {
             w.credited[c] = now;
-            w.egress[c] = core.has_egress();
-            w.egress_count += usize::from(w.egress[c]);
+            w.flags[c] = if core.has_egress() { EGRESS } else { 0 };
+            w.egress_count += usize::from(core.has_egress());
             w.book(c, core.next_event(now), now);
         }
         for (p, partition) in self.partitions.iter().enumerate() {
@@ -236,7 +242,7 @@ impl Gpu {
     fn step_cycle(&mut self, t: u64) {
         self.stepped_cycles += 1;
         let w = &mut self.wake;
-        w.timeq.advance(t, |comp| w.due[comp as usize] = true);
+        w.timeq.advance(t, |comp| w.flags[comp as usize] |= DUE);
         self.debug_check_due(t);
         let latency = self.cfg.xbar_latency as u64;
         let (rate, n_partitions) = (self.cfg.xbar_requests_per_cycle, self.cfg.n_partitions);
@@ -254,7 +260,7 @@ impl Gpu {
         //    response network. A non-empty backlog keeps its partition due,
         //    so non-due partitions have nothing staged.
         for p in 0..partitions.len() {
-            if !w.due[n_cores + p] {
+            if w.flags[n_cores + p] & DUE == 0 {
                 continue;
             }
             self.partition_steps += 1;
@@ -274,80 +280,65 @@ impl Gpu {
         // 2. Deliver responses to cores, crediting a woken core's skipped
         //    cycles before `receive` clears its sleep state.
         {
-            let (credited, due) = (&mut w.credited[..], &mut w.due[..]);
+            let (credited, flags) = (&mut w.credited[..], &mut w.flags[..]);
             self.xbar_steps += step_net(&mut self.resp_net, &mut w.resp_due, t, |c, resp| {
                 credit_core(&mut cores[c], &mut credited[c], t);
                 cores[c].receive(resp);
-                due[c] = true;
+                flags[c] |= DUE;
             });
         }
 
-        // 3. Due cores execute (skipped-cycle credit first, so the step
-        //    observes exactly the state per-cycle stepping would). A step
-        //    can enqueue egress, so the egress-pending set is refreshed.
+        // 3. Due cores execute (skipped-cycle credit first), and every core
+        //    with queued requests, due or not, drains them into its own
+        //    request-net input, stepped only in phase 4: a struct-stalled
+        //    core sleeps while its queue drains, and the pop that makes room
+        //    for a blocked instruction wakes it (credit first, again). Each
+        //    core that stepped or is awake next cycle is booked for it; a
+        //    sleeper left asleep keeps its booking.
+        w.n_awake = 0;
         for (c, core) in cores.iter_mut().enumerate() {
-            if !w.due[c] {
+            let flags = w.flags[c];
+            if flags == 0 {
                 continue;
             }
-            self.core_steps += 1;
-            credit_core(core, &mut w.credited[c], t);
-            core.step(t);
-            w.credited[c] = t + 1;
+            let stepped = flags & DUE != 0;
+            if stepped {
+                self.core_steps += 1;
+                credit_core(core, &mut w.credited[c], t);
+                core.step(t);
+                w.credited[c] = t + 1;
+            }
+            for _ in 0..self.req_net.free_slots(c).min(rate) {
+                let Some(req) = core.peek_request() else {
+                    break;
+                };
+                let route = (c, req.addr.partition(n_partitions));
+                credit_core(core, &mut w.credited[c], t + 1);
+                let req = core.pop_request().expect("peeked");
+                push_flit(&mut self.req_net, &mut w.req_due, latency, route, req, t);
+            }
             let has = core.has_egress();
-            if has != w.egress[c] {
-                w.egress[c] = has;
-                if has {
-                    w.egress_count += 1;
-                } else {
-                    w.egress_count -= 1;
-                }
+            w.egress_count += usize::from(has);
+            w.egress_count -= usize::from(flags & EGRESS != 0);
+            w.flags[c] = if has { EGRESS } else { 0 };
+            let wake = core.next_event(t + 1);
+            if stepped || wake == t + 1 {
+                w.book(c, wake, t + 1);
             }
         }
 
-        // 4. Core egress into the request network — every core with queued
-        //    requests, due or not: a struct-stalled core sleeps while its
-        //    queue drains at the machine's pace, and the pop that makes
-        //    room for a blocked instruction wakes it.
-        //    Skipped cycles are credited before the pop can clear the
-        //    sleep, keeping the lazy-credit bookkeeping exact.
-        if w.egress_count > 0 {
-            for (c, core) in cores.iter_mut().enumerate() {
-                if !w.egress[c] {
-                    continue;
-                }
-                let mut popped = false;
-                for _ in 0..self.req_net.free_slots(c).min(rate) {
-                    let Some(req) = core.peek_request() else {
-                        break;
-                    };
-                    let route = (c, req.addr.partition(n_partitions));
-                    credit_core(core, &mut w.credited[c], t + 1);
-                    let req = core.pop_request().expect("peeked");
-                    push_flit(&mut self.req_net, &mut w.req_due, latency, route, req, t);
-                    popped = true;
-                }
-                if popped {
-                    if !core.has_egress() {
-                        w.egress[c] = false;
-                        w.egress_count -= 1;
-                    }
-                    // A pop that made room for a struct-stalled sleeper woke
-                    // it: have the epilogue rebook it like the cores that
-                    // stepped. A sleeper it left asleep keeps its booking.
-                    w.due[c] |= core.next_event(t + 1) <= t + 1;
-                }
-            }
-        }
-
-        // 5. Eject requests into the ingress backlogs (arbitration order),
-        //    then every backlog drain-retries into its partition. With
-        //    that, the partitions touched this cycle are rebooked.
+        // 4. Eject requests into the ingress backlogs (arbitration order),
+        //    then every backlog drain-retries into its partition, and the
+        //    partitions touched this cycle are rebooked. A partition with
+        //    an empty backlog that was not due has nothing to do here.
         self.xbar_steps += step_net(&mut self.req_net, &mut w.req_due, t, |p, req| {
             backlog[p].push_back(req)
         });
-        w.n_awake = 0;
         for p in 0..partitions.len() {
             let fresh = !backlog[p].is_empty();
+            if !fresh && w.flags[n_cores + p] & DUE == 0 {
+                continue;
+            }
             // `push` fails exactly when `can_accept` is false, so a full
             // ingress is passed over without copying the backlog's head.
             while partitions[p].can_accept() {
@@ -358,17 +349,9 @@ impl Gpu {
             }
             // Only a step or fresh ingress (or a retry) moves a partition's
             // wake; ingress behind a full controller leaves it where it was.
-            if std::mem::take(&mut w.due[n_cores + p]) || fresh {
-                let wake = partition_wake(&partitions[p], &staged[p], &backlog[p], t + 1);
-                w.book(n_cores + p, wake, t + 1);
-            }
-        }
-
-        // Rebook the cores stepped or woken this cycle.
-        for (c, core) in cores.iter().enumerate() {
-            if std::mem::take(&mut w.due[c]) {
-                w.book(c, core.next_event(t + 1), t + 1);
-            }
+            w.flags[n_cores + p] = 0;
+            let wake = partition_wake(&partitions[p], &staged[p], &backlog[p], t + 1);
+            w.book(n_cores + p, wake, t + 1);
         }
     }
 
@@ -381,7 +364,7 @@ impl Gpu {
         let n_cores = self.cores.len();
         let w = &self.wake;
         debug_assert!(
-            (0..n_cores).all(|c| w.due[c] == (self.cores[c].next_event(t) <= t)),
+            (0..n_cores).all(|c| (w.flags[c] & DUE != 0) == (self.cores[c].next_event(t) <= t)),
             "core due flags diverged from the scan at cycle {t}"
         );
         debug_assert!(
@@ -392,13 +375,13 @@ impl Gpu {
                     &self.ingress_backlog[p],
                     t,
                 );
-                w.due[n_cores + p] == (wake <= t)
+                (w.flags[n_cores + p] & DUE != 0) == (wake <= t)
             }),
             "partition due flags diverged from the scan at cycle {t}"
         );
         debug_assert!(
-            (w.req_due <= t) == (net_due(&self.req_net, t) <= t)
-                && (w.resp_due <= t) == (net_due(&self.resp_net, t) <= t),
+            (w.req_due <= t) == (net_due(self.req_net.earliest_head_ready(), t) <= t)
+                && (w.resp_due <= t) == (net_due(self.resp_net.earliest_head_ready(), t) <= t),
             "crossbar due cycles diverged from the scan at cycle {t}"
         );
     }

@@ -24,8 +24,10 @@
 # The table gives both medians, the ratio change/parent, the pairs the
 # change won, and both quartile ranges. A metric whose ranges overlap is
 # `unresolved`, one equal in every pair `identical`. nproc and the load
-# average are printed at start and end. Needs git, tar, jq and awk; writes
-# nothing under benchmark/.
+# average are printed at start and end, and with them the share of the
+# host's CPU time stolen by its hypervisor over the session (read from
+# /proc/stat): other guests' load that the load average does not show.
+# Needs git, tar, jq and awk; writes nothing under benchmark/.
 set -euo pipefail
 
 usage() {
@@ -46,26 +48,8 @@ while (($#)); do
 done
 [[ -n $parent && $pairs =~ ^[1-9][0-9]*$ && $# -gt 0 ]] || usage
 
-ROOT="$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)"
-TMP="$(mktemp -d)"
-trap 'rm -rf "$TMP"' EXIT
-
-# checkout <side> <rev>: the files of <rev> under $TMP/<side>.
-checkout() {
-    local rev
-    rev="$(git -C "$ROOT" rev-parse --verify --quiet "$2^{commit}")" ||
-        { echo "ab.sh: $2 names no commit" >&2; exit 2; }
-    mkdir "$TMP/$1"
-    git -C "$ROOT" archive "$rev" | tar -x -C "$TMP/$1"
-}
-checkout parent "$parent"
-if [[ -n $change ]]; then
-    checkout change "$change"
-    declare -A tree=([parent]="$TMP/parent" [change]="$TMP/change")
-else
-    change="working tree"
-    declare -A tree=([parent]="$TMP/parent" [change]="$ROOT")
-fi
+source "$(dirname "${BASH_SOURCE[0]}")/sides.sh"
+sides "$parent" "$change"
 
 # name and better-direction of every metric
 if ((wall)); then
@@ -77,6 +61,10 @@ else
 fi
 
 load() { cut -d' ' -f1-3 /proc/loadavg 2>/dev/null || echo unknown; }
+# The host's CPU time so far: "<steal> <total>" in clock ticks, from the
+# first line of /proc/stat (user nice system idle iowait irq softirq steal).
+cpu_ticks() { awk '/^cpu / { print $9, $2 + $3 + $4 + $5 + $6 + $7 + $8 + $9; exit }' /proc/stat 2>/dev/null; }
+ticks0=$(cpu_ticks)
 echo "ab: parent $parent, change $change, $pairs pairs of: $what"
 echo "ab: nproc $(nproc), load average $(load) at start"
 
@@ -132,7 +120,8 @@ for ((i = 1; i <= pairs; i++)); do
     done
     echo "ab: pair $i done (${order[0]} first)"
 done
-echo "ab: nproc $(nproc), load average $(load) at end"
+steal=$(echo "$ticks0 $(cpu_ticks)" | awk 'NF == 4 && $4 > $2 { printf "%.1f %%", 100 * ($3 - $1) / ($4 - $2); exit } { print "unknown" }')
+echo "ab: nproc $(nproc), load average $(load) at end, CPU steal $steal of the session"
 
 printf '%-14s %7s %12s %12s %7s %5s  %-25s %-25s %s\n' metric better \
     parent_med change_med ratio wins parent_q1..q3 change_q1..q3 verdict
